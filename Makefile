@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench bench-storage bench-e2e bench-shard bench-persist profile qdiff fmt
+.PHONY: all build vet test race tier1 bench bench-test bench-compare qdiff fmt
 
 all: tier1
 
@@ -19,61 +19,29 @@ race:
 fmt:
 	gofmt -l .
 
-tier1: build vet test race
+tier1: build vet test race bench-test
 
-# bench measures the embedded executor (interpreted vs compiled vs
-# vectorized engine) over a 100k-row fact table and refreshes
-# BENCH_pgdb.json. The file is committed as a non-gating before/after
-# artifact; CI also prints the Go benchmark output for the same cases.
+# bench-test vets and tests the benchmark harness, a Go module of its own
+# that the root module's ./... does not reach.
+bench-test:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# bench runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# all four workloads end to end against freshly built servers.
 bench:
-	$(GO) run ./cmd/benchfig -bench -out BENCH_pgdb.json
-	$(GO) test ./internal/pgdb/ -run '^$$' -bench PgdbExec -benchtime 2x
+	bash bench/run.sh -workload all -seed 1
 
-# bench-storage is the columnar-storage acceptance view of the same
-# measurement: it refreshes BENCH_pgdb.json and prints the per-op speedup of
-# the vectorized engine over the compiled row engine.
-bench-storage:
-	$(GO) run ./cmd/benchfig -bench -out BENCH_pgdb.json
-
-# bench-e2e measures the result pipeline (columnar builders vs text
-# round-trip) end to end — typed conversion, PG v3 wire decode, and a full
-# QIPC serve loop — and refreshes BENCH_e2e.json, the committed non-gating
-# before/after artifact. The go test line prints the same cases as standard
-# benchmark output.
-bench-e2e:
-	$(GO) run ./cmd/benchfig -bench-e2e -out BENCH_e2e.json
-	$(GO) test -run '^$$' -bench 'ResultPipeline|ServeTrade' -benchtime 2x .
-
-# bench-shard measures scatter-gather scaling: the same queries against a
-# single backend and 1/2/4/8-shard embedded clusters, each member's
-# per-statement Delay proportional to its data share (modeled remote scan +
-# shipping). Refreshes BENCH_shard.json, committed as a non-gating artifact.
-bench-shard:
-	$(GO) run ./cmd/benchfig -bench-shard -out BENCH_shard.json
-
-# bench-persist measures the durable-storage layer over a 1M-row
-# date-partitioned table: WAL append throughput per sync mode, the cold-open
-# pruned scan against the fully resident baseline (zone maps from the
-# manifest prune to one partition before any column data is read), the
-# unpruned cold scan for contrast, catalog-open latency, and the
-# evict/reload steady state. Refreshes BENCH_persist.json, committed as a
-# non-gating artifact.
-bench-persist:
-	$(GO) run ./cmd/benchfig -bench-persist -bench-rows 1000000 -out BENCH_persist.json
-
-# profile captures CPU and allocation profiles of the result-pipeline
-# benchmarks and prints the hottest frames; inspect interactively with
-# `go tool pprof cpu.prof` / `go tool pprof -alloc_objects mem.prof`.
-profile:
-	$(GO) test -run '^$$' -bench 'ResultPipeline|ServeTrade' -benchtime 20x \
-		-cpuprofile cpu.prof -memprofile mem.prof .
-	$(GO) tool pprof -top -nodecount 15 cpu.prof
-	$(GO) tool pprof -top -nodecount 15 -alloc_objects mem.prof
+# bench-compare holds this checkout to BASE on every gated metric:
+# make bench-compare BASE=<ref>
+bench-compare:
+	bash scripts/bench-compare.sh $(BASE)
 
 # qdiff replays the differential fuzzer at the CI seeds against the compiled
 # engine, plus one interpreted-engine run to pin the retained AST walker,
-# a vectorized sweep pinning the columnar batch executor, and a 3-shard
-# cluster sweep pinning the scatter-gather backend.
+# a vectorized sweep pinning the columnar batch executor, a 3-shard cluster
+# sweep pinning the scatter-gather backend, and cold-reopen sweeps over the
+# durable store: plain, and compressed + mmap under a tight budget.
 qdiff:
 	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -shrink > /dev/null
 	$(GO) run ./cmd/qdiff -seed 2 -n 10000 -shrink > /dev/null
@@ -83,3 +51,4 @@ qdiff:
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -exec vectorized -shrink > /dev/null; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shards 3 -shrink > /dev/null; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -shrink > /dev/null; done
+	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -compress -mmap -mem-budget 65536 -shrink > /dev/null; done

@@ -9,31 +9,25 @@
 //	BenchmarkQIPC*          wire encode/decode and compression
 //	BenchmarkAblation*      Xformer rules on/off (§3.3)
 //
+// The serving stack (proxy, pool, cache, PG v3, pgserver as processes) is
+// measured by the end-to-end benchmark in bench/, not here.
+//
 // Run: go test -bench=. -benchmem
 package hyperq_test
 
 import (
 	"context"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"hyperq/internal/core"
-	"hyperq/internal/endpoint"
-	"hyperq/internal/gateway"
-	"hyperq/internal/mdi"
 	"hyperq/internal/pgdb"
-	"hyperq/internal/pool"
-	"hyperq/internal/qcache"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
 	"hyperq/internal/taq"
-	"hyperq/internal/wire/pgv3"
 	"hyperq/internal/wire/qipc"
 	"hyperq/internal/workload"
-	"hyperq/internal/xc"
 	"hyperq/internal/xformer"
 )
 
@@ -339,304 +333,6 @@ func BenchmarkAblationExecutionPruning(b *testing.B) {
 				if _, _, err := s.Run(ctx, q); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkTranslationCache compares a cold translation (full
-// parse/bind/xform/serialize pipeline every call) against a warm one served
-// by the shared query-translation cache — the serving-runtime ablation
-// EXPERIMENTS.md records.
-func BenchmarkTranslationCache(b *testing.B) {
-	const q = "select Symbol, Price, Close, Sector from trades lj daily lj refdata where Size>2000"
-	for _, mode := range []struct {
-		name    string
-		entries int
-	}{{"cold_no_cache", 0}, {"warm_cached", 1024}} {
-		b.Run(mode.name, func(b *testing.B) {
-			db, ok := benchStacks[5000]
-			if !ok {
-				stackFor(b, 5000)
-				db = benchStacks[5000]
-			}
-			backend := core.NewDirectBackend(db)
-			cfg := core.Config{MDITTL: 5 * time.Minute}
-			var cache *qcache.Cache
-			if mode.entries > 0 {
-				cache = qcache.New(mode.entries)
-				cfg.Cache = cache
-			}
-			s := core.NewPlatform().NewSession(backend, cfg)
-			defer s.Close()
-			// prime the MDI (both modes) and the cache (warm mode)
-			if _, _, err := s.Translate(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Translate(ctx, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if cache != nil {
-				b.ReportMetric(float64(cache.Stats().Hits)/float64(b.N), "hits/op")
-			}
-		})
-	}
-}
-
-// BenchmarkResultPipelineDirect compares the two result pipelines on the
-// typed-result conversion alone: "text" renders every cell to text and
-// re-parses it (ResultToQ over the materialized BackendResult), "columnar"
-// streams the typed pgdb values into pooled column builders (FeedResult).
-func BenchmarkResultPipelineDirect(b *testing.B) {
-	stackFor(b, 5000)
-	res, err := benchStacks[5000].NewSession().Exec("SELECT * FROM trades")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("text", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.ResultToQ(core.ToBackendResult(res)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink := core.GetTableSink()
-			if err := core.FeedResult(ctx, res, sink); err != nil {
-				b.Fatal(err)
-			}
-			if sink.Table().Len() != len(res.Rows) {
-				b.Fatal("short result")
-			}
-			sink.Release()
-		}
-	})
-}
-
-// BenchmarkResultPipelinePgv3 compares the result pipelines over the PG v3
-// wire: "text" collects DataRows into a materialized result and re-parses it,
-// "columnar" decodes each DataRow straight into the pooled builders
-// (QueryStream behind Gateway.ExecStream).
-func BenchmarkResultPipelinePgv3(b *testing.B) {
-	stackFor(b, 5000)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { l.Close() })
-	go pgdb.Serve(context.Background(), l, benchStacks[5000], pgdb.AuthConfig{Method: pgv3.AuthMethodTrust})
-	gw, err := gateway.Dial(ctx, l.Addr().String(), "hq", "", "db")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { gw.Close() })
-	const q = "SELECT * FROM trades"
-	b.Run("text", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			br, err := gw.Exec(ctx, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.ResultToQ(br); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink := core.GetTableSink()
-			if err := gw.ExecStream(ctx, q, sink); err != nil {
-				b.Fatal(err)
-			}
-			if sink.Table().Len() == 0 {
-				b.Fatal("empty result")
-			}
-			sink.Release()
-		}
-	})
-}
-
-// BenchmarkServeTrade measures one select-all round trip through the full
-// serving runtime (QIPC endpoint -> compiler -> pooled gateway -> backend)
-// under each result path; cmd/benchfig -bench-e2e records the same shape as
-// the committed BENCH_e2e.json artifact.
-func BenchmarkServeTrade(b *testing.B) {
-	const q = "select Symbol, Price, Size from trades"
-	for _, mode := range []struct {
-		name string
-		path core.ResultPath
-	}{{"columnar", core.ColumnarPath}, {"text", core.TextPath}} {
-		b.Run(mode.name, func(b *testing.B) {
-			addr := startServingStack(b, 4, 1024, mode.path)
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { conn.Close() })
-			if err := qipc.ClientHandshake(conn, "bench", ""); err != nil {
-				b.Fatal(err)
-			}
-			roundTrip := func() error {
-				if err := qipc.WriteMessage(conn, qipc.Sync, qval.CharVec(q)); err != nil {
-					return err
-				}
-				msg, err := qipc.ReadMessage(conn)
-				if err != nil {
-					return err
-				}
-				if qe, ok := msg.Value.(*qval.QError); ok {
-					return fmt.Errorf("query error: %s", qe.Msg)
-				}
-				return nil
-			}
-			if err := roundTrip(); err != nil { // warm the session outside the timer
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := roundTrip(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// startServingStack brings up the full networked serving runtime for
-// benchmarks: pgdb over TCP, a bounded gateway pool, a shared translation
-// cache and MDI, and the QIPC endpoint, returning its address.
-func startServingStack(b *testing.B, poolSize, cacheEntries int, path core.ResultPath) string {
-	b.Helper()
-	db := pgdb.NewDB()
-	loader := core.NewDirectBackend(db)
-	data := taq.Generate(taq.Config{Seed: 1, Trades: 5000, NumSymbols: 100})
-	for _, tb := range []struct {
-		name string
-		tbl  *qval.Table
-	}{{"trades", data.Trades}, {"quotes", data.Quotes}, {"daily", data.Daily}} {
-		if err := core.LoadQTable(context.Background(), loader, tb.name, tb.tbl); err != nil {
-			b.Fatal(err)
-		}
-	}
-	pgL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { pgL.Close() })
-	go pgdb.Serve(context.Background(), pgL, db, pgdb.AuthConfig{
-		Method: pgv3.AuthMethodMD5,
-		Users:  map[string]string{"hq": "pw"},
-	})
-
-	backendPool := pool.New(pool.Config{
-		Size: poolSize,
-		Dial: func(ctx context.Context) (pool.Conn, error) {
-			return gateway.Dial(ctx, pgL.Addr().String(), "hq", "pw", "db")
-		},
-		HealthCheck: true,
-	})
-	b.Cleanup(func() { backendPool.Close() })
-	var cache *qcache.Cache
-	if cacheEntries > 0 {
-		cache = qcache.New(cacheEntries)
-	}
-	sharedMDI := mdi.New(backendPool.SessionBackend(), mdi.WithTTL(5*time.Minute))
-
-	platform := core.NewPlatform()
-	qL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { qL.Close() })
-	go endpoint.Serve(context.Background(), qL, endpoint.Config{
-		NewHandler: func(creds *qipc.Credentials) (endpoint.Handler, func(), error) {
-			session := platform.NewSession(backendPool.SessionBackend(), core.Config{
-				MDI:        sharedMDI,
-				Cache:      cache,
-				ResultPath: path,
-			})
-			compiler := xc.New(session)
-			return endpoint.HandlerFunc(func(ctx context.Context, q string) (qval.Value, error) {
-				v, _, err := compiler.HandleQuery(ctx, q)
-				return v, err
-			}), func() { session.Close() }, nil
-		},
-	})
-	return qL.Addr().String()
-}
-
-// BenchmarkConcurrentSessions measures end-to-end throughput of the full
-// TCP stack (QIPC endpoint -> cross compiler -> pooled PG v3 gateway ->
-// backend) at increasing client fan-in; ns/op is per query across all
-// clients.
-func BenchmarkConcurrentSessions(b *testing.B) {
-	const q = "select mx:max Price, vol:sum Size by Symbol from trades"
-	for _, clients := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			addr := startServingStack(b, 4, 1024, core.ColumnarPath)
-			conns := make([]net.Conn, clients)
-			for c := range conns {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Cleanup(func() { conn.Close() })
-				if err := qipc.ClientHandshake(conn, fmt.Sprintf("app%d", c), ""); err != nil {
-					b.Fatal(err)
-				}
-				conns[c] = conn
-			}
-			runQueries := func(conn net.Conn, n int) error {
-				for i := 0; i < n; i++ {
-					if err := qipc.WriteMessage(conn, qipc.Sync, qval.CharVec(q)); err != nil {
-						return err
-					}
-					msg, err := qipc.ReadMessage(conn)
-					if err != nil {
-						return err
-					}
-					if qe, ok := msg.Value.(*qval.QError); ok {
-						return fmt.Errorf("query error: %s", qe.Msg)
-					}
-				}
-				return nil
-			}
-			// warm each session once (outside the timed region)
-			for _, conn := range conns {
-				if err := runQueries(conn, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			errs := make(chan error, clients)
-			for c := 0; c < clients; c++ {
-				// split b.N queries across the clients
-				n := b.N / clients
-				if c < b.N%clients {
-					n++
-				}
-				wg.Add(1)
-				go func(conn net.Conn, n int) {
-					defer wg.Done()
-					if err := runQueries(conn, n); err != nil {
-						errs <- err
-					}
-				}(conns[c], n)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				b.Fatal(err)
 			}
 		})
 	}

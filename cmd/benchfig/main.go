@@ -7,11 +7,6 @@
 //	-figure 7   split of translation time across stages (parse, bind,
 //	            optimize, serialize) relative to total translation (paper:
 //	            optimization and serialization dominate)
-//	-bench      measure the embedded executor (interpreted vs compiled
-//	            engine) over a 100k-row fact table and write BENCH_pgdb.json
-//	-bench-shard  measure scatter-gather scaling (single backend vs
-//	            1/2/4/8-shard clusters, per-statement -delay modeling data
-//	            motion) and write BENCH_shard.json
 //
 // Absolute numbers differ from the paper's testbed (Greenplum on customer
 // hardware vs an embedded engine); the shape of the series is the
@@ -36,52 +31,12 @@ import (
 
 func main() {
 	figure := flag.Int("figure", 6, "figure to regenerate (6 or 7)")
-	bench := flag.Bool("bench", false, "run the pgdb executor benchmarks (interpreted vs compiled vs vectorized) instead of a figure")
-	benchE2E := flag.Bool("bench-e2e", false, "run the result-pipeline benchmarks (columnar vs text) instead of a figure")
-	benchShard := flag.Bool("bench-shard", false, "run the scatter-gather scaling benchmarks (single backend vs 1/2/4/8-shard clusters) instead of a figure")
-	benchPersist := flag.Bool("bench-persist", false, "run the durable-storage benchmarks (WAL append throughput, cold-open pruned scan, evicted-partition reload) instead of a figure")
-	benchOut := flag.String("out", "", "output path for -bench / -bench-e2e results (default BENCH_pgdb.json / BENCH_e2e.json)")
-	benchRows := flag.Int("bench-rows", 100000, "fact-table size for -bench and -bench-e2e")
 	trades := flag.Int("trades", 50000, "trade count of the data set")
 	symbols := flag.Int("symbols", 200, "ticker universe size (rows of the reference tables)")
 	reps := flag.Int("reps", 3, "repetitions per query (best kept)")
 	seed := flag.Int64("seed", 1, "data seed")
 	delay := flag.Duration("delay", 2*time.Millisecond, "per-statement backend dispatch latency, modeling the MPP cluster of the paper's testbed (0 disables)")
-	shardRowCost := flag.Duration("shard-row-cost", 4*time.Microsecond, "modeled per-row member latency for -bench-shard: each backend's per-statement Delay is its local fact-table rows times this (remote scan + result shipping)")
 	flag.Parse()
-
-	if *bench {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_pgdb.json"
-		}
-		runBench(out, *benchRows)
-		return
-	}
-	if *benchE2E {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_e2e.json"
-		}
-		runBenchE2E(out, *benchRows)
-		return
-	}
-	if *benchShard {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_shard.json"
-		}
-		runBenchShard(out, *benchRows, *shardRowCost)
-		return
-	}
-	if *benchPersist {
-		out := *benchOut
-		if out == "" {
-			out = "BENCH_persist.json"
-		}
-		runBenchPersist(out, *benchRows)
-		return
-	}
 
 	db := pgdb.NewDB()
 	b := core.NewDirectBackend(db)

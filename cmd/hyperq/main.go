@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -32,11 +33,11 @@ import (
 	"syscall"
 	"time"
 
+	"hyperq/internal/config"
 	"hyperq/internal/core"
 	"hyperq/internal/endpoint"
 	"hyperq/internal/gateway"
 	"hyperq/internal/mdi"
-	"hyperq/internal/persist"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/pool"
 	"hyperq/internal/qcache"
@@ -44,193 +45,195 @@ import (
 	"hyperq/internal/shard"
 	"hyperq/internal/taq"
 	"hyperq/internal/wire/qipc"
+	"hyperq/internal/workload"
 	"hyperq/internal/xc"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:5010", "QIPC address to listen on (the kdb+ port)")
-	backendAddr := flag.String("backend", "", "PG v3 backend address (host:port)")
-	embedded := flag.Bool("embedded", false, "use the embedded engine instead of a networked backend")
-	bUser := flag.String("backend-user", "hyperq", "backend user")
-	bPass := flag.String("backend-password", "hyperq", "backend password")
-	bDB := flag.String("backend-db", "hyperq", "backend database name")
-	qUser := flag.String("q-user", "", "required Q client user (empty accepts all)")
-	qPass := flag.String("q-password", "", "required Q client password")
-	trades := flag.Int("trades", 10000, "embedded demo trade count")
-	execEngine := flag.String("exec", "compiled", "embedded engine execution mode: compiled, interpreted, or vectorized")
-	resultPath := flag.String("result-path", "columnar", "result conversion pipeline: columnar (streaming builders) or text (materialized fallback)")
-	parallel := flag.Int("parallel", 1, "embedded engine intra-query worker count (clamped to GOMAXPROCS; 1 disables)")
-	mdiTTL := flag.Duration("mdi-ttl", 5*time.Minute, "metadata cache expiration")
-	poolSize := flag.Int("pool-size", 4, "max pooled backend connections shared by all sessions")
-	cacheEntries := flag.Int("cache-entries", 1024, "query-translation cache capacity (0 disables)")
-	queryTimeout := flag.Duration("query-timeout", 0, "per-query backend deadline (0 disables)")
-	requestTimeout := flag.Duration("request-timeout", 0, "end-to-end per-request deadline (0 disables)")
-	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "grace window for in-flight requests on shutdown")
-	shards := flag.Int("shards", 0, "scatter-gather cluster width over embedded engines (0 disables; requires -embedded)")
-	shardBackends := flag.String("shard-backends", "", "comma-separated PG v3 member addresses, one shard per address (scatter-gather over networked members)")
-	shardRules := flag.String("shard-rules", "trades:hash:Symbol,quotes:hash:Symbol",
+// options is the parsed command line; the embedded engine's share of it is
+// declared in internal/config.
+type options struct {
+	engine                       config.Engine
+	listen, backend              string
+	embedded                     bool
+	bUser, bPass, bDB            string
+	qUser, qPass                 string
+	trades                       int
+	mdiTTL                       time.Duration
+	poolSize, cacheEntries       int
+	queryTimeout, requestTimeout time.Duration
+	drainTimeout                 time.Duration
+	shards                       int
+	shardBackends, shardRules    string
+	rules                        []shard.TableSpec // parsed shardRules
+}
+
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:5010", "QIPC address to listen on (the kdb+ port)")
+	fs.StringVar(&o.backend, "backend", "", "PG v3 backend address (host:port)")
+	fs.BoolVar(&o.embedded, "embedded", false, "use the embedded engine instead of a networked backend")
+	fs.StringVar(&o.bUser, "backend-user", "hyperq", "backend user")
+	fs.StringVar(&o.bPass, "backend-password", "hyperq", "backend password")
+	fs.StringVar(&o.bDB, "backend-db", "hyperq", "backend database name")
+	fs.StringVar(&o.qUser, "q-user", "", "required Q client user (empty accepts all)")
+	fs.StringVar(&o.qPass, "q-password", "", "required Q client password")
+	fs.IntVar(&o.trades, "trades", 10000, "embedded demo trade count")
+	fs.DurationVar(&o.mdiTTL, "mdi-ttl", 5*time.Minute, "metadata cache expiration")
+	fs.IntVar(&o.poolSize, "pool-size", 4, "max pooled backend connections shared by all sessions")
+	fs.IntVar(&o.cacheEntries, "cache-entries", 1024, "query-translation cache capacity (0 disables)")
+	fs.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query backend deadline (0 disables)")
+	fs.DurationVar(&o.requestTimeout, "request-timeout", 0, "end-to-end per-request deadline (0 disables)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "grace window for in-flight requests on shutdown")
+	fs.IntVar(&o.shards, "shards", 0, "scatter-gather cluster width over embedded engines (0 disables; requires -embedded)")
+	fs.StringVar(&o.shardBackends, "shard-backends", "", "comma-separated PG v3 member addresses, one shard per address (scatter-gather over networked members)")
+	fs.StringVar(&o.shardRules, "shard-rules", "trades:hash:Symbol,quotes:hash:Symbol",
 		"partitioning rules: table:hash:col, table:range:col:b1|b2|..., or table:replicated")
-	dataDir := flag.String("data-dir", "", "durable storage directory for the embedded engine (empty = memory only)")
-	walSync := flag.String("wal-sync", "batch", "WAL durability: always (fsync per statement), batch (group commit), none")
-	memBudget := flag.Int64("mem-budget", 0, "resident column-data budget in bytes for the embedded engine (0 = unlimited; needs -data-dir)")
-	compress := flag.Bool("compress", false, "compress checkpoint column files (FOR/delta ints, dict strings, RLE bools; needs -data-dir)")
-	useMMap := flag.Bool("mmap", false, "mmap checkpoint column files for zero-copy cold reads (needs -data-dir)")
-	statsAddr := flag.String("stats-addr", "", "HTTP address serving persist I/O counters at /debug/vars (empty = off)")
-	indexMinRows := flag.Int("index-min-rows", pgdb.DefaultIndexMinRows,
-		"min table rows before the embedded engine builds a lazy secondary index (0 = always, -1 = disable indexes)")
-	flag.Parse()
+	o.engine.RegisterFlags(fs)
+	return o
+}
 
-	var path core.ResultPath
-	switch *resultPath {
-	case "columnar":
-		path = core.ColumnarPath
-	case "text":
-		path = core.TextPath
-	default:
-		log.Fatalf("unknown -result-path %q (want columnar or text)", *resultPath)
+// validate checks the parsed flags of fs before anything is opened. A flag
+// given on a path that would ignore it is an error, not a no-op.
+func (o *options) validate(fs *flag.FlagSet) error {
+	var err error
+	if o.rules, err = parseShardRules(o.shardRules); err != nil {
+		return fmt.Errorf("-shard-rules: %w", err)
 	}
+	ignored := config.Explicit(fs)
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "trades" {
+			ignored = append(ignored, "-trades")
+		}
+	})
+	switch {
+	case o.shards > 1 && !o.embedded:
+		return errors.New("-shards requires -embedded (use -shard-backends for networked members)")
+	case !o.embedded && len(ignored) > 0:
+		return fmt.Errorf("%s: embedded-engine settings need -embedded", strings.Join(ignored, ", "))
+	case !o.embedded && o.backend == "" && o.shardBackends == "":
+		return errors.New("one of -backend, -embedded or -shard-backends is required")
+	case o.shards > 1 && (o.engine.DataDir != "" || o.engine.StatsAddr != ""):
+		return errors.New("-data-dir and -stats-addr serve one embedded engine and are not opened with -shards")
+	}
+	return o.engine.Validate(fs)
+}
 
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	if err := o.validate(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "hyperq:", err)
+		os.Exit(2)
+	}
 	// ctx is the server's life: SIGINT/SIGTERM cancels it, starting the drain
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if err := run(ctx, o); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	platform := core.NewPlatform()
-
-	rules, err := parseShardRules(*shardRules)
+// loadDemo loads the synthetic TAQ data set through b.
+func loadDemo(ctx context.Context, b core.Backend, trades int) (int, error) {
+	data, err := workload.Setup(ctx, b, taq.Config{Seed: 1, Trades: trades})
 	if err != nil {
-		log.Fatalf("-shard-rules: %v", err)
+		return 0, err
 	}
-	tuneEngine := func(db *pgdb.DB) {
-		switch *execEngine {
-		case "compiled":
-			db.SetExecMode(pgdb.ExecCompiled)
-		case "interpreted":
-			db.SetExecMode(pgdb.ExecInterpreted)
-		case "vectorized":
-			db.SetExecMode(pgdb.ExecVectorized)
-		default:
-			log.Fatalf("unknown -exec mode %q (want compiled, interpreted, or vectorized)", *execEngine)
-		}
-		db.SetParallelism(*parallel)
-		db.SetIndexMinRows(*indexMinRows)
-	}
-	loadDemo := func(b core.Backend) int {
-		data := taq.Generate(taq.Config{Seed: 1, Trades: *trades})
-		for _, t := range []struct {
-			name string
-			tbl  *qval.Table
-		}{
-			{"trades", data.Trades}, {"quotes", data.Quotes},
-			{"refdata", data.RefData}, {"daily", data.Daily},
-		} {
-			if err := core.LoadQTable(ctx, b, t.name, t.tbl); err != nil {
-				log.Fatalf("loading %s: %v", t.name, err)
-			}
-		}
-		return data.Trades.Len()
+	return data.Trades.Len(), nil
+}
+
+// run serves until ctx is canceled. Every exit, a startup failure included,
+// goes through the deferred closes, so a durable store is always left
+// checkpointed.
+func run(ctx context.Context, o *options) (err error) {
+	platform := core.NewPlatform()
+	newPool := func(dial func(context.Context) (pool.Conn, error)) *pool.Pool {
+		return pool.New(pool.Config{
+			Size:         o.poolSize,
+			Dial:         dial,
+			QueryTimeout: o.queryTimeout,
+			HealthCheck:  true,
+			DrainTimeout: o.drainTimeout,
+			Logf:         log.Printf,
+		})
 	}
 
 	var cluster *shard.Cluster
-	var shardPools []*pool.Pool
-	var embeddedDB *pgdb.DB
-	var persistStore *persist.Store
+	var pools []*pool.Pool // the backend pool, or one per networked shard
+	defer func() {
+		for i, p := range pools {
+			if cerr := p.Close(); cerr != nil {
+				log.Printf("pool %d drain: %v", i, cerr)
+			}
+		}
+	}()
+	var eng *config.Instance
 	switch {
-	case *shards > 1 && *embedded:
+	case o.shards > 1:
 		var dbs []*pgdb.DB
-		cluster, dbs, err = shard.NewEmbedded(*shards, rules)
-		if err != nil {
-			log.Fatalf("cluster: %v", err)
+		if cluster, dbs, err = shard.NewEmbedded(o.shards, o.rules); err != nil {
+			return fmt.Errorf("cluster: %w", err)
 		}
 		for _, db := range dbs {
-			tuneEngine(db)
+			o.engine.Tune(db)
 		}
 		loader, err := cluster.NewBackend()
 		if err != nil {
-			log.Fatalf("cluster: %v", err)
+			return fmt.Errorf("cluster: %w", err)
 		}
-		n := loadDemo(loader)
+		n, err := loadDemo(ctx, loader, o.trades)
 		loader.Close()
-		log.Printf("embedded %d-shard cluster ready with demo TAQ data (%d trades)", *shards, n)
-	case *shards > 1:
-		log.Fatal("-shards requires -embedded (use -shard-backends for networked members)")
-	case *shardBackends != "":
-		addrs := strings.Split(*shardBackends, ",")
+		if err != nil {
+			return err
+		}
+		log.Printf("embedded %d-shard cluster ready with demo TAQ data (%d trades)", o.shards, n)
+	case o.shardBackends != "":
+		addrs := strings.Split(o.shardBackends, ",")
 		factories := make([]func() (core.Backend, error), len(addrs))
 		for i, a := range addrs {
 			addr := strings.TrimSpace(a)
-			p := pool.New(pool.Config{
-				Size: *poolSize,
-				Dial: func(ctx context.Context) (pool.Conn, error) {
-					return gateway.Dial(ctx, addr, *bUser, *bPass, *bDB)
-				},
-				QueryTimeout: *queryTimeout,
-				HealthCheck:  true,
-				DrainTimeout: *drainTimeout,
-				Logf:         log.Printf,
+			p := newPool(func(ctx context.Context) (pool.Conn, error) {
+				return gateway.Dial(ctx, addr, o.bUser, o.bPass, o.bDB)
 			})
-			shardPools = append(shardPools, p)
+			pools = append(pools, p)
 			factories[i] = func() (core.Backend, error) { return p.SessionBackend(), nil }
 		}
-		cluster, err = shard.New(shard.NewCatalog(len(addrs), rules), factories)
-		if err != nil {
-			log.Fatalf("cluster: %v", err)
+		if cluster, err = shard.New(shard.NewCatalog(len(addrs), o.rules), factories); err != nil {
+			return fmt.Errorf("cluster: %w", err)
 		}
 		log.Printf("networked sharded cluster over %d member backends", len(addrs))
-	case *embedded:
-		embeddedDB = pgdb.NewDB()
-		tuneEngine(embeddedDB)
-		if *dataDir != "" {
-			mode, err := persist.ParseSyncMode(*walSync)
-			if err != nil {
-				log.Fatalf("-wal-sync: %v", err)
-			}
-			store, err := persist.Open(embeddedDB, persist.Options{
-				Dir: *dataDir, Sync: mode, MemBudget: *memBudget,
-				Compress: *compress, MMap: *useMMap,
-			})
-			if err != nil {
-				log.Fatalf("persist: %v", err)
-			}
-			persistStore = store
-			if len(embeddedDB.TableNames()) > 0 {
-				log.Printf("embedded backend restored from %s (wal-sync=%s)", *dataDir, *walSync)
-				break
-			}
-			log.Printf("embedded backend durable at %s (wal-sync=%s)", *dataDir, *walSync)
+	case o.embedded:
+		if eng, err = o.engine.Open(); err != nil {
+			return err
 		}
-		n := loadDemo(core.NewDirectBackend(embeddedDB))
-		log.Printf("embedded backend ready with demo TAQ data (%d trades)", n)
-	case *backendAddr == "":
-		log.Fatal("one of -backend, -embedded or -shard-backends is required")
-	}
-
-	if *statsAddr != "" && embeddedDB != nil {
-		var pstats *persist.Stats
-		if persistStore != nil {
-			pstats = persistStore.Stats()
+		defer func() {
+			if cerr := eng.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		if eng.StatsAddr != "" {
+			log.Printf("stats on http://%s/debug/vars", eng.StatsAddr)
 		}
-		addr, err := persist.ServeStats(*statsAddr, pstats, embeddedDB.IndexStats().Vars)
+		if eng.Restored {
+			log.Printf("embedded backend restored from %s", o.engine.DataDir)
+			break
+		}
+		n, err := loadDemo(ctx, core.NewDirectBackend(eng.DB), o.trades)
 		if err != nil {
-			log.Fatalf("stats: %v", err)
+			return err
 		}
-		log.Printf("stats on http://%s/debug/vars", addr)
+		log.Printf("embedded backend ready with demo TAQ data (%d trades)", n)
 	}
 
 	var backendPool *pool.Pool
 	if cluster == nil {
-		backendPool = pool.New(pool.Config{
-			Size: *poolSize,
-			Dial: func(ctx context.Context) (pool.Conn, error) {
-				if *embedded {
-					return core.NewDirectBackend(embeddedDB), nil
-				}
-				return gateway.Dial(ctx, *backendAddr, *bUser, *bPass, *bDB)
-			},
-			QueryTimeout: *queryTimeout,
-			HealthCheck:  true,
-			DrainTimeout: *drainTimeout,
-			Logf:         log.Printf,
+		backendPool = newPool(func(ctx context.Context) (pool.Conn, error) {
+			if eng != nil {
+				return core.NewDirectBackend(eng.DB), nil
+			}
+			return gateway.Dial(ctx, o.backend, o.bUser, o.bPass, o.bDB)
 		})
+		pools = append(pools, backendPool)
 	}
 
 	// newSessionBackend yields one session's backend: a fresh view of the
@@ -245,15 +248,20 @@ func main() {
 	// process-wide serving state shared by every session: the metadata
 	// cache (safe for concurrent use) and the query-translation cache
 	var cache *qcache.Cache
-	if *cacheEntries > 0 {
-		cache = qcache.New(*cacheEntries)
+	if o.cacheEntries > 0 {
+		cache = qcache.New(o.cacheEntries)
 	}
 	mdiBackend, err := newSessionBackend()
 	if err != nil {
-		log.Fatalf("mdi backend: %v", err)
+		return fmt.Errorf("mdi backend: %w", err)
 	}
-	sharedMDI := mdi.New(mdiBackend, mdi.WithTTL(*mdiTTL))
-	if persistStore != nil && persistStore.ReplayedChanges() {
+	defer func() {
+		if cerr := mdiBackend.Close(); cerr != nil {
+			log.Printf("mdi backend close: %v", cerr)
+		}
+	}()
+	sharedMDI := mdi.New(mdiBackend, mdi.WithTTL(o.mdiTTL))
+	if eng != nil && eng.Store != nil && eng.Store.ReplayedChanges() {
 		// the WAL replay moved the catalog past the last checkpoint: any
 		// metadata or translation cached against the old state is stale
 		sharedMDI.InvalidateAll()
@@ -261,19 +269,19 @@ func main() {
 	}
 
 	auth := func(user, password string) bool {
-		if *qUser == "" {
+		if o.qUser == "" {
 			return true
 		}
-		return user == *qUser && password == *qPass
+		return user == o.qUser && password == o.qPass
 	}
 
-	l, err := net.Listen("tcp", *listen)
+	l, err := net.Listen("tcp", o.listen)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %w", err)
 	}
 
 	log.Printf("hyperq listening on %s (QIPC); backend=%s pool=%d cache=%d",
-		*listen, backendDesc(*embedded, *backendAddr), *poolSize, *cacheEntries)
+		o.listen, backendDesc(o.embedded, o.backend), o.poolSize, o.cacheEntries)
 	err = endpoint.Serve(ctx, l, endpoint.Config{
 		Auth: auth,
 		NewHandler: func(creds *qipc.Credentials) (endpoint.Handler, func(), error) {
@@ -281,11 +289,7 @@ func main() {
 			if err != nil {
 				return nil, nil, err
 			}
-			session := platform.NewSession(sb, core.Config{
-				MDI:        sharedMDI,
-				Cache:      cache,
-				ResultPath: path,
-			})
+			session := platform.NewSession(sb, core.Config{MDI: sharedMDI, Cache: cache})
 			compiler := xc.New(session)
 			h := endpoint.HandlerFunc(func(ctx context.Context, q string) (qval.Value, error) {
 				v, _, err := compiler.HandleQuery(ctx, q)
@@ -293,33 +297,12 @@ func main() {
 			})
 			return h, func() { session.Close() }, nil
 		},
-		RequestTimeout: *requestTimeout,
-		DrainTimeout:   *drainTimeout,
+		RequestTimeout: o.requestTimeout,
+		DrainTimeout:   o.drainTimeout,
 		Logf:           log.Printf,
 	})
 	if err != nil {
 		log.Printf("serve: %v", err)
-	}
-	if err := mdiBackend.Close(); err != nil {
-		log.Printf("mdi backend close: %v", err)
-	}
-	if persistStore != nil {
-		if err := persistStore.Checkpoint(); err != nil {
-			log.Printf("persist: final checkpoint: %v", err)
-		}
-		if err := persistStore.Close(); err != nil {
-			log.Printf("persist: close: %v", err)
-		}
-	}
-	if backendPool != nil {
-		if err := backendPool.Close(); err != nil {
-			log.Printf("drain: %v", err)
-		}
-	}
-	for i, p := range shardPools {
-		if err := p.Close(); err != nil {
-			log.Printf("shard %d drain: %v", i, err)
-		}
 	}
 	if cache != nil {
 		cs := cache.Stats()
@@ -331,6 +314,7 @@ func main() {
 		log.Printf("pool: %d dials (%d errors), %d checkouts, %d health failures (%d checks skipped), %d discards",
 			ps.Dials, ps.DialErrors, ps.Checkouts, ps.HealthFailures, ps.HealthChecksSkipped, ps.Discards)
 	}
+	return nil
 }
 
 // parseShardRules parses the -shard-rules flag: a comma-separated list of

@@ -1,0 +1,130 @@
+package main
+
+import (
+	"context"
+	"flag"
+	"io"
+	"net"
+	"strings"
+	"testing"
+
+	"hyperq/internal/config"
+)
+
+func parse(t *testing.T, args ...string) (*options, *flag.FlagSet) {
+	t.Helper()
+	fs := flag.NewFlagSet("hyperq", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o := registerFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return o, fs
+}
+
+// TestEngineFlagsAreConfigs: every engine flag is internal/config's, with
+// its name, default and usage — cmd/pgserver has the same test, so the two
+// servers cannot drift apart.
+func TestEngineFlagsAreConfigs(t *testing.T) {
+	_, fs := parse(t)
+	var ref flag.FlagSet
+	new(config.Engine).RegisterFlags(&ref)
+	ref.VisitAll(func(want *flag.Flag) {
+		got := fs.Lookup(want.Name)
+		if got == nil {
+			t.Errorf("engine flag -%s is not registered", want.Name)
+		} else if got.DefValue != want.DefValue || got.Usage != want.Usage {
+			t.Errorf("-%s: default %q usage %q, want %q %q", want.Name, got.DefValue, got.Usage, want.DefValue, want.Usage)
+		}
+	})
+}
+
+// TestBenchmarkFlags pins the flags bench/stack.go starts hyperq with, and
+// that the one option this binary dropped stays dropped.
+func TestBenchmarkFlags(t *testing.T) {
+	_, fs := parse(t)
+	for name, def := range map[string]string{"listen": "127.0.0.1:5010", "backend": ""} {
+		if f := fs.Lookup(name); f == nil || f.DefValue != def {
+			t.Errorf("-%s: %+v, want default %q", name, f, def)
+		}
+	}
+	if fs.Lookup("result-path") != nil {
+		t.Error("-result-path is back: the serving binary has one result path")
+	}
+}
+
+// TestValidate: a flag the chosen backend mode would ignore is an error.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  string // substring of the error, "" = valid
+	}{
+		{[]string{"-backend", "h:1"}, ""},
+		{[]string{"-shard-backends", "h:1,h:2"}, ""},
+		{[]string{"-embedded", "-exec", "vectorized", "-parallel", "2", "-index-min-rows", "0", "-trades", "5", "-stats-addr", ":0"}, ""},
+		{[]string{"-embedded", "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "1", "-compress", "-mmap"}, ""},
+		{[]string{"-embedded", "-shards", "3", "-exec", "vectorized"}, ""},
+		{nil, "-backend, -embedded or -shard-backends"},
+		{[]string{"-shards", "3", "-backend", "h:1"}, "-shards requires -embedded"},
+		{[]string{"-shard-rules", "trades:zigzag"}, "-shard-rules"},
+		// engine flags without -embedded
+		{[]string{"-backend", "h:1", "-exec", "vectorized"}, "-exec"},
+		{[]string{"-backend", "h:1", "-parallel", "2"}, "-parallel"},
+		{[]string{"-backend", "h:1", "-index-min-rows", "0"}, "-index-min-rows"},
+		{[]string{"-backend", "h:1", "-data-dir", "d"}, "-data-dir"},
+		{[]string{"-backend", "h:1", "-wal-sync", "none"}, "-wal-sync"},
+		{[]string{"-backend", "h:1", "-mem-budget", "1"}, "-mem-budget"},
+		{[]string{"-backend", "h:1", "-compress"}, "-compress"},
+		{[]string{"-backend", "h:1", "-mmap"}, "-mmap"},
+		{[]string{"-backend", "h:1", "-stats-addr", ":0"}, "-stats-addr"},
+		{[]string{"-backend", "h:1", "-trades", "5"}, "-trades"},
+		// store settings without the store
+		{[]string{"-embedded", "-mem-budget", "1"}, "-data-dir"},
+		{[]string{"-embedded", "-compress"}, "-data-dir"},
+		{[]string{"-embedded", "-mmap"}, "-data-dir"},
+		{[]string{"-embedded", "-wal-sync", "none"}, "-data-dir"},
+		// a cluster opens neither a directory nor a stats endpoint
+		{[]string{"-embedded", "-shards", "3", "-data-dir", "d"}, "-shards"},
+		{[]string{"-embedded", "-shards", "3", "-stats-addr", ":0"}, "-shards"},
+	} {
+		o, fs := parse(t, tc.args...)
+		err := o.validate(fs)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%v: unexpected error %v", tc.args, err)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad)):
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.bad)
+		}
+	}
+}
+
+// TestStartupFailureCheckpoints: when run fails after the store is open —
+// here on a -listen address already in use — it still checkpoints and
+// closes the store, so the next start restores the demo tables without
+// WAL replay.
+func TestStartupFailureCheckpoints(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	o, fs := parse(t, "-listen", l.Addr().String(), "-embedded", "-data-dir", t.TempDir(), "-trades", "200")
+	if err := o.validate(fs); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(context.Background(), o); err == nil || !strings.Contains(err.Error(), "listen") {
+		t.Fatalf("run on a bound address: %v, want a listen error", err)
+	}
+
+	in, err := o.engine.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	if got := strings.Join(in.DB.TableNames(), ","); got != "daily,quotes,refdata,trades" {
+		t.Errorf("reopened catalog holds %q, want the four demo tables", got)
+	}
+	if in.Store.ReplayedChanges() {
+		t.Error("reopen replayed WAL: the failed start exited without its final checkpoint")
+	}
+}

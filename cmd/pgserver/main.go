@@ -14,138 +14,108 @@ import (
 	"os/signal"
 	"syscall"
 
+	"hyperq/internal/config"
 	"hyperq/internal/core"
-	"hyperq/internal/persist"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/taq"
 	"hyperq/internal/wire/pgv3"
+	"hyperq/internal/workload"
 )
 
-func main() {
-	listen := flag.String("listen", "127.0.0.1:5432", "address to listen on")
-	authMode := flag.String("auth", "trust", "authentication: trust, cleartext or md5")
-	user := flag.String("user", "hyperq", "accepted user name")
-	password := flag.String("password", "hyperq", "accepted password")
-	demo := flag.Bool("demo", false, "preload the synthetic TAQ data set")
-	trades := flag.Int("trades", 10000, "demo trade count")
-	seed := flag.Int64("seed", 1, "demo data seed")
-	execEngine := flag.String("exec", "compiled", "execution engine: compiled, interpreted, or vectorized")
-	parallel := flag.Int("parallel", 1, "intra-query worker count for large scans (clamped to GOMAXPROCS; 1 disables)")
-	dataDir := flag.String("data-dir", "", "durable storage directory (empty = memory only)")
-	walSync := flag.String("wal-sync", "batch", "WAL durability: always (fsync per statement), batch (group commit), none")
-	memBudget := flag.Int64("mem-budget", 0, "resident column-data budget in bytes (0 = unlimited; needs -data-dir)")
-	compress := flag.Bool("compress", false, "compress checkpoint column files (FOR/delta ints, dict strings, RLE bools; needs -data-dir)")
-	useMMap := flag.Bool("mmap", false, "mmap checkpoint column files for zero-copy cold reads (needs -data-dir)")
-	statsAddr := flag.String("stats-addr", "", "HTTP address serving persist I/O counters at /debug/vars (empty = off)")
-	indexMinRows := flag.Int("index-min-rows", pgdb.DefaultIndexMinRows,
-		"min table rows before a lazy secondary index builds (0 = always, -1 = disable indexes)")
-	flag.Parse()
+// options is the parsed command line; the engine's share of it is declared
+// in internal/config.
+type options struct {
+	engine                   config.Engine
+	listen                   string
+	auth                     pgv3.AuthMethod
+	authMode, user, password string
+	demo                     bool
+	trades                   int
+	seed                     int64
+}
 
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:5432", "address to listen on")
+	fs.StringVar(&o.authMode, "auth", "trust", "authentication: trust, cleartext or md5")
+	fs.StringVar(&o.user, "user", "hyperq", "accepted user name")
+	fs.StringVar(&o.password, "password", "hyperq", "accepted password")
+	fs.BoolVar(&o.demo, "demo", false, "preload the synthetic TAQ data set")
+	fs.IntVar(&o.trades, "trades", 10000, "demo trade count")
+	fs.Int64Var(&o.seed, "seed", 1, "demo data seed")
+	o.engine.RegisterFlags(fs)
+	return o
+}
+
+// validate checks the parsed flags of fs before anything is opened.
+func (o *options) validate(fs *flag.FlagSet) error {
+	switch o.authMode {
+	case "trust":
+		o.auth = pgv3.AuthMethodTrust
+	case "cleartext":
+		o.auth = pgv3.AuthMethodCleartext
+	case "md5":
+		o.auth = pgv3.AuthMethodMD5
+	default:
+		return fmt.Errorf("unknown auth mode %q", o.authMode)
+	}
+	return o.engine.Validate(fs)
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	if err := o.validate(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "pgserver:", err)
+		os.Exit(2)
+	}
 	// ctx is the server's life: SIGINT/SIGTERM cancels it and Serve drains
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	if err := run(ctx, o); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	db := pgdb.NewDB()
-	mode, err := execModeByName(*execEngine)
+// run serves until ctx is canceled. Every exit, a startup failure included,
+// goes through the engine's Close, so a durable store is always left
+// checkpointed.
+func run(ctx context.Context, o *options) (err error) {
+	eng, err := o.engine.Open()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
-	db.SetExecMode(mode)
-	db.SetParallelism(*parallel)
-	db.SetIndexMinRows(*indexMinRows)
-	var store *persist.Store
-	if *dataDir != "" {
-		sync, err := persist.ParseSyncMode(*walSync)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	defer func() {
+		if cerr := eng.Close(); err == nil {
+			err = cerr
 		}
-		store, err = persist.Open(db, persist.Options{
-			Dir: *dataDir, Sync: sync, MemBudget: *memBudget,
-			Compress: *compress, MMap: *useMMap,
-		})
-		if err != nil {
-			log.Fatalf("persist: %v", err)
-		}
-		if len(db.TableNames()) > 0 {
-			*demo = false // restored catalog wins over reseeding
-			log.Printf("restored durable catalog from %s (wal-sync=%s)", *dataDir, *walSync)
-		}
+	}()
+	if eng.Restored {
+		log.Printf("restored durable catalog from %s", o.engine.DataDir)
 	}
-	if *statsAddr != "" {
-		var pstats *persist.Stats
-		if store != nil {
-			pstats = store.Stats()
-		}
-		addr, err := persist.ServeStats(*statsAddr, pstats, db.IndexStats().Vars)
-		if err != nil {
-			log.Fatalf("stats: %v", err)
-		}
-		log.Printf("stats on http://%s/debug/vars", addr)
+	if eng.StatsAddr != "" {
+		log.Printf("stats on http://%s/debug/vars", eng.StatsAddr)
 	}
-	if *demo {
-		b := core.NewDirectBackend(db)
-		data := taq.Generate(taq.Config{Seed: *seed, Trades: *trades})
-		if err := core.LoadQTable(ctx, b, "trades", data.Trades); err != nil {
-			log.Fatalf("loading trades: %v", err)
-		}
-		if err := core.LoadQTable(ctx, b, "quotes", data.Quotes); err != nil {
-			log.Fatalf("loading quotes: %v", err)
-		}
-		if err := core.LoadQTable(ctx, b, "refdata", data.RefData); err != nil {
-			log.Fatalf("loading refdata: %v", err)
-		}
-		if err := core.LoadQTable(ctx, b, "daily", data.Daily); err != nil {
-			log.Fatalf("loading daily: %v", err)
+	if o.demo && !eng.Restored { // a restored catalog wins over reseeding
+		data, err := workload.Setup(ctx, core.NewDirectBackend(eng.DB), taq.Config{Seed: o.seed, Trades: o.trades})
+		if err != nil {
+			return err
 		}
 		log.Printf("demo data loaded: %d trades, %d quotes, %d-column refdata",
 			data.Trades.Len(), data.Quotes.Len(), data.RefData.NumCols())
 	}
 
-	method := pgv3.AuthMethodTrust
-	switch *authMode {
-	case "trust":
-	case "cleartext":
-		method = pgv3.AuthMethodCleartext
-	case "md5":
-		method = pgv3.AuthMethodMD5
-	default:
-		fmt.Fprintf(os.Stderr, "unknown auth mode %q\n", *authMode)
-		os.Exit(2)
-	}
-
-	l, err := net.Listen("tcp", *listen)
+	l, err := net.Listen("tcp", o.listen)
 	if err != nil {
-		log.Fatalf("listen: %v", err)
+		return fmt.Errorf("listen: %w", err)
 	}
 	log.Printf("pgserver listening on %s (auth=%s exec=%s parallel=%d)",
-		*listen, *authMode, *execEngine, db.Parallelism())
-	if err := pgdb.Serve(ctx, l, db, pgdb.AuthConfig{
-		Method: method,
-		Users:  map[string]string{*user: *password},
+		o.listen, o.authMode, o.engine.Exec, eng.DB.Parallelism())
+	if err := pgdb.Serve(ctx, l, eng.DB, pgdb.AuthConfig{
+		Method: o.auth,
+		Users:  map[string]string{o.user: o.password},
 	}); err != nil {
-		log.Fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	}
-	if store != nil {
-		if err := store.Checkpoint(); err != nil {
-			log.Printf("persist: final checkpoint: %v", err)
-		}
-		if err := store.Close(); err != nil {
-			log.Printf("persist: close: %v", err)
-		}
-	}
-}
-
-// execModeByName maps the -exec flag value to a pgdb execution engine.
-func execModeByName(name string) (pgdb.ExecMode, error) {
-	switch name {
-	case "compiled":
-		return pgdb.ExecCompiled, nil
-	case "interpreted":
-		return pgdb.ExecInterpreted, nil
-	case "vectorized":
-		return pgdb.ExecVectorized, nil
-	}
-	return 0, fmt.Errorf("unknown -exec mode %q (want compiled, interpreted, or vectorized)", name)
+	return nil
 }

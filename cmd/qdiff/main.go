@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"os"
 
+	"hyperq/internal/config"
 	"hyperq/internal/core"
-	"hyperq/internal/pgdb"
 	"hyperq/internal/sidebyside"
 )
 
@@ -28,28 +28,15 @@ func main() {
 	shrink := flag.Bool("shrink", false, "minimize failing cases before reporting")
 	out := flag.String("out", "", "directory to write failing cases as corpus JSON")
 	maxRows := flag.Int("maxrows", 0, "max fact-table rows (0 = generator default)")
-	execEngine := flag.String("exec", "compiled", "pgdb execution engine under test: compiled, interpreted, or vectorized")
 	resultPath := flag.String("result-path", "columnar", "session result pipeline under test: columnar or text")
 	shards := flag.Int("shards", 0, "sharded differential mode: compare a single backend against an N-shard scatter-gather cluster (byte-identical QIPC oracle)")
-	persistMode := flag.Bool("persist", false, "disk-backed mode: checkpoint every dataset to splayed column files and force each query to fault its segments back from disk")
-	persistCompress := flag.Bool("persist-compress", false, "with -persist: checkpoint with compressed column chunks")
-	persistMMap := flag.Bool("persist-mmap", false, "with -persist: serve cold reads through memory-mapped column files")
-	persistMemBudget := flag.Int64("persist-mem-budget", 0, "with -persist: resident column-byte budget forcing eviction churn (0 = unlimited)")
+	persistMode := flag.Bool("persist", false, "disk-backed mode: checkpoint every dataset to splayed column files under a temporary -data-dir and force each query to fault its segments back from disk")
 	index := flag.Bool("index", false, "force-enable secondary indexes and load tables in halves around an index-building probe, so queries run against incrementally-maintained indexes")
+	// the engine settings qdiff varies, spelled as the servers spell them
+	var engine config.Engine
+	engine.RegisterFlags(flag.CommandLine, "exec", "compress", "mmap", "mem-budget")
 	flag.Parse()
 
-	var mode pgdb.ExecMode
-	switch *execEngine {
-	case "compiled":
-		mode = pgdb.ExecCompiled
-	case "interpreted":
-		mode = pgdb.ExecInterpreted
-	case "vectorized":
-		mode = pgdb.ExecVectorized
-	default:
-		fmt.Fprintf(os.Stderr, "qdiff: unknown -exec mode %q (want compiled, interpreted, or vectorized)\n", *execEngine)
-		os.Exit(2)
-	}
 	var path core.ResultPath
 	switch *resultPath {
 	case "columnar":
@@ -61,7 +48,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var persistDir string
 	if *persistMode {
 		if *shards > 1 {
 			fmt.Fprintln(os.Stderr, "qdiff: -persist is incompatible with -shards")
@@ -73,22 +59,22 @@ func main() {
 			os.Exit(2)
 		}
 		defer os.RemoveAll(dir)
-		persistDir = dir
+		engine.DataDir = dir
+	}
+	if err := engine.Validate(flag.CommandLine); err != nil {
+		fmt.Fprintf(os.Stderr, "qdiff: %v (-persist supplies it)\n", err)
+		os.Exit(2)
 	}
 
 	rep, err := sidebyside.Fuzz(context.Background(), sidebyside.FuzzConfig{
-		Seed:             *seed,
-		N:                *n,
-		Shrink:           *shrink,
-		MaxRows:          *maxRows,
-		ExecMode:         mode,
-		ResultPath:       path,
-		Shards:           *shards,
-		PersistDir:       persistDir,
-		PersistCompress:  *persistCompress,
-		PersistMMap:      *persistMMap,
-		PersistMemBudget: *persistMemBudget,
-		Index:            *index,
+		Seed:       *seed,
+		N:          *n,
+		Shrink:     *shrink,
+		MaxRows:    *maxRows,
+		Engine:     engine,
+		ResultPath: path,
+		Shards:     *shards,
+		Index:      *index,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qdiff:", err)

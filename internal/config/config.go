@@ -1,0 +1,176 @@
+// Package config is the one place the embedded engine's settings are
+// declared, validated and applied. cmd/hyperq (-embedded), cmd/pgserver and
+// internal/sidebyside all bring the engine up through Engine.Open, so a
+// setting has one flag name, one usage string and one code path from the
+// command line to pgdb and persist.
+package config
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"slices"
+	"strings"
+
+	"hyperq/internal/persist"
+	"hyperq/internal/pgdb"
+)
+
+// Engine holds every setting of one embedded engine instance.
+type Engine struct {
+	Exec         pgdb.ExecMode
+	Parallel     int // intra-query workers; pgdb clamps to [1, GOMAXPROCS]
+	IndexMinRows int // 0 = always index, -1 = never
+	// DataDir, when non-empty, backs the database with the durable store;
+	// Sync, MemBudget, Compress and MMap configure that store and mean
+	// nothing without it.
+	DataDir   string
+	Sync      persist.SyncMode
+	MemBudget int64
+	Compress  bool
+	MMap      bool
+	// StatsAddr, when non-empty, serves the persist.* and pgdb.index_*
+	// counters at http://StatsAddr/debug/vars.
+	StatsAddr string
+}
+
+// Defaults is the engine a binary runs when no engine flag is given.
+func Defaults() Engine {
+	return Engine{
+		Exec:         pgdb.ExecCompiled,
+		Parallel:     1,
+		IndexMinRows: pgdb.DefaultIndexMinRows,
+		Sync:         persist.SyncBatch,
+	}
+}
+
+// RegisterFlags resets e to Defaults and defines the engine flags on fs,
+// bound to e. With only, just the named flags are defined (qdiff exposes a
+// subset); the rest of e keeps its defaults.
+func (e *Engine) RegisterFlags(fs *flag.FlagSet, only ...string) {
+	*e = Defaults()
+	var all flag.FlagSet
+	all.Func("exec", "execution `engine`: compiled (default), interpreted, or vectorized", func(s string) (err error) {
+		e.Exec, err = pgdb.ParseExecMode(s)
+		return err
+	})
+	all.IntVar(&e.Parallel, "parallel", e.Parallel, "intra-query worker count for large scans (clamped to GOMAXPROCS; 1 disables)")
+	all.IntVar(&e.IndexMinRows, "index-min-rows", e.IndexMinRows, "min table rows before a lazy secondary index builds (0 = always, -1 = disable indexes)")
+	all.StringVar(&e.DataDir, "data-dir", e.DataDir, "durable storage directory (empty = memory only)")
+	all.Func("wal-sync", "WAL durability `mode`: always (fsync per statement), batch (group commit, default), none; needs -data-dir", func(s string) (err error) {
+		e.Sync, err = persist.ParseSyncMode(s)
+		return err
+	})
+	all.Int64Var(&e.MemBudget, "mem-budget", e.MemBudget, "resident column-data budget in bytes (0 = unlimited; needs -data-dir)")
+	all.BoolVar(&e.Compress, "compress", e.Compress, "compress checkpoint column files (FOR/delta ints, dict strings, RLE bools; needs -data-dir)")
+	all.BoolVar(&e.MMap, "mmap", e.MMap, "mmap checkpoint column files for zero-copy cold reads (needs -data-dir)")
+	all.StringVar(&e.StatsAddr, "stats-addr", e.StatsAddr, "HTTP address serving persist and index counters at /debug/vars (empty = off)")
+	all.VisitAll(func(f *flag.Flag) {
+		if len(only) == 0 || slices.Contains(only, f.Name) {
+			fs.Var(f.Value, f.Name, f.Usage)
+		}
+	})
+}
+
+// Explicit lists the engine flags given on fs's command line, so a binary
+// can refuse them on a path that never opens an engine.
+func Explicit(fs *flag.FlagSet) []string {
+	var ref flag.FlagSet
+	new(Engine).RegisterFlags(&ref)
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if ref.Lookup(f.Name) != nil {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
+}
+
+// Validate rejects store settings given on fs's command line without the
+// store they configure; before this check they were silently ignored. Only
+// explicitly set flags count, so a default never trips it.
+func (e *Engine) Validate(fs *flag.FlagSet) error {
+	if e.DataDir != "" {
+		return nil
+	}
+	var orphans []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "wal-sync", "mem-budget", "compress", "mmap":
+			orphans = append(orphans, "-"+f.Name)
+		}
+	})
+	if len(orphans) > 0 {
+		return fmt.Errorf("%s: store settings need -data-dir", strings.Join(orphans, ", "))
+	}
+	return nil
+}
+
+// Tune applies the in-memory settings to db. Open calls it; it is exported
+// for databases another constructor owns (shard.NewEmbedded's members).
+func (e *Engine) Tune(db *pgdb.DB) {
+	db.SetExecMode(e.Exec)
+	db.SetParallelism(e.Parallel)
+	db.SetIndexMinRows(e.IndexMinRows)
+}
+
+// Instance is a running engine.
+type Instance struct {
+	DB *pgdb.DB
+	// Store is the durable store, nil for a memory-only engine.
+	Store *persist.Store
+	// Restored reports that Open found tables in DataDir.
+	Restored bool
+	// StatsAddr is the bound stats address, empty when off.
+	StatsAddr string
+}
+
+// Open creates the database, tunes it, attaches the durable store when
+// DataDir is set and starts the stats endpoint when StatsAddr is set. The
+// caller owns the returned instance's Close.
+func (e *Engine) Open() (*Instance, error) {
+	in := &Instance{DB: pgdb.NewDB()}
+	e.Tune(in.DB)
+	if e.DataDir != "" {
+		store, err := persist.Open(in.DB, persist.Options{
+			Dir: e.DataDir, Sync: e.Sync, MemBudget: e.MemBudget,
+			Compress: e.Compress, MMap: e.MMap,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("open %s: %w", e.DataDir, err)
+		}
+		in.Store = store
+		in.Restored = len(in.DB.TableNames()) > 0
+	}
+	if e.StatsAddr != "" {
+		var stats *persist.Stats
+		if in.Store != nil {
+			stats = in.Store.Stats()
+		}
+		addr, err := persist.ServeStats(e.StatsAddr, stats, in.DB.IndexStats().Vars)
+		if err != nil {
+			if in.Store != nil {
+				in.Store.Close() // nothing written since Open: the WAL already holds it all
+			}
+			return nil, fmt.Errorf("stats: %w", err)
+		}
+		in.StatsAddr = addr
+	}
+	return in, nil
+}
+
+// Close checkpoints and closes the durable store, so the next Open replays
+// no WAL. On a memory-only engine it does nothing.
+func (in *Instance) Close() error {
+	if in.Store == nil {
+		return nil
+	}
+	var errs []error
+	if err := in.Store.Checkpoint(); err != nil {
+		errs = append(errs, fmt.Errorf("persist: final checkpoint: %w", err))
+	}
+	if err := in.Store.Close(); err != nil {
+		errs = append(errs, fmt.Errorf("persist: close: %w", err))
+	}
+	return errors.Join(errs...)
+}

@@ -1,0 +1,239 @@
+package config
+
+import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"hyperq/internal/persist"
+	"hyperq/internal/pgdb"
+)
+
+// parse registers the engine flags on a fresh set and parses args.
+func parse(t *testing.T, args ...string) (*Engine, *flag.FlagSet, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	e := &Engine{}
+	e.RegisterFlags(fs)
+	return e, fs, fs.Parse(args)
+}
+
+// TestDefaults pins what a binary runs when no engine flag is given: the
+// benchmark starts pgserver that way, so a changed default is a changed
+// baseline.
+func TestDefaults(t *testing.T) {
+	e, _, err := parse(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Engine{
+		Exec:         pgdb.ExecCompiled,
+		Parallel:     1,
+		IndexMinRows: pgdb.DefaultIndexMinRows,
+		Sync:         persist.SyncBatch,
+	}
+	if *e != want {
+		t.Errorf("zero-argument parse = %+v, want %+v", *e, want)
+	}
+}
+
+func TestParse(t *testing.T) {
+	e, _, err := parse(t, "-exec", "vectorized", "-parallel", "3", "-index-min-rows", "-1",
+		"-data-dir", "d", "-wal-sync", "none", "-mem-budget", "4096", "-compress", "-mmap", "-stats-addr", ":0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Engine{
+		Exec: pgdb.ExecVectorized, Parallel: 3, IndexMinRows: -1,
+		DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, Compress: true, MMap: true, StatsAddr: ":0",
+	}
+	if *e != want {
+		t.Errorf("parse = %+v, want %+v", *e, want)
+	}
+	for _, bad := range [][]string{{"-exec", "bogus"}, {"-wal-sync", "sometimes"}} {
+		if _, _, err := parse(t, bad...); err == nil {
+			t.Errorf("%v parsed without error", bad)
+		}
+	}
+}
+
+func TestRegisterSubset(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	e := &Engine{}
+	e.RegisterFlags(fs, "exec", "mmap")
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got := strings.Join(names, ","); got != "exec,mmap" {
+		t.Errorf("subset registered %q, want exec,mmap", got)
+	}
+	if e.IndexMinRows != pgdb.DefaultIndexMinRows {
+		t.Errorf("unregistered setting lost its default: %+v", *e)
+	}
+}
+
+// TestValidate: a store setting without the store is an error only when it
+// was given on the command line.
+func TestValidate(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  string // substring of the error, "" = valid
+	}{
+		{nil, ""},
+		{[]string{"-stats-addr", ":0", "-exec", "vectorized"}, ""},
+		{[]string{"-data-dir", "d", "-mem-budget", "1", "-compress", "-mmap", "-wal-sync", "none"}, ""},
+		{[]string{"-mem-budget", "1"}, "-mem-budget"},
+		{[]string{"-compress"}, "-compress"},
+		{[]string{"-mmap"}, "-mmap"},
+		{[]string{"-wal-sync", "batch"}, "-wal-sync"}, // explicit, though equal to the default
+	} {
+		e, fs, err := parse(t, tc.args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = e.Validate(fs)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%v: unexpected error %v", tc.args, err)
+		case tc.bad != "" && (err == nil || !strings.Contains(err.Error(), tc.bad)):
+			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.bad)
+		}
+	}
+}
+
+func TestExplicit(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.String("listen", "", "")
+	new(Engine).RegisterFlags(fs)
+	if err := fs.Parse([]string{"-listen", "x", "-parallel", "1", "-mmap"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(Explicit(fs), " "); got != "-mmap -parallel" {
+		t.Errorf("Explicit = %q, want the two engine flags given", got)
+	}
+}
+
+// TestOpenClose drives the whole bring-up and pins what the benchmark reads
+// from outside the process: the wal.log file name and the persist.* and
+// pgdb.index_* keys at /debug/vars.
+func TestOpenClose(t *testing.T) {
+	e := Defaults()
+	e.DataDir = t.TempDir()
+	e.StatsAddr = "127.0.0.1:0"
+	e.Exec = pgdb.ExecVectorized
+	in, err := e.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Restored || in.DB.ExecutionMode() != pgdb.ExecVectorized || in.DB.IndexMinRows() != pgdb.DefaultIndexMinRows {
+		t.Errorf("fresh instance: restored=%v exec=%v index-min-rows=%d", in.Restored, in.DB.ExecutionMode(), in.DB.IndexMinRows())
+	}
+	if _, err := in.DB.NewSession().ExecScript("CREATE TABLE t (a bigint); INSERT INTO t VALUES (1), (2)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(e.DataDir, "wal.log")); err != nil {
+		t.Errorf("wal.log: %v", err)
+	}
+	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", in.StatsAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	vars := map[string]int64{}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"persist.segments_faulted", "persist.columns_faulted", "persist.bytes_read",
+		"persist.evictions", "pgdb.index_builds", "pgdb.index_hits"} {
+		if _, ok := vars[key]; !ok {
+			t.Errorf("/debug/vars lacks %s", key)
+		}
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Close checkpointed: the reopen restores the table and replays nothing
+	e.StatsAddr = ""
+	in, err = e.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	if !in.Restored || in.Store.ReplayedChanges() {
+		t.Errorf("reopen: restored=%v replayed=%v, want a checkpointed catalog", in.Restored, in.Store.ReplayedChanges())
+	}
+}
+
+// TestOpenStatsBindFailure: a stats address that cannot bind fails Open and
+// releases the store it had already opened.
+func TestOpenStatsBindFailure(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	e := Defaults()
+	e.DataDir = t.TempDir()
+	e.StatsAddr = l.Addr().String()
+	if _, err := e.Open(); err == nil {
+		t.Fatal("Open bound an address already in use")
+	}
+	e.StatsAddr = ""
+	in, err := e.Open()
+	if err != nil {
+		t.Fatalf("reopen after failed Open: %v", err)
+	}
+	in.Close()
+}
+
+// TestMemoryOnlyClose: Close on an engine without a store is a no-op.
+func TestMemoryOnlyClose(t *testing.T) {
+	e := Defaults()
+	in, err := e.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Store != nil || in.StatsAddr != "" {
+		t.Errorf("memory-only instance has store=%v stats=%q", in.Store, in.StatsAddr)
+	}
+	if err := in.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestREADMEFlagTable holds README's engine-flag table to RegisterFlags:
+// one row per flag, carrying its usage string verbatim and, where the flag
+// package knows one, its default.
+func TestREADMEFlagTable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs flag.FlagSet
+	new(Engine).RegisterFlags(&fs)
+	fs.VisitAll(func(f *flag.Flag) {
+		prefix := "| `-" + f.Name + "` | "
+		var row string
+		for _, line := range strings.Split(string(readme), "\n") {
+			if strings.HasPrefix(line, prefix) {
+				row = line
+			}
+		}
+		switch {
+		case row == "":
+			t.Errorf("README has no row for -%s", f.Name)
+		case !strings.Contains(row, " | "+f.Usage+" | "):
+			t.Errorf("README row for -%s lacks the usage string %q", f.Name, f.Usage)
+		case f.DefValue != "" && !strings.HasPrefix(row, prefix+"`"+f.DefValue+"` | "):
+			t.Errorf("README row for -%s lacks the default %q", f.Name, f.DefValue)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package pgdb
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -31,6 +32,26 @@ const (
 	// that do not lower behave exactly as ExecCompiled.
 	ExecVectorized
 )
+
+// execModeNames is the one spelling of each engine, indexed by ExecMode.
+var execModeNames = [...]string{"compiled", "interpreted", "vectorized"}
+
+func (m ExecMode) String() string {
+	if m < 0 || int(m) >= len(execModeNames) {
+		return fmt.Sprintf("ExecMode(%d)", int32(m))
+	}
+	return execModeNames[m]
+}
+
+// ParseExecMode maps an -exec flag value to an ExecMode.
+func ParseExecMode(s string) (ExecMode, error) {
+	for m, name := range execModeNames {
+		if s == name {
+			return ExecMode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown exec mode %q (want compiled, interpreted, or vectorized)", s)
+}
 
 // storedTable is a heap table in the catalog. Data lives in a columnar
 // store (colstore.go); row-at-a-time consumers read the memoized row view.

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"hyperq/internal/config"
 	"hyperq/internal/core"
 	"hyperq/internal/persist"
 	"hyperq/internal/pgdb"
@@ -19,35 +20,20 @@ import (
 	"hyperq/internal/shard"
 )
 
-// NewLocalFramework builds a fresh side-by-side framework over an embedded
-// pgdb backend — one kdb+ substrate, one Hyper-Q session, no shared state
-// with any previous framework. The fuzz driver rebuilds frameworks
-// regularly so a corrupted global cannot poison later iterations.
-func NewLocalFramework() *Framework {
-	return NewLocalFrameworkMode(pgdb.ExecCompiled)
-}
-
-// NewLocalFrameworkMode is NewLocalFramework with the pgdb execution engine
-// pinned: ExecCompiled exercises the closure-compiling engine, and
-// ExecInterpreted the retained AST walker — running the same corpus through
-// both proves the two engines agree (see parity_test.go).
-func NewLocalFrameworkMode(mode pgdb.ExecMode) *Framework {
-	return NewLocalFrameworkPath(mode, core.ColumnarPath)
-}
-
-// NewLocalFrameworkPath additionally pins the session's result path, so the
-// same corpus can be driven through the columnar streaming pipeline and the
-// text fallback — each acting as the other's differential oracle (see
-// streamparity_test.go).
-func NewLocalFrameworkPath(mode pgdb.ExecMode, path core.ResultPath) *Framework {
-	db := pgdb.NewDB()
-	db.SetExecMode(mode)
-	b := core.NewDirectBackend(db)
-	p := core.NewPlatform()
-	s := p.NewSession(b, core.Config{ResultPath: path})
-	f := New(interp.New(), s, b)
-	f.dbs = []*pgdb.DB{db}
-	return f
+// openFramework builds a fresh side-by-side framework over the embedded
+// engine e describes — one Hyper-Q session with the given result path, no
+// state shared with any previous framework except the kdb+ substrate the
+// caller passes. The fuzz driver rebuilds frameworks regularly so a
+// corrupted global cannot poison later iterations. The caller owns the
+// returned instance's store, if e has a DataDir.
+func openFramework(kdb *interp.Interp, e config.Engine, path core.ResultPath) (*Framework, *config.Instance, error) {
+	in, err := e.Open()
+	if err != nil {
+		return nil, nil, err
+	}
+	b := core.NewDirectBackend(in.DB)
+	s := core.NewPlatform().NewSession(b, core.Config{ResultPath: path})
+	return New(kdb, s, b), in, nil
 }
 
 // ShardRules is the partitioning the sharded differential runs use for
@@ -60,20 +46,22 @@ func ShardRules() []shard.TableSpec {
 	}
 }
 
-// NewShardedFramework builds a framework whose primary Hyper-Q session runs
-// over a single embedded backend and whose shadow session runs over an
-// n-shard scatter-gather cluster of embedded engines. Compare then requires
-// byte-identical QIPC output from the two sessions.
-func NewShardedFramework(shards int, mode pgdb.ExecMode, path core.ResultPath) (*Framework, error) {
-	f := NewLocalFrameworkPath(mode, path)
+// openShardedFramework builds a framework whose primary Hyper-Q session
+// runs over a single embedded backend and whose shadow session runs over an
+// n-shard scatter-gather cluster of embedded engines, all tuned by e.
+// Compare then requires byte-identical QIPC output from the two sessions.
+func openShardedFramework(shards int, e config.Engine, path core.ResultPath) (*Framework, error) {
+	f, _, err := openFramework(interp.New(), e, path)
+	if err != nil {
+		return nil, err
+	}
 	cl, dbs, err := shard.NewEmbedded(shards, ShardRules())
 	if err != nil {
 		return nil, err
 	}
 	for _, db := range dbs {
-		db.SetExecMode(mode)
+		e.Tune(db)
 	}
-	f.dbs = append(f.dbs, dbs...)
 	sb, err := cl.NewBackend()
 	if err != nil {
 		return nil, err
@@ -97,29 +85,23 @@ type FuzzConfig struct {
 	// ShrinkBudget bounds the number of comparisons one shrink may spend
 	// (default 400).
 	ShrinkBudget int
-	// ExecMode selects the pgdb execution engine under test (default
-	// ExecCompiled).
-	ExecMode pgdb.ExecMode
+	// Engine configures the embedded engine under test, the way the
+	// servers' flags would. The zero value is the compiled engine in memory.
+	// Fuzz uses Exec, DataDir, Compress, MMap and MemBudget and sets the
+	// rest itself: IndexMinRows follows Index, and Sync is off because every
+	// dataset is checkpointed explicitly.
+	//
+	// DataDir, when non-empty, backs every framework's database with the
+	// durable store under a fresh subdirectory of it: the dataset is
+	// checkpointed to splayed column files after loading and the framework
+	// under test is cold-opened from that directory, so every query faults
+	// its vectors back through the persist codec — compressed with Compress,
+	// memory-mapped with MMap, and evicted and refaulted under MemBudget.
+	// Incompatible with sharded mode (Shards > 1).
+	config.Engine
 	// ResultPath selects the session result pipeline under test (default
 	// ColumnarPath, the streaming builders; TextPath is the fallback).
 	ResultPath core.ResultPath
-	// PersistDir, when non-empty, backs every framework's pgdb database
-	// with the durable store under a fresh subdirectory of this path: the
-	// dataset is checkpointed to splayed column files after loading and the
-	// framework under test is cold-opened from that directory, so every
-	// query faults its vectors back through the persist codec. Incompatible
-	// with sharded mode (Shards > 1).
-	PersistDir string
-	// PersistCompress checkpoints with compressed column chunks (persist
-	// Options.Compress); only meaningful with PersistDir.
-	PersistCompress bool
-	// PersistMMap serves cold reads through memory-mapped column files
-	// (persist Options.MMap); only meaningful with PersistDir.
-	PersistMMap bool
-	// PersistMemBudget caps resident column bytes in the framework under
-	// test (persist Options.MemBudget), forcing eviction-and-refault churn
-	// during the run; only meaningful with PersistDir.
-	PersistMemBudget int64
 	// Shards, when > 1, switches the run to sharded differential mode: the
 	// same queries execute through a single-backend session and a session
 	// over a Shards-wide embedded cluster, and the two must produce
@@ -185,8 +167,13 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 	if cfg.ShrinkBudget <= 0 {
 		cfg.ShrinkBudget = 400
 	}
-	if cfg.PersistDir != "" && cfg.Shards > 1 {
-		return nil, fmt.Errorf("PersistDir is incompatible with sharded mode")
+	if cfg.DataDir != "" && cfg.Shards > 1 {
+		return nil, fmt.Errorf("DataDir is incompatible with sharded mode")
+	}
+	cfg.Sync = persist.SyncNone
+	cfg.IndexMinRows = pgdb.DefaultIndexMinRows
+	if cfg.Index {
+		cfg.IndexMinRows = 0
 	}
 	g := qgen.New(qgen.Config{Seed: cfg.Seed, MaxRows: cfg.MaxRows})
 	rep := &FuzzReport{Seed: cfg.Seed, N: cfg.N, Mismatches: []FuzzCase{}}
@@ -246,38 +233,44 @@ var persistSeq atomic.Int64
 
 // loadDataset builds a fresh framework with the dataset installed.
 func loadDataset(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framework, error) {
-	var f *Framework
-	if cfg.Shards > 1 {
-		var err error
-		if f, err = NewShardedFramework(cfg.Shards, cfg.ExecMode, cfg.ResultPath); err != nil {
-			return nil, err
-		}
-	} else if cfg.PersistDir != "" {
+	if cfg.DataDir != "" {
 		return loadDatasetPersist(ctx, ds, cfg)
+	}
+	var f *Framework
+	var err error
+	if cfg.Shards > 1 {
+		f, err = openShardedFramework(cfg.Shards, cfg.Engine, cfg.ResultPath)
 	} else {
-		f = NewLocalFrameworkPath(cfg.ExecMode, cfg.ResultPath)
+		f, _, err = openFramework(interp.New(), cfg.Engine, cfg.ResultPath)
 	}
-	if cfg.Index {
-		for _, db := range f.dbs {
-			db.SetIndexMinRows(0)
-		}
+	if err != nil {
+		return nil, err
 	}
+	if err := loadTables(ctx, f, ds, cfg.Index); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// loadTables installs every table of ds on f. Index-enabled runs build each
+// table's index mid-load (see FuzzConfig.Index).
+func loadTables(ctx context.Context, f *Framework, ds *qgen.Dataset, index bool) error {
 	for _, name := range ds.Names() {
 		t, ok := ds.Tables[name]
 		if !ok {
 			continue
 		}
 		var err error
-		if cfg.Index {
+		if index {
 			err = f.LoadTableStaged(ctx, name, t, indexProbe(name))
 		} else {
 			err = f.LoadTable(ctx, name, t)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("load %s: %w", name, err)
+			return fmt.Errorf("load %s: %w", name, err)
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // indexProbe is the SQL statement an index-enabled load runs between the two
@@ -297,68 +290,33 @@ func indexProbe(name string) string {
 // through the persist codec. The kdb substrate is loaded once and shared
 // by the staging and final frameworks, since both sides see the same data.
 func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framework, error) {
-	dir := filepath.Join(cfg.PersistDir, fmt.Sprintf("db%06d", persistSeq.Add(1)))
+	e := cfg.Engine
+	e.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("db%06d", persistSeq.Add(1)))
+	staging := e // only written and checkpointed: the read options wait for the reopen
+	staging.MMap, staging.MemBudget = false, 0
 	kdb := interp.New()
-	db := pgdb.NewDB()
-	db.SetExecMode(cfg.ExecMode)
-	if cfg.Index {
-		db.SetIndexMinRows(0)
-	}
-	st, err := persist.Open(db, persist.Options{Dir: dir, Sync: persist.SyncNone, Compress: cfg.PersistCompress})
+	loader, in, err := openFramework(kdb, staging, cfg.ResultPath)
 	if err != nil {
-		return nil, fmt.Errorf("open persist dir %s: %w", dir, err)
+		return nil, err
 	}
-	b := core.NewDirectBackend(db)
-	s := core.NewPlatform().NewSession(b, core.Config{ResultPath: cfg.ResultPath})
-	loader := New(kdb, s, b)
-	for _, name := range ds.Names() {
-		t, ok := ds.Tables[name]
-		if !ok {
-			continue
-		}
-		// index-enabled runs build each table's index mid-load, so the
-		// checkpoint records it and the cold reopen exercises the
-		// manifest's access-path round-trip
-		var err error
-		if cfg.Index {
-			err = loader.LoadTableStaged(ctx, name, t, indexProbe(name))
-		} else {
-			err = loader.LoadTable(ctx, name, t)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("load %s: %w", name, err)
-		}
+	// with Index the checkpoint records the indexes built mid-load, so the
+	// cold reopen exercises the manifest's access-path round-trip
+	if err := loadTables(ctx, loader, ds, cfg.Index); err != nil {
+		return nil, err
 	}
-	if err := st.Checkpoint(); err != nil {
+	if err := in.Close(); err != nil {
 		return nil, fmt.Errorf("checkpoint dataset: %w", err)
-	}
-	if err := st.Close(); err != nil {
-		return nil, fmt.Errorf("close store: %w", err)
 	}
 	// Cold reopen: a fresh database restored purely from the on-disk
 	// catalog. The corpus is read-only after load, so the reopened store's
 	// WAL handle can be released immediately too.
-	db2 := pgdb.NewDB()
-	db2.SetExecMode(cfg.ExecMode)
-	if cfg.Index {
-		db2.SetIndexMinRows(0)
-	}
-	st2, err := persist.Open(db2, persist.Options{
-		Dir: dir, Sync: persist.SyncNone,
-		Compress:  cfg.PersistCompress,
-		MMap:      cfg.PersistMMap,
-		MemBudget: cfg.PersistMemBudget,
-	})
+	f, in, err := openFramework(kdb, e, cfg.ResultPath)
 	if err != nil {
-		return nil, fmt.Errorf("cold reopen %s: %w", dir, err)
+		return nil, fmt.Errorf("cold reopen: %w", err)
 	}
-	if err := st2.Close(); err != nil {
+	if err := in.Store.Close(); err != nil {
 		return nil, fmt.Errorf("close reopened store: %w", err)
 	}
-	b2 := core.NewDirectBackend(db2)
-	s2 := core.NewPlatform().NewSession(b2, core.Config{ResultPath: cfg.ResultPath})
-	f := New(kdb, s2, b2)
-	f.dbs = []*pgdb.DB{db2}
 	return f, nil
 }
 
@@ -538,11 +496,16 @@ func ReplayEntryMode(ctx context.Context, e *CorpusEntry, mode pgdb.ExecMode) (*
 	if err != nil {
 		return nil, err
 	}
-	f := NewLocalFrameworkMode(mode)
+	eng := config.Defaults()
+	eng.Exec = mode
+	var f *Framework
 	if e.Shards > 1 {
-		if f, err = NewShardedFramework(e.Shards, mode, core.ColumnarPath); err != nil {
-			return nil, err
-		}
+		f, err = openShardedFramework(e.Shards, eng, core.ColumnarPath)
+	} else {
+		f, _, err = openFramework(interp.New(), eng, core.ColumnarPath)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, tj := range e.Tables {
 		if err := f.LoadTable(ctx, tj.Name, ds.Tables[tj.Name]); err != nil {

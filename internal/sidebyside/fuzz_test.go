@@ -3,6 +3,8 @@ package sidebyside
 import (
 	"context"
 	"testing"
+
+	"hyperq/internal/config"
 )
 
 // TestCorpusReplays runs every checked-in qdiff reproducer through both
@@ -53,7 +55,7 @@ func TestFuzzSmoke(t *testing.T) {
 // with `go run ./cmd/qdiff -seed 7 -n 200 -persist -shrink`.
 func TestFuzzSmokeDiskBacked(t *testing.T) {
 	rep, err := Fuzz(context.Background(), FuzzConfig{
-		Seed: 7, N: 200, Shrink: true, PersistDir: t.TempDir(),
+		Seed: 7, N: 200, Shrink: true, Engine: config.Engine{DataDir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +72,7 @@ func TestFuzzSmokeDiskBacked(t *testing.T) {
 // column files × mmap-backed reads, both under a deliberately tight memory
 // budget so segments churn through fault → evict → refault during the run.
 // Reproduce a cell with e.g. `go run ./cmd/qdiff -seed 7 -n 120 -persist
-// -persist-compress -persist-mmap -persist-mem-budget 65536 -shrink`.
+// -compress -mmap -mem-budget 65536 -shrink`.
 func TestFuzzSmokeDiskBackedMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
@@ -82,10 +84,10 @@ func TestFuzzSmokeDiskBackedMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, err := Fuzz(context.Background(), FuzzConfig{
-				Seed: 7, N: 120, Shrink: true, PersistDir: t.TempDir(),
-				PersistCompress:  tc.compress,
-				PersistMMap:      tc.mmap,
-				PersistMemBudget: 64 << 10,
+				Seed: 7, N: 120, Shrink: true,
+				Engine: config.Engine{
+					DataDir: t.TempDir(), Compress: tc.compress, MMap: tc.mmap, MemBudget: 64 << 10,
+				},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"hyperq/internal/config"
 	"hyperq/internal/pgdb"
 )
 
@@ -60,7 +61,7 @@ func TestFuzzParityBothEngines(t *testing.T) {
 	for _, m := range modes {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			rep, err := Fuzz(context.Background(), FuzzConfig{Seed: 7, N: 300, ExecMode: m.mode})
+			rep, err := Fuzz(context.Background(), FuzzConfig{Seed: 7, N: 300, Engine: config.Engine{Exec: m.mode}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,6 @@ import (
 	"strings"
 
 	"hyperq/internal/core"
-	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
 	"hyperq/internal/wire/qipc"
@@ -34,10 +33,6 @@ type Framework struct {
 	// FloatTol is the relative tolerance for float comparison (the two
 	// engines may legitimately differ in summation order).
 	FloatTol float64
-	// dbs holds every embedded pgdb database behind this framework's
-	// backends (primary and shadow), so fuzz configurations can retune
-	// engine knobs — e.g. force-enable secondary indexes — after build.
-	dbs []*pgdb.DB
 }
 
 // New builds a framework over an existing interpreter and session.
