@@ -38,17 +38,18 @@ bench-compare:
 	bash scripts/bench-compare.sh $(BASE)
 
 # qdiff replays the differential fuzzer at the CI seeds against the compiled
-# engine, plus one interpreted-engine run to pin the retained AST walker,
-# a vectorized sweep pinning the columnar batch executor, a 3-shard cluster
+# engine (vector scans, fused aggregates and index paths included), plus one
+# interpreted-engine run to pin the retained AST walker, a 3-shard cluster
 # sweep pinning the scatter-gather backend, and cold-reopen sweeps over the
-# durable store: plain, and compressed + mmap under a tight budget.
+# durable store: plain, and compressed + mmap under a tight budget. The
+# -persist sweeps run the vector fast paths over cold reopened segments:
+# zone verdicts on evicted stubs and column-granular fault-in.
 qdiff:
 	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -shrink > /dev/null
 	$(GO) run ./cmd/qdiff -seed 2 -n 10000 -shrink > /dev/null
 	$(GO) run ./cmd/qdiff -seed 7 -n 10000 -shrink > /dev/null
 	$(GO) run ./cmd/qdiff -seed 42 -n 10000 -shrink > /dev/null
 	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -exec interpreted > /dev/null
-	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -exec vectorized -shrink > /dev/null; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shards 3 -shrink > /dev/null; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -shrink > /dev/null; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -compress -mmap -mem-budget 65536 -shrink > /dev/null; done

@@ -61,14 +61,14 @@ func TestValidate(t *testing.T) {
 	}{
 		{[]string{"-backend", "h:1"}, ""},
 		{[]string{"-shard-backends", "h:1,h:2"}, ""},
-		{[]string{"-embedded", "-exec", "vectorized", "-parallel", "2", "-index-min-rows", "0", "-trades", "5", "-stats-addr", ":0"}, ""},
+		{[]string{"-embedded", "-exec", "interpreted", "-parallel", "2", "-index-min-rows", "0", "-trades", "5", "-stats-addr", ":0"}, ""},
 		{[]string{"-embedded", "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "1", "-compress", "-mmap"}, ""},
-		{[]string{"-embedded", "-shards", "3", "-exec", "vectorized"}, ""},
+		{[]string{"-embedded", "-shards", "3", "-exec", "interpreted"}, ""},
 		{nil, "-backend, -embedded or -shard-backends"},
 		{[]string{"-shards", "3", "-backend", "h:1"}, "-shards requires -embedded"},
 		{[]string{"-shard-rules", "trades:zigzag"}, "-shard-rules"},
 		// engine flags without -embedded
-		{[]string{"-backend", "h:1", "-exec", "vectorized"}, "-exec"},
+		{[]string{"-backend", "h:1", "-exec", "interpreted"}, "-exec"},
 		{[]string{"-backend", "h:1", "-parallel", "2"}, "-parallel"},
 		{[]string{"-backend", "h:1", "-index-min-rows", "0"}, "-index-min-rows"},
 		{[]string{"-backend", "h:1", "-data-dir", "d"}, "-data-dir"},

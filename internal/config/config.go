@@ -34,7 +34,9 @@ type Engine struct {
 	StatsAddr string
 }
 
-// Defaults is the engine a binary runs when no engine flag is given.
+// Defaults is the engine a binary runs when no engine flag is given: the
+// compiled engine, whose vector scans, fused aggregates, column-granular
+// fault-in and index access paths need no flag.
 func Defaults() Engine {
 	return Engine{
 		Exec:         pgdb.ExecCompiled,
@@ -50,7 +52,7 @@ func Defaults() Engine {
 func (e *Engine) RegisterFlags(fs *flag.FlagSet, only ...string) {
 	*e = Defaults()
 	var all flag.FlagSet
-	all.Func("exec", "execution `engine`: compiled (default), interpreted, or vectorized", func(s string) (err error) {
+	all.Func("exec", "execution `engine`: compiled (default) or interpreted (the reference engine qdiff checks against)", func(s string) (err error) {
 		e.Exec, err = pgdb.ParseExecMode(s)
 		return err
 	})

@@ -46,19 +46,21 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestParse(t *testing.T) {
-	e, _, err := parse(t, "-exec", "vectorized", "-parallel", "3", "-index-min-rows", "-1",
+	e, _, err := parse(t, "-exec", "interpreted", "-parallel", "3", "-index-min-rows", "-1",
 		"-data-dir", "d", "-wal-sync", "none", "-mem-budget", "4096", "-compress", "-mmap", "-stats-addr", ":0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Engine{
-		Exec: pgdb.ExecVectorized, Parallel: 3, IndexMinRows: -1,
+		Exec: pgdb.ExecInterpreted, Parallel: 3, IndexMinRows: -1,
 		DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, Compress: true, MMap: true, StatsAddr: ":0",
 	}
 	if *e != want {
 		t.Errorf("parse = %+v, want %+v", *e, want)
 	}
-	for _, bad := range [][]string{{"-exec", "bogus"}, {"-wal-sync", "sometimes"}} {
+	// vectorized was an engine of its own until its vector paths became the
+	// compiled engine's
+	for _, bad := range [][]string{{"-exec", "bogus"}, {"-exec", "vectorized"}, {"-wal-sync", "sometimes"}} {
 		if _, _, err := parse(t, bad...); err == nil {
 			t.Errorf("%v parsed without error", bad)
 		}
@@ -87,7 +89,7 @@ func TestValidate(t *testing.T) {
 		bad  string // substring of the error, "" = valid
 	}{
 		{nil, ""},
-		{[]string{"-stats-addr", ":0", "-exec", "vectorized"}, ""},
+		{[]string{"-stats-addr", ":0", "-exec", "interpreted"}, ""},
 		{[]string{"-data-dir", "d", "-mem-budget", "1", "-compress", "-mmap", "-wal-sync", "none"}, ""},
 		{[]string{"-mem-budget", "1"}, "-mem-budget"},
 		{[]string{"-compress"}, "-compress"},
@@ -127,12 +129,12 @@ func TestOpenClose(t *testing.T) {
 	e := Defaults()
 	e.DataDir = t.TempDir()
 	e.StatsAddr = "127.0.0.1:0"
-	e.Exec = pgdb.ExecVectorized
+	e.Exec = pgdb.ExecInterpreted
 	in, err := e.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Restored || in.DB.ExecutionMode() != pgdb.ExecVectorized || in.DB.IndexMinRows() != pgdb.DefaultIndexMinRows {
+	if in.Restored || in.DB.ExecutionMode() != pgdb.ExecInterpreted || in.DB.IndexMinRows() != pgdb.DefaultIndexMinRows {
 		t.Errorf("fresh instance: restored=%v exec=%v index-min-rows=%d", in.Restored, in.DB.ExecutionMode(), in.DB.IndexMinRows())
 	}
 	if _, err := in.DB.NewSession().ExecScript("CREATE TABLE t (a bigint); INSERT INTO t VALUES (1), (2)"); err != nil {

@@ -15,7 +15,6 @@ import (
 func TestAccessMetaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db, s, st := openStore(t, dir, Options{Sync: SyncAlways})
-	db.SetExecMode(pgdb.ExecVectorized)
 	db.SetIndexMinRows(0)
 	mustExec(t, s, "CREATE TABLE kv (k bigint, s varchar, v bigint)")
 	for lo := 0; lo < 600; lo += 200 {
@@ -46,7 +45,6 @@ func TestAccessMetaRoundTrip(t *testing.T) {
 
 	db2, s2, st2 := openStore(t, dir, Options{Sync: SyncAlways})
 	defer st2.Close()
-	db2.SetExecMode(pgdb.ExecVectorized)
 	stats := db2.IndexStats()
 
 	// restored sorted attribute answers the range predicate with no build
@@ -81,7 +79,7 @@ func TestAccessMetaRoundTrip(t *testing.T) {
 	}
 
 	// full-table parity across every engine
-	for _, mode := range []pgdb.ExecMode{pgdb.ExecCompiled, pgdb.ExecInterpreted, pgdb.ExecVectorized} {
+	for _, mode := range []pgdb.ExecMode{pgdb.ExecCompiled, pgdb.ExecInterpreted} {
 		db2.SetExecMode(mode)
 		got := rowsOf(t, s2, "kv")
 		assertSameRows(t, wantRows, got[:len(wantRows)], fmt.Sprintf("mode %d", mode))

@@ -64,7 +64,6 @@ func TestColumnGranularFaultStats(t *testing.T) {
 				t.Fatalf("reopen: %v", err)
 			}
 			defer st.Close()
-			db.SetExecMode(pgdb.ExecVectorized)
 			s := db.NewSession()
 			stats := st.Stats()
 
@@ -134,7 +133,6 @@ func TestPartialResidencyCorrectness(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st.Close()
-	db.SetExecMode(pgdb.ExecVectorized)
 	s := db.NewSession()
 
 	mustExec(t, s, "SELECT sum(c2) FROM w WHERE c1 = 1") // partial residency
@@ -343,7 +341,6 @@ func TestCorruptColumnFileFault(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st.Close()
-	db.SetExecMode(pgdb.ExecVectorized)
 	s := db.NewSession()
 
 	// Intact columns still serve.
@@ -397,8 +394,7 @@ func TestCompressedCrashRecovery(t *testing.T) {
 			}
 			st.Close()
 
-			db2, s2, st2 := openStore(t, dir, Options{Sync: SyncAlways, Compress: true, MMap: true})
-			db2.SetExecMode(pgdb.ExecVectorized)
+			_, s2, st2 := openStore(t, dir, Options{Sync: SyncAlways, Compress: true, MMap: true})
 			assertSameRows(t, want, rowsOf(t, s2, "t"), point)
 			mustExec(t, s2, "INSERT INTO t VALUES ('2024-07-17', 999, 'z')")
 			if err := st2.Checkpoint(); err != nil {
@@ -422,7 +418,6 @@ func TestEvictionChurnCompressedMMap(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st.Close()
-	db.SetExecMode(pgdb.ExecVectorized)
 	s := db.NewSession()
 	for i := 0; i < 3; i++ {
 		assertSameRows(t, want, rowsOf(t, s, "w"), fmt.Sprintf("churn %d", i))

@@ -51,7 +51,7 @@ func assertSameRows(t *testing.T, want, got [][]any, label string) {
 
 func TestRoundTripAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	db, s, st := openStore(t, dir, Options{Sync: SyncAlways})
+	_, s, st := openStore(t, dir, Options{Sync: SyncAlways})
 	mustExec(t, s, "CREATE TABLE trades (d date, sym varchar, price double precision, size bigint)")
 	for day := 0; day < 3; day++ {
 		for i := 0; i < 100; i++ {
@@ -69,9 +69,8 @@ func TestRoundTripAcrossRestart(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	db.SetExecMode(pgdb.ExecVectorized) // silence unused; modes checked below
 
-	for _, mode := range []pgdb.ExecMode{pgdb.ExecCompiled, pgdb.ExecInterpreted, pgdb.ExecVectorized} {
+	for _, mode := range []pgdb.ExecMode{pgdb.ExecCompiled, pgdb.ExecInterpreted} {
 		db2, s2, st2 := openStore(t, dir, Options{Sync: SyncAlways})
 		db2.SetExecMode(mode)
 		assertSameRows(t, want, rowsOf(t, s2, "trades"), fmt.Sprintf("mode %d", mode))
@@ -255,7 +254,6 @@ func TestColdOpenPrunesWithoutFaulting(t *testing.T) {
 
 	db, s, st := openStore(t, dir, Options{Sync: SyncNone})
 	defer st.Close()
-	db.SetExecMode(pgdb.ExecVectorized)
 	var totalBytes int64
 	db.Exclusive(func() {
 		for _, b := range db.ResidentBytes() {
@@ -333,7 +331,7 @@ func TestDifferentialOracle(t *testing.T) {
 					}
 					st.Close()
 					db, s, st = openStore(t, dir, Options{Sync: SyncAlways})
-					for _, mode := range []pgdb.ExecMode{pgdb.ExecCompiled, pgdb.ExecInterpreted, pgdb.ExecVectorized} {
+					for _, mode := range []pgdb.ExecMode{pgdb.ExecCompiled, pgdb.ExecInterpreted} {
 						db.SetExecMode(mode)
 						assertSameRows(t, rowsOf(t, osess, "t"), rowsOf(t, s, "t"),
 							fmt.Sprintf("step %d mode %d", i, mode))

@@ -17,24 +17,23 @@ import (
 type ExecMode int32
 
 const (
-	// ExecCompiled is the default compile-then-execute engine: expressions
-	// are lowered to closure chains once per query (compile.go) and run by
-	// batched operators.
+	// ExecCompiled is the default and only serving engine. Base-table scans
+	// read the column vectors directly: WHERE clauses that lower to bitmap
+	// kernels (vector.go) skip segments by zone map or answer from sorted
+	// attributes and hash indexes (index.go), lowerable aggregations fold
+	// over the selection bitmap (vecagg.go), and bare projections gather
+	// only the selected cells. Shapes that do not lower run the closure
+	// compiler (compile.go, compileagg.go) over boxed rows that hold only
+	// the selected rows and the columns the statement reads.
 	ExecCompiled ExecMode = iota
-	// ExecInterpreted retains the per-row AST-walking engine. It is kept as
-	// the reference implementation for differential parity testing against
-	// the compiled path (see internal/sidebyside).
+	// ExecInterpreted retains the per-row AST-walking engine over the full
+	// boxed row view. It is kept as the reference implementation for
+	// differential parity testing (see internal/sidebyside).
 	ExecInterpreted
-	// ExecVectorized is the compiled engine plus vector fast paths: WHERE
-	// clauses that lower to bitmap kernels scan the column vectors directly
-	// with zone-map segment skipping, and lowerable aggregations run fused
-	// over the selection bitmap without materializing filtered rows. Shapes
-	// that do not lower behave exactly as ExecCompiled.
-	ExecVectorized
 )
 
 // execModeNames is the one spelling of each engine, indexed by ExecMode.
-var execModeNames = [...]string{"compiled", "interpreted", "vectorized"}
+var execModeNames = [...]string{"compiled", "interpreted"}
 
 func (m ExecMode) String() string {
 	if m < 0 || int(m) >= len(execModeNames) {
@@ -50,7 +49,7 @@ func ParseExecMode(s string) (ExecMode, error) {
 			return ExecMode(m), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown exec mode %q (want compiled, interpreted, or vectorized)", s)
+	return 0, fmt.Errorf("unknown exec mode %q (want compiled or interpreted)", s)
 }
 
 // storedTable is a heap table in the catalog. Data lives in a columnar
@@ -112,8 +111,10 @@ type DB struct {
 }
 
 // NewDB creates an empty database. The default execution mode is
-// ExecCompiled with no intra-query parallelism; secondary indexes build
-// lazily once a table reaches DefaultIndexMinRows rows.
+// ExecCompiled — vector scans, fused aggregates, column-granular fault-in
+// and index access paths included — with no intra-query parallelism;
+// secondary indexes build lazily once a table reaches DefaultIndexMinRows
+// rows.
 func NewDB() *DB {
 	db := &DB{tables: map[string]*storedTable{}, views: map[string]*storedView{}}
 	db.indexMinRows.Store(DefaultIndexMinRows)
@@ -170,12 +171,6 @@ func (db *DB) Parallelism() int {
 // AST-walking engine instead of the compiled one.
 func (s *Session) interpretedMode() bool {
 	return s.db.ExecutionMode() == ExecInterpreted
-}
-
-// vectorizedMode reports whether vector fast paths are enabled on top of
-// the compiled engine.
-func (s *Session) vectorizedMode() bool {
-	return s.db.ExecutionMode() == ExecVectorized
 }
 
 // Session is a connection-scoped view of the database holding temporary
@@ -390,8 +385,8 @@ func (s *Session) resolveRelation(schema, name string) (*Result, error) {
 		return nil, errf("42P01", "relation pg_catalog.%s does not exist", name)
 	}
 	if t, ok := s.lookupTable(name); ok {
-		if s.vectorizedMode() {
-			// lazy: the vectorized planner scans column vectors directly and
+		if !s.interpretedMode() {
+			// lazy: the compiled engine scans column vectors directly and
 			// prunes segments by zone map, so the boxed row view — which
 			// would fault every evicted segment — materializes only if a
 			// consumer actually needs rows (relation.rowsView).

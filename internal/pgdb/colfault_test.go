@@ -3,6 +3,7 @@ package pgdb
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -16,7 +17,7 @@ type recordingLoader struct {
 		si   int
 		cols []int
 	}
-	data [][][]int64 // [segment][column][row]
+	segs []SegmentData
 }
 
 func (r *recordingLoader) loader() SegLoader {
@@ -27,46 +28,33 @@ func (r *recordingLoader) loader() SegLoader {
 			cols []int
 		}{si, append([]int(nil), cols...)})
 		r.mu.Unlock()
-		seg := r.data[si]
-		sd := SegmentData{N: len(seg[0]), Vecs: make([]VecData, len(seg))}
-		req := cols
-		if req == nil {
-			req = make([]int, len(seg))
-			for c := range req {
-				req[c] = c
-			}
-		}
-		for _, c := range req {
-			vals := seg[c]
-			minV, maxV := vals[0], vals[0]
-			for _, v := range vals {
-				if v < minV {
-					minV = v
-				}
-				if v > maxV {
-					maxV = v
-				}
-			}
-			sd.Vecs[c] = VecData{
-				Kind: uint8(vkInt), Ints: vals,
-				Nulls: make([]uint64, (len(vals)+63)/64),
-				Min:   minV, Max: maxV,
-			}
-		}
-		return sd, nil
+		return r.segs[si], nil
 	}
+}
+
+// restoreLazy registers name as an all-stub table over segs, served by a
+// new recording loader.
+func restoreLazy(db *DB, name string, cols []Column, segs []SegmentData) *recordingLoader {
+	rl := &recordingLoader{segs: segs}
+	metas := make([]SegMeta, len(segs))
+	for si, sd := range segs {
+		metas[si] = SegMeta{N: sd.N, Vecs: make([]VecMeta, len(sd.Vecs))}
+		for c, vd := range sd.Vecs {
+			metas[si].Vecs[c] = VecMeta{Kind: vd.Kind, NullCnt: vd.NullCnt, Min: vd.Min, Max: vd.Max}
+		}
+	}
+	db.RestoreTableLazy(name, cols, metas, rl.loader())
+	return rl
 }
 
 // lazyIntTable registers an nSegs × nCols all-stub table where cell (seg,
 // col, row) = base pattern values, and returns the recording loader.
 func lazyIntTable(t *testing.T, db *DB, name string, nSegs, nCols int) *recordingLoader {
 	t.Helper()
-	rl := &recordingLoader{}
 	cols := make([]Column, nCols)
-	segs := make([]SegMeta, nSegs)
-	for si := 0; si < nSegs; si++ {
-		seg := make([][]int64, nCols)
-		vms := make([]VecMeta, nCols)
+	segs := make([]SegmentData, nSegs)
+	for si := range segs {
+		segs[si] = SegmentData{N: segSize, Vecs: make([]VecData, nCols)}
 		for c := 0; c < nCols; c++ {
 			vals := make([]int64, segSize)
 			for i := range vals {
@@ -74,17 +62,35 @@ func lazyIntTable(t *testing.T, db *DB, name string, nSegs, nCols int) *recordin
 				// segment's zone range overlaps any small constant.
 				vals[i] = int64(i*nCols + c)
 			}
-			seg[c] = vals
-			vms[c] = VecMeta{Kind: uint8(vkInt), Min: vals[0], Max: vals[len(vals)-1]}
+			segs[si].Vecs[c] = VecData{
+				Kind: uint8(vkInt), Ints: vals, Nulls: make([]uint64, segWords),
+				Min: vals[0], Max: vals[len(vals)-1],
+			}
 		}
-		rl.data = append(rl.data, seg)
-		segs[si] = SegMeta{N: segSize, Vecs: vms}
 	}
 	for c := range cols {
 		cols[c] = Column{Name: fmt.Sprintf("c%d", c), Type: "bigint"}
 	}
-	db.RestoreTableLazy(name, cols, segs, rl.loader())
-	return rl
+	return restoreLazy(db, name, cols, segs)
+}
+
+// faultedCols is the set of columns the loader was asked for so far (nil
+// requests count as every column).
+func (r *recordingLoader) faultedCols(width int) map[int]bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := map[int]bool{}
+	for _, call := range r.calls {
+		if call.cols == nil {
+			for c := 0; c < width; c++ {
+				out[c] = true
+			}
+		}
+		for _, c := range call.cols {
+			out[c] = true
+		}
+	}
+	return out
 }
 
 // requestedCols flattens the loader log into the distinct column sets seen.
@@ -103,7 +109,6 @@ func (r *recordingLoader) requested() map[string]int {
 // and the aggregated column — never the other four.
 func TestFaultRequestsOnlyReferencedColumns(t *testing.T) {
 	db := NewDB()
-	db.SetExecMode(ExecVectorized)
 	rl := lazyIntTable(t, db, "t", 3, 6)
 	s := db.NewSession()
 
@@ -209,7 +214,6 @@ func TestConcurrentDisjointColumnFaults(t *testing.T) {
 // what the next query needs.
 func TestEvictionIsColumnGranular(t *testing.T) {
 	db := NewDB()
-	db.SetExecMode(ExecVectorized)
 	rl := lazyIntTable(t, db, "t", 2, 5)
 	s := db.NewSession()
 
@@ -251,7 +255,6 @@ func TestEvictionIsColumnGranular(t *testing.T) {
 // predicate for a segment, that segment's loader is never called.
 func TestZoneSkippedSegmentsNeverFault(t *testing.T) {
 	db := NewDB()
-	db.SetExecMode(ExecVectorized)
 	rl := lazyIntTable(t, db, "t", 4, 3)
 	s := db.NewSession()
 
@@ -269,5 +272,43 @@ func TestZoneSkippedSegmentsNeverFault(t *testing.T) {
 	defer rl.mu.Unlock()
 	if len(rl.calls) != 0 {
 		t.Fatalf("zone-refuted scan faulted %d segments: %v", len(rl.calls), rl.requested())
+	}
+}
+
+// TestFallbackBoxesOnlyReadColumns: a shape the vector paths decline still
+// runs over a selective lowered filter, and its row-at-a-time operator gets
+// only the selected rows with the columns the statement reads — the table's
+// full row view is never built, the other columns never fault, and the
+// result matches the interpreter over the same data.
+func TestFallbackBoxesOnlyReadColumns(t *testing.T) {
+	for _, c := range []struct {
+		sql  string
+		read []int
+	}{
+		{"SELECT c0 + 1 FROM t WHERE c1 > 20000", []int{0, 1}},                                      // computed projection
+		{"SELECT c2 FROM t WHERE c1 > 20000 ORDER BY c3 DESC", []int{1, 2, 3}},                      // fused projection + ORDER BY
+		{"SELECT c2 % 3, count(*), sum(c4) FROM t WHERE c1 < 5000 GROUP BY c2 % 3", []int{1, 2, 4}}, // expression key
+		{"SELECT c5, count(DISTINCT c0) FROM t WHERE c1 < 5000 GROUP BY c5", []int{0, 1, 5}},        // DISTINCT aggregate
+	} {
+		db, oracle := NewDB(), NewDB()
+		oracle.SetExecMode(ExecInterpreted)
+		rl := lazyIntTable(t, db, "t", 3, 6)
+		lazyIntTable(t, oracle, "t", 3, 6)
+		got := mustExec(t, db.NewSession(), c.sql)
+		want := mustExec(t, oracle.NewSession(), c.sql)
+		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Fatalf("%s: %d rows, interpreter %d", c.sql, len(got.Rows), len(want.Rows))
+		}
+		if db.tables["t"].store.cache.Load() != nil {
+			t.Errorf("%s: built the full row view", c.sql)
+		}
+		var faulted []int
+		for col := range rl.faultedCols(6) {
+			faulted = append(faulted, col)
+		}
+		sort.Ints(faulted)
+		if !reflect.DeepEqual(faulted, c.read) {
+			t.Errorf("%s: faulted columns %v, want %v", c.sql, faulted, c.read)
+		}
 	}
 }

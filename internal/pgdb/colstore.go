@@ -2,6 +2,7 @@ package pgdb
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -9,11 +10,12 @@ import (
 
 // Columnar table storage: a storedTable keeps its data as typed column
 // vectors organized into fixed-size segments, each column carrying a null
-// bitmap and a per-segment min/max zone map. The vectorized executor
-// (vector.go, vecagg.go) scans these vectors batch-at-a-time; every other
-// consumer — the interpreter, the compiled row engine, joins, DML — reads
-// through a memoized row-view adapter (rows()), which materializes boxed
-// rows once and keeps them write-through-coherent with the vectors.
+// bitmap and a per-segment min/max zone map. The compiled engine's scans
+// (vector.go, vecagg.go) read these vectors batch-at-a-time, and box only
+// the selected rows and read columns for an operator that needs rows
+// (boxSel); the interpreter, joins and DML read through a memoized row-view
+// adapter (rows()), which materializes boxed rows once and keeps them
+// write-through-coherent with the vectors.
 
 // segSize is the number of rows per segment. It is a multiple of 64 so a
 // segment's slice of the global selection bitmap is word-aligned, and it
@@ -420,7 +422,7 @@ func (st *colStore) seg(si int) *segment {
 }
 
 // segCols returns segment si with at least the given columns resident
-// (nil ⇒ all columns). The vectorized scan paths pass their referenced
+// (nil ⇒ all columns). The vector scan paths pass their referenced
 // column set here so a pruned cold scan faults only the WHERE + projected
 // columns of each segment.
 func (st *colStore) segCols(si int, cols []int) *segment {
@@ -596,21 +598,9 @@ func (st *colStore) cellAt(i, col int) any {
 	return s.vecs[col].get(i % segSize)
 }
 
-// rowAt boxes one full row at a global row index (lazy scans use this in
-// place of the materialized row view).
-func (st *colStore) rowAt(i int) []any {
-	seg := st.seg(i / segSize)
-	pos := i % segSize
-	row := make([]any, len(st.cols))
-	for c := range seg.vecs {
-		row[c] = seg.vecs[c].get(pos)
-	}
-	return row
-}
-
 // rowAtCols boxes the given columns of one row (others stay nil), faulting
 // only those columns. Aggregate finalization uses this for the group's
-// representative row when the referenced-column analysis succeeds.
+// representative row.
 func (st *colStore) rowAtCols(i int, cols []int) []any {
 	seg := st.segCols(i/segSize, cols)
 	pos := i % segSize
@@ -619,6 +609,51 @@ func (st *colStore) rowAtCols(i int, cols []int) []any {
 		row[c] = seg.vecs[c].get(pos)
 	}
 	return row
+}
+
+// boxSel boxes the rows set in sel (nil: every row) in row order, filling
+// only cols and leaving the other cells NULL. Segments with no selected row
+// are skipped before anything faults; the rest fault just cols, once per
+// segment. One backing array holds every row.
+func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
+	nsel := st.n
+	if sel != nil {
+		nsel = popCount(sel)
+	}
+	width := len(st.cols)
+	backing := make([]any, nsel*width)
+	out := make([][]any, 0, nsel)
+	for si := range st.slots {
+		n := st.peekSeg(si).n
+		var window []uint64
+		if sel != nil {
+			window = sel[si*segWords : si*segWords+(n+63)/64]
+			if windowAllZero(window) {
+				continue
+			}
+		}
+		seg := st.segCols(si, cols)
+		emit := func(i int) {
+			row := backing[:width:width]
+			backing = backing[width:]
+			for _, c := range cols {
+				row[c] = seg.vecs[c].get(i)
+			}
+			out = append(out, row)
+		}
+		if window == nil {
+			for i := 0; i < n; i++ {
+				emit(i)
+			}
+			continue
+		}
+		for w, word := range window {
+			for ; word != 0; word &= word - 1 {
+				emit(w*64 + bits.TrailingZeros64(word))
+			}
+		}
+	}
+	return out
 }
 
 // setCell overwrites one cell in the vectors (UPDATE write-through; the

@@ -48,9 +48,9 @@ func TestZoneRefreshAfterUpdate(t *testing.T) {
 }
 
 // TestVectorizedPruneAfterDML: after DELETE compacts rows across segment
-// boundaries and UPDATE rewrites ranges, the vectorized engine must agree
-// with the interpreter exactly — pruning may only skip segments that
-// cannot match.
+// boundaries and UPDATE rewrites ranges, the compiled engine's vector scans
+// must agree with the interpreter exactly — pruning may only skip segments
+// that cannot match.
 func TestVectorizedPruneAfterDML(t *testing.T) {
 	db := NewDB()
 	s := db.NewSession()
@@ -71,10 +71,10 @@ func TestVectorizedPruneAfterDML(t *testing.T) {
 	for _, q := range queries {
 		db.SetExecMode(ExecInterpreted)
 		want := mustExec(t, s, q).Rows
-		db.SetExecMode(ExecVectorized)
+		db.SetExecMode(ExecCompiled)
 		got := mustExec(t, s, q).Rows
 		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Fatalf("%s:\n vectorized %v\n interpreter %v", q, got, want)
+			t.Fatalf("%s:\n compiled %v\n interpreter %v", q, got, want)
 		}
 	}
 }
@@ -86,7 +86,6 @@ func TestVectorizedPruneAfterDML(t *testing.T) {
 // preserves can never be seen violated.
 func TestConcurrentDMLAndScans(t *testing.T) {
 	db := NewDB()
-	db.SetExecMode(ExecVectorized)
 	s := db.NewSession()
 	mustExec(t, s, "CREATE TABLE t (a bigint, bal bigint)")
 	const rows = 3 * segSize

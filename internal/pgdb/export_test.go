@@ -1,0 +1,48 @@
+package pgdb
+
+import "hyperq/internal/pgdb/sqlparse"
+
+// Hooks for the external pgdb_test package, whose tests drive the engine
+// through internal/core (which imports pgdb, so they cannot live in package
+// pgdb itself).
+
+// RelazyTable re-registers a loaded table as all-stub segments served from
+// its current data by a recording loader, and returns a function naming the
+// columns faulted in since.
+func RelazyTable(db *DB, name string) (faulted func() []string) {
+	var cols []Column
+	var segs []SegmentData
+	db.Exclusive(func() { cols, segs, _ = db.SnapshotTable(name) })
+	rl := restoreLazy(db, name, cols, segs)
+	return func() []string {
+		var names []string
+		got := rl.faultedCols(len(cols))
+		for c := range cols {
+			if got[c] {
+				names = append(names, cols[c].Name)
+			}
+		}
+		return names
+	}
+}
+
+// LowersToVector reports whether a WHERE clause over a table lowers to a
+// bitmap program, so the compiled engine scans it without boxing a row.
+func LowersToVector(db *DB, table, where string) bool {
+	stmt, err := sqlparse.Parse("SELECT * FROM " + table + " WHERE " + where)
+	if err != nil {
+		return false
+	}
+	db.mu.RLock()
+	t := db.tables[table]
+	db.mu.RUnlock()
+	_, ok := lowerVecPred(stmt.(*sqlparse.SelectStmt).Where, schemaOf(t.cols, table), t.store)
+	return ok
+}
+
+// RowCacheBuilt reports whether a table's boxed row view has been built.
+func RowCacheBuilt(db *DB, name string) bool {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.tables[name].store.cache.Load() != nil
+}

@@ -89,8 +89,8 @@ func TestSortedUpdateNeighborViolation(t *testing.T) {
 }
 
 // TestSortedRangeParity: every comparison shape over a sorted column must
-// return the same rows in all three engines — the vectorized one answering
-// from binary search, the others scanning.
+// return the same rows in both engines — the compiled one answering from
+// binary search, the interpreter scanning.
 func TestSortedRangeParity(t *testing.T) {
 	db, s := indexedDB(t)
 	mustExec(t, s, "CREATE TABLE big (k bigint, f double precision, txt varchar)")
@@ -135,7 +135,7 @@ func TestSortedRangeParity(t *testing.T) {
 	}
 	for _, q := range queries {
 		var ref [][]any
-		for _, mode := range []ExecMode{ExecInterpreted, ExecCompiled, ExecVectorized} {
+		for _, mode := range []ExecMode{ExecInterpreted, ExecCompiled} {
 			db.SetExecMode(mode)
 			res := mustExec(t, s, q)
 			if ref == nil {
@@ -162,8 +162,6 @@ func TestHashIndexDMLParity(t *testing.T) {
 	dbn := NewDB()
 	dbn.SetIndexMinRows(-1)
 	si, sn := dbi.NewSession(), dbn.NewSession()
-	dbi.SetExecMode(ExecVectorized)
-	dbn.SetExecMode(ExecVectorized)
 
 	probes := []string{
 		"SELECT count(*), sum(n) FROM kv WHERE k = 'a'",
@@ -210,7 +208,6 @@ func TestHashIndexDMLParity(t *testing.T) {
 // drops the index (sticky), and results stay correct through the fallback.
 func TestIndexTypeDegradation(t *testing.T) {
 	db, s := indexedDB(t)
-	db.SetExecMode(ExecVectorized)
 	// unsorted, so the equality lookup routes to the hash index rather than
 	// the sorted attribute's binary search
 	mustExec(t, s, "CREATE TABLE mix (k bigint)")
@@ -243,7 +240,6 @@ func TestIndexTypeDegradation(t *testing.T) {
 // reads race against each other; run under -race.
 func TestIndexConcurrentLookups(t *testing.T) {
 	db, s := indexedDB(t)
-	db.SetExecMode(ExecVectorized)
 	mustExec(t, s, "CREATE TABLE c (k bigint, v varchar)")
 	for lo := 0; lo < 4000; lo += 500 {
 		sql := "INSERT INTO c VALUES "
@@ -327,7 +323,7 @@ func TestAsofBucketCache(t *testing.T) {
 	}
 
 	// parity: all three engines agree on the post-mutation result
-	for _, mode := range []ExecMode{ExecInterpreted, ExecCompiled, ExecVectorized} {
+	for _, mode := range []ExecMode{ExecInterpreted, ExecCompiled} {
 		db.SetExecMode(mode)
 		got := mustExec(t, s, asof).Rows
 		if !reflect.DeepEqual(got, res) {
@@ -387,7 +383,7 @@ func TestIndexedJoinParity(t *testing.T) {
 		"SELECT f.k, x, y FROM f JOIN dim ON f.k IS NOT DISTINCT FROM dim.k ORDER BY x, y",
 		"SELECT f.k, x, y FROM f JOIN dim ON f.k = dim.k WHERE y > 10 ORDER BY x, y",
 	}
-	for _, mode := range []ExecMode{ExecCompiled, ExecVectorized} {
+	for _, mode := range []ExecMode{ExecCompiled} {
 		dbi.SetExecMode(mode)
 		dbn.SetExecMode(mode)
 		for _, q := range queries {
@@ -433,7 +429,7 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 	for _, p := range preds {
 		q := "SELECT COUNT(*) FROM tr WHERE " + p.where
 		var rows [][]any
-		for _, mode := range []ExecMode{ExecVectorized, ExecCompiled, ExecInterpreted} {
+		for _, mode := range []ExecMode{ExecCompiled, ExecInterpreted} {
 			db.SetExecMode(mode)
 			got := mustExec(t, s, q).Rows
 			if got[0][0].(int64) != int64(p.want) {
@@ -451,7 +447,7 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 
 	// translated as-of: both sides behind pass-through projections; the
 	// bucket cache must key on the base store and survive the wrapper
-	db.SetExecMode(ExecVectorized)
+	db.SetExecMode(ExecCompiled)
 	asofWrapped := `SELECT sym, tm, px, bid, ask FROM (
 		SELECT a.sym, a.tm, a.px, b.bid, b.ask,
 		       ROW_NUMBER() OVER (PARTITION BY a.tm ORDER BY b.tm DESC) AS rn
@@ -496,7 +492,7 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 	}
 
 	// equi-join through a pass-through wrapper probes the prebuilt side
-	db.SetExecMode(ExecVectorized)
+	db.SetExecMode(ExecCompiled)
 	jb0 := stats.Builds.Load() + stats.Hits.Load()
 	joinWrapped := `SELECT a.sym, a.px, b.bid FROM tr a
 		JOIN (SELECT sym AS sym, tm AS tm, bid AS bid FROM qt) b ON a.sym = b.sym
@@ -514,7 +510,7 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 	}
 
 	// a mutation through the wrapper still invalidates: new quote visible
-	db.SetExecMode(ExecVectorized)
+	db.SetExecMode(ExecCompiled)
 	mustExec(t, s, "INSERT INTO qt VALUES ('GOOG',19,8.9,9.1)")
 	post := mustExec(t, s, asofWrapped).Rows
 	if reflect.DeepEqual(post, want) {

@@ -27,12 +27,12 @@ func schemaOf(cols []Column, alias string) []colBinding {
 }
 
 // relation is an intermediate result: bound columns plus materialized rows.
-// store is non-nil only for an unfiltered base-table scan, where rows is the
-// columnar store's row view and the vectorized executor may scan vectors.
-// lazy marks a vectorized base-table scan whose row view has not been
-// materialized yet (rows is nil); consumers that need boxed rows call
-// rowsView first, so fully-pruned vector scans never fault evicted
-// segments or box a cell.
+// store is non-nil only for an unfiltered base-table scan, where the
+// compiled engine scans the column vectors. lazy marks such a scan whose
+// rows have not been boxed yet (rows is nil): consumers that need every row
+// call rowsView, and a vector scan's row-at-a-time fallback calls
+// boxSelected, so fully-pruned scans never fault evicted segments or box a
+// cell.
 type relation struct {
 	schema []colBinding
 	rows   [][]any
@@ -57,6 +57,53 @@ func (r *relation) rowsView() [][]any {
 	return r.rows
 }
 
+// boxSelected gives a vector scan's row-at-a-time consumers their rows: the
+// positions set in sel (nil: all), in row order. A row view that already
+// exists is shared by reference; otherwise only cols of the selected rows
+// are boxed (the other cells stay NULL) and only those columns of segments
+// holding a selected row fault in.
+func (r *relation) boxSelected(sel []uint64, cols []int) {
+	if r.store.cache.Load() != nil {
+		r.rows = materializeSel(r.store.rows(), sel)
+	} else {
+		r.rows = r.store.boxSel(sel, cols)
+	}
+	r.lazy = false
+}
+
+// addColRefs adds to seen the column of every reference in e that resolves
+// against schema: the only cells evaluating e against a row can read. A
+// reference that does not resolve fails the same way whatever the row
+// holds, and a subquery cannot reference the outer row.
+func addColRefs(e sqlparse.Expr, schema []colBinding, seen map[int]struct{}) {
+	walkExpr(e, func(x sqlparse.Expr) {
+		if cr, ok := x.(*sqlparse.ColRef); ok {
+			if c, err := findCol(schema, cr); err == nil {
+				seen[c] = struct{}{}
+			}
+		}
+	})
+}
+
+// stmtCols is the sorted set of columns a select's items (stars expanded),
+// GROUP BY, HAVING and ORDER BY can read from an input row.
+func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
+	seen := map[int]struct{}{}
+	if items, err := expandStars(sel.Items, schema); err == nil {
+		for _, item := range items {
+			addColRefs(item.Expr, schema, seen)
+		}
+	}
+	for _, g := range sel.GroupBy {
+		addColRefs(g, schema, seen)
+	}
+	addColRefs(sel.Having, schema, seen)
+	for _, ob := range sel.OrderBy {
+		addColRefs(ob.Expr, schema, seen)
+	}
+	return sortedSet(seen)
+}
+
 // execSelect runs the full select pipeline: FROM (with joins) → WHERE →
 // GROUP/aggregate → HAVING → projection (with window functions) → DISTINCT
 // → UNION → ORDER BY → LIMIT/OFFSET.
@@ -75,13 +122,13 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, outer *relation) (*Result
 	if err != nil {
 		return nil, err
 	}
-	// WHERE — vectorized fast path first: a fully-lowerable predicate over a
+	// WHERE — vector fast path first: a fully-lowerable predicate over a
 	// base-table scan fills a selection bitmap straight from the column
 	// vectors (zone maps skip segments). The bitmap either feeds the fused
 	// aggregation below or late-materializes only the selected positions.
 	var selBits []uint64
 	vecScan := false
-	if s.vectorizedMode() && rel.store != nil && !whereConsumed {
+	if !s.interpretedMode() && rel.store != nil && !whereConsumed {
 		if sel.Where == nil {
 			vecScan = true
 		} else if p, ok := lowerVecPred(sel.Where, rel.schema, rel.store); ok {
@@ -116,56 +163,39 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, outer *relation) (*Result
 		}
 	}
 	var res *Result
-	if len(sel.GroupBy) > 0 || selectHasAggregate(sel) {
-		switch {
-		case vecScan:
-			fused, ok, ferr := s.execGroupedVec(sel, rel, selBits)
-			if ferr != nil {
-				return nil, ferr
-			}
-			if ok {
-				// ORDER BY probes the relation for alignment, so it must
-				// see the filtered rows; otherwise the fused result is
-				// self-contained and the filter need not materialize
-				if len(sel.OrderBy) > 0 {
-					rel.rows = materializeSel(rel.rowsView(), selBits)
-					rel.lazy = false
-				}
-				res = fused
-			} else {
-				rel.rows = materializeSel(rel.rowsView(), selBits)
-				rel.lazy = false
-				res, err = s.execGroupedCompiled(sel, rel)
-			}
-			rel.store = nil
-		case s.interpretedMode():
-			res, err = s.execGrouped(sel, rel)
-		default:
-			res, err = s.execGroupedCompiled(sel, rel)
-		}
-	} else {
-		if vecScan {
-			fast, ok, ferr := s.projectVec(sel, rel, selBits)
-			if ferr != nil {
-				return nil, ferr
-			}
-			if ok {
-				// ORDER BY may reference non-projected columns via the
-				// aligned row view, so the filter must still materialize
-				if len(sel.OrderBy) > 0 {
-					rel.rows = materializeSel(rel.rowsView(), selBits)
-					rel.lazy = false
-				}
-				res = fast
-			} else {
-				rel.rows = materializeSel(rel.rowsView(), selBits)
-				rel.lazy = false
-				res, err = s.project(sel, rel)
-			}
-			rel.store = nil
+	grouped := len(sel.GroupBy) > 0 || selectHasAggregate(sel)
+	switch {
+	case vecScan:
+		var ok bool
+		if grouped {
+			res, ok, err = s.execGroupedVec(sel, rel, selBits)
 		} else {
+			res, ok, err = s.projectVec(sel, rel, selBits)
+		}
+		if err != nil {
+			return nil, err
+		}
+		// the fast paths' results are self-contained; ORDER BY still probes
+		// the selected input rows for alignment, and a declined shape runs
+		// the row-at-a-time operator over them — either way only the
+		// selected rows, with the columns the statement reads, are boxed
+		if !ok || len(sel.OrderBy) > 0 {
+			rel.boxSelected(selBits, stmtCols(sel, rel.schema))
+		}
+		switch {
+		case ok:
+		case grouped:
+			res, err = s.execGroupedCompiled(sel, rel)
+		default:
 			res, err = s.project(sel, rel)
 		}
+		rel.store = nil
+	case grouped && s.interpretedMode():
+		res, err = s.execGrouped(sel, rel)
+	case grouped:
+		res, err = s.execGroupedCompiled(sel, rel)
+	default:
+		res, err = s.project(sel, rel)
 	}
 	if err != nil {
 		return nil, err
@@ -683,9 +713,9 @@ func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, err
 	return res, nil
 }
 
-// projectVec is the late-materialization fast path for a vectorized scan:
-// when every output item is a bare column reference, the result is built
-// straight from the selection bitmap over the row view — one arena-backed
+// projectVec is the late-materialization fast path for a vector scan: when
+// every output item is a bare column reference, the result is built
+// straight from the selection bitmap over the column vectors — one arena-backed
 // output row per selected position, no intermediate filtered slice and no
 // per-row closure dispatch. Returns ok=false (and no error) for any shape
 // it does not handle, deferring both work and error surfacing to the
@@ -714,41 +744,26 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 			Type: s.inferType(item.Expr, rel.schema),
 		})
 	}
-	// A lazy scan projects straight from the column store: only segments
+	// The scan projects straight from the column store: only segments
 	// holding selected rows are touched, so a selection the zone maps fully
 	// pruned leaves evicted segments on disk and boxes nothing else.
-	lazy := rel.lazy
-	var src [][]any
-	nsrc := 0
-	if lazy {
-		nsrc = rel.store.numRows()
-	} else {
-		src = rel.rows
-		nsrc = len(src)
-	}
+	st := rel.store
+	nsrc := st.numRows()
 	nsel := nsrc
 	if selBits != nil {
 		nsel = popCount(selBits)
 	}
-	st := rel.store
 	backing := make([]any, nsel*len(cols))
 	res.Rows = make([][]any, 0, nsel)
 	emit := func(i int) {
 		out := backing[:len(cols):len(cols)]
 		backing = backing[len(cols):]
-		if lazy {
-			// fault only the projected columns of the row's segment, in one
-			// loader call per cold segment
-			seg := st.segCols(i/segSize, cols)
-			pos := i % segSize
-			for k, c := range cols {
-				out[k] = seg.vecs[c].get(pos)
-			}
-		} else {
-			row := src[i]
-			for k, c := range cols {
-				out[k] = row[c]
-			}
+		// fault only the projected columns of the row's segment, in one
+		// loader call per cold segment
+		seg := st.segCols(i/segSize, cols)
+		pos := i % segSize
+		for k, c := range cols {
+			out[k] = seg.vecs[c].get(pos)
 		}
 		res.Rows = append(res.Rows, out)
 	}

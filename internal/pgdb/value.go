@@ -15,6 +15,7 @@
 package pgdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -33,12 +34,11 @@ type Result struct {
 	Cols []Column
 	Rows [][]any
 	Tag  string // command tag, e.g. "SELECT 5"
-	// store is set when Rows is the row view of a base table's columnar
-	// storage, letting the vectorized executor scan the typed vectors
-	// instead of the boxed rows. lazy marks a vectorized base-table scan
-	// whose Rows is deliberately nil: consumers that need boxed rows
-	// materialize through relation.rowsView, so scans the planner fully
-	// prunes never touch evicted segments.
+	// store is set for a base table's columnar storage, letting the
+	// compiled engine scan the typed vectors instead of boxed rows. lazy
+	// marks such a scan whose Rows is deliberately nil: consumers that need
+	// boxed rows materialize through the relation (rowsView, boxSelected),
+	// so scans the planner fully prunes never touch evicted segments.
 	store *colStore
 	lazy  bool
 }
@@ -322,16 +322,62 @@ func toFloat(v any) (float64, bool) {
 // applied by the caller, which handles nulls before calling).
 func equalVals(a, b any) bool { return compareVals(a, b) == 0 }
 
-// keyString builds a hashable grouping key from values; nulls group
-// together, as PostgreSQL GROUP BY specifies.
+// keyString builds the hashable key of a value tuple for GROUP BY, DISTINCT,
+// UNION and hash joins; nulls group together, as PostgreSQL GROUP BY
+// specifies.
 func keyString(vals []any) string {
-	var b strings.Builder
+	var arr [64]byte
+	buf := arr[:0]
 	for _, v := range vals {
-		if v == nil {
-			b.WriteString("\x00N;")
-			continue
-		}
-		fmt.Fprintf(&b, "%T:%v;", v, v)
+		buf = appendKeyVal(buf, v)
 	}
-	return b.String()
+	return string(buf)
+}
+
+// appendKeyVal appends one value's key encoding: a type tag, then a
+// fixed-width or length-prefixed payload, so a tuple's key is the
+// concatenation of self-delimiting cells and two tuples share a key only
+// when they agree cell by cell. Equality is type-tagged (int64 2 and
+// float64 2.0 are different keys); every NaN is one key and ±0 are two, as
+// the float's text form has them. The fused aggregate path encodes vector
+// cells through appendKeyCell, which must produce the same bytes.
+func appendKeyVal(buf []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(buf, 'N')
+	case int64:
+		return appendKeyInt(buf, x)
+	case float64:
+		return appendKeyFloat(buf, x)
+	case string:
+		return appendKeyStr(buf, x)
+	case bool:
+		return appendKeyBool(buf, x)
+	default:
+		// out of the engine's value domain: keyed by its type and text
+		return appendKeyStr(append(buf, 'o'), fmt.Sprintf("%T:%v", x, x))
+	}
+}
+
+func appendKeyInt(buf []byte, n int64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(n))
+}
+
+func appendKeyBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 'T')
+	}
+	return append(buf, 'F')
+}
+
+func appendKeyFloat(buf []byte, f float64) []byte {
+	if math.IsNaN(f) {
+		f = math.NaN()
+	}
+	return binary.BigEndian.AppendUint64(append(buf, 'f'), math.Float64bits(f))
+}
+
+func appendKeyStr(buf []byte, s string) []byte {
+	buf = binary.AppendUvarint(append(buf, 's'), uint64(len(s)))
+	return append(buf, s...)
 }

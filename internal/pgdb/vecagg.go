@@ -4,21 +4,20 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strconv"
 	"strings"
 
 	"hyperq/internal/pgdb/sqlparse"
 )
 
 // Fused filter+aggregate execution: when every aggregate slot of a grouped
-// query is a plain single-column call and every GROUP BY key is a column
-// reference, the aggregation folds directly over the column vectors and the
-// selection bitmap — filtered rows are never materialized, group keys are
-// encoded without fmt, and the accumulators run typed. The result assembly
-// reuses the compiled path's machinery (compileAggExpr over pre-computed
-// slot values, itemName/inferType/refineTypes, items-then-HAVING order), so
-// output and error behavior are indistinguishable from execGroupedCompiled.
+// query is a single-argument call over a column or a pure expression and
+// every GROUP BY key is a column reference, the aggregation folds directly
+// over the column vectors and the selection bitmap — filtered rows are never
+// materialized, group keys are encoded straight from the vectors, and the
+// accumulators run typed. The result assembly reuses the compiled path's
+// machinery (compileAggExpr over pre-computed slot values, itemName/
+// inferType/refineTypes, items-then-HAVING order), so output and error
+// behavior are indistinguishable from execGroupedCompiled.
 
 type fusedKind uint8
 
@@ -35,17 +34,23 @@ const (
 	fLast
 )
 
-// fusedSlot is the vectorizable plan of one aggregate slot.
+// fusedSlot is the vectorizable plan of one aggregate slot. Its argument is
+// either the storage column col or, when arg is set, a computed expression:
+// arg is the argument's pure compiled closure and argCols the columns it
+// reads.
 type fusedSlot struct {
-	kind fusedKind
-	col  int
-	name string // the SQL function name, for error messages
+	kind    fusedKind
+	col     int
+	name    string // the SQL function name, for error messages
+	arg     exprFn
+	argCols []int
 }
 
 // planFusedSlots maps every aggregate slot to a fused kind over a storage
-// column; any slot outside the fusable set (DISTINCT, expression arguments,
-// the stddev/median tail, argument-count errors) aborts fusion and the
-// caller falls back to execGroupedCompiled.
+// column or a computed argument; any slot outside the fusable set
+// (DISTINCT, first/last or an impure closure over an expression, the
+// stddev/median tail, argument-count errors) aborts fusion and the caller
+// falls back to execGroupedCompiled.
 func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fusedSlot, bool) {
 	out := make([]fusedSlot, len(slots))
 	for i, slot := range slots {
@@ -80,15 +85,25 @@ func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fused
 		default:
 			return nil, false
 		}
-		cr, ok := fc.Args[0].(*sqlparse.ColRef)
-		if !ok {
+		if cr, ok := fc.Args[0].(*sqlparse.ColRef); ok {
+			col, err := findCol(schema, cr)
+			if err != nil || col >= len(st.cols) {
+				return nil, false
+			}
+			out[i] = fusedSlot{kind: kind, col: col, name: fc.Name}
+			continue
+		}
+		// first/last evaluate their argument on one row only: not fused
+		if kind == fFirst || kind == fLast {
 			return nil, false
 		}
-		col, err := findCol(schema, cr)
-		if err != nil || col >= len(st.cols) {
+		c := compileExpr(fc.Args[0], schema)
+		if !c.pure {
 			return nil, false
 		}
-		out[i] = fusedSlot{kind: kind, col: col, name: fc.Name}
+		seen := map[int]struct{}{}
+		addColRefs(fc.Args[0], schema, seen)
+		out[i] = fusedSlot{kind: kind, name: fc.Name, arg: c.fn, argCols: sortedSet(seen)}
 	}
 	return out, true
 }
@@ -291,47 +306,46 @@ func (a *slotAcc) updBool(isAnd bool, name string, v *colVec, i int) {
 	}
 }
 
-// appendKeyCell appends one group-key cell in keyString's exact encoding
-// ("%T:%v;", "\x00N;" for NULL) without going through fmt, so the fused
-// path partitions and orders groups identically to the compiled path —
-// including any collisions keyString itself would produce.
+// update folds non-null cell i of v into the slot: the per-row form of the
+// typed loops in execGroupedVec.
+func (a *slotAcc) update(fs *fusedSlot, v *colVec, i int) {
+	switch fs.kind {
+	case fCount:
+		a.n++
+	case fSum:
+		a.updSum(v, i)
+	case fAvg:
+		a.updAvg(v, i)
+	case fMin:
+		a.updMinMax(true, v, i)
+	case fMax:
+		a.updMinMax(false, v, i)
+	case fBoolAnd:
+		a.updBool(true, fs.name, v, i)
+	case fBoolOr:
+		a.updBool(false, fs.name, v, i)
+	}
+}
+
+// appendKeyCell appends one group-key cell in keyString's encoding straight
+// from the typed vector, so the fused path partitions and orders groups
+// identically to the row path without boxing the cell.
 func appendKeyCell(buf []byte, v *colVec, i int) []byte {
 	if v.isNull(i) {
-		return append(buf, "\x00N;"...)
+		return appendKeyVal(buf, nil)
 	}
 	switch v.kind {
 	case vkInt:
-		buf = append(buf, "int64:"...)
-		buf = strconv.AppendInt(buf, v.ints[i], 10)
+		return appendKeyInt(buf, v.ints[i])
 	case vkFloat:
-		buf = append(buf, "float64:"...)
-		buf = strconv.AppendFloat(buf, v.floats[i], 'g', -1, 64)
+		return appendKeyFloat(buf, v.floats[i])
 	case vkStr:
-		buf = append(buf, "string:"...)
-		buf = append(buf, v.strs[i]...)
+		return appendKeyStr(buf, v.strs[i])
 	case vkBool:
-		buf = append(buf, "bool:"...)
-		buf = strconv.AppendBool(buf, v.bools[i])
-	case vkAny:
-		switch x := v.anys[i].(type) {
-		case int64:
-			buf = append(buf, "int64:"...)
-			buf = strconv.AppendInt(buf, x, 10)
-		case float64:
-			buf = append(buf, "float64:"...)
-			buf = strconv.AppendFloat(buf, x, 'g', -1, 64)
-		case string:
-			buf = append(buf, "string:"...)
-			buf = append(buf, x...)
-		case bool:
-			buf = append(buf, "bool:"...)
-			buf = strconv.AppendBool(buf, x)
-		default:
-			// out-of-domain value: defer to fmt for the identical bytes
-			buf = append(buf, fmt.Sprintf("%T:%v", x, x)...)
-		}
+		return appendKeyBool(buf, v.bools[i])
+	default:
+		return appendKeyVal(buf, v.anys[i])
 	}
-	return append(buf, ';')
 }
 
 // repRowCols computes the set of storage columns the compiled group items
@@ -339,30 +353,10 @@ func appendKeyCell(buf []byte, v *colVec, i int) []byte {
 // compileAggExpr's dispatch exactly: aggregate calls read their slot (their
 // arguments never touch the representative row), the scalar shapes it
 // recurses into are analyzed structurally, and any other subtree evaluates
-// whole against the representative row, contributing every column reference
-// inside it. ok=false means the analysis met a shape it cannot bound
-// (subqueries, unresolvable references) and the caller must materialize the
-// full row.
-func repRowCols(items []sqlparse.SelectItem, having sqlparse.Expr, schema []colBinding, st *colStore) ([]int, bool) {
+// whole against the representative row, contributing every column it can
+// read (addColRefs).
+func repRowCols(items []sqlparse.SelectItem, having sqlparse.Expr, schema []colBinding) []int {
 	seen := map[int]struct{}{}
-	ok := true
-	collectAll := func(e sqlparse.Expr) {
-		walkExpr(e, func(x sqlparse.Expr) {
-			switch cr := x.(type) {
-			case *sqlparse.ColRef:
-				col, err := findCol(schema, cr)
-				if err != nil || col >= len(st.cols) {
-					ok = false
-					return
-				}
-				seen[col] = struct{}{}
-			case *sqlparse.SubqueryExpr:
-				// walkExpr does not descend into the subquery's select, so
-				// a correlated outer reference would be invisible here
-				ok = false
-			}
-		})
-	}
 	var visit func(e sqlparse.Expr)
 	visit = func(e sqlparse.Expr) {
 		if e == nil {
@@ -372,7 +366,7 @@ func repRowCols(items []sqlparse.SelectItem, having sqlparse.Expr, schema []colB
 			return // slot lookup: no representative-row access
 		}
 		if !exprHasAggregate(e) {
-			collectAll(e)
+			addColRefs(e, schema, seen)
 			return
 		}
 		switch x := e.(type) {
@@ -397,22 +391,14 @@ func repRowCols(items []sqlparse.SelectItem, having sqlparse.Expr, schema []colB
 		case *sqlparse.UnaryExpr:
 			visit(x.X)
 		default:
-			collectAll(e)
+			addColRefs(e, schema, seen)
 		}
 	}
 	for _, item := range items {
 		visit(item.Expr)
 	}
 	visit(having)
-	if !ok {
-		return nil, false
-	}
-	cols := make([]int, 0, len(seen))
-	for c := range seen {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	return cols, true
+	return sortedSet(seen)
 }
 
 // vecGroup is one group's fused state: selection bookkeeping for COUNT(*),
@@ -452,27 +438,25 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	}
 
 	// scanCols is the referenced-column set of the fused scan: group keys
-	// plus every slot's input column. COUNT(*) reads no column, and
+	// plus every slot's input columns. COUNT(*) reads no column, and
 	// first/last read a single cell at finalize through cellAt, which is
 	// already column-granular — so a pruned cold aggregate faults in only
 	// these columns of each surviving segment.
-	scanCols := append([]int(nil), keyCols...)
+	seen := map[int]struct{}{}
+	for _, c := range keyCols {
+		seen[c] = struct{}{}
+	}
 	for i := range fused {
-		fs := &fused[i]
-		if fs.kind == fStar || fs.kind == fFirst || fs.kind == fLast {
-			continue
-		}
-		scanCols = append(scanCols, fs.col)
-	}
-	sort.Ints(scanCols)
-	w := 0
-	for i, c := range scanCols {
-		if i == 0 || c != scanCols[w-1] {
-			scanCols[w] = c
-			w++
+		switch fs := &fused[i]; {
+		case fs.arg != nil:
+			for _, c := range fs.argCols {
+				seen[c] = struct{}{}
+			}
+		case fs.kind != fStar && fs.kind != fFirst && fs.kind != fLast:
+			seen[fs.col] = struct{}{}
 		}
 	}
-	scanCols = scanCols[:w]
+	scanCols := sortedSet(seen)
 
 	newGroup := func(idx int) *vecGroup {
 		g := &vecGroup{firstIdx: idx, lastIdx: idx, accs: make([]slotAcc, len(fused))}
@@ -637,24 +621,35 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				if nw&(1<<(uint(i)&63)) != 0 {
 					continue
 				}
-				acc := &gbuf[k].accs[si]
-				if acc.err != nil {
-					continue
+				if acc := &gbuf[k].accs[si]; acc.err == nil {
+					acc.update(fs, v, i)
 				}
-				switch fs.kind {
-				case fSum:
-					acc.updSum(v, i)
-				case fAvg:
-					acc.updAvg(v, i)
-				case fMin:
-					acc.updMinMax(true, v, i)
-				case fMax:
-					acc.updMinMax(false, v, i)
-				case fBoolAnd:
-					acc.updBool(true, fs.name, v, i)
-				case fBoolOr:
-					acc.updBool(false, fs.name, v, i)
-				}
+			}
+		}
+	}
+	// A computed argument runs its closure per selected row over a reused
+	// row buffer holding just the argument's columns, and folds the value
+	// through a one-cell boxed vector — computeAggSlot's per-row fold, with
+	// a closure error freezing the slot exactly as it fails the slot there.
+	argRow := make([]any, len(st.cols))
+	argVec := colVec{kind: vkAny, anys: make([]any, 1)}
+	flushArg := func(seg *segment, fs *fusedSlot, si, cnt int) {
+		for k := 0; k < cnt; k++ {
+			acc := &gbuf[k].accs[si]
+			if acc.err != nil {
+				continue
+			}
+			i := int(ibuf[k])
+			for _, c := range fs.argCols {
+				argRow[c] = seg.vecs[c].get(i)
+			}
+			val, aerr := fs.arg(nil, argRow)
+			switch {
+			case aerr != nil:
+				acc.err = aerr
+			case val != nil:
+				argVec.anys[0] = val
+				acc.update(fs, &argVec, 0)
 			}
 		}
 	}
@@ -663,21 +658,21 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			return
 		}
 		for si := range fused {
-			fs := &fused[si]
-			if fs.kind == fStar || fs.kind == fFirst || fs.kind == fLast {
-				continue
+			switch fs := &fused[si]; {
+			case fs.arg != nil:
+				flushArg(seg, fs, si, cnt)
+			case fs.kind != fStar && fs.kind != fFirst && fs.kind != fLast:
+				flushSlot(seg, fs, si, cnt)
 			}
-			flushSlot(seg, fs, si, cnt)
 		}
 	}
 
 	// Single-column keys skip the keyString encoding entirely: the raw typed
 	// value indexes a typed map. This partitions identically to keyString —
-	// per value class the encoding is injective (shortest-round-trip float
-	// formatting, raw string, decimal int), the classes land in disjoint
-	// maps exactly like the "%T:" prefix separates them, every NaN bit
-	// pattern collapses into one group just as "%v" renders them all "NaN",
-	// and ±0.0 stay distinct ("0" vs "-0") because their bit patterns do.
+	// the classes land in disjoint maps exactly like its type tags separate
+	// them, every NaN bit pattern collapses into one group as keyString
+	// canonicalizes them, and ±0.0 stay distinct because their bit patterns
+	// do.
 	single := len(keyCols) == 1 && !global
 	var (
 		gInt                       map[int64]*vecGroup
@@ -886,6 +881,10 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		for i := range fused {
 			fs := &fused[i]
 			acc := &g.accs[i]
+			if acc.err != nil {
+				errs[i] = acc.err
+				continue
+			}
 			switch fs.kind {
 			case fStar:
 				vals[i] = g.n
@@ -893,8 +892,6 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				vals[i] = acc.n
 			case fSum:
 				switch {
-				case acc.err != nil:
-					errs[i] = acc.err
 				case acc.n == 0:
 				case acc.allInt:
 					vals[i] = acc.isum
@@ -902,9 +899,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 					vals[i] = acc.fsum
 				}
 			case fAvg:
-				if acc.err != nil {
-					errs[i] = acc.err
-				} else if acc.n > 0 {
+				if acc.n > 0 {
 					vals[i] = acc.fsum / float64(acc.n)
 				}
 			case fMin, fMax:
@@ -912,9 +907,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 					vals[i] = acc.boxedBest()
 				}
 			case fBoolAnd, fBoolOr:
-				if acc.err != nil {
-					errs[i] = acc.err
-				} else if acc.n > 0 {
+				if acc.n > 0 {
 					vals[i] = acc.bacc
 				}
 			case fFirst:
@@ -946,23 +939,15 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		})
 	}
 	res.Rows = make([][]any, 0, len(order))
-	rows := rel.rows // full row view; firstIdx indexes into it (nil: lazy scan)
-	repCols, repOK := repRowCols(items, sel.Having, rel.schema, st)
+	repCols := repRowCols(items, sel.Having, rel.schema)
 	for _, g := range order {
 		vals, errs := finalize(g)
 		gec := &evalCtx{s: s, rowIdx: -1, agg: &groupAgg{slots: slots, vals: vals, errs: errs, done: doneAll}}
 		var rep []any
 		if g.firstIdx >= 0 {
-			switch {
-			case rows != nil:
-				rep = rows[g.firstIdx]
-			case repOK:
-				// only the columns the items/HAVING actually evaluate
-				// against the representative row are materialized
-				rep = st.rowAtCols(g.firstIdx, repCols)
-			default:
-				rep = st.rowAt(g.firstIdx)
-			}
+			// only the columns the items/HAVING actually evaluate against the
+			// representative row are materialized
+			rep = st.rowAtCols(g.firstIdx, repCols)
 		}
 		out := make([]any, len(items))
 		for i, fn := range itemFns {

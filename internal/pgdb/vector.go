@@ -13,9 +13,9 @@ import (
 // program of typed kernels that fill a selection bitmap over the column
 // vectors, one segment at a time. Only shapes whose evaluation can never
 // error are lowered (column-vs-constant comparisons, IS [NOT] NULL, IN and
-// BETWEEN over constants, AND/OR composition), so the compiled row engine's
-// error surface is preserved exactly: anything else falls back to the
-// row-at-a-time filter.
+// BETWEEN over constants, AND/OR composition, searched CASE), so the row
+// engines' error surface is preserved exactly: anything else falls back to
+// the row-at-a-time filter.
 //
 // Soundness of the bitmap encoding: a WHERE keeps a row only when it
 // evaluates to TRUE, so NULL and FALSE both map to an unset bit. That
@@ -57,6 +57,11 @@ type vecPred interface {
 func predCols(p vecPred) []int {
 	seen := map[int]struct{}{}
 	p.cols(func(c int) { seen[c] = struct{}{} })
+	return sortedSet(seen)
+}
+
+// sortedSet returns the members of a column set in ascending order.
+func sortedSet(seen map[int]struct{}) []int {
 	out := make([]int, 0, len(seen))
 	for c := range seen {
 		out = append(out, c)
@@ -786,6 +791,182 @@ func (p *vecIn) evalSeg(seg *segment, out []uint64) {
 	}
 }
 
+// vecCase is a searched CASE whose conditions, results and ELSE all lower.
+// Tracking TRUE only is exact here: a row takes the first arm whose
+// condition is TRUE — a NULL condition falls through like FALSE — so the
+// result is TRUE where some arm's condition is TRUE, no earlier condition
+// is, and that arm's result is TRUE, or where no condition is TRUE and the
+// ELSE is. Lowered nodes cannot error, so evaluating every arm over the
+// whole segment, where the row engines evaluate lazily, is unobservable.
+type vecCase struct {
+	conds, thens []vecPred
+	els          vecPred // nil: no ELSE, which is NULL
+}
+
+func (p *vecCase) cols(add func(int)) {
+	for i := range p.conds {
+		p.conds[i].cols(add)
+		p.thens[i].cols(add)
+	}
+	if p.els != nil {
+		p.els.cols(add)
+	}
+}
+
+// fold combines the arms' windows, each filled by eval into a zeroed
+// window. It returns false, leaving out untouched, as soon as eval does.
+func (p *vecCase) fold(out []uint64, eval func(vecPred, []uint64) bool) bool {
+	var tb, cb, vb, rb [segWords]uint64
+	n := len(out)
+	taken, cw, vw, res := tb[:n], cb[:n], vb[:n], rb[:n]
+	for i := range p.conds {
+		clear(cw)
+		clear(vw)
+		if !eval(p.conds[i], cw) || !eval(p.thens[i], vw) {
+			return false
+		}
+		for w := range res {
+			res[w] |= cw[w] &^ taken[w] & vw[w]
+			taken[w] |= cw[w]
+		}
+	}
+	if p.els != nil {
+		clear(vw)
+		if !eval(p.els, vw) {
+			return false
+		}
+		for w := range res {
+			res[w] |= vw[w] &^ taken[w]
+		}
+	}
+	copy(out, res)
+	return true
+}
+
+func (p *vecCase) evalSeg(seg *segment, out []uint64) {
+	p.fold(out, func(q vecPred, w []uint64) bool { q.evalSeg(seg, w); return true })
+}
+
+func (p *vecCase) stubSeg(seg *segment, out []uint64) bool {
+	return p.fold(out, func(q vecPred, w []uint64) bool { return q.stubSeg(seg, w) })
+}
+
+// lowerCase lowers a searched CASE, folding what the lowering can decide:
+// arms whose condition is constant FALSE or NULL never fire, and a constant
+// TRUE condition makes its result the ELSE of the arms before it. Then
+// constant results fold: a leading `c THEN TRUE` arm makes the CASE
+// `c OR <the rest>`, and a `col IS NULL THEN FALSE` arm drops when nothing
+// after it can be TRUE on a NULL col. Those are the guards the Hyper-Q
+// translator puts in every ordered comparison (q orders NULL lowest), so
+// its `x > k` lowers to the same comparison kernel, zone verdicts and
+// sorted range as a bare `x > k`, and its `x < k` to `x IS NULL OR x < k`.
+func lowerCase(x *sqlparse.CaseExpr, schema []colBinding, st *colStore) (vecPred, bool) {
+	if x.Operand != nil {
+		return nil, false
+	}
+	c := &vecCase{}
+	for _, w := range x.Whens {
+		cond, ok := lowerVecPred(w.Cond, schema, st)
+		if !ok {
+			return nil, false
+		}
+		then, ok := lowerVecPred(w.Then, schema, st)
+		if !ok {
+			return nil, false
+		}
+		c.conds = append(c.conds, cond)
+		c.thens = append(c.thens, then)
+	}
+	if x.Else != nil {
+		els, ok := lowerVecPred(x.Else, schema, st)
+		if !ok {
+			return nil, false
+		}
+		c.els = els
+	}
+	// constant conditions
+	w := 0
+	for i, cond := range c.conds {
+		if k, isConst := cond.(*vecConst); isConst {
+			if k.all {
+				c.els = c.thens[i]
+				break
+			}
+			continue
+		}
+		c.conds[w], c.thens[w] = cond, c.thens[i]
+		w++
+	}
+	c.conds, c.thens = c.conds[:w], c.thens[:w]
+	// constant results, last arm first so each test sees the arms after it
+	for i := len(c.conds) - 1; i >= 0; i-- {
+		k, isConst := c.thens[i].(*vecConst)
+		if !isConst {
+			continue
+		}
+		if k.all && i == 0 {
+			// TRUE where the first condition is, else where the rest is
+			rest := &vecCase{conds: c.conds[1:], thens: c.thens[1:], els: c.els}
+			return &vecOr{l: c.conds[0], r: rest.simplest()}, true
+		}
+		if isNull, guard := c.conds[i].(*vecIsNull); !k.all && guard && !isNull.not && c.restRejects(i+1, isNull.col) {
+			c.conds = append(c.conds[:i], c.conds[i+1:]...)
+			c.thens = append(c.thens[:i], c.thens[i+1:]...)
+		}
+	}
+	return c.simplest(), true
+}
+
+// restRejects reports whether arms from on, and the ELSE, are never TRUE
+// on a row where column col is NULL.
+func (p *vecCase) restRejects(from, col int) bool {
+	if p.els != nil && !nullRejects(p.els, col) {
+		return false
+	}
+	for _, then := range p.thens[from:] {
+		if !nullRejects(then, col) {
+			return false
+		}
+	}
+	return true
+}
+
+// simplest is the CASE itself, or its ELSE when no arm is left.
+func (p *vecCase) simplest() vecPred {
+	switch {
+	case len(p.conds) > 0:
+		return p
+	case p.els != nil:
+		return p.els
+	default:
+		return &vecConst{}
+	}
+}
+
+// nullRejects reports whether p is never TRUE on a row where column col is
+// NULL.
+func nullRejects(p vecPred, col int) bool {
+	switch x := p.(type) {
+	case *vecConst:
+		return !x.all
+	case *vecCmp:
+		return x.col == col
+	case *vecIn:
+		return x.col == col
+	case *vecColTrue:
+		return x.col == col
+	case *vecIsNull:
+		return x.not && x.col == col
+	case *vecAnd:
+		return nullRejects(x.l, col) || nullRejects(x.r, col)
+	case *vecOr:
+		return nullRejects(x.l, col) && nullRejects(x.r, col)
+	case *vecCase:
+		return x.restRejects(0, col)
+	}
+	return false
+}
+
 // --- lowering ---
 
 // vecConstOf folds a row-independent subexpression to its constant value
@@ -855,7 +1036,12 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 		if col, ok := lowerColRef(x.X, schema, st); ok {
 			return &vecIsNull{col: col, not: x.Not}, true
 		}
+		if k, ok := vecConstOf(x.X, schema); ok {
+			return &vecConst{all: (k == nil) != x.Not}, true
+		}
 		return nil, false
+	case *sqlparse.CaseExpr:
+		return lowerCase(x, schema, st)
 	case *sqlparse.InExpr:
 		col, ok := lowerColRef(x.X, schema, st)
 		if !ok {

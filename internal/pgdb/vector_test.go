@@ -5,13 +5,15 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"hyperq/internal/pgdb/sqlparse"
 )
 
-// requireVecParity runs one statement on three identical databases — one per
-// execution engine — and asserts the vectorized engine agrees with both the
-// interpreter oracle and the compiled engine on results, errors, and error
-// text. mkdb builds a fresh database per engine (bulk-loaded data included,
-// so NaN and mixed-type cells the SQL grammar cannot express are covered).
+// requireVecParity runs one statement on two identical databases — one per
+// execution engine — and asserts the compiled engine, vector paths and all,
+// agrees with the interpreter oracle on results, errors, and error text.
+// mkdb builds a fresh database per engine (bulk-loaded data included, so NaN
+// and mixed-type cells the SQL grammar cannot express are covered).
 func requireVecParity(t *testing.T, mkdb func(t *testing.T) *DB, sql string) *Result {
 	t.Helper()
 	run := func(mode ExecMode) (*Result, error) {
@@ -19,33 +21,26 @@ func requireVecParity(t *testing.T, mkdb func(t *testing.T) *DB, sql string) *Re
 		db.SetExecMode(mode)
 		return db.NewSession().Exec(sql)
 	}
-	vec, vecErr := run(ExecVectorized)
+	vec, vecErr := run(ExecCompiled)
 	interp, interpErr := run(ExecInterpreted)
-	comp, compErr := run(ExecCompiled)
-	for _, o := range []struct {
-		name string
-		res  *Result
-		err  error
-	}{{"interpreted", interp, interpErr}, {"compiled", comp, compErr}} {
-		if (vecErr == nil) != (o.err == nil) {
-			t.Fatalf("%s:\n  vectorized err: %v\n  %s err: %v", sql, vecErr, o.name, o.err)
+	if (vecErr == nil) != (interpErr == nil) {
+		t.Fatalf("%s:\n  compiled err: %v\n  interpreted err: %v", sql, vecErr, interpErr)
+	}
+	if vecErr != nil {
+		if vecErr.Error() != interpErr.Error() {
+			t.Fatalf("%s: error text diverges:\n  compiled: %v\n  interpreted: %v", sql, vecErr, interpErr)
 		}
-		if vecErr != nil {
-			if vecErr.Error() != o.err.Error() {
-				t.Fatalf("%s: error text diverges:\n  vectorized: %v\n  %s: %v", sql, vecErr, o.name, o.err)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(vec.Cols, o.res.Cols) {
-			t.Fatalf("%s: column divergence vs %s:\n  vectorized: %+v\n  oracle:     %+v", sql, o.name, vec.Cols, o.res.Cols)
-		}
-		if len(vec.Rows) != len(o.res.Rows) {
-			t.Fatalf("%s: row count %d (vectorized) vs %d (%s)", sql, len(vec.Rows), len(o.res.Rows), o.name)
-		}
-		for i := range vec.Rows {
-			if !rowsEqualNaN(vec.Rows[i], o.res.Rows[i]) {
-				t.Fatalf("%s: row %d divergence vs %s:\n  vectorized: %v\n  oracle:     %v", sql, i, o.name, vec.Rows[i], o.res.Rows[i])
-			}
+		return nil
+	}
+	if !reflect.DeepEqual(vec.Cols, interp.Cols) {
+		t.Fatalf("%s: column divergence:\n  compiled: %+v\n  oracle:   %+v", sql, vec.Cols, interp.Cols)
+	}
+	if len(vec.Rows) != len(interp.Rows) {
+		t.Fatalf("%s: row count %d (compiled) vs %d (interpreted)", sql, len(vec.Rows), len(interp.Rows))
+	}
+	for i := range vec.Rows {
+		if !rowsEqualNaN(vec.Rows[i], interp.Rows[i]) {
+			t.Fatalf("%s: row %d divergence:\n  compiled: %v\n  oracle:   %v", sql, i, vec.Rows[i], interp.Rows[i])
 		}
 	}
 	return vec
@@ -150,13 +145,18 @@ func TestVecZonePruning(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE ts IN (1, 4096, 8191, 999999)", // IN member pruning
 		"SELECT count(*) FROM seg WHERE price > 999999.0",              // nullable column: no all-true fill
 		"SELECT sum(ts) FROM seg WHERE ts BETWEEN 4000 AND 4100",       // fused over pruned scan
+		// row-at-a-time consumers of a pruned scan box only the columns they
+		// read: ORDER BY and window inputs outside the select list
+		"SELECT ts FROM seg WHERE ts BETWEEN 4000 AND 4300 ORDER BY price DESC, ts",
+		"SELECT cat, ROW_NUMBER() OVER (PARTITION BY cat ORDER BY price DESC, ts) FROM seg WHERE ts > 8000",
+		"SELECT cat, max(price) FROM seg WHERE ts > 8000 GROUP BY cat HAVING min(ts) > 8001 ORDER BY cat",
 	} {
 		requireVecParity(t, mk, q)
 	}
 }
 
 // TestVecPredicateLowering covers every lowered leaf shape plus shapes that
-// must fall back, each against all three engines.
+// must fall back, each against both engines.
 func TestVecPredicateLowering(t *testing.T) {
 	mk := mkSegDB(500)
 	for _, q := range []string{
@@ -188,7 +188,21 @@ func TestVecPredicateLowering(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE NULL",
 		"SELECT count(*) FROM seg WHERE ts > -5",
 		"SELECT count(*) FROM seg WHERE price > 10.0 + 5.0", // folded constant arithmetic
-		// fallback shapes: NOT, LIKE, column-vs-column, subquery
+		// searched CASE: arm order, NULL conditions falling through, no ELSE,
+		// constant conditions and null guards folded away or kept
+		"SELECT count(*) FROM seg WHERE CASE WHEN flag THEN ts > 100 WHEN price IS NULL THEN TRUE ELSE cat = 'c1' END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN ts < 10 THEN NULL ELSE flag END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN price > 500.0 THEN TRUE END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN NULL IS NULL THEN price IS NULL END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN 5 IS NOT NULL THEN ts > 400 ELSE FALSE END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN price IS NULL THEN FALSE ELSE price > 100.0 END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN price IS NULL THEN FALSE ELSE flag END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN price IS NULL THEN FALSE WHEN ts > 300 THEN price IS NULL ELSE price < 9.0 END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN flag IS NULL THEN FALSE WHEN price IS NULL THEN FALSE ELSE ts < 250 END",
+		// fallback shapes: NOT, LIKE, column-vs-column, subquery, simple CASE,
+		// non-boolean CASE results
+		"SELECT count(*) FROM seg WHERE CASE cat WHEN 'c1' THEN true END",
+		"SELECT count(*) FROM seg WHERE CASE WHEN ts > 100 THEN 1 ELSE 0 END = 1",
 		"SELECT count(*) FROM seg WHERE NOT (ts > 100)",
 		"SELECT count(*) FROM seg WHERE cat LIKE 'c%'",
 		"SELECT count(*) FROM seg WHERE ts > price",
@@ -247,8 +261,17 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 		"SELECT k, count(*) FROM odd GROUP BY k HAVING count(*) > 1",
 		"SELECT k, CASE WHEN count(*) > 1 THEN sum(m) ELSE count(*) END FROM odd GROUP BY k", // error slot behind untaken CASE arm
 		"SELECT COALESCE(sum(z), 0) FROM odd WHERE f IS NULL",
+		// computed arguments: NaN, ±0 and NULLs through the closure, lazy
+		// type errors from it (m holds strings, ints, floats and a bool)
+		"SELECT k, sum(f + 0.0), avg(f * 2.0), min(f - 1.0), max(-f) FROM odd WHERE f IS NOT NULL GROUP BY k",
+		"SELECT k, sum(NULLIF(f, 'NaN'::double precision)), count(NULLIF(f, 'NaN'::double precision)) FROM odd GROUP BY k",
+		"SELECT k, min(k || 'x'), max(COALESCE(m, 'n')), count(z + 1) FROM odd GROUP BY k",
+		"SELECT k, sum(m * 2) FROM odd GROUP BY k",
+		"SELECT k, bool_and(f > 0.0), bool_or(f IS NULL) FROM odd GROUP BY k",
+		"SELECT k, CASE WHEN count(*) > 1 THEN sum(m * 2) ELSE avg(f + 1.0) END FROM odd GROUP BY k",
+		"SELECT sum(z * 2), avg(f / 0.0) FROM odd WHERE k = 'nope'",
 		// non-fusable shapes exercising the fallback-after-vec-filter path
-		"SELECT k, sum(f + 0.0) FROM odd WHERE f IS NOT NULL GROUP BY k",
+		"SELECT k, first(f + 0.0), last(f * 2.0) FROM odd WHERE f IS NOT NULL GROUP BY k",
 		"SELECT count(DISTINCT k) FROM odd",
 		"SELECT k || 'x', count(*) FROM odd GROUP BY k || 'x'",
 	} {
@@ -256,9 +279,44 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 	}
 }
 
+// TestPlanFusedComputedArgs pins which aggregate arguments fuse: a pure
+// expression does, reading exactly its columns, so the translator's wavg and
+// spread shapes stay on the fused path; first/last over an expression and
+// impure arguments fall back.
+func TestPlanFusedComputedArgs(t *testing.T) {
+	db := mkOddDB(t)
+	st := db.tables["odd"].store
+	schema := schemaOf(st.cols, "odd")
+	for _, c := range []struct {
+		sql  string
+		fuse bool
+		cols []int
+	}{
+		{"SELECT sum(NULLIF(f * z, 'NaN'::double precision)) FROM odd", true, []int{1, 3}},
+		{"SELECT avg(NULLIF(f - f, 'NaN'::double precision)) FROM odd", true, []int{1}},
+		{"SELECT first(f + 0.0) FROM odd", false, nil},
+		{"SELECT sum(f + (SELECT max(z) FROM odd)) FROM odd", false, nil},
+	} {
+		stmt, err := sqlparse.Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(*sqlparse.SelectStmt)
+		slots, _ := collectAggSlots(sel.Items, nil, schema)
+		fused, ok := planFusedSlots(slots, schema, st)
+		if ok != c.fuse {
+			t.Errorf("%s: fused=%v, want %v", c.sql, ok, c.fuse)
+			continue
+		}
+		if ok && !reflect.DeepEqual(fused[0].argCols, c.cols) {
+			t.Errorf("%s: argument columns %v, want %v", c.sql, fused[0].argCols, c.cols)
+		}
+	}
+}
+
 // TestVecDMLAcrossSegments checks UPDATE write-through and DELETE compaction
-// with row sets straddling segment boundaries, then re-queries under the
-// vectorized engine (zone maps must stay sound after both).
+// with row sets straddling segment boundaries, then re-queries through the
+// vector scans (zone maps must stay sound after both).
 func TestVecDMLAcrossSegments(t *testing.T) {
 	n := segSize + 300
 	for _, script := range [][]string{
@@ -277,7 +335,6 @@ func TestVecDMLAcrossSegments(t *testing.T) {
 		script := script
 		mk := func(t *testing.T) *DB {
 			db := mkSegDB(n)(t)
-			db.SetExecMode(ExecVectorized)
 			s := db.NewSession()
 			for _, stmt := range script {
 				if _, err := s.Exec(stmt); err != nil {
@@ -346,7 +403,6 @@ func TestVecParallelSegments(t *testing.T) {
 // vectorized scan and the row view it feeds other operators from.
 func TestVecRowViewCoherence(t *testing.T) {
 	db := NewDB()
-	db.SetExecMode(ExecVectorized)
 	s := db.NewSession()
 	mustExec := func(sql string) *Result {
 		t.Helper()

@@ -275,8 +275,8 @@ func loadTables(ctx context.Context, f *Framework, ds *qgen.Dataset, index bool)
 
 // indexProbe is the SQL statement an index-enabled load runs between the two
 // halves of a table: a self-join on the symbol key column, which builds the
-// column's hash index in both the compiled engine (join build side) and the
-// vectorized engine (same path), so the tail inserts maintain a live index.
+// column's hash index (join build side), so the tail inserts maintain a live
+// index.
 // Every generated table (t, d, qts) keys on column s.
 func indexProbe(name string) string {
 	return fmt.Sprintf("SELECT count(*) FROM %s a JOIN %s b ON a.s = b.s WHERE a.s = 'a'", name, name)
@@ -487,17 +487,15 @@ func LoadCorpus(dir string) ([]*CorpusEntry, error) {
 // ReplayEntry runs one corpus entry through a fresh framework (compiled
 // engine) and returns the comparison report.
 func ReplayEntry(ctx context.Context, e *CorpusEntry) (*Report, error) {
-	return ReplayEntryMode(ctx, e, pgdb.ExecCompiled)
+	return ReplayEntryEngine(ctx, e, config.Defaults())
 }
 
-// ReplayEntryMode is ReplayEntry with the pgdb execution engine pinned.
-func ReplayEntryMode(ctx context.Context, e *CorpusEntry, mode pgdb.ExecMode) (*Report, error) {
+// ReplayEntryEngine is ReplayEntry on an engine configured as eng.
+func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine) (*Report, error) {
 	ds, err := qgen.DecodeDataset(e.Tables)
 	if err != nil {
 		return nil, err
 	}
-	eng := config.Defaults()
-	eng.Exec = mode
 	var f *Framework
 	if e.Shards > 1 {
 		f, err = openShardedFramework(e.Shards, eng, core.ColumnarPath)

@@ -8,10 +8,34 @@ import (
 	"hyperq/internal/pgdb"
 )
 
+// parityEngines are the engine configurations every parity test runs:
+// the compiled engine at its defaults, the retained interpreter, and the
+// compiled engine with its vector access paths forced on — hash indexes at
+// any table size — which the tiny generated tables never reach at the
+// default DefaultIndexMinRows.
+func parityEngines() []struct {
+	name string
+	eng  config.Engine
+} {
+	interpreted := config.Defaults()
+	interpreted.Exec = pgdb.ExecInterpreted
+	indexed := config.Defaults()
+	indexed.IndexMinRows = 0
+	return []struct {
+		name string
+		eng  config.Engine
+	}{
+		{"compiled", config.Defaults()},
+		{"interpreted", interpreted},
+		{"vectorized", indexed},
+	}
+}
+
 // TestCorpusParityBothEngines replays every checked-in qdiff reproducer
-// through the compiled, the retained interpreted, AND the vectorized pgdb
-// engine. All must MATCH the kdb+ reference — which also proves the three
-// engines agree with each other on every query the corpus pinned down.
+// through the compiled engine, the retained interpreter, and the compiled
+// engine with indexes forced on. All must MATCH the kdb+ reference — which
+// also proves the configurations agree with each other on every query the
+// corpus pinned down.
 func TestCorpusParityBothEngines(t *testing.T) {
 	entries, err := LoadCorpus("testdata/qdiff")
 	if err != nil {
@@ -20,18 +44,10 @@ func TestCorpusParityBothEngines(t *testing.T) {
 	if len(entries) == 0 {
 		t.Fatal("no corpus entries under testdata/qdiff")
 	}
-	modes := []struct {
-		name string
-		mode pgdb.ExecMode
-	}{
-		{"compiled", pgdb.ExecCompiled},
-		{"interpreted", pgdb.ExecInterpreted},
-		{"vectorized", pgdb.ExecVectorized},
-	}
-	for _, m := range modes {
+	for _, m := range parityEngines() {
 		for _, e := range entries {
 			t.Run(m.name+"/"+e.Name, func(t *testing.T) {
-				r, err := ReplayEntryMode(context.Background(), e, m.mode)
+				r, err := ReplayEntryEngine(context.Background(), e, m.eng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -45,23 +61,17 @@ func TestCorpusParityBothEngines(t *testing.T) {
 }
 
 // TestFuzzParityBothEngines runs the same seeded query stream through every
-// pgdb engine. Every query must match the kdb+ reference under each, so a
-// semantic difference between the compiled, interpreted, and vectorized
-// executors cannot hide: the stream that is clean under one engine must be
-// clean under the others.
+// parity configuration. Every query must match the kdb+ reference under
+// each, so a semantic difference between the interpreter, the compiled
+// engine's vector paths and its index access paths cannot hide: the stream
+// that is clean under one must be clean under the others. The indexed leg
+// also builds each table's index mid-load, so DML maintains a live index
+// (FuzzConfig.Index).
 func TestFuzzParityBothEngines(t *testing.T) {
-	modes := []struct {
-		name string
-		mode pgdb.ExecMode
-	}{
-		{"compiled", pgdb.ExecCompiled},
-		{"interpreted", pgdb.ExecInterpreted},
-		{"vectorized", pgdb.ExecVectorized},
-	}
-	for _, m := range modes {
-		m := m
+	for _, m := range parityEngines() {
 		t.Run(m.name, func(t *testing.T) {
-			rep, err := Fuzz(context.Background(), FuzzConfig{Seed: 7, N: 300, Engine: config.Engine{Exec: m.mode}})
+			cfg := FuzzConfig{Seed: 7, N: 300, Engine: m.eng, Index: m.eng.IndexMinRows == 0}
+			rep, err := Fuzz(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
