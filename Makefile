@@ -41,9 +41,10 @@ bench-compare:
 # engine (vector scans, fused aggregates and index paths included), plus one
 # interpreted-engine run to pin the retained AST walker, a 3-shard cluster
 # sweep pinning the scatter-gather backend, and cold-reopen sweeps over the
-# durable store: plain, and compressed + mmap under a tight budget. The
-# -persist sweeps run the vector fast paths over cold reopened segments:
-# zone verdicts on evicted stubs and column-granular fault-in.
+# durable store: unbounded, and under a tight budget that churns segments
+# through evict and refault. The -persist sweeps run the vector fast paths
+# over cold reopened segments: zone verdicts on evicted stubs and
+# column-granular fault-in.
 qdiff:
 	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -shrink > /dev/null
 	$(GO) run ./cmd/qdiff -seed 2 -n 10000 -shrink > /dev/null
@@ -52,4 +53,4 @@ qdiff:
 	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -exec interpreted > /dev/null
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shards 3 -shrink > /dev/null; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -shrink > /dev/null; done
-	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -compress -mmap -mem-budget 65536 -shrink > /dev/null; done
+	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -mem-budget 65536 -shrink > /dev/null; done

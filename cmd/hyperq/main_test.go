@@ -40,7 +40,9 @@ func TestEngineFlagsAreConfigs(t *testing.T) {
 }
 
 // TestBenchmarkFlags pins the flags bench/stack.go starts hyperq with, and
-// that the one option this binary dropped stays dropped.
+// the whole flag set, so the options this binary dropped (-result-path, the
+// checkpoint-layout, read-path and index-threshold flags) stay dropped: the
+// flag package exits 2 on them.
 func TestBenchmarkFlags(t *testing.T) {
 	_, fs := parse(t)
 	for name, def := range map[string]string{"listen": "127.0.0.1:5010", "backend": ""} {
@@ -48,8 +50,13 @@ func TestBenchmarkFlags(t *testing.T) {
 			t.Errorf("-%s: %+v, want default %q", name, f, def)
 		}
 	}
-	if fs.Lookup("result-path") != nil {
-		t.Error("-result-path is back: the serving binary has one result path")
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	want := "backend backend-db backend-password backend-user cache-entries data-dir drain-timeout embedded exec " +
+		"listen mdi-ttl mem-budget parallel pool-size q-password q-user query-timeout request-timeout " +
+		"shard-backends shard-rules shards stats-addr trades wal-sync"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("flags %q, want %q", got, want)
 	}
 }
 
@@ -61,8 +68,8 @@ func TestValidate(t *testing.T) {
 	}{
 		{[]string{"-backend", "h:1"}, ""},
 		{[]string{"-shard-backends", "h:1,h:2"}, ""},
-		{[]string{"-embedded", "-exec", "interpreted", "-parallel", "2", "-index-min-rows", "0", "-trades", "5", "-stats-addr", ":0"}, ""},
-		{[]string{"-embedded", "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "1", "-compress", "-mmap"}, ""},
+		{[]string{"-embedded", "-exec", "interpreted", "-parallel", "2", "-trades", "5", "-stats-addr", ":0"}, ""},
+		{[]string{"-embedded", "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "1"}, ""},
 		{[]string{"-embedded", "-shards", "3", "-exec", "interpreted"}, ""},
 		{nil, "-backend, -embedded or -shard-backends"},
 		{[]string{"-shards", "3", "-backend", "h:1"}, "-shards requires -embedded"},
@@ -70,18 +77,13 @@ func TestValidate(t *testing.T) {
 		// engine flags without -embedded
 		{[]string{"-backend", "h:1", "-exec", "interpreted"}, "-exec"},
 		{[]string{"-backend", "h:1", "-parallel", "2"}, "-parallel"},
-		{[]string{"-backend", "h:1", "-index-min-rows", "0"}, "-index-min-rows"},
 		{[]string{"-backend", "h:1", "-data-dir", "d"}, "-data-dir"},
 		{[]string{"-backend", "h:1", "-wal-sync", "none"}, "-wal-sync"},
 		{[]string{"-backend", "h:1", "-mem-budget", "1"}, "-mem-budget"},
-		{[]string{"-backend", "h:1", "-compress"}, "-compress"},
-		{[]string{"-backend", "h:1", "-mmap"}, "-mmap"},
 		{[]string{"-backend", "h:1", "-stats-addr", ":0"}, "-stats-addr"},
 		{[]string{"-backend", "h:1", "-trades", "5"}, "-trades"},
 		// store settings without the store
 		{[]string{"-embedded", "-mem-budget", "1"}, "-data-dir"},
-		{[]string{"-embedded", "-compress"}, "-data-dir"},
-		{[]string{"-embedded", "-mmap"}, "-data-dir"},
 		{[]string{"-embedded", "-wal-sync", "none"}, "-data-dir"},
 		// a cluster opens neither a directory nor a stats endpoint
 		{[]string{"-embedded", "-shards", "3", "-data-dir", "d"}, "-shards"},

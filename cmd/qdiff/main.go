@@ -34,7 +34,7 @@ func main() {
 	index := flag.Bool("index", false, "force-enable secondary indexes and load tables in halves around an index-building probe, so queries run against incrementally-maintained indexes")
 	// the engine settings qdiff varies, spelled as the servers spell them
 	var engine config.Engine
-	engine.RegisterFlags(flag.CommandLine, "exec", "compress", "mmap", "mem-budget")
+	engine.RegisterFlags(flag.CommandLine, "exec", "mem-budget")
 	flag.Parse()
 
 	var path core.ResultPath

@@ -18,17 +18,13 @@ import (
 
 // Engine holds every setting of one embedded engine instance.
 type Engine struct {
-	Exec         pgdb.ExecMode
-	Parallel     int // intra-query workers; pgdb clamps to [1, GOMAXPROCS]
-	IndexMinRows int // 0 = always index, -1 = never
+	Exec     pgdb.ExecMode
+	Parallel int // intra-query workers; pgdb clamps to [1, GOMAXPROCS]
 	// DataDir, when non-empty, backs the database with the durable store;
-	// Sync, MemBudget, Compress and MMap configure that store and mean
-	// nothing without it.
+	// Sync and MemBudget configure that store and mean nothing without it.
 	DataDir   string
 	Sync      persist.SyncMode
 	MemBudget int64
-	Compress  bool
-	MMap      bool
 	// StatsAddr, when non-empty, serves the persist.* and pgdb.index_*
 	// counters at http://StatsAddr/debug/vars.
 	StatsAddr string
@@ -36,13 +32,15 @@ type Engine struct {
 
 // Defaults is the engine a binary runs when no engine flag is given: the
 // compiled engine, whose vector scans, fused aggregates, column-granular
-// fault-in and index access paths need no flag.
+// fault-in and index access paths need no flag, in memory or over a store
+// given only -data-dir. What is not a field is not a setting: hash indexes
+// build at pgdb.DefaultIndexMinRows rows, and checkpoints always encode per
+// chunk and read back by pread.
 func Defaults() Engine {
 	return Engine{
-		Exec:         pgdb.ExecCompiled,
-		Parallel:     1,
-		IndexMinRows: pgdb.DefaultIndexMinRows,
-		Sync:         persist.SyncBatch,
+		Exec:     pgdb.ExecCompiled,
+		Parallel: 1,
+		Sync:     persist.SyncBatch,
 	}
 }
 
@@ -57,15 +55,12 @@ func (e *Engine) RegisterFlags(fs *flag.FlagSet, only ...string) {
 		return err
 	})
 	all.IntVar(&e.Parallel, "parallel", e.Parallel, "intra-query worker count for large scans (clamped to GOMAXPROCS; 1 disables)")
-	all.IntVar(&e.IndexMinRows, "index-min-rows", e.IndexMinRows, "min table rows before a lazy secondary index builds (0 = always, -1 = disable indexes)")
 	all.StringVar(&e.DataDir, "data-dir", e.DataDir, "durable storage directory (empty = memory only)")
 	all.Func("wal-sync", "WAL durability `mode`: always (fsync per statement), batch (group commit, default), none; needs -data-dir", func(s string) (err error) {
 		e.Sync, err = persist.ParseSyncMode(s)
 		return err
 	})
 	all.Int64Var(&e.MemBudget, "mem-budget", e.MemBudget, "resident column-data budget in bytes (0 = unlimited; needs -data-dir)")
-	all.BoolVar(&e.Compress, "compress", e.Compress, "compress checkpoint column files (FOR/delta ints, dict strings, RLE bools; needs -data-dir)")
-	all.BoolVar(&e.MMap, "mmap", e.MMap, "mmap checkpoint column files for zero-copy cold reads (needs -data-dir)")
 	all.StringVar(&e.StatsAddr, "stats-addr", e.StatsAddr, "HTTP address serving persist and index counters at /debug/vars (empty = off)")
 	all.VisitAll(func(f *flag.Flag) {
 		if len(only) == 0 || slices.Contains(only, f.Name) {
@@ -98,7 +93,7 @@ func (e *Engine) Validate(fs *flag.FlagSet) error {
 	var orphans []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "wal-sync", "mem-budget", "compress", "mmap":
+		case "wal-sync", "mem-budget":
 			orphans = append(orphans, "-"+f.Name)
 		}
 	})
@@ -113,7 +108,6 @@ func (e *Engine) Validate(fs *flag.FlagSet) error {
 func (e *Engine) Tune(db *pgdb.DB) {
 	db.SetExecMode(e.Exec)
 	db.SetParallelism(e.Parallel)
-	db.SetIndexMinRows(e.IndexMinRows)
 }
 
 // Instance is a running engine.
@@ -134,10 +128,7 @@ func (e *Engine) Open() (*Instance, error) {
 	in := &Instance{DB: pgdb.NewDB()}
 	e.Tune(in.DB)
 	if e.DataDir != "" {
-		store, err := persist.Open(in.DB, persist.Options{
-			Dir: e.DataDir, Sync: e.Sync, MemBudget: e.MemBudget,
-			Compress: e.Compress, MMap: e.MMap,
-		})
+		store, err := persist.Open(in.DB, persist.Options{Dir: e.DataDir, Sync: e.Sync, MemBudget: e.MemBudget})
 		if err != nil {
 			return nil, fmt.Errorf("open %s: %w", e.DataDir, err)
 		}

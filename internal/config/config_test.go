@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,41 +27,47 @@ func parse(t *testing.T, args ...string) (*Engine, *flag.FlagSet, error) {
 	return e, fs, fs.Parse(args)
 }
 
-// TestDefaults pins what a binary runs when no engine flag is given: the
+// TestDefaults pins what a binary runs when no engine flag is given — the
 // benchmark starts pgserver that way, so a changed default is a changed
-// baseline.
+// baseline — and that these six flags are all the engine has. The dropped
+// checkpoint-layout, read-path and index-threshold flags are unknown, which
+// the binaries' flag sets answer with exit 2.
 func TestDefaults(t *testing.T) {
-	e, _, err := parse(t)
+	e, fs, err := parse(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Engine{
-		Exec:         pgdb.ExecCompiled,
-		Parallel:     1,
-		IndexMinRows: pgdb.DefaultIndexMinRows,
-		Sync:         persist.SyncBatch,
-	}
+	want := Engine{Exec: pgdb.ExecCompiled, Parallel: 1, Sync: persist.SyncBatch}
 	if *e != want {
 		t.Errorf("zero-argument parse = %+v, want %+v", *e, want)
+	}
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	if got, want := strings.Join(names, " "), "data-dir exec mem-budget parallel stats-addr wal-sync"; got != want {
+		t.Errorf("engine flags %q, want %q", got, want)
 	}
 }
 
 func TestParse(t *testing.T) {
-	e, _, err := parse(t, "-exec", "interpreted", "-parallel", "3", "-index-min-rows", "-1",
-		"-data-dir", "d", "-wal-sync", "none", "-mem-budget", "4096", "-compress", "-mmap", "-stats-addr", ":0")
+	e, _, err := parse(t, "-exec", "interpreted", "-parallel", "3",
+		"-data-dir", "d", "-wal-sync", "none", "-mem-budget", "4096", "-stats-addr", ":0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Engine{
-		Exec: pgdb.ExecInterpreted, Parallel: 3, IndexMinRows: -1,
-		DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, Compress: true, MMap: true, StatsAddr: ":0",
+		Exec: pgdb.ExecInterpreted, Parallel: 3,
+		DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, StatsAddr: ":0",
 	}
 	if *e != want {
 		t.Errorf("parse = %+v, want %+v", *e, want)
 	}
 	// vectorized was an engine of its own until its vector paths became the
-	// compiled engine's
-	for _, bad := range [][]string{{"-exec", "bogus"}, {"-exec", "vectorized"}, {"-wal-sync", "sometimes"}} {
+	// compiled engine's; checkpoints always encode per chunk, and the index
+	// threshold is a constant
+	for _, bad := range [][]string{
+		{"-exec", "bogus"}, {"-exec", "vectorized"}, {"-wal-sync", "sometimes"},
+		{"-compress"}, {"-index-min-rows", "0"},
+	} {
 		if _, _, err := parse(t, bad...); err == nil {
 			t.Errorf("%v parsed without error", bad)
 		}
@@ -70,13 +77,13 @@ func TestParse(t *testing.T) {
 func TestRegisterSubset(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	e := &Engine{}
-	e.RegisterFlags(fs, "exec", "mmap")
+	e.RegisterFlags(fs, "exec", "mem-budget")
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got := strings.Join(names, ","); got != "exec,mmap" {
-		t.Errorf("subset registered %q, want exec,mmap", got)
+	if got := strings.Join(names, ","); got != "exec,mem-budget" {
+		t.Errorf("subset registered %q, want exec,mem-budget", got)
 	}
-	if e.IndexMinRows != pgdb.DefaultIndexMinRows {
+	if e.Sync != persist.SyncBatch {
 		t.Errorf("unregistered setting lost its default: %+v", *e)
 	}
 }
@@ -90,10 +97,8 @@ func TestValidate(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"-stats-addr", ":0", "-exec", "interpreted"}, ""},
-		{[]string{"-data-dir", "d", "-mem-budget", "1", "-compress", "-mmap", "-wal-sync", "none"}, ""},
+		{[]string{"-data-dir", "d", "-mem-budget", "1", "-wal-sync", "none"}, ""},
 		{[]string{"-mem-budget", "1"}, "-mem-budget"},
-		{[]string{"-compress"}, "-compress"},
-		{[]string{"-mmap"}, "-mmap"},
 		{[]string{"-wal-sync", "batch"}, "-wal-sync"}, // explicit, though equal to the default
 	} {
 		e, fs, err := parse(t, tc.args...)
@@ -114,17 +119,18 @@ func TestExplicit(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.String("listen", "", "")
 	new(Engine).RegisterFlags(fs)
-	if err := fs.Parse([]string{"-listen", "x", "-parallel", "1", "-mmap"}); err != nil {
+	if err := fs.Parse([]string{"-listen", "x", "-parallel", "1", "-mem-budget", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(Explicit(fs), " "); got != "-mmap -parallel" {
+	if got := strings.Join(Explicit(fs), " "); got != "-mem-budget -parallel" {
 		t.Errorf("Explicit = %q, want the two engine flags given", got)
 	}
 }
 
 // TestOpenClose drives the whole bring-up and pins what the benchmark reads
 // from outside the process: the wal.log file name and the persist.* and
-// pgdb.index_* keys at /debug/vars.
+// pgdb.index_* keys at /debug/vars. The persist.* set is exact: the
+// counters of the deleted memory-mapped and read-ahead paths are gone.
 func TestOpenClose(t *testing.T) {
 	e := Defaults()
 	e.DataDir = t.TempDir()
@@ -152,11 +158,20 @@ func TestOpenClose(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"persist.segments_faulted", "persist.columns_faulted", "persist.bytes_read",
-		"persist.evictions", "pgdb.index_builds", "pgdb.index_hits"} {
+	for _, key := range []string{"pgdb.index_builds", "pgdb.index_hits"} {
 		if _, ok := vars[key]; !ok {
 			t.Errorf("/debug/vars lacks %s", key)
 		}
+	}
+	var persistKeys []string
+	for key := range vars {
+		if strings.HasPrefix(key, "persist.") {
+			persistKeys = append(persistKeys, key)
+		}
+	}
+	slices.Sort(persistKeys)
+	if got, want := strings.Join(persistKeys, " "), "persist.bytes_read persist.chunks_decoded persist.columns_faulted persist.evictions persist.segments_faulted"; got != want {
+		t.Errorf("/debug/vars persist keys %q, want %q", got, want)
 	}
 	if err := in.Close(); err != nil {
 		t.Fatal(err)

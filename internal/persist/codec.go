@@ -154,13 +154,17 @@ func readString(b []byte, off int) (string, int, error) {
 //	                      u8 width | rows × width bits (dict indexes)
 //	dataRLEBool (vkBool): u32 runs | runs × { u8 val | u32 len }
 //
-// Compressed encodings are chosen per chunk, only when smaller than raw;
-// the decoder accepts every encoding regardless of the store's compression
-// option, so compressed checkpoints reopen losslessly anywhere. Typed
-// vectors, null bitmaps and (manifest-held) zone maps round-trip without
-// re-inference.
+// The writer picks each chunk's null and data encodings independently, the
+// smallest candidate winning and raw on ties; floats and boxed cells have
+// only the raw layout. The decoder accepts every encoding, so a checkpoint
+// whose chunks are all raw reads the same as one whose chunks are not.
+// Typed vectors, null bitmaps and (manifest-held) zone maps round-trip
+// without re-inference.
 
 var colMagic = [4]byte{'H', 'Q', 'P', '2'}
+
+// colDirEntry is the byte size of one chunk directory entry.
+const colDirEntry = 4 + 4 + 4 + 8 + 8
 
 // null-section encodings
 const (
@@ -198,11 +202,10 @@ type chunkRef struct {
 	Size       int64
 }
 
-// encodeChunk serializes rows [lo, hi) of one segment's vector. With
-// compress set, int, string and bool sections (and null bitmaps) use the
-// lightweight encodings above whenever they come out smaller than raw;
-// floats and boxed cells always stay raw.
-func encodeChunk(v pgdb.VecData, segN, lo, hi int, compress bool) ([]byte, error) {
+// encodeChunk serializes rows [lo, hi) of one segment's vector. Int, string
+// and bool sections (and null bitmaps) use the lightweight encodings above
+// whenever they come out smaller than raw; floats and boxed cells stay raw.
+func encodeChunk(v pgdb.VecData, lo, hi int) ([]byte, error) {
 	rows := hi - lo
 	buf := make([]byte, 0, 16+rows*8)
 	buf = append(buf, v.Kind)
@@ -219,17 +222,12 @@ func encodeChunk(v pgdb.VecData, segN, lo, hi int, compress bool) ([]byte, error
 			anyNull = true
 		}
 	}
-	switch {
-	case !anyNull:
+	if !anyNull {
 		buf = append(buf, nullNone)
-	case compress:
-		if rle := encodeNullRLE(words, rows); len(rle) < 4+len(words)*8 {
-			buf = append(buf, nullRLE)
-			buf = append(buf, rle...)
-			break
-		}
-		fallthrough
-	default:
+	} else if rle := encodeNullRLE(words, rows); len(rle) < 4+len(words)*8 {
+		buf = append(buf, nullRLE)
+		buf = append(buf, rle...)
+	} else {
 		buf = append(buf, nullRaw)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(words)))
 		for _, w := range words {
@@ -241,11 +239,9 @@ func encodeChunk(v pgdb.VecData, segN, lo, hi int, compress bool) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	if compress {
-		if enc, body := encodeDataCompressed(v, lo, hi); body != nil && len(body) < len(raw) {
-			buf = append(buf, enc)
-			return append(buf, body...), nil
-		}
+	if enc, body := encodeDataCompressed(v, lo, hi); body != nil && len(body) < len(raw) {
+		buf = append(buf, enc)
+		return append(buf, body...), nil
 	}
 	buf = append(buf, dataRaw)
 	return append(buf, raw...), nil
@@ -315,10 +311,9 @@ func encodeDataRaw(v pgdb.VecData, lo, hi int) ([]byte, error) {
 // decodeChunkInto parses one chunk payload directly into dst's segment
 // slices at row offset start — no intermediate chunk-local vectors, so a
 // segment reload is one read and one decode pass per chunk. rows is the
-// chunk's expected row count from the directory entry. With zeroCopy set,
-// b is an immutable mmap-backed region that outlives the store, so string
-// cells alias it directly instead of copying the blob.
-func decodeChunkInto(dst *pgdb.VecData, start, rows int, b []byte, zeroCopy bool) error {
+// chunk's expected row count from the directory entry. b is the caller's
+// reusable read buffer, so every decoded cell copies out of it.
+func decodeChunkInto(dst *pgdb.VecData, start, rows int, b []byte) error {
 	if len(b) < 7 {
 		return fmt.Errorf("persist: chunk too short")
 	}
@@ -475,9 +470,7 @@ func decodeChunkInto(dst *pgdb.VecData, start, rows int, b []byte, zeroCopy bool
 			// substring of blob, so the loop allocates string headers only.
 			// Run-length deduplication on top keeps repeated values (date
 			// columns are constant within a partition) sharing one header.
-			// Zero-copy decode skips even that allocation: blob aliases the
-			// mapped file bytes.
-			blob := blobString(body, zeroCopy)
+			blob := string(body)
 			var last string
 			for i := 0; i < rows; i++ {
 				lo := binary.LittleEndian.Uint64(offs[i*8:])
@@ -491,7 +484,7 @@ func decodeChunkInto(dst *pgdb.VecData, start, rows int, b []byte, zeroCopy bool
 				out[i] = last
 			}
 		case dataDictStr:
-			return decodeDictStr(out, data, zeroCopy)
+			return decodeDictStr(out, data)
 		default:
 			return fmt.Errorf("persist: encoding %d invalid for string vector", dataEnc)
 		}
@@ -525,25 +518,10 @@ func decodeChunkInto(dst *pgdb.VecData, start, rows int, b []byte, zeroCopy bool
 	return nil
 }
 
-// blobString turns a decoded blob region into the string cells alias. With
-// zeroCopy the returned string shares the mmap-backed bytes (immutable for
-// the process lifetime — checkpoint files are never rewritten in place);
-// otherwise it copies so the chunk buffer can be released.
-func blobString(b []byte, zeroCopy bool) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if zeroCopy {
-		return unsafe.String(&b[0], len(b))
-	}
-	return string(b)
-}
-
 // encodeColFile assembles a whole column file from chunks (payloads aligned
 // with refs; refs' Offset/Size are filled in here).
 func encodeColFile(refs []chunkRef, payloads [][]byte) []byte {
-	const dirEntry = 4 + 4 + 4 + 8 + 8
-	hdr := 4 + 4 + len(refs)*dirEntry
+	hdr := 4 + 4 + len(refs)*colDirEntry
 	size := hdr
 	for _, p := range payloads {
 		size += len(p)
@@ -574,8 +552,7 @@ func readColDir(b []byte) ([]chunkRef, error) {
 		return nil, fmt.Errorf("persist: bad column file magic")
 	}
 	n := int(binary.LittleEndian.Uint32(b[4:]))
-	const dirEntry = 4 + 4 + 4 + 8 + 8
-	if 8+n*dirEntry > len(b) {
+	if 8+n*colDirEntry > len(b) {
 		return nil, fmt.Errorf("persist: truncated chunk directory")
 	}
 	refs := make([]chunkRef, n)
@@ -586,7 +563,7 @@ func readColDir(b []byte) ([]chunkRef, error) {
 		refs[i].Rows = int(binary.LittleEndian.Uint32(b[off+8:]))
 		refs[i].Offset = int64(binary.LittleEndian.Uint64(b[off+12:]))
 		refs[i].Size = int64(binary.LittleEndian.Uint64(b[off+20:]))
-		off += dirEntry
+		off += colDirEntry
 	}
 	return refs, nil
 }

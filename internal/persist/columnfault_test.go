@@ -53,70 +53,56 @@ func loadWideTable(t *testing.T, dir string, opts Options) [][]any {
 // the predicate faults only its own column, the fused aggregate only the
 // aggregated one — and a zone-skipped predicate faults nothing at all.
 func TestColumnGranularFaultStats(t *testing.T) {
-	for _, mm := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mmap=%v", mm), func(t *testing.T) {
-			dir := t.TempDir()
-			loadWideTable(t, dir, Options{Sync: SyncNone})
+	dir := t.TempDir()
+	loadWideTable(t, dir, Options{Sync: SyncNone})
 
-			db := pgdb.NewDB()
-			st, err := Open(db, Options{Dir: dir, Sync: SyncNone, MMap: mm})
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
-			}
-			defer st.Close()
-			s := db.NewSession()
-			stats := st.Stats()
+	db := pgdb.NewDB()
+	st, err := Open(db, Options{Dir: dir, Sync: SyncNone})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer st.Close()
+	s := db.NewSession()
+	stats := st.Stats()
 
-			// Zone-map miss: no partition holds that date, so the whole scan
-			// answers from stub metadata with zero I/O.
-			res := mustExec(t, s, "SELECT count(*) FROM w WHERE d = '2031-01-01'")
-			if res.Rows[0][0].(int64) != 0 {
-				t.Fatalf("phantom rows: %v", res.Rows[0][0])
-			}
-			if snap := stats.Snapshot(); snap.SegmentsFaulted != 0 || snap.ColumnsFaulted != 0 {
-				t.Fatalf("zone-skipped scan faulted: %+v", snap)
-			}
+	// Zone-map miss: no partition holds that date, so the whole scan
+	// answers from stub metadata with zero I/O.
+	res := mustExec(t, s, "SELECT count(*) FROM w WHERE d = '2031-01-01'")
+	if res.Rows[0][0].(int64) != 0 {
+		t.Fatalf("phantom rows: %v", res.Rows[0][0])
+	}
+	if snap := stats.Snapshot(); snap.SegmentsFaulted != 0 || snap.ColumnsFaulted != 0 {
+		t.Fatalf("zone-skipped scan faulted: %+v", snap)
+	}
 
-			// Pruned aggregate: WHERE touches c1, SUM touches c2. 10000 rows
-			// = 3 segments; c1's zones (0..1) are indecisive everywhere, so
-			// the scan faults exactly columns {c1, c2} × 3 segments of the
-			// 8-column table.
-			res = mustExec(t, s, "SELECT sum(c2) FROM w WHERE c1 = 1")
-			wantSum := int64(0)
-			for j := 0; j < 5000; j++ {
-				if j%2 == 1 {
-					wantSum += int64(j) * 2 // both days
-				}
-			}
-			if res.Rows[0][0].(int64) != wantSum {
-				t.Fatalf("sum = %v, want %d", res.Rows[0][0], wantSum)
-			}
-			snap := stats.Snapshot()
-			segs := (10000 + pgdb.SegmentSize - 1) / pgdb.SegmentSize
-			if snap.ColumnsFaulted != int64(2*segs) {
-				t.Fatalf("pruned scan faulted %d columns, want %d (2 cols × %d segs)",
-					snap.ColumnsFaulted, 2*segs, segs)
-			}
-			if snap.ChunksDecoded == 0 {
-				t.Fatalf("no chunks decoded: %+v", snap)
-			}
-			if mm {
-				if snap.MMapHits == 0 || snap.BytesRead != 0 {
-					t.Fatalf("mmap run should serve all chunks zero-copy: %+v", snap)
-				}
-			} else {
-				if snap.BytesRead == 0 || snap.MMapHits != 0 {
-					t.Fatalf("pread run counters off: %+v", snap)
-				}
-			}
+	// Pruned aggregate: WHERE touches c1, SUM touches c2. 10000 rows = 3
+	// segments; c1's zones (0..1) are indecisive everywhere, so the scan
+	// faults exactly columns {c1, c2} × 3 segments of the 8-column table.
+	res = mustExec(t, s, "SELECT sum(c2) FROM w WHERE c1 = 1")
+	wantSum := int64(0)
+	for j := 0; j < 5000; j++ {
+		if j%2 == 1 {
+			wantSum += int64(j) * 2 // both days
+		}
+	}
+	if res.Rows[0][0].(int64) != wantSum {
+		t.Fatalf("sum = %v, want %d", res.Rows[0][0], wantSum)
+	}
+	snap := stats.Snapshot()
+	segs := (10000 + pgdb.SegmentSize - 1) / pgdb.SegmentSize
+	if snap.ColumnsFaulted != int64(2*segs) {
+		t.Fatalf("pruned scan faulted %d columns, want %d (2 cols × %d segs)",
+			snap.ColumnsFaulted, 2*segs, segs)
+	}
+	if snap.ChunksDecoded == 0 || snap.BytesRead == 0 {
+		t.Fatalf("fault counters off: %+v", snap)
+	}
 
-			// Re-running the same query faults nothing: both columns resident.
-			mustExec(t, s, "SELECT sum(c2) FROM w WHERE c1 = 1")
-			if again := stats.Snapshot(); again.ColumnsFaulted != snap.ColumnsFaulted {
-				t.Fatalf("warm rerun faulted %d more columns",
-					again.ColumnsFaulted-snap.ColumnsFaulted)
-			}
-		})
+	// Re-running the same query faults nothing: both columns resident.
+	mustExec(t, s, "SELECT sum(c2) FROM w WHERE c1 = 1")
+	if again := stats.Snapshot(); again.ColumnsFaulted != snap.ColumnsFaulted {
+		t.Fatalf("warm rerun faulted %d more columns",
+			again.ColumnsFaulted-snap.ColumnsFaulted)
 	}
 }
 
@@ -125,10 +111,10 @@ func TestColumnGranularFaultStats(t *testing.T) {
 // (SELECT *) must materialize the rest and see exactly the original rows.
 func TestPartialResidencyCorrectness(t *testing.T) {
 	dir := t.TempDir()
-	want := loadWideTable(t, dir, Options{Sync: SyncNone, Compress: true})
+	want := loadWideTable(t, dir, Options{Sync: SyncNone})
 
 	db := pgdb.NewDB()
-	st, err := Open(db, Options{Dir: dir, Sync: SyncNone, MMap: true})
+	st, err := Open(db, Options{Dir: dir, Sync: SyncNone})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -144,17 +130,18 @@ func TestPartialResidencyCorrectness(t *testing.T) {
 	}
 }
 
-// TestCompressedCheckpointRoundTrip writes the same data set with and
-// without chunk compression and requires (a) identical query results either
-// way, including from a store whose own Compress option differs from the
-// writer's, and (b) a strictly smaller on-disk footprint compressed.
+// TestCompressedCheckpointRoundTrip rewrites the raw checkpoint: the
+// writer's per-chunk encodings must leave strictly smaller column files,
+// and a cold reopen of them must return the same rows.
 func TestCompressedCheckpointRoundTrip(t *testing.T) {
-	dirRaw, dirComp := t.TempDir(), t.TempDir()
-	want := loadWideTable(t, dirRaw, Options{Sync: SyncNone})
-	wantC := loadWideTable(t, dirComp, Options{Sync: SyncNone, Compress: true})
-	assertSameRows(t, want, wantC, "pre-checkpoint")
+	dir := rawCheckpoint(t)
+	_, _, st := openStore(t, dir, Options{Sync: SyncNone})
+	if err := st.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	st.Close()
 
-	sizeOf := func(dir string) int64 {
+	colBytes := func(dir string) int64 {
 		var total int64
 		filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
 			if err == nil && !info.IsDir() && strings.HasSuffix(p, ".col") {
@@ -164,31 +151,21 @@ func TestCompressedCheckpointRoundTrip(t *testing.T) {
 		})
 		return total
 	}
-	raw, comp := sizeOf(dirRaw), sizeOf(dirComp)
-	if comp >= raw {
-		t.Fatalf("compressed checkpoint %d B not smaller than raw %d B", comp, raw)
+	if raw, comp := colBytes(rawCheckpointDir), colBytes(dir); comp >= raw {
+		t.Fatalf("rewritten checkpoint %d B not smaller than raw %d B", comp, raw)
 	}
 
-	// A non-compressing, non-mmap store reads the compressed checkpoint.
-	for _, opts := range []Options{
-		{Dir: dirComp, Sync: SyncNone},
-		{Dir: dirComp, Sync: SyncNone, MMap: true},
-		{Dir: dirRaw, Sync: SyncNone, Compress: true},
-	} {
-		db := pgdb.NewDB()
-		st, err := Open(db, opts)
-		if err != nil {
-			t.Fatalf("reopen %+v: %v", opts, err)
-		}
-		assertSameRows(t, want, rowsOf(t, db.NewSession(), "w"),
-			fmt.Sprintf("mmap=%v dir=%s", opts.MMap, opts.Dir))
-		st.Close()
-	}
+	_, s, st := openStore(t, dir, Options{Sync: SyncNone})
+	defer st.Close()
+	assertSameRows(t, compatOracle(t), rowsOf(t, s, "compat"), "rewritten checkpoint")
 }
 
 // TestChunkCodecRoundTrip drives encodeChunk/decodeChunkInto directly over
-// every vector kind and the patterns each compressed encoding targets,
-// in all four {compress} × {zeroCopy} combinations.
+// every vector kind and the patterns each encoding targets. Every shape
+// decodes both from encodeChunk's output and from an all-raw chunk (raw
+// null bitmap, encodeDataRaw data section), so the raw decoder branches stay
+// covered for every kind. The writer's choice is never larger than raw, and
+// strictly smaller where an encoding fits the pattern.
 func TestChunkCodecRoundTrip(t *testing.T) {
 	const n = 1000
 	nulls := make([]uint64, (n+63)/64)
@@ -249,65 +226,81 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rawBuf, err := encodeChunk(tc.v, n, 0, n, false)
+			enc, err := encodeChunk(tc.v, 0, n)
 			if err != nil {
-				t.Fatalf("encode raw: %v", err)
+				t.Fatalf("encode: %v", err)
 			}
-			compBuf, err := encodeChunk(tc.v, n, 0, n, true)
-			if err != nil {
-				t.Fatalf("encode compressed: %v", err)
+			raw := rawChunk(t, tc.v, n)
+			if len(enc) > len(raw) || tc.wantSmall && len(enc) == len(raw) {
+				t.Fatalf("encoded %d B against raw %d B (want smaller: %v)", len(enc), len(raw), tc.wantSmall)
 			}
-			if tc.wantSmall && len(compBuf) >= len(rawBuf) {
-				t.Fatalf("compressed %d B >= raw %d B", len(compBuf), len(rawBuf))
-			}
-			for _, enc := range [][]byte{rawBuf, compBuf} {
-				for _, zc := range []bool{false, true} {
-					dst := pgdb.VecData{Kind: tc.v.Kind, Nulls: make([]uint64, len(tc.v.Nulls))}
-					switch tc.v.Kind {
-					case vkInt:
-						dst.Ints = make([]int64, n)
-					case vkFloat:
-						dst.Floats = make([]float64, n)
-					case vkStr:
-						dst.Strs = make([]string, n)
-					case vkBool:
-						dst.Bools = make([]bool, n)
-					case vkAny:
-						dst.Anys = make([]any, n)
+			for _, chunk := range []struct {
+				layout string
+				b      []byte
+			}{{"encoded", enc}, {"raw", raw}} {
+				dst := pgdb.VecData{Kind: tc.v.Kind, Nulls: make([]uint64, len(tc.v.Nulls))}
+				switch tc.v.Kind {
+				case vkInt:
+					dst.Ints = make([]int64, n)
+				case vkFloat:
+					dst.Floats = make([]float64, n)
+				case vkStr:
+					dst.Strs = make([]string, n)
+				case vkBool:
+					dst.Bools = make([]bool, n)
+				case vkAny:
+					dst.Anys = make([]any, n)
+				}
+				if err := decodeChunkInto(&dst, 0, n, chunk.b); err != nil {
+					t.Fatalf("decode %s: %v", chunk.layout, err)
+				}
+				if !reflect.DeepEqual(dst.Nulls, tc.v.Nulls) {
+					t.Fatalf("%s nulls diverge", chunk.layout)
+				}
+				var got, want any
+				switch tc.v.Kind {
+				case vkInt:
+					got, want = dst.Ints, tc.v.Ints
+				case vkFloat:
+					// NaN != NaN under DeepEqual on purpose: compare bits.
+					gb := make([]uint64, n)
+					wb := make([]uint64, n)
+					for i := range gb {
+						gb[i] = math.Float64bits(dst.Floats[i])
+						wb[i] = math.Float64bits(tc.v.Floats[i])
 					}
-					if err := decodeChunkInto(&dst, 0, n, enc, zc); err != nil {
-						t.Fatalf("decode (zc=%v): %v", zc, err)
-					}
-					if !reflect.DeepEqual(dst.Nulls, tc.v.Nulls) {
-						t.Fatalf("nulls diverge (zc=%v)", zc)
-					}
-					var got, want any
-					switch tc.v.Kind {
-					case vkInt:
-						got, want = dst.Ints, tc.v.Ints
-					case vkFloat:
-						// NaN != NaN under DeepEqual on purpose: compare bits.
-						gb := make([]uint64, n)
-						wb := make([]uint64, n)
-						for i := range gb {
-							gb[i] = math.Float64bits(dst.Floats[i])
-							wb[i] = math.Float64bits(tc.v.Floats[i])
-						}
-						got, want = gb, wb
-					case vkStr:
-						got, want = dst.Strs, tc.v.Strs
-					case vkBool:
-						got, want = dst.Bools, tc.v.Bools
-					case vkAny:
-						got, want = dst.Anys, tc.v.Anys
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("data diverges (zc=%v, compressed=%v)", zc, len(enc) == len(compBuf))
-					}
+					got, want = gb, wb
+				case vkStr:
+					got, want = dst.Strs, tc.v.Strs
+				case vkBool:
+					got, want = dst.Bools, tc.v.Bools
+				case vkAny:
+					got, want = dst.Anys, tc.v.Anys
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s data diverges", chunk.layout)
 				}
 			}
 		})
 	}
+}
+
+// rawChunk lays rows [0, n) of v out with no encoding at all: a raw null
+// bitmap (even when v has no nulls) and encodeDataRaw's data section.
+func rawChunk(t *testing.T, v pgdb.VecData, n int) []byte {
+	t.Helper()
+	buf := append([]byte{v.Kind}, binary.LittleEndian.AppendUint32(nil, uint32(n))...)
+	buf = append(buf, nullRaw)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Nulls)))
+	for _, w := range v.Nulls {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	data, err := encodeDataRaw(v, 0, n)
+	if err != nil {
+		t.Fatalf("encode raw: %v", err)
+	}
+	buf = append(buf, dataRaw)
+	return append(buf, data...)
 }
 
 // TestCorruptColumnFileFault flips the first payload byte of one column
@@ -369,65 +362,76 @@ func TestCorruptColumnFileFault(t *testing.T) {
 	}
 }
 
-// TestCompressedCrashRecovery reruns the checkpoint kill-points with chunk
-// compression on and reopens each crash state with mmap on — the torn
-// compressed checkpoint must never be visible.
-func TestCompressedCrashRecovery(t *testing.T) {
-	points := []string{"before-files", "mid-files", "before-manifest", "before-current", "before-wal-reset"}
-	for _, point := range points {
-		t.Run(point, func(t *testing.T) {
+// TestCorruptCheckpointMetadata: checkpoint metadata claiming impossible
+// extents — a chunk running past its file or negative once read as int64,
+// a segment of 2^50 rows, a segment missing column vectors — fails Open or
+// the statement that reads it with an error. Trusting any of them panics or
+// allocates from the corrupt field, which takes the whole process down.
+func TestCorruptCheckpointMetadata(t *testing.T) {
+	src := t.TempDir()
+	loadWideTable(t, src, Options{Sync: SyncNone})
+
+	rewrite := func(t *testing.T, pattern string, edit func([]byte) []byte) {
+		t.Helper()
+		matches, err := filepath.Glob(pattern)
+		if err != nil || len(matches) == 0 {
+			t.Fatalf("no file matches %s: %v", pattern, err)
+		}
+		raw, err := os.ReadFile(matches[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(matches[0], edit(raw), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunkSize := func(size uint64) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			rewrite(t, filepath.Join(dir, "ckpt-*", "w", "*", "c2.col"), func(b []byte) []byte {
+				binary.LittleEndian.PutUint64(b[8+20:], size) // first entry's size field
+				return b
+			})
+		}
+	}
+	segment := func(edit func(*manifestSeg)) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			rewrite(t, filepath.Join(dir, "ckpt-*", "manifest.json"), func(b []byte) []byte {
+				var m manifest
+				if err := json.Unmarshal(b, &m); err != nil {
+					t.Fatal(err)
+				}
+				edit(&m.Tables[0].Segs[0])
+				out, err := json.Marshal(&m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			})
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*testing.T, string)
+	}{
+		{"chunk-past-eof", chunkSize(1 << 62)},
+		{"chunk-size-negative", chunkSize(1 << 63)},
+		{"segment-rows-huge", segment(func(s *manifestSeg) { s.N = 1 << 50 })},
+		{"segment-missing-vecs", segment(func(s *manifestSeg) { s.Vecs = s.Vecs[:3] })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			_, s, st := openStore(t, dir, Options{Sync: SyncAlways, Compress: true})
-			mustExec(t, s, "CREATE TABLE t (d date, v bigint, s varchar)")
-			for i := 0; i < 60; i++ {
-				mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES ('2024-07-%02d', %d, 'sym%d')", 14+i%3, i, i%4))
+			copyDir(t, src, dir)
+			tc.corrupt(t, dir)
+			db := pgdb.NewDB()
+			st, err := Open(db, Options{Dir: dir, Sync: SyncNone})
+			if err != nil {
+				return // refused at open: the cheapest clean error
 			}
-			if err := st.Checkpoint(); err != nil {
-				t.Fatalf("first checkpoint: %v", err)
+			defer st.Close()
+			if _, err := db.NewSession().Exec("SELECT * FROM w"); err == nil {
+				t.Fatal("corrupt checkpoint served rows without error")
 			}
-			mustExec(t, s, "UPDATE t SET v = v + 1000 WHERE v < 10")
-			want := rowsOf(t, s, "t")
-
-			st.SetFailpoint(point)
-			if err := st.Checkpoint(); err == nil {
-				t.Fatalf("checkpoint should have failed at %s", point)
-			}
-			st.Close()
-
-			_, s2, st2 := openStore(t, dir, Options{Sync: SyncAlways, Compress: true, MMap: true})
-			assertSameRows(t, want, rowsOf(t, s2, "t"), point)
-			mustExec(t, s2, "INSERT INTO t VALUES ('2024-07-17', 999, 'z')")
-			if err := st2.Checkpoint(); err != nil {
-				t.Fatalf("post-recovery checkpoint: %v", err)
-			}
-			st2.Close()
 		})
-	}
-}
-
-// TestEvictionChurnCompressedMMap drives eviction-and-refault cycles with
-// compression and mmap on, checking the stats counters move and results
-// stay exact.
-func TestEvictionChurnCompressedMMap(t *testing.T) {
-	dir := t.TempDir()
-	want := loadWideTable(t, dir, Options{Sync: SyncNone, Compress: true})
-
-	db := pgdb.NewDB()
-	st, err := Open(db, Options{Dir: dir, Sync: SyncNone, Compress: true, MMap: true, MemBudget: 1})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer st.Close()
-	s := db.NewSession()
-	for i := 0; i < 3; i++ {
-		assertSameRows(t, want, rowsOf(t, s, "w"), fmt.Sprintf("churn %d", i))
-	}
-	snap := st.Stats().Snapshot()
-	if snap.Evictions == 0 {
-		t.Fatalf("budget of 1 byte never evicted: %+v", snap)
-	}
-	if snap.ColumnsFaulted == 0 || snap.MMapHits == 0 {
-		t.Fatalf("churn did not refault through mmap: %+v", snap)
 	}
 }
 

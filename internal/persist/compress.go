@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"unsafe"
 
 	"hyperq/internal/pgdb"
 )
@@ -244,7 +243,7 @@ func encodeDictStr(vals []string) (byte, []byte) {
 	return dataDictStr, append(buf, packBits(idx, width)...)
 }
 
-func decodeDictStr(out []string, data []byte, zeroCopy bool) error {
+func decodeDictStr(out []string, data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("persist: truncated dictionary")
 	}
@@ -263,11 +262,7 @@ func decodeDictStr(out []string, data []byte, zeroCopy bool) error {
 		if n < 0 || off+n > len(data) {
 			return fmt.Errorf("persist: truncated dictionary entry")
 		}
-		if zeroCopy && n > 0 {
-			dict[i] = unsafe.String(&data[off], n)
-		} else {
-			dict[i] = string(data[off : off+n])
-		}
+		dict[i] = string(data[off : off+n])
 		off += n
 	}
 	if off >= len(data) {

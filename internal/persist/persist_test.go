@@ -155,14 +155,26 @@ func TestCrashMidWALAppend(t *testing.T) {
 // and verifies recovery sees either the old or the new checkpoint — never
 // a half state — and always row-for-row matches the oracle.
 func TestCrashMidCheckpoint(t *testing.T) {
+	crashMidCheckpoint(t, "", func(int) string { return "" })
+}
+
+// TestCompressedCrashRecovery reruns the kill-points over string and bool
+// columns, whose chunks take the dictionary and run-length encodings.
+func TestCompressedCrashRecovery(t *testing.T) {
+	crashMidCheckpoint(t, ", s varchar, b boolean", func(i int) string { return fmt.Sprintf(", 'sym%d', %v", i%4, i < 20) })
+}
+
+// crashMidCheckpoint runs the kill-points over table t (d date, v bigint
+// plus extraCols), with extraVals(i) rendering row i's extra values.
+func crashMidCheckpoint(t *testing.T, extraCols string, extraVals func(i int) string) {
 	points := []string{"before-files", "mid-files", "before-manifest", "before-current", "before-wal-reset"}
 	for _, point := range points {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
 			_, s, st := openStore(t, dir, Options{Sync: SyncAlways})
-			mustExec(t, s, "CREATE TABLE t (d date, v bigint)")
+			mustExec(t, s, "CREATE TABLE t (d date, v bigint"+extraCols+")")
 			for i := 0; i < 50; i++ {
-				mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES ('2024-07-%02d', %d)", 14+i%3, i))
+				mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES ('2024-07-%02d', %d%s)", 14+i%3, i, extraVals(i)))
 			}
 			if err := st.Checkpoint(); err != nil {
 				t.Fatalf("first checkpoint: %v", err)
@@ -180,7 +192,7 @@ func TestCrashMidCheckpoint(t *testing.T) {
 			_, s2, st2 := openStore(t, dir, Options{Sync: SyncAlways})
 			assertSameRows(t, want, rowsOf(t, s2, "t"), point)
 			// and the reopened store can checkpoint + keep going
-			mustExec(t, s2, "INSERT INTO t VALUES ('2024-07-17', 999)")
+			mustExec(t, s2, fmt.Sprintf("INSERT INTO t VALUES ('2024-07-17', 999%s)", extraVals(999)))
 			if err := st2.Checkpoint(); err != nil {
 				t.Fatalf("post-recovery checkpoint: %v", err)
 			}
@@ -219,7 +231,14 @@ func TestEvictionAndReload(t *testing.T) {
 	if resident > 1<<20 {
 		t.Fatalf("eviction left %d resident bytes", resident)
 	}
-	assertSameRows(t, want, rowsOf(t, s, "t"), "reload after eviction")
+	// Each full scan faults the evicted segments back and the next
+	// statement evicts them again.
+	for i := 0; i < 3; i++ {
+		assertSameRows(t, want, rowsOf(t, s, "t"), fmt.Sprintf("reload %d after eviction", i))
+	}
+	if snap := st.Stats().Snapshot(); snap.Evictions == 0 || snap.ColumnsFaulted == 0 {
+		t.Fatalf("churn did not evict and refault: %+v", snap)
+	}
 
 	// A dirtied table must be pinned until the next checkpoint.
 	mustExec(t, s, "UPDATE t SET v = 0 WHERE v = 17")

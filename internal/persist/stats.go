@@ -15,8 +15,6 @@ type Stats struct {
 	ColumnsFaulted  atomic.Int64 // (segment, column) pairs materialized
 	BytesRead       atomic.Int64 // chunk payload bytes read via file I/O
 	ChunksDecoded   atomic.Int64 // chunk payloads decoded
-	MMapHits        atomic.Int64 // chunk payloads served zero-copy from mmap
-	ReadAheads      atomic.Int64 // column files warmed ahead of demand
 	Evictions       atomic.Int64 // columns dropped by the memory budget
 }
 
@@ -26,8 +24,6 @@ type StatsSnapshot struct {
 	ColumnsFaulted  int64
 	BytesRead       int64
 	ChunksDecoded   int64
-	MMapHits        int64
-	ReadAheads      int64
 	Evictions       int64
 }
 
@@ -38,8 +34,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		ColumnsFaulted:  s.ColumnsFaulted.Load(),
 		BytesRead:       s.BytesRead.Load(),
 		ChunksDecoded:   s.ChunksDecoded.Load(),
-		MMapHits:        s.MMapHits.Load(),
-		ReadAheads:      s.ReadAheads.Load(),
 		Evictions:       s.Evictions.Load(),
 	}
 }
@@ -69,8 +63,6 @@ func ServeStats(addr string, s *Stats, extras ...func() map[string]int64) (strin
 				"persist.columns_faulted":  snap.ColumnsFaulted,
 				"persist.bytes_read":       snap.BytesRead,
 				"persist.chunks_decoded":   snap.ChunksDecoded,
-				"persist.mmap_hits":        snap.MMapHits,
-				"persist.read_aheads":      snap.ReadAheads,
 				"persist.evictions":        snap.Evictions,
 			}
 		}

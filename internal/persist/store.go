@@ -30,7 +30,11 @@ import (
 // A checkpoint becomes live only when CURRENT is atomically renamed over;
 // anything not referenced by CURRENT is garbage and removed at open.
 
-// Options configures a Store.
+// Options configures a Store. How checkpoints are stored is not an option:
+// the writer encodes every chunk in the smallest of its kind's layouts
+// (FOR/delta ints, dictionary strings, run-length bools and null bitmaps,
+// or raw), and the reader preads chunks through a bounded descriptor cache
+// and decodes every layout, so checkpoints written all-raw open unchanged.
 type Options struct {
 	Dir  string
 	Sync SyncMode
@@ -39,15 +43,6 @@ type Options struct {
 	// CheckpointBytes triggers an automatic checkpoint once the WAL grows
 	// past it; 0 means the 64 MB default. Negative disables auto-checkpoint.
 	CheckpointBytes int64
-	// Compress enables lightweight per-chunk column encodings (FOR/delta
-	// bitpacking, string dictionaries, bool RLE) in checkpoint files. The
-	// read path decodes every encoding regardless, so stores with and
-	// without Compress open each other's checkpoints.
-	Compress bool
-	// MMap serves cold chunk reads from read-only memory maps of the column
-	// files instead of per-fault pread, decoding string chunks zero-copy.
-	// Falls back to file reads when mapping fails.
-	MMap bool
 }
 
 const defaultCheckpointBytes = 64 << 20
@@ -60,9 +55,6 @@ type Store struct {
 	wal   *walWriter
 	stats Stats
 	fds   *fdCache
-
-	warmMu sync.Mutex
-	warmed map[string]bool // column files already streamed for read-ahead
 
 	mu            sync.Mutex
 	ckptSeq       uint64
@@ -171,6 +163,12 @@ func (st *Store) restoreManifest(m *manifest) error {
 		}
 		segs := make([]pgdb.SegMeta, len(tm.Segs))
 		for i, sm := range tm.Segs {
+			// N sizes the fault-in buffers and Vecs is indexed by column:
+			// both must be sane before anything trusts them.
+			if sm.N < 0 || sm.N > pgdb.SegmentSize || len(sm.Vecs) != len(cols) {
+				return fmt.Errorf("persist: manifest: table %s segment %d has %d rows in %d vectors, want at most %d rows in %d",
+					tm.Name, i, sm.N, len(sm.Vecs), pgdb.SegmentSize, len(cols))
+			}
 			vecs := make([]pgdb.VecMeta, len(sm.Vecs))
 			for c, vm := range sm.Vecs {
 				minV, err := valFromJSON(vm.Min)
@@ -292,8 +290,7 @@ func (st *Store) applyRecord(rec walRecord) error {
 func (st *Store) ReplayedChanges() bool { return st.replayed }
 
 // Close syncs and closes the WAL and drops cached column descriptors. The
-// database keeps running in memory; memory maps stay in place because
-// zero-copy cells decoded from them may still be referenced.
+// database keeps running in memory.
 func (st *Store) Close() error {
 	st.fds.closeAll()
 	return st.wal.close()
@@ -389,8 +386,7 @@ func (st *Store) loaderFor(name string) pgdb.SegLoader {
 // one checkpointed segment. Each column decodes independently from its own
 // chunks, so a pruned scan's I/O is proportional to the columns it touches,
 // and concurrent faults of different columns never contend on a shared
-// descriptor: chunk reads go through the store-wide bounded fd cache, or
-// zero-copy through the per-path memory map when MMap is on.
+// descriptor: chunk reads go through the store-wide bounded fd cache.
 func (st *Store) loadSegment(ts *tableState, si int, cols []int) (pgdb.SegmentData, error) {
 	if si >= len(ts.segs) {
 		return pgdb.SegmentData{}, fmt.Errorf("persist: segment %d beyond checkpoint", si)
@@ -431,11 +427,11 @@ func (st *Store) loadSegment(ts *tableState, si int, cols []int) (pgdb.SegmentDa
 		}
 		covered := 0
 		for _, loc := range chunksForSeg(ts.chunks[c], si) {
-			payload, zeroCopy, err := st.readChunk(loc, &buf)
+			payload, err := st.readChunk(loc, &buf)
 			if err != nil {
 				return sd, err
 			}
-			if err := decodeChunkInto(&dst, loc.ref.StartInSeg, loc.ref.Rows, payload, zeroCopy); err != nil {
+			if err := decodeChunkInto(&dst, loc.ref.StartInSeg, loc.ref.Rows, payload); err != nil {
 				return sd, err
 			}
 			st.stats.ChunksDecoded.Add(1)
@@ -450,114 +446,25 @@ func (st *Store) loadSegment(ts *tableState, si int, cols []int) (pgdb.SegmentDa
 	return sd, nil
 }
 
-// readChunk returns one chunk payload: a slice of the path's memory map
-// (zeroCopy=true) when MMap is on and the file maps, else a read into the
-// caller's reusable buffer through the bounded fd cache.
-func (st *Store) readChunk(loc chunkLoc, buf *[]byte) ([]byte, bool, error) {
-	if st.opts.MMap {
-		if data, ok := mappedFile(loc.path, &st.stats); ok {
-			if loc.ref.Offset < 0 || loc.ref.Offset+loc.ref.Size > int64(len(data)) {
-				return nil, false, fmt.Errorf("persist: chunk beyond mapped file %s", loc.path)
-			}
-			st.stats.MMapHits.Add(1)
-			return data[loc.ref.Offset : loc.ref.Offset+loc.ref.Size], true, nil
-		}
-	}
-	st.warmFile(loc.path)
+// readChunk preads one chunk payload into the caller's reusable buffer
+// through the bounded fd cache. readColFileDir has already held the chunk's
+// extent to its file.
+func (st *Store) readChunk(loc chunkLoc, buf *[]byte) ([]byte, error) {
 	if int64(cap(*buf)) < loc.ref.Size {
 		*buf = make([]byte, loc.ref.Size)
 	}
 	payload := (*buf)[:loc.ref.Size]
 	e, err := st.fds.acquire(loc.path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	_, err = e.f.ReadAt(payload, loc.ref.Offset)
 	st.fds.release(e)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	st.stats.BytesRead.Add(loc.ref.Size)
-	return payload, false, nil
-}
-
-// mmapPool caches read-only mappings by path for the process lifetime.
-// Mappings are deliberately never unmapped: zero-copy string cells decoded
-// from them escape into table vectors that can outlive the Store, and a
-// checkpoint switch only unlinks superseded files (whose pages stay valid
-// under an existing map). Checkpoint sequence numbers only move forward
-// within a data dir, so a path that was ever mapped is never rewritten.
-var mmapPool = struct {
-	mu     sync.Mutex
-	m      map[string][]byte
-	failed map[string]bool
-}{m: make(map[string][]byte), failed: make(map[string]bool)}
-
-// mappedFile returns the cached mapping for path, mapping it on first use.
-// A path that failed to map once is not retried (the store falls back to
-// file reads for it permanently).
-func mappedFile(path string, stats *Stats) ([]byte, bool) {
-	mmapPool.mu.Lock()
-	if data, ok := mmapPool.m[path]; ok {
-		mmapPool.mu.Unlock()
-		return data, true
-	}
-	failed := mmapPool.failed[path]
-	mmapPool.mu.Unlock()
-	if failed {
-		return nil, false
-	}
-	data, err := mmapFile(path)
-	mmapPool.mu.Lock()
-	defer mmapPool.mu.Unlock()
-	if err != nil {
-		mmapPool.failed[path] = true
-		return nil, false
-	}
-	if prev, ok := mmapPool.m[path]; ok {
-		// A concurrent fault mapped the same file first; both mappings view
-		// identical immutable bytes, ours is simply redundant.
-		return prev, true
-	}
-	mmapPool.m[path] = data
-	// Read-ahead: a first chunk access to a partition's column predicts the
-	// scan will want the rest of the file shortly.
-	madviseWillNeed(data)
-	if stats != nil {
-		stats.ReadAheads.Add(1)
-	}
-	return data, true
-}
-
-// warmFile streams a column file through the OS page cache in the
-// background the first time the pread path touches it — partition-level
-// read-ahead, so a parallel chunked scan faulting distinct partitions'
-// columns finds warm pages instead of seeking per chunk.
-func (st *Store) warmFile(path string) {
-	st.warmMu.Lock()
-	if st.warmed == nil {
-		st.warmed = make(map[string]bool)
-	}
-	if st.warmed[path] {
-		st.warmMu.Unlock()
-		return
-	}
-	st.warmed[path] = true
-	st.warmMu.Unlock()
-	st.stats.ReadAheads.Add(1)
-	go func() {
-		f, err := os.Open(path)
-		if err != nil {
-			return
-		}
-		defer f.Close()
-		buf := make([]byte, 256<<10)
-		for {
-			if _, err := f.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
+	return payload, nil
 }
 
 func chunksForSeg(chunks []chunkLoc, si int) []chunkLoc {
@@ -571,13 +478,19 @@ func chunksForSeg(chunks []chunkLoc, si int) []chunkLoc {
 
 // readColFileDir reads only the header and chunk directory of a column
 // file — never the data section, so opening a catalog stays proportional to
-// the number of chunks, not the number of bytes on disk.
+// the number of chunks, not the number of bytes on disk. Every directory
+// entry must address bytes of the data section: the fault path sizes its
+// read buffer from Size and trusts the extent from then on.
 func readColFileDir(path string) ([]chunkRef, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	var hdr [8]byte
 	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, fmt.Errorf("persist: column header: %w", err)
@@ -585,17 +498,28 @@ func readColFileDir(path string) ([]chunkRef, error) {
 	if [4]byte(hdr[:4]) != colMagic {
 		return nil, fmt.Errorf("persist: bad column file magic")
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:]))
-	const dirEntry = 4 + 4 + 4 + 8 + 8
-	if n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("persist: implausible chunk count %d", n)
+	n := int64(binary.LittleEndian.Uint32(hdr[4:]))
+	dirEnd := 8 + n*colDirEntry
+	if dirEnd > fi.Size() {
+		return nil, fmt.Errorf("persist: %d-entry chunk directory overruns a %d-byte file", n, fi.Size())
 	}
-	buf := make([]byte, 8+n*dirEntry)
+	buf := make([]byte, dirEnd)
 	copy(buf, hdr[:])
 	if _, err := io.ReadFull(f, buf[8:]); err != nil {
 		return nil, fmt.Errorf("persist: chunk directory: %w", err)
 	}
-	return readColDir(buf)
+	refs, err := readColDir(buf)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range refs {
+		// Offset >= dirEnd > 0, so Size() - Offset cannot overflow
+		if r.Offset < dirEnd || r.Size < 0 || r.Size > fi.Size()-r.Offset {
+			return nil, fmt.Errorf("persist: chunk at offset %d size %d lies outside the data section of a %d-byte file",
+				r.Offset, r.Size, fi.Size())
+		}
+	}
+	return refs, nil
 }
 
 func sortChunks(chunks []chunkLoc) {
@@ -818,7 +742,7 @@ func (st *Store) checkpointLocked(seq uint64, oldDir string) error {
 			}
 			tm.Parts = append(tm.Parts, manifestPart{Name: p.name, Key: p.key, Start: p.start, Rows: p.rows})
 			for c := range cols {
-				refs, payloads, err := buildColChunks(segs, c, p.start, p.start+p.rows, st.opts.Compress)
+				refs, payloads, err := buildColChunks(segs, c, p.start, p.start+p.rows)
 				if err != nil {
 					return err
 				}
@@ -892,7 +816,7 @@ func (st *Store) checkpointLocked(seq uint64, oldDir string) error {
 
 // buildColChunks slices column c of the snapshot into the chunks that fall
 // inside partition rows [pstart, pend).
-func buildColChunks(segs []pgdb.SegmentData, c, pstart, pend int, compress bool) ([]chunkRef, [][]byte, error) {
+func buildColChunks(segs []pgdb.SegmentData, c, pstart, pend int) ([]chunkRef, [][]byte, error) {
 	var refs []chunkRef
 	var payloads [][]byte
 	for si := pstart / pgdb.SegmentSize; si*pgdb.SegmentSize < pend && si < len(segs); si++ {
@@ -908,7 +832,7 @@ func buildColChunks(segs []pgdb.SegmentData, c, pstart, pend int, compress bool)
 		if hi <= lo {
 			continue
 		}
-		payload, err := encodeChunk(segs[si].Vecs[c], segs[si].N, lo, hi, compress)
+		payload, err := encodeChunk(segs[si].Vecs[c], lo, hi)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -13,7 +13,6 @@ import (
 	"hyperq/internal/config"
 	"hyperq/internal/core"
 	"hyperq/internal/persist"
-	"hyperq/internal/pgdb"
 	"hyperq/internal/qgen"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
@@ -24,12 +23,16 @@ import (
 // engine e describes — one Hyper-Q session with the given result path, no
 // state shared with any previous framework except the kdb+ substrate the
 // caller passes. The fuzz driver rebuilds frameworks regularly so a
-// corrupted global cannot poison later iterations. The caller owns the
-// returned instance's store, if e has a DataDir.
-func openFramework(kdb *interp.Interp, e config.Engine, path core.ResultPath) (*Framework, *config.Instance, error) {
+// corrupted global cannot poison later iterations. index builds hash indexes
+// at any table size (FuzzConfig.Index). The caller owns the returned
+// instance's store, if e has a DataDir.
+func openFramework(kdb *interp.Interp, e config.Engine, path core.ResultPath, index bool) (*Framework, *config.Instance, error) {
 	in, err := e.Open()
 	if err != nil {
 		return nil, nil, err
+	}
+	if index {
+		in.DB.SetIndexMinRows(0)
 	}
 	b := core.NewDirectBackend(in.DB)
 	s := core.NewPlatform().NewSession(b, core.Config{ResultPath: path})
@@ -48,10 +51,11 @@ func ShardRules() []shard.TableSpec {
 
 // openShardedFramework builds a framework whose primary Hyper-Q session
 // runs over a single embedded backend and whose shadow session runs over an
-// n-shard scatter-gather cluster of embedded engines, all tuned by e.
-// Compare then requires byte-identical QIPC output from the two sessions.
-func openShardedFramework(shards int, e config.Engine, path core.ResultPath) (*Framework, error) {
-	f, _, err := openFramework(interp.New(), e, path)
+// n-shard scatter-gather cluster of embedded engines, all tuned by e and
+// index. Compare then requires byte-identical QIPC output from the two
+// sessions.
+func openShardedFramework(shards int, e config.Engine, path core.ResultPath, index bool) (*Framework, error) {
+	f, _, err := openFramework(interp.New(), e, path, index)
 	if err != nil {
 		return nil, err
 	}
@@ -61,6 +65,9 @@ func openShardedFramework(shards int, e config.Engine, path core.ResultPath) (*F
 	}
 	for _, db := range dbs {
 		e.Tune(db)
+		if index {
+			db.SetIndexMinRows(0)
+		}
 	}
 	sb, err := cl.NewBackend()
 	if err != nil {
@@ -87,16 +94,15 @@ type FuzzConfig struct {
 	ShrinkBudget int
 	// Engine configures the embedded engine under test, the way the
 	// servers' flags would. The zero value is the compiled engine in memory.
-	// Fuzz uses Exec, DataDir, Compress, MMap and MemBudget and sets the
-	// rest itself: IndexMinRows follows Index, and Sync is off because every
-	// dataset is checkpointed explicitly.
+	// Fuzz uses Exec, DataDir and MemBudget and sets the rest itself: Sync
+	// is off because every dataset is checkpointed explicitly.
 	//
 	// DataDir, when non-empty, backs every framework's database with the
 	// durable store under a fresh subdirectory of it: the dataset is
 	// checkpointed to splayed column files after loading and the framework
 	// under test is cold-opened from that directory, so every query faults
-	// its vectors back through the persist codec — compressed with Compress,
-	// memory-mapped with MMap, and evicted and refaulted under MemBudget.
+	// its vectors back through the persist codec, evicted and refaulted
+	// under MemBudget.
 	// Incompatible with sharded mode (Shards > 1).
 	config.Engine
 	// ResultPath selects the session result pipeline under test (default
@@ -108,7 +114,7 @@ type FuzzConfig struct {
 	// byte-identical QIPC output.
 	Shards int
 	// Index force-enables secondary indexes in every embedded database
-	// (IndexMinRows 0, so even the tiny generated tables index) and loads
+	// (SetIndexMinRows(0), so even the tiny generated tables index) and loads
 	// each table in two halves around an index-building probe: the first
 	// half is inserted, a self-join on the key column builds its hash index,
 	// and the second half's inserts then dirty that index — so the run
@@ -171,10 +177,6 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 		return nil, fmt.Errorf("DataDir is incompatible with sharded mode")
 	}
 	cfg.Sync = persist.SyncNone
-	cfg.IndexMinRows = pgdb.DefaultIndexMinRows
-	if cfg.Index {
-		cfg.IndexMinRows = 0
-	}
 	g := qgen.New(qgen.Config{Seed: cfg.Seed, MaxRows: cfg.MaxRows})
 	rep := &FuzzReport{Seed: cfg.Seed, N: cfg.N, Mismatches: []FuzzCase{}}
 	var f *Framework
@@ -239,9 +241,9 @@ func loadDataset(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framew
 	var f *Framework
 	var err error
 	if cfg.Shards > 1 {
-		f, err = openShardedFramework(cfg.Shards, cfg.Engine, cfg.ResultPath)
+		f, err = openShardedFramework(cfg.Shards, cfg.Engine, cfg.ResultPath, cfg.Index)
 	} else {
-		f, _, err = openFramework(interp.New(), cfg.Engine, cfg.ResultPath)
+		f, _, err = openFramework(interp.New(), cfg.Engine, cfg.ResultPath, cfg.Index)
 	}
 	if err != nil {
 		return nil, err
@@ -292,10 +294,10 @@ func indexProbe(name string) string {
 func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framework, error) {
 	e := cfg.Engine
 	e.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("db%06d", persistSeq.Add(1)))
-	staging := e // only written and checkpointed: the read options wait for the reopen
-	staging.MMap, staging.MemBudget = false, 0
+	staging := e // only written and checkpointed: the budget waits for the reopen
+	staging.MemBudget = 0
 	kdb := interp.New()
-	loader, in, err := openFramework(kdb, staging, cfg.ResultPath)
+	loader, in, err := openFramework(kdb, staging, cfg.ResultPath, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
@@ -310,7 +312,7 @@ func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (
 	// Cold reopen: a fresh database restored purely from the on-disk
 	// catalog. The corpus is read-only after load, so the reopened store's
 	// WAL handle can be released immediately too.
-	f, in, err := openFramework(kdb, e, cfg.ResultPath)
+	f, in, err := openFramework(kdb, e, cfg.ResultPath, cfg.Index)
 	if err != nil {
 		return nil, fmt.Errorf("cold reopen: %w", err)
 	}
@@ -487,20 +489,21 @@ func LoadCorpus(dir string) ([]*CorpusEntry, error) {
 // ReplayEntry runs one corpus entry through a fresh framework (compiled
 // engine) and returns the comparison report.
 func ReplayEntry(ctx context.Context, e *CorpusEntry) (*Report, error) {
-	return ReplayEntryEngine(ctx, e, config.Defaults())
+	return ReplayEntryEngine(ctx, e, config.Defaults(), false)
 }
 
-// ReplayEntryEngine is ReplayEntry on an engine configured as eng.
-func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine) (*Report, error) {
+// ReplayEntryEngine is ReplayEntry on an engine configured as eng, with
+// hash indexes at any table size when index is set.
+func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine, index bool) (*Report, error) {
 	ds, err := qgen.DecodeDataset(e.Tables)
 	if err != nil {
 		return nil, err
 	}
 	var f *Framework
 	if e.Shards > 1 {
-		f, err = openShardedFramework(e.Shards, eng, core.ColumnarPath)
+		f, err = openShardedFramework(e.Shards, eng, core.ColumnarPath, index)
 	} else {
-		f, _, err = openFramework(interp.New(), eng, core.ColumnarPath)
+		f, _, err = openFramework(interp.New(), eng, core.ColumnarPath, index)
 	}
 	if err != nil {
 		return nil, err

@@ -68,37 +68,23 @@ func TestFuzzSmokeDiskBacked(t *testing.T) {
 	}
 }
 
-// TestFuzzSmokeDiskBackedMatrix crosses the persist read options: compressed
-// column files × mmap-backed reads, both under a deliberately tight memory
-// budget so segments churn through fault → evict → refault during the run.
-// Reproduce a cell with e.g. `go run ./cmd/qdiff -seed 7 -n 120 -persist
-// -compress -mmap -mem-budget 65536 -shrink`.
-func TestFuzzSmokeDiskBackedMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		name           string
-		compress, mmap bool
-	}{
-		{"compress", true, false},
-		{"mmap", false, true},
-		{"compress+mmap", true, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Fuzz(context.Background(), FuzzConfig{
-				Seed: 7, N: 120, Shrink: true,
-				Engine: config.Engine{
-					DataDir: t.TempDir(), Compress: tc.compress, MMap: tc.mmap, MemBudget: 64 << 10,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Matches != rep.N {
-				t.Errorf("%d of %d queries matched", rep.Matches, rep.N)
-			}
-			for _, m := range rep.Mismatches {
-				t.Errorf("iteration %d [%s]: %s\n  diffs: %v", m.Iteration, m.Class, m.Query, m.Diffs)
-			}
-		})
+// TestFuzzSmokeDiskBackedTightBudget is the disk-backed smoke under a
+// deliberately tight memory budget, so segments churn through fault → evict
+// → refault during the run. Reproduce failures with `go run ./cmd/qdiff
+// -seed 7 -n 120 -persist -mem-budget 65536 -shrink`.
+func TestFuzzSmokeDiskBackedTightBudget(t *testing.T) {
+	rep, err := Fuzz(context.Background(), FuzzConfig{
+		Seed: 7, N: 120, Shrink: true,
+		Engine: config.Engine{DataDir: t.TempDir(), MemBudget: 64 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Matches != rep.N {
+		t.Errorf("%d of %d queries matched", rep.Matches, rep.N)
+	}
+	for _, m := range rep.Mismatches {
+		t.Errorf("iteration %d [%s]: %s\n  diffs: %v", m.Iteration, m.Class, m.Query, m.Diffs)
 	}
 }
 

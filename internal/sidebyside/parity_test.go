@@ -11,23 +11,23 @@ import (
 // parityEngines are the engine configurations every parity test runs:
 // the compiled engine at its defaults, the retained interpreter, and the
 // compiled engine with its vector access paths forced on — hash indexes at
-// any table size — which the tiny generated tables never reach at the
-// default DefaultIndexMinRows.
+// any table size (index) — which the tiny generated tables never reach at
+// pgdb.DefaultIndexMinRows.
 func parityEngines() []struct {
-	name string
-	eng  config.Engine
+	name  string
+	eng   config.Engine
+	index bool
 } {
 	interpreted := config.Defaults()
 	interpreted.Exec = pgdb.ExecInterpreted
-	indexed := config.Defaults()
-	indexed.IndexMinRows = 0
 	return []struct {
-		name string
-		eng  config.Engine
+		name  string
+		eng   config.Engine
+		index bool
 	}{
-		{"compiled", config.Defaults()},
-		{"interpreted", interpreted},
-		{"vectorized", indexed},
+		{"compiled", config.Defaults(), false},
+		{"interpreted", interpreted, false},
+		{"vectorized", config.Defaults(), true},
 	}
 }
 
@@ -47,7 +47,7 @@ func TestCorpusParityBothEngines(t *testing.T) {
 	for _, m := range parityEngines() {
 		for _, e := range entries {
 			t.Run(m.name+"/"+e.Name, func(t *testing.T) {
-				r, err := ReplayEntryEngine(context.Background(), e, m.eng)
+				r, err := ReplayEntryEngine(context.Background(), e, m.eng, m.index)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +70,7 @@ func TestCorpusParityBothEngines(t *testing.T) {
 func TestFuzzParityBothEngines(t *testing.T) {
 	for _, m := range parityEngines() {
 		t.Run(m.name, func(t *testing.T) {
-			cfg := FuzzConfig{Seed: 7, N: 300, Engine: m.eng, Index: m.eng.IndexMinRows == 0}
+			cfg := FuzzConfig{Seed: 7, N: 300, Engine: m.eng, Index: m.index}
 			rep, err := Fuzz(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
