@@ -16,10 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# fmt fails on any file gofmt would change, as the CI gofmt step does.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
-tier1: build vet test race bench-test
+tier1: fmt build vet test race bench-test
 
 # bench-test vets and tests the benchmark harness, a Go module of its own
 # that the root module's ./... does not reach.

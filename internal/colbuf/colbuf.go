@@ -47,7 +47,15 @@ type TableBuilder struct {
 	specs []Spec
 	cols  []column
 	rows  int
+	// interns holds, per column, the symbol strings text cells have produced
+	// so far in this result (see symbol).
+	interns []map[string]string
 }
+
+// internBound caps each column's intern table, so a column of mostly
+// distinct text (keys, free text) costs a bounded map, not one entry per
+// row; cells past the bound still decode, as strings of their own.
+const internBound = 1024
 
 // pool recycles builder scratch. Column data slices never return here: Build
 // transfers their ownership to the produced vectors (see Release).
@@ -69,6 +77,7 @@ func (b *TableBuilder) Release() {
 	b.cols = b.cols[:0]
 	b.specs = nil
 	b.rows = 0
+	b.clearInterns()
 	pool.Put(b)
 }
 
@@ -86,6 +95,10 @@ func (b *TableBuilder) Reset(specs []Spec, capHint int) {
 		for i := range b.cols {
 			b.cols[i] = column{}
 		}
+	}
+	b.clearInterns()
+	for len(b.interns) < len(specs) {
+		b.interns = append(b.interns, nil)
 	}
 	if capHint <= 0 {
 		return
@@ -291,9 +304,37 @@ func (b *TableBuilder) AppendText(j int, field []byte) error {
 		}
 		c.i64 = append(c.i64, ns)
 	default:
-		c.syms = append(c.syms, string(field))
+		c.syms = append(c.syms, b.symbol(j, field))
 	}
 	return nil
+}
+
+// symbol returns field as a string, shared with every earlier equal cell of
+// column j while the column's intern table has room: a result's symbol
+// columns mostly repeat a few distinct values, so a cell usually costs a
+// map probe instead of an allocation.
+func (b *TableBuilder) symbol(j int, field []byte) string {
+	m := b.interns[j]
+	if s, ok := m[string(field)]; ok { // the lookup key is not allocated
+		return s
+	}
+	s := string(field)
+	if m == nil {
+		m = make(map[string]string)
+		b.interns[j] = m
+	}
+	if len(m) < internBound {
+		m[s] = s
+	}
+	return s
+}
+
+// clearInterns empties the intern tables, keeping their storage for the
+// next result but no reference to this one's strings.
+func (b *TableBuilder) clearInterns() {
+	for _, m := range b.interns {
+		clear(m)
+	}
 }
 
 // Build finishes the kept columns as qval vectors, transferring ownership of

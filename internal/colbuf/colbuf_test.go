@@ -3,6 +3,7 @@ package colbuf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -370,5 +371,57 @@ func TestPoolReuseIsolation(t *testing.T) {
 	}
 	if v := second[0].(qval.LongVec); v[0] != 99 {
 		t.Fatalf("second result wrong: %v", v)
+	}
+}
+
+// TestSymbolInterning checks that text symbol cells decode to their own
+// value whether or not the intern table had room, never alias the wire
+// buffer they were read from, and that the table empties between results.
+func TestSymbolInterning(t *testing.T) {
+	b := Get()
+	defer b.Release()
+	specs := []Spec{{Name: "s", QType: qval.KSymbol}, {Name: "k", QType: qval.KSymbol}}
+	n := 3 * internBound
+	want := [2][]string{}
+	field := make([]byte, 0, 16)
+	for round := 0; round < 2; round++ {
+		b.Reset(specs, 0)
+		want = [2][]string{}
+		for r := 0; r < n; r++ {
+			cells := [2]string{[]string{"GOOG", "IBM", ""}[r%3], fmt.Sprintf("k%d-%d", round, r)}
+			for j, c := range cells {
+				field = append(field[:0], c...)
+				if err := b.AppendText(j, field); err != nil {
+					t.Fatal(err)
+				}
+				// the wire reuses its read buffer for the next cell
+				for i := range field {
+					field[i] = '#'
+				}
+				want[j] = append(want[j], c)
+			}
+			b.FinishRow()
+		}
+		if len(b.interns[1]) != internBound {
+			t.Fatalf("round %d: distinct column holds %d interned strings, bound is %d", round, len(b.interns[1]), internBound)
+		}
+		_, data := b.Build()
+		for j := range specs {
+			if got := []string(data[j].(qval.SymbolVec)); !slices.Equal(got, want[j]) {
+				t.Fatalf("round %d column %d: decoded symbols differ", round, j)
+			}
+		}
+	}
+	b.Reset(specs, 0)
+	for j := range specs {
+		if len(b.interns[j]) != 0 {
+			t.Fatalf("column %d: intern table survived Reset with %d entries", j, len(b.interns[j]))
+		}
+	}
+	// a repeated symbol costs no allocation once interned
+	field = append(field[:0], "MSFT"...)
+	b.AppendText(0, field)
+	if allocs := testing.AllocsPerRun(100, func() { b.AppendText(0, field) }); allocs > 0.1 {
+		t.Errorf("repeated symbol: %.2f allocations per cell", allocs)
 	}
 }

@@ -136,6 +136,12 @@ func serveConn(ctx context.Context, conn net.Conn, cfg Config, logf func(string,
 		logf("endpoint: handshake failed: %v", err)
 		return
 	}
+	// kdb+'s rule: never compress for a peer on the same host
+	write := qipc.WriteMessage
+	if qipc.LocalPeer(conn.RemoteAddr()) {
+		write = qipc.WriteLocalMessage
+	}
+	reply := func(v qval.Value) error { return write(conn, qipc.Response, v) }
 	handler, cleanup, err := cfg.NewHandler(creds)
 	if err != nil {
 		logf("endpoint: no handler: %v", err)
@@ -181,7 +187,7 @@ func serveConn(ctx context.Context, conn net.Conn, cfg Config, logf func(string,
 		qtext, extracted := extractQuery(msg.Value)
 		if !extracted {
 			if msg.Type == qipc.Sync {
-				respondErr(conn, "type")
+				respondErr(reply, "type")
 			}
 			continue
 		}
@@ -198,10 +204,10 @@ func serveConn(ctx context.Context, conn net.Conn, cfg Config, logf func(string,
 			if connCtx.Err() != nil {
 				return // client disconnected or server hard-canceled: no one to answer
 			}
-			respondErr(conn, renderError(err))
+			respondErr(reply, renderError(err))
 			continue
 		}
-		if err := qipc.WriteMessage(conn, qipc.Response, result); err != nil {
+		if err := reply(result); err != nil {
 			logf("endpoint: write response: %v", err)
 			return
 		}
@@ -244,11 +250,11 @@ func extractQuery(v qval.Value) (string, bool) {
 	}
 }
 
-func respondErr(conn net.Conn, msg string) {
+func respondErr(reply func(qval.Value) error, msg string) {
 	for len(msg) > 0 && msg[0] == '\'' {
 		msg = msg[1:]
 	}
-	if err := qipc.WriteMessage(conn, qipc.Response, &qval.QError{Msg: msg}); err != nil {
+	if err := reply(&qval.QError{Msg: msg}); err != nil {
 		log.Printf("endpoint: failed to send error: %v", err)
 	}
 }

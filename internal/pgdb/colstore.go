@@ -657,7 +657,8 @@ func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
 }
 
 // setCell overwrites one cell in the vectors (UPDATE write-through; the
-// caller mutates the cached row itself, keeping both views coherent).
+// caller replaces the cached row with an edited copy, keeping both views
+// coherent).
 func (st *colStore) setCell(rowIdx, col int, val any) {
 	seg := st.seg(rowIdx / segSize)
 	var old any

@@ -409,7 +409,8 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 	_, isTemp := s.temp[st.Table]
 	var cells []CellUpdate
 	touched := map[[2]int]struct{}{}
-	for ri, row := range t.store.rows() {
+	rows := t.store.rows()
+	for ri, row := range rows {
 		keep, err := pred(row)
 		if err != nil {
 			return nil, err
@@ -417,6 +418,12 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 		if !keep {
 			continue
 		}
+		// copy on write: a row slice may be shared by results already handed
+		// out (pass-through projections share rows), so the cached row is
+		// replaced, never edited; later predicate evaluations — e.g.
+		// subqueries over the same table — still observe the write
+		row = append([]any(nil), row...)
+		rows[ri] = row
 		for _, set := range setters {
 			if set.idx < 0 {
 				return nil, errf("42703", "column %q does not exist", set.col)
@@ -426,9 +433,7 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 				return nil, err
 			}
 			coerced := coerceToColumn(v, t.cols[set.idx].Type)
-			// mutate the cached row in place (later predicate evaluations —
-			// e.g. subqueries over the same table — observe the write, as the
-			// row storage did) and write through to the column vectors
+			// write the cached row and through to the column vectors
 			row[set.idx] = coerced
 			t.store.setCell(ri, set.idx, coerced)
 			cells = append(cells, CellUpdate{Row: ri, Col: set.idx, Val: coerced})

@@ -397,7 +397,10 @@ func (db *DB) ApplyUpdate(name string, cells []CellUpdate) error {
 			if c.Row < 0 || c.Row >= st.numRows() || c.Col < 0 || c.Col >= len(st.cols) {
 				return errf("58030", "update replay out of range: row %d col %d", c.Row, c.Col)
 			}
-			rows[c.Row][c.Col] = c.Val
+			// copy on write, as the UPDATE statement does
+			row := append([]any(nil), rows[c.Row]...)
+			row[c.Col] = c.Val
+			rows[c.Row] = row
 			st.setCell(c.Row, c.Col, c.Val)
 			touched[[2]int{c.Row / segSize, c.Col}] = struct{}{}
 		}

@@ -1,0 +1,165 @@
+package pgdb
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"hyperq/internal/pgdb/sqlparse"
+)
+
+// newProjectDB holds one table p of n rows with a NULL now and then.
+func newProjectDB(t testing.TB, n int) (*DB, *Session) {
+	t.Helper()
+	db := NewDB()
+	s := db.NewSession()
+	if _, err := s.Exec("CREATE TABLE p (id bigint, sym varchar, px double precision)"); err != nil {
+		t.Fatal(err)
+	}
+	syms := []string{"GOOG", "IBM", "", "MSFT", "AAPL"}
+	rows := make([][]any, n)
+	for i := range rows {
+		var px any = float64(i%97) / 4
+		if i%13 == 0 {
+			px = nil
+		}
+		rows[i] = []any{int64(i), syms[i%len(syms)], px}
+	}
+	if err := db.InsertRows("p", rows); err != nil {
+		t.Fatal(err)
+	}
+	return db, s
+}
+
+// memoRows deep-copies table p's memoized row view.
+func memoRows(s *Session) [][]any {
+	t, _ := s.lookupTable("p")
+	var out [][]any
+	for _, r := range t.store.rows() {
+		out = append(out, append([]any(nil), r...))
+	}
+	return out
+}
+
+// notVec filters p through a predicate the vector engine cannot lower, so
+// the filter keeps the memoized rows themselves and a pass-through wrapper
+// over it shares them.
+const notVec = "(SELECT * FROM p WHERE length(sym) >= 0) q"
+
+func TestPassThroughProjectionLeavesRowsUnchanged(t *testing.T) {
+	_, s := newProjectDB(t, 300)
+	stmt, err := sqlparse.Parse("SELECT * FROM p WHERE length(sym) >= 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := s.lookupTable("p")
+	if _, ok := lowerVecPred(stmt.(*sqlparse.SelectStmt).Where, schemaOf(tbl.cols, "p"), tbl.store); ok {
+		t.Fatal("the filter lowers to a vector program; pick one that does not")
+	}
+	res, err := s.Exec("SELECT id AS id, sym AS sym, px AS px FROM " + notVec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &res.Rows[0][0] != &tbl.store.rows()[0][0] {
+		t.Fatal("identity wrapper did not share the memoized rows")
+	}
+	before := memoRows(s)
+	// a result owns its outer slice even over the table's own row view, so
+	// ORDER BY permuting it in place leaves the table's row order alone
+	all, err := sqlparse.Parse("SELECT * FROM p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.project(all.(*sqlparse.SelectStmt), &relation{schema: schemaOf(tbl.cols, "p"), rows: tbl.store.rows()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Reverse(out.Rows)
+	if !reflect.DeepEqual(memoRows(s), before) {
+		t.Fatal("permuting a pass-through result reordered the table's rows")
+	}
+	for _, q := range []string{
+		// identity wrappers
+		"SELECT id AS id, sym AS sym, px AS px FROM " + notVec + " ORDER BY px DESC, id LIMIT 40 OFFSET 7",
+		"SELECT * FROM " + notVec + " ORDER BY sym",
+		"SELECT DISTINCT id AS id, sym AS sym, px AS px FROM " + notVec,
+		"SELECT id, sym, px FROM " + notVec + " UNION ALL SELECT id, sym, px FROM " + notVec + " ORDER BY id DESC",
+		// arena projections
+		"SELECT px AS px, id AS id FROM " + notVec + " ORDER BY px NULLS FIRST, id LIMIT 25 OFFSET 3",
+		"SELECT DISTINCT sym AS s FROM " + notVec + " ORDER BY s",
+		"SELECT sym, id FROM " + notVec + " UNION ALL SELECT sym, id FROM " + notVec + " ORDER BY id LIMIT 9",
+	} {
+		first, err := s.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		second, err := s.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if !reflect.DeepEqual(first.Rows, second.Rows) {
+			t.Errorf("%s: second run differs from the first", q)
+		}
+		if !reflect.DeepEqual(memoRows(s), before) {
+			t.Fatalf("%s: changed the table's memoized rows", q)
+		}
+	}
+}
+
+// TestUpdateDoesNotRewriteSharedRows pins the invariant identity projections
+// rely on: UPDATE replaces a memoized row instead of editing it, so a result
+// handed out earlier keeps the values it was computed with.
+func TestUpdateDoesNotRewriteSharedRows(t *testing.T) {
+	_, s := newProjectDB(t, 50)
+	held, err := s.Exec("SELECT * FROM " + notVec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]any, len(held.Rows))
+	for i, r := range held.Rows {
+		want[i] = append([]any(nil), r...)
+	}
+	if _, err := s.Exec("UPDATE p SET px = -1 WHERE id < 10"); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(held.Rows, want) {
+		t.Fatal("UPDATE rewrote rows a previous result shares")
+	}
+	res, err := s.Exec("SELECT px FROM " + notVec + " WHERE id = 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != -1.0 {
+		t.Fatalf("UPDATE not visible afterwards: %v", res.Rows)
+	}
+}
+
+// TestPassThroughProjectionAllocs holds the identity wrapper to a constant
+// number of allocations whatever the row count, and the arena projection
+// likewise.
+func TestPassThroughProjectionAllocs(t *testing.T) {
+	allocs := func(n int, q string) float64 {
+		_, s := newProjectDB(t, n)
+		stmt, err := sqlparse.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := stmt.(*sqlparse.SelectStmt)
+		tbl, _ := s.lookupTable("p")
+		rel := &relation{schema: schemaOf(tbl.cols, "q"), rows: tbl.store.rows()}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := s.project(sel, rel); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, q := range []string{
+		"SELECT id AS id, sym AS sym, px AS px FROM q",
+		"SELECT px AS px, id AS id FROM q",
+	} {
+		small, large := allocs(1000, q), allocs(20000, q)
+		if large != small {
+			t.Errorf("%s: %.0f allocations at 1k rows, %.0f at 20k", q, small, large)
+		}
+	}
+}

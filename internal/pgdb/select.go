@@ -658,16 +658,23 @@ func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, err
 		return nil, err
 	}
 	rel.rowsView() // generic projection is row-at-a-time
-	winVals, err := s.computeWindows(items, rel)
-	if err != nil {
-		return nil, err
-	}
 	res := &Result{}
 	for _, item := range items {
 		res.Cols = append(res.Cols, Column{
 			Name: itemName(item, rel.schema),
 			Type: s.inferType(item.Expr, rel.schema),
 		})
+	}
+	if !s.interpretedMode() {
+		if cols, ok := bareColumns(items, rel.schema); ok {
+			res.Rows = passThrough(rel.rows, cols)
+			refineTypes(res)
+			return res, nil
+		}
+	}
+	winVals, err := s.computeWindows(items, rel)
+	if err != nil {
+		return nil, err
 	}
 	if s.interpretedMode() {
 		for ri, row := range rel.rows {
@@ -713,6 +720,60 @@ func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, err
 	return res, nil
 }
 
+// bareColumns maps each item to the input column it names, reporting false
+// unless every item is a bare column reference that resolves.
+func bareColumns(items []sqlparse.SelectItem, schema []colBinding) ([]int, bool) {
+	cols := make([]int, len(items))
+	for i, item := range items {
+		cr, ok := item.Expr.(*sqlparse.ColRef)
+		if !ok {
+			return nil, false
+		}
+		c, err := findCol(schema, cr)
+		if err != nil {
+			return nil, false
+		}
+		cols[i] = c
+	}
+	return cols, true
+}
+
+// passThrough projects rows onto cols — the translator's
+// `SELECT a AS a, ... FROM (...)` wrappers. A row slice is never written
+// once built (UPDATE replaces a table's row instead of editing it), so an
+// identity projection shares the input rows and copies only the outer
+// slice, which ORDER BY permutes; any other projection fills one arena.
+func passThrough(rows [][]any, cols []int) [][]any {
+	out := make([][]any, len(rows))
+	if len(rows) > 0 && isIdentity(cols, len(rows[0])) {
+		copy(out, rows)
+		return out
+	}
+	w := len(cols)
+	backing := make([]any, len(rows)*w)
+	for i, row := range rows {
+		r := backing[i*w : (i+1)*w : (i+1)*w]
+		for k, c := range cols {
+			r[k] = row[c]
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// isIdentity reports whether cols lists 0..width-1 in order.
+func isIdentity(cols []int, width int) bool {
+	if len(cols) != width {
+		return false
+	}
+	for i, c := range cols {
+		if c != i {
+			return false
+		}
+	}
+	return true
+}
+
 // projectVec is the late-materialization fast path for a vector scan: when
 // every output item is a bare column reference, the result is built
 // straight from the selection bitmap over the column vectors — one arena-backed
@@ -725,17 +786,9 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 	if err != nil {
 		return nil, false, nil
 	}
-	cols := make([]int, len(items))
-	for i, item := range items {
-		cr, ok := item.Expr.(*sqlparse.ColRef)
-		if !ok {
-			return nil, false, nil
-		}
-		c, err := findCol(rel.schema, cr)
-		if err != nil {
-			return nil, false, nil
-		}
-		cols[i] = c
+	cols, ok := bareColumns(items, rel.schema)
+	if !ok {
+		return nil, false, nil
 	}
 	res := &Result{}
 	for _, item := range items {

@@ -91,6 +91,9 @@ func handleConn(ctx context.Context, conn net.Conn, db *DB, auth AuthConfig) {
 	}
 }
 
+// sendResult writes one statement's result. Cells render with AppendValue
+// straight into the connection's output buffer, so a row costs no
+// allocation however wide it is.
 func sendResult(sc *pgv3.ServerConn, res *Result) error {
 	if len(res.Cols) > 0 {
 		cols := make([]pgv3.ColDesc, len(res.Cols))
@@ -101,15 +104,15 @@ func sendResult(sc *pgv3.ServerConn, res *Result) error {
 			return err
 		}
 		for _, row := range res.Rows {
-			fields := make([]pgv3.Field, len(row))
+			sc.BeginDataRow(len(row))
 			for j, v := range row {
 				if v == nil {
-					fields[j] = pgv3.Field{Null: true}
-				} else {
-					fields[j] = pgv3.Field{Text: FormatValue(v, res.Cols[j].Type)}
+					sc.NullCell()
+					continue
 				}
+				sc.EndCell(AppendValue(sc.BeginCell(), v, res.Cols[j].Type))
 			}
-			if err := sc.SendDataRow(fields); err != nil {
+			if err := sc.EndDataRow(); err != nil {
 				return err
 			}
 		}

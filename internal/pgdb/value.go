@@ -78,54 +78,19 @@ func IsTemporalType(t string) bool {
 
 // FormatValue renders a value as PostgreSQL text output for the given
 // column type. NULL renders as an empty string at the protocol layer (the
-// DataRow encoding distinguishes it by length -1).
+// DataRow encoding distinguishes it by length -1). It is AppendValue's
+// rendering as a string; a string value is returned as is, without a copy.
 func FormatValue(v any, typ string) string {
-	if v == nil {
-		return ""
+	if s, ok := v.(string); ok {
+		return s
 	}
-	switch x := v.(type) {
-	case bool:
-		if x {
-			return "t"
-		}
-		return "f"
-	case int64:
-		switch typ {
-		case "date":
-			return pgEpoch.AddDate(0, 0, int(x)).Format("2006-01-02")
-		case "time":
-			ms := x
-			return fmt.Sprintf("%02d:%02d:%02d.%03d", ms/3600000, ms/60000%60, ms/1000%60, ms%1000)
-		case "timestamp", "timestamptz":
-			t := pgEpoch.Add(time.Duration(x))
-			return t.Format("2006-01-02 15:04:05.999999999")
-		case "interval":
-			return fmt.Sprintf("%d ns", x)
-		default:
-			return strconv.FormatInt(x, 10)
-		}
-	case float64:
-		if math.IsNaN(x) {
-			return "NaN"
-		}
-		// PostgreSQL spells infinities "Infinity"/"-Infinity"; Go's
-		// FormatFloat would emit "+Inf"/"-Inf"
-		if math.IsInf(x, 1) {
-			return "Infinity"
-		}
-		if math.IsInf(x, -1) {
-			return "-Infinity"
-		}
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case string:
-		return x
-	default:
-		return fmt.Sprintf("%v", x)
-	}
+	var buf [32]byte
+	return string(AppendValue(buf[:0], v, typ))
 }
 
-// AppendValue appends FormatValue's rendering of v to dst, for callers that
-// reuse a scratch buffer instead of allocating a string per cell.
+// AppendValue appends v's PostgreSQL text rendering for the column type to
+// dst. It is the one renderer: the PG v3 server writes DataRow cells with it
+// straight into its output buffer, and FormatValue wraps it.
 func AppendValue(dst []byte, v any, typ string) []byte {
 	if v == nil {
 		return dst
@@ -139,7 +104,7 @@ func AppendValue(dst []byte, v any, typ string) []byte {
 	case int64:
 		switch typ {
 		case "date":
-			return pgEpoch.AddDate(0, 0, int(x)).AppendFormat(dst, "2006-01-02")
+			return appendDate(dst, x)
 		case "time":
 			return appendTimeOfDay(dst, x)
 		case "timestamp", "timestamptz":
@@ -151,6 +116,8 @@ func AppendValue(dst []byte, v any, typ string) []byte {
 			return strconv.AppendInt(dst, x, 10)
 		}
 	case float64:
+		// PostgreSQL spells infinities "Infinity"/"-Infinity"; Go's
+		// AppendFloat would emit "+Inf"/"-Inf"
 		switch {
 		case math.IsNaN(x):
 			return append(dst, "NaN"...)
@@ -167,39 +134,73 @@ func AppendValue(dst []byte, v any, typ string) []byte {
 	}
 }
 
-// appendTimeOfDay renders ms-since-midnight as "%02d:%02d:%02d.%03d",
-// byte-identical to FormatValue's fmt.Sprintf for the values the engine
-// produces.
-func appendTimeOfDay(dst []byte, ms int64) []byte {
-	pad2 := func(dst []byte, v int64) []byte {
-		if v >= 0 && v < 10 {
-			dst = append(dst, '0')
-		}
-		return strconv.AppendInt(dst, v, 10)
+// Days since 2000-01-01 of the first and last dates with four-digit years.
+const (
+	minYMDDay = -730485 // 0000-01-01
+	maxYMDDay = 2921939 // 9999-12-31
+)
+
+// appendDate renders days since 2000-01-01 as "YYYY-MM-DD" with integer
+// civil-from-days arithmetic (Hinnant's algorithm over 400-year eras of
+// 146097 days, years starting in March). Years outside 0000-9999 go through
+// time.Time, whose layout decides their sign and width.
+func appendDate(dst []byte, days int64) []byte {
+	if days < minYMDDay || days > maxYMDDay {
+		return pgEpoch.AddDate(0, 0, int(days)).AppendFormat(dst, "2006-01-02")
 	}
-	dst = pad2(dst, ms/3600000)
+	z := days + 730425 + 146097 // days since -0400-03-01: never negative in range
+	era := z / 146097
+	doe := z - era*146097                                  // day of era, [0, 146096]
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // year of era, [0, 399]
+	doy := doe - (365*yoe + yoe/4 - yoe/100)               // day of March-based year
+	mp := (5*doy + 2) / 153                                // March = 0
+	d := doy - (153*mp+2)/5 + 1
+	m := mp + 3
+	y := era*400 + yoe - 400
+	if m > 12 {
+		m -= 12
+		y++
+	}
+	return append(dst,
+		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-',
+		byte('0'+d/10), byte('0'+d%10))
+}
+
+// appendTimeOfDay renders ms-since-midnight exactly as
+// fmt's "%02d:%02d:%02d.%03d" of hours, minutes, seconds and milliseconds
+// does, including negative and over-24-hour values.
+func appendTimeOfDay(dst []byte, ms int64) []byte {
+	dst = appendPadded(dst, ms/3600000, 2)
 	dst = append(dst, ':')
-	dst = pad2(dst, ms/60000%60)
+	dst = appendPadded(dst, ms/60000%60, 2)
 	dst = append(dst, ':')
-	dst = pad2(dst, ms/1000%60)
+	dst = appendPadded(dst, ms/1000%60, 2)
 	dst = append(dst, '.')
-	// "%03d": zero-pad to total width 3, the sign counting toward the width
-	v := ms % 1000
+	return appendPadded(dst, ms%1000, 3)
+}
+
+// appendPadded is fmt's "%0<width>d": zeros between the sign and the digits
+// pad the whole to width, the sign counting toward it.
+func appendPadded(dst []byte, v int64, width int) []byte {
+	var buf [20]byte
+	digits := strconv.AppendUint(buf[:0], absInt(v), 10)
+	n := len(digits)
 	if v < 0 {
 		dst = append(dst, '-')
-		v = -v
-		if v < 10 {
-			dst = append(dst, '0')
-		}
-	} else {
-		if v < 100 {
-			dst = append(dst, '0')
-		}
-		if v < 10 {
-			dst = append(dst, '0')
-		}
+		n++
 	}
-	return strconv.AppendInt(dst, v, 10)
+	for ; n < width; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
+
+func absInt(v int64) uint64 {
+	if v < 0 {
+		return uint64(-v) // also right for MinInt64: two's complement wraps to 2^63
+	}
+	return uint64(v)
 }
 
 // ParseValue converts PostgreSQL text input into an engine value for the

@@ -3,6 +3,7 @@ package sidebyside
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qgen"
+	"hyperq/internal/qlang/qval"
 	"hyperq/internal/wire/pgv3"
 	"hyperq/internal/wire/qipc"
 )
@@ -24,13 +26,15 @@ import (
 // pathStack is one Hyper-Q session pinned to a result path, over its own
 // freshly loaded database.
 type pathStack struct {
+	name    string
 	session *core.Session
 	cleanup func()
 }
 
-// newPathStack loads ds into a fresh pgdb and opens a session with the given
-// result path over the requested backend kind ("direct" or "pgv3").
-func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind string, path core.ResultPath) *pathStack {
+// newPathStack loads ds into a fresh pgdb, runs the setup statements on it,
+// and opens a session with the given result path over the requested backend
+// kind ("direct" or "pgv3").
+func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind string, path core.ResultPath, setup ...string) *pathStack {
 	t.Helper()
 	db := pgdb.NewDB()
 	loader := core.NewDirectBackend(db)
@@ -42,6 +46,15 @@ func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind stri
 		if err := core.LoadQTable(ctx, loader, name, tbl); err != nil {
 			t.Fatalf("load %s: %v", name, err)
 		}
+	}
+	for _, sql := range setup {
+		if _, err := loader.Exec(ctx, sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	name := kind + "/columnar"
+	if path == core.TextPath {
+		name = kind + "/text"
 	}
 	var backend core.Backend = loader
 	cleanup := func() {}
@@ -64,7 +77,7 @@ func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind stri
 	}
 	s := core.NewPlatform().NewSession(backend, core.Config{ResultPath: path})
 	stackCleanup := cleanup
-	return &pathStack{session: s, cleanup: func() {
+	return &pathStack{name: name, session: s, cleanup: func() {
 		s.Close()
 		stackCleanup()
 	}}
@@ -86,16 +99,18 @@ func (ps *pathStack) runEncoded(t *testing.T, ctx context.Context, q string) ([]
 
 // assertPathsAgree runs one query through both stacks and requires identical
 // outcomes: both error, or both succeed with byte-identical QIPC encodings.
-func assertPathsAgree(t *testing.T, ctx context.Context, col, txt *pathStack, q string) {
+// It reports whether both succeeded.
+func assertPathsAgree(t *testing.T, ctx context.Context, a, b *pathStack, q string) bool {
 	t.Helper()
-	cb, cerr := col.runEncoded(t, ctx, q)
-	tb, terr := txt.runEncoded(t, ctx, q)
+	ab, aerr := a.runEncoded(t, ctx, q)
+	bb, berr := b.runEncoded(t, ctx, q)
 	switch {
-	case (cerr == nil) != (terr == nil):
-		t.Errorf("path error divergence on %q: columnar=%v text=%v", q, cerr, terr)
-	case cerr == nil && !bytes.Equal(cb, tb):
-		t.Errorf("QIPC bytes diverge on %q: columnar %d bytes, text %d bytes", q, len(cb), len(tb))
+	case (aerr == nil) != (berr == nil):
+		t.Errorf("error divergence on %q: %s=%v %s=%v", q, a.name, aerr, b.name, berr)
+	case aerr == nil && !bytes.Equal(ab, bb):
+		t.Errorf("QIPC bytes diverge on %q: %s %d bytes, %s %d bytes", q, a.name, len(ab), b.name, len(bb))
 	}
+	return aerr == nil && berr == nil
 }
 
 var streamParityBackends = []string{"direct", "pgv3"}
@@ -176,4 +191,90 @@ func TestStreamParityFuzz(t *testing.T) {
 			txt.cleanup()
 		})
 	}
+}
+
+// TestStreamParityBackends holds the two backend shapes to each other on the
+// columnar path: the embedded engine's typed rows (Row) and a loopback PG v3
+// server's text rows (TextRow) must encode to byte-identical QIPC. The
+// per-backend suites above compare two legs that read the same wire bytes;
+// here one result crossed pgserver's DataRow writer and the other never did,
+// so a server-side rendering bug shows.
+func TestStreamParityBackends(t *testing.T) {
+	ctx := context.Background()
+	pair := func(t *testing.T, ds *qgen.Dataset, setup ...string) (direct, wire *pathStack) {
+		direct = newPathStack(t, ctx, ds, "direct", core.ColumnarPath, setup...)
+		wire = newPathStack(t, ctx, ds, "pgv3", core.ColumnarPath, setup...)
+		return direct, wire
+	}
+	t.Run("corpus", func(t *testing.T) {
+		entries, err := LoadCorpus("testdata/qdiff")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			ds, err := qgen.DecodeDataset(e.Tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, wire := pair(t, ds)
+			assertPathsAgree(t, ctx, direct, wire, e.Query)
+			direct.cleanup()
+			wire.cleanup()
+		}
+	})
+	t.Run("fuzz", func(t *testing.T) {
+		const n, reload = 300, 30
+		g := qgen.New(qgen.Config{Seed: 23})
+		var direct, wire *pathStack
+		ok := 0
+		for i := 0; i < n; i++ {
+			if i%reload == 0 {
+				if direct != nil {
+					direct.cleanup()
+					wire.cleanup()
+				}
+				direct, wire = pair(t, g.Dataset())
+			}
+			if assertPathsAgree(t, ctx, direct, wire, g.Query().Q()) {
+				ok++
+			}
+		}
+		direct.cleanup()
+		wire.cleanup()
+		// agreeing by erroring on both sides proves nothing about rendering
+		if ok < n/2 {
+			t.Errorf("only %d of %d queries returned a result on both backends", ok, n)
+		}
+	})
+	t.Run("wide-symbols", func(t *testing.T) {
+		// more distinct symbols than a column's intern table holds, then an
+		// empty string next to a NULL in the same column
+		const n = 3000
+		syms := make(qval.SymbolVec, n)
+		is := make(qval.LongVec, n)
+		fs := make(qval.FloatVec, n)
+		for j := range syms {
+			syms[j] = fmt.Sprintf("k%04d", (j*7919)%n)
+			is[j] = int64(j % 5)
+			fs[j] = float64(j%17) / 8
+		}
+		ds := &qgen.Dataset{Tables: map[string]*qval.Table{
+			"t": qval.NewTable([]string{"s", "i", "f"}, []qval.Value{syms, is, fs}),
+		}}
+		direct, wire := pair(t, ds,
+			fmt.Sprintf("INSERT INTO t VALUES (%d, '', 1, 0.5), (%d, NULL, 2, 1.5), (%d, '', NULL, NULL)", n, n+1, n+2))
+		defer direct.cleanup()
+		defer wire.cleanup()
+		for _, q := range []string{
+			"select from t",
+			"select s, f from t where i>1",
+			"select n:count i by s from t",
+			"select from t where s in `k0001`k2999`",
+			"select last s by i from t",
+		} {
+			if !assertPathsAgree(t, ctx, direct, wire, q) {
+				t.Errorf("%q failed", q)
+			}
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"net"
 	"time"
 )
@@ -15,7 +14,7 @@ import (
 type ClientConn struct {
 	conn net.Conn
 	r    *bufio.Reader
-	w    *bufio.Writer
+	out  frame
 	// streaming scratch, reused across messages of one query at a time (a
 	// connection serves one query at a time)
 	rbuf   []byte
@@ -54,7 +53,7 @@ func Connect(ctx context.Context, addr, user, password, database string) (*Clien
 		conn.SetDeadline(deadline)
 		defer conn.SetDeadline(time.Time{})
 	}
-	c := &ClientConn{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	c := &ClientConn{conn: conn, r: bufio.NewReader(conn)}
 	if err := c.startup(user, password, database); err != nil {
 		conn.Close()
 		return nil, err
@@ -64,30 +63,22 @@ func Connect(ctx context.Context, addr, user, password, database string) (*Clien
 
 func (c *ClientConn) startup(user, password, database string) error {
 	// startup message: no type byte
-	var body []byte
-	body = binary.BigEndian.AppendUint32(body, ProtocolVersion)
-	add := func(k, v string) {
-		body = append(append(body, k...), 0)
-		body = append(append(body, v...), 0)
-	}
-	add("user", user)
+	c.out.beginUntyped()
+	c.out.int32(ProtocolVersion)
+	c.out.cstr("user")
+	c.out.cstr(user)
 	if database != "" {
-		add("database", database)
+		c.out.cstr("database")
+		c.out.cstr(database)
 	}
-	body = append(body, 0)
-	hdr := binary.BigEndian.AppendUint32(nil, uint32(len(body)+4))
-	if _, err := c.w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := c.w.Write(body); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
+	c.out.byte1(0)
+	c.out.end()
+	if err := c.flush(); err != nil {
 		return err
 	}
 	// authentication loop
 	for {
-		typ, msg, err := readTyped(c.r)
+		typ, msg, err := c.read()
 		if err != nil {
 			return err
 		}
@@ -128,12 +119,25 @@ func (c *ClientConn) startup(user, password, database string) error {
 }
 
 func (c *ClientConn) sendPassword(pw string) error {
-	m := newMsg('p')
-	m.cstr(pw)
-	if err := m.writeTo(c.w); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	c.out.begin('p')
+	c.out.cstr(pw)
+	c.out.end()
+	return c.flush()
+}
+
+// flush writes the queued messages to the socket.
+func (c *ClientConn) flush() error {
+	_, err := c.conn.Write(c.out.b)
+	c.out.b = c.out.b[:0]
+	return err
+}
+
+// read reads one typed message into the connection's reusable body buffer;
+// the returned body is only valid until the next read.
+func (c *ClientConn) read() (byte, []byte, error) {
+	typ, body, buf, err := readTyped(c.r, c.rbuf)
+	c.rbuf = buf
+	return typ, body, err
 }
 
 // Query runs one SQL statement via the simple query protocol and collects
@@ -232,19 +236,17 @@ func (c *ClientConn) armContext(ctx context.Context) func(error) error {
 }
 
 func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver) error {
-	m := newMsg('Q')
-	m.cstr(sql)
-	if err := m.writeTo(c.w); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
+	c.out.begin('Q')
+	c.out.cstr(sql)
+	c.out.end()
+	if err := c.flush(); err != nil {
 		return err
 	}
 	var qerr, sinkErr error
 	var tag string
 	aborted := false
 	for {
-		typ, body, err := c.readTypedReuse()
+		typ, body, err := c.read()
 		if err != nil {
 			return err
 		}
@@ -303,28 +305,6 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 	}
 }
 
-// readTypedReuse reads one typed message into the connection's reusable
-// body buffer; the returned body is only valid until the next read.
-func (c *ClientConn) readTypedReuse() (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n < 4 || n > 1<<30 {
-		return 0, nil, errf("implausible message length %d", n)
-	}
-	need := int(n - 4)
-	if cap(c.rbuf) < need {
-		c.rbuf = make([]byte, need)
-	}
-	body := c.rbuf[:need]
-	if _, err := io.ReadFull(c.r, body); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], body, nil
-}
-
 // parseDataRowInto decodes a DataRow into the connection's reusable field
 // slice: nil for NULL, subslices of the read buffer otherwise.
 func (c *ClientConn) parseDataRowInto(b []byte) error {
@@ -358,9 +338,9 @@ func (c *ClientConn) parseDataRowInto(b []byte) error {
 
 // Close sends Terminate and closes the socket.
 func (c *ClientConn) Close() error {
-	m := newMsg('X')
-	m.writeTo(c.w)
-	c.w.Flush()
+	c.out.begin('X')
+	c.out.end()
+	c.flush()
 	return c.conn.Close()
 }
 

@@ -125,7 +125,7 @@ func startBulkServer(t *testing.T, n int) string {
 					}
 					sc.SendRowDescription([]ColDesc{{Name: "n", TypeOID: OidInt8}})
 					for i := 0; i < n; i++ {
-						sc.SendDataRow([]Field{{Text: strconv.Itoa(i)}})
+						sendRow(sc, strconv.Itoa(i))
 					}
 					sc.SendCommandComplete(fmt.Sprintf("SELECT %d", n))
 					sc.SendReadyForQuery()

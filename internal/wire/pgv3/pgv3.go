@@ -157,50 +157,74 @@ func TypeForOID(oid uint32) string {
 	}
 }
 
-// msg is a low-level builder for typed protocol messages.
-type msg struct {
-	typ byte
-	b   []byte
+// frame builds outgoing messages in place in one reusable buffer: begin
+// writes the type byte and a length placeholder, end back-patches the
+// length, so a message is never assembled apart and copied to be framed.
+// Several messages may queue in b before the owner writes it out.
+type frame struct {
+	b     []byte
+	start int // offset of the open message's length field
 }
 
-func newMsg(typ byte) *msg { return &msg{typ: typ} }
-
-func (m *msg) byte1(v byte)  { m.b = append(m.b, v) }
-func (m *msg) int16(v int16) { m.b = binary.BigEndian.AppendUint16(m.b, uint16(v)) }
-func (m *msg) int32(v int32) { m.b = binary.BigEndian.AppendUint32(m.b, uint32(v)) }
-func (m *msg) cstr(s string) { m.b = append(append(m.b, s...), 0) }
-func (m *msg) bytes(p []byte) {
-	m.b = append(m.b, p...)
+// begin opens a typed message.
+func (f *frame) begin(typ byte) {
+	f.b = append(f.b, typ)
+	f.beginUntyped()
 }
 
-func (m *msg) writeTo(w io.Writer) error {
-	hdr := make([]byte, 0, 5)
-	if m.typ != 0 {
-		hdr = append(hdr, m.typ)
-	}
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(m.b)+4))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(m.b)
-	return err
+// beginUntyped opens a message without a type byte (the startup message).
+func (f *frame) beginUntyped() {
+	f.start = len(f.b)
+	f.b = append(f.b, 0, 0, 0, 0)
 }
 
-// readTyped reads one typed message: (type byte, body).
-func readTyped(r io.Reader) (byte, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return 0, nil, err
+// end closes the open message; its length counts itself but not the type.
+func (f *frame) end() {
+	binary.BigEndian.PutUint32(f.b[f.start:], uint32(len(f.b)-f.start))
+}
+
+func (f *frame) byte1(v byte)  { f.b = append(f.b, v) }
+func (f *frame) int16(v int16) { f.b = binary.BigEndian.AppendUint16(f.b, uint16(v)) }
+func (f *frame) int32(v int32) { f.b = binary.BigEndian.AppendUint32(f.b, uint32(v)) }
+func (f *frame) cstr(s string) { f.b = append(append(f.b, s...), 0) }
+
+// maxMessage bounds the length a message header may announce.
+const maxMessage = 1 << 30
+
+// readTyped reads one typed message into buf, returning the type byte, the
+// body (valid until buf is next reused) and buf for reuse.
+func readTyped(r io.Reader, buf []byte) (byte, []byte, []byte, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, nil, buf, err
 	}
 	n := binary.BigEndian.Uint32(hdr[1:])
-	if n < 4 || n > 1<<30 {
-		return 0, nil, errf("implausible message length %d", n)
+	if n < 4 || n > maxMessage {
+		return 0, nil, buf, errf("implausible message length %d", n)
 	}
-	body := make([]byte, n-4)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	body, err := readBody(r, buf, int(n-4))
+	return hdr[0], body, body, err
+}
+
+// readBody reads an n-byte message body into buf's storage. The buffer grows
+// only as bytes arrive, so a length header the peer does not back with data
+// cannot make the reader allocate what it claims.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
+		if err != nil {
+			return buf, err
+		}
 	}
-	return hdr[0], body, nil
+	return buf, nil
 }
 
 // md5Password computes the PostgreSQL MD5 password response:

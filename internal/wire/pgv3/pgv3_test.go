@@ -49,12 +49,25 @@ func echoServer(t *testing.T, l net.Listener, method AuthMethod, users map[strin
 			{Name: "a", TypeOID: OidInt8},
 			{Name: "b", TypeOID: OidVarchar},
 		})
-		sc.SendDataRow([]Field{{Text: "1"}, {Text: "x"}})
-		sc.SendDataRow([]Field{{Text: "2"}, {Null: true}})
+		sendRow(sc, "1", "x")
+		sendRow(sc, "2", nil)
 		sc.SendCommandComplete("SELECT 2")
 		sc.SendReadyForQuery()
 		sc.Flush()
 	}
+}
+
+// sendRow writes one DataRow: a string cell is text, a nil cell is NULL.
+func sendRow(sc *ServerConn, cells ...any) error {
+	sc.BeginDataRow(len(cells))
+	for _, c := range cells {
+		if c == nil {
+			sc.NullCell()
+			continue
+		}
+		sc.EndCell(append(sc.BeginCell(), c.(string)...))
+	}
+	return sc.EndDataRow()
 }
 
 func startEcho(t *testing.T, method AuthMethod, users map[string]string) string {

@@ -99,8 +99,15 @@ func Decompress(z []byte) ([]byte, error) {
 		return nil, errf("compressed message too short")
 	}
 	total := binary.LittleEndian.Uint32(z[8:])
-	if total < headerLen || total > 1<<30 {
+	if total < headerLen || total > maxMessage {
 		return nil, errf("implausible uncompressed length %d", total)
+	}
+	// A control byte governs eight items and the largest item, a two-byte
+	// back-reference, expands to 2+255 bytes: 17 input bytes never yield
+	// more than 8×257 output bytes. A longer claim is a lie that would make
+	// the buffer below as large as the sender pleases.
+	if maxOut := (int64(len(z)-12) + 16) / 17 * 8 * 257; int64(total-headerLen) > maxOut {
+		return nil, errf("uncompressed length %d exceeds what %d compressed bytes can expand to", total, len(z))
 	}
 	dst := make([]byte, total)
 	copy(dst, z[:4])

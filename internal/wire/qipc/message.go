@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 	"strings"
 	"sync"
 
@@ -24,6 +25,9 @@ const headerLen = 8
 // matching kdb+'s behaviour of compressing large inter-process messages.
 const CompressThreshold = 2000
 
+// maxMessage bounds the length a message header may announce.
+const maxMessage = 1 << 30
+
 // Message is one decoded QIPC message.
 type Message struct {
 	Type  MsgType
@@ -37,12 +41,36 @@ var msgBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledMsgBuf = 1 << 20
 
-// WriteMessage frames and writes one message. The frame buffer comes from a
+// WriteMessage frames and writes one message to a remote peer: payloads
+// above CompressThreshold are compressed when that at least halves them.
+func WriteMessage(w io.Writer, typ MsgType, v qval.Value) error {
+	return writeMessage(w, typ, v, true)
+}
+
+// WriteLocalMessage frames and writes one message uncompressed, as kdb+
+// does for a peer on the same host: compressing costs CPU on both ends to
+// save bandwidth a loopback connection does not lack.
+func WriteLocalMessage(w io.Writer, typ MsgType, v qval.Value) error {
+	return writeMessage(w, typ, v, false)
+}
+
+// LocalPeer reports whether a connection's remote address is on this host
+// — a loopback IP or a Unix socket — the peers kdb+ never compresses for.
+func LocalPeer(addr net.Addr) bool {
+	switch a := addr.(type) {
+	case *net.TCPAddr:
+		return a.IP.IsLoopback()
+	case *net.UnixAddr:
+		return true
+	}
+	return false
+}
+
+// writeMessage frames and writes one message. The frame buffer comes from a
 // pool and is sized up front from the value's exact encoded length, so the
 // value — typically a column-oriented result table — serializes straight
-// into place with no growth reallocations and no header copy. Payloads above
-// CompressThreshold are compressed when compression actually shrinks them.
-func WriteMessage(w io.Writer, typ MsgType, v qval.Value) error {
+// into place with no growth reallocations and no header copy.
+func writeMessage(w io.Writer, typ MsgType, v qval.Value, compress bool) error {
 	bp := msgBufPool.Get().(*[]byte)
 	defer func() {
 		if cap(*bp) <= maxPooledMsgBuf {
@@ -60,7 +88,7 @@ func WriteMessage(w io.Writer, typ MsgType, v qval.Value) error {
 	}
 	*bp = raw
 	binary.LittleEndian.PutUint32(raw[4:8], uint32(len(raw)))
-	if len(raw) > CompressThreshold {
+	if compress && len(raw) > CompressThreshold {
 		if z, ok := Compress(raw); ok {
 			_, err = w.Write(z)
 			return err
@@ -72,20 +100,19 @@ func WriteMessage(w io.Writer, typ MsgType, v qval.Value) error {
 
 // ReadMessage reads and decodes one message, decompressing when flagged.
 func ReadMessage(r io.Reader) (*Message, error) {
-	hdr := make([]byte, headerLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	if hdr[0] != 1 {
 		return nil, errf("big-endian peers are not supported")
 	}
 	total := binary.LittleEndian.Uint32(hdr[4:])
-	if total < headerLen || total > 1<<30 {
+	if total < headerLen || total > maxMessage {
 		return nil, errf("implausible message length %d", total)
 	}
-	buf := make([]byte, total)
-	copy(buf, hdr)
-	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
+	buf, err := readFrame(r, hdr[:], int(total))
+	if err != nil {
 		return nil, err
 	}
 	if hdr[2] == 1 {
@@ -100,6 +127,27 @@ func ReadMessage(r io.Reader) (*Message, error) {
 		return nil, err
 	}
 	return &Message{Type: MsgType(hdr[1]), Value: v}, nil
+}
+
+// readFrame reads the rest of a total-byte frame whose header is hdr. The
+// buffer grows only as bytes arrive, so a length header the peer does not
+// back with data cannot make the reader allocate what it claims.
+func readFrame(r io.Reader, hdr []byte, total int) ([]byte, error) {
+	buf := append(make([]byte, 0, min(total, 64<<10)), hdr...)
+	for len(buf) < total {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := io.ReadFull(r, buf[len(buf):min(cap(buf), total)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // Handshake credentials exchanged at connection open (paper §4.2): the
