@@ -3,12 +3,14 @@ package pgdb_test
 import (
 	"context"
 	"regexp"
+	"runtime"
 	"testing"
 
 	"hyperq/internal/core"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 	"hyperq/internal/taq"
+	"hyperq/internal/workload"
 	"hyperq/internal/xtra"
 )
 
@@ -29,22 +31,28 @@ var benchShapes = []string{
 	"select bid:last Bid, ask:last Ask from quotes where Symbol=`GOOG",
 }
 
-// TestBenchShapesStayColumnar translates every benchmark shape through the
-// Hyper-Q pipeline and runs it on cold (all-stub) trades and quotes tables:
-// no shape may build a table's boxed row view, and each may fault in only
-// the columns its q text names plus the translator's order column.
-func TestBenchShapesStayColumnar(t *testing.T) {
+// benchTables loads trading days from 2016.06.27 on, each of the given
+// number of trades (twice as many quotes), plus the first day's daily and
+// refdata tables, into a database behind a direct backend. Each day's load
+// numbers its rows' order column from 0.
+func benchTables(t *testing.T, days, trades int) (*pgdb.DB, core.Backend) {
+	t.Helper()
 	ctx := context.Background()
 	db := pgdb.NewDB()
 	b := core.NewDirectBackend(db)
-	// two trading days of 3000 trades (6000 quotes) each: several segments,
-	// and a date predicate that prunes some of them
-	for i, day := range []qval.Temporal{qval.MkDate(2016, 6, 27), qval.MkDate(2016, 6, 28)} {
-		d := taq.Generate(taq.Config{Seed: int64(i + 1), Trades: 3000, Date: day})
-		for _, tbl := range []struct {
+	for i := 0; i < days; i++ {
+		d := taq.Generate(taq.Config{Seed: int64(i + 1), Trades: trades, Date: qval.MkDate(2016, 6, 27+i)})
+		tables := []struct {
 			name string
 			t    *qval.Table
-		}{{"trades", d.Trades}, {"quotes", d.Quotes}} {
+		}{{"trades", d.Trades}, {"quotes", d.Quotes}}
+		if i == 0 {
+			tables = append(tables, []struct {
+				name string
+				t    *qval.Table
+			}{{"daily", d.Daily}, {"refdata", d.RefData}}...)
+		}
+		for _, tbl := range tables {
 			if i == 0 {
 				if err := core.CreateQTable(ctx, b, tbl.name, tbl.t); err != nil {
 					t.Fatal(err)
@@ -55,28 +63,126 @@ func TestBenchShapesStayColumnar(t *testing.T) {
 			}
 		}
 	}
+	return db, b
+}
+
+// runCold translates and runs q with the named tables re-registered as
+// all-stub segments, and fails the test if q builds a table's boxed row view
+// or faults in a column allowed does not accept. It returns the faulted
+// column names per table.
+func runCold(t *testing.T, db *pgdb.DB, s *core.Session, q string, tables []string, allowed func(table, col string) bool) map[string][]string {
+	t.Helper()
+	faulted := map[string]func() []string{}
+	for _, name := range tables {
+		faulted[name] = pgdb.RelazyTable(db, name)
+	}
+	if _, _, err := s.Run(context.Background(), q); err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	out := map[string][]string{}
+	for name, cols := range faulted {
+		if pgdb.RowCacheBuilt(db, name) {
+			t.Errorf("%s: built the boxed row view of %s", q, name)
+		}
+		out[name] = cols()
+		for _, c := range out[name] {
+			if !allowed(name, c) {
+				t.Errorf("%s: faulted %s.%s, which it does not reference", q, name, c)
+			}
+		}
+	}
+	return out
+}
+
+// named reports whether q's text names column c, or c is the translator's
+// order column.
+func named(q, c string) bool {
+	return c == xtra.OrdCol || regexp.MustCompile(`\b`+c+`\b`).MatchString(q)
+}
+
+// TestBenchShapesStayColumnar translates every benchmark shape through the
+// Hyper-Q pipeline and runs it on cold (all-stub) trades and quotes tables:
+// no shape may build a table's boxed row view, and each may fault in only
+// the columns its q text names plus the translator's order column. Two days
+// of 3000 trades give several segments and a date predicate that prunes
+// some of them.
+func TestBenchShapesStayColumnar(t *testing.T) {
+	db, b := benchTables(t, 2, 3000)
 	s := core.NewPlatform().NewSession(b, core.Config{})
 	for _, q := range benchShapes {
-		faulted := map[string]func() []string{}
-		for _, name := range []string{"trades", "quotes"} {
-			faulted[name] = pgdb.RelazyTable(db, name)
-		}
-		if _, _, err := s.Run(ctx, q); err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		for name, cols := range faulted {
-			if pgdb.RowCacheBuilt(db, name) {
-				t.Errorf("%s: built the boxed row view of %s", q, name)
-			}
-			for _, c := range cols() {
-				if c != xtra.OrdCol && !regexp.MustCompile(`\b`+c+`\b`).MatchString(q) {
-					t.Errorf("%s: faulted %s.%s, which it does not reference", q, name, c)
-				}
-			}
-		}
-		t.Logf("%s: faulted trades %v, quotes %v", q, faulted["trades"](), faulted["quotes"]())
-		if len(faulted["trades"]())+len(faulted["quotes"]()) == 0 {
+		faulted := runCold(t, db, s, q, []string{"trades", "quotes"}, func(_, c string) bool { return named(q, c) })
+		t.Logf("%s: faulted trades %v, quotes %v", q, faulted["trades"], faulted["quotes"])
+		if len(faulted["trades"])+len(faulted["quotes"]) == 0 {
 			t.Errorf("%s: faulted nothing; the test tables are not cold", q)
 		}
+	}
+}
+
+// TestJoinShapesStayColumnar runs the Analytical Workload's join queries —
+// lookups (lj) and as-of joins (aj) over trades, quotes, daily and refdata —
+// through the translator on cold tables. Joins and their subquery sides pass
+// columns, not rows: no query may build a table's boxed row view, and each
+// may fault in only the columns its q text names, the order column, the
+// Symbol key every lj and aj joins on, and every column of a table it joins
+// whole (query 19 returns all of daily). One day's load keeps the order
+// column unique, as the as-of fusion needs; 5000 trades span two segments.
+func TestJoinShapesStayColumnar(t *testing.T) {
+	db, b := benchTables(t, 1, 5000)
+	s := core.NewPlatform().NewSession(b, core.Config{})
+	whole := map[int]string{19: "daily"}
+	tables := []string{"trades", "quotes", "daily", "refdata"}
+	ran := 0
+	for _, wq := range workload.Queries() {
+		switch wq.ID {
+		case 9, 10, 13, 18, 19, 20, 25:
+		default:
+			continue
+		}
+		ran++
+		faulted := runCold(t, db, s, wq.Q, tables, func(table, c string) bool {
+			return named(wq.Q, c) || c == "Symbol" || whole[wq.ID] == table
+		})
+		t.Logf("q%d: faulted %v", wq.ID, faulted)
+	}
+	if ran != 7 {
+		t.Fatalf("ran %d of the seven join queries", ran)
+	}
+}
+
+// TestPointLookupAllocsBounded holds a one-row point lookup — the
+// point_lookups workload's `daily` shape through the translator — to a
+// fixed allocation count and byte budget. The budget is far below what one
+// segment's capacity per column of the intermediate subquery would cost.
+func TestPointLookupAllocsBounded(t *testing.T) {
+	ctx := context.Background()
+	db := pgdb.NewDB()
+	b := core.NewDirectBackend(db)
+	if err := core.LoadQTable(ctx, b, "daily", taq.Generate(taq.Config{Seed: 1, Trades: 3000}).Daily); err != nil {
+		t.Fatal(err)
+	}
+	sql, _, err := core.NewPlatform().NewSession(b, core.Config{}).Translate(ctx, "select from daily where Symbol=`GOOG, Volume<1000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := db.NewSession()
+	exec := func() {
+		res, err := s.Exec(sql)
+		if err != nil || len(res.Rows) != 1 {
+			t.Fatalf("point lookup: %v rows, %v", res, err)
+		}
+	}
+	exec()
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, exec)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		exec()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocations, %d bytes per lookup", allocs, bytes)
+	if allocs > 400 || bytes > 48<<10 {
+		t.Fatalf("point lookup allocates %.0f times, %d bytes; budget 400 and 48 KiB", allocs, bytes)
 	}
 }

@@ -11,10 +11,12 @@ import (
 // Columnar table storage: a storedTable keeps its data as typed column
 // vectors organized into fixed-size segments, each column carrying a null
 // bitmap and a per-segment min/max zone map. The compiled engine's scans
-// (vector.go, vecagg.go) read these vectors batch-at-a-time, and box only
-// the selected rows and read columns for an operator that needs rows
-// (boxSel); the interpreter, joins and DML read through a memoized row-view
-// adapter (rows()), which materializes boxed rows once and keeps them
+// (vector.go, vecagg.go) read these vectors batch-at-a-time, subqueries and
+// equi/as-of joins hand the next operator statement-private stores of the
+// same shape (gather.go), and an operator that needs rows boxes only the
+// selected rows and read columns (boxSel). The interpreter, DML and the row
+// fallbacks of the other operators read through a memoized row-view adapter
+// (rows()), which materializes boxed rows once and keeps them
 // write-through-coherent with the vectors.
 
 // segSize is the number of rows per segment. It is a multiple of 64 so a
@@ -396,6 +398,16 @@ type colStore struct {
 	// ix holds the table's access paths: per-column sorted attributes, lazy
 	// hash indexes, and the as-of bucket cache (index.go).
 	ix indexState
+
+	// private marks a statement-private store (gather.go): a subquery's or
+	// a join's output, never registered in the catalog, with no access
+	// paths. src is set for a private view — an unfiltered projection
+	// sharing the vectors of a table store (or of a materialized private
+	// store) — and srcCols[c] names the src column behind column c; the
+	// view's stub columns fault in through src.
+	private bool
+	src     *colStore
+	srcCols []int
 }
 
 func newColStore(cols []Column) *colStore {
@@ -484,23 +496,14 @@ func (st *colStore) fault(si int, cols []int) *segment {
 	if len(missing) == 0 {
 		return s // concurrent faults won every requested column
 	}
-	if st.loader == nil {
-		panic(&storeFault{err: fmt.Errorf("segment %d is evicted and the store has no loader", si)})
-	}
-	data, err := st.loader(si, missing)
-	if err != nil {
-		panic(&storeFault{err: fmt.Errorf("reloading segment %d: %w", si, err)})
-	}
+	loaded := st.load(si, missing)
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
 	cur := slot.p.Load()
 	ns := &segment{n: cur.n, vecs: make([]colVec, len(cur.vecs))}
 	copy(ns.vecs, cur.vecs)
-	for _, c := range missing {
-		if c >= len(data.Vecs) {
-			panic(&storeFault{err: fmt.Errorf("reloading segment %d: loader returned %d vectors, need column %d", si, len(data.Vecs), c)})
-		}
-		ns.vecs[c] = vecFromData(data.Vecs[c])
+	for i, c := range missing {
+		ns.vecs[c] = loaded[i]
 	}
 	for c := range ns.vecs {
 		if ns.vecs[c].stub {
@@ -510,6 +513,38 @@ func (st *colStore) fault(si int, cols []int) *segment {
 	}
 	slot.p.Store(ns)
 	return ns
+}
+
+// load reads the missing columns of segment si: a private view through its
+// source store, faulting only the mapped columns there, a table through its
+// loader.
+func (st *colStore) load(si int, missing []int) []colVec {
+	out := make([]colVec, len(missing))
+	if st.src != nil {
+		srcCols := make([]int, len(missing))
+		for i, c := range missing {
+			srcCols[i] = st.srcCols[c]
+		}
+		seg := st.src.segCols(si, srcCols)
+		for i, c := range srcCols {
+			out[i] = seg.vecs[c].clipped()
+		}
+		return out
+	}
+	if st.loader == nil {
+		panic(&storeFault{err: fmt.Errorf("segment %d is evicted and the store has no loader", si)})
+	}
+	data, err := st.loader(si, missing)
+	if err != nil {
+		panic(&storeFault{err: fmt.Errorf("reloading segment %d: %w", si, err)})
+	}
+	for i, c := range missing {
+		if c >= len(data.Vecs) {
+			panic(&storeFault{err: fmt.Errorf("reloading segment %d: loader returned %d vectors, need column %d", si, len(data.Vecs), c)})
+		}
+		out[i] = vecFromData(data.Vecs[c])
+	}
+	return out
 }
 
 // addSeg appends a fresh segment slot holding seg.

@@ -141,7 +141,7 @@ func (s *Session) execStmt(stmt sqlparse.Stmt) (res *Result, err error) {
 	defer trapFault(&err)
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		res, err := s.execSelect(st, nil)
+		res, err := s.execSelect(st, false)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +187,7 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTableStmt) (*Result, error)
 	var t *storedTable
 	var initRows [][]any
 	if st.AsSelect != nil {
-		res, err := s.execSelect(st.AsSelect, nil)
+		res, err := s.execSelect(st.AsSelect, false)
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +310,7 @@ func (s *Session) execInsert(st *sqlparse.InsertStmt) (*Result, error) {
 	}
 	var incoming [][]any
 	if st.Select != nil {
-		res, err := s.execSelect(st.Select, nil)
+		res, err := s.execSelect(st.Select, false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,290 @@
+package pgdb
+
+import (
+	"math/bits"
+	"slices"
+)
+
+// Columnar intermediates. A FROM-clause subquery that takes the bare-column
+// vector projection, a typed hash equi-join and a typed as-of join each
+// return a statement-private colStore instead of boxed rows, so the operator
+// above them runs the same vector paths a base-table scan does: bitmap
+// predicates, the fused aggregation and the late-materialized projection.
+// Two shapes exist:
+//
+//   - a view (viewOf) — the unfiltered projection of a store: segments whose
+//     vectors are struct copies of the source's, sharing the data. A view
+//     keeps its source's stubs and faults them in through the source, and it
+//     records the table store behind it (baseCol), which is how the typed
+//     joins reach a table's hash index and as-of cache through the
+//     translator's pass-through wrappers.
+//   - a materialized store (gatherCols) — typed copies of picked rows: the
+//     selected rows of a filtered subquery, or a join's (left, right) row
+//     pairs. Only the gathered columns of segments holding a picked row
+//     fault in.
+//
+// Private stores are built for one statement and are never written, so
+// they carry no access paths: no sorted attributes, no hash indexes and no
+// as-of cache. Zone maps are the source's (a view) or nil (a gather: no
+// verdict). Every vector's capacity equals its segment's row count — a
+// one-row point lookup must not allocate a segment's worth of each column.
+// A consumer that still needs rows calls rowsView, which boxes the private
+// store once through rows().
+
+// newPrivateStore returns a statement-private store of n rows over cols,
+// its segments allocated with unset vectors for the builder to fill.
+func newPrivateStore(cols []Column, n int) *colStore {
+	st := &colStore{cols: cols, n: n, private: true}
+	for lo := 0; lo < n; lo += segSize {
+		st.addSeg(&segment{n: min(segSize, n-lo), vecs: make([]colVec, len(cols))})
+	}
+	return st
+}
+
+// viewOf is the unfiltered projection of st onto cols, named out: it shares
+// st's vectors, stubs included, and records the store they come from.
+func viewOf(st *colStore, cols []int, out []Column) *colStore {
+	v := newPrivateStore(out, st.n)
+	v.src, v.srcCols = st, cols
+	if st.src != nil {
+		v.src, v.srcCols = st.src, make([]int, len(cols))
+		for k, c := range cols {
+			v.srcCols[k] = st.srcCols[c]
+		}
+	}
+	for si := range v.slots {
+		from, to := st.peekSeg(si), v.peekSeg(si)
+		for k, c := range cols {
+			to.vecs[k] = from.vecs[c].clipped()
+			to.stub = to.stub || to.vecs[k].stub
+		}
+	}
+	return v
+}
+
+// clipped returns v with its data slices' capacity cut to their length: the
+// copy shares the data but holds no spare room of the source's.
+func (v colVec) clipped() colVec {
+	v.ints, v.floats, v.strs = slices.Clip(v.ints), slices.Clip(v.floats), slices.Clip(v.strs)
+	v.bools, v.anys = slices.Clip(v.bools), slices.Clip(v.anys)
+	return v
+}
+
+// baseCol names the table store and column behind column c: the store
+// itself for a table, a view's source for a view over one; nil for a
+// materialized private store, whose row ids no table's access path knows.
+func (st *colStore) baseCol(c int) (*colStore, int) {
+	switch {
+	case st.src != nil:
+		return st.src.baseCol(st.srcCols[c])
+	case st.private:
+		return nil, 0
+	}
+	return st, c
+}
+
+// colKind is column c's storage class across every segment, from resident
+// metadata only: the typed kind its segments share (all-NULL segments
+// aside), vkEmpty when it holds no value, vkAny when segments disagree.
+func (st *colStore) colKind(c int) vecKind {
+	k := vkEmpty
+	for si := range st.slots {
+		sk := st.peekSeg(si).vecs[c].kind
+		if sk == vkEmpty || sk == k {
+			continue
+		}
+		if k != vkEmpty {
+			return vkAny
+		}
+		k = sk
+	}
+	return k
+}
+
+// selIDs lists the rows set in a selection bitmap, ascending.
+func selIDs(sel []uint64) []int32 {
+	ids := make([]int32, 0, popCount(sel))
+	for w, word := range sel {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(w*64+bits.TrailingZeros64(word)))
+		}
+	}
+	return ids
+}
+
+// gatherCols fills column dst[k] of the private store st with column
+// cols[k] of src at the rows ids names, -1 naming a NULL. nil ids take every
+// row of src in order (st and src then hold the same row count) and share
+// src's vectors instead of copying them.
+func (st *colStore) gatherCols(dst []int, src *colStore, cols []int, ids []int32) {
+	if len(cols) == 0 {
+		return
+	}
+	if ids == nil {
+		for si := range st.slots {
+			from, to := src.segCols(si, cols), st.peekSeg(si)
+			for k, c := range cols {
+				to.vecs[dst[k]] = from.vecs[c].clipped()
+			}
+		}
+		return
+	}
+	// source segments fault in on first use, the gathered columns only
+	segs := make([]*segment, src.numSegs())
+	segAt := func(si int) *segment {
+		if segs[si] == nil {
+			segs[si] = src.segCols(si, cols)
+		}
+		return segs[si]
+	}
+	for k, c := range cols {
+		kind := src.colKind(c)
+		lo := 0
+		for si := range st.slots {
+			to := st.peekSeg(si)
+			to.vecs[dst[k]].gather(kind, ids[lo:lo+to.n], c, segAt)
+			lo += to.n
+		}
+	}
+}
+
+// gather fills v, of kind kind, with column c of the source rows ids names
+// (-1: NULL); segAt returns a source segment with c resident.
+func (v *colVec) gather(kind vecKind, ids []int32, c int, segAt func(int) *segment) {
+	n := len(ids)
+	v.kind = kind
+	switch kind {
+	case vkInt:
+		v.ints = make([]int64, n)
+		gatherRuns(v, v.ints, ids, c, segAt, func(sv *colVec) []int64 { return sv.ints })
+	case vkFloat:
+		v.floats = make([]float64, n)
+		gatherRuns(v, v.floats, ids, c, segAt, func(sv *colVec) []float64 { return sv.floats })
+	case vkStr:
+		v.strs = make([]string, n)
+		gatherRuns(v, v.strs, ids, c, segAt, func(sv *colVec) []string { return sv.strs })
+	case vkBool:
+		v.bools = make([]bool, n)
+		gatherRuns(v, v.bools, ids, c, segAt, func(sv *colVec) []bool { return sv.bools })
+	case vkAny:
+		// the source segments' kinds differ: box cell by cell
+		v.anys = make([]any, n)
+		for j, id := range ids {
+			if id < 0 {
+				v.markNull(j, n)
+			} else if x := segAt(int(id) / segSize).vecs[c].get(int(id) % segSize); x != nil {
+				v.anys[j] = x
+			} else {
+				v.markNull(j, n)
+			}
+		}
+	default: // vkEmpty: the source holds no value
+		for j := range ids {
+			v.markNull(j, n)
+		}
+	}
+}
+
+// gatherRuns copies the typed cells of the rows ids names into dst, the
+// data slice of v, and marks their NULLs in v. Every source segment of
+// column c is of dst's kind or all NULL (vals then returns nil), and runs of
+// consecutive rows within a segment — a range filter's selection, a join's
+// left side — copy as one block.
+func gatherRuns[T any](v *colVec, dst []T, ids []int32, c int, segAt func(int) *segment, vals func(*colVec) []T) {
+	n := len(ids)
+	cur := -1
+	var sv *colVec
+	var src []T
+	for j := 0; j < n; {
+		id := ids[j]
+		if id < 0 {
+			v.markNull(j, n)
+			j++
+			continue
+		}
+		si, pos := int(id)/segSize, int(id)%segSize
+		if si != cur {
+			cur, sv = si, &segAt(si).vecs[c]
+			src = vals(sv)
+		}
+		run := 1
+		for j+run < n && ids[j+run] == id+int32(run) && pos+run < segSize {
+			run++
+		}
+		if run == 1 {
+			if sv.isNull(pos) {
+				v.markNull(j, n)
+			} else {
+				dst[j] = src[pos]
+			}
+			j++
+			continue
+		}
+		copy(dst[j:j+run], src[min(pos, len(src)):min(pos+run, len(src))])
+		if sv.nullCnt > 0 {
+			for k := 0; k < run; k++ {
+				if sv.isNull(pos + k) {
+					v.markNull(j+k, n)
+				}
+			}
+		}
+		j += run
+	}
+}
+
+// markNull sets row j of an n-row vector NULL.
+func (v *colVec) markNull(j, n int) {
+	if v.nulls == nil {
+		v.nulls = make([]uint64, (n+63)/64)
+	}
+	v.nulls[j>>6] |= 1 << (uint(j) & 63)
+	v.nullCnt++
+}
+
+// refineStoreTypes is refineTypes for a columnar result: an integer column
+// holding a float turns double precision, and an untyped column takes the
+// type of its last non-NULL value (varchar when it has none).
+func refineStoreTypes(res *Result) {
+	st := res.store
+	for i := range res.Cols {
+		switch res.Cols[i].Type {
+		case "bigint", "integer", "smallint":
+			for si := range st.slots {
+				seg := st.peekSeg(si)
+				if k := seg.vecs[i].kind; seg.vecs[i].nullCnt < seg.n && (k == vkFloat ||
+					k == vkAny && slices.ContainsFunc(st.segCols(si, []int{i}).vecs[i].anys, isFloat)) {
+					res.Cols[i].Type = "double precision"
+					break
+				}
+			}
+			continue
+		case "", "unknown":
+		default:
+			continue
+		}
+		t := "varchar"
+	last:
+		for si := len(st.slots) - 1; si >= 0; si-- {
+			seg := st.segCols(si, []int{i})
+			v := &seg.vecs[i]
+			for j := seg.n - 1; j >= 0; j-- {
+				switch v.get(j).(type) {
+				case int64:
+					t = "bigint"
+				case float64:
+					t = "double precision"
+				case bool:
+					t = "boolean"
+				case string:
+					t = "varchar"
+				default:
+					continue
+				}
+				break last
+			}
+		}
+		res.Cols[i].Type = t
+	}
+}
+
+func isFloat(v any) bool { _, ok := v.(float64); return ok }

@@ -114,10 +114,10 @@ type indexState struct {
 	// qualifying lookup rebuilds them regardless of the row threshold.
 	hint []bool
 	// version counts mutations; cached derived structures (the as-of bucket
-	// cache) key their validity on it.
+	// cache, keyed by key and time column) key their validity on it.
 	version uint64
 	asofMu  sync.Mutex
-	asof    map[string]*asofEntry
+	asof    map[[2]int]*asofIndex
 	stats   *IndexStats
 }
 
@@ -212,7 +212,8 @@ func (st *colStore) resetAccessPaths() {
 }
 
 // sortedCol reports whether column c carries a valid sorted attribute.
-func (st *colStore) sortedCol(c int) bool { return st.ix.sorted[c].ok }
+// Statement-private stores carry none.
+func (st *colStore) sortedCol(c int) bool { return !st.private && st.ix.sorted[c].ok }
 
 // --- hash index build and maintenance ---
 
@@ -325,10 +326,11 @@ func removePosting(list []int32, row int32) []int32 {
 
 // hashIdxFor returns column col's hash index, building it lazily when the
 // table qualifies (row threshold, or a persisted index hint from a cold
-// open). nil means no index applies — the caller scans.
+// open). nil means no index applies — the caller scans. Statement-private
+// stores never index.
 func (s *Session) hashIdxFor(st *colStore, col int) *hashIdx {
 	minRows := s.db.IndexMinRows()
-	if minRows < 0 {
+	if minRows < 0 || st.private {
 		return nil
 	}
 	if ix := st.ix.idx[col].Load(); ix != nil {
@@ -370,16 +372,9 @@ func buildHashIdx(st *colStore, col int) *hashIdx {
 	if st.n >= math.MaxInt32 {
 		return nil
 	}
-	kind := vkEmpty
-	for si := 0; si < st.numSegs(); si++ {
-		k := st.peekSeg(si).vecs[col].kind
-		if k == vkEmpty {
-			continue
-		}
-		if k == vkAny || k == vkBool || (kind != vkEmpty && k != kind) {
-			return nil
-		}
-		kind = k
+	kind := st.colKind(col)
+	if kind == vkAny || kind == vkBool {
+		return nil
 	}
 	ix := &hashIdx{col: col, kind: kind}
 	for si := 0; si < st.numSegs(); si++ {
@@ -487,29 +482,6 @@ func (ix *hashIdx) lookupEq(konst any) (rows []int32, ok bool) {
 // which the float map cannot reproduce.
 func (ix *hashIdx) joinable() bool {
 	return ix.kind == vkInt || ix.kind == vkStr || ix.kind == vkEmpty
-}
-
-// probeJoin returns the build-side rows matching one probe value under
-// keyString equality: same dynamic type, same value. NULL probes match the
-// NULL postings only under null-safe equality.
-func (ix *hashIdx) probeJoin(v any, nullSafe bool) []int32 {
-	if v == nil {
-		if nullSafe {
-			return ix.nulls
-		}
-		return nil
-	}
-	switch x := v.(type) {
-	case int64:
-		if ix.kind == vkInt {
-			return ix.ints[x]
-		}
-	case string:
-		if ix.kind == vkStr {
-			return ix.strs[x]
-		}
-	}
-	return nil
 }
 
 // --- whole-predicate fast paths over the selection bitmap ---
@@ -743,77 +715,115 @@ func fillRange(out []uint64, lo, hi int) {
 
 // --- as-of bucket cache ---
 
-// asofEntry caches one as-of join's build side: right rows bucketed by key,
-// each bucket ascending by the time column, valid while the store's version
-// stands still.
-type asofEntry struct {
+// asofIndex is the typed build side of a fused as-of join: row ids bucketed
+// by a string key column, each bucket ascending by an integer time column —
+// compared through float64 as compareVals does, equal times by row id.
+// Rows with a NULL time are left out, since `r.t <= l.t` is never TRUE for
+// them, and NULL-key rows form their own bucket, which only a null-safe
+// probe reads.
+type asofIndex struct {
 	version uint64
-	buckets map[string][]int
+	byKey   map[string]*asofBucket
+	nulls   *asofBucket
 }
 
-// asofBuckets returns the per-key time-sorted row buckets for (keys, tcol),
-// serving repeated as-of joins from the cache instead of re-sorting the
-// build side per query. rows must be the store's own row view (the caller
-// checks relation.store). Bucket contents are immutable after publication;
-// a version bump replaces the entry, it never mutates it.
-func (st *colStore) asofBuckets(keys []int, tcol int, rows [][]any) map[string][]int {
-	return st.asofBucketsKeyed(keys, tcol, rows, keys, tcol)
+// asofBucket holds one key's rows: ts[i] is the time of row ids[i].
+type asofBucket struct {
+	ts  []int64
+	ids []int32
 }
 
-// asofBucketsKeyed caches under (cacheKeys, cacheT) — the store's own column
-// space — while building from rows addressed by (rowKeys, rowT). The spaces
-// differ when a pass-through projection sits between the store and the join:
-// rows then hold a column subset of the base rows in base order, so bucket
-// row ids stay valid for both views and the cache entry is shared by every
-// wrapper shape over the same underlying columns.
-func (st *colStore) asofBucketsKeyed(cacheKeys []int, cacheT int, rows [][]any, rowKeys []int, rowT int) map[string][]int {
-	desc := asofCacheKey(cacheKeys, cacheT)
+func (b *asofBucket) Len() int { return len(b.ids) }
+
+func (b *asofBucket) Less(i, j int) bool {
+	fi, fj := float64(b.ts[i]), float64(b.ts[j])
+	return fi < fj || fi == fj && b.ids[i] < b.ids[j]
+}
+
+func (b *asofBucket) Swap(i, j int) {
+	b.ts[i], b.ts[j] = b.ts[j], b.ts[i]
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
+}
+
+// latest returns the row of the last entry at or before time t, or -1.
+func (b *asofBucket) latest(t int64) int32 {
+	ft := float64(t)
+	lo, hi := 0, len(b.ts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if float64(b.ts[mid]) <= ft {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		return -1
+	}
+	return b.ids[lo-1]
+}
+
+// cachedAsofIndex returns table st's as-of index over key column kc and
+// time column tc, so repeated as-of joins against an unchanged table skip
+// the group-and-sort. An entry is valid while the table's mutation version
+// stands still; a version bump replaces it, it never mutates one.
+func (st *colStore) cachedAsofIndex(kc, tc int) *asofIndex {
+	desc := [2]int{kc, tc}
 	st.ix.asofMu.Lock()
 	defer st.ix.asofMu.Unlock()
-	if e, ok := st.ix.asof[desc]; ok && e.version == st.ix.version {
+	if e := st.ix.asof[desc]; e != nil && e.version == st.ix.version {
 		st.ix.stats.add(&st.ix.stats.AsofHits, 1)
-		return e.buckets
+		return e
 	}
-	buckets := buildAsofBuckets(rows, rowKeys, rowT)
+	e := buildAsofIndex(st, kc, tc)
+	e.version = st.ix.version
 	if st.ix.asof == nil {
-		st.ix.asof = map[string]*asofEntry{}
+		st.ix.asof = map[[2]int]*asofIndex{}
 	}
-	st.ix.asof[desc] = &asofEntry{version: st.ix.version, buckets: buckets}
+	st.ix.asof[desc] = e
 	st.ix.stats.add(&st.ix.stats.AsofBuilds, 1)
-	return buckets
+	return e
 }
 
-func asofCacheKey(keys []int, tcol int) string {
-	b := make([]byte, 0, 2*(len(keys)+1))
-	for _, k := range keys {
-		b = append(b, byte(k), byte(k>>8))
-	}
-	b = append(b, '|', byte(tcol), byte(tcol>>8))
-	return string(b)
-}
-
-// buildAsofBuckets groups rows by hashKey over the key columns and sorts
-// each bucket ascending by the time column, NULL times first — exactly the
-// order the fused as-of binary search expects.
-func buildAsofBuckets(rows [][]any, keys []int, tcol int) map[string][]int {
-	buckets := map[string][]int{}
-	for i, rr := range rows {
-		key, _ := hashKey(rr, keys)
-		buckets[key] = append(buckets[key], i)
-	}
-	for _, idx := range buckets {
-		sort.SliceStable(idx, func(a, b int) bool {
-			av, bv := rows[idx[a]][tcol], rows[idx[b]][tcol]
-			if av == nil {
-				return bv != nil
+// buildAsofIndex buckets the rows of st, faulting in only its key and time
+// columns. kc must hold strings or NULLs and tc integers or NULLs.
+func buildAsofIndex(st *colStore, kc, tc int) *asofIndex {
+	ix := &asofIndex{byKey: map[string]*asofBucket{}}
+	cols := []int{kc, tc}
+	for si := 0; si < st.numSegs(); si++ {
+		seg := st.segCols(si, cols)
+		kv, tv := &seg.vecs[kc], &seg.vecs[tc]
+		base := int32(si * segSize)
+		for i := 0; i < seg.n; i++ {
+			if tv.isNull(i) {
+				continue
 			}
-			if bv == nil {
-				return false
+			var b *asofBucket
+			switch {
+			case kv.isNull(i):
+				if ix.nulls == nil {
+					ix.nulls = &asofBucket{}
+				}
+				b = ix.nulls
+			default:
+				if b = ix.byKey[kv.strs[i]]; b == nil {
+					b = &asofBucket{}
+					ix.byKey[kv.strs[i]] = b
+				}
 			}
-			return compareVals(av, bv) < 0
-		})
+			b.ts = append(b.ts, tv.ints[i])
+			b.ids = append(b.ids, base+int32(i))
+		}
 	}
-	return buckets
+	for _, b := range ix.byKey {
+		if !sort.IsSorted(b) {
+			sort.Sort(b)
+		}
+	}
+	if ix.nulls != nil && !sort.IsSorted(ix.nulls) {
+		sort.Sort(ix.nulls)
+	}
+	return ix
 }
 
 // DropTableIndexes drops every built hash index on one table, so the next

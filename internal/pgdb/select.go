@@ -27,24 +27,18 @@ func schemaOf(cols []Column, alias string) []colBinding {
 }
 
 // relation is an intermediate result: bound columns plus materialized rows.
-// store is non-nil only for an unfiltered base-table scan, where the
-// compiled engine scans the column vectors. lazy marks such a scan whose
-// rows have not been boxed yet (rows is nil): consumers that need every row
-// call rowsView, and a vector scan's row-at-a-time fallback calls
-// boxSelected, so fully-pruned scans never fault evicted segments or box a
-// cell.
+// store is set for a columnar relation — an unfiltered base-table scan, or
+// a subquery's or join's statement-private store (gather.go) — whose
+// columns line up with schema and which the compiled engine scans through
+// the vector paths. lazy marks such a relation whose rows have not been
+// boxed yet (rows is nil): consumers that need every row call rowsView, and
+// a vector scan's row-at-a-time fallback calls boxSelected, so fully-pruned
+// scans never fault evicted segments or box a cell.
 type relation struct {
 	schema []colBinding
 	rows   [][]any
 	store  *colStore
 	lazy   bool
-	// pass-through projection over a base table (the wrapper the Hyper-Q
-	// translator puts around every q table expression): rows are the base
-	// rows in base order with columns remapped — baseCols[i] names the base
-	// column behind output column i — so store-backed access paths (the
-	// as-of bucket cache, the prebuilt join side) survive the wrapper.
-	base     *colStore
-	baseCols []int
 }
 
 // rowsView returns the boxed row view, materializing it on first use for a
@@ -106,32 +100,38 @@ func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
 
 // execSelect runs the full select pipeline: FROM (with joins) → WHERE →
 // GROUP/aggregate → HAVING → projection (with window functions) → DISTINCT
-// → UNION → ORDER BY → LIMIT/OFFSET.
-func (s *Session) execSelect(sel *sqlparse.SelectStmt, outer *relation) (*Result, error) {
+// → UNION → ORDER BY → LIMIT/OFFSET. The result is boxed unless columnar is
+// set — a FROM-clause subquery — and the select is a bare-column vector
+// projection with none of the later stages: then it is a statement-private
+// column store (Result.store, Rows nil) the enclosing select scans.
+func (s *Session) execSelect(sel *sqlparse.SelectStmt, columnar bool) (*Result, error) {
 	var rel *relation
 	var err error
-	whereConsumed := false
+	where := sel.Where
 	if p := matchAsOfPattern(sel); p != nil {
 		// rank-filter pushdown (see asof.go): the WHERE rn = 1 filter is
 		// satisfied by construction
-		rel, err = s.execAsOfFused(p)
-		whereConsumed = true
-	} else {
+		var fused bool
+		if rel, fused, err = s.execAsOfFused(p); fused {
+			where = nil
+		}
+	}
+	if rel == nil && err == nil {
 		rel, err = s.buildFrom(sel.From)
 	}
 	if err != nil {
 		return nil, err
 	}
 	// WHERE — vector fast path first: a fully-lowerable predicate over a
-	// base-table scan fills a selection bitmap straight from the column
+	// columnar relation fills a selection bitmap straight from the column
 	// vectors (zone maps skip segments). The bitmap either feeds the fused
 	// aggregation below or late-materializes only the selected positions.
 	var selBits []uint64
 	vecScan := false
-	if !s.interpretedMode() && rel.store != nil && !whereConsumed {
-		if sel.Where == nil {
+	if !s.interpretedMode() && rel.store != nil {
+		if where == nil {
 			vecScan = true
-		} else if p, ok := lowerVecPred(sel.Where, rel.schema, rel.store); ok {
+		} else if p, ok := lowerVecPred(where, rel.schema, rel.store); ok {
 			selBits, err = s.evalVecPred(p, rel.store)
 			if err != nil {
 				return nil, err
@@ -139,11 +139,11 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, outer *relation) (*Result
 			vecScan = true
 		}
 	}
-	if sel.Where != nil && !whereConsumed && !vecScan {
+	if where != nil && !vecScan {
 		if s.interpretedMode() {
 			var kept [][]any
 			for _, row := range rel.rowsView() {
-				ok, err := s.rowMatches(sel.Where, rel.schema, row)
+				ok, err := s.rowMatches(where, rel.schema, row)
 				if err != nil {
 					return nil, err
 				}
@@ -154,7 +154,7 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, outer *relation) (*Result
 			rel.rows = kept
 			rel.lazy = false
 		} else {
-			kept, err := s.filterRows(sel.Where, rel.schema, rel.rowsView())
+			kept, err := s.filterRows(where, rel.schema, rel.rowsView())
 			if err != nil {
 				return nil, err
 			}
@@ -170,16 +170,22 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, outer *relation) (*Result
 		if grouped {
 			res, ok, err = s.execGroupedVec(sel, rel, selBits)
 		} else {
-			res, ok, err = s.projectVec(sel, rel, selBits)
+			columnar = columnar && !sel.Distinct && sel.Union == nil && len(sel.OrderBy) == 0 &&
+				sel.Limit == nil && sel.Offset == nil
+			res, ok, err = s.projectVec(sel, rel, selBits, columnar)
 		}
 		if err != nil {
 			return nil, err
 		}
-		// the fast paths' results are self-contained; ORDER BY still probes
-		// the selected input rows for alignment, and a declined shape runs
-		// the row-at-a-time operator over them — either way only the
-		// selected rows, with the columns the statement reads, are boxed
-		if !ok || len(sel.OrderBy) > 0 {
+		if ok && res.store != nil {
+			return res, nil
+		}
+		// the fast paths' results are self-contained; an ORDER BY key that
+		// is not an output column still reads the selected input rows, and a
+		// declined shape runs the row-at-a-time operator over them — either
+		// way only the selected rows, with the columns the statement reads,
+		// are boxed
+		if !ok || !orderByOutputs(sel, res) {
 			rel.boxSelected(selBits, stmtCols(sel, rel.schema))
 		}
 		switch {
@@ -204,7 +210,7 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, outer *relation) (*Result
 		res.Rows = dedupRows(res.Rows)
 	}
 	if sel.Union != nil {
-		right, err := s.execSelect(sel.Union.Right, nil)
+		right, err := s.execSelect(sel.Union.Right, false)
 		if err != nil {
 			return nil, err
 		}
@@ -294,77 +300,33 @@ func crossJoin(l, r *relation) *relation {
 }
 
 func (s *Session) buildRef(ref sqlparse.TableRef) (*relation, error) {
+	var res *Result
+	var err error
+	var alias string
 	switch r := ref.(type) {
 	case *sqlparse.BaseTable:
-		res, err := s.resolveRelation(r.Schema, r.Name)
-		if err != nil {
-			return nil, err
-		}
-		alias := r.Alias
+		res, err = s.resolveRelation(r.Schema, r.Name)
+		alias = r.Alias
 		if alias == "" {
 			alias = r.Name
 		}
-		return &relation{schema: schemaOf(res.Cols, alias), rows: res.Rows, store: res.store, lazy: res.lazy}, nil
 	case *sqlparse.SubqueryRef:
-		res, err := s.execSelect(r.Query, nil)
-		if err != nil {
-			return nil, err
-		}
-		rel := &relation{schema: schemaOf(res.Cols, r.Alias), rows: res.Rows}
-		rel.base, rel.baseCols = s.passThroughBase(r.Query)
-		return rel, nil
+		res, err = s.execSelect(r.Query, true)
+		alias = r.Alias
 	case *sqlparse.JoinRef:
 		return s.buildJoin(r)
 	default:
 		return nil, errf("0A000", "unsupported table ref %T", ref)
 	}
-}
-
-// passThroughBase reports whether a subquery is a bare column projection over
-// a single base table — no filter, grouping, ordering, set op, or computed
-// item — and if so returns the table's store plus the base column behind each
-// output column. Such a subquery's rows are the base rows in base order, so
-// row ids from the store's access paths stay valid against the projected view.
-func (s *Session) passThroughBase(q *sqlparse.SelectStmt) (*colStore, []int) {
-	if q.Distinct || q.Where != nil || len(q.GroupBy) != 0 || q.Having != nil ||
-		len(q.OrderBy) != 0 || q.Limit != nil || q.Offset != nil || q.Union != nil ||
-		len(q.From) != 1 {
-		return nil, nil
-	}
-	bt, ok := q.From[0].(*sqlparse.BaseTable)
-	if !ok || bt.Schema == "information_schema" || bt.Schema == "pg_catalog" {
-		return nil, nil
-	}
-	t, ok := s.lookupTable(bt.Name)
-	if !ok || t.store == nil {
-		return nil, nil
-	}
-	alias := bt.Alias
-	if alias == "" {
-		alias = bt.Name
-	}
-	schema := schemaOf(t.cols, alias)
-	items, err := expandStars(q.Items, schema)
 	if err != nil {
-		return nil, nil
+		return nil, err
 	}
-	cols := make([]int, len(items))
-	for i, item := range items {
-		cr, isCol := item.Expr.(*sqlparse.ColRef)
-		if !isCol {
-			return nil, nil
-		}
-		ci, err := findCol(schema, cr)
-		if err != nil || ci >= len(t.store.cols) {
-			return nil, nil
-		}
-		cols[i] = ci
-	}
-	return t.store, cols
+	return &relation{schema: schemaOf(res.Cols, alias), rows: res.Rows, store: res.store, lazy: res.lazy}, nil
 }
 
-// buildJoin executes a join tree. Equality joins use a hash table on the
-// right side; everything else falls back to a nested loop.
+// buildJoin executes a join tree. A single-key INNER or LEFT equi-join of
+// two columnar sides runs typed (hashJoinVec); other equality joins hash the
+// right side's boxed rows; everything else falls back to a nested loop.
 func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 	left, err := s.buildRef(j.Left)
 	if err != nil {
@@ -377,7 +339,10 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 	if j.Type == sqlparse.CrossJoin {
 		return crossJoin(left, right), nil
 	}
-	// joins are row-at-a-time: materialize lazy scans up front
+	if out, err := s.hashJoinVec(j, left, right); out != nil || err != nil {
+		return out, err
+	}
+	// the other joins are row-at-a-time: materialize lazy scans up front
 	left.rowsView()
 	right.rowsView()
 	outSchema := append(append([]colBinding{}, left.schema...), right.schema...)
@@ -388,31 +353,9 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 	// a.time bound of a translated as-of join — evaluate as a residual
 	// predicate over each candidate pair
 	if lk, rk, nullSafe, residual, ok := extractHashKeys(j.On, left.schema, right.schema); ok {
-		// prebuilt build side: a single-key join against an unfiltered base
-		// scan — direct or behind a pass-through projection — probes the
-		// column's hash index (built lazily, maintained by DML) instead of
-		// hashing the right side per query. Postings are ascending row ids,
-		// so match order is identical to the map build.
-		var probeIdx *hashIdx
-		if len(rk) == 1 && !s.interpretedMode() {
-			ist, icol := right.store, rk[0]
-			if ist == nil && right.base != nil {
-				ist, icol = right.base, right.baseCols[rk[0]]
-			}
-			if ist != nil {
-				if ix := s.hashIdxFor(ist, icol); ix != nil && ix.joinable() {
-					probeIdx = ix
-				}
-			}
-		}
-		var index map[string][]int
-		if probeIdx == nil {
-			index = make(map[string][]int, len(right.rows))
-			for i, rr := range right.rows {
-				key, null := hashKey(rr, rk)
-				if null && !nullSafe {
-					continue // SQL: NULL keys never match under plain equality
-				}
+		index := make(map[string][]int, len(right.rows))
+		for i, rr := range right.rows {
+			if key, ok := hashKey(rr, rk, nullSafe); ok {
 				index[key] = append(index[key], i)
 			}
 		}
@@ -422,44 +365,26 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 		if residual != nil {
 			residualPred = s.wherePred(residual, outSchema)
 		}
-		emit := func(lr []any, ri int) (bool, error) {
-			row := append(append(make([]any, 0, len(lr)+len(right.rows[ri])), lr...), right.rows[ri]...)
-			if residualPred != nil {
-				ok, err := residualPred(row)
-				if err != nil {
-					return false, err
-				}
-				if !ok {
-					return false, nil
-				}
-			}
-			out.rows = append(out.rows, row)
-			return true, nil
-		}
 		out.rows = make([][]any, 0, len(left.rows))
 		for _, lr := range left.rows {
 			if err := s.tick(); err != nil {
 				return nil, err
 			}
 			matched := false
-			if probeIdx != nil {
-				for _, ri := range probeIdx.probeJoin(lr[lk[0]], nullSafe) {
-					m, err := emit(lr, int(ri))
-					if err != nil {
-						return nil, err
-					}
-					matched = matched || m
-				}
-			} else {
-				key, null := hashKey(lr, lk)
-				if !null || nullSafe {
-					for _, ri := range index[key] {
-						m, err := emit(lr, ri)
+			if key, ok := hashKey(lr, lk, nullSafe); ok {
+				for _, ri := range index[key] {
+					row := append(append(make([]any, 0, len(lr)+len(right.rows[ri])), lr...), right.rows[ri]...)
+					if residualPred != nil {
+						keep, err := residualPred(row)
 						if err != nil {
 							return nil, err
 						}
-						matched = matched || m
+						if !keep {
+							continue
+						}
 					}
+					out.rows = append(out.rows, row)
+					matched = true
 				}
 			}
 			if !matched && (j.Type == sqlparse.LeftJoin || j.Type == sqlparse.FullJoin) {
@@ -501,6 +426,104 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 	return out, nil
 }
 
+// hashJoinVec is the typed equi-join: INNER or LEFT, one key, no residual,
+// both sides columnar and the key columns uniformly integer or uniformly
+// string (all-NULL segments aside). The build side is the hash index of the
+// table column behind the right key — a table, or a view over one, probes
+// its postings (built lazily, maintained by DML) — or else a per-query
+// index over the right key vector. The left key vector probes in row order,
+// so the (left, right) pairs come in the row join's order: left rows in
+// order, each one's matches by ascending right row. The output gathers both
+// sides into a private store; when every left row appears exactly once, in
+// order, the left columns are shared instead. NULL keys match only under
+// IS NOT DISTINCT FROM, as hashKey decides. A nil relation (and no error)
+// declines the shape, and the row join runs it.
+func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*relation, error) {
+	if s.interpretedMode() || left.store == nil || right.store == nil ||
+		(j.Type != sqlparse.InnerJoin && j.Type != sqlparse.LeftJoin) {
+		return nil, nil
+	}
+	lks, rks, safe, residual, ok := extractHashKeys(j.On, left.schema, right.schema)
+	if !ok || len(lks) != 1 || residual != nil {
+		return nil, nil
+	}
+	ls, lk, nullSafe := left.store, lks[0], safe[0]
+	var ix *hashIdx
+	if base, bc := right.store.baseCol(rks[0]); base != nil {
+		ix = s.hashIdxFor(base, bc)
+	}
+	if ix == nil {
+		ix = buildHashIdx(right.store, rks[0])
+	}
+	if ix == nil || !ix.joinable() || ls.n >= math.MaxInt32 {
+		return nil, nil
+	}
+	if lkind := ls.colKind(lk); lkind != vkEmpty && (lkind != vkInt && lkind != vkStr ||
+		ix.kind != vkEmpty && ix.kind != lkind) {
+		return nil, nil
+	}
+	outer := j.Type == sqlparse.LeftJoin
+	lids := make([]int32, 0, ls.n)
+	rids := make([]int32, 0, ls.n)
+	for si := 0; si < ls.numSegs(); si++ {
+		seg := ls.segCols(si, lks)
+		v := &seg.vecs[lk]
+		base := int32(si * segSize)
+		for i := 0; i < seg.n; i++ {
+			if err := s.tick(); err != nil {
+				return nil, err
+			}
+			var m []int32
+			switch {
+			case v.isNull(i):
+				if nullSafe {
+					m = ix.nulls
+				}
+			case v.kind == vkInt:
+				m = ix.ints[v.ints[i]]
+			case v.kind == vkStr:
+				m = ix.strs[v.strs[i]]
+			}
+			for _, ri := range m {
+				lids = append(lids, base+int32(i))
+				rids = append(rids, ri)
+			}
+			if len(m) == 0 && outer {
+				lids = append(lids, base+int32(i))
+				rids = append(rids, -1)
+			}
+		}
+	}
+	schema := append(append([]colBinding{}, left.schema...), right.schema...)
+	out := newPrivateStore(bindingCols(schema), len(lids))
+	nl := len(left.schema)
+	if isIdentity(lids, ls.n) {
+		lids = nil // left rows in order, once each: share the left vectors
+	}
+	out.gatherCols(seq(0, nl), ls, seq(0, nl), lids)
+	out.gatherCols(seq(nl, len(schema)), right.store, seq(0, len(right.schema)), rids)
+	return &relation{schema: schema, store: out, lazy: true}, nil
+}
+
+// seq returns lo, lo+1, ..., hi-1.
+func seq(lo, hi int) []int {
+	out := make([]int, hi-lo)
+	for i := range out {
+		out[i] = lo + i
+	}
+	return out
+}
+
+// bindingCols names a private store's columns after the relation schema
+// they line up with.
+func bindingCols(schema []colBinding) []Column {
+	cols := make([]Column, len(schema))
+	for i, b := range schema {
+		cols[i] = Column{Name: b.name, Type: b.typ}
+	}
+	return cols
+}
+
 func (s *Session) appendUnmatchedRight(out *relation, left, right *relation, on sqlparse.Expr) error {
 	outSchema := out.schema
 	onPred := s.wherePred(on, outSchema)
@@ -536,9 +559,9 @@ func padRight(lr []any, rightWidth int) []any {
 
 // extractHashKeys recognizes equality conjuncts of the form l.a = r.b (or
 // IS NOT DISTINCT FROM) in the ON clause, returning the column indexes per
-// side, whether the equalities are null-safe, and the AND of any remaining
+// side, whether each equality is null-safe, and the AND of any remaining
 // conjuncts as a residual predicate.
-func extractHashKeys(on sqlparse.Expr, ls, rs []colBinding) (lk, rk []int, nullSafe bool, residual sqlparse.Expr, ok bool) {
+func extractHashKeys(on sqlparse.Expr, ls, rs []colBinding) (lk, rk []int, nullSafe []bool, residual sqlparse.Expr, ok bool) {
 	var conj []sqlparse.Expr
 	var flatten func(e sqlparse.Expr)
 	flatten = func(e sqlparse.Expr) {
@@ -550,10 +573,9 @@ func extractHashKeys(on sqlparse.Expr, ls, rs []colBinding) (lk, rk []int, nullS
 		conj = append(conj, e)
 	}
 	if on == nil {
-		return nil, nil, false, nil, false
+		return nil, nil, nil, nil, false
 	}
 	flatten(on)
-	nullSafe = true
 	var rest []sqlparse.Expr
 	for _, c := range conj {
 		b, isBin := c.(*sqlparse.BinaryExpr)
@@ -563,23 +585,15 @@ func extractHashKeys(on sqlparse.Expr, ls, rs []colBinding) (lk, rk []int, nullS
 			if lok && rok {
 				li, lerr := findCol(ls, lc)
 				ri, rerr := findCol(rs, rc)
-				if lerr == nil && rerr == nil {
-					lk = append(lk, li)
-					rk = append(rk, ri)
-					if b.Op == "=" {
-						nullSafe = false
-					}
-					continue
+				if lerr != nil || rerr != nil {
+					// reversed sides
+					li, lerr = findCol(ls, rc)
+					ri, rerr = findCol(rs, lc)
 				}
-				// reversed sides
-				li, lerr = findCol(ls, rc)
-				ri, rerr = findCol(rs, lc)
 				if lerr == nil && rerr == nil {
 					lk = append(lk, li)
 					rk = append(rk, ri)
-					if b.Op == "=" {
-						nullSafe = false
-					}
+					nullSafe = append(nullSafe, b.Op != "=")
 					continue
 				}
 			}
@@ -587,7 +601,7 @@ func extractHashKeys(on sqlparse.Expr, ls, rs []colBinding) (lk, rk []int, nullS
 		rest = append(rest, c)
 	}
 	if len(lk) == 0 {
-		return nil, nil, false, nil, false
+		return nil, nil, nil, nil, false
 	}
 	for _, r := range rest {
 		if residual == nil {
@@ -626,15 +640,20 @@ func colRefName(c *sqlparse.ColRef) string {
 	return c.Name
 }
 
-func hashKey(row []any, keys []int) (string, bool) {
-	vals := make([]any, len(keys))
+// hashKey encodes a row's key columns for hash matching, in keyString's
+// encoding. ok is false when a NULL sits in a column compared with plain =,
+// which never matches; under IS NOT DISTINCT FROM (nullSafe[i]) a NULL is
+// encoded and matches NULL.
+func hashKey(row []any, keys []int, nullSafe []bool) (key string, ok bool) {
+	var arr [64]byte
+	buf := arr[:0]
 	for i, k := range keys {
-		if row[k] == nil {
-			return "", true
+		if row[k] == nil && !nullSafe[i] {
+			return "", false
 		}
-		vals[i] = row[k]
+		buf = appendKeyVal(buf, row[k])
 	}
-	return keyString(vals), false
+	return string(buf), true
 }
 
 func dedupRows(rows [][]any) [][]any {
@@ -761,13 +780,13 @@ func passThrough(rows [][]any, cols []int) [][]any {
 	return out
 }
 
-// isIdentity reports whether cols lists 0..width-1 in order.
-func isIdentity(cols []int, width int) bool {
-	if len(cols) != width {
+// isIdentity reports whether xs lists 0..width-1 in order.
+func isIdentity[T int | int32](xs []T, width int) bool {
+	if len(xs) != width {
 		return false
 	}
-	for i, c := range cols {
-		if c != i {
+	for i, x := range xs {
+		if x != T(i) {
 			return false
 		}
 	}
@@ -778,10 +797,12 @@ func isIdentity(cols []int, width int) bool {
 // every output item is a bare column reference, the result is built
 // straight from the selection bitmap over the column vectors — one arena-backed
 // output row per selected position, no intermediate filtered slice and no
-// per-row closure dispatch. Returns ok=false (and no error) for any shape
-// it does not handle, deferring both work and error surfacing to the
+// per-row closure dispatch. With columnar set the result stays columns: a
+// view of the input store when nothing is filtered, else a typed gather of
+// the selected rows (gather.go). Returns ok=false (and no error) for any
+// shape it does not handle, deferring both work and error surfacing to the
 // generic projection path.
-func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64) (*Result, bool, error) {
+func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64, columnar bool) (*Result, bool, error) {
 	items, err := expandStars(sel.Items, rel.schema)
 	if err != nil {
 		return nil, false, nil
@@ -801,6 +822,18 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 	// holding selected rows are touched, so a selection the zone maps fully
 	// pruned leaves evicted segments on disk and boxes nothing else.
 	st := rel.store
+	if columnar {
+		if selBits == nil {
+			res.store = viewOf(st, cols, res.Cols)
+		} else {
+			ids := selIDs(selBits)
+			res.store = newPrivateStore(res.Cols, len(ids))
+			res.store.gatherCols(seq(0, len(cols)), st, cols, ids)
+		}
+		res.lazy = true
+		refineStoreTypes(res)
+		return res, true, nil
+	}
 	nsrc := st.numRows()
 	nsel := nsrc
 	if selBits != nil {
@@ -1070,24 +1103,43 @@ func singleKeyLess(keys []any, desc, nullsFirst bool) func(a, b int) bool {
 }
 
 func (s *Session) orderKey(e sqlparse.Expr, res *Result, rel *relation, rowIdx int, aligned bool) (any, error) {
-	// positional: ORDER BY 1
-	if n, ok := e.(*sqlparse.NumberLit); ok && !strings.Contains(n.Text, ".") {
-		var pos int
-		fmt.Sscanf(n.Text, "%d", &pos)
-		if pos >= 1 && pos <= len(res.Cols) {
-			return res.Rows[rowIdx][pos-1], nil
-		}
-	}
-	// output alias / column name
-	if c, ok := e.(*sqlparse.ColRef); ok && c.Table == "" {
-		for i, col := range res.Cols {
-			if col.Name == c.Name {
-				return res.Rows[rowIdx][i], nil
-			}
-		}
+	if i := outputKey(e, res); i >= 0 {
+		return res.Rows[rowIdx][i], nil
 	}
 	if aligned {
 		return s.evalExpr(e, rel.schema, rel.rows[rowIdx])
 	}
 	return nil, errf("42703", "cannot resolve ORDER BY expression")
+}
+
+// outputKey resolves an ORDER BY key to the output column it names — by
+// position (ORDER BY 1) or by output alias or column name — or -1 when it
+// must be evaluated against the input rows.
+func outputKey(e sqlparse.Expr, res *Result) int {
+	if n, ok := e.(*sqlparse.NumberLit); ok && !strings.Contains(n.Text, ".") {
+		var pos int
+		fmt.Sscanf(n.Text, "%d", &pos)
+		if pos >= 1 && pos <= len(res.Cols) {
+			return pos - 1
+		}
+	}
+	if c, ok := e.(*sqlparse.ColRef); ok && c.Table == "" {
+		for i, col := range res.Cols {
+			if col.Name == c.Name {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// orderByOutputs reports whether every ORDER BY key names an output column,
+// so ordering never reads the input rows.
+func orderByOutputs(sel *sqlparse.SelectStmt, res *Result) bool {
+	for _, ob := range sel.OrderBy {
+		if outputKey(ob.Expr, res) < 0 {
+			return false
+		}
+	}
+	return true
 }

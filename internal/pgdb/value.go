@@ -34,11 +34,13 @@ type Result struct {
 	Cols []Column
 	Rows [][]any
 	Tag  string // command tag, e.g. "SELECT 5"
-	// store is set for a base table's columnar storage, letting the
-	// compiled engine scan the typed vectors instead of boxed rows. lazy
-	// marks such a scan whose Rows is deliberately nil: consumers that need
-	// boxed rows materialize through the relation (rowsView, boxSelected),
-	// so scans the planner fully prunes never touch evicted segments.
+	// store is set for a base table's columnar storage, or for a FROM-clause
+	// subquery's statement-private one (gather.go), letting the compiled
+	// engine scan the typed vectors instead of boxed rows. lazy marks such a
+	// result whose Rows is deliberately nil: consumers that need boxed rows
+	// materialize through the relation (rowsView, boxSelected), so scans the
+	// planner fully prunes never touch evicted segments. Results returned
+	// from the exported entry points always carry Rows.
 	store *colStore
 	lazy  bool
 }
