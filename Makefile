@@ -40,9 +40,9 @@ bench-compare:
 
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
 # replays the CI seeds against the compiled engine (vector scans, fused
-# aggregates, columnar joins and index paths included), plus one
-# interpreted-engine run to pin the retained AST walker, one over the text
-# result path, a 3-shard cluster sweep pinning the scatter-gather backend,
+# aggregates, columnar joins and index paths included), plus sweeps of the
+# interpreted engine to pin the retained AST walker and of the text result
+# path, a 3-shard cluster sweep pinning the scatter-gather backend,
 # cold-reopen sweeps over the durable store — unbounded, and under a tight
 # budget that churns segments through evict and refault — and sweeps with
 # secondary indexes forced on, resident and across a cold reopen. The
@@ -50,10 +50,10 @@ bench-compare:
 # zone verdicts on evicted stubs and column-granular fault-in.
 qdiff:
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shrink > /dev/null || exit 1; done
-	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -exec interpreted > /dev/null
-	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -result-path text > /dev/null
+	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -exec interpreted -shrink > /dev/null || exit 1; done
+	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -result-path text -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shards 3 -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -mem-budget 65536 -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -index -shrink > /dev/null || exit 1; done
-	$(GO) run ./cmd/qdiff -seed 1 -n 10000 -index -persist -shrink > /dev/null
+	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -index -persist -shrink > /dev/null || exit 1; done

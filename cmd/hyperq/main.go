@@ -175,7 +175,7 @@ func run(ctx context.Context, o *options) (err error) {
 			return fmt.Errorf("cluster: %w", err)
 		}
 		for _, db := range dbs {
-			o.engine.Tune(db)
+			db.SetParallelism(o.engine.Parallel)
 		}
 		loader, err := cluster.NewBackend()
 		if err != nil {

@@ -40,9 +40,9 @@ func TestEngineFlagsAreConfigs(t *testing.T) {
 }
 
 // TestBenchmarkFlags pins the flags bench/stack.go starts hyperq with, and
-// the whole flag set, so the options this binary dropped (-result-path, the
-// checkpoint-layout, read-path and index-threshold flags) stay dropped: the
-// flag package exits 2 on them.
+// the whole flag set, so the options this binary dropped (-result-path,
+// -exec, the checkpoint-layout, read-path and index-threshold flags) stay
+// dropped: the flag package exits 2 on them.
 func TestBenchmarkFlags(t *testing.T) {
 	_, fs := parse(t)
 	for name, def := range map[string]string{"listen": "127.0.0.1:5010", "backend": ""} {
@@ -52,7 +52,7 @@ func TestBenchmarkFlags(t *testing.T) {
 	}
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := "backend backend-db backend-password backend-user cache-entries data-dir drain-timeout embedded exec " +
+	want := "backend backend-db backend-password backend-user cache-entries data-dir drain-timeout embedded " +
 		"listen mdi-ttl mem-budget parallel pool-size q-password q-user query-timeout request-timeout " +
 		"shard-backends shard-rules shards stats-addr trades wal-sync"
 	if got := strings.Join(names, " "); got != want {
@@ -68,14 +68,13 @@ func TestValidate(t *testing.T) {
 	}{
 		{[]string{"-backend", "h:1"}, ""},
 		{[]string{"-shard-backends", "h:1,h:2"}, ""},
-		{[]string{"-embedded", "-exec", "interpreted", "-parallel", "2", "-trades", "5", "-stats-addr", ":0"}, ""},
+		{[]string{"-embedded", "-parallel", "2", "-trades", "5", "-stats-addr", ":0"}, ""},
 		{[]string{"-embedded", "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "1"}, ""},
-		{[]string{"-embedded", "-shards", "3", "-exec", "interpreted"}, ""},
+		{[]string{"-embedded", "-shards", "3", "-parallel", "2"}, ""},
 		{nil, "-backend, -embedded or -shard-backends"},
 		{[]string{"-shards", "3", "-backend", "h:1"}, "-shards requires -embedded"},
 		{[]string{"-shard-rules", "trades:zigzag"}, "-shard-rules"},
 		// engine flags without -embedded
-		{[]string{"-backend", "h:1", "-exec", "interpreted"}, "-exec"},
 		{[]string{"-backend", "h:1", "-parallel", "2"}, "-parallel"},
 		{[]string{"-backend", "h:1", "-data-dir", "d"}, "-data-dir"},
 		{[]string{"-backend", "h:1", "-wal-sync", "none"}, "-wal-sync"},

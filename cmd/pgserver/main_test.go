@@ -41,8 +41,9 @@ func TestEngineFlagsAreConfigs(t *testing.T) {
 
 // TestBenchmarkFlags pins the flags bench/stack.go starts pgserver with — a
 // rename here would otherwise first show up as a failed benchmark run — and
-// the whole flag set, so the dropped checkpoint-layout, read-path and
-// index-threshold flags stay dropped: the flag package exits 2 on them.
+// the whole flag set, so the dropped execution-engine, checkpoint-layout,
+// read-path and index-threshold flags stay dropped: the flag package exits
+// 2 on them.
 func TestBenchmarkFlags(t *testing.T) {
 	_, fs := parse(t)
 	for name, def := range map[string]string{
@@ -54,7 +55,7 @@ func TestBenchmarkFlags(t *testing.T) {
 	}
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := "auth data-dir demo exec listen mem-budget parallel password seed stats-addr trades user wal-sync"
+	want := "auth data-dir demo listen mem-budget parallel password seed stats-addr trades user wal-sync"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("flags %q, want %q", got, want)
 	}

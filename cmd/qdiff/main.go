@@ -19,6 +19,7 @@ import (
 
 	"hyperq/internal/config"
 	"hyperq/internal/core"
+	"hyperq/internal/pgdb"
 	"hyperq/internal/sidebyside"
 )
 
@@ -32,9 +33,14 @@ func main() {
 	shards := flag.Int("shards", 0, "sharded differential mode: compare a single backend against an N-shard scatter-gather cluster (byte-identical QIPC oracle)")
 	persistMode := flag.Bool("persist", false, "disk-backed mode: checkpoint every dataset to splayed column files under a temporary -data-dir and force each query to fault its segments back from disk")
 	index := flag.Bool("index", false, "force-enable secondary indexes and load tables in halves around an index-building probe, so queries run against incrementally-maintained indexes")
+	exec := pgdb.ExecCompiled
+	flag.Func("exec", "execution `engine` under test: compiled (the serving engine, default) or interpreted (the reference walker)", func(s string) (err error) {
+		exec, err = pgdb.ParseExecMode(s)
+		return err
+	})
 	// the engine settings qdiff varies, spelled as the servers spell them
 	var engine config.Engine
-	engine.RegisterFlags(flag.CommandLine, "exec", "mem-budget")
+	engine.RegisterFlags(flag.CommandLine, "mem-budget")
 	flag.Parse()
 
 	var path core.ResultPath
@@ -72,6 +78,7 @@ func main() {
 		Shrink:     *shrink,
 		MaxRows:    *maxRows,
 		Engine:     engine,
+		Exec:       exec,
 		ResultPath: path,
 		Shards:     *shards,
 		Index:      *index,

@@ -18,7 +18,6 @@ import (
 
 // Engine holds every setting of one embedded engine instance.
 type Engine struct {
-	Exec     pgdb.ExecMode
 	Parallel int // intra-query workers; pgdb clamps to [1, GOMAXPROCS]
 	// DataDir, when non-empty, backs the database with the durable store;
 	// Sync and MemBudget configure that store and mean nothing without it.
@@ -30,15 +29,15 @@ type Engine struct {
 	StatsAddr string
 }
 
-// Defaults is the engine a binary runs when no engine flag is given: the
-// compiled engine, whose vector scans, fused aggregates, column-granular
-// fault-in and index access paths need no flag, in memory or over a store
-// given only -data-dir. What is not a field is not a setting: hash indexes
-// build at pgdb.DefaultIndexMinRows rows, and checkpoints always encode per
-// chunk and read back by pread.
+// Defaults is the engine a binary runs when no engine flag is given, in
+// memory or over a store given only -data-dir. What is not a field is not a
+// setting: the servers run the compiled engine, whose vector scans, fused
+// aggregates, column-granular fault-in and index access paths need no flag
+// (the interpreter is a test reference, which qdiff selects itself), hash
+// indexes build at pgdb.DefaultIndexMinRows rows, and checkpoints always
+// encode per chunk and read back by pread.
 func Defaults() Engine {
 	return Engine{
-		Exec:     pgdb.ExecCompiled,
 		Parallel: 1,
 		Sync:     persist.SyncBatch,
 	}
@@ -50,10 +49,6 @@ func Defaults() Engine {
 func (e *Engine) RegisterFlags(fs *flag.FlagSet, only ...string) {
 	*e = Defaults()
 	var all flag.FlagSet
-	all.Func("exec", "execution `engine`: compiled (default) or interpreted (the reference engine qdiff checks against)", func(s string) (err error) {
-		e.Exec, err = pgdb.ParseExecMode(s)
-		return err
-	})
 	all.IntVar(&e.Parallel, "parallel", e.Parallel, "intra-query worker count for large scans (clamped to GOMAXPROCS; 1 disables)")
 	all.StringVar(&e.DataDir, "data-dir", e.DataDir, "durable storage directory (empty = memory only)")
 	all.Func("wal-sync", "WAL durability `mode`: always (fsync per statement), batch (group commit, default), none; needs -data-dir", func(s string) (err error) {
@@ -103,13 +98,6 @@ func (e *Engine) Validate(fs *flag.FlagSet) error {
 	return nil
 }
 
-// Tune applies the in-memory settings to db. Open calls it; it is exported
-// for databases another constructor owns (shard.NewEmbedded's members).
-func (e *Engine) Tune(db *pgdb.DB) {
-	db.SetExecMode(e.Exec)
-	db.SetParallelism(e.Parallel)
-}
-
 // Instance is a running engine.
 type Instance struct {
 	DB *pgdb.DB
@@ -126,7 +114,7 @@ type Instance struct {
 // caller owns the returned instance's Close.
 func (e *Engine) Open() (*Instance, error) {
 	in := &Instance{DB: pgdb.NewDB()}
-	e.Tune(in.DB)
+	in.DB.SetParallelism(e.Parallel)
 	if e.DataDir != "" {
 		store, err := persist.Open(in.DB, persist.Options{Dir: e.DataDir, Sync: e.Sync, MemBudget: e.MemBudget})
 		if err != nil {

@@ -29,43 +29,40 @@ func parse(t *testing.T, args ...string) (*Engine, *flag.FlagSet, error) {
 
 // TestDefaults pins what a binary runs when no engine flag is given — the
 // benchmark starts pgserver that way, so a changed default is a changed
-// baseline — and that these six flags are all the engine has. The dropped
-// checkpoint-layout, read-path and index-threshold flags are unknown, which
-// the binaries' flag sets answer with exit 2.
+// baseline — and that these five flags are all the engine has. The dropped
+// execution-engine, checkpoint-layout, read-path and index-threshold flags
+// are unknown, which the binaries' flag sets answer with exit 2.
 func TestDefaults(t *testing.T) {
 	e, fs, err := parse(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Engine{Exec: pgdb.ExecCompiled, Parallel: 1, Sync: persist.SyncBatch}
+	want := Engine{Parallel: 1, Sync: persist.SyncBatch}
 	if *e != want {
 		t.Errorf("zero-argument parse = %+v, want %+v", *e, want)
 	}
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got, want := strings.Join(names, " "), "data-dir exec mem-budget parallel stats-addr wal-sync"; got != want {
+	if got, want := strings.Join(names, " "), "data-dir mem-budget parallel stats-addr wal-sync"; got != want {
 		t.Errorf("engine flags %q, want %q", got, want)
 	}
 }
 
 func TestParse(t *testing.T) {
-	e, _, err := parse(t, "-exec", "interpreted", "-parallel", "3",
+	e, _, err := parse(t, "-parallel", "3",
 		"-data-dir", "d", "-wal-sync", "none", "-mem-budget", "4096", "-stats-addr", ":0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Engine{
-		Exec: pgdb.ExecInterpreted, Parallel: 3,
-		DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, StatsAddr: ":0",
-	}
+	want := Engine{Parallel: 3, DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, StatsAddr: ":0"}
 	if *e != want {
 		t.Errorf("parse = %+v, want %+v", *e, want)
 	}
-	// vectorized was an engine of its own until its vector paths became the
-	// compiled engine's; checkpoints always encode per chunk, and the index
-	// threshold is a constant
+	// the servers run the compiled engine only (qdiff picks the interpreter
+	// with a flag of its own); checkpoints always encode per chunk, and the
+	// index threshold is a constant
 	for _, bad := range [][]string{
-		{"-exec", "bogus"}, {"-exec", "vectorized"}, {"-wal-sync", "sometimes"},
+		{"-exec", "interpreted"}, {"-wal-sync", "sometimes"},
 		{"-compress"}, {"-index-min-rows", "0"},
 	} {
 		if _, _, err := parse(t, bad...); err == nil {
@@ -77,11 +74,11 @@ func TestParse(t *testing.T) {
 func TestRegisterSubset(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	e := &Engine{}
-	e.RegisterFlags(fs, "exec", "mem-budget")
+	e.RegisterFlags(fs, "mem-budget", "parallel")
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got := strings.Join(names, ","); got != "exec,mem-budget" {
-		t.Errorf("subset registered %q, want exec,mem-budget", got)
+	if got := strings.Join(names, ","); got != "mem-budget,parallel" {
+		t.Errorf("subset registered %q, want mem-budget,parallel", got)
 	}
 	if e.Sync != persist.SyncBatch {
 		t.Errorf("unregistered setting lost its default: %+v", *e)
@@ -96,7 +93,7 @@ func TestValidate(t *testing.T) {
 		bad  string // substring of the error, "" = valid
 	}{
 		{nil, ""},
-		{[]string{"-stats-addr", ":0", "-exec", "interpreted"}, ""},
+		{[]string{"-stats-addr", ":0", "-parallel", "2"}, ""},
 		{[]string{"-data-dir", "d", "-mem-budget", "1", "-wal-sync", "none"}, ""},
 		{[]string{"-mem-budget", "1"}, "-mem-budget"},
 		{[]string{"-wal-sync", "batch"}, "-wal-sync"}, // explicit, though equal to the default
@@ -135,12 +132,11 @@ func TestOpenClose(t *testing.T) {
 	e := Defaults()
 	e.DataDir = t.TempDir()
 	e.StatsAddr = "127.0.0.1:0"
-	e.Exec = pgdb.ExecInterpreted
 	in, err := e.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Restored || in.DB.ExecutionMode() != pgdb.ExecInterpreted || in.DB.IndexMinRows() != pgdb.DefaultIndexMinRows {
+	if in.Restored || in.DB.ExecutionMode() != pgdb.ExecCompiled || in.DB.IndexMinRows() != pgdb.DefaultIndexMinRows {
 		t.Errorf("fresh instance: restored=%v exec=%v index-min-rows=%d", in.Restored, in.DB.ExecutionMode(), in.DB.IndexMinRows())
 	}
 	if _, err := in.DB.NewSession().ExecScript("CREATE TABLE t (a bigint); INSERT INTO t VALUES (1), (2)"); err != nil {

@@ -355,7 +355,7 @@ func (s *Session) asofVec(left, right *relation, lk, rk, lt, rt int, nullSafe bo
 	}
 	out.gatherCols(lDst, ls, lSrc, nil)
 	out.gatherCols(rDst, rs, rSrc, match)
-	return &relation{schema: schema, store: out, lazy: true}, nil
+	return &relation{schema: schema, store: out}, nil
 }
 
 // asofIndexFor returns the as-of build side over key column kc and time
@@ -408,32 +408,14 @@ func (s *Session) asofRows(left, right *relation, lKeys, rKeys []int, nullSafe [
 		}
 	}
 	out := &relation{schema: schema, rows: make([][]any, 0, len(joinedRows))}
-	if s.interpretedMode() {
-		for _, row := range joinedRows {
-			or := make([]any, len(items))
-			for i, item := range items {
-				if isWindowCall(item.Expr) {
-					or[i] = int64(1)
-					continue
-				}
-				v, err := s.evalExpr(item.Expr, joined, row)
-				if err != nil {
-					return nil, err
-				}
-				or[i] = v
-			}
-			out.rows = append(out.rows, or)
-		}
-		return out, nil
-	}
-	// compiled: items lower once; the rank item is 1 by construction
+	// items lower once; the rank item is 1 by construction
 	fns := make([]exprFn, len(items))
 	for i, item := range items {
 		if isWindowCall(item.Expr) {
 			fns[i] = func(*evalCtx, []any) (any, error) { return int64(1), nil }
 			continue
 		}
-		fns[i] = compileExpr(item.Expr, joined).fn
+		fns[i] = s.lowerExpr(item.Expr, joined)
 	}
 	ec := &evalCtx{s: s, rowIdx: -1}
 	for _, row := range joinedRows {

@@ -67,9 +67,9 @@ func benchTables(t *testing.T, days, trades int) (*pgdb.DB, core.Backend) {
 }
 
 // runCold translates and runs q with the named tables re-registered as
-// all-stub segments, and fails the test if q builds a table's boxed row view
-// or faults in a column allowed does not accept. It returns the faulted
-// column names per table.
+// all-stub segments, and fails the test if q faults in a column allowed does
+// not accept — which boxing a table's every row would. It returns the
+// faulted column names per table.
 func runCold(t *testing.T, db *pgdb.DB, s *core.Session, q string, tables []string, allowed func(table, col string) bool) map[string][]string {
 	t.Helper()
 	faulted := map[string]func() []string{}
@@ -81,9 +81,6 @@ func runCold(t *testing.T, db *pgdb.DB, s *core.Session, q string, tables []stri
 	}
 	out := map[string][]string{}
 	for name, cols := range faulted {
-		if pgdb.RowCacheBuilt(db, name) {
-			t.Errorf("%s: built the boxed row view of %s", q, name)
-		}
 		out[name] = cols()
 		for _, c := range out[name] {
 			if !allowed(name, c) {
@@ -102,8 +99,8 @@ func named(q, c string) bool {
 
 // TestBenchShapesStayColumnar translates every benchmark shape through the
 // Hyper-Q pipeline and runs it on cold (all-stub) trades and quotes tables:
-// no shape may build a table's boxed row view, and each may fault in only
-// the columns its q text names plus the translator's order column. Two days
+// each may fault in only the columns its q text names plus the translator's
+// order column, so none boxes a table's full rows. Two days
 // of 3000 trades give several segments and a date predicate that prunes
 // some of them.
 func TestBenchShapesStayColumnar(t *testing.T) {
@@ -121,11 +118,11 @@ func TestBenchShapesStayColumnar(t *testing.T) {
 // TestJoinShapesStayColumnar runs the Analytical Workload's join queries —
 // lookups (lj) and as-of joins (aj) over trades, quotes, daily and refdata —
 // through the translator on cold tables. Joins and their subquery sides pass
-// columns, not rows: no query may build a table's boxed row view, and each
-// may fault in only the columns its q text names, the order column, the
-// Symbol key every lj and aj joins on, and every column of a table it joins
-// whole (query 19 returns all of daily). One day's load keeps the order
-// column unique, as the as-of fusion needs; 5000 trades span two segments.
+// columns, not rows: each query may fault in only the columns its q text
+// names, the order column, the Symbol key every lj and aj joins on, and
+// every column of a table it joins whole (query 19 returns all of daily).
+// One day's load keeps the order column unique, as the as-of fusion needs;
+// 5000 trades span two segments.
 func TestJoinShapesStayColumnar(t *testing.T) {
 	db, b := benchTables(t, 1, 5000)
 	s := core.NewPlatform().NewSession(b, core.Config{})
@@ -184,5 +181,46 @@ func TestPointLookupAllocsBounded(t *testing.T) {
 	t.Logf("%.0f allocations, %d bytes per lookup", allocs, bytes)
 	if allocs > 400 || bytes > 48<<10 {
 		t.Fatalf("point lookup allocates %.0f times, %d bytes; budget 400 and 48 KiB", allocs, bytes)
+	}
+}
+
+// TestFallbacksRetainNoRows runs the two statements that box a whole table —
+// query 23's functional delete, translated, and a two-key self-join, which
+// takes the row join — on 20 000 trades, then collects garbage: the heap
+// must not have grown by the table's size. Rows a statement boxes belong to
+// that statement, so nothing outlives it but the vectors.
+func TestFallbacksRetainNoRows(t *testing.T) {
+	db, b := benchTables(t, 1, 20000)
+	var q23 string
+	for _, wq := range workload.Queries() {
+		if wq.ID == 23 {
+			q23 = wq.Q
+		}
+	}
+	translated, _, err := core.NewPlatform().NewSession(b, core.Config{}).Translate(context.Background(), q23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := `SELECT count(*) FROM trades x JOIN trades y ON x."Symbol" = y."Symbol" AND x.ordcol = y.ordcol`
+	var table int64
+	db.Exclusive(func() { table = db.ResidentBytes()["trades"] })
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	s := db.NewSession()
+	before := heap()
+	for _, sql := range []string{translated, join} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	grown := heap() - before
+	runtime.KeepAlive(b)
+	t.Logf("heap grew %d bytes; the table holds %d", grown, table)
+	if grown >= table {
+		t.Fatalf("heap grew %d bytes after the statements, the table holds %d: boxed rows outlived them", grown, table)
 	}
 }

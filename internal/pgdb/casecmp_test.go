@@ -3,6 +3,7 @@ package pgdb_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hyperq/internal/persist"
@@ -98,6 +99,48 @@ func caseShapes() []string {
 	return out
 }
 
+// notShapes negates comparisons and compositions of them. Those that can
+// never be NULL lower to the complement of the operand's bitmap: every
+// translator comparison that puts a NULL column below the literal (q orders
+// NULL lowest), every comparison with a NULL literal, and ORs whose IS NULL
+// arm covers the NULL cells of the comparisons beside it. The rest can be
+// NULL and must not lower.
+func notShapes() (twoValued, threeValued []string) {
+	for _, cc := range caseCols {
+		for _, lit := range cc.lits {
+			for _, op := range []string{"<", ">", "<=", ">="} {
+				// nullLow holds where a NULL column sits below the literal
+				nullLow, nullHigh := "NOT "+nullSafeCmp(op, cc.name, lit), "NOT "+nullSafeCmp(op, lit, cc.name)
+				if op == ">" || op == ">=" {
+					nullLow, nullHigh = nullHigh, nullLow
+				}
+				twoValued = append(twoValued, nullLow)
+				if lit == "NULL" {
+					twoValued = append(twoValued, nullHigh)
+				} else {
+					threeValued = append(threeValued, nullHigh)
+				}
+			}
+		}
+	}
+	twoValued = append(twoValued,
+		"NOT (i IS NULL OR i < 5 OR f IS NULL OR f >= 2.5)",
+		"NOT (tm IS NOT NULL AND (d IS NULL OR d BETWEEN 5805 AND 5820))",
+		"NOT NOT (f IS NULL OR f < 0.0)",
+		"NOT (TRUE AND s IS NULL)",
+	)
+	threeValued = append(threeValued,
+		"NOT (i < 5)",
+		"NOT (i IS NULL OR s < 'b')",
+		"NOT (s IS NULL OR s IN ('a', 's001'))",
+		"NOT (s IS NOT DISTINCT FROM 'a')",
+		"NOT (f IS NULL OR f < NULL)",
+		"NOT (CASE WHEN i IS NULL THEN NULL ELSE i > 0 END)",
+		"NOT (CASE WHEN i IS NULL THEN NULL ELSE i IS NOT NULL END)",
+	)
+	return twoValued, threeValued
+}
+
 // requireSameIDs runs `SELECT id FROM t WHERE where` on the engine under test
 // and the interpreter oracle and requires the same rows in the same order.
 func requireSameIDs(t *testing.T, got, oracle *pgdb.Session, where string) {
@@ -116,9 +159,11 @@ func requireSameIDs(t *testing.T, got, oracle *pgdb.Session, where string) {
 	}
 }
 
-// TestCaseLoweringExact: the translator's null-safe ordered comparison
-// lowers to a bitmap program, and that program selects exactly the rows the
-// interpreter does, on a table straddling a segment boundary.
+// TestCaseLoweringExact: the translator's null-safe ordered comparison, and
+// NOT over it, lowers to a bitmap program, and that program selects exactly
+// the rows the interpreter does, on a table straddling a segment boundary
+// with NULL, NaN and ±Inf cells. A NOT over an operand that can be NULL
+// stays on the row path and agrees too.
 func TestCaseLoweringExact(t *testing.T) {
 	rows := caseRows(pgdb.SegmentSize + 37)
 	db, oracle := pgdb.NewDB(), pgdb.NewDB()
@@ -129,6 +174,19 @@ func TestCaseLoweringExact(t *testing.T) {
 	for _, where := range caseShapes() {
 		if !pgdb.LowersToVector(db, "t", where) {
 			t.Fatalf("does not lower: %s", where)
+		}
+		requireSameIDs(t, s, ref, where)
+	}
+	twoValued, threeValued := notShapes()
+	for _, where := range twoValued {
+		if !pgdb.LowersToVector(db, "t", where) {
+			t.Fatalf("does not lower: %s", where)
+		}
+		requireSameIDs(t, s, ref, where)
+	}
+	for _, where := range threeValued {
+		if pgdb.LowersToVector(db, "t", where) {
+			t.Fatalf("lowers, though its operand can be NULL: %s", where)
 		}
 		requireSameIDs(t, s, ref, where)
 	}
@@ -162,7 +220,8 @@ func TestCaseLoweringColdBudget(t *testing.T) {
 	oracle.SetExecMode(pgdb.ExecInterpreted)
 	loadCaseTable(t, oracle, rows)
 	s, ref := db.NewSession(), oracle.NewSession()
-	for _, where := range caseShapes() {
+	twoValued, threeValued := notShapes()
+	for _, where := range slices.Concat(caseShapes(), twoValued, threeValued) {
 		requireSameIDs(t, s, ref, where)
 	}
 	if st.Stats().Evictions.Load() == 0 {

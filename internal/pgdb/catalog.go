@@ -26,9 +26,10 @@ const (
 	// compiler (compile.go, compileagg.go) over boxed rows that hold only
 	// the selected rows and the columns the statement reads.
 	ExecCompiled ExecMode = iota
-	// ExecInterpreted retains the per-row AST-walking engine over the full
-	// boxed row view. It is kept as the reference implementation for
-	// differential parity testing (see internal/sidebyside).
+	// ExecInterpreted retains the per-row AST-walking engine over rows it
+	// boxes from the vectors per statement. It is kept as the reference
+	// implementation for differential parity testing (internal/sidebyside,
+	// qdiff -exec interpreted); no server serves with it.
 	ExecInterpreted
 )
 
@@ -42,7 +43,7 @@ func (m ExecMode) String() string {
 	return execModeNames[m]
 }
 
-// ParseExecMode maps an -exec flag value to an ExecMode.
+// ParseExecMode maps a qdiff -exec flag value to an ExecMode.
 func ParseExecMode(s string) (ExecMode, error) {
 	for m, name := range execModeNames {
 		if s == name {
@@ -52,8 +53,9 @@ func ParseExecMode(s string) (ExecMode, error) {
 	return 0, fmt.Errorf("unknown exec mode %q (want compiled or interpreted)", s)
 }
 
-// storedTable is a heap table in the catalog. Data lives in a columnar
-// store (colstore.go); row-at-a-time consumers read the memoized row view.
+// storedTable is a heap table in the catalog. Its data lives only in a
+// columnar store (colstore.go); row-at-a-time consumers box the rows they
+// read once per statement.
 type storedTable struct {
 	name  string
 	cols  []Column
@@ -385,14 +387,10 @@ func (s *Session) resolveRelation(schema, name string) (*Result, error) {
 		return nil, errf("42P01", "relation pg_catalog.%s does not exist", name)
 	}
 	if t, ok := s.lookupTable(name); ok {
-		if !s.interpretedMode() {
-			// lazy: the compiled engine scans column vectors directly and
-			// prunes segments by zone map, so the boxed row view — which
-			// would fault every evicted segment — materializes only if a
-			// consumer actually needs rows (relation.rowsView).
-			return &Result{Cols: append([]Column(nil), t.cols...), store: t.store, lazy: true}, nil
-		}
-		return &Result{Cols: append([]Column(nil), t.cols...), Rows: t.store.rows(), store: t.store}, nil
+		// the compiled engine scans the column vectors directly and prunes
+		// segments by zone map; rows are boxed — faulting every evicted
+		// segment — only if a consumer needs them (relation.rowsView)
+		return &Result{Cols: append([]Column(nil), t.cols...), store: t.store}, nil
 	}
 	if v, ok := s.lookupView(name); ok {
 		// re-execute the view definition under the current statement's

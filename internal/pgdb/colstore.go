@@ -2,10 +2,10 @@ package pgdb
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Columnar table storage: a storedTable keeps its data as typed column
@@ -14,10 +14,10 @@ import (
 // (vector.go, vecagg.go) read these vectors batch-at-a-time, subqueries and
 // equi/as-of joins hand the next operator statement-private stores of the
 // same shape (gather.go), and an operator that needs rows boxes only the
-// selected rows and read columns (boxSel). The interpreter, DML and the row
-// fallbacks of the other operators read through a memoized row-view adapter
-// (rows()), which materializes boxed rows once and keeps them
-// write-through-coherent with the vectors.
+// selected rows and read columns (boxSel). The vectors are the only copy of
+// a table's data: the interpreter, DML and the row fallbacks of the other
+// operators box the rows they need once per statement, into memory the
+// statement owns, so nothing outlives it or has to track later writes.
 
 // segSize is the number of rows per segment. It is a multiple of 64 so a
 // segment's slice of the global selection bitmap is word-aligned, and it
@@ -388,13 +388,6 @@ type colStore struct {
 	// the slot's own mutex.
 	loader SegLoader
 
-	// cache is the memoized row-view adapter: boxed rows materialized once
-	// and kept coherent with the vectors (appends extend it, UPDATE writes
-	// through, DELETE replaces it). Readers load it lock-free; the build is
-	// serialized by cacheMu so concurrent first readers do not race.
-	cacheMu sync.Mutex
-	cache   atomic.Pointer[[][]any]
-
 	// ix holds the table's access paths: per-column sorted attributes, lazy
 	// hash indexes, and the as-of bucket cache (index.go).
 	ix indexState
@@ -566,60 +559,16 @@ func (st *colStore) lastSeg() *segment {
 	return seg
 }
 
-// appendVecs appends one row to the vectors only (no cache maintenance).
-func (st *colStore) appendVecs(row []any) {
+// appendRow appends one row, one value per column.
+func (st *colStore) appendRow(row []any) {
 	seg := st.lastSeg()
-	pos := seg.n
-	for c := range st.cols {
-		var v any
-		if c < len(row) {
-			v = row[c]
-		}
-		seg.vecs[c].appendVal(v, pos)
+	for c, v := range row {
+		seg.vecs[c].appendVal(v, seg.n)
 		st.noteAppend(c, v)
 	}
 	seg.n++
 	st.n++
 	st.noteMutation()
-}
-
-// appendRow appends one row; a materialized row cache extends with the same
-// slice so handed-out row views stay coherent, like the former [][]any
-// storage did.
-func (st *colStore) appendRow(row []any) {
-	st.appendVecs(row)
-	if p := st.cache.Load(); p != nil {
-		rows := append(*p, row)
-		st.cache.Store(&rows)
-	}
-}
-
-// rows materializes the boxed row view, memoized across calls. The first
-// call boxes every cell; later calls return the cached slice, so row-at-a-
-// time consumers (interpreter, joins, DML, as-of) pay materialization once
-// per table lifetime.
-func (st *colStore) rows() [][]any {
-	if p := st.cache.Load(); p != nil {
-		return *p
-	}
-	st.cacheMu.Lock()
-	defer st.cacheMu.Unlock()
-	if p := st.cache.Load(); p != nil {
-		return *p
-	}
-	out := make([][]any, 0, st.n)
-	for si := range st.slots {
-		seg := st.seg(si)
-		for i := 0; i < seg.n; i++ {
-			row := make([]any, len(st.cols))
-			for c := range seg.vecs {
-				row[c] = seg.vecs[c].get(i)
-			}
-			out = append(out, row)
-		}
-	}
-	st.cache.Store(&out)
-	return out
 }
 
 // cellAt boxes the value at a global row index, faulting in only that
@@ -649,51 +598,107 @@ func (st *colStore) rowAtCols(i int, cols []int) []any {
 // boxSel boxes the rows set in sel (nil: every row) in row order, filling
 // only cols and leaving the other cells NULL. Segments with no selected row
 // are skipped before anything faults; the rest fault just cols, once per
-// segment. One backing array holds every row.
+// segment.
 func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
+	rows, _ := st.boxCols(sel, cols, cols, len(st.cols), nil)
+	return rows
+}
+
+// boxCols is boxSel into rows of width cells, column cols[k] boxed into
+// cell dst[k]. One backing array holds every row, and each typed column of
+// a segment boxes with one allocation (boxInto). poll, when set, runs before
+// each segment is boxed; its error stops the boxing.
+func (st *colStore) boxCols(sel []uint64, cols, dst []int, width int, poll func() error) ([][]any, error) {
 	nsel := st.n
 	if sel != nil {
 		nsel = popCount(sel)
 	}
-	width := len(st.cols)
 	backing := make([]any, nsel*width)
-	out := make([][]any, 0, nsel)
+	out := make([][]any, nsel)
+	for i := range out {
+		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
+	}
+	pos := make([]int, 0, min(nsel, segSize)) // a one-row result allocates one slot
+	lo := 0
 	for si := range st.slots {
 		n := st.peekSeg(si).n
-		var window []uint64
-		if sel != nil {
-			window = sel[si*segWords : si*segWords+(n+63)/64]
-			if windowAllZero(window) {
-				continue
+		if sel != nil && windowAllZero(sel[si*segWords:si*segWords+(n+63)/64]) {
+			continue
+		}
+		if poll != nil {
+			if err := poll(); err != nil {
+				return nil, err
+			}
+		}
+		pos = pos[:0]
+		for i := 0; i < n; i++ {
+			if sel == nil || sel[si*segWords+i>>6]&(1<<(uint(i)&63)) != 0 {
+				pos = append(pos, i)
 			}
 		}
 		seg := st.segCols(si, cols)
-		emit := func(i int) {
-			row := backing[:width:width]
-			backing = backing[width:]
-			for _, c := range cols {
-				row[c] = seg.vecs[c].get(i)
-			}
-			out = append(out, row)
+		rows := out[lo : lo+len(pos)]
+		for k, c := range cols {
+			seg.vecs[c].boxInto(rows, dst[k], pos)
 		}
-		if window == nil {
-			for i := 0; i < n; i++ {
-				emit(i)
-			}
-			continue
-		}
-		for w, word := range window {
-			for ; word != 0; word &= word - 1 {
-				emit(w*64 + bits.TrailingZeros64(word))
-			}
-		}
+		lo += len(pos)
 	}
-	return out
+	return out, nil
 }
 
-// setCell overwrites one cell in the vectors (UPDATE write-through; the
-// caller replaces the cached row with an edited copy, keeping both views
-// coherent).
+// eface is the gc runtime's layout of an empty interface: a type word and
+// a pointer to the value (for int64, float64 and string, a heap copy). The
+// Go spec does not promise it. boxTyped writes interfaces in this layout by
+// hand, many pointing into one array — the price of boxing rows per
+// statement without an allocation per cell; TestEfaceLayout fails if the
+// layout, or the runtime's tolerance of such pointers, changes.
+type eface struct{ typ, data unsafe.Pointer }
+
+// typeWord returns the type word of x's dynamic type.
+func typeWord(x any) unsafe.Pointer { return (*eface)(unsafe.Pointer(&x)).typ }
+
+var (
+	int64Word   = typeWord(int64(0))
+	float64Word = typeWord(float64(0))
+	stringWord  = typeWord("")
+)
+
+// boxInto sets cell c of rows[j] to the value at position pos[j] (NULL
+// cells stay nil).
+func (v *colVec) boxInto(rows [][]any, c int, pos []int) {
+	switch v.kind {
+	case vkInt:
+		boxTyped(v, v.ints, int64Word, rows, c, pos)
+	case vkFloat:
+		boxTyped(v, v.floats, float64Word, rows, c, pos)
+	case vkStr:
+		boxTyped(v, v.strs, stringWord, rows, c, pos)
+	default:
+		// bools box without allocating, vkAny cells are boxed already
+		for j, i := range pos {
+			rows[j][c] = v.get(i)
+		}
+	}
+}
+
+// boxTyped boxes src[pos[j]] into cell c of rows[j] with one allocation: the
+// values are copied into one array, and each interface points into it, as
+// converting one value to an interface would point into a heap cell of its
+// own. The copy, never written after, keeps a result's cells fixed while
+// UPDATE rewrites the vector in place.
+func boxTyped[T int64 | float64 | string](v *colVec, src []T, typ unsafe.Pointer, rows [][]any, c int, pos []int) {
+	vals := make([]T, len(pos))
+	for j, i := range pos {
+		vals[j] = src[i]
+	}
+	for j, i := range pos {
+		if !v.isNull(i) {
+			*(*eface)(unsafe.Pointer(&rows[j][c])) = eface{typ, unsafe.Pointer(&vals[j])}
+		}
+	}
+}
+
+// setCell overwrites one cell in the vectors (UPDATE).
 func (st *colStore) setCell(rowIdx, col int, val any) {
 	seg := st.seg(rowIdx / segSize)
 	var old any
@@ -706,17 +711,63 @@ func (st *colStore) setCell(rowIdx, col int, val any) {
 	st.noteSet(rowIdx, col, val, old, ix)
 }
 
-// compact rebuilds the store from the kept rows (DELETE): segments are
-// re-packed densely and zone maps recomputed from the survivors, and the
-// row cache becomes exactly the kept slice.
-func (st *colStore) compact(kept [][]any) {
-	st.slots = nil
-	st.n = 0
-	st.resetAccessPaths()
-	for _, row := range kept {
-		st.appendVecs(row)
+// compact rebuilds the store from the rows set in keep (DELETE): the
+// survivors are copied column by column into densely packed segments —
+// typed columns as a gather copies them, runs as blocks — and zone maps and
+// sorted attributes are recomputed from them.
+func (st *colStore) compact(keep []uint64) {
+	ids := selIDs(keep)
+	var segs []*segment
+	for lo := 0; lo < len(ids); lo += segSize {
+		part := ids[lo:min(lo+segSize, len(ids))]
+		first, last := int(part[0])/segSize, int(part[len(part)-1])/segSize
+		seg := &segment{n: len(part), vecs: make([]colVec, len(st.cols))}
+		for c := range st.cols {
+			v := &seg.vecs[c]
+			if k := st.colKindIn(c, first, last+1); k != vkAny {
+				v.gather(k, part, c, st.seg)
+				v.recomputeZone(seg.n)
+				if v.nullCnt == seg.n { // no value survived: no kind either
+					*v = colVec{nulls: v.nulls, nullCnt: v.nullCnt}
+				}
+				continue
+			}
+			// mixed kinds: append cell by cell, so the survivors take the
+			// kind they share, as freshly inserted rows would
+			for j, id := range part {
+				v.appendVal(st.seg(int(id) / segSize).vecs[c].get(int(id)%segSize), j)
+			}
+		}
+		segs = append(segs, seg)
 	}
-	st.cache.Store(&kept)
+	was := st.ix.sorted
+	st.ix.sorted = make([]sortAttr, len(st.cols))
+	st.slots, st.n = nil, len(ids)
+	for _, seg := range segs {
+		st.addSeg(seg)
+	}
+	st.resetAccessPaths()
+	for c := range st.cols {
+		st.ix.sorted[c] = st.sortAttrOf(c, was[c])
+	}
+}
+
+// sortAttrOf re-derives column c's sorted attribute after compact: a
+// subsequence of a sorted column is sorted, anchored at its new last value,
+// and any other column is scanned as appending its values would.
+func (st *colStore) sortAttrOf(c int, was sortAttr) sortAttr {
+	if was.ok && st.n > 0 {
+		return sortAttr{ok: true, last: st.cellAt(st.n-1, c)}
+	}
+	sa := sortAttr{ok: true}
+	for i := 0; i < st.n; i++ {
+		x := st.cellAt(i, c)
+		if x == nil || i > 0 && compareVals(x, sa.last) < 0 {
+			return sortAttr{}
+		}
+		sa.last = x
+	}
+	return sa
 }
 
 // refreshZones recomputes exact zone bounds and null counts for the given

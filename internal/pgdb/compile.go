@@ -33,6 +33,18 @@ type evalCtx struct {
 // exprFn is a compiled expression, evaluated against one row.
 type exprFn func(ec *evalCtx, row []any) (any, error)
 
+// lowerExpr lowers e once for the session's engine: compiled to a closure,
+// or for the interpreter a closure that walks the AST on every row — the
+// reference the compiled engine is checked against.
+func (s *Session) lowerExpr(e sqlparse.Expr, schema []colBinding) exprFn {
+	if s.interpretedMode() {
+		return func(ec *evalCtx, row []any) (any, error) {
+			return s.evalExprWin(e, schema, row, ec.rowIdx, ec.winVals)
+		}
+	}
+	return compileExpr(e, schema).fn
+}
+
 // compiled pairs an exprFn with the static properties the planner uses.
 type compiled struct {
 	fn exprFn

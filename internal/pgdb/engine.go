@@ -38,7 +38,16 @@ const ctxCheckRows = 1024
 // ctxCheckRows visits it polls the execution context.
 func (s *Session) tick() error {
 	s.ticks++
-	if s.ticks%ctxCheckRows != 0 || s.ctx == nil {
+	if s.ticks%ctxCheckRows != 0 {
+		return nil
+	}
+	return s.poll()
+}
+
+// poll checks the execution context now. Loops that box a segment at a time
+// call it once per segment.
+func (s *Session) poll() error {
+	if s.ctx == nil {
 		return nil
 	}
 	if err := s.ctx.Err(); err != nil {
@@ -381,9 +390,10 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 	type setter struct {
 		idx  int
 		col  string
-		eval func(row []any) (any, error)
+		eval exprFn
 	}
 	setters := make([]setter, len(st.Set))
+	exprs := []sqlparse.Expr{st.Where}
 	for k, set := range st.Set {
 		idx := -1
 		for i, c := range t.cols {
@@ -394,22 +404,20 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 		}
 		// an unresolvable column only errors when a row matches, like the
 		// per-row interpreter loop
-		setters[k].idx = idx
-		setters[k].col = set.Col
-		if s.interpretedMode() {
-			expr := set.Expr
-			setters[k].eval = func(row []any) (any, error) { return s.evalExpr(expr, schema, row) }
-		} else {
-			fn := compileExpr(set.Expr, schema).fn
-			ec := &evalCtx{s: s, rowIdx: -1}
-			setters[k].eval = func(row []any) (any, error) { return fn(ec, row) }
-		}
+		setters[k] = setter{idx, set.Col, s.lowerExpr(set.Expr, schema)}
+		exprs = append(exprs, set.Expr)
+	}
+	ec := &evalCtx{s: s, rowIdx: -1}
+	// the statement's own rows: subqueries read the vectors, which see every
+	// earlier write
+	rows, err := s.dmlRows(t, schema, exprs...)
+	if err != nil {
+		return nil, err
 	}
 	count := 0
 	_, isTemp := s.temp[st.Table]
 	var cells []CellUpdate
 	touched := map[[2]int]struct{}{}
-	rows := t.store.rows()
 	for ri, row := range rows {
 		keep, err := pred(row)
 		if err != nil {
@@ -418,22 +426,16 @@ func (s *Session) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
 		if !keep {
 			continue
 		}
-		// copy on write: a row slice may be shared by results already handed
-		// out (pass-through projections share rows), so the cached row is
-		// replaced, never edited; later predicate evaluations — e.g.
-		// subqueries over the same table — still observe the write
-		row = append([]any(nil), row...)
-		rows[ri] = row
 		for _, set := range setters {
 			if set.idx < 0 {
 				return nil, errf("42703", "column %q does not exist", set.col)
 			}
-			v, err := set.eval(row)
+			v, err := set.eval(ec, row)
 			if err != nil {
 				return nil, err
 			}
 			coerced := coerceToColumn(v, t.cols[set.idx].Type)
-			// write the cached row and through to the column vectors
+			// later SET expressions of the row read the new value
 			row[set.idx] = coerced
 			t.store.setCell(ri, set.idx, coerced)
 			cells = append(cells, CellUpdate{Row: ri, Col: set.idx, Val: coerced})
@@ -460,21 +462,28 @@ func (s *Session) execDelete(st *sqlparse.DeleteStmt) (*Result, error) {
 	}
 	schema := schemaOf(t.cols, "")
 	pred := s.wherePred(st.Where, schema)
-	rows := t.store.rows()
-	kept := make([][]any, 0, len(rows))
+	keep := make([]uint64, (t.store.numRows()+63)/64)
 	var removed []int
-	for ri, row := range rows {
-		match, err := pred(row)
+	if st.Where == nil {
+		removed = seq(0, t.store.numRows())
+	} else {
+		rows, err := s.dmlRows(t, schema, st.Where)
 		if err != nil {
 			return nil, err
 		}
-		if match {
-			removed = append(removed, ri)
-		} else {
-			kept = append(kept, row)
+		for ri, row := range rows {
+			match, err := pred(row)
+			if err != nil {
+				return nil, err
+			}
+			if match {
+				removed = append(removed, ri)
+			} else {
+				keep[ri>>6] |= 1 << (uint(ri) & 63)
+			}
 		}
 	}
-	t.store.compact(kept)
+	t.store.compact(keep)
 	_, isTemp := s.temp[st.Table]
 	if j := s.db.journal; j != nil && !isTemp && len(removed) > 0 {
 		if jerr := j.JournalDelete(st.Table, removed); jerr != nil {
@@ -484,22 +493,15 @@ func (s *Session) execDelete(st *sqlparse.DeleteStmt) (*Result, error) {
 	return &Result{Tag: fmt.Sprintf("DELETE %d", len(removed))}, nil
 }
 
-// rowMatches evaluates a WHERE predicate with 3VL: only TRUE keeps the row.
-// Every scan, join and DML loop funnels through here, so it doubles as the
-// row-batch context checkpoint.
-func (s *Session) rowMatches(where sqlparse.Expr, schema []colBinding, row []any) (bool, error) {
-	if err := s.tick(); err != nil {
-		return false, err
+// dmlRows boxes every row of t for UPDATE and DELETE with only the cells
+// exprs read; the other cells stay NULL.
+func (s *Session) dmlRows(t *storedTable, schema []colBinding, exprs ...sqlparse.Expr) ([][]any, error) {
+	seen := map[int]struct{}{}
+	for _, e := range exprs {
+		addColRefs(e, schema, seen)
 	}
-	if where == nil {
-		return true, nil
-	}
-	v, err := s.evalExpr(where, schema, row)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	return ok && b, nil // NULL (nil) and FALSE both reject
+	cols := sortedSet(seen)
+	return t.store.boxCols(nil, cols, cols, len(t.cols), s.poll)
 }
 
 // evalConst evaluates an expression with no row context (literals in

@@ -39,10 +39,3 @@ func LowersToVector(db *DB, table, where string) bool {
 	_, ok := lowerVecPred(stmt.(*sqlparse.SelectStmt).Where, schemaOf(t.cols, table), t.store)
 	return ok
 }
-
-// RowCacheBuilt reports whether a table's boxed row view has been built.
-func RowCacheBuilt(db *DB, name string) bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tables[name].store.cache.Load() != nil
-}

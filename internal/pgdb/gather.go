@@ -29,7 +29,7 @@ import (
 // verdict). Every vector's capacity equals its segment's row count — a
 // one-row point lookup must not allocate a segment's worth of each column.
 // A consumer that still needs rows calls rowsView, which boxes the private
-// store once through rows().
+// store once for the statement (boxSel).
 
 // newPrivateStore returns a statement-private store of n rows over cols,
 // its segments allocated with unset vectors for the builder to fill.
@@ -86,9 +86,12 @@ func (st *colStore) baseCol(c int) (*colStore, int) {
 // colKind is column c's storage class across every segment, from resident
 // metadata only: the typed kind its segments share (all-NULL segments
 // aside), vkEmpty when it holds no value, vkAny when segments disagree.
-func (st *colStore) colKind(c int) vecKind {
+func (st *colStore) colKind(c int) vecKind { return st.colKindIn(c, 0, st.numSegs()) }
+
+// colKindIn is colKind over segments lo to hi-1.
+func (st *colStore) colKindIn(c, lo, hi int) vecKind {
 	k := vkEmpty
-	for si := range st.slots {
+	for si := lo; si < hi; si++ {
 		sk := st.peekSeg(si).vecs[c].kind
 		if sk == vkEmpty || sk == k {
 			continue

@@ -220,7 +220,6 @@ func TestIndexTypeDegradation(t *testing.T) {
 	// write is the kind-mixing mutation the maintenance hook must survive
 	st := storeOf(t, db, "mix")
 	st.setCell(0, 0, 2.5)
-	st.cache.Store(nil)
 	res := mustExec(t, s, "SELECT count(*) FROM mix WHERE k = 2")
 	if res.Rows[0][0].(int64) != 2 {
 		t.Fatalf("post-degradation count = %v", res.Rows[0][0])

@@ -11,47 +11,46 @@ import (
 // the goroutine fan-out; small inputs run the sequential loop.
 const parallelMinRows = 4096
 
-// wherePred compiles a join/DML predicate once and returns a per-row keep
-// test with 3VL semantics (only TRUE keeps). In interpreted mode it defers
-// to rowMatches; both paths poll the statement context per row batch.
+// wherePred lowers a WHERE, join or DML predicate once and returns a per-row
+// keep test with 3VL semantics: only TRUE keeps, and a nil predicate keeps
+// every row. Every row loop funnels through it or tick, so it doubles as
+// the row-batch context checkpoint.
 func (s *Session) wherePred(e sqlparse.Expr, schema []colBinding) func(row []any) (bool, error) {
-	if s.interpretedMode() || e == nil {
-		return func(row []any) (bool, error) { return s.rowMatches(e, schema, row) }
+	var pred exprFn
+	if e != nil {
+		pred = s.lowerExpr(e, schema)
 	}
-	pred := compileExpr(e, schema).fn
 	ec := &evalCtx{s: s, rowIdx: -1}
 	return func(row []any) (bool, error) {
 		if err := s.tick(); err != nil {
 			return false, err
 		}
-		v, err := pred(ec, row)
-		if err != nil {
-			return false, err
+		if pred == nil {
+			return true, nil
 		}
+		v, err := pred(ec, row)
 		b, ok := v.(bool)
-		return ok && b, nil
+		return ok && b && err == nil, err // NULL (nil) and FALSE both reject
 	}
 }
 
-// filterRows is the compiled WHERE operator: the predicate compiles once,
-// the keep buffer is preallocated to the input size, and large scans with a
-// pure predicate fan out across the database's configured parallelism.
+// filterRows is the row-at-a-time WHERE operator. In the compiled engine,
+// large inputs with a pure predicate fan out across the database's
+// configured parallelism.
 func (s *Session) filterRows(where sqlparse.Expr, schema []colBinding, rows [][]any) ([][]any, error) {
-	pred := compileExpr(where, schema)
-	if workers := s.db.Parallelism(); pred.pure && workers > 1 && len(rows) >= parallelMinRows {
-		return s.filterParallel(pred.fn, rows, workers)
+	if workers := s.db.Parallelism(); !s.interpretedMode() && workers > 1 && len(rows) >= parallelMinRows {
+		if pred := compileExpr(where, schema); pred.pure {
+			return s.filterParallel(pred.fn, rows, workers)
+		}
 	}
-	ec := &evalCtx{s: s, rowIdx: -1}
+	match := s.wherePred(where, schema)
 	kept := make([][]any, 0, len(rows))
 	for _, row := range rows {
-		if err := s.tick(); err != nil {
-			return nil, err
-		}
-		v, err := pred.fn(ec, row)
+		ok, err := match(row)
 		if err != nil {
 			return nil, err
 		}
-		if b, ok := v.(bool); ok && b {
+		if ok {
 			kept = append(kept, row)
 		}
 	}

@@ -205,7 +205,7 @@ func (db *DB) RestoreTableLazy(name string, cols []Column, segs []SegMeta, loade
 }
 
 // EvictSegments swaps resident segments [from, to) of a table for stubs,
-// dropping their data and the table's memoized row view. Partially resident
+// dropping their data. Partially resident
 // segments (only some columns faulted back in) are evicted too, and the
 // accounting is column-granular. The caller must guarantee the range is
 // durable and clean, and must run inside Exclusive — that makes the
@@ -235,9 +235,8 @@ func (db *DB) EvictSegments(name string, from, to int) (int64, int) {
 		cols += st.evictSeg(si)
 	}
 	if cols > 0 {
-		st.cache.Store(nil) // the row view pins boxed copies of every cell
 		// indexes and as-of buckets pin value copies of the evicted columns;
-		// drop them too and let the next qualifying lookup rebuild
+		// drop them and let the next qualifying lookup rebuild
 		st.dropIndexes()
 	}
 	return freed, cols
@@ -320,13 +319,28 @@ func (db *DB) ResidentBytes() map[string]int64 {
 //
 // The Apply* functions re-execute journaled changes without re-journaling
 // them. Each takes the exclusive statement lock and traps segment faults
-// like a statement would.
+// like a statement would, and each rejects a record the statement path
+// could not have written with a 58030 error instead of applying something
+// else.
 
 func (db *DB) applyLocked(fn func() error) (err error) {
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
 	defer trapFault(&err)
 	return fn()
+}
+
+// applyToTable runs fn on a permanent table under applyLocked.
+func (db *DB) applyToTable(name string, fn func(st *colStore) error) error {
+	return db.applyLocked(func() error {
+		db.mu.RLock()
+		t, ok := db.tables[name]
+		db.mu.RUnlock()
+		if !ok {
+			return errf("42P01", "relation %q does not exist", name)
+		}
+		return fn(t.store)
+	})
 }
 
 // ApplyCreateTable creates (or replaces) a permanent table.
@@ -364,17 +378,16 @@ func (db *DB) ApplyCreateView(name, sql string) error {
 	})
 }
 
-// ApplyAppend appends rows to a permanent table.
+// ApplyAppend appends rows to a permanent table. Every row must be as wide
+// as the table, as InsertRows requires.
 func (db *DB) ApplyAppend(name string, rows [][]any) error {
-	return db.applyLocked(func() error {
-		db.mu.RLock()
-		t, ok := db.tables[name]
-		db.mu.RUnlock()
-		if !ok {
-			return errf("42P01", "relation %q does not exist", name)
-		}
-		for _, r := range rows {
-			t.store.appendRow(r)
+	return db.applyToTable(name, func(st *colStore) error {
+		// a failed replay fails the open, so rows before a bad one may stay
+		for i, r := range rows {
+			if len(r) != len(st.cols) {
+				return errf("58030", "append replay: row %d has %d values, table %s has %d columns", i, len(r), name, len(st.cols))
+			}
+			st.appendRow(r)
 		}
 		return nil
 	})
@@ -383,24 +396,12 @@ func (db *DB) ApplyAppend(name string, rows [][]any) error {
 // ApplyUpdate replays cell overwrites, then refreshes the touched zones
 // exactly like the UPDATE statement path.
 func (db *DB) ApplyUpdate(name string, cells []CellUpdate) error {
-	return db.applyLocked(func() error {
-		db.mu.RLock()
-		t, ok := db.tables[name]
-		db.mu.RUnlock()
-		if !ok {
-			return errf("42P01", "relation %q does not exist", name)
-		}
-		st := t.store
-		rows := st.rows()
+	return db.applyToTable(name, func(st *colStore) error {
 		touched := make(map[[2]int]struct{}, len(cells))
 		for _, c := range cells {
 			if c.Row < 0 || c.Row >= st.numRows() || c.Col < 0 || c.Col >= len(st.cols) {
 				return errf("58030", "update replay out of range: row %d col %d", c.Row, c.Col)
 			}
-			// copy on write, as the UPDATE statement does
-			row := append([]any(nil), rows[c.Row]...)
-			row[c.Col] = c.Val
-			rows[c.Row] = row
 			st.setCell(c.Row, c.Col, c.Val)
 			touched[[2]int{c.Row / segSize, c.Col}] = struct{}{}
 		}
@@ -409,28 +410,22 @@ func (db *DB) ApplyUpdate(name string, cells []CellUpdate) error {
 	})
 }
 
-// ApplyDelete replays a DELETE given the removed original row indexes
-// (ascending), compacting survivors densely.
+// ApplyDelete replays a DELETE given the removed original row indexes,
+// which must ascend strictly within the table, compacting survivors
+// densely.
 func (db *DB) ApplyDelete(name string, removed []int) error {
-	return db.applyLocked(func() error {
-		db.mu.RLock()
-		t, ok := db.tables[name]
-		db.mu.RUnlock()
-		if !ok {
-			return errf("42P01", "relation %q does not exist", name)
-		}
-		st := t.store
-		rows := st.rows()
-		kept := make([][]any, 0, len(rows)-len(removed))
-		ri := 0
-		for i, row := range rows {
-			if ri < len(removed) && removed[ri] == i {
-				ri++
-				continue
+	return db.applyToTable(name, func(st *colStore) error {
+		keep := make([]uint64, (st.numRows()+63)/64)
+		fillOnes(keep, st.numRows())
+		prev := -1
+		for _, ri := range removed {
+			if ri <= prev || ri >= st.numRows() {
+				return errf("58030", "delete replay: row %d out of range or order (after %d, table %s has %d rows)", ri, prev, name, st.numRows())
 			}
-			kept = append(kept, row)
+			keep[ri>>6] &^= 1 << (uint(ri) & 63)
+			prev = ri
 		}
-		st.compact(kept)
+		st.compact(keep)
 		return nil
 	})
 }

@@ -483,3 +483,20 @@ func TestCrossJoinCommaFrom(t *testing.T) {
 		t.Fatalf("cross join = %d rows", len(res.Rows))
 	}
 }
+
+// TestParseExecMode pins qdiff's -exec values: each engine's name parses to
+// it and back, and anything else — including the retired "vectorized" and
+// case variants — is rejected.
+func TestParseExecMode(t *testing.T) {
+	for name, m := range map[string]ExecMode{"compiled": ExecCompiled, "interpreted": ExecInterpreted} {
+		got, err := ParseExecMode(name)
+		if err != nil || got != m || m.String() != name {
+			t.Errorf("ParseExecMode(%q) = %v, %v", name, got, err)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "vectorized", "Compiled", " compiled"} {
+		if _, err := ParseExecMode(bad); err == nil {
+			t.Errorf("ParseExecMode(%q) accepted", bad)
+		}
+	}
+}

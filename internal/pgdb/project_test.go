@@ -1,6 +1,8 @@
 package pgdb
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"slices"
 	"testing"
@@ -31,19 +33,15 @@ func newProjectDB(t testing.TB, n int) (*DB, *Session) {
 	return db, s
 }
 
-// memoRows deep-copies table p's memoized row view.
-func memoRows(s *Session) [][]any {
+// tableRows boxes table p's rows from its vectors.
+func tableRows(s *Session) [][]any {
 	t, _ := s.lookupTable("p")
-	var out [][]any
-	for _, r := range t.store.rows() {
-		out = append(out, append([]any(nil), r...))
-	}
-	return out
+	return t.store.boxSel(nil, seq(0, len(t.cols)))
 }
 
 // notVec filters p through a predicate the vector engine cannot lower, so
-// the filter keeps the memoized rows themselves and a pass-through wrapper
-// over it shares them.
+// the filter keeps the rows it boxed and a pass-through wrapper over it
+// shares them.
 const notVec = "(SELECT * FROM p WHERE length(sym) >= 0) q"
 
 func TestPassThroughProjectionLeavesRowsUnchanged(t *testing.T) {
@@ -56,27 +54,25 @@ func TestPassThroughProjectionLeavesRowsUnchanged(t *testing.T) {
 	if _, ok := lowerVecPred(stmt.(*sqlparse.SelectStmt).Where, schemaOf(tbl.cols, "p"), tbl.store); ok {
 		t.Fatal("the filter lowers to a vector program; pick one that does not")
 	}
-	res, err := s.Exec("SELECT id AS id, sym AS sym, px AS px FROM " + notVec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &res.Rows[0][0] != &tbl.store.rows()[0][0] {
-		t.Fatal("identity wrapper did not share the memoized rows")
-	}
-	before := memoRows(s)
-	// a result owns its outer slice even over the table's own row view, so
-	// ORDER BY permuting it in place leaves the table's row order alone
+	before := tableRows(s)
+	// an identity wrapper shares its input relation's boxed rows but owns its
+	// outer slice, so ORDER BY permuting it in place leaves the relation's
+	// row order alone
 	all, err := sqlparse.Parse("SELECT * FROM p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.project(all.(*sqlparse.SelectStmt), &relation{schema: schemaOf(tbl.cols, "p"), rows: tbl.store.rows()})
+	rel := &relation{schema: schemaOf(tbl.cols, "p"), store: tbl.store}
+	out, err := s.project(all.(*sqlparse.SelectStmt), rel)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if &out.Rows[0][0] != &rel.rows[0][0] {
+		t.Fatal("identity wrapper did not share the relation's rows")
+	}
 	slices.Reverse(out.Rows)
-	if !reflect.DeepEqual(memoRows(s), before) {
-		t.Fatal("permuting a pass-through result reordered the table's rows")
+	if !reflect.DeepEqual(rel.rows, before) {
+		t.Fatal("permuting a pass-through result reordered the relation's rows")
 	}
 	for _, q := range []string{
 		// identity wrappers
@@ -100,15 +96,16 @@ func TestPassThroughProjectionLeavesRowsUnchanged(t *testing.T) {
 		if !reflect.DeepEqual(first.Rows, second.Rows) {
 			t.Errorf("%s: second run differs from the first", q)
 		}
-		if !reflect.DeepEqual(memoRows(s), before) {
-			t.Fatalf("%s: changed the table's memoized rows", q)
+		if !reflect.DeepEqual(tableRows(s), before) {
+			t.Fatalf("%s: changed the table's rows", q)
 		}
 	}
 }
 
-// TestUpdateDoesNotRewriteSharedRows pins the invariant identity projections
-// rely on: UPDATE replaces a memoized row instead of editing it, so a result
-// handed out earlier keeps the values it was computed with.
+// TestUpdateDoesNotRewriteSharedRows: a result handed out before an UPDATE
+// keeps the values it was computed with — its rows, which an identity
+// projection shares with the statement's relation, belong to that finished
+// statement — and the write is visible afterwards.
 func TestUpdateDoesNotRewriteSharedRows(t *testing.T) {
 	_, s := newProjectDB(t, 50)
 	held, err := s.Exec("SELECT * FROM " + notVec)
@@ -146,7 +143,7 @@ func TestPassThroughProjectionAllocs(t *testing.T) {
 		}
 		sel := stmt.(*sqlparse.SelectStmt)
 		tbl, _ := s.lookupTable("p")
-		rel := &relation{schema: schemaOf(tbl.cols, "q"), rows: tbl.store.rows()}
+		rel := &relation{schema: schemaOf(tbl.cols, "q"), rows: tableRows(s)}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := s.project(sel, rel); err != nil {
 				t.Fatal(err)
@@ -161,5 +158,24 @@ func TestPassThroughProjectionAllocs(t *testing.T) {
 		if large != small {
 			t.Errorf("%s: %.0f allocations at 1k rows, %.0f at 20k", q, small, large)
 		}
+	}
+}
+
+// TestBoxingPollsContext: boxing a table's rows — a top-level vector
+// projection, UPDATE and DELETE — checks the statement's context once per
+// segment, so a cancelled statement stops before it boxes the table or
+// writes a row.
+func TestBoxingPollsContext(t *testing.T) {
+	_, s := newProjectDB(t, 3*segSize)
+	before := tableRows(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []string{"SELECT id, sym FROM p", "UPDATE p SET px = -1", "DELETE FROM p WHERE px > 1"} {
+		if _, err := s.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: %v, want the cancellation", q, err)
+		}
+	}
+	if !reflect.DeepEqual(tableRows(s), before) {
+		t.Fatal("a cancelled statement changed the table")
 	}
 }

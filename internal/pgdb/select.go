@@ -3,7 +3,6 @@ package pgdb
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -27,42 +26,25 @@ func schemaOf(cols []Column, alias string) []colBinding {
 }
 
 // relation is an intermediate result: bound columns plus materialized rows.
-// store is set for a columnar relation — an unfiltered base-table scan, or
-// a subquery's or join's statement-private store (gather.go) — whose
-// columns line up with schema and which the compiled engine scans through
-// the vector paths. lazy marks such a relation whose rows have not been
-// boxed yet (rows is nil): consumers that need every row call rowsView, and
-// a vector scan's row-at-a-time fallback calls boxSelected, so fully-pruned
-// scans never fault evicted segments or box a cell.
+// store is set for a columnar relation — a base-table scan, or a subquery's
+// or join's statement-private store (gather.go) — whose columns line up with
+// schema and which the compiled engine scans through the vector paths. Its
+// rows stay nil until a consumer needs them: rowsView boxes every row, and a
+// vector scan's row-at-a-time fallback boxes only what it reads (boxSel),
+// so fully-pruned scans never fault evicted segments or box a cell. Boxed
+// rows belong to the relation, which lives for one statement.
 type relation struct {
 	schema []colBinding
 	rows   [][]any
 	store  *colStore
-	lazy   bool
 }
 
-// rowsView returns the boxed row view, materializing it on first use for a
-// lazy scan.
+// rowsView returns the boxed rows, boxing a columnar relation's on first use.
 func (r *relation) rowsView() [][]any {
-	if r.lazy {
-		r.rows = r.store.rows()
-		r.lazy = false
+	if r.rows == nil && r.store != nil {
+		r.rows = r.store.boxSel(nil, seq(0, len(r.store.cols)))
 	}
 	return r.rows
-}
-
-// boxSelected gives a vector scan's row-at-a-time consumers their rows: the
-// positions set in sel (nil: all), in row order. A row view that already
-// exists is shared by reference; otherwise only cols of the selected rows
-// are boxed (the other cells stay NULL) and only those columns of segments
-// holding a selected row fault in.
-func (r *relation) boxSelected(sel []uint64, cols []int) {
-	if r.store.cache.Load() != nil {
-		r.rows = materializeSel(r.store.rows(), sel)
-	} else {
-		r.rows = r.store.boxSel(sel, cols)
-	}
-	r.lazy = false
 }
 
 // addColRefs adds to seen the column of every reference in e that resolves
@@ -140,27 +122,11 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, columnar bool) (*Result, 
 		}
 	}
 	if where != nil && !vecScan {
-		if s.interpretedMode() {
-			var kept [][]any
-			for _, row := range rel.rowsView() {
-				ok, err := s.rowMatches(where, rel.schema, row)
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, row)
-				}
-			}
-			rel.rows = kept
-			rel.lazy = false
-		} else {
-			kept, err := s.filterRows(where, rel.schema, rel.rowsView())
-			if err != nil {
-				return nil, err
-			}
-			rel.rows = kept
-			rel.lazy = false
+		// the store still holds the unfiltered rows
+		if rel.rows, err = s.filterRows(where, rel.schema, rel.rowsView()); err != nil {
+			return nil, err
 		}
+		rel.store = nil
 	}
 	var res *Result
 	grouped := len(sel.GroupBy) > 0 || selectHasAggregate(sel)
@@ -186,7 +152,7 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, columnar bool) (*Result, 
 		// way only the selected rows, with the columns the statement reads,
 		// are boxed
 		if !ok || !orderByOutputs(sel, res) {
-			rel.boxSelected(selBits, stmtCols(sel, rel.schema))
+			rel.rows = rel.store.boxSel(selBits, stmtCols(sel, rel.schema))
 		}
 		switch {
 		case ok:
@@ -321,7 +287,7 @@ func (s *Session) buildRef(ref sqlparse.TableRef) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &relation{schema: schemaOf(res.Cols, alias), rows: res.Rows, store: res.store, lazy: res.lazy}, nil
+	return &relation{schema: schemaOf(res.Cols, alias), rows: res.Rows, store: res.store}, nil
 }
 
 // buildJoin executes a join tree. A single-key INNER or LEFT equi-join of
@@ -342,74 +308,49 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 	if out, err := s.hashJoinVec(j, left, right); out != nil || err != nil {
 		return out, err
 	}
-	// the other joins are row-at-a-time: materialize lazy scans up front
+	// the other joins are row-at-a-time: box columnar sides up front
 	left.rowsView()
 	right.rowsView()
 	outSchema := append(append([]colBinding{}, left.schema...), right.schema...)
 	out := &relation{schema: outSchema}
 
 	// hash path: the ON clause contains col = col equalities across sides
-	// (possibly null-safe); any remaining conjuncts — such as the b.time <=
-	// a.time bound of a translated as-of join — evaluate as a residual
-	// predicate over each candidate pair
-	if lk, rk, nullSafe, residual, ok := extractHashKeys(j.On, left.schema, right.schema); ok {
-		index := make(map[string][]int, len(right.rows))
+	// (possibly null-safe), and each left row meets only the right rows of
+	// its key; any remaining conjuncts — such as the b.time <= a.time bound
+	// of a translated as-of join — evaluate as a residual predicate over each
+	// candidate pair. Otherwise a nested loop evaluates ON over every pair.
+	on := j.On
+	lk, rk, nullSafe, residual, hashed := extractHashKeys(j.On, left.schema, right.schema)
+	var index map[string][]int
+	var every []int
+	if hashed {
+		on, index = residual, make(map[string][]int, len(right.rows))
 		for i, rr := range right.rows {
 			if key, ok := hashKey(rr, rk, nullSafe); ok {
 				index[key] = append(index[key], i)
 			}
 		}
-		// the residual predicate (e.g. the b.time <= a.time bound of a
-		// translated as-of join) compiles once for the whole probe loop
-		var residualPred func(row []any) (bool, error)
-		if residual != nil {
-			residualPred = s.wherePred(residual, outSchema)
-		}
-		out.rows = make([][]any, 0, len(left.rows))
-		for _, lr := range left.rows {
-			if err := s.tick(); err != nil {
-				return nil, err
-			}
-			matched := false
-			if key, ok := hashKey(lr, lk, nullSafe); ok {
-				for _, ri := range index[key] {
-					row := append(append(make([]any, 0, len(lr)+len(right.rows[ri])), lr...), right.rows[ri]...)
-					if residualPred != nil {
-						keep, err := residualPred(row)
-						if err != nil {
-							return nil, err
-						}
-						if !keep {
-							continue
-						}
-					}
-					out.rows = append(out.rows, row)
-					matched = true
-				}
-			}
-			if !matched && (j.Type == sqlparse.LeftJoin || j.Type == sqlparse.FullJoin) {
-				out.rows = append(out.rows, padRight(lr, len(right.schema)))
-			}
-		}
-		if j.Type == sqlparse.RightJoin || j.Type == sqlparse.FullJoin {
-			if err := s.appendUnmatchedRight(out, left, right, j.On); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+	} else {
+		every = seq(0, len(right.rows))
 	}
-
-	// nested loop
-	onPred := s.wherePred(j.On, outSchema)
+	pred := s.wherePred(on, outSchema)
+	out.rows = make([][]any, 0, len(left.rows))
 	for _, lr := range left.rows {
+		cands := every
+		if hashed {
+			cands = nil
+			if key, ok := hashKey(lr, lk, nullSafe); ok {
+				cands = index[key]
+			}
+		}
 		matched := false
-		for _, rr := range right.rows {
-			row := append(append(make([]any, 0, len(lr)+len(rr)), lr...), rr...)
-			ok, err := onPred(row)
+		for _, ri := range cands {
+			row := append(append(make([]any, 0, len(lr)+len(right.rows[ri])), lr...), right.rows[ri]...)
+			keep, err := pred(row)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			if keep {
 				out.rows = append(out.rows, row)
 				matched = true
 			}
@@ -502,7 +443,7 @@ func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*rela
 	}
 	out.gatherCols(seq(0, nl), ls, seq(0, nl), lids)
 	out.gatherCols(seq(nl, len(schema)), right.store, seq(0, len(right.schema)), rids)
-	return &relation{schema: schema, store: out, lazy: true}, nil
+	return &relation{schema: schema, store: out}, nil
 }
 
 // seq returns lo, lo+1, ..., hi-1.
@@ -525,8 +466,7 @@ func bindingCols(schema []colBinding) []Column {
 }
 
 func (s *Session) appendUnmatchedRight(out *relation, left, right *relation, on sqlparse.Expr) error {
-	outSchema := out.schema
-	onPred := s.wherePred(on, outSchema)
+	onPred := s.wherePred(on, out.schema)
 	for _, rr := range right.rows {
 		matched := false
 		for _, lr := range left.rows {
@@ -550,10 +490,8 @@ func (s *Session) appendUnmatchedRight(out *relation, left, right *relation, on 
 }
 
 func padRight(lr []any, rightWidth int) []any {
-	row := append(make([]any, 0, len(lr)+rightWidth), lr...)
-	for i := 0; i < rightWidth; i++ {
-		row = append(row, nil)
-	}
+	row := make([]any, len(lr)+rightWidth)
+	copy(row, lr)
 	return row
 }
 
@@ -695,28 +633,10 @@ func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if s.interpretedMode() {
-		for ri, row := range rel.rows {
-			if err := s.tick(); err != nil {
-				return nil, err
-			}
-			out := make([]any, len(items))
-			for i, item := range items {
-				v, err := s.evalExprWin(item.Expr, rel.schema, row, ri, winVals)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			res.Rows = append(res.Rows, out)
-		}
-		refineTypes(res)
-		return res, nil
-	}
-	// compiled: each item lowers once; the output buffer is preallocated
+	// each item lowers once; the output buffer is preallocated
 	fns := make([]exprFn, len(items))
 	for i, item := range items {
-		fns[i] = compileExpr(item.Expr, rel.schema).fn
+		fns[i] = s.lowerExpr(item.Expr, rel.schema)
 	}
 	ec := &evalCtx{s: s, winVals: winVals}
 	res.Rows = make([][]any, 0, len(rel.rows))
@@ -758,10 +678,10 @@ func bareColumns(items []sqlparse.SelectItem, schema []colBinding) ([]int, bool)
 }
 
 // passThrough projects rows onto cols — the translator's
-// `SELECT a AS a, ... FROM (...)` wrappers. A row slice is never written
-// once built (UPDATE replaces a table's row instead of editing it), so an
-// identity projection shares the input rows and copies only the outer
-// slice, which ORDER BY permutes; any other projection fills one arena.
+// `SELECT a AS a, ... FROM (...)` wrappers. The input rows belong to the
+// statement's relation and are never written once built, so an identity
+// projection shares them and copies only the outer slice, which ORDER BY
+// permutes; any other projection fills one arena.
 func passThrough(rows [][]any, cols []int) [][]any {
 	out := make([][]any, len(rows))
 	if len(rows) > 0 && isIdentity(cols, len(rows[0])) {
@@ -795,13 +715,13 @@ func isIdentity[T int | int32](xs []T, width int) bool {
 
 // projectVec is the late-materialization fast path for a vector scan: when
 // every output item is a bare column reference, the result is built
-// straight from the selection bitmap over the column vectors — one arena-backed
-// output row per selected position, no intermediate filtered slice and no
-// per-row closure dispatch. With columnar set the result stays columns: a
+// straight from the selection bitmap over the column vectors (boxCols) — one
+// arena-backed output row per selected position, no intermediate filtered
+// slice and no per-row closure dispatch. With columnar set the result stays columns: a
 // view of the input store when nothing is filtered, else a typed gather of
-// the selected rows (gather.go). Returns ok=false (and no error) for any
-// shape it does not handle, deferring both work and error surfacing to the
-// generic projection path.
+// the selected rows (gather.go). Returns ok=false for any shape it does not
+// handle, deferring both work and error surfacing to the generic projection
+// path.
 func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64, columnar bool) (*Result, bool, error) {
 	items, err := expandStars(sel.Items, rel.schema)
 	if err != nil {
@@ -830,47 +750,11 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 			res.store = newPrivateStore(res.Cols, len(ids))
 			res.store.gatherCols(seq(0, len(cols)), st, cols, ids)
 		}
-		res.lazy = true
 		refineStoreTypes(res)
 		return res, true, nil
 	}
-	nsrc := st.numRows()
-	nsel := nsrc
-	if selBits != nil {
-		nsel = popCount(selBits)
-	}
-	backing := make([]any, nsel*len(cols))
-	res.Rows = make([][]any, 0, nsel)
-	emit := func(i int) {
-		out := backing[:len(cols):len(cols)]
-		backing = backing[len(cols):]
-		// fault only the projected columns of the row's segment, in one
-		// loader call per cold segment
-		seg := st.segCols(i/segSize, cols)
-		pos := i % segSize
-		for k, c := range cols {
-			out[k] = seg.vecs[c].get(pos)
-		}
-		res.Rows = append(res.Rows, out)
-	}
-	if selBits == nil {
-		for i := 0; i < nsrc; i++ {
-			if err := s.tick(); err != nil {
-				return nil, false, err
-			}
-			emit(i)
-		}
-	} else {
-		for w, word := range selBits {
-			for word != 0 {
-				i := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if err := s.tick(); err != nil {
-					return nil, false, err
-				}
-				emit(i)
-			}
-		}
+	if res.Rows, err = st.boxCols(selBits, cols, seq(0, len(cols)), len(cols), s.poll); err != nil {
+		return nil, false, err
 	}
 	refineTypes(res)
 	return res, true, nil

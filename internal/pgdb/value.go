@@ -36,13 +36,12 @@ type Result struct {
 	Tag  string // command tag, e.g. "SELECT 5"
 	// store is set for a base table's columnar storage, or for a FROM-clause
 	// subquery's statement-private one (gather.go), letting the compiled
-	// engine scan the typed vectors instead of boxed rows. lazy marks such a
-	// result whose Rows is deliberately nil: consumers that need boxed rows
-	// materialize through the relation (rowsView, boxSelected), so scans the
-	// planner fully prunes never touch evicted segments. Results returned
-	// from the exported entry points always carry Rows.
+	// engine scan the typed vectors instead of boxed rows. Rows is then nil:
+	// consumers that need boxed rows box them through the relation (rowsView,
+	// boxSel), so scans the planner fully prunes never touch evicted
+	// segments. Results returned from the exported entry points always carry
+	// Rows.
 	store *colStore
-	lazy  bool
 }
 
 // Error is an execution error, carrying a PostgreSQL-style SQLSTATE code.

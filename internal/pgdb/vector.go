@@ -13,15 +13,19 @@ import (
 // program of typed kernels that fill a selection bitmap over the column
 // vectors, one segment at a time. Only shapes whose evaluation can never
 // error are lowered (column-vs-constant comparisons, IS [NOT] NULL, IN and
-// BETWEEN over constants, AND/OR composition, searched CASE), so the row
-// engines' error surface is preserved exactly: anything else falls back to
-// the row-at-a-time filter.
+// BETWEEN over constants, AND/OR/NOT composition, searched CASE), so the
+// row engines' error surface is preserved exactly: anything else falls back
+// to the row-at-a-time filter.
 //
 // Soundness of the bitmap encoding: a WHERE keeps a row only when it
 // evaluates to TRUE, so NULL and FALSE both map to an unset bit. That
 // mapping commutes with AND/OR composition (NULL AND x, NULL OR FALSE are
 // never TRUE; NULL OR TRUE is TRUE and the OR of the bitmaps sets the bit)
-// — but not with NOT, which is therefore never lowered.
+// — but with NOT only where the operand is never NULL: there the
+// complement of its bitmap within the segment is exactly the TRUE set of
+// the negation. NOT therefore lowers only over a provably two-valued
+// operand (nullCols), such as the `x IS NULL OR x < k` the translator's
+// ordered comparisons lower to.
 //
 // Zone maps prune at the leaves: a comparison kernel skips a whole segment
 // when the per-segment min/max bounds prove no row can match, and fills it
@@ -110,25 +114,6 @@ func popCount(sel []uint64) int {
 	return n
 }
 
-// materializeSel late-materializes the selected positions: only rows whose
-// bit is set are gathered (by reference) from the row view. A nil bitmap
-// selects everything.
-func materializeSel(rows [][]any, sel []uint64) [][]any {
-	if sel == nil {
-		return rows
-	}
-	out := make([][]any, 0, popCount(sel))
-	for wi, w := range sel {
-		base := wi * 64
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			out = append(out, rows[i])
-			w &= w - 1
-		}
-	}
-	return out
-}
-
 // --- predicate nodes ---
 
 type vecAnd struct{ l, r vecPred }
@@ -198,8 +183,9 @@ func (p *vecOr) stubSeg(seg *segment, out []uint64) bool {
 }
 
 // vecConst is a row-independent predicate: TRUE selects the whole segment,
-// FALSE/NULL select nothing.
-type vecConst struct{ all bool }
+// FALSE/NULL select nothing. twoValued marks a constant known to be TRUE or
+// FALSE, never NULL; only NOT tells FALSE and NULL apart.
+type vecConst struct{ all, twoValued bool }
 
 func (p *vecConst) cols(func(int)) {}
 
@@ -212,6 +198,85 @@ func (p *vecConst) evalSeg(seg *segment, out []uint64) {
 func (p *vecConst) stubSeg(seg *segment, out []uint64) bool {
 	p.evalSeg(seg, out) // row-independent: needs only the row count
 	return true
+}
+
+// vecNot is NOT over a two-valued operand: the complement of the operand's
+// window within the segment's rows.
+type vecNot struct{ p vecPred }
+
+func (p *vecNot) cols(add func(int)) { p.p.cols(add) }
+
+func (p *vecNot) evalSeg(seg *segment, out []uint64) {
+	p.p.evalSeg(seg, out)
+	complementWindow(out, seg.n)
+}
+
+func (p *vecNot) stubSeg(seg *segment, out []uint64) bool {
+	var tmp [segWords]uint64
+	if !p.p.stubSeg(seg, tmp[:len(out)]) {
+		return false
+	}
+	copy(out, tmp[:len(out)])
+	complementWindow(out, seg.n)
+	return true
+}
+
+// complementWindow flips the first n bits of a segment's window.
+func complementWindow(out []uint64, n int) {
+	var mask [segWords]uint64
+	fillOnes(mask[:len(out)], n)
+	for w := range out {
+		out[w] = mask[w] &^ out[w]
+	}
+}
+
+// nullCols returns columns such that p is never NULL on a row where none of
+// them is NULL; ok is false when no such set is known. An empty set makes p
+// two-valued: TRUE or FALSE on every row.
+func nullCols(p vecPred) (cols []int, ok bool) {
+	switch x := p.(type) {
+	case *vecConst:
+		return nil, x.all || x.twoValued
+	case *vecIsNull, *vecNot:
+		return nil, true
+	case *vecCmp:
+		// compareVals orders any two non-NULL values
+		return []int{x.col}, true
+	case *vecAnd:
+		return binaryNullCols(x.l, x.r, false)
+	case *vecOr:
+		return binaryNullCols(x.l, x.r, true)
+	}
+	return nil, false
+}
+
+// binaryNullCols joins the sides' nullCols; under OR a column drops out when
+// a side is TRUE wherever it is NULL, which makes the OR TRUE there.
+func binaryNullCols(l, r vecPred, or bool) ([]int, bool) {
+	lc, lok := nullCols(l)
+	rc, rok := nullCols(r)
+	if !lok || !rok {
+		return nil, false
+	}
+	var cols []int
+	for _, c := range append(lc, rc...) {
+		if !or || !trueOnNull(l, c) && !trueOnNull(r, c) {
+			cols = append(cols, c)
+		}
+	}
+	return cols, true
+}
+
+// trueOnNull reports whether p is TRUE on every row where column col is
+// NULL.
+func trueOnNull(p vecPred, col int) bool {
+	switch x := p.(type) {
+	case *vecIsNull:
+		return !x.not && x.col == col
+	case *vecOr:
+		return trueOnNull(x.l, col) || trueOnNull(x.r, col)
+	}
+	return false
 }
 
 // vecIsNull lowers col IS [NOT] NULL straight off the null bitmap.
@@ -909,7 +974,9 @@ func lowerCase(x *sqlparse.CaseExpr, schema []colBinding, st *colStore) (vecPred
 			rest := &vecCase{conds: c.conds[1:], thens: c.thens[1:], els: c.els}
 			return &vecOr{l: c.conds[0], r: rest.simplest()}, true
 		}
-		if isNull, guard := c.conds[i].(*vecIsNull); !k.all && guard && !isNull.not && c.restRejects(i+1, isNull.col) {
+		// only a FALSE guard drops: dropping a NULL one would turn the
+		// CASE's NULL into the rest's FALSE, which NOT tells apart
+		if isNull, guard := c.conds[i].(*vecIsNull); !k.all && k.twoValued && guard && !isNull.not && c.restRejects(i+1, isNull.col) {
 			c.conds = append(c.conds[:i], c.conds[i+1:]...)
 			c.thens = append(c.thens[:i], c.thens[i+1:]...)
 		}
@@ -1024,7 +1091,7 @@ func lowerColRef(e sqlparse.Expr, schema []colBinding, st *colStore) (int, bool)
 func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, bool) {
 	switch x := e.(type) {
 	case *sqlparse.BoolLit:
-		return &vecConst{all: x.V}, true
+		return &vecConst{all: x.V, twoValued: true}, true
 	case *sqlparse.NullLit:
 		return &vecConst{}, true
 	case *sqlparse.ColRef:
@@ -1037,11 +1104,23 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 			return &vecIsNull{col: col, not: x.Not}, true
 		}
 		if k, ok := vecConstOf(x.X, schema); ok {
-			return &vecConst{all: (k == nil) != x.Not}, true
+			return &vecConst{all: (k == nil) != x.Not, twoValued: true}, true
 		}
 		return nil, false
 	case *sqlparse.CaseExpr:
 		return lowerCase(x, schema, st)
+	case *sqlparse.UnaryExpr:
+		if x.Op != "NOT" {
+			return nil, false
+		}
+		p, ok := lowerVecPred(x.X, schema, st)
+		if !ok {
+			return nil, false
+		}
+		if cols, known := nullCols(p); !known || len(cols) > 0 {
+			return nil, false // p can be NULL, which NOT keeps NULL
+		}
+		return &vecNot{p: p}, true
 	case *sqlparse.InExpr:
 		col, ok := lowerColRef(x.X, schema, st)
 		if !ok {

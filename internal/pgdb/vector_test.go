@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"hyperq/internal/pgdb/sqlparse"
 )
@@ -397,10 +399,12 @@ func TestVecParallelSegments(t *testing.T) {
 	}
 }
 
-// TestVecRowViewCoherence checks the row-view adapter stays coherent with
-// the vectors across a SELECT/DML interleaving: a SELECT materializes the
-// cache, and subsequent INSERT/UPDATE/DELETE must be visible to both the
-// vectorized scan and the row view it feeds other operators from.
+// TestVecRowViewCoherence interleaves INSERT, UPDATE and DELETE with reads
+// that read the whole table by every path — a vector projection, a lowered
+// NOT filter, a two-key row join, a filter the vector kernels do not lower,
+// and the interpreter — and requires them to agree after every step: each
+// boxes its rows from the vectors per statement, so no copy can miss a
+// write.
 func TestVecRowViewCoherence(t *testing.T) {
 	db := NewDB()
 	s := db.NewSession()
@@ -412,24 +416,42 @@ func TestVecRowViewCoherence(t *testing.T) {
 		}
 		return res
 	}
+	reads := []string{
+		"SELECT a, b FROM c ORDER BY a",
+		"SELECT a, b FROM c WHERE NOT (a IS NULL OR a < -100) ORDER BY a",
+		"SELECT x.a, x.b FROM c x JOIN c y ON x.a = y.a AND x.b IS NOT DISTINCT FROM y.b ORDER BY x.a",
+		"SELECT a, b FROM c WHERE length(b) >= 0 OR b IS NULL ORDER BY a",
+	}
+	check := func(step string) {
+		t.Helper()
+		var want string
+		for _, mode := range []ExecMode{ExecCompiled, ExecInterpreted} {
+			db.SetExecMode(mode)
+			for _, q := range reads {
+				got := fmt.Sprint(mustExec(q).Rows)
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("after %s, mode %d: %s = %s, want %s", step, mode, q, got, want)
+				}
+			}
+		}
+		db.SetExecMode(ExecCompiled)
+	}
 	mustExec("CREATE TABLE c (a bigint, b varchar)")
-	mustExec("INSERT INTO c VALUES (1, 'x'), (2, 'y')")
-	mustExec("SELECT * FROM c") // materialize the row cache
-	mustExec("INSERT INTO c VALUES (3, 'w')")
-	if res := mustExec("SELECT count(*) FROM c"); res.Rows[0][0] != int64(3) {
-		t.Fatalf("append after cache build invisible: %v", res.Rows)
+	for _, step := range []string{
+		"INSERT INTO c VALUES (1, 'x'), (2, 'y'), (4, NULL)",
+		"INSERT INTO c VALUES (3, 'w')",
+		"UPDATE c SET b = 'z' WHERE a = 2",
+		"DELETE FROM c WHERE a = 1",
+		"UPDATE c SET b = NULL, a = a + 10 WHERE b = 'w'",
+		"INSERT INTO c VALUES (5, 'v')",
+		"DELETE FROM c WHERE b IS NULL AND a > 10",
+	} {
+		mustExec(step)
+		check(step)
 	}
-	mustExec("UPDATE c SET b = 'z' WHERE a = 2")
-	// vectorized scan (vectors) and join path (row view) must agree
-	if res := mustExec("SELECT count(*) FROM c WHERE b = 'z'"); res.Rows[0][0] != int64(1) {
-		t.Fatalf("UPDATE invisible to vector scan: %v", res.Rows)
-	}
-	if res := mustExec("SELECT count(*) FROM c x JOIN c y ON x.b = y.b WHERE x.a = 2"); res.Rows[0][0] != int64(1) {
-		t.Fatalf("UPDATE invisible to row view: %v", res.Rows)
-	}
-	mustExec("DELETE FROM c WHERE a = 1")
-	res := mustExec("SELECT * FROM c WHERE a <= 3")
-	if len(res.Rows) != 2 || res.Rows[0][0] != int64(2) || res.Rows[0][1] != "z" {
+	if res := mustExec("SELECT a, b FROM c ORDER BY a"); fmt.Sprint(res.Rows) != "[[2 z] [4 <nil>] [5 v]]" {
 		t.Fatalf("post-DML table wrong: %v", res.Rows)
 	}
 }
@@ -452,7 +474,6 @@ func TestColVecZoneMaps(t *testing.T) {
 		t.Fatalf("seg1 zone [%v,%v]", v1.minV, v1.maxV)
 	}
 	// widen-only on update: shrinking writes leave bounds stale but sound
-	st.rows()
 	st.setCell(0, 0, int64(-100))
 	if v0.minV != int64(-100) {
 		t.Fatalf("zone must widen on update: %v", v0.minV)
@@ -479,7 +500,9 @@ func TestColVecZoneMaps(t *testing.T) {
 		t.Fatalf("cells after degrade: %v %v", st.cellAt(2, 0), st.cellAt(1, 0))
 	}
 	// compaction rebuilds fresh bounds
-	st.compact([][]any{{int64(7)}, {int64(9)}})
+	keep := make([]uint64, (st.numRows()+63)/64)
+	keep[0] = 1<<7 | 1<<9
+	st.compact(keep)
 	if st.numRows() != 2 || st.numSegs() != 1 {
 		t.Fatalf("compact: n=%d segs=%d", st.numRows(), st.numSegs())
 	}
@@ -503,5 +526,205 @@ func TestSortRowsByColTyped(t *testing.T) {
 	sortRowsByCol(srows, 0)
 	if !reflect.DeepEqual(srows, [][]any{{"a"}, {"b"}, {"c"}}) {
 		t.Fatalf("string sort: %v", srows)
+	}
+}
+
+// TestBoxSelMatchesGet holds the one-allocation-per-column boxing to
+// boxing cell by cell: every kind, NULLs, NaN and a mixed (vkAny) segment,
+// across a segment boundary and under a selection, compare equal as
+// interfaces and keep their values when UPDATE rewrites the vector.
+func TestBoxSelMatchesGet(t *testing.T) {
+	st := newColStore([]Column{{Name: "i", Type: "bigint"}, {Name: "f", Type: "double precision"},
+		{Name: "s", Type: "varchar"}, {Name: "b", Type: "boolean"}, {Name: "m", Type: "varchar"}})
+	n := segSize + 100
+	for k := 0; k < n; k++ {
+		row := []any{int64(k * 1000), float64(k) / 3, fmt.Sprintf("s%d", k), k%2 == 0, "x"}
+		if k == 7 {
+			row[1] = math.NaN()
+		}
+		if k >= segSize {
+			row[4] = int64(k) // the second segment's m degrades to vkAny
+		}
+		if k%11 == 0 {
+			row[k%5] = nil
+		}
+		st.appendRow(row)
+	}
+	sel := make([]uint64, (n+63)/64)
+	for k := 0; k < n; k += 3 {
+		sel[k>>6] |= 1 << (uint(k) & 63)
+	}
+	all := seq(0, len(st.cols))
+	for _, s := range [][]uint64{nil, sel} {
+		rows := st.boxSel(s, all)
+		for j, row := range rows {
+			k := j
+			if s != nil {
+				k = 3 * j
+			}
+			for c, got := range row {
+				want := st.cellAt(k, c)
+				if f, isF := want.(float64); isF && math.IsNaN(f) {
+					if g, ok := got.(float64); !ok || !math.IsNaN(g) {
+						t.Fatalf("row %d col %d: %#v, want NaN", k, c, got)
+					}
+					continue
+				}
+				if got != want {
+					t.Fatalf("row %d col %d: %#v, want %#v", k, c, got, want)
+				}
+			}
+		}
+		row3 := rows[3]
+		if s != nil {
+			row3 = rows[1]
+		}
+		st.setCell(3, 0, int64(-1))
+		st.setCell(3, 2, "changed")
+		if row3[0] != int64(3000) || row3[2] != "s3" {
+			t.Fatalf("UPDATE reached a boxed row: %v", row3)
+		}
+		st.setCell(3, 0, int64(3000))
+		st.setCell(3, 2, "s3")
+	}
+}
+
+// TestEfaceLayout checks the runtime representation boxTyped writes by hand:
+// an interface is a type word followed by a pointer to its value, for
+// int64, float64 and string alike. Interfaces built that way must then
+// behave as converted ones do — type switches, reflection, ==, map keys,
+// formatting — and keep their values through a collection once the vector
+// they came from is rewritten.
+func TestEfaceLayout(t *testing.T) {
+	if unsafe.Sizeof(any(nil)) != unsafe.Sizeof(eface{}) {
+		t.Fatalf("interface is %d bytes, eface %d", unsafe.Sizeof(any(nil)), unsafe.Sizeof(eface{}))
+	}
+	i, f, s := any(int64(-7)<<40), any(-2.5), any("seven")
+	for _, c := range []struct {
+		x    any
+		word unsafe.Pointer
+		val  func(unsafe.Pointer) any
+	}{
+		{i, int64Word, func(p unsafe.Pointer) any { return *(*int64)(p) }},
+		{f, float64Word, func(p unsafe.Pointer) any { return *(*float64)(p) }},
+		{s, stringWord, func(p unsafe.Pointer) any { return *(*string)(p) }},
+	} {
+		e := *(*eface)(unsafe.Pointer(&c.x))
+		if e.typ != c.word || c.val(e.data) != c.x {
+			t.Fatalf("%T %v is not stored as (type word, pointer to value)", c.x, c.x)
+		}
+	}
+	st := newColStore([]Column{{Name: "i", Type: "bigint"}, {Name: "f", Type: "double precision"}, {Name: "s", Type: "varchar"}})
+	st.appendRow([]any{i, f, s})
+	row := st.boxSel(nil, seq(0, 3))[0]
+	for c := range 3 {
+		st.setCell(0, c, []any{int64(1), 1.0, "x"}[c])
+	}
+	runtime.GC()
+	_ = make([]byte, 1<<20)
+	runtime.GC()
+	want := []any{i, f, s}
+	keys := map[any]int{i: 0, f: 1, s: 2}
+	for c, got := range row {
+		if got != want[c] || reflect.TypeOf(got) != reflect.TypeOf(want[c]) ||
+			keys[got] != c || fmt.Sprint(got) != fmt.Sprint(want[c]) {
+			t.Fatalf("cell %d: %#v, want %#v", c, got, want[c])
+		}
+	}
+	if v, ok := row[0].(int64); !ok || v != int64(-7)<<40 {
+		t.Fatalf("type assertion: %v %v", v, ok)
+	}
+	switch v := row[2].(type) {
+	case string:
+		if v != "seven" {
+			t.Fatalf("type switch: %q", v)
+		}
+	default:
+		t.Fatalf("type switch: %T", v)
+	}
+}
+
+// TestCompactMatchesReappend holds DELETE's typed compaction to re-appending
+// the surviving rows one at a time: the same segments, vector kinds, NULLs,
+// zone maps, values and sorted attributes, over sorted, NULL-holding, NaN,
+// boolean, mixed-kind and nearly all-NULL columns and keep patterns that
+// empty, thin out or re-sort the table.
+func TestCompactMatchesReappend(t *testing.T) {
+	cols := []Column{{Name: "i", Type: "bigint"}, {Name: "j", Type: "bigint"}, {Name: "f", Type: "double precision"},
+		{Name: "s", Type: "varchar"}, {Name: "b", Type: "boolean"}, {Name: "m", Type: "varchar"}, {Name: "e", Type: "bigint"}}
+	n := 3*segSize + 50
+	build := func() *colStore {
+		st := newColStore(cols)
+		for k := 0; k < n; k++ {
+			row := []any{int64(k), int64(k % 7), float64(k) / 4, fmt.Sprintf("s%d", (k*7919)%n), k >= n/2, "x", nil}
+			switch {
+			case k == 100:
+				row[0] = int64(-1) // out of order until deleted
+			case k == n-1:
+				row[2] = math.NaN() // sorts above everything
+			case k == 5:
+				row[2] = math.Inf(-1)
+			}
+			if k%13 == 0 {
+				row[1] = nil
+			}
+			if k >= segSize && k < 2*segSize && k%3 == 0 {
+				row[5] = int64(k) // the second segment's m degrades to vkAny
+			}
+			if k < 10 {
+				row[6] = int64(k)
+			}
+			st.appendRow(row)
+		}
+		return st
+	}
+	keepers := map[string]func(k int) bool{
+		"all":           func(int) bool { return true },
+		"none":          func(int) bool { return false },
+		"every third":   func(k int) bool { return k%3 == 0 },
+		"re-sorts i":    func(k int) bool { return k != 100 },
+		"no e, no NaN":  func(k int) bool { return k >= 10 && k < n-1 },
+		"spans kinds":   func(k int) bool { return k%3 != 0 || k < segSize },
+		"last segments": func(k int) bool { return k > segSize+17 },
+	}
+	cell := func(x any) string { return fmt.Sprintf("%T %v", x, x) }
+	for name, keepRow := range keepers {
+		st, ref := build(), newColStore(cols)
+		keep := make([]uint64, (n+63)/64)
+		for k := 0; k < n; k++ {
+			if keepRow(k) {
+				keep[k>>6] |= 1 << (uint(k) & 63)
+				row := make([]any, len(cols))
+				for c := range cols {
+					row[c] = st.cellAt(k, c)
+				}
+				ref.appendRow(row)
+			}
+		}
+		st.compact(keep)
+		if st.numRows() != ref.numRows() || st.numSegs() != ref.numSegs() {
+			t.Fatalf("%s: %d rows in %d segments, want %d in %d", name, st.numRows(), st.numSegs(), ref.numRows(), ref.numSegs())
+		}
+		for si := 0; si < st.numSegs(); si++ {
+			got, want := st.seg(si), ref.seg(si)
+			for c := range cols {
+				g, w := &got.vecs[c], &want.vecs[c]
+				if got.n != want.n || g.kind != w.kind || g.nullCnt != w.nullCnt ||
+					cell(g.minV) != cell(w.minV) || cell(g.maxV) != cell(w.maxV) {
+					t.Fatalf("%s: segment %d column %s: n %d kind %d nulls %d zone [%v,%v], want n %d kind %d nulls %d zone [%v,%v]",
+						name, si, cols[c].Name, got.n, g.kind, g.nullCnt, g.minV, g.maxV, want.n, w.kind, w.nullCnt, w.minV, w.maxV)
+				}
+				for i := 0; i < got.n; i++ {
+					if cell(g.get(i)) != cell(w.get(i)) {
+						t.Fatalf("%s: segment %d row %d column %s: %v, want %v", name, si, i, cols[c].Name, g.get(i), w.get(i))
+					}
+				}
+			}
+		}
+		for c := range cols {
+			if g, w := st.ix.sorted[c], ref.ix.sorted[c]; g.ok != w.ok || cell(g.last) != cell(w.last) {
+				t.Errorf("%s: column %s sorted %v (last %v), want %v (last %v)", name, cols[c].Name, g.ok, g.last, w.ok, w.last)
+			}
+		}
 	}
 }

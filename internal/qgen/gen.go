@@ -182,6 +182,9 @@ func (g *Generator) Query() *Query {
 		for j := 0; j < nc; j++ {
 			q.Cols = append(q.Cols, SelCol{Name: colName(j), Expr: g.aggExpr(cols)})
 		}
+	case mode == 9: // functional delete of the rows a predicate picks
+		q.Kind = "delete"
+		q.From, cols = fromVariants[0].src, fromVariants[0].cols
 	default: // plain select; sometimes the bare wildcard form
 		q.Kind = "select"
 		if r.Intn(4) > 0 {

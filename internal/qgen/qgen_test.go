@@ -29,8 +29,12 @@ func TestGeneratedQueriesAreWellFormed(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		q := g.Query()
 		text := q.Q()
-		if !strings.HasPrefix(text, "select") && !strings.HasPrefix(text, "exec") {
+		if !strings.HasPrefix(text, "select") && !strings.HasPrefix(text, "exec") &&
+			!strings.HasPrefix(text, "delete from t") {
 			t.Fatalf("bad query kind: %s", text)
+		}
+		if q.Kind == "delete" && (len(q.Cols) > 0 || q.From != "t") {
+			t.Fatalf("delete names columns or a join: %s", text)
 		}
 		if !strings.Contains(text, " from ") {
 			t.Fatalf("missing from: %s", text)

@@ -14,7 +14,7 @@ type SelCol struct {
 // deletes where-conjuncts, select columns, the by clause or the join and
 // re-renders.
 type Query struct {
-	Kind  string // "select" or "exec"
+	Kind  string // "select", "exec" or "delete" (no columns, from "t")
 	Cols  []SelCol
 	By    []SelCol
 	From  string // "t", "t lj d" or "aj[`s`tm; t; qts]"

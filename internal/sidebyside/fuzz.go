@@ -13,6 +13,7 @@ import (
 	"hyperq/internal/config"
 	"hyperq/internal/core"
 	"hyperq/internal/persist"
+	"hyperq/internal/pgdb"
 	"hyperq/internal/qgen"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
@@ -20,17 +21,19 @@ import (
 )
 
 // openFramework builds a fresh side-by-side framework over the embedded
-// engine e describes — one Hyper-Q session with the given result path, no
+// engine e describes, running the exec engine — one Hyper-Q session with the
+// given result path, no
 // state shared with any previous framework except the kdb+ substrate the
 // caller passes. The fuzz driver rebuilds frameworks regularly so a
 // corrupted global cannot poison later iterations. index builds hash indexes
 // at any table size (FuzzConfig.Index). The caller owns the returned
 // instance's store, if e has a DataDir.
-func openFramework(kdb *interp.Interp, e config.Engine, path core.ResultPath, index bool) (*Framework, *config.Instance, error) {
+func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, path core.ResultPath, index bool) (*Framework, *config.Instance, error) {
 	in, err := e.Open()
 	if err != nil {
 		return nil, nil, err
 	}
+	in.DB.SetExecMode(exec)
 	if index {
 		in.DB.SetIndexMinRows(0)
 	}
@@ -51,11 +54,11 @@ func ShardRules() []shard.TableSpec {
 
 // openShardedFramework builds a framework whose primary Hyper-Q session
 // runs over a single embedded backend and whose shadow session runs over an
-// n-shard scatter-gather cluster of embedded engines, all tuned by e and
-// index. Compare then requires byte-identical QIPC output from the two
+// n-shard scatter-gather cluster of embedded engines, all tuned by e, exec
+// and index. Compare then requires byte-identical QIPC output from the two
 // sessions.
-func openShardedFramework(shards int, e config.Engine, path core.ResultPath, index bool) (*Framework, error) {
-	f, _, err := openFramework(interp.New(), e, path, index)
+func openShardedFramework(shards int, e config.Engine, exec pgdb.ExecMode, path core.ResultPath, index bool) (*Framework, error) {
+	f, _, err := openFramework(interp.New(), e, exec, path, index)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +67,8 @@ func openShardedFramework(shards int, e config.Engine, path core.ResultPath, ind
 		return nil, err
 	}
 	for _, db := range dbs {
-		e.Tune(db)
+		db.SetParallelism(e.Parallel)
+		db.SetExecMode(exec)
 		if index {
 			db.SetIndexMinRows(0)
 		}
@@ -93,9 +97,9 @@ type FuzzConfig struct {
 	// (default 400).
 	ShrinkBudget int
 	// Engine configures the embedded engine under test, the way the
-	// servers' flags would. The zero value is the compiled engine in memory.
-	// Fuzz uses Exec, DataDir and MemBudget and sets the rest itself: Sync
-	// is off because every dataset is checkpointed explicitly.
+	// servers' flags would. The zero value is the engine in memory. Fuzz
+	// uses DataDir and MemBudget and sets the rest itself: Sync is off
+	// because every dataset is checkpointed explicitly.
 	//
 	// DataDir, when non-empty, backs every framework's database with the
 	// durable store under a fresh subdirectory of it: the dataset is
@@ -105,6 +109,9 @@ type FuzzConfig struct {
 	// under MemBudget.
 	// Incompatible with sharded mode (Shards > 1).
 	config.Engine
+	// Exec selects the execution engine under test (default ExecCompiled,
+	// the serving engine; ExecInterpreted pins the reference walker).
+	Exec pgdb.ExecMode
 	// ResultPath selects the session result pipeline under test (default
 	// ColumnarPath, the streaming builders; TextPath is the fallback).
 	ResultPath core.ResultPath
@@ -241,9 +248,9 @@ func loadDataset(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framew
 	var f *Framework
 	var err error
 	if cfg.Shards > 1 {
-		f, err = openShardedFramework(cfg.Shards, cfg.Engine, cfg.ResultPath, cfg.Index)
+		f, err = openShardedFramework(cfg.Shards, cfg.Engine, cfg.Exec, cfg.ResultPath, cfg.Index)
 	} else {
-		f, _, err = openFramework(interp.New(), cfg.Engine, cfg.ResultPath, cfg.Index)
+		f, _, err = openFramework(interp.New(), cfg.Engine, cfg.Exec, cfg.ResultPath, cfg.Index)
 	}
 	if err != nil {
 		return nil, err
@@ -297,7 +304,7 @@ func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (
 	staging := e // only written and checkpointed: the budget waits for the reopen
 	staging.MemBudget = 0
 	kdb := interp.New()
-	loader, in, err := openFramework(kdb, staging, cfg.ResultPath, cfg.Index)
+	loader, in, err := openFramework(kdb, staging, cfg.Exec, cfg.ResultPath, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +319,7 @@ func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (
 	// Cold reopen: a fresh database restored purely from the on-disk
 	// catalog. The corpus is read-only after load, so the reopened store's
 	// WAL handle can be released immediately too.
-	f, in, err := openFramework(kdb, e, cfg.ResultPath, cfg.Index)
+	f, in, err := openFramework(kdb, e, cfg.Exec, cfg.ResultPath, cfg.Index)
 	if err != nil {
 		return nil, fmt.Errorf("cold reopen: %w", err)
 	}
@@ -489,21 +496,21 @@ func LoadCorpus(dir string) ([]*CorpusEntry, error) {
 // ReplayEntry runs one corpus entry through a fresh framework (compiled
 // engine) and returns the comparison report.
 func ReplayEntry(ctx context.Context, e *CorpusEntry) (*Report, error) {
-	return ReplayEntryEngine(ctx, e, config.Defaults(), false)
+	return ReplayEntryEngine(ctx, e, config.Defaults(), pgdb.ExecCompiled, false)
 }
 
-// ReplayEntryEngine is ReplayEntry on an engine configured as eng, with
-// hash indexes at any table size when index is set.
-func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine, index bool) (*Report, error) {
+// ReplayEntryEngine is ReplayEntry on an engine configured as eng running
+// exec, with hash indexes at any table size when index is set.
+func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine, exec pgdb.ExecMode, index bool) (*Report, error) {
 	ds, err := qgen.DecodeDataset(e.Tables)
 	if err != nil {
 		return nil, err
 	}
 	var f *Framework
 	if e.Shards > 1 {
-		f, err = openShardedFramework(e.Shards, eng, core.ColumnarPath, index)
+		f, err = openShardedFramework(e.Shards, eng, exec, core.ColumnarPath, index)
 	} else {
-		f, _, err = openFramework(interp.New(), eng, core.ColumnarPath, index)
+		f, _, err = openFramework(interp.New(), eng, exec, core.ColumnarPath, index)
 	}
 	if err != nil {
 		return nil, err

@@ -15,19 +15,17 @@ import (
 // pgdb.DefaultIndexMinRows.
 func parityEngines() []struct {
 	name  string
-	eng   config.Engine
+	exec  pgdb.ExecMode
 	index bool
 } {
-	interpreted := config.Defaults()
-	interpreted.Exec = pgdb.ExecInterpreted
 	return []struct {
 		name  string
-		eng   config.Engine
+		exec  pgdb.ExecMode
 		index bool
 	}{
-		{"compiled", config.Defaults(), false},
-		{"interpreted", interpreted, false},
-		{"vectorized", config.Defaults(), true},
+		{"compiled", pgdb.ExecCompiled, false},
+		{"interpreted", pgdb.ExecInterpreted, false},
+		{"vectorized", pgdb.ExecCompiled, true},
 	}
 }
 
@@ -47,7 +45,7 @@ func TestCorpusParityBothEngines(t *testing.T) {
 	for _, m := range parityEngines() {
 		for _, e := range entries {
 			t.Run(m.name+"/"+e.Name, func(t *testing.T) {
-				r, err := ReplayEntryEngine(context.Background(), e, m.eng, m.index)
+				r, err := ReplayEntryEngine(context.Background(), e, config.Defaults(), m.exec, m.index)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +68,7 @@ func TestCorpusParityBothEngines(t *testing.T) {
 func TestFuzzParityBothEngines(t *testing.T) {
 	for _, m := range parityEngines() {
 		t.Run(m.name, func(t *testing.T) {
-			cfg := FuzzConfig{Seed: 7, N: 300, Engine: m.eng, Index: m.index}
+			cfg := FuzzConfig{Seed: 7, N: 300, Engine: config.Defaults(), Exec: m.exec, Index: m.index}
 			rep, err := Fuzz(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
