@@ -16,10 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fmt fails on any file gofmt would change, as the CI gofmt step does.
+# fmt fails on any file gofmt would change.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
+# tier1 is the local gate, and CI's first step (qdiff is its second).
 tier1: fmt build vet test race bench-test
 
 # bench-test vets and tests the benchmark harness, a Go module of its own

@@ -2,6 +2,7 @@ package pgdb_test
 
 import (
 	"context"
+	"fmt"
 	"regexp"
 	"runtime"
 	"testing"
@@ -146,6 +147,65 @@ func TestJoinShapesStayColumnar(t *testing.T) {
 	}
 }
 
+// workloadQuery is the q text of Analytical Workload query id.
+func workloadQuery(id int) string {
+	for _, wq := range workload.Queries() {
+		if wq.ID == id {
+			return wq.Q
+		}
+	}
+	panic(fmt.Sprintf("no workload query %d", id))
+}
+
+// TestComputedShapesStayColumnar runs the Analytical Workload's queries with
+// computed aggregate arguments (5, 8, 16, 17) and computed select items (22)
+// through the translator on cold tables: the value kernels fault in only the
+// columns the q text names and the order column — query 22 returns trades
+// whole.
+func TestComputedShapesStayColumnar(t *testing.T) {
+	db, b := benchTables(t, 1, 5000)
+	s := core.NewPlatform().NewSession(b, core.Config{})
+	for _, id := range []int{5, 8, 16, 17, 22} {
+		q := workloadQuery(id)
+		faulted := runCold(t, db, s, q, []string{"trades", "quotes"}, func(table, c string) bool {
+			return named(q, c) || id == 22 && table == "trades"
+		})
+		t.Logf("q%d: faulted %v", id, faulted)
+	}
+}
+
+// TestComputedAggregatesAllocsBounded holds the translated computed
+// aggregates to allocations that do not grow with the table: at 40 000
+// trades (80 000 quotes) each may allocate at most 10 % more than at 4000.
+// Boxing each argument cell, as a per-row closure does, scales linearly.
+func TestComputedAggregatesAllocsBounded(t *testing.T) {
+	allocs := func(trades int) map[int]float64 {
+		db, b := benchTables(t, 1, trades)
+		cs := core.NewPlatform().NewSession(b, core.Config{})
+		s := db.NewSession()
+		out := map[int]float64{}
+		for _, id := range []int{5, 8, 16, 17} {
+			sql, _, err := cs.Translate(context.Background(), workloadQuery(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[id] = testing.AllocsPerRun(5, func() {
+				if _, err := s.Exec(sql); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return out
+	}
+	small, large := allocs(4000), allocs(40000)
+	for id, n := range small {
+		t.Logf("q%d: %.0f allocations at 4000 trades, %.0f at 40000", id, n, large[id])
+		if large[id] > 1.1*n {
+			t.Errorf("q%d allocates %.0f times at 40000 trades, %.0f at 4000: allocations grow with the rows", id, large[id], n)
+		}
+	}
+}
+
 // TestPointLookupAllocsBounded holds a one-row point lookup — the
 // point_lookups workload's `daily` shape through the translator — to a
 // fixed allocation count and byte budget. The budget is far below what one
@@ -191,13 +251,7 @@ func TestPointLookupAllocsBounded(t *testing.T) {
 // that statement, so nothing outlives it but the vectors.
 func TestFallbacksRetainNoRows(t *testing.T) {
 	db, b := benchTables(t, 1, 20000)
-	var q23 string
-	for _, wq := range workload.Queries() {
-		if wq.ID == 23 {
-			q23 = wq.Q
-		}
-	}
-	translated, _, err := core.NewPlatform().NewSession(b, core.Config{}).Translate(context.Background(), q23)
+	translated, _, err := core.NewPlatform().NewSession(b, core.Config{}).Translate(context.Background(), workloadQuery(23))
 	if err != nil {
 		t.Fatal(err)
 	}

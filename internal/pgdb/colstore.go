@@ -600,15 +600,57 @@ func (st *colStore) rowAtCols(i int, cols []int) []any {
 // are skipped before anything faults; the rest fault just cols, once per
 // segment.
 func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
-	rows, _ := st.boxCols(sel, cols, cols, len(st.cols), nil)
+	rows, _ := st.boxCols(sel, cols, nil, cols, len(st.cols), nil)
 	return rows
 }
 
-// boxCols is boxSel into rows of width cells, column cols[k] boxed into
-// cell dst[k]. One backing array holds every row, and each typed column of
-// a segment boxes with one allocation (boxInto). poll, when set, runs before
-// each segment is boxed; its error stops the boxing.
-func (st *colStore) boxCols(sel []uint64, cols, dst []int, width int, poll func() error) ([][]any, error) {
+// iota32 lists the positions of a full segment, 0 to segSize-1: the
+// selection of a segment every row of which is selected.
+var iota32 = func() []int32 {
+	s := make([]int32, segSize)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}()
+
+// selSegs calls fn for each segment holding a row set in sel (nil: every
+// row) with the segment, cols resident, and its selected positions in
+// ascending order. Segments with no selected row are skipped before
+// anything faults. poll, when set, runs before each call; its error, or
+// fn's, stops the walk. pos is valid during the call only.
+func (st *colStore) selSegs(sel []uint64, cols []int, poll func() error, fn func(si int, seg *segment, pos []int32) error) error {
+	var buf []int32
+	for si := range st.slots {
+		n := st.peekSeg(si).n
+		pos := iota32[:n]
+		if sel != nil {
+			win := sel[si*segWords : si*segWords+(n+63)/64]
+			if windowAllZero(win) {
+				continue
+			}
+			buf = appendSetBits(buf[:0], win)
+			pos = buf
+		}
+		if poll != nil {
+			if err := poll(); err != nil {
+				return err
+			}
+		}
+		if err := fn(si, st.segCols(si, cols), pos); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// boxCols is boxSel into rows of width cells: output k is column cols[k],
+// or kerns[k]'s value where kerns (nil: none) sets a kernel, boxed into cell
+// dst[k]. One backing array holds every row, and each typed output of a
+// segment boxes with one allocation (boxInto). poll, when set, runs before
+// each segment is boxed; its error stops the boxing, as a kernel's division
+// by zero does.
+func (st *colStore) boxCols(sel []uint64, cols []int, kerns []valKernel, dst []int, width int, poll func() error) ([][]any, error) {
 	nsel := st.n
 	if sel != nil {
 		nsel = popCount(sel)
@@ -618,30 +660,37 @@ func (st *colStore) boxCols(sel []uint64, cols, dst []int, width int, poll func(
 	for i := range out {
 		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
 	}
-	pos := make([]int, 0, min(nsel, segSize)) // a one-row result allocates one slot
+	read := cols
+	if kerns != nil {
+		seen := map[int]struct{}{}
+		for k, c := range cols {
+			if kerns[k] != nil {
+				kerns[k].cols(func(c int) { seen[c] = struct{}{} })
+			} else {
+				seen[c] = struct{}{}
+			}
+		}
+		read = sortedSet(seen)
+	}
 	lo := 0
-	for si := range st.slots {
-		n := st.peekSeg(si).n
-		if sel != nil && windowAllZero(sel[si*segWords:si*segWords+(n+63)/64]) {
-			continue
-		}
-		if poll != nil {
-			if err := poll(); err != nil {
-				return nil, err
-			}
-		}
-		pos = pos[:0]
-		for i := 0; i < n; i++ {
-			if sel == nil || sel[si*segWords+i>>6]&(1<<(uint(i)&63)) != 0 {
-				pos = append(pos, i)
-			}
-		}
-		seg := st.segCols(si, cols)
+	err := st.selSegs(sel, read, poll, func(_ int, seg *segment, pos []int32) error {
 		rows := out[lo : lo+len(pos)]
 		for k, c := range cols {
-			seg.vecs[c].boxInto(rows, dst[k], pos)
+			if kerns == nil || kerns[k] == nil {
+				seg.vecs[c].boxInto(rows, dst[k], pos)
+				continue
+			}
+			o := kerns[k].eval(seg, pos)
+			if o.errs != nil {
+				return divByZero()
+			}
+			o.boxInto(rows, dst[k], iota32[:len(pos)])
 		}
 		lo += len(pos)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -665,7 +714,7 @@ var (
 
 // boxInto sets cell c of rows[j] to the value at position pos[j] (NULL
 // cells stay nil).
-func (v *colVec) boxInto(rows [][]any, c int, pos []int) {
+func (v *colVec) boxInto(rows [][]any, c int, pos []int32) {
 	switch v.kind {
 	case vkInt:
 		boxTyped(v, v.ints, int64Word, rows, c, pos)
@@ -676,7 +725,7 @@ func (v *colVec) boxInto(rows [][]any, c int, pos []int) {
 	default:
 		// bools box without allocating, vkAny cells are boxed already
 		for j, i := range pos {
-			rows[j][c] = v.get(i)
+			rows[j][c] = v.get(int(i))
 		}
 	}
 }
@@ -686,13 +735,13 @@ func (v *colVec) boxInto(rows [][]any, c int, pos []int) {
 // converting one value to an interface would point into a heap cell of its
 // own. The copy, never written after, keeps a result's cells fixed while
 // UPDATE rewrites the vector in place.
-func boxTyped[T int64 | float64 | string](v *colVec, src []T, typ unsafe.Pointer, rows [][]any, c int, pos []int) {
+func boxTyped[T int64 | float64 | string](v *colVec, src []T, typ unsafe.Pointer, rows [][]any, c int, pos []int32) {
 	vals := make([]T, len(pos))
 	for j, i := range pos {
 		vals[j] = src[i]
 	}
 	for j, i := range pos {
-		if !v.isNull(i) {
+		if !v.isNull(int(i)) {
 			*(*eface)(unsafe.Pointer(&rows[j][c])) = eface{typ, unsafe.Pointer(&vals[j])}
 		}
 	}
@@ -716,7 +765,7 @@ func (st *colStore) setCell(rowIdx, col int, val any) {
 // typed columns as a gather copies them, runs as blocks — and zone maps and
 // sorted attributes are recomputed from them.
 func (st *colStore) compact(keep []uint64) {
-	ids := selIDs(keep)
+	ids := appendSetBits(nil, keep)
 	var segs []*segment
 	for lo := 0; lo < len(ids); lo += segSize {
 		part := ids[lo:min(lo+segSize, len(ids))]

@@ -501,7 +501,7 @@ func (s *Session) dmlRows(t *storedTable, schema []colBinding, exprs ...sqlparse
 		addColRefs(e, schema, seen)
 	}
 	cols := sortedSet(seen)
-	return t.store.boxCols(nil, cols, cols, len(t.cols), s.poll)
+	return t.store.boxCols(nil, cols, nil, cols, len(t.cols), s.poll)
 }
 
 // evalConst evaluates an expression with no row context (literals in

@@ -338,7 +338,7 @@ func arithSQL(op string, l, r any) (any, error) {
 			return li * ri, nil
 		case "%":
 			if ri == 0 {
-				return nil, errf("22012", "division by zero")
+				return nil, divByZero()
 			}
 			return li % ri, nil
 		}
@@ -358,7 +358,7 @@ func arithSQL(op string, l, r any) (any, error) {
 	case "/":
 		if lIsInt && rIsInt {
 			if rf == 0 {
-				return nil, errf("22012", "division by zero")
+				return nil, divByZero()
 			}
 			return int64(lf / rf), nil // integer division
 		}

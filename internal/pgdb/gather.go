@@ -104,15 +104,17 @@ func (st *colStore) colKindIn(c, lo, hi int) vecKind {
 	return k
 }
 
-// selIDs lists the rows set in a selection bitmap, ascending.
-func selIDs(sel []uint64) []int32 {
-	ids := make([]int32, 0, popCount(sel))
-	for w, word := range sel {
+// appendSetBits appends the positions of the bits set in bm, ascending: the
+// row ids of a selection bitmap, or the in-segment positions of one
+// segment's window of it.
+func appendSetBits(pos []int32, bm []uint64) []int32 {
+	pos = slices.Grow(pos, popCount(bm))
+	for w, word := range bm {
 		for ; word != 0; word &= word - 1 {
-			ids = append(ids, int32(w*64+bits.TrailingZeros64(word)))
+			pos = append(pos, int32(w*64+bits.TrailingZeros64(word)))
 		}
 	}
-	return ids
+	return pos
 }
 
 // gatherCols fills column dst[k] of the private store st with column
@@ -149,6 +151,58 @@ func (st *colStore) gatherCols(dst []int, src *colStore, cols []int, ids []int32
 			lo += to.n
 		}
 	}
+}
+
+// fillKernel fills column dst of the private store st, whose rows are the
+// rows of src that sel sets (nil: every row), with the values of kernel k
+// over src, of kind kind wherever one is non-NULL. Only k's columns of
+// segments holding a selected row fault in. A division by zero fails the
+// fill, as it fails the row projection.
+func (st *colStore) fillKernel(dst int, src *colStore, sel []uint64, k valKernel, kind vecKind) error {
+	for si := range st.slots {
+		to := st.peekSeg(si)
+		v := &to.vecs[dst]
+		v.kind = kind
+		switch kind {
+		case vkInt:
+			v.ints = make([]int64, to.n)
+		case vkFloat:
+			v.floats = make([]float64, to.n)
+		default:
+			for j := 0; j < to.n; j++ {
+				v.markNull(j, to.n)
+			}
+		}
+	}
+	lo := 0 // the first selected row's row in st
+	return src.selSegs(sel, colsOf(k), nil, func(_ int, seg *segment, pos []int32) error {
+		o := k.eval(seg, pos)
+		if o.errs != nil {
+			return divByZero()
+		}
+		// the entries land in one or two segments of st
+		for j := 0; j < len(pos); {
+			to := st.peekSeg((lo + j) / segSize)
+			v, off := &to.vecs[dst], (lo+j)%segSize
+			run := min(len(pos)-j, to.n-off)
+			switch o.kind {
+			case vkInt:
+				copy(v.ints[off:], o.ints[j:j+run])
+			case vkFloat:
+				copy(v.floats[off:], o.floats[j:j+run])
+			}
+			if kind != vkEmpty && o.nullCnt > 0 {
+				for m := 0; m < run; m++ {
+					if o.isNull(j + m) {
+						v.markNull(off+m, to.n)
+					}
+				}
+			}
+			j += run
+		}
+		lo += len(pos)
+		return nil
+	})
 }
 
 // gather fills v, of kind kind, with column c of the source rows ids names

@@ -162,7 +162,7 @@ func (s *Session) evalVecPred(p vecPred, st *colStore) ([]uint64, error) {
 	if idxDone {
 		return out, nil
 	}
-	pcols := predCols(p)
+	pcols := colsOf(p)
 	if workers := s.db.Parallelism(); workers > 1 && n >= parallelMinRows && st.numSegs() > 1 {
 		if err := s.evalVecPredParallel(p, pcols, st, out, workers); err != nil {
 			return nil, err

@@ -714,22 +714,45 @@ func isIdentity[T int | int32](xs []T, width int) bool {
 }
 
 // projectVec is the late-materialization fast path for a vector scan: when
-// every output item is a bare column reference, the result is built
-// straight from the selection bitmap over the column vectors (boxCols) — one
-// arena-backed output row per selected position, no intermediate filtered
-// slice and no per-row closure dispatch. With columnar set the result stays columns: a
-// view of the input store when nothing is filtered, else a typed gather of
-// the selected rows (gather.go). Returns ok=false for any shape it does not
-// handle, deferring both work and error surfacing to the generic projection
-// path.
+// every output item is a bare column reference or lowers to a value kernel
+// (kernel.go), the result is built straight from the selection bitmap over
+// the column vectors (boxCols) — one arena-backed output row per selected
+// position, no intermediate filtered slice and no per-row closure dispatch;
+// a kernel evaluates each segment's selected rows at once. With columnar set
+// the result stays columns: a view of the input store when nothing is
+// filtered or computed, else a typed gather of the selected rows with the
+// kernels' values filled in beside them (gather.go). Returns ok=false for
+// any shape it does not handle, deferring both work and error surfacing to
+// the generic projection path.
 func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64, columnar bool) (*Result, bool, error) {
 	items, err := expandStars(sel.Items, rel.schema)
 	if err != nil {
 		return nil, false, nil
 	}
-	cols, ok := bareColumns(items, rel.schema)
-	if !ok {
-		return nil, false, nil
+	st := rel.store
+	cols := make([]int, len(items))
+	var kerns []valKernel // nil: every item is a bare column
+	var kinds []vecKind   // a columnar kernel's kind in every segment
+	for i, item := range items {
+		if c, ok := lowerColRef(item.Expr, rel.schema, st); ok {
+			cols[i] = c
+			continue
+		}
+		k, ok := lowerValue(item.Expr, rel.schema, st)
+		if !ok {
+			return nil, false, nil
+		}
+		if kerns == nil {
+			kerns, kinds = make([]valKernel, len(items)), make([]vecKind, len(items))
+		}
+		kerns[i] = k
+		if columnar {
+			// a private column has one kind: kernels whose kind differs
+			// between segments take the row path
+			if kinds[i], ok = storeKind(k, st); !ok {
+				return nil, false, nil
+			}
+		}
 	}
 	res := &Result{}
 	for _, item := range items {
@@ -741,19 +764,38 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 	// The scan projects straight from the column store: only segments
 	// holding selected rows are touched, so a selection the zone maps fully
 	// pruned leaves evicted segments on disk and boxes nothing else.
-	st := rel.store
 	if columnar {
-		if selBits == nil {
+		if selBits == nil && kerns == nil {
 			res.store = viewOf(st, cols, res.Cols)
-		} else {
-			ids := selIDs(selBits)
-			res.store = newPrivateStore(res.Cols, len(ids))
-			res.store.gatherCols(seq(0, len(cols)), st, cols, ids)
+			refineStoreTypes(res)
+			return res, true, nil
+		}
+		var ids []int32 // nil: every row
+		n := st.n
+		if selBits != nil {
+			ids = appendSetBits([]int32{}, selBits)
+			n = len(ids)
+		}
+		res.store = newPrivateStore(res.Cols, n)
+		var dst, src []int
+		for i, c := range cols {
+			if kerns == nil || kerns[i] == nil {
+				dst, src = append(dst, i), append(src, c)
+			}
+		}
+		res.store.gatherCols(dst, st, src, ids)
+		for i, k := range kerns {
+			if k == nil {
+				continue
+			}
+			if err := res.store.fillKernel(i, st, selBits, k, kinds[i]); err != nil {
+				return nil, false, err
+			}
 		}
 		refineStoreTypes(res)
 		return res, true, nil
 	}
-	if res.Rows, err = st.boxCols(selBits, cols, seq(0, len(cols)), len(cols), s.poll); err != nil {
+	if res.Rows, err = st.boxCols(selBits, cols, kerns, seq(0, len(cols)), len(cols), s.poll); err != nil {
 		return nil, false, err
 	}
 	refineTypes(res)

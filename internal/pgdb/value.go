@@ -110,10 +110,7 @@ func AppendValue(dst []byte, v any, typ string) []byte {
 			return appendTimeOfDay(dst, x)
 		case "timestamp", "timestamptz":
 			return pgEpoch.Add(time.Duration(x)).AppendFormat(dst, "2006-01-02 15:04:05.999999999")
-		case "interval":
-			dst = strconv.AppendInt(dst, x, 10)
-			return append(dst, " ns"...)
-		default:
+		default: // integers, and an interval's nanoseconds: int8 on the wire
 			return strconv.AppendInt(dst, x, 10)
 		}
 	case float64:
@@ -216,7 +213,7 @@ func ParseValue(s string, typ string) (any, error) {
 			return false, nil
 		}
 		return nil, errf("22P02", "invalid boolean %q", s)
-	case IsNumericType(typ):
+	case IsNumericType(typ) || typ == "interval":
 		if strings.ContainsAny(s, ".eE") || typ == "real" || typ == "float4" ||
 			typ == "float8" || typ == "double precision" || typ == "numeric" || typ == "decimal" {
 			f, err := strconv.ParseFloat(s, 64)

@@ -69,9 +69,9 @@ func TestFormatValuePinned(t *testing.T) {
 		{int64(1500000000), "timestamp", "2000-01-01 00:00:01.5"},
 		{int64(765432123456789000), "timestamptz", "2024-04-03 04:02:03.456789"},
 		{int64(-86400000000000), "timestamp", "1999-12-31 00:00:00"},
-		{int64(0), "interval", "0 ns"},
-		{int64(-5), "interval", "-5 ns"},
-		{int64(1500), "interval", "1500 ns"},
+		{int64(0), "interval", "0"},
+		{int64(-5), "interval", "-5"},
+		{int64(1500), "interval", "1500"},
 		{7, "varchar", "7"},
 	}
 	for _, c := range cases {

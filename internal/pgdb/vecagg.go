@@ -1,20 +1,20 @@
 package pgdb
 
 import (
-	"fmt"
 	"math"
-	"math/bits"
 	"strings"
 
 	"hyperq/internal/pgdb/sqlparse"
 )
 
 // Fused filter+aggregate execution: when every aggregate slot of a grouped
-// query is a single-argument call over a column or a pure expression and
-// every GROUP BY key is a column reference, the aggregation folds directly
-// over the column vectors and the selection bitmap — filtered rows are never
-// materialized, group keys are encoded straight from the vectors, and the
-// accumulators run typed. The result assembly reuses the compiled path's
+// query is a single-argument call over a column or an expression that lowers
+// to a value kernel (kernel.go), and every GROUP BY key is a column
+// reference, the aggregation folds directly over the column vectors and the
+// selection bitmap — filtered rows are never materialized, group keys are
+// encoded straight from the vectors, a computed argument evaluates a
+// segment's selected rows at once into a typed vector, and the accumulators
+// run typed over both. The result assembly reuses the compiled path's
 // machinery (compileAggExpr over pre-computed slot values, itemName/
 // inferType/refineTypes, items-then-HAVING order), so output and error
 // behavior are indistinguishable from execGroupedCompiled.
@@ -35,22 +35,21 @@ const (
 )
 
 // fusedSlot is the vectorizable plan of one aggregate slot. Its argument is
-// either the storage column col or, when arg is set, a computed expression:
-// arg is the argument's pure compiled closure and argCols the columns it
-// reads.
+// either the storage column col or, when arg is set, the value kernel of a
+// computed expression.
 type fusedSlot struct {
-	kind    fusedKind
-	col     int
-	name    string // the SQL function name, for error messages
-	arg     exprFn
-	argCols []int
+	kind fusedKind
+	col  int
+	name string // the SQL function name, for error messages
+	arg  valKernel
 }
 
 // planFusedSlots maps every aggregate slot to a fused kind over a storage
-// column or a computed argument; any slot outside the fusable set
-// (DISTINCT, first/last or an impure closure over an expression, the
-// stddev/median tail, argument-count errors) aborts fusion and the caller
-// falls back to execGroupedCompiled.
+// column or a computed argument's kernel; any slot outside the fusable set
+// (DISTINCT, first/last over an expression, an argument that does not lower
+// to a kernel, the stddev/median tail, argument-count errors) aborts fusion
+// and the caller falls back to execGroupedCompiled — the one other path for
+// a computed argument.
 func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fusedSlot, bool) {
 	out := make([]fusedSlot, len(slots))
 	for i, slot := range slots {
@@ -97,13 +96,11 @@ func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fused
 		if kind == fFirst || kind == fLast {
 			return nil, false
 		}
-		c := compileExpr(fc.Args[0], schema)
-		if !c.pure {
+		k, ok := lowerValue(fc.Args[0], schema, st)
+		if !ok {
 			return nil, false
 		}
-		seen := map[int]struct{}{}
-		addColRefs(fc.Args[0], schema, seen)
-		out[i] = fusedSlot{kind: kind, name: fc.Name, arg: c.fn, argCols: sortedSet(seen)}
+		out[i] = fusedSlot{kind: kind, name: fc.Name, arg: k}
 	}
 	return out, true
 }
@@ -449,9 +446,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	for i := range fused {
 		switch fs := &fused[i]; {
 		case fs.arg != nil:
-			for _, c := range fs.argCols {
-				seen[c] = struct{}{}
-			}
+			fs.arg.cols(func(c int) { seen[c] = struct{}{} })
 		case fs.kind != fStar && fs.kind != fFirst && fs.kind != fLast:
 			seen[fs.col] = struct{}{}
 		}
@@ -475,22 +470,20 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		order = append(order, g)
 	}
 
-	// The scan buffers each 64-row block's selected rows — in-segment
-	// positions plus resolved groups — then folds slot by slot with the
-	// aggregate/vector-kind dispatch hoisted out of the row loop. A block
-	// never straddles a null-bitmap word, so each slot loads its null word
-	// once per block. Per (group, slot) the fold order is unchanged from
-	// row-at-a-time: ascending row within a block, blocks ascending.
-	var ibuf [64]int32
+	// The scan resolves the groups of a block of up to 64 selected rows,
+	// then folds slot by slot with the aggregate/vector-kind dispatch
+	// hoisted out of the row loop. flushSlot folds the block's values of
+	// slot si from v at the indexes idx: a column's in-segment positions, or
+	// a computed argument's entries in its kernel output. Per (group, slot)
+	// the fold order is unchanged from row-at-a-time: ascending row within a
+	// block, blocks ascending.
 	var gbuf [64]*vecGroup
-	flushSlot := func(seg *segment, fs *fusedSlot, si, cnt int) {
-		v := &seg.vecs[fs.col]
-		nw := v.nullWord(int(ibuf[0]) >> 6)
+	flushSlot := func(fs *fusedSlot, si int, v *colVec, idx []int32) {
+		nulls := v.nullCnt > 0
 		switch {
 		case fs.kind == fCount:
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				acc := &gbuf[k].accs[si]
@@ -500,9 +493,8 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			}
 		case fs.kind == fSum && v.kind == vkInt:
 			xs := v.ints
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				acc := &gbuf[k].accs[si]
@@ -516,9 +508,8 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			}
 		case fs.kind == fSum && v.kind == vkFloat:
 			flt := v.floats
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				acc := &gbuf[k].accs[si]
@@ -531,9 +522,8 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			}
 		case fs.kind == fAvg && v.kind == vkInt:
 			xs := v.ints
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				acc := &gbuf[k].accs[si]
@@ -545,9 +535,8 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			}
 		case fs.kind == fAvg && v.kind == vkFloat:
 			flt := v.floats
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				acc := &gbuf[k].accs[si]
@@ -560,9 +549,8 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		case (fs.kind == fMin || fs.kind == fMax) && v.kind == vkInt:
 			isMin := fs.kind == fMin
 			xs := v.ints
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				acc := &gbuf[k].accs[si]
@@ -584,14 +572,13 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 					}
 					continue
 				}
-				acc.updMinMax(isMin, v, i)
+				acc.updMinMax(isMin, v, int(i))
 			}
 		case (fs.kind == fMin || fs.kind == fMax) && v.kind == vkFloat:
 			isMin := fs.kind == fMin
 			flt := v.floats
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				acc := &gbuf[k].accs[si]
@@ -612,57 +599,40 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 					}
 					continue
 				}
-				acc.updMinMax(isMin, v, i)
+				acc.updMinMax(isMin, v, int(i))
 			}
 		default:
 			// string/bool/degraded vectors, bool_and/bool_or: per-row fold
-			for k := 0; k < cnt; k++ {
-				i := int(ibuf[k])
-				if nw&(1<<(uint(i)&63)) != 0 {
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
 					continue
 				}
 				if acc := &gbuf[k].accs[si]; acc.err == nil {
-					acc.update(fs, v, i)
+					acc.update(fs, v, int(i))
 				}
 			}
 		}
 	}
-	// A computed argument runs its closure per selected row over a reused
-	// row buffer holding just the argument's columns, and folds the value
-	// through a one-cell boxed vector — computeAggSlot's per-row fold, with
-	// a closure error freezing the slot exactly as it fails the slot there.
-	argRow := make([]any, len(st.cols))
-	argVec := colVec{kind: vkAny, anys: make([]any, 1)}
-	flushArg := func(seg *segment, fs *fusedSlot, si, cnt int) {
-		for k := 0; k < cnt; k++ {
-			acc := &gbuf[k].accs[si]
-			if acc.err != nil {
-				continue
-			}
-			i := int(ibuf[k])
-			for _, c := range fs.argCols {
-				argRow[c] = seg.vecs[c].get(i)
-			}
-			val, aerr := fs.arg(nil, argRow)
-			switch {
-			case aerr != nil:
-				acc.err = aerr
-			case val != nil:
-				argVec.anys[0] = val
-				acc.update(fs, &argVec, 0)
-			}
-		}
-	}
-	flush := func(seg *segment, cnt int) {
-		if cnt == 0 {
-			return
-		}
+	// args holds each computed argument's kernel output over the current
+	// segment's selected rows. An erring entry freezes its group's slot —
+	// computeAggSlot fails the slot on the group's first failing row — and
+	// is NULL, so the fold skips it.
+	args := make([]*kvec, len(fused))
+	flush := func(seg *segment, blk []int32, ord int) {
 		for si := range fused {
 			switch fs := &fused[si]; {
 			case fs.arg != nil:
-				flushArg(seg, fs, si, cnt)
+				out, ents := args[si], iota32[ord:ord+len(blk)]
+				if out.errs != nil {
+					for k, j := range ents {
+						if acc := &gbuf[k].accs[si]; out.failed(int(j)) && acc.err == nil {
+							acc.err = divByZero()
+						}
+					}
+				}
+				flushSlot(fs, si, &out.colVec, ents)
 			case fs.kind != fStar && fs.kind != fFirst && fs.kind != fLast:
-				flushSlot(seg, fs, si, cnt)
+				flushSlot(fs, si, &seg.vecs[fs.col], blk)
 			}
 		}
 	}
@@ -690,183 +660,155 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		order = append(order, g)
 		return g
 	}
-	var keyBuf []byte
-	ctx := s.ctx
-	base := 0
-	for segIdx := 0; segIdx < st.numSegs(); segIdx++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, true, fmt.Errorf("pgdb: query aborted: %w", cerr)
-			}
+	var (
+		keyBuf []byte
+		seg    *segment // the segment being scanned
+		kv     *colVec  // its key vector, for a single key
+		base   int      // the global row index of its first row
+	)
+	groupGeneric := func(i, gi int) *vecGroup {
+		keyBuf = keyBuf[:0]
+		for _, kc := range keyCols {
+			keyBuf = appendKeyCell(keyBuf, &seg.vecs[kc], i)
 		}
-		segN := st.peekSeg(segIdx).n
-		if selBits != nil {
-			// a segment the selection bitmap fully prunes contributes no
-			// rows: skip it before seg() faults an evicted segment in
-			wbase := segIdx * segWords
-			if windowAllZero(selBits[wbase : wbase+(segN+63)/64]) {
-				base += segN
-				continue
-			}
+		g, ok := groups[string(keyBuf)]
+		if !ok {
+			g = newGroup(gi)
+			groups[string(keyBuf)] = g
+			order = append(order, g)
 		}
-		seg := st.segCols(segIdx, scanCols)
-		groupGeneric := func(i, gi int) *vecGroup {
-			keyBuf = keyBuf[:0]
-			for _, kc := range keyCols {
-				keyBuf = appendKeyCell(keyBuf, &seg.vecs[kc], i)
+		return g
+	}
+	groupTyped := func(val any, i, gi int) *vecGroup {
+		switch x := val.(type) {
+		case int64:
+			g := gInt[x]
+			if g == nil {
+				g = mkGroup(gi)
+				gInt[x] = g
 			}
-			g, ok := groups[string(keyBuf)]
-			if !ok {
-				g = newGroup(gi)
-				groups[string(keyBuf)] = g
-				order = append(order, g)
+			return g
+		case float64:
+			if math.IsNaN(x) {
+				if gNaN == nil {
+					gNaN = mkGroup(gi)
+				}
+				return gNaN
+			}
+			b := math.Float64bits(x)
+			g := gFlt[b]
+			if g == nil {
+				g = mkGroup(gi)
+				gFlt[b] = g
+			}
+			return g
+		case string:
+			g := gStr[x]
+			if g == nil {
+				g = mkGroup(gi)
+				gStr[x] = g
+			}
+			return g
+		case bool:
+			if x {
+				if gTrue == nil {
+					gTrue = mkGroup(gi)
+				}
+				return gTrue
+			}
+			if gFalse == nil {
+				gFalse = mkGroup(gi)
+			}
+			return gFalse
+		default:
+			// out-of-domain value: such values only live in boxed
+			// vectors, so the generic keyed map needs no unification
+			// with the typed maps
+			return groupGeneric(i, gi)
+		}
+	}
+	groupOf := func(i int) *vecGroup {
+		gi := base + i
+		if global {
+			g := order[0]
+			if g.firstIdx < 0 {
+				g.firstIdx = gi
 			}
 			return g
 		}
-		var kv *colVec
 		if single {
-			kv = &seg.vecs[keyCols[0]]
-		}
-		groupTyped := func(val any, i, gi int) *vecGroup {
-			switch x := val.(type) {
-			case int64:
+			if kv.isNull(i) {
+				if gNull == nil {
+					gNull = mkGroup(gi)
+				}
+				return gNull
+			}
+			switch kv.kind {
+			case vkInt:
+				x := kv.ints[i]
 				g := gInt[x]
 				if g == nil {
 					g = mkGroup(gi)
 					gInt[x] = g
 				}
 				return g
-			case float64:
-				if math.IsNaN(x) {
+			case vkStr:
+				s := kv.strs[i]
+				g := gStr[s]
+				if g == nil {
+					g = mkGroup(gi)
+					gStr[s] = g
+				}
+				return g
+			case vkFloat:
+				f := kv.floats[i]
+				if math.IsNaN(f) {
 					if gNaN == nil {
 						gNaN = mkGroup(gi)
 					}
 					return gNaN
 				}
-				b := math.Float64bits(x)
+				b := math.Float64bits(f)
 				g := gFlt[b]
 				if g == nil {
 					g = mkGroup(gi)
 					gFlt[b] = g
 				}
 				return g
-			case string:
-				g := gStr[x]
-				if g == nil {
-					g = mkGroup(gi)
-					gStr[x] = g
-				}
-				return g
-			case bool:
-				if x {
-					if gTrue == nil {
-						gTrue = mkGroup(gi)
-					}
-					return gTrue
-				}
-				if gFalse == nil {
-					gFalse = mkGroup(gi)
-				}
-				return gFalse
-			default:
-				// out-of-domain value: such values only live in boxed
-				// vectors, so the generic keyed map needs no unification
-				// with the typed maps
-				return groupGeneric(i, gi)
+			case vkBool:
+				return groupTyped(kv.bools[i], i, gi)
+			default: // vkAny: dispatch on the boxed cell's dynamic type
+				return groupTyped(kv.anys[i], i, gi)
 			}
 		}
-		groupOf := func(i int) *vecGroup {
-			gi := base + i
-			if global {
-				g := order[0]
-				if g.firstIdx < 0 {
-					g.firstIdx = gi
-				}
-				return g
-			}
-			if single {
-				if kv.isNull(i) {
-					if gNull == nil {
-						gNull = mkGroup(gi)
-					}
-					return gNull
-				}
-				switch kv.kind {
-				case vkInt:
-					x := kv.ints[i]
-					g := gInt[x]
-					if g == nil {
-						g = mkGroup(gi)
-						gInt[x] = g
-					}
-					return g
-				case vkStr:
-					s := kv.strs[i]
-					g := gStr[s]
-					if g == nil {
-						g = mkGroup(gi)
-						gStr[s] = g
-					}
-					return g
-				case vkFloat:
-					f := kv.floats[i]
-					if math.IsNaN(f) {
-						if gNaN == nil {
-							gNaN = mkGroup(gi)
-						}
-						return gNaN
-					}
-					b := math.Float64bits(f)
-					g := gFlt[b]
-					if g == nil {
-						g = mkGroup(gi)
-						gFlt[b] = g
-					}
-					return g
-				case vkBool:
-					return groupTyped(kv.bools[i], i, gi)
-				default: // vkAny: dispatch on the boxed cell's dynamic type
-					return groupTyped(kv.anys[i], i, gi)
-				}
-			}
-			return groupGeneric(i, gi)
+		return groupGeneric(i, gi)
+	}
+	// a segment the selection bitmap fully prunes contributes no rows:
+	// selSegs skips it before it faults an evicted segment in
+	err = st.selSegs(selBits, scanCols, s.poll, func(segIdx int, sg *segment, pos []int32) error {
+		seg, base = sg, segIdx*segSize
+		if single {
+			kv = &seg.vecs[keyCols[0]]
 		}
-		if selBits == nil {
-			for blk := 0; blk < seg.n; blk += 64 {
-				end := min(blk+64, seg.n)
-				cnt := 0
-				for i := blk; i < end; i++ {
-					g := groupOf(i)
-					g.lastIdx = base + i
-					g.n++
-					ibuf[cnt] = int32(i)
-					gbuf[cnt] = g
-					cnt++
-				}
-				flush(seg, cnt)
-			}
-		} else {
-			wbase := segIdx * segWords
-			words := (seg.n + 63) / 64
-			for wi := 0; wi < words; wi++ {
-				w := selBits[wbase+wi]
-				if w == 0 {
-					continue
-				}
-				cnt := 0
-				for ; w != 0; w &= w - 1 {
-					i := wi*64 + bits.TrailingZeros64(w)
-					g := groupOf(i)
-					g.lastIdx = base + i
-					g.n++
-					ibuf[cnt] = int32(i)
-					gbuf[cnt] = g
-					cnt++
-				}
-				flush(seg, cnt)
+		for i := range fused {
+			if fs := &fused[i]; fs.arg != nil {
+				args[i] = fs.arg.eval(seg, pos)
 			}
 		}
-		base += seg.n
+		for ord := 0; ord < len(pos); ord += 64 {
+			blk := pos[ord:min(ord+64, len(pos))]
+			for k, i := range blk {
+				g := groupOf(int(i))
+				g.lastIdx = base + int(i)
+				g.n++
+				gbuf[k] = g
+			}
+			flush(seg, blk, ord)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
 	}
 
 	// finalize every slot into the pre-computed form of a groupAgg; errors

@@ -56,11 +56,11 @@ type vecPred interface {
 	cols(add func(int))
 }
 
-// predCols collects the sorted, de-duplicated referenced-column set of a
-// lowered predicate.
-func predCols(p vecPred) []int {
+// colsOf collects the sorted, de-duplicated set of columns a lowered
+// predicate or value kernel reads.
+func colsOf(x interface{ cols(add func(int)) }) []int {
 	seen := map[int]struct{}{}
-	p.cols(func(c int) { seen[c] = struct{}{} })
+	x.cols(func(c int) { seen[c] = struct{}{} })
 	return sortedSet(seen)
 }
 

@@ -310,8 +310,8 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 			t.Errorf("%s: fused=%v, want %v", c.sql, ok, c.fuse)
 			continue
 		}
-		if ok && !reflect.DeepEqual(fused[0].argCols, c.cols) {
-			t.Errorf("%s: argument columns %v, want %v", c.sql, fused[0].argCols, c.cols)
+		if ok && !reflect.DeepEqual(colsOf(fused[0].arg), c.cols) {
+			t.Errorf("%s: argument columns %v, want %v", c.sql, colsOf(fused[0].arg), c.cols)
 		}
 	}
 }

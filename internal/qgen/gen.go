@@ -164,7 +164,7 @@ func (g *Generator) Query() *Query {
 	q := &Query{From: from.src}
 	cols := from.cols
 
-	mode := r.Intn(10)
+	mode := r.Intn(11)
 	switch {
 	case mode < 2: // exec of a single column expression -> bare vector
 		q.Kind = "exec"
@@ -185,6 +185,11 @@ func (g *Generator) Query() *Query {
 	case mode == 9: // functional delete of the rows a predicate picks
 		q.Kind = "delete"
 		q.From, cols = fromVariants[0].src, fromVariants[0].cols
+	case mode == 10: // functional update of the rows a predicate picks: the
+		// translator's CASE WHEN <where> THEN <expr> ELSE NULL END column
+		q.Kind = "update"
+		q.From, cols = fromVariants[0].src, fromVariants[0].cols
+		q.Cols = []SelCol{{Name: colName(0), Expr: g.numTree(cols, 2, true)}}
 	default: // plain select; sometimes the bare wildcard form
 		q.Kind = "select"
 		if r.Intn(4) > 0 {
@@ -196,6 +201,9 @@ func (g *Generator) Query() *Query {
 	}
 
 	nw := r.Intn(3)
+	if q.Kind == "update" {
+		nw = 1 + r.Intn(2)
+	}
 	for j := 0; j < nw; j++ {
 		q.Where = append(q.Where, g.predicate(cols))
 	}
@@ -260,7 +268,8 @@ func (g *Generator) numTree(cols []*Col, depth int, mustCol bool) Expr {
 
 var aggFns = []string{"sum", "avg", "min", "max", "count", "first", "last"}
 
-// aggExpr yields one aggregate call over a Num expression.
+// aggExpr yields one aggregate call over a Num expression, nested up to two
+// operators deep like the workload's `avg (BidSize-AskSize)%BidSize+AskSize`.
 func (g *Generator) aggExpr(cols []*Col) Expr {
 	r := g.rng
 	if r.Intn(8) == 0 {
@@ -273,7 +282,7 @@ func (g *Generator) aggExpr(cols []*Col) Expr {
 		return &Agg{Fn: fn, X: x, W: w}
 	}
 	fn := aggFns[r.Intn(len(aggFns))]
-	return &Agg{Fn: fn, X: g.numTree(cols, 1, true)}
+	return &Agg{Fn: fn, X: g.numTree(cols, 2, true)}
 }
 
 // byKey yields a grouping key: a symbol column or an xbar bucket.

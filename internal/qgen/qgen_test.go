@@ -30,11 +30,14 @@ func TestGeneratedQueriesAreWellFormed(t *testing.T) {
 		q := g.Query()
 		text := q.Q()
 		if !strings.HasPrefix(text, "select") && !strings.HasPrefix(text, "exec") &&
-			!strings.HasPrefix(text, "delete from t") {
+			!strings.HasPrefix(text, "delete from t") && !strings.HasPrefix(text, "update x:") {
 			t.Fatalf("bad query kind: %s", text)
 		}
 		if q.Kind == "delete" && (len(q.Cols) > 0 || q.From != "t") {
 			t.Fatalf("delete names columns or a join: %s", text)
+		}
+		if q.Kind == "update" && (len(q.Cols) != 1 || q.From != "t" || len(q.Where) == 0) {
+			t.Fatalf("update is not one column of t under a where clause: %s", text)
 		}
 		if !strings.Contains(text, " from ") {
 			t.Fatalf("missing from: %s", text)
@@ -138,4 +141,38 @@ func TestShrinksAreSmallerOrEqual(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGeneratorCoversValueKernelShapes checks the generator emits the two
+// shapes the backend's value kernels run: an aggregate over arithmetic
+// nested two operators deep, and an update of t under a where clause.
+func TestGeneratorCoversValueKernelShapes(t *testing.T) {
+	g := New(Config{Seed: 1})
+	nested, updates := 0, 0
+	for i := 0; i < 500; i++ {
+		q := g.Query()
+		if q.Kind == "update" {
+			updates++
+		}
+		for _, sc := range q.Cols {
+			if a, ok := sc.Expr.(*Agg); ok && depth(a.X) >= 2 {
+				nested++
+			}
+		}
+	}
+	if nested == 0 || updates == 0 {
+		t.Fatalf("500 queries hold %d nested aggregate arguments and %d updates", nested, updates)
+	}
+}
+
+// depth is the operator nesting depth of an expression.
+func depth(e Expr) int {
+	d := 0
+	for _, c := range e.Children() {
+		d = max(d, depth(c))
+	}
+	if _, ok := e.(*Bin); ok {
+		d++
+	}
+	return d
 }

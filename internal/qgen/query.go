@@ -14,7 +14,7 @@ type SelCol struct {
 // deletes where-conjuncts, select columns, the by clause or the join and
 // re-renders.
 type Query struct {
-	Kind  string // "select", "exec" or "delete" (no columns, from "t")
+	Kind  string // "select", "exec", "delete" (no columns) or "update" (one new column); the last two from "t"
 	Cols  []SelCol
 	By    []SelCol
 	From  string // "t", "t lj d" or "aj[`s`tm; t; qts]"

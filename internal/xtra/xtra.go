@@ -467,7 +467,7 @@ func QTypeForSQL(t string) qval.Type {
 		return qval.KShort
 	case "integer", "int", "int4":
 		return qval.KInt
-	case "bigint", "int8":
+	case "bigint", "int8", "interval":
 		return qval.KLong
 	case "real", "float4":
 		return qval.KReal
