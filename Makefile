@@ -43,8 +43,7 @@ bench-compare:
 # replays the CI seeds against the compiled engine (vector scans, fused
 # aggregates, columnar joins and index paths included), plus sweeps of the
 # interpreted engine to pin the retained AST walker and of the text result
-# path, a 3-shard cluster sweep pinning the scatter-gather backend,
-# cold-reopen sweeps over the durable store — unbounded, and under a tight
+# path, cold-reopen sweeps over the durable store — unbounded, and under a tight
 # budget that churns segments through evict and refault — and sweeps with
 # secondary indexes forced on, resident and across a cold reopen. The
 # -persist sweeps run the vector fast paths over cold reopened segments:
@@ -53,7 +52,6 @@ qdiff:
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -exec interpreted -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -result-path text -shrink > /dev/null || exit 1; done
-	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shards 3 -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -mem-budget 65536 -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -index -shrink > /dev/null || exit 1; done

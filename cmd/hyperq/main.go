@@ -38,11 +38,9 @@ import (
 	"hyperq/internal/endpoint"
 	"hyperq/internal/gateway"
 	"hyperq/internal/mdi"
-	"hyperq/internal/pgdb"
 	"hyperq/internal/pool"
 	"hyperq/internal/qcache"
 	"hyperq/internal/qlang/qval"
-	"hyperq/internal/shard"
 	"hyperq/internal/taq"
 	"hyperq/internal/wire/qipc"
 	"hyperq/internal/workload"
@@ -62,9 +60,6 @@ type options struct {
 	poolSize, cacheEntries       int
 	queryTimeout, requestTimeout time.Duration
 	drainTimeout                 time.Duration
-	shards                       int
-	shardBackends, shardRules    string
-	rules                        []shard.TableSpec // parsed shardRules
 }
 
 func registerFlags(fs *flag.FlagSet) *options {
@@ -84,10 +79,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.queryTimeout, "query-timeout", 0, "per-query backend deadline (0 disables)")
 	fs.DurationVar(&o.requestTimeout, "request-timeout", 0, "end-to-end per-request deadline (0 disables)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "grace window for in-flight requests on shutdown")
-	fs.IntVar(&o.shards, "shards", 0, "scatter-gather cluster width over embedded engines (0 disables; requires -embedded)")
-	fs.StringVar(&o.shardBackends, "shard-backends", "", "comma-separated PG v3 member addresses, one shard per address (scatter-gather over networked members)")
-	fs.StringVar(&o.shardRules, "shard-rules", "trades:hash:Symbol,quotes:hash:Symbol",
-		"partitioning rules: table:hash:col, table:range:col:b1|b2|..., or table:replicated")
 	o.engine.RegisterFlags(fs)
 	return o
 }
@@ -95,10 +86,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 // validate checks the parsed flags of fs before anything is opened. A flag
 // given on a path that would ignore it is an error, not a no-op.
 func (o *options) validate(fs *flag.FlagSet) error {
-	var err error
-	if o.rules, err = parseShardRules(o.shardRules); err != nil {
-		return fmt.Errorf("-shard-rules: %w", err)
-	}
 	ignored := config.Explicit(fs)
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "trades" {
@@ -106,14 +93,10 @@ func (o *options) validate(fs *flag.FlagSet) error {
 		}
 	})
 	switch {
-	case o.shards > 1 && !o.embedded:
-		return errors.New("-shards requires -embedded (use -shard-backends for networked members)")
+	case o.embedded == (o.backend != ""):
+		return errors.New("exactly one of -backend or -embedded is required")
 	case !o.embedded && len(ignored) > 0:
 		return fmt.Errorf("%s: embedded-engine settings need -embedded", strings.Join(ignored, ", "))
-	case !o.embedded && o.backend == "" && o.shardBackends == "":
-		return errors.New("one of -backend, -embedded or -shard-backends is required")
-	case o.shards > 1 && (o.engine.DataDir != "" || o.engine.StatsAddr != ""):
-		return errors.New("-data-dir and -stats-addr serve one embedded engine and are not opened with -shards")
 	}
 	return o.engine.Validate(fs)
 }
@@ -133,76 +116,13 @@ func main() {
 	}
 }
 
-// loadDemo loads the synthetic TAQ data set through b.
-func loadDemo(ctx context.Context, b core.Backend, trades int) (int, error) {
-	data, err := workload.Setup(ctx, b, taq.Config{Seed: 1, Trades: trades})
-	if err != nil {
-		return 0, err
-	}
-	return data.Trades.Len(), nil
-}
-
 // run serves until ctx is canceled. Every exit, a startup failure included,
 // goes through the deferred closes, so a durable store is always left
 // checkpointed.
 func run(ctx context.Context, o *options) (err error) {
 	platform := core.NewPlatform()
-	newPool := func(dial func(context.Context) (pool.Conn, error)) *pool.Pool {
-		return pool.New(pool.Config{
-			Size:         o.poolSize,
-			Dial:         dial,
-			QueryTimeout: o.queryTimeout,
-			HealthCheck:  true,
-			DrainTimeout: o.drainTimeout,
-			Logf:         log.Printf,
-		})
-	}
-
-	var cluster *shard.Cluster
-	var pools []*pool.Pool // the backend pool, or one per networked shard
-	defer func() {
-		for i, p := range pools {
-			if cerr := p.Close(); cerr != nil {
-				log.Printf("pool %d drain: %v", i, cerr)
-			}
-		}
-	}()
 	var eng *config.Instance
-	switch {
-	case o.shards > 1:
-		var dbs []*pgdb.DB
-		if cluster, dbs, err = shard.NewEmbedded(o.shards, o.rules); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		for _, db := range dbs {
-			db.SetParallelism(o.engine.Parallel)
-		}
-		loader, err := cluster.NewBackend()
-		if err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		n, err := loadDemo(ctx, loader, o.trades)
-		loader.Close()
-		if err != nil {
-			return err
-		}
-		log.Printf("embedded %d-shard cluster ready with demo TAQ data (%d trades)", o.shards, n)
-	case o.shardBackends != "":
-		addrs := strings.Split(o.shardBackends, ",")
-		factories := make([]func() (core.Backend, error), len(addrs))
-		for i, a := range addrs {
-			addr := strings.TrimSpace(a)
-			p := newPool(func(ctx context.Context) (pool.Conn, error) {
-				return gateway.Dial(ctx, addr, o.bUser, o.bPass, o.bDB)
-			})
-			pools = append(pools, p)
-			factories[i] = func() (core.Backend, error) { return p.SessionBackend(), nil }
-		}
-		if cluster, err = shard.New(shard.NewCatalog(len(addrs), o.rules), factories); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-		log.Printf("networked sharded cluster over %d member backends", len(addrs))
-	case o.embedded:
+	if o.embedded {
 		if eng, err = o.engine.Open(); err != nil {
 			return err
 		}
@@ -216,34 +136,33 @@ func run(ctx context.Context, o *options) (err error) {
 		}
 		if eng.Restored {
 			log.Printf("embedded backend restored from %s", o.engine.DataDir)
-			break
+		} else {
+			data, err := workload.Setup(ctx, core.NewDirectBackend(eng.DB), taq.Config{Seed: 1, Trades: o.trades})
+			if err != nil {
+				return err
+			}
+			log.Printf("embedded backend ready with demo TAQ data (%d trades)", data.Trades.Len())
 		}
-		n, err := loadDemo(ctx, core.NewDirectBackend(eng.DB), o.trades)
-		if err != nil {
-			return err
-		}
-		log.Printf("embedded backend ready with demo TAQ data (%d trades)", n)
 	}
 
-	var backendPool *pool.Pool
-	if cluster == nil {
-		backendPool = newPool(func(ctx context.Context) (pool.Conn, error) {
+	backendPool := pool.New(pool.Config{
+		Size: o.poolSize,
+		Dial: func(ctx context.Context) (pool.Conn, error) {
 			if eng != nil {
 				return core.NewDirectBackend(eng.DB), nil
 			}
 			return gateway.Dial(ctx, o.backend, o.bUser, o.bPass, o.bDB)
-		})
-		pools = append(pools, backendPool)
-	}
-
-	// newSessionBackend yields one session's backend: a fresh view of the
-	// sharded cluster, or a per-session wrapper over the shared pool
-	newSessionBackend := func() (core.Backend, error) {
-		if cluster != nil {
-			return cluster.NewBackend()
+		},
+		QueryTimeout: o.queryTimeout,
+		HealthCheck:  true,
+		DrainTimeout: o.drainTimeout,
+		Logf:         log.Printf,
+	})
+	defer func() {
+		if cerr := backendPool.Close(); cerr != nil {
+			log.Printf("pool drain: %v", cerr)
 		}
-		return backendPool.SessionBackend(), nil
-	}
+	}()
 
 	// process-wide serving state shared by every session: the metadata
 	// cache (safe for concurrent use) and the query-translation cache
@@ -251,10 +170,7 @@ func run(ctx context.Context, o *options) (err error) {
 	if o.cacheEntries > 0 {
 		cache = qcache.New(o.cacheEntries)
 	}
-	mdiBackend, err := newSessionBackend()
-	if err != nil {
-		return fmt.Errorf("mdi backend: %w", err)
-	}
+	mdiBackend := backendPool.SessionBackend()
 	defer func() {
 		if cerr := mdiBackend.Close(); cerr != nil {
 			log.Printf("mdi backend close: %v", cerr)
@@ -285,11 +201,7 @@ func run(ctx context.Context, o *options) (err error) {
 	err = endpoint.Serve(ctx, l, endpoint.Config{
 		Auth: auth,
 		NewHandler: func(creds *qipc.Credentials) (endpoint.Handler, func(), error) {
-			sb, err := newSessionBackend()
-			if err != nil {
-				return nil, nil, err
-			}
-			session := platform.NewSession(sb, core.Config{MDI: sharedMDI, Cache: cache})
+			session := platform.NewSession(backendPool.SessionBackend(), core.Config{MDI: sharedMDI, Cache: cache})
 			compiler := xc.New(session)
 			h := endpoint.HandlerFunc(func(ctx context.Context, q string) (qval.Value, error) {
 				v, _, err := compiler.HandleQuery(ctx, q)
@@ -309,45 +221,10 @@ func run(ctx context.Context, o *options) (err error) {
 		log.Printf("qcache: %d entries, %d hits, %d misses, %d dedups, %d evictions",
 			cs.Entries, cs.Hits, cs.Misses, cs.Dedups, cs.Evictions)
 	}
-	if backendPool != nil {
-		ps := backendPool.Stats()
-		log.Printf("pool: %d dials (%d errors), %d checkouts, %d health failures (%d checks skipped), %d discards",
-			ps.Dials, ps.DialErrors, ps.Checkouts, ps.HealthFailures, ps.HealthChecksSkipped, ps.Discards)
-	}
+	ps := backendPool.Stats()
+	log.Printf("pool: %d dials (%d errors), %d checkouts, %d health failures (%d checks skipped), %d discards",
+		ps.Dials, ps.DialErrors, ps.Checkouts, ps.HealthFailures, ps.HealthChecksSkipped, ps.Discards)
 	return nil
-}
-
-// parseShardRules parses the -shard-rules flag: a comma-separated list of
-// table:hash:col, table:range:col:bound1|bound2|..., or table:replicated.
-func parseShardRules(s string) ([]shard.TableSpec, error) {
-	var out []shard.TableSpec
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		parts := strings.Split(item, ":")
-		spec := shard.TableSpec{Name: parts[0]}
-		kind := ""
-		if len(parts) > 1 {
-			kind = strings.ToLower(parts[1])
-		}
-		switch {
-		case kind == "replicated" && len(parts) == 2:
-			spec.Kind = shard.Replicated
-		case kind == "hash" && len(parts) == 3:
-			spec.Kind = shard.Hash
-			spec.Column = parts[2]
-		case kind == "range" && len(parts) == 4:
-			spec.Kind = shard.Range
-			spec.Column = parts[2]
-			spec.Bounds = strings.Split(parts[3], "|")
-		default:
-			return nil, fmt.Errorf("bad rule %q (want table:hash:col, table:range:col:b1|b2, or table:replicated)", item)
-		}
-		out = append(out, spec)
-	}
-	return out, nil
 }
 
 func backendDesc(embedded bool, addr string) string {

@@ -41,8 +41,8 @@ func TestEngineFlagsAreConfigs(t *testing.T) {
 
 // TestBenchmarkFlags pins the flags bench/stack.go starts hyperq with, and
 // the whole flag set, so the options this binary dropped (-result-path,
-// -exec, the checkpoint-layout, read-path and index-threshold flags) stay
-// dropped: the flag package exits 2 on them.
+// -exec, the checkpoint-layout, read-path and index-threshold flags, and the
+// scatter-gather cluster flags) stay dropped: the flag package exits 2 on them.
 func TestBenchmarkFlags(t *testing.T) {
 	_, fs := parse(t)
 	for name, def := range map[string]string{"listen": "127.0.0.1:5010", "backend": ""} {
@@ -54,7 +54,7 @@ func TestBenchmarkFlags(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	want := "backend backend-db backend-password backend-user cache-entries data-dir drain-timeout embedded " +
 		"listen mdi-ttl mem-budget parallel pool-size q-password q-user query-timeout request-timeout " +
-		"shard-backends shard-rules shards stats-addr trades wal-sync"
+		"stats-addr trades wal-sync"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("flags %q, want %q", got, want)
 	}
@@ -67,13 +67,11 @@ func TestValidate(t *testing.T) {
 		bad  string // substring of the error, "" = valid
 	}{
 		{[]string{"-backend", "h:1"}, ""},
-		{[]string{"-shard-backends", "h:1,h:2"}, ""},
 		{[]string{"-embedded", "-parallel", "2", "-trades", "5", "-stats-addr", ":0"}, ""},
 		{[]string{"-embedded", "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "1"}, ""},
-		{[]string{"-embedded", "-shards", "3", "-parallel", "2"}, ""},
-		{nil, "-backend, -embedded or -shard-backends"},
-		{[]string{"-shards", "3", "-backend", "h:1"}, "-shards requires -embedded"},
-		{[]string{"-shard-rules", "trades:zigzag"}, "-shard-rules"},
+		// exactly one backend: neither, or both (the engine would ignore -backend)
+		{nil, "exactly one of -backend or -embedded"},
+		{[]string{"-embedded", "-backend", "h:1"}, "exactly one of -backend or -embedded"},
 		// engine flags without -embedded
 		{[]string{"-backend", "h:1", "-parallel", "2"}, "-parallel"},
 		{[]string{"-backend", "h:1", "-data-dir", "d"}, "-data-dir"},
@@ -84,9 +82,6 @@ func TestValidate(t *testing.T) {
 		// store settings without the store
 		{[]string{"-embedded", "-mem-budget", "1"}, "-data-dir"},
 		{[]string{"-embedded", "-wal-sync", "none"}, "-data-dir"},
-		// a cluster opens neither a directory nor a stats endpoint
-		{[]string{"-embedded", "-shards", "3", "-data-dir", "d"}, "-shards"},
-		{[]string{"-embedded", "-shards", "3", "-stats-addr", ":0"}, "-shards"},
 	} {
 		o, fs := parse(t, tc.args...)
 		err := o.validate(fs)

@@ -30,7 +30,6 @@ func main() {
 	out := flag.String("out", "", "directory to write failing cases as corpus JSON")
 	maxRows := flag.Int("maxrows", 0, "max fact-table rows (0 = generator default)")
 	resultPath := flag.String("result-path", "columnar", "session result pipeline under test: columnar or text")
-	shards := flag.Int("shards", 0, "sharded differential mode: compare a single backend against an N-shard scatter-gather cluster (byte-identical QIPC oracle)")
 	persistMode := flag.Bool("persist", false, "disk-backed mode: checkpoint every dataset to splayed column files under a temporary -data-dir and force each query to fault its segments back from disk")
 	index := flag.Bool("index", false, "force-enable secondary indexes and load tables in halves around an index-building probe, so queries run against incrementally-maintained indexes")
 	exec := pgdb.ExecCompiled
@@ -55,10 +54,6 @@ func main() {
 	}
 
 	if *persistMode {
-		if *shards > 1 {
-			fmt.Fprintln(os.Stderr, "qdiff: -persist is incompatible with -shards")
-			os.Exit(2)
-		}
 		dir, err := os.MkdirTemp("", "qdiff-persist-")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "qdiff:", err)
@@ -80,7 +75,6 @@ func main() {
 		Engine:     engine,
 		Exec:       exec,
 		ResultPath: path,
-		Shards:     *shards,
 		Index:      *index,
 	})
 	if err != nil {
@@ -95,7 +89,6 @@ func main() {
 				Note:   fmt.Sprintf("class=%s found by qdiff -seed %d (iteration %d)", c.Class, c.Seed, c.Iteration),
 				Query:  c.Query,
 				Tables: c.Tables,
-				Shards: *shards,
 			}
 			if err := sidebyside.WriteCorpusEntry(*out, e); err != nil {
 				fmt.Fprintf(os.Stderr, "qdiff: write case %d: %v\n", i, err)

@@ -154,6 +154,33 @@ func TestBindGroupBy(t *testing.T) {
 	}
 }
 
+// TestBareColumnBesideAggregateIsNYI: a column without an aggregate next to
+// an aggregate or under by is a whole column in q (broadcast or per-group
+// list), not its last value, so the binder rejects it by name. A constant
+// is the same in every group and still binds.
+func TestBareColumnBesideAggregateIsNYI(t *testing.T) {
+	scopes, _ := testScopes()
+	b := New(scopes)
+	for _, tc := range []struct{ src, col string }{
+		{"select mx:max Price, p:Price from trades", "Price"},
+		{"select p:Price by Symbol from trades", "Price"},
+		{"select v:Size*2, n:count Price by Symbol from trades", "Size"},
+	} {
+		n, err := parse.ParseExpr(tc.src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.src, err)
+		}
+		_, err = b.BindStatement(context.Background(), n)
+		if be, ok := err.(*BindError); !ok || be.Code != "nyi" || !strings.Contains(be.Ctx, "column "+tc.col+" ") {
+			t.Errorf("bind %q: %v, want a nyi error naming column %s", tc.src, err, tc.col)
+		}
+	}
+	g, ok := bindQ(t, b, "select k:1, mx:max Price by Symbol from trades").Rel.(*xtra.GroupAgg)
+	if !ok || len(g.Aggs) != 2 {
+		t.Fatalf("constant beside an aggregate: %#v", g)
+	}
+}
+
 func TestBindTypeErrors(t *testing.T) {
 	scopes, _ := testScopes()
 	b := New(scopes)

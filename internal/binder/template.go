@@ -128,7 +128,13 @@ func (b *Binder) bindSelectCols(ctx context.Context, t *ast.SQLTemplate, input x
 	}
 	for _, c := range cols {
 		if !scalarHasAgg(c.expr) {
-			// q implicitly takes last per group for bare columns
+			// q keeps a column without an aggregate whole: a per-group list
+			// under by, and beside an aggregate it broadcasts the aggregate
+			// atom to every row. Neither is one SQL aggregate row.
+			if col := firstColRef(c.expr); col != "" {
+				return nil, berr("nyi", "column %s beside an aggregate or by needs an aggregate", col)
+			}
+			// a constant is the same in every group
 			c.expr = &xtra.AggCall{Fn: "last", Arg: c.expr, Typ: c.expr.QType()}
 		}
 		g.Aggs = append(g.Aggs, xtra.NamedExpr{Name: c.name, Expr: c.expr})
@@ -258,4 +264,23 @@ func scalarHasAgg(s xtra.Scalar) bool {
 		}
 	}
 	return false
+}
+
+// firstColRef names the first column s references, or "" for a constant.
+func firstColRef(s xtra.Scalar) string {
+	var args []xtra.Scalar
+	switch x := s.(type) {
+	case *xtra.ColRef:
+		return x.Name
+	case *xtra.FnApp:
+		args = x.Args
+	case *xtra.ListExpr:
+		args = x.Items
+	}
+	for _, a := range args {
+		if col := firstColRef(a); col != "" {
+			return col
+		}
+	}
+	return ""
 }

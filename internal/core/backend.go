@@ -7,8 +7,6 @@ package core
 
 import (
 	"context"
-	"strconv"
-	"strings"
 	"time"
 
 	"hyperq/internal/pgdb"
@@ -50,16 +48,6 @@ type Backend interface {
 	QueryCatalog(ctx context.Context, sql string) ([][]string, error)
 	// Close releases the backend connection/session.
 	Close() error
-}
-
-// TypedBackend is implemented by backends that can return engine-typed
-// results: values carrying their runtime Go types instead of wire text.
-// The scatter-gather coordinator prefers it for aggregate partials — the
-// text round-trip collapses value-dependent type refinement (an integer
-// column holding a runtime float renders indistinguishably from an
-// integer) and the engine's refinement is part of observable semantics.
-type TypedBackend interface {
-	ExecTyped(ctx context.Context, sql string) (*pgdb.Result, error)
 }
 
 // DirectBackend runs SQL against an embedded pgdb session in-process.
@@ -115,8 +103,8 @@ func (b *DirectBackend) ExecStream(ctx context.Context, sql string, sink RowSink
 	return FeedResult(ctx, res, sink)
 }
 
-// ExecTyped implements TypedBackend: the engine result's Go values reach
-// the caller untouched. The artificial Delay applies as in Exec.
+// ExecTyped runs sql and returns the engine result itself, its Go values
+// untouched by any rendering. The artificial Delay applies as in Exec.
 func (b *DirectBackend) ExecTyped(ctx context.Context, sql string) (*pgdb.Result, error) {
 	if b.Delay > 0 {
 		timer := time.NewTimer(b.Delay)
@@ -180,27 +168,4 @@ func ToBackendResult(res *pgdb.Result) *BackendResult {
 		out.Rows = append(out.Rows, r)
 	}
 	return out
-}
-
-// RowsAffected parses the trailing count out of a command tag. Tags whose
-// last word is not a count (e.g. "CREATE TABLE") report 0.
-func RowsAffected(tag string) int {
-	n, _ := ParseRowsAffected(tag)
-	return n
-}
-
-// ParseRowsAffected parses the trailing count out of a command tag and
-// reports whether the tag actually carried one, so callers that aggregate
-// counts across backends (the shard layer summing per-shard DML tags) can
-// distinguish "0 rows" from "no count at all".
-func ParseRowsAffected(tag string) (int, bool) {
-	parts := strings.Fields(tag)
-	if len(parts) == 0 {
-		return 0, false
-	}
-	n, err := strconv.Atoi(parts[len(parts)-1])
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }

@@ -95,6 +95,65 @@ func TestRoundTripAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestViewKeepsSourceText: a view is stored as the text of its SELECT as
+// written — comments, keyword case, quoted identifiers and a string literal
+// holding ';' and '--' included — and that text survives a checkpoint with a
+// cold reopen and a WAL replay.
+func TestViewKeepsSourceText(t *testing.T) {
+	const sel = "Select \"sym\", price -- note; not the end\n" +
+		"  FROM trades /* only the\nbig ones */ WHERE note <> 'a;b -- c' AND size > 500"
+	create := "CREATE VIEW big AS /* not stored */ " + sel + " ;"
+	setup := func(t *testing.T, dir string) ([][]any, *Store) {
+		db, s, st := openStore(t, dir, Options{Sync: SyncAlways})
+		mustExec(t, s, "CREATE TABLE trades (sym varchar, price double precision, size bigint, note varchar)")
+		for i := 0; i < 20; i++ {
+			mustExec(t, s, fmt.Sprintf("INSERT INTO trades VALUES ('S%d', %d.5, %d, '%s')", i%3, i, i*60, []string{"x", "a;b -- c"}[i%2]))
+		}
+		mustExec(t, s, create)
+		var views map[string]string
+		db.Exclusive(func() { views = db.SnapshotViews() })
+		if views["big"] != sel {
+			t.Fatalf("stored definition %q, want the source slice %q", views["big"], sel)
+		}
+		want := mustExec(t, s, sel).Rows
+		if len(want) == 0 {
+			t.Fatal("the inline select returned no rows")
+		}
+		assertSameRows(t, want, rowsOf(t, s, "big"), "view vs inline select")
+		return want, st
+	}
+	reopened := func(t *testing.T, dir string, want [][]any, replayed bool) {
+		db, s, st := openStore(t, dir, Options{Sync: SyncAlways})
+		defer st.Close()
+		if st.ReplayedChanges() != replayed {
+			t.Fatalf("replayed changes = %v, want %v", st.ReplayedChanges(), replayed)
+		}
+		var views map[string]string
+		db.Exclusive(func() { views = db.SnapshotViews() })
+		if views["big"] != sel {
+			t.Fatalf("reopened definition %q, want %q", views["big"], sel)
+		}
+		assertSameRows(t, want, rowsOf(t, s, "big"), "reopened view")
+	}
+	t.Run("checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		want, st := setup(t, dir)
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened(t, dir, want, false)
+	})
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		want, st := setup(t, dir)
+		st.Close() // no checkpoint: the view comes back from the WAL
+		reopened(t, dir, want, true)
+	})
+}
+
 func TestWALOnlyRecovery(t *testing.T) {
 	dir := t.TempDir()
 	_, s, st := openStore(t, dir, Options{Sync: SyncAlways})

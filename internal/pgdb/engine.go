@@ -3,7 +3,6 @@ package pgdb
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"hyperq/internal/pgdb/sqlparse"
 )
@@ -159,12 +158,11 @@ func (s *Session) execStmt(stmt sqlparse.Stmt) (res *Result, err error) {
 	case *sqlparse.CreateTableStmt:
 		return s.execCreateTable(st)
 	case *sqlparse.CreateViewStmt:
-		sql := selectToSQL(st.AsSelect)
 		s.db.mu.Lock()
-		s.db.views[st.Name] = &storedView{name: st.Name, sql: sql}
+		s.db.views[st.Name] = &storedView{name: st.Name, sql: st.Source}
 		s.db.mu.Unlock()
 		if j := s.db.journal; j != nil {
-			if jerr := j.JournalCreateView(st.Name, sql); jerr != nil {
+			if jerr := j.JournalCreateView(st.Name, st.Source); jerr != nil {
 				return nil, errf("58030", "journal: %v", jerr)
 			}
 		}
@@ -508,15 +506,4 @@ func (s *Session) dmlRows(t *storedTable, schema []colBinding, exprs ...sqlparse
 // INSERT VALUES).
 func (s *Session) evalConst(e sqlparse.Expr) (any, error) {
 	return s.evalExpr(e, nil, nil)
-}
-
-// selectToSQL renders a parsed select back to SQL for view storage. Views
-// re-execute their definition on every reference; this keeps the engine
-// honest about logical materialization (paper §4.3).
-func selectToSQL(sel *sqlparse.SelectStmt) string {
-	// The parser's grammar is small enough that re-rendering from the AST
-	// is straightforward; the renderer lives in render.go.
-	var b strings.Builder
-	renderSelect(&b, sel)
-	return b.String()
 }

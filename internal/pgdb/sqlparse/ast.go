@@ -106,10 +106,12 @@ type ColumnDef struct {
 	Type string // normalized lowercase type name
 }
 
-// CreateViewStmt is CREATE VIEW name AS SELECT.
+// CreateViewStmt is CREATE VIEW name AS SELECT. Source is the SELECT's
+// text as written (parsed once here, so a malformed view is rejected at
+// creation), which the engine stores and re-parses on every reference.
 type CreateViewStmt struct {
-	Name     string
-	AsSelect *SelectStmt
+	Name   string
+	Source string
 }
 
 func (*CreateViewStmt) stmt() {}

@@ -20,7 +20,7 @@ func Parse(src string) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: src, toks: toks}
 	stmt, err := p.parseStmt()
 	if err != nil {
 		return nil, err
@@ -38,7 +38,7 @@ func ParseScript(src string) ([]Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: src, toks: toks}
 	var out []Stmt
 	for {
 		p.skipSemis()
@@ -55,6 +55,7 @@ func ParseScript(src string) ([]Stmt, error) {
 }
 
 type parser struct {
+	src  string
 	toks []Token
 	pos  int
 }
@@ -507,11 +508,14 @@ func (p *parser) parseCreate() (Stmt, error) {
 		if err := p.expectKw("AS"); err != nil {
 			return nil, err
 		}
-		sel, err := p.parseSelect()
-		if err != nil {
+		start := p.tok().Pos
+		if _, err := p.parseSelect(); err != nil {
 			return nil, err
 		}
-		return &CreateViewStmt{Name: name, AsSelect: sel}, nil
+		// the select runs up to the next token; whatever separates the two
+		// (a trailing comment included) re-parses to the same statement
+		src := strings.TrimRight(p.src[start:p.tok().Pos], " \t\r\n")
+		return &CreateViewStmt{Name: name, Source: src}, nil
 	}
 	temp := false
 	if p.atKw("TEMPORARY") || p.atKw("TEMP") {

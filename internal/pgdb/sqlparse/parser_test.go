@@ -160,6 +160,14 @@ func TestCreateView(t *testing.T) {
 	if st.(*CreateViewStmt).Name != "v" {
 		t.Fatal("view name")
 	}
+	// Source is the select as written, up to the statement's end
+	st, err = Parse("create view v as /* c */ Select \"A\" -- x;\n FROM t WHERE b = ';'  \n;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.(*CreateViewStmt).Source, "Select \"A\" -- x;\n FROM t WHERE b = ';'"; got != want {
+		t.Fatalf("source %q, want %q", got, want)
+	}
 }
 
 func TestInsertValuesAndSelect(t *testing.T) {

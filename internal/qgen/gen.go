@@ -299,11 +299,7 @@ func (g *Generator) byKey(cols []*Col) Expr {
 
 var cmpOps = []string{"=", "<>", "<", ">", "<=", ">="}
 
-// predicate yields one where-clause conjunct. The symbol arms (membership
-// and equality) double as partition-key predicates in sharded qdiff runs:
-// the fact tables hash on their symbol column, so these conjuncts drive the
-// shard planner's pruning path — equality and IN lists route to owning
-// shards only — while the remaining arms keep the scatter path covered.
+// predicate yields one where-clause conjunct.
 func (g *Generator) predicate(cols []*Col) Expr {
 	r := g.rng
 	switch r.Intn(9) {

@@ -1,6 +1,7 @@
 package sidebyside
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,7 +18,6 @@ import (
 	"hyperq/internal/qgen"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
-	"hyperq/internal/shard"
 )
 
 // openFramework builds a fresh side-by-side framework over the embedded
@@ -40,46 +40,6 @@ func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, path
 	b := core.NewDirectBackend(in.DB)
 	s := core.NewPlatform().NewSession(b, core.Config{ResultPath: path})
 	return New(kdb, s, b), in, nil
-}
-
-// ShardRules is the partitioning the sharded differential runs use for
-// qgen's fixed schema: the fact table and the quote table co-hashed by
-// symbol, the dimension table replicated (no rule needed).
-func ShardRules() []shard.TableSpec {
-	return []shard.TableSpec{
-		{Name: "t", Kind: shard.Hash, Column: "s"},
-		{Name: "qts", Kind: shard.Hash, Column: "s"},
-	}
-}
-
-// openShardedFramework builds a framework whose primary Hyper-Q session
-// runs over a single embedded backend and whose shadow session runs over an
-// n-shard scatter-gather cluster of embedded engines, all tuned by e, exec
-// and index. Compare then requires byte-identical QIPC output from the two
-// sessions.
-func openShardedFramework(shards int, e config.Engine, exec pgdb.ExecMode, path core.ResultPath, index bool) (*Framework, error) {
-	f, _, err := openFramework(interp.New(), e, exec, path, index)
-	if err != nil {
-		return nil, err
-	}
-	cl, dbs, err := shard.NewEmbedded(shards, ShardRules())
-	if err != nil {
-		return nil, err
-	}
-	for _, db := range dbs {
-		db.SetParallelism(e.Parallel)
-		db.SetExecMode(exec)
-		if index {
-			db.SetIndexMinRows(0)
-		}
-	}
-	sb, err := cl.NewBackend()
-	if err != nil {
-		return nil, err
-	}
-	shadow := core.NewPlatform().NewSession(sb, core.Config{ResultPath: path})
-	f.SetShadow(shadow, sb)
-	return f, nil
 }
 
 // FuzzConfig controls a qdiff run.
@@ -107,7 +67,6 @@ type FuzzConfig struct {
 	// under test is cold-opened from that directory, so every query faults
 	// its vectors back through the persist codec, evicted and refaulted
 	// under MemBudget.
-	// Incompatible with sharded mode (Shards > 1).
 	config.Engine
 	// Exec selects the execution engine under test (default ExecCompiled,
 	// the serving engine; ExecInterpreted pins the reference walker).
@@ -115,11 +74,6 @@ type FuzzConfig struct {
 	// ResultPath selects the session result pipeline under test (default
 	// ColumnarPath, the streaming builders; TextPath is the fallback).
 	ResultPath core.ResultPath
-	// Shards, when > 1, switches the run to sharded differential mode: the
-	// same queries execute through a single-backend session and a session
-	// over a Shards-wide embedded cluster, and the two must produce
-	// byte-identical QIPC output.
-	Shards int
 	// Index force-enables secondary indexes in every embedded database
 	// (SetIndexMinRows(0), so even the tiny generated tables index) and loads
 	// each table in two halves around an index-building probe: the first
@@ -179,9 +133,6 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 	}
 	if cfg.ShrinkBudget <= 0 {
 		cfg.ShrinkBudget = 400
-	}
-	if cfg.DataDir != "" && cfg.Shards > 1 {
-		return nil, fmt.Errorf("DataDir is incompatible with sharded mode")
 	}
 	cfg.Sync = persist.SyncNone
 	g := qgen.New(qgen.Config{Seed: cfg.Seed, MaxRows: cfg.MaxRows})
@@ -245,13 +196,7 @@ func loadDataset(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framew
 	if cfg.DataDir != "" {
 		return loadDatasetPersist(ctx, ds, cfg)
 	}
-	var f *Framework
-	var err error
-	if cfg.Shards > 1 {
-		f, err = openShardedFramework(cfg.Shards, cfg.Engine, cfg.Exec, cfg.ResultPath, cfg.Index)
-	} else {
-		f, _, err = openFramework(interp.New(), cfg.Engine, cfg.Exec, cfg.ResultPath, cfg.Index)
-	}
+	f, _, err := openFramework(interp.New(), cfg.Engine, cfg.Exec, cfg.ResultPath, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
@@ -453,10 +398,6 @@ type CorpusEntry struct {
 	Note   string           `json:"note,omitempty"`
 	Query  string           `json:"query"`
 	Tables []qgen.TableJSON `json:"tables"`
-	// Shards, when > 1, replays the entry in sharded differential mode
-	// (single backend vs a Shards-wide cluster) — the mode in which the
-	// divergence was originally found.
-	Shards int `json:"shards,omitempty"`
 }
 
 // WriteCorpusEntry persists an entry as dir/<name>.json.
@@ -471,7 +412,9 @@ func WriteCorpusEntry(dir string, e *CorpusEntry) error {
 	return os.WriteFile(filepath.Join(dir, e.Name+".json"), append(text, '\n'), 0o644)
 }
 
-// LoadCorpus reads every *.json entry under dir, sorted by name.
+// LoadCorpus reads every *.json entry under dir, sorted by name. Unknown
+// fields are an error: an entry carrying a mode no replayer reads fails
+// loudly instead of replaying in a different mode than it was found in.
 func LoadCorpus(dir string) ([]*CorpusEntry, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil {
@@ -485,7 +428,9 @@ func LoadCorpus(dir string) ([]*CorpusEntry, error) {
 			return nil, err
 		}
 		var e CorpusEntry
-		if err := json.Unmarshal(text, &e); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(text))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&e); err != nil {
 			return nil, fmt.Errorf("%s: %w", p, err)
 		}
 		out = append(out, &e)
@@ -506,12 +451,7 @@ func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine, e
 	if err != nil {
 		return nil, err
 	}
-	var f *Framework
-	if e.Shards > 1 {
-		f, err = openShardedFramework(e.Shards, eng, exec, core.ColumnarPath, index)
-	} else {
-		f, _, err = openFramework(interp.New(), eng, exec, core.ColumnarPath, index)
-	}
+	f, _, err := openFramework(interp.New(), eng, exec, core.ColumnarPath, index)
 	if err != nil {
 		return nil, err
 	}

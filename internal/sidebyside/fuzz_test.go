@@ -2,6 +2,9 @@ package sidebyside
 
 import (
 	"context"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"hyperq/internal/config"
@@ -88,19 +91,22 @@ func TestFuzzSmokeDiskBackedTightBudget(t *testing.T) {
 	}
 }
 
-// TestFuzzSmokeSharded is the sharded differential smoke: the same query
-// stream runs on a single backend and on a 3-shard scatter-gather cluster,
-// under the byte-identical QIPC oracle. Reproduce failures with
-// `go run ./cmd/qdiff -seed 2 -n 200 -shards 3 -shrink`.
-func TestFuzzSmokeSharded(t *testing.T) {
-	rep, err := Fuzz(context.Background(), FuzzConfig{Seed: 2, N: 200, Shrink: true, Shards: 3})
-	if err != nil {
+// TestLoadCorpusRejectsUnknownFields: an entry carrying a field no replayer
+// reads — such as the engine mode it was found in — fails to load rather than
+// replaying in a different mode than the note describes.
+func TestLoadCorpusRejectsUnknownFields(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteCorpusEntry(dir, &CorpusEntry{Name: "ok", Query: "select from t"}); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Matches != rep.N {
-		t.Errorf("%d of %d queries matched", rep.Matches, rep.N)
+	if _, err := LoadCorpus(dir); err != nil {
+		t.Fatalf("a well-formed entry: %v", err)
 	}
-	for _, m := range rep.Mismatches {
-		t.Errorf("iteration %d [%s]: %s\n  diffs: %v", m.Iteration, m.Class, m.Query, m.Diffs)
+	bad := `{"name": "moded", "query": "select from t", "tables": [], "exec": "interpreted"}`
+	if err := os.WriteFile(filepath.Join(dir, "moded.json"), []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCorpus(dir); err == nil || !strings.Contains(err.Error(), `unknown field "exec"`) {
+		t.Fatalf("entry with an unread mode field: %v, want an unknown-field error", err)
 	}
 }

@@ -7,7 +7,6 @@
 package sidebyside
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -16,7 +15,6 @@ import (
 	"hyperq/internal/core"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
-	"hyperq/internal/wire/qipc"
 )
 
 // Framework pairs a kdb+ substrate with a Hyper-Q session over a backend.
@@ -24,12 +22,6 @@ type Framework struct {
 	Kdb     *interp.Interp
 	Session *core.Session
 	backend core.Backend
-	// Shadow, when set, is a second Hyper-Q session over a different
-	// backend topology (e.g. a sharded scatter-gather cluster). Compare
-	// then diffs Session against Shadow — byte-identical QIPC encoding is
-	// the oracle — and the kdb substrate serves only as a table store.
-	Shadow        *core.Session
-	shadowBackend core.Backend
 	// FloatTol is the relative tolerance for float comparison (the two
 	// engines may legitimately differ in summation order).
 	FloatTol float64
@@ -40,20 +32,9 @@ func New(kdb *interp.Interp, session *core.Session, backend core.Backend) *Frame
 	return &Framework{Kdb: kdb, Session: session, backend: backend, FloatTol: 1e-9}
 }
 
-// SetShadow installs the second Hyper-Q session Compare diffs against.
-func (f *Framework) SetShadow(session *core.Session, backend core.Backend) {
-	f.Shadow, f.shadowBackend = session, backend
-}
-
-// LoadTable installs a table on both sides (and on the shadow backend when
-// one is configured).
+// LoadTable installs a table on both sides.
 func (f *Framework) LoadTable(ctx context.Context, name string, t *qval.Table) error {
 	f.Kdb.SetGlobal(name, t)
-	if f.shadowBackend != nil {
-		if err := core.LoadQTable(ctx, f.shadowBackend, name, t); err != nil {
-			return err
-		}
-	}
 	return core.LoadQTable(ctx, f.backend, name, t)
 }
 
@@ -67,11 +48,6 @@ func (f *Framework) LoadTable(ctx context.Context, name string, t *qval.Table) e
 // table is identical to a LoadTable result.
 func (f *Framework) LoadTableStaged(ctx context.Context, name string, t *qval.Table, probe string) error {
 	f.Kdb.SetGlobal(name, t)
-	if f.shadowBackend != nil {
-		if err := core.LoadQTable(ctx, f.shadowBackend, name, t); err != nil {
-			return err
-		}
-	}
 	if err := core.CreateQTable(ctx, f.backend, name, t); err != nil {
 		return err
 	}
@@ -109,14 +85,8 @@ func (r *Report) String() string {
 	return "MISMATCH " + r.Query + "\n  " + strings.Join(r.Diffs, "\n  ")
 }
 
-// Compare runs q on both sides and diffs the canonicalized results. With a
-// shadow session configured, "both sides" means the primary and shadow
-// Hyper-Q sessions (single backend vs sharded cluster) and the results must
-// agree byte for byte under QIPC encoding.
+// Compare runs q on both sides and diffs the canonicalized results.
 func (f *Framework) Compare(ctx context.Context, q string) (*Report, error) {
-	if f.Shadow != nil {
-		return f.compareShadow(ctx, q)
-	}
 	rep := &Report{Query: q}
 	kv, kerr := f.Kdb.Eval(q)
 	hv, _, herr := f.Session.Run(ctx, q)
@@ -143,49 +113,6 @@ func (f *Framework) Compare(ctx context.Context, q string) (*Report, error) {
 	rep.KdbResult, rep.HyperQResult = kt, ht
 	rep.Diffs = Diff(kv, hv, f.FloatTol)
 	rep.Match = len(rep.Diffs) == 0
-	return rep, nil
-}
-
-// compareShadow diffs the primary session (single backend, the reference —
-// it fills the report's kdb-side slots) against the shadow session (sharded
-// cluster). Agreement means byte-identical QIPC encodings; on error, both
-// sides must reject with the same error class.
-func (f *Framework) compareShadow(ctx context.Context, q string) (*Report, error) {
-	rep := &Report{Query: q}
-	sv, _, serr := f.Session.Run(ctx, q)
-	hv, _, herr := f.Shadow.Run(ctx, q)
-	if serr != nil || herr != nil {
-		rep.KdbErr, rep.HyperQErr = Classify(serr), Classify(herr)
-		if serr != nil && herr != nil {
-			if rep.KdbErr == rep.HyperQErr {
-				rep.Match = true
-				rep.Diffs = append(rep.Diffs, fmt.Sprintf("both error (%s): single=%v sharded=%v", rep.KdbErr, serr, herr))
-				return rep, nil
-			}
-			rep.Diffs = append(rep.Diffs, fmt.Sprintf("error class divergence: single=%s(%v) sharded=%s(%v)",
-				rep.KdbErr, serr, rep.HyperQErr, herr))
-			return rep, nil
-		}
-		rep.Diffs = append(rep.Diffs, fmt.Sprintf("error divergence: single=%v sharded=%v", serr, herr))
-		return rep, nil
-	}
-	st, _ := canonicalize(sv)
-	ht, _ := canonicalize(hv)
-	rep.KdbResult, rep.HyperQResult = st, ht
-	sb, serr := qipc.EncodeValue(sv)
-	hb, herr := qipc.EncodeValue(hv)
-	if serr == nil && herr == nil && bytes.Equal(sb, hb) {
-		rep.Match = true
-		return rep, nil
-	}
-	// byte divergence: explain it with the structural diff at tolerance 0
-	// (byte-identical is strictly stronger, so never hide a diff)
-	rep.Diffs = Diff(sv, hv, 0)
-	if len(rep.Diffs) == 0 {
-		rep.Diffs = append(rep.Diffs, fmt.Sprintf("qipc encodings differ: single=%d bytes sharded=%d bytes (single err=%v sharded err=%v)",
-			len(sb), len(hb), serr, herr))
-	}
-	rep.Match = false
 	return rep, nil
 }
 

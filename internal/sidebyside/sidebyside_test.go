@@ -126,3 +126,42 @@ func TestWorkloadSubsetAgreement(t *testing.T) {
 		}
 	}
 }
+
+// TestBareColumnBesideAggregateIsUnsupported: q keeps a column without an
+// aggregate whole — beside an aggregate the aggregate atom broadcasts to
+// every row, under by each group holds a list. Hyper-Q has no SQL form for
+// either and must reject the query with an unsupported-feature error, not
+// answer one row per group with the column's last value.
+func TestBareColumnBesideAggregateIsUnsupported(t *testing.T) {
+	f := newFramework(t)
+	tbl := qval.NewTable([]string{"s", "f"}, []qval.Value{
+		qval.SymbolVec{"a", "a", "b"}, qval.FloatVec{1.5, 100, 2},
+	})
+	if err := f.LoadTable(ctx, "t", tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		q       string
+		kdbRows int
+	}{
+		{"select x:min f, y:f from t", 3},
+		{"select y:f by s from t", 2},
+	} {
+		rep, err := f.Compare(ctx, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Match || rep.KdbErr != ClassNone || rep.HyperQErr != ClassUnsupported {
+			t.Errorf("%s: match=%v kdb=%q hyperq=%q, want kdb to answer and hyperq to reject as %q",
+				tc.q, rep.Match, rep.KdbErr, rep.HyperQErr, ClassUnsupported)
+			continue
+		}
+		kv, err := f.Kdb.Eval(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kt, _ := canonicalize(kv); kt == nil || kt.Len() != tc.kdbRows {
+			t.Errorf("%s: kdb side %v, want %d rows", tc.q, kv, tc.kdbRows)
+		}
+	}
+}
