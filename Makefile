@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race tier1 bench bench-test bench-compare qdiff fmt
+.PHONY: all build vet test race tier1 bench bench-test bench-compare qdiff fuzz fmt
 
 all: tier1
 
@@ -20,7 +20,8 @@ race:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 
-# tier1 is the local gate, and CI's first step (qdiff is its second).
+# tier1 is the local gate, and CI's first step (fuzz is its second, qdiff its
+# third).
 tier1: fmt build vet test race bench-test
 
 # bench-test vets and tests the benchmark harness, a Go module of its own
@@ -38,6 +39,15 @@ bench:
 # make bench-compare BASE=<ref>
 bench-compare:
 	bash scripts/bench-compare.sh $(BASE)
+
+# fuzz runs each Go fuzz target for FUZZTIME: the SQL parser behind
+# pgserver's network input and the q parser behind hyperq's QIPC input. A
+# crash lands as a corpus entry under the package's testdata/fuzz, which
+# `go test` replays from then on.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test ./internal/pgdb/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/qlang/parse -run '^$$' -fuzz '^FuzzQParse$$' -fuzztime $(FUZZTIME)
 
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
 # replays the CI seeds against the compiled engine (vector scans, fused

@@ -41,7 +41,7 @@ func TestEngineFlagsAreConfigs(t *testing.T) {
 
 // TestBenchmarkFlags pins the flags bench/stack.go starts hyperq with, and
 // the whole flag set, so the options this binary dropped (-result-path,
-// -exec, the checkpoint-layout, read-path and index-threshold flags, and the
+// -exec, -parallel, the checkpoint-layout, read-path and index-threshold flags, and the
 // scatter-gather cluster flags) stay dropped: the flag package exits 2 on them.
 func TestBenchmarkFlags(t *testing.T) {
 	_, fs := parse(t)
@@ -53,7 +53,7 @@ func TestBenchmarkFlags(t *testing.T) {
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	want := "backend backend-db backend-password backend-user cache-entries data-dir drain-timeout embedded " +
-		"listen mdi-ttl mem-budget parallel pool-size q-password q-user query-timeout request-timeout " +
+		"listen mdi-ttl mem-budget pool-size q-password q-user query-timeout request-timeout " +
 		"stats-addr trades wal-sync"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("flags %q, want %q", got, want)
@@ -67,13 +67,12 @@ func TestValidate(t *testing.T) {
 		bad  string // substring of the error, "" = valid
 	}{
 		{[]string{"-backend", "h:1"}, ""},
-		{[]string{"-embedded", "-parallel", "2", "-trades", "5", "-stats-addr", ":0"}, ""},
+		{[]string{"-embedded", "-trades", "5", "-stats-addr", ":0"}, ""},
 		{[]string{"-embedded", "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "1"}, ""},
 		// exactly one backend: neither, or both (the engine would ignore -backend)
 		{nil, "exactly one of -backend or -embedded"},
 		{[]string{"-embedded", "-backend", "h:1"}, "exactly one of -backend or -embedded"},
 		// engine flags without -embedded
-		{[]string{"-backend", "h:1", "-parallel", "2"}, "-parallel"},
 		{[]string{"-backend", "h:1", "-data-dir", "d"}, "-data-dir"},
 		{[]string{"-backend", "h:1", "-wal-sync", "none"}, "-wal-sync"},
 		{[]string{"-backend", "h:1", "-mem-budget", "1"}, "-mem-budget"},

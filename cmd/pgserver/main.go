@@ -109,8 +109,7 @@ func run(ctx context.Context, o *options) (err error) {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	log.Printf("pgserver listening on %s (auth=%s parallel=%d)",
-		o.listen, o.authMode, eng.DB.Parallelism())
+	log.Printf("pgserver listening on %s (auth=%s)", o.listen, o.authMode)
 	if err := pgdb.Serve(ctx, l, eng.DB, pgdb.AuthConfig{
 		Method: o.auth,
 		Users:  map[string]string{o.user: o.password},

@@ -41,8 +41,8 @@ func TestEngineFlagsAreConfigs(t *testing.T) {
 
 // TestBenchmarkFlags pins the flags bench/stack.go starts pgserver with — a
 // rename here would otherwise first show up as a failed benchmark run — and
-// the whole flag set, so the dropped execution-engine, checkpoint-layout,
-// read-path and index-threshold flags stay dropped: the flag package exits
+// the whole flag set, so the dropped execution-engine, parallelism,
+// checkpoint-layout, read-path and index-threshold flags stay dropped: the flag package exits
 // 2 on them.
 func TestBenchmarkFlags(t *testing.T) {
 	_, fs := parse(t)
@@ -55,7 +55,7 @@ func TestBenchmarkFlags(t *testing.T) {
 	}
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := "auth data-dir demo listen mem-budget parallel password seed stats-addr trades user wal-sync"
+	want := "auth data-dir demo listen mem-budget password seed stats-addr trades user wal-sync"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("flags %q, want %q", got, want)
 	}

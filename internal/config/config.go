@@ -18,7 +18,6 @@ import (
 
 // Engine holds every setting of one embedded engine instance.
 type Engine struct {
-	Parallel int // intra-query workers; pgdb clamps to [1, GOMAXPROCS]
 	// DataDir, when non-empty, backs the database with the durable store;
 	// Sync and MemBudget configure that store and mean nothing without it.
 	DataDir   string
@@ -33,14 +32,12 @@ type Engine struct {
 // memory or over a store given only -data-dir. What is not a field is not a
 // setting: the servers run the compiled engine, whose vector scans, fused
 // aggregates, column-granular fault-in and index access paths need no flag
-// (the interpreter is a test reference, which qdiff selects itself), hash
-// indexes build at pgdb.DefaultIndexMinRows rows, and checkpoints always
-// encode per chunk and read back by pread.
+// (the interpreter is a test reference, which qdiff selects itself), a
+// statement runs on one goroutine, hash indexes build at
+// pgdb.DefaultIndexMinRows rows, and checkpoints always encode per chunk and
+// read back by pread.
 func Defaults() Engine {
-	return Engine{
-		Parallel: 1,
-		Sync:     persist.SyncBatch,
-	}
+	return Engine{Sync: persist.SyncBatch}
 }
 
 // RegisterFlags resets e to Defaults and defines the engine flags on fs,
@@ -49,7 +46,6 @@ func Defaults() Engine {
 func (e *Engine) RegisterFlags(fs *flag.FlagSet, only ...string) {
 	*e = Defaults()
 	var all flag.FlagSet
-	all.IntVar(&e.Parallel, "parallel", e.Parallel, "intra-query worker count for large scans (clamped to GOMAXPROCS; 1 disables)")
 	all.StringVar(&e.DataDir, "data-dir", e.DataDir, "durable storage directory (empty = memory only)")
 	all.Func("wal-sync", "WAL durability `mode`: always (fsync per statement), batch (group commit, default), none; needs -data-dir", func(s string) (err error) {
 		e.Sync, err = persist.ParseSyncMode(s)
@@ -109,12 +105,11 @@ type Instance struct {
 	StatsAddr string
 }
 
-// Open creates the database, tunes it, attaches the durable store when
+// Open creates the database, attaches the durable store when
 // DataDir is set and starts the stats endpoint when StatsAddr is set. The
 // caller owns the returned instance's Close.
 func (e *Engine) Open() (*Instance, error) {
 	in := &Instance{DB: pgdb.NewDB()}
-	in.DB.SetParallelism(e.Parallel)
 	if e.DataDir != "" {
 		store, err := persist.Open(in.DB, persist.Options{Dir: e.DataDir, Sync: e.Sync, MemBudget: e.MemBudget})
 		if err != nil {

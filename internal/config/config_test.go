@@ -29,40 +29,39 @@ func parse(t *testing.T, args ...string) (*Engine, *flag.FlagSet, error) {
 
 // TestDefaults pins what a binary runs when no engine flag is given — the
 // benchmark starts pgserver that way, so a changed default is a changed
-// baseline — and that these five flags are all the engine has. The dropped
-// execution-engine, checkpoint-layout, read-path and index-threshold flags
-// are unknown, which the binaries' flag sets answer with exit 2.
+// baseline — and that these four flags are all the engine has. The dropped
+// execution-engine, parallelism, checkpoint-layout, read-path and
+// index-threshold flags are unknown, which the binaries' flag sets answer with exit 2.
 func TestDefaults(t *testing.T) {
 	e, fs, err := parse(t)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Engine{Parallel: 1, Sync: persist.SyncBatch}
+	want := Engine{Sync: persist.SyncBatch}
 	if *e != want {
 		t.Errorf("zero-argument parse = %+v, want %+v", *e, want)
 	}
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got, want := strings.Join(names, " "), "data-dir mem-budget parallel stats-addr wal-sync"; got != want {
+	if got, want := strings.Join(names, " "), "data-dir mem-budget stats-addr wal-sync"; got != want {
 		t.Errorf("engine flags %q, want %q", got, want)
 	}
 }
 
 func TestParse(t *testing.T) {
-	e, _, err := parse(t, "-parallel", "3",
-		"-data-dir", "d", "-wal-sync", "none", "-mem-budget", "4096", "-stats-addr", ":0")
+	e, _, err := parse(t, "-data-dir", "d", "-wal-sync", "none", "-mem-budget", "4096", "-stats-addr", ":0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Engine{Parallel: 3, DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, StatsAddr: ":0"}
+	want := Engine{DataDir: "d", Sync: persist.SyncNone, MemBudget: 4096, StatsAddr: ":0"}
 	if *e != want {
 		t.Errorf("parse = %+v, want %+v", *e, want)
 	}
 	// the servers run the compiled engine only (qdiff picks the interpreter
-	// with a flag of its own); checkpoints always encode per chunk, and the
-	// index threshold is a constant
+	// with a flag of its own) and a statement on one goroutine; checkpoints
+	// always encode per chunk, and the index threshold is a constant
 	for _, bad := range [][]string{
-		{"-exec", "interpreted"}, {"-wal-sync", "sometimes"},
+		{"-exec", "interpreted"}, {"-parallel", "2"}, {"-wal-sync", "sometimes"},
 		{"-compress"}, {"-index-min-rows", "0"},
 	} {
 		if _, _, err := parse(t, bad...); err == nil {
@@ -74,11 +73,11 @@ func TestParse(t *testing.T) {
 func TestRegisterSubset(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	e := &Engine{}
-	e.RegisterFlags(fs, "mem-budget", "parallel")
+	e.RegisterFlags(fs, "mem-budget", "stats-addr")
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if got := strings.Join(names, ","); got != "mem-budget,parallel" {
-		t.Errorf("subset registered %q, want mem-budget,parallel", got)
+	if got := strings.Join(names, ","); got != "mem-budget,stats-addr" {
+		t.Errorf("subset registered %q, want mem-budget,stats-addr", got)
 	}
 	if e.Sync != persist.SyncBatch {
 		t.Errorf("unregistered setting lost its default: %+v", *e)
@@ -93,7 +92,7 @@ func TestValidate(t *testing.T) {
 		bad  string // substring of the error, "" = valid
 	}{
 		{nil, ""},
-		{[]string{"-stats-addr", ":0", "-parallel", "2"}, ""},
+		{[]string{"-stats-addr", ":0"}, ""},
 		{[]string{"-data-dir", "d", "-mem-budget", "1", "-wal-sync", "none"}, ""},
 		{[]string{"-mem-budget", "1"}, "-mem-budget"},
 		{[]string{"-wal-sync", "batch"}, "-wal-sync"}, // explicit, though equal to the default
@@ -116,10 +115,10 @@ func TestExplicit(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.String("listen", "", "")
 	new(Engine).RegisterFlags(fs)
-	if err := fs.Parse([]string{"-listen", "x", "-parallel", "1", "-mem-budget", "1"}); err != nil {
+	if err := fs.Parse([]string{"-listen", "x", "-stats-addr", ":0", "-mem-budget", "1"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(Explicit(fs), " "); got != "-mem-budget -parallel" {
+	if got := strings.Join(Explicit(fs), " "); got != "-mem-budget -stats-addr" {
 		t.Errorf("Explicit = %q, want the two engine flags given", got)
 	}
 }
@@ -224,7 +223,7 @@ func TestMemoryOnlyClose(t *testing.T) {
 
 // TestREADMEFlagTable holds README's engine-flag table to RegisterFlags:
 // one row per flag, carrying its usage string verbatim and, where the flag
-// package knows one, its default.
+// package knows one, its default, and no row for a flag the engine lacks.
 func TestREADMEFlagTable(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {
@@ -249,4 +248,17 @@ func TestREADMEFlagTable(t *testing.T) {
 			t.Errorf("README row for -%s lacks the default %q", f.Name, f.DefValue)
 		}
 	})
+	table := strings.Split(string(readme), "| flag | default | usage | measured by |\n")
+	if len(table) != 2 {
+		t.Fatal("README has no single engine-flag table")
+	}
+	for _, line := range strings.Split(table[1], "\n")[1:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		name, _, _ := strings.Cut(strings.TrimPrefix(line, "| `-"), "`")
+		if fs.Lookup(name) == nil {
+			t.Errorf("README has a row for -%s, which is not an engine flag", name)
+		}
+	}
 }

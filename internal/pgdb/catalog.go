@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -88,17 +87,15 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*storedTable
 	views  map[string]*storedView
-	// execMode and parallel are read per statement and settable at any time
-	// (e.g. by a server flag), hence atomics rather than fields under mu.
+	// execMode is read per statement and settable at any time, hence an
+	// atomic rather than a field under mu.
 	execMode atomic.Int32
-	parallel atomic.Int32
 
 	// stmtMu is the coarse statement lock: statements that mutate permanent
 	// relations (DML, DDL) hold it exclusively for their whole execution;
 	// everything else holds it shared. This closes the window where a
 	// concurrent scan could observe a half-applied append or in-place
-	// update — segment-granular parallel scans read vectors lock-free and
-	// rely on it.
+	// update: scans read the vectors without locking them.
 	stmtMu sync.RWMutex
 	// journal, when set, receives every permanent-relation change under the
 	// exclusive statement lock (see persist.go). afterStmt runs after each
@@ -114,9 +111,8 @@ type DB struct {
 
 // NewDB creates an empty database. The default execution mode is
 // ExecCompiled — vector scans, fused aggregates, column-granular fault-in
-// and index access paths included — with no intra-query parallelism;
-// secondary indexes build lazily once a table reaches DefaultIndexMinRows
-// rows.
+// and index access paths included. Secondary indexes build lazily once a
+// table reaches DefaultIndexMinRows rows.
 func NewDB() *DB {
 	db := &DB{tables: map[string]*storedTable{}, views: map[string]*storedView{}}
 	db.indexMinRows.Store(DefaultIndexMinRows)
@@ -149,25 +145,9 @@ func (db *DB) SetExecMode(m ExecMode) { db.execMode.Store(int32(m)) }
 // ExecutionMode reports the current execution engine.
 func (db *DB) ExecutionMode() ExecMode { return ExecMode(db.execMode.Load()) }
 
-// SetParallelism sets the worker count for intra-query parallelism on large
-// scans. Values are clamped to [1, GOMAXPROCS]; 1 disables parallelism.
-func (db *DB) SetParallelism(n int) {
-	if max := runtime.GOMAXPROCS(0); n > max {
-		n = max
-	}
-	if n < 1 {
-		n = 1
-	}
-	db.parallel.Store(int32(n))
-}
-
-// Parallelism reports the current intra-query worker count (minimum 1).
-func (db *DB) Parallelism() int {
-	if n := int(db.parallel.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
+// SetParallelism does nothing: a statement runs on its session's goroutine.
+// It remains for callers written against the former worker-count setting.
+func (db *DB) SetParallelism(int) {}
 
 // interpretedMode reports whether the session's database runs the retained
 // AST-walking engine instead of the compiled one.

@@ -20,8 +20,7 @@ import (
 // statement owns, so nothing outlives it or has to track later writes.
 
 // segSize is the number of rows per segment. It is a multiple of 64 so a
-// segment's slice of the global selection bitmap is word-aligned, and it
-// matches parallelMinRows so parallel scans chunk on segment boundaries.
+// segment's slice of the global selection bitmap is word-aligned.
 const segSize = 4096
 
 // vecKind is the storage class of one column vector within a segment.
@@ -356,8 +355,8 @@ type segment struct {
 
 // storeFault carries an I/O error out of a cold-segment fault. Segment reads
 // happen deep inside scan loops with no error return path, so the fault
-// panics and the statement boundary (ExecStmt, parallel scan workers)
-// recovers it into a statement error.
+// panics and the statement boundary (ExecStmt, trapFault) recovers it into
+// a statement error.
 type storeFault struct{ err error }
 
 func (f *storeFault) Error() string { return f.err.Error() }
@@ -371,7 +370,7 @@ type segSlot struct {
 	// concurrent faults of disjoint column sets compose instead of losing
 	// each other's columns.
 	mu sync.Mutex
-	// colMu serializes faults per column, so parallel scan workers can
+	// colMu serializes faults per column, so concurrent statements can
 	// reload distinct columns of the same segment concurrently while two
 	// faults of the same column do the I/O only once.
 	colMu []sync.Mutex

@@ -204,6 +204,31 @@ func TestJoinProbesViewIndex(t *testing.T) {
 	}
 }
 
+// TestDeclinedJoinBuildsNoIndex: a join the typed hash join declines from
+// its key kinds — a float key, which no join probes, or a left key with a
+// boxed segment — builds no index on the right table, which every later DML
+// there would have to maintain, and the row join still matches the
+// interpreter.
+func TestDeclinedJoinBuildsNoIndex(t *testing.T) {
+	db, s := joinParityDB(t)
+	stats := db.IndexStats()
+	for _, q := range []string{
+		"SELECT f.x, d.y FROM f JOIN d ON f.kf = d.kf",
+		"SELECT f.x, d.y FROM f LEFT JOIN d ON f.ka = d.ka WHERE f.x < 300",
+	} {
+		db.SetExecMode(ExecCompiled)
+		builds := stats.Builds.Load()
+		got := fmt.Sprint(mustExec(t, s, q).Rows)
+		if n := stats.Builds.Load() - builds; n != 0 {
+			t.Errorf("%s: built %d indexes", q, n)
+		}
+		db.SetExecMode(ExecInterpreted)
+		if want := fmt.Sprint(mustExec(t, s, q).Rows); got != want {
+			t.Errorf("%s: compiled and interpreted engines differ", q)
+		}
+	}
+}
+
 // TestGatherAndViewSizedToRows: the vectors of a private store — a view of
 // a table, a gather of a few rows, a join's output — have exactly their
 // segment's row count of capacity, never a full segment's worth.
@@ -211,7 +236,7 @@ func TestGatherAndViewSizedToRows(t *testing.T) {
 	_, s := joinParityDB(t)
 	for _, q := range []string{
 		"SELECT x, k, kf FROM f",
-		"SELECT x, k, kf, ka FROM f WHERE x IN (3, 4500, 8999)",
+		"SELECT x, k, kf, ka FROM f WHERE x IS NOT DISTINCT FROM 3 OR x IS NOT DISTINCT FROM 4500 OR x IS NOT DISTINCT FROM 8999",
 		"SELECT d.w, f.kf FROM f JOIN d ON f.k = d.k WHERE f.x = 17",
 	} {
 		stmt, err := sqlparse.Parse(q)

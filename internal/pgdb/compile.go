@@ -21,8 +21,8 @@ import (
 // run time: the session (for subqueries and interpreter fallbacks), the
 // current row index plus window values (projection only), and the lazy
 // aggregate accumulator of the group being evaluated (grouped execution
-// only). Pure closures never touch it — that is what makes them safe to run
-// on parallel worker goroutines.
+// only). Pure closures never touch it, so the planner may call them with a
+// nil context.
 type evalCtx struct {
 	s       *Session
 	rowIdx  int
@@ -49,7 +49,7 @@ func (s *Session) lowerExpr(e sqlparse.Expr, schema []colBinding) exprFn {
 type compiled struct {
 	fn exprFn
 	// pure: the closure touches neither the evalCtx nor any session state,
-	// so it may run on worker goroutines (intra-query parallelism).
+	// so the planner may evaluate it with a nil context (vecConstOf).
 	pure bool
 	// konst: the value is row-independent, so a successful evaluation may
 	// be folded to a constant at compile time.

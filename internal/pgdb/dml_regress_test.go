@@ -9,8 +9,8 @@ import (
 
 // Regression tests for the DML-correctness sweep: zone maps must stay
 // sound (never prune a matching row) and become fresh again after UPDATE
-// touches a segment, and segment-granular parallel scans must never
-// observe a half-applied statement.
+// touches a segment, and concurrent scans must never observe a
+// half-applied statement.
 
 // TestZoneRefreshAfterUpdate: widenZone alone leaves bounds stale after an
 // UPDATE narrows a segment's value range; the statement-level refresh must
@@ -81,7 +81,7 @@ func TestVectorizedPruneAfterDML(t *testing.T) {
 
 // TestConcurrentDMLAndScans is the -race torture test for the stale-read
 // window: writers hammer INSERT/UPDATE/DELETE while readers run vectorized
-// scans with segment-granular parallelism. Every scan must observe a
+// scans from their own sessions. Every scan must observe a
 // statement-consistent snapshot — aggregate invariants that every writer
 // preserves can never be seen violated.
 func TestConcurrentDMLAndScans(t *testing.T) {

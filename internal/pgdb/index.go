@@ -16,8 +16,8 @@ package pgdb
 // incrementally by DML, dropped wholesale on DELETE-compaction and on
 // segment eviction (the postings pin value memory the eviction is trying to
 // release), and rebuilt on the next qualifying lookup. The vectorized
-// filter answers `=` and IN predicates from it, and equi-joins use it as a
-// prebuilt build side.
+// filter answers a top-level `=` predicate from it, and equi-joins use it as
+// a prebuilt build side.
 //
 // All lookup-side decisions replicate the engines' comparison semantics
 // exactly: predicate lookups match the vectorized kernels (numeric
@@ -477,11 +477,14 @@ func (ix *hashIdx) lookupEq(konst any) (rows []int32, ok bool) {
 
 // --- join-side lookups (keyString semantics) ---
 
-// joinable reports whether the index can serve as a hash-join build side.
-// Floats are excluded: keyString distinguishes +0 from -0 and NaN from NaN,
-// which the float map cannot reproduce.
-func (ix *hashIdx) joinable() bool {
-	return ix.kind == vkInt || ix.kind == vkStr || ix.kind == vkEmpty
+// joinKind reports whether an index over a right key column of kind rkind
+// can serve as the hash-join build side for a left key column of kind
+// lkind (colKind of each). Both must be uniformly int or uniformly string,
+// all-NULL columns aside. Floats are excluded: keyString distinguishes +0
+// from -0 and NaN from NaN, which the float map cannot reproduce.
+func joinKind(rkind, lkind vecKind) bool {
+	keyed := func(k vecKind) bool { return k == vkInt || k == vkStr || k == vkEmpty }
+	return keyed(rkind) && keyed(lkind) && (rkind == vkEmpty || lkind == vkEmpty || rkind == lkind)
 }
 
 // --- whole-predicate fast paths over the selection bitmap ---
@@ -648,44 +651,23 @@ func sortedCmpRange(st *colStore, col int, op string, konst any) (lo, hi int, ok
 	return 0, 0, false
 }
 
-// idxPredBits answers top-level `col = const` and IN predicates from the
-// column's hash index, setting the postings' bits in out.
+// idxPredBits answers a top-level `col = const` predicate from the column's
+// hash index, setting the postings' bits in out.
 func (s *Session) idxPredBits(p vecPred, st *colStore, out []uint64) bool {
-	switch x := p.(type) {
-	case *vecCmp:
-		if x.op != "=" {
-			return false
-		}
-		ix := s.hashIdxFor(st, x.col)
-		if ix == nil {
-			return false
-		}
-		rows, ok := ix.lookupEq(x.konst)
-		if !ok {
-			return false
-		}
-		setBits(out, rows)
-		return true
-	case *vecIn:
-		if x.not {
-			return false
-		}
-		ix := s.hashIdxFor(st, x.col)
-		if ix == nil {
-			return false
-		}
-		for _, m := range x.members {
-			rows, ok := ix.lookupEq(m)
-			if !ok {
-				return false
-			}
-			// members may alias (2 and 2.0 hit the same int postings); the
-			// bitmap union deduplicates for free
-			setBits(out, rows)
-		}
-		return true
+	x, ok := p.(*vecCmp)
+	if !ok || x.op != "=" {
+		return false
 	}
-	return false
+	ix := s.hashIdxFor(st, x.col)
+	if ix == nil {
+		return false
+	}
+	rows, ok := ix.lookupEq(x.konst)
+	if !ok {
+		return false
+	}
+	setBits(out, rows)
+	return true
 }
 
 func setBits(out []uint64, rows []int32) {

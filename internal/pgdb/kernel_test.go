@@ -123,7 +123,8 @@ func kernelSelections(r *rand.Rand, n int) [][]int32 {
 // float64 bits, and a division-by-zero failure exactly where the closure
 // returns 22012. Then the fused computed-argument aggregates run against
 // execGroupedCompiled over the same table, filtered and not, including a
-// frozen slot the items never read.
+// frozen slot the items never read, and min/max over an argument whose kind
+// differs across segments declines and matches the interpreter.
 func TestValueKernelsMatchRowPath(t *testing.T) {
 	db := mkKernelDB(t)
 	s := db.NewSession()
@@ -180,13 +181,61 @@ func TestValueKernelsMatchRowPath(t *testing.T) {
 		t.Fatalf("%d expressions lowered and %d entries divided by zero: the generator misses the kernels", lowered, failed)
 	}
 
+	declined := 0
 	for i, expr := range exprs[:60] {
 		where := []string{"", " WHERE a > 0", " WHERE g = 'k2' OR x IS NULL"}[i%3]
 		for _, q := range []string{
-			fmt.Sprintf("SELECT g, count(%[1]s), sum(%[1]s), avg(%[1]s), min(%[1]s), max(%[1]s) FROM kt%s GROUP BY g", expr, where),
+			fmt.Sprintf("SELECT g, count(%[1]s), sum(%[1]s), avg(%[1]s) FROM kt%s GROUP BY g", expr, where),
 			fmt.Sprintf("SELECT count(*), CASE WHEN count(*) < 0 THEN sum(%s) ELSE 0 END FROM kt%s", expr, where),
 		} {
 			requireFusedMatchesCompiled(t, s, st, schema, q)
+		}
+		// min and max fuse only over a kernel of one kind in every segment;
+		// the others (m is int in segment 0, float after) take the row fold
+		q := fmt.Sprintf("SELECT g, min(%[1]s), max(%[1]s) FROM kt%s GROUP BY g", expr, where)
+		k, _ := lowerValue(parseItem(t, expr), schema, st)
+		if _, oneKind := storeKind(k, st); oneKind {
+			requireFusedMatchesCompiled(t, s, st, schema, q)
+			continue
+		}
+		declined++
+		stmt, err := sqlparse.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, _ := s.execGroupedVec(stmt.(*sqlparse.SelectStmt), &relation{schema: schema, store: st}, nil); ok {
+			t.Fatalf("%s: fused over a kernel whose kind differs across segments", q)
+		}
+		requireMatchesInterpreter(t, db, q)
+	}
+	if declined == 0 {
+		t.Fatalf("no min/max argument changes kind across segments: the decline is untested")
+	}
+}
+
+// requireMatchesInterpreter runs q on db in the compiled engine and in the
+// interpreter and requires the same rows or the same error text.
+func requireMatchesInterpreter(t *testing.T, db *DB, q string) {
+	t.Helper()
+	defer db.SetExecMode(ExecCompiled)
+	var res [2]*Result
+	var errs [2]error
+	for i, mode := range []ExecMode{ExecCompiled, ExecInterpreted} {
+		db.SetExecMode(mode)
+		res[i], errs[i] = db.NewSession().Exec(q)
+	}
+	if (errs[0] == nil) != (errs[1] == nil) || errs[0] != nil && errs[0].Error() != errs[1].Error() {
+		t.Fatalf("%s:\n  compiled err:    %v\n  interpreted err: %v", q, errs[0], errs[1])
+	}
+	if errs[0] != nil {
+		return
+	}
+	if len(res[0].Rows) != len(res[1].Rows) {
+		t.Fatalf("%s: %d rows compiled, %d interpreted", q, len(res[0].Rows), len(res[1].Rows))
+	}
+	for i := range res[0].Rows {
+		if !rowsEqualNaN(res[0].Rows[i], res[1].Rows[i]) {
+			t.Fatalf("%s: row %d:\n  compiled:    %v\n  interpreted: %v", q, i, res[0].Rows[i], res[1].Rows[i])
 		}
 	}
 }

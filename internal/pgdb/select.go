@@ -389,6 +389,11 @@ func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*rela
 		return nil, nil
 	}
 	ls, lk, nullSafe := left.store, lks[0], safe[0]
+	// both key kinds come from segment metadata, so a declined shape builds
+	// no index it would never probe
+	if !joinKind(right.store.colKind(rks[0]), ls.colKind(lk)) || ls.n >= math.MaxInt32 {
+		return nil, nil
+	}
 	var ix *hashIdx
 	if base, bc := right.store.baseCol(rks[0]); base != nil {
 		ix = s.hashIdxFor(base, bc)
@@ -396,11 +401,7 @@ func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*rela
 	if ix == nil {
 		ix = buildHashIdx(right.store, rks[0])
 	}
-	if ix == nil || !ix.joinable() || ls.n >= math.MaxInt32 {
-		return nil, nil
-	}
-	if lkind := ls.colKind(lk); lkind != vkEmpty && (lkind != vkInt && lkind != vkStr ||
-		ix.kind != vkEmpty && ix.kind != lkind) {
+	if ix == nil {
 		return nil, nil
 	}
 	outer := j.Type == sqlparse.LeftJoin

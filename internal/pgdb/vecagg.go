@@ -2,20 +2,19 @@ package pgdb
 
 import (
 	"math"
-	"strings"
 
 	"hyperq/internal/pgdb/sqlparse"
 )
 
 // Fused filter+aggregate execution: when every aggregate slot of a grouped
-// query is a single-argument call over a column or an expression that lowers
-// to a value kernel (kernel.go), and every GROUP BY key is a column
-// reference, the aggregation folds directly over the column vectors and the
-// selection bitmap — filtered rows are never materialized, group keys are
-// encoded straight from the vectors, a computed argument evaluates a
-// segment's selected rows at once into a typed vector, and the accumulators
-// run typed over both. The result assembly reuses the compiled path's
-// machinery (compileAggExpr over pre-computed slot values, itemName/
+// query folds a column or an expression that lowers to a value kernel
+// (kernel.go) of a kind the typed loops cover, and every GROUP BY key is a
+// column reference, the aggregation folds directly over the column vectors
+// and the selection bitmap — filtered rows are never materialized, group
+// keys are encoded straight from the vectors, a computed argument evaluates
+// a segment's selected rows at once into a typed vector, and the
+// accumulators run typed over both. The result assembly reuses the compiled
+// path's machinery (compileAggExpr over pre-computed slot values, itemName/
 // inferType/refineTypes, items-then-HAVING order), so output and error
 // behavior are indistinguishable from execGroupedCompiled.
 
@@ -28,11 +27,13 @@ const (
 	fAvg
 	fMin
 	fMax
-	fBoolAnd
-	fBoolOr
 	fFirst
 	fLast
 )
+
+var fusedKinds = map[string]fusedKind{
+	"count": fCount, "sum": fSum, "avg": fAvg, "min": fMin, "max": fMax, "first": fFirst, "last": fLast,
+}
 
 // fusedSlot is the vectorizable plan of one aggregate slot. Its argument is
 // either the storage column col or, when arg is set, the value kernel of a
@@ -40,16 +41,18 @@ const (
 type fusedSlot struct {
 	kind fusedKind
 	col  int
-	name string // the SQL function name, for error messages
 	arg  valKernel
 }
 
 // planFusedSlots maps every aggregate slot to a fused kind over a storage
-// column or a computed argument's kernel; any slot outside the fusable set
-// (DISTINCT, first/last over an expression, an argument that does not lower
-// to a kernel, the stddev/median tail, argument-count errors) aborts fusion
-// and the caller falls back to execGroupedCompiled — the one other path for
-// a computed argument.
+// column or a computed argument's kernel. Like lowerValue it decides from
+// segment metadata, without faulting: count, first and last fuse over a
+// column of any kind; sum and avg need every segment of the argument to
+// hold ints, floats or only NULLs; min and max also need one kind across
+// segments. Any other slot (DISTINCT, bool_and/bool_or, first/last over an
+// expression, an argument that does not lower to a kernel, the stddev/median
+// tail, argument-count errors) aborts fusion and the caller falls back to
+// execGroupedCompiled, which folds every value kind.
 func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fusedSlot, bool) {
 	out := make([]fusedSlot, len(slots))
 	for i, slot := range slots {
@@ -58,38 +61,16 @@ func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fused
 			out[i] = fusedSlot{kind: fStar}
 			continue
 		}
-		if fc.Distinct || len(fc.Args) != 1 {
+		kind, ok := fusedKinds[fc.Name]
+		if fc.Distinct || len(fc.Args) != 1 || !ok {
 			return nil, false
 		}
-		var kind fusedKind
-		switch fc.Name {
-		case "count":
-			kind = fCount
-		case "sum":
-			kind = fSum
-		case "avg":
-			kind = fAvg
-		case "min":
-			kind = fMin
-		case "max":
-			kind = fMax
-		case "bool_and":
-			kind = fBoolAnd
-		case "bool_or":
-			kind = fBoolOr
-		case "first":
-			kind = fFirst
-		case "last":
-			kind = fLast
-		default:
-			return nil, false
-		}
-		if cr, ok := fc.Args[0].(*sqlparse.ColRef); ok {
+		if cr, isCol := fc.Args[0].(*sqlparse.ColRef); isCol && (kind == fCount || kind == fFirst || kind == fLast) {
 			col, err := findCol(schema, cr)
 			if err != nil || col >= len(st.cols) {
 				return nil, false
 			}
-			out[i] = fusedSlot{kind: kind, col: col, name: fc.Name}
+			out[i] = fusedSlot{kind: kind, col: col}
 			continue
 		}
 		// first/last evaluate their argument on one row only: not fused
@@ -100,92 +81,36 @@ func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fused
 		if !ok {
 			return nil, false
 		}
-		out[i] = fusedSlot{kind: kind, name: fc.Name, arg: k}
+		if kind == fMin || kind == fMax {
+			if _, ok := storeKind(k, st); !ok {
+				return nil, false
+			}
+		}
+		if kc, isCol := k.(*kCol); isCol {
+			out[i] = fusedSlot{kind: kind, col: kc.col} // a bare column folds straight from its vectors
+			continue
+		}
+		out[i] = fusedSlot{kind: kind, arg: k}
 	}
 	return out, true
 }
 
 // slotAcc is the running state of one fused aggregate within one group. The
-// update methods replicate computeAggSlot's fold exactly: sum advances isum
-// and fsum together with an all-int flag, avg folds in float, min/max keep
-// the incumbent and replace only on strict compareVals improvement, the
-// bool folds type-check every value, and the first error freezes the slot
+// typed loops of execGroupedVec replicate computeAggSlot's fold exactly: sum
+// advances isum and fsum together with an all-int flag, avg folds in float,
+// min/max keep the incumbent and replace only on strict compareVals
+// improvement, and a computed argument's first error freezes the slot
 // (surfaced lazily, only if the slot is referenced).
 type slotAcc struct {
 	n        int64 // non-null values folded
 	isum     int64
 	fsum     float64
 	allInt   bool
-	bacc     bool
 	bestSet  bool
-	bestKind vecKind
+	bestKind vecKind // vkInt or vkFloat: planFusedSlots admits one kind per min/max slot
 	besti    int64
 	bestf    float64
-	bests    string
-	bestb    bool
-	bestAny  any
 	err      error
-}
-
-func (a *slotAcc) updSum(v *colVec, i int) {
-	switch v.kind {
-	case vkInt:
-		x := v.ints[i]
-		a.isum += x
-		a.fsum += float64(x)
-		a.n++
-	case vkFloat:
-		a.allInt = false
-		a.fsum += v.floats[i]
-		a.n++
-	case vkBool:
-		a.allInt = false
-		if v.bools[i] {
-			a.fsum++
-		}
-		a.n++
-	case vkStr:
-		a.err = errf("42804", "sum of non-number")
-	case vkAny:
-		if x, ok := v.anys[i].(int64); ok {
-			a.isum += x
-			a.fsum += float64(x)
-			a.n++
-			return
-		}
-		a.allInt = false
-		f, ok := toFloat(v.anys[i])
-		if !ok {
-			a.err = errf("42804", "sum of non-number")
-			return
-		}
-		a.fsum += f
-		a.n++
-	}
-}
-
-func (a *slotAcc) updAvg(v *colVec, i int) {
-	switch v.kind {
-	case vkInt:
-		a.fsum += float64(v.ints[i])
-	case vkFloat:
-		a.fsum += v.floats[i]
-	case vkBool:
-		if v.bools[i] {
-			a.fsum++
-		}
-	case vkStr:
-		a.err = errf("42804", "avg of non-number")
-		return
-	case vkAny:
-		f, ok := toFloat(v.anys[i])
-		if !ok {
-			a.err = errf("42804", "avg of non-number")
-			return
-		}
-		a.fsum += f
-	}
-	a.n++
 }
 
 // cmpFloatVals is compareVals restricted to two floats (NaN equals itself
@@ -208,120 +133,10 @@ func cmpFloatVals(a, b float64) int {
 }
 
 func (a *slotAcc) boxedBest() any {
-	switch a.bestKind {
-	case vkInt:
+	if a.bestKind == vkInt {
 		return a.besti
-	case vkFloat:
-		return a.bestf
-	case vkStr:
-		return a.bests
-	case vkBool:
-		return a.bestb
-	default:
-		return a.bestAny
 	}
-}
-
-func (a *slotAcc) updMinMax(isMin bool, v *colVec, i int) {
-	if !a.bestSet {
-		a.bestSet = true
-		a.bestKind = v.kind
-		switch v.kind {
-		case vkInt:
-			a.besti = v.ints[i]
-		case vkFloat:
-			a.bestf = v.floats[i]
-		case vkStr:
-			a.bests = v.strs[i]
-		case vkBool:
-			a.bestb = v.bools[i]
-		default:
-			a.bestAny = v.anys[i]
-		}
-		return
-	}
-	if v.kind == a.bestKind {
-		switch v.kind {
-		case vkInt:
-			// compareVals compares ints through float64, precision loss
-			// included; replicated so ties break identically
-			x, b := float64(v.ints[i]), float64(a.besti)
-			if (isMin && x < b) || (!isMin && x > b) {
-				a.besti = v.ints[i]
-			}
-			return
-		case vkFloat:
-			c := cmpFloatVals(v.floats[i], a.bestf)
-			if (isMin && c < 0) || (!isMin && c > 0) {
-				a.bestf = v.floats[i]
-			}
-			return
-		case vkStr:
-			c := strings.Compare(v.strs[i], a.bests)
-			if (isMin && c < 0) || (!isMin && c > 0) {
-				a.bests = v.strs[i]
-			}
-			return
-		case vkBool:
-			x, b := v.bools[i], a.bestb
-			if (isMin && !x && b) || (!isMin && x && !b) {
-				a.bestb = x
-			}
-			return
-		}
-	}
-	// cross-kind (segment degradation, vkAny storage): full compareVals
-	val := v.get(i)
-	c := compareVals(val, a.boxedBest())
-	if (isMin && c < 0) || (!isMin && c > 0) {
-		a.bestKind = vkAny
-		a.bestAny = val
-	}
-}
-
-func (a *slotAcc) updBool(isAnd bool, name string, v *colVec, i int) {
-	var b bool
-	switch v.kind {
-	case vkBool:
-		b = v.bools[i]
-	case vkAny:
-		x, ok := v.anys[i].(bool)
-		if !ok {
-			a.err = errf("42804", "%s of non-boolean", name)
-			return
-		}
-		b = x
-	default:
-		a.err = errf("42804", "%s of non-boolean", name)
-		return
-	}
-	a.n++
-	if isAnd {
-		a.bacc = a.bacc && b
-	} else {
-		a.bacc = a.bacc || b
-	}
-}
-
-// update folds non-null cell i of v into the slot: the per-row form of the
-// typed loops in execGroupedVec.
-func (a *slotAcc) update(fs *fusedSlot, v *colVec, i int) {
-	switch fs.kind {
-	case fCount:
-		a.n++
-	case fSum:
-		a.updSum(v, i)
-	case fAvg:
-		a.updAvg(v, i)
-	case fMin:
-		a.updMinMax(true, v, i)
-	case fMax:
-		a.updMinMax(false, v, i)
-	case fBoolAnd:
-		a.updBool(true, fs.name, v, i)
-	case fBoolOr:
-		a.updBool(false, fs.name, v, i)
-	}
+	return a.bestf
 }
 
 // appendKeyCell appends one group-key cell in keyString's encoding straight
@@ -455,9 +270,8 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 
 	newGroup := func(idx int) *vecGroup {
 		g := &vecGroup{firstIdx: idx, lastIdx: idx, accs: make([]slotAcc, len(fused))}
-		for i := range fused {
+		for i := range g.accs {
 			g.accs[i].allInt = true
-			g.accs[i].bacc = fused[i].kind == fBoolAnd
 		}
 		return g
 	}
@@ -476,7 +290,9 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	// slot si from v at the indexes idx: a column's in-segment positions, or
 	// a computed argument's entries in its kernel output. Per (group, slot)
 	// the fold order is unchanged from row-at-a-time: ascending row within a
-	// block, blocks ascending.
+	// block, blocks ascending. For a sum/avg/min/max slot, a vector of a
+	// kind no case names holds only NULLs (planFusedSlots), so it folds
+	// nothing.
 	var gbuf [64]*vecGroup
 	flushSlot := func(fs *fusedSlot, si int, v *colVec, idx []int32) {
 		nulls := v.nullCnt > 0
@@ -559,20 +375,14 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				}
 				x := xs[i]
 				if !acc.bestSet {
-					acc.bestSet = true
-					acc.bestKind = vkInt
+					acc.bestSet, acc.bestKind, acc.besti = true, vkInt, x
+					continue
+				}
+				// float64 compare, replicating compareVals' precision
+				xf, bf := float64(x), float64(acc.besti)
+				if (isMin && xf < bf) || (!isMin && xf > bf) {
 					acc.besti = x
-					continue
 				}
-				if acc.bestKind == vkInt {
-					// float64 compare, replicating compareVals' precision
-					xf, bf := float64(x), float64(acc.besti)
-					if (isMin && xf < bf) || (!isMin && xf > bf) {
-						acc.besti = x
-					}
-					continue
-				}
-				acc.updMinMax(isMin, v, int(i))
 			}
 		case (fs.kind == fMin || fs.kind == fMax) && v.kind == vkFloat:
 			isMin := fs.kind == fMin
@@ -587,28 +397,11 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				}
 				f := flt[i]
 				if !acc.bestSet {
-					acc.bestSet = true
-					acc.bestKind = vkFloat
+					acc.bestSet, acc.bestKind, acc.bestf = true, vkFloat, f
+					continue
+				}
+				if c := cmpFloatVals(f, acc.bestf); (isMin && c < 0) || (!isMin && c > 0) {
 					acc.bestf = f
-					continue
-				}
-				if acc.bestKind == vkFloat {
-					c := cmpFloatVals(f, acc.bestf)
-					if (isMin && c < 0) || (!isMin && c > 0) {
-						acc.bestf = f
-					}
-					continue
-				}
-				acc.updMinMax(isMin, v, int(i))
-			}
-		default:
-			// string/bool/degraded vectors, bool_and/bool_or: per-row fold
-			for k, i := range idx {
-				if nulls && v.isNull(int(i)) {
-					continue
-				}
-				if acc := &gbuf[k].accs[si]; acc.err == nil {
-					acc.update(fs, v, int(i))
 				}
 			}
 		}
@@ -847,10 +640,6 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			case fMin, fMax:
 				if acc.bestSet {
 					vals[i] = acc.boxedBest()
-				}
-			case fBoolAnd, fBoolOr:
-				if acc.n > 0 {
-					vals[i] = acc.bacc
 				}
 			case fFirst:
 				if g.firstIdx >= 0 {

@@ -12,10 +12,10 @@ import (
 // Vectorized predicate execution: lowerVecPred compiles a WHERE tree into a
 // program of typed kernels that fill a selection bitmap over the column
 // vectors, one segment at a time. Only shapes whose evaluation can never
-// error are lowered (column-vs-constant comparisons, IS [NOT] NULL, IN and
+// error are lowered (column-vs-constant comparisons, IS [NOT] NULL,
 // BETWEEN over constants, AND/OR/NOT composition, searched CASE), so the
-// row engines' error surface is preserved exactly: anything else falls back
-// to the row-at-a-time filter.
+// row engines' error surface is preserved exactly: anything else, an IN
+// list included, falls back to the row-at-a-time filter.
 //
 // Soundness of the bitmap encoding: a WHERE keeps a row only when it
 // evaluates to TRUE, so NULL and FALSE both map to an unset bit. That
@@ -717,145 +717,6 @@ func cmpStrKernel(op string, ss []string, k string, out []uint64) {
 	}
 }
 
-// vecIn is col [NOT] IN (constants). A NULL member makes NOT IN never TRUE
-// (handled at lowering); a plain IN ignores NULL members for the bitmap,
-// since "no match but saw NULL" evaluates to NULL → unset either way.
-type vecIn struct {
-	col     int
-	members []any // non-null members
-	not     bool
-	kfs     []float64 // numeric members (non-NaN)
-	hasNaN  bool      // a NaN member (matches NaN cells: compareVals NaN = NaN)
-	kss     []string  // string members
-}
-
-func (p *vecIn) cols(add func(int)) { add(p.col) }
-
-func newVecIn(col int, members []any, not bool) *vecIn {
-	p := &vecIn{col: col, members: members, not: not}
-	for _, m := range members {
-		if f, ok := toFloat(m); ok {
-			if math.IsNaN(f) {
-				p.hasNaN = true
-			} else {
-				p.kfs = append(p.kfs, f)
-			}
-		} else if s, ok := m.(string); ok {
-			p.kss = append(p.kss, s)
-		}
-	}
-	return p
-}
-
-func (p *vecIn) matchNum(f float64) bool {
-	if math.IsNaN(f) {
-		return p.hasNaN
-	}
-	for _, kf := range p.kfs {
-		if f == kf {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *vecIn) matchStr(s string) bool {
-	for _, ks := range p.kss {
-		if s == ks {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *vecIn) zoneSkip(v *colVec) bool {
-	if v.kind == vkAny || v.minV == nil {
-		return false
-	}
-	for _, m := range p.members {
-		if compareVals(m, v.minV) >= 0 && compareVals(m, v.maxV) <= 0 {
-			return false
-		}
-	}
-	return true // every member outside [min,max]: no cell can equal one
-}
-
-func (p *vecIn) stubSeg(seg *segment, out []uint64) bool {
-	v := &seg.vecs[p.col]
-	noMatch := v.kind == vkEmpty || v.nullCnt == seg.n || p.zoneSkip(v)
-	if !p.not {
-		return noMatch // IN with no possible match: window stays zero
-	}
-	if noMatch && v.nullCnt == 0 && v.kind != vkEmpty {
-		// NOT IN where no member can match and every cell is non-null:
-		// every row passes
-		fillOnes(out, seg.n)
-		return true
-	}
-	return false
-}
-
-func (p *vecIn) evalSeg(seg *segment, out []uint64) {
-	v := &seg.vecs[p.col]
-	var match [segWords]uint64
-	m := match[:len(out)]
-	if v.kind != vkEmpty && v.nullCnt != seg.n && !p.zoneSkip(v) {
-		switch v.kind {
-		case vkInt:
-			for i, x := range v.ints[:seg.n] {
-				if p.matchNum(float64(x)) {
-					m[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		case vkFloat:
-			for i, f := range v.floats[:seg.n] {
-				if p.matchNum(f) {
-					m[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		case vkStr:
-			for i, s := range v.strs[:seg.n] {
-				if p.matchStr(s) {
-					m[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		case vkBool:
-			for i, b := range v.bools[:seg.n] {
-				f := 0.0
-				if b {
-					f = 1.0
-				}
-				if p.matchNum(f) {
-					m[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		case vkAny:
-			for i, cell := range v.anys[:seg.n] {
-				if cell == nil {
-					continue
-				}
-				for _, mem := range p.members {
-					if equalVals(cell, mem) {
-						m[i>>6] |= 1 << (uint(i) & 63)
-						break
-					}
-				}
-			}
-		}
-		clearNulls(m, v)
-	}
-	if !p.not {
-		copy(out, m)
-		return
-	}
-	// NOT IN: non-null and no match
-	var mask [segWords]uint64
-	fillOnes(mask[:len(out)], seg.n)
-	for w := range out {
-		out[w] = mask[w] &^ (m[w] | v.nullWord(w))
-	}
-}
-
 // vecCase is a searched CASE whose conditions, results and ELSE all lower.
 // Tracking TRUE only is exact here: a row takes the first arm whose
 // condition is TRUE — a NULL condition falls through like FALSE — so the
@@ -1018,8 +879,6 @@ func nullRejects(p vecPred, col int) bool {
 		return !x.all
 	case *vecCmp:
 		return x.col == col
-	case *vecIn:
-		return x.col == col
 	case *vecColTrue:
 		return x.col == col
 	case *vecIsNull:
@@ -1121,30 +980,6 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 			return nil, false // p can be NULL, which NOT keeps NULL
 		}
 		return &vecNot{p: p}, true
-	case *sqlparse.InExpr:
-		col, ok := lowerColRef(x.X, schema, st)
-		if !ok {
-			return nil, false
-		}
-		members := make([]any, 0, len(x.List))
-		sawNull := false
-		for _, le := range x.List {
-			v, ok := vecConstOf(le, schema)
-			if !ok {
-				return nil, false
-			}
-			if v == nil {
-				sawNull = true
-				continue
-			}
-			members = append(members, v)
-		}
-		if x.Not && sawNull {
-			// NOT IN with a NULL member is never TRUE (match → FALSE, no
-			// match → NULL)
-			return &vecConst{}, true
-		}
-		return newVecIn(col, members, x.Not), true
 	case *sqlparse.BetweenExpr:
 		col, ok := lowerColRef(x.X, schema, st)
 		if !ok {

@@ -144,7 +144,7 @@ func TestVecZonePruning(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE ts >= 0",                       // all-true fill
 		"SELECT * FROM seg WHERE ts = 5000",                            // single segment survives pruning
 		"SELECT * FROM seg WHERE ts <> 5000 AND ts > 8250",             // <> plus range
-		"SELECT count(*) FROM seg WHERE ts IN (1, 4096, 8191, 999999)", // IN member pruning
+		"SELECT count(*) FROM seg WHERE ts IN (1, 4096, 8191, 999999)", // IN list: the row filter
 		"SELECT count(*) FROM seg WHERE price > 999999.0",              // nullable column: no all-true fill
 		"SELECT sum(ts) FROM seg WHERE ts BETWEEN 4000 AND 4100",       // fused over pruned scan
 		// row-at-a-time consumers of a pruned scan box only the columns they
@@ -175,11 +175,6 @@ func TestVecPredicateLowering(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE flag = true",
 		"SELECT count(*) FROM seg WHERE flag IS NULL",
 		"SELECT count(*) FROM seg WHERE price IS NOT NULL",
-		"SELECT count(*) FROM seg WHERE cat IN ('c1', 'c4')",
-		"SELECT count(*) FROM seg WHERE cat NOT IN ('c1', 'c4')",
-		"SELECT count(*) FROM seg WHERE cat NOT IN ('c1', NULL)", // NULL member: never TRUE
-		"SELECT count(*) FROM seg WHERE cat IN ('c1', NULL)",
-		"SELECT count(*) FROM seg WHERE ts IN (1, 2.0, 3)", // mixed numeric members
 		"SELECT count(*) FROM seg WHERE ts BETWEEN 100 AND 200",
 		"SELECT count(*) FROM seg WHERE ts NOT BETWEEN 100 AND 200",
 		"SELECT count(*) FROM seg WHERE ts BETWEEN 200 AND 100",  // empty range
@@ -202,15 +197,31 @@ func TestVecPredicateLowering(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE CASE WHEN price IS NULL THEN FALSE WHEN ts > 300 THEN price IS NULL ELSE price < 9.0 END",
 		"SELECT count(*) FROM seg WHERE CASE WHEN flag IS NULL THEN FALSE WHEN price IS NULL THEN FALSE ELSE ts < 250 END",
 		// fallback shapes: NOT, LIKE, column-vs-column, subquery, simple CASE,
-		// non-boolean CASE results
+		// non-boolean CASE results, IN lists
 		"SELECT count(*) FROM seg WHERE CASE cat WHEN 'c1' THEN true END",
 		"SELECT count(*) FROM seg WHERE CASE WHEN ts > 100 THEN 1 ELSE 0 END = 1",
 		"SELECT count(*) FROM seg WHERE NOT (ts > 100)",
 		"SELECT count(*) FROM seg WHERE cat LIKE 'c%'",
 		"SELECT count(*) FROM seg WHERE ts > price",
 		"SELECT count(*) FROM seg WHERE ts = (SELECT min(ts) FROM seg)",
+		"SELECT count(*) FROM seg WHERE cat IN ('c1', 'c4')",
+		"SELECT count(*) FROM seg WHERE cat NOT IN ('c1', 'c4')",
+		"SELECT count(*) FROM seg WHERE cat NOT IN ('c1', NULL)", // NULL member: never TRUE
+		"SELECT count(*) FROM seg WHERE cat IN ('c1', NULL)",
+		"SELECT count(*) FROM seg WHERE ts IN (1, 2.0, 3)", // mixed numeric members
 	} {
 		requireVecParity(t, mk, q)
+	}
+	// the translator writes q's `in` as an OR of IS NOT DISTINCT FROM, which
+	// lowers; a SQL IN list takes the row filter
+	db := mk(t)
+	for _, where := range []string{"cat IN ('c1', 'c4')", "cat NOT IN ('c1', NULL)", "ts IN (1, 2.0, 3)"} {
+		if LowersToVector(db, "seg", where) {
+			t.Errorf("%s lowers to a bitmap program", where)
+		}
+	}
+	if !LowersToVector(db, "seg", "cat IS NOT DISTINCT FROM 'c1' OR cat IS NOT DISTINCT FROM 'c4'") {
+		t.Errorf("the translator's IN shape does not lower")
 	}
 }
 
@@ -242,11 +253,11 @@ func mkOddDB(t *testing.T) *DB {
 	return db
 }
 
-// TestVecFusedAggregateOddities pins the fused accumulators on the cases
-// that historically diverge engines: NaN in min/max/avg/grouping, -0.0 vs
-// 0.0, mixed-type columns (degraded segments), all-null inputs, empty global
-// groups, sum/bool type errors surfacing lazily, and first/last not
-// skipping NULLs.
+// TestVecFusedAggregateOddities pins the fused accumulators, and the shapes
+// that decline to the row fold, on the cases that historically diverge
+// engines: NaN in min/max/avg/grouping, -0.0 vs 0.0, mixed-type columns
+// (degraded segments), all-null inputs, empty global groups, sum/bool type
+// errors surfacing lazily, and first/last not skipping NULLs.
 func TestVecFusedAggregateOddities(t *testing.T) {
 	for _, q := range []string{
 		"SELECT k, count(*), count(f), min(f), max(f), avg(f), sum(f) FROM odd GROUP BY k",
@@ -256,9 +267,9 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 		"SELECT count(z), sum(z), min(z), max(z), avg(z) FROM odd", // all-null column
 		"SELECT count(*) FROM odd WHERE k = 'nope'",                // empty global group
 		"SELECT sum(z), first(k) FROM odd WHERE f > 100.0",
-		"SELECT min(m), max(m), count(m) FROM odd",  // mixed-kind min/max via compareVals
-		"SELECT k, sum(m) FROM odd GROUP BY k",      // sum over strings: lazy 42804
-		"SELECT k, bool_and(m) FROM odd GROUP BY k", // bool_and over non-boolean
+		"SELECT min(m), max(m), count(m) FROM odd",  // mixed-kind min/max: the row fold
+		"SELECT k, sum(m) FROM odd GROUP BY k",      // sum over strings: lazy 42804 from the row fold
+		"SELECT k, bool_and(m) FROM odd GROUP BY k", // bool_and over non-boolean: the row fold
 		"SELECT sum(f) FROM odd HAVING sum(f) > 0.0",
 		"SELECT k, count(*) FROM odd GROUP BY k HAVING count(*) > 1",
 		"SELECT k, CASE WHEN count(*) > 1 THEN sum(m) ELSE count(*) END FROM odd GROUP BY k", // error slot behind untaken CASE arm
@@ -281,38 +292,67 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 	}
 }
 
-// TestPlanFusedComputedArgs pins which aggregate arguments fuse: a pure
-// expression does, reading exactly its columns, so the translator's wavg and
-// spread shapes stay on the fused path; first/last over an expression and
-// impure arguments fall back.
+// TestPlanFusedComputedArgs pins which aggregate arguments fuse, deciding
+// from segment metadata: a pure expression does, reading exactly its
+// columns, so the translator's wavg and spread shapes stay on the fused
+// path, and count fuses over a column of any kind. first/last over an
+// expression, impure arguments, bool_and/bool_or, sum/avg/min/max over
+// strings, bools or mixed values, and min/max over a column or kernel whose
+// kind changes between segments (kt's m: ints, then floats) fall back. Each
+// query also runs against the interpreter.
 func TestPlanFusedComputedArgs(t *testing.T) {
-	db := mkOddDB(t)
-	st := db.tables["odd"].store
-	schema := schemaOf(st.cols, "odd")
 	for _, c := range []struct {
+		mk   func(*testing.T) *DB
 		sql  string
 		fuse bool
 		cols []int
 	}{
-		{"SELECT sum(NULLIF(f * z, 'NaN'::double precision)) FROM odd", true, []int{1, 3}},
-		{"SELECT avg(NULLIF(f - f, 'NaN'::double precision)) FROM odd", true, []int{1}},
-		{"SELECT first(f + 0.0) FROM odd", false, nil},
-		{"SELECT sum(f + (SELECT max(z) FROM odd)) FROM odd", false, nil},
+		{mkOddDB, "SELECT sum(NULLIF(f * z, 'NaN'::double precision)) FROM odd", true, []int{1, 3}},
+		{mkOddDB, "SELECT avg(NULLIF(f - f, 'NaN'::double precision)) FROM odd", true, []int{1}},
+		{mkOddDB, "SELECT sum(f) FROM odd", true, []int{1}},
+		{mkOddDB, "SELECT min(z) FROM odd", true, []int{3}}, // all NULL
+		{mkOddDB, "SELECT count(m) FROM odd", true, []int{2}},
+		{mkOddDB, "SELECT first(f + 0.0) FROM odd", false, nil},
+		{mkOddDB, "SELECT sum(f + (SELECT max(z) FROM odd)) FROM odd", false, nil},
+		{mkOddDB, "SELECT min(k) FROM odd", false, nil},
+		{mkOddDB, "SELECT max(m) FROM odd", false, nil},
+		{mkOddDB, "SELECT sum(m) FROM odd", false, nil},
+		{mkOddDB, "SELECT avg(k) FROM odd", false, nil},
+		{mkOddDB, "SELECT bool_and(f > 0.0) FROM odd", false, nil},
+		{mkKernelDB, "SELECT sum(m), avg(m) FROM kt", true, []int{5}},
+		{mkKernelDB, "SELECT count(v) FROM kt", true, []int{9}},
+		{mkKernelDB, "SELECT min(a) FROM kt", true, []int{1}},
+		{mkKernelDB, "SELECT min(m) FROM kt", false, nil},
+		{mkKernelDB, "SELECT max(m * 2) FROM kt", false, nil},
+		{mkKernelDB, "SELECT max(flag) FROM kt", false, nil},
+		{mkKernelDB, "SELECT bool_or(flag) FROM kt", false, nil},
 	} {
+		db := c.mk(t)
+		var st *colStore
+		for _, tbl := range db.tables {
+			st = tbl.store
+		}
 		stmt, err := sqlparse.Parse(c.sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sel := stmt.(*sqlparse.SelectStmt)
+		schema := schemaOf(st.cols, sel.From[0].(*sqlparse.BaseTable).Name)
 		slots, _ := collectAggSlots(sel.Items, nil, schema)
 		fused, ok := planFusedSlots(slots, schema, st)
-		if ok != c.fuse {
+		switch {
+		case ok != c.fuse:
 			t.Errorf("%s: fused=%v, want %v", c.sql, ok, c.fuse)
-			continue
+		case ok:
+			cols := []int{fused[0].col}
+			if fused[0].arg != nil {
+				cols = colsOf(fused[0].arg)
+			}
+			if !reflect.DeepEqual(cols, c.cols) {
+				t.Errorf("%s: argument columns %v, want %v", c.sql, cols, c.cols)
+			}
 		}
-		if ok && !reflect.DeepEqual(colsOf(fused[0].arg), c.cols) {
-			t.Errorf("%s: argument columns %v, want %v", c.sql, colsOf(fused[0].arg), c.cols)
-		}
+		requireVecParity(t, c.mk, c.sql)
 	}
 }
 
@@ -378,24 +418,6 @@ func TestVecUpdateDegradesColumn(t *testing.T) {
 		"SELECT cat, count(*) FROM seg GROUP BY cat",
 	} {
 		requireVecParity(t, mk, q)
-	}
-}
-
-// TestVecParallelSegments forces multi-worker bitmap evaluation over many
-// segments and checks it matches the sequential engines.
-func TestVecParallelSegments(t *testing.T) {
-	n := 3*segSize + 123
-	mkPar := func(t *testing.T) *DB {
-		db := mkSegDB(n)(t)
-		db.SetParallelism(4)
-		return db
-	}
-	for _, q := range []string{
-		"SELECT count(*) FROM seg WHERE price > 500.0 AND ts < 9000",
-		"SELECT cat, count(*), sum(ts) FROM seg WHERE price > 100.0 GROUP BY cat",
-		"SELECT * FROM seg WHERE ts BETWEEN 8000 AND 8200",
-	} {
-		requireVecParity(t, mkPar, q)
 	}
 }
 
