@@ -95,6 +95,11 @@ func Serve(ctx context.Context, l net.Listener, cfg Config) error {
 			}
 			return err
 		}
+		if ctx.Err() != nil {
+			// the connection raced the listener's close: refuse it too
+			conn.Close()
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

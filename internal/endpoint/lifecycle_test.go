@@ -207,6 +207,45 @@ func TestGracefulDrainCancelsStragglers(t *testing.T) {
 	}
 }
 
+// handoffListener gives Serve the connections the test sends it. Close does
+// nothing, so a connection can reach Accept after shutdown began, as one
+// that races a real listener's close does.
+type handoffListener struct{ conns chan net.Conn }
+
+func (l handoffListener) Accept() (net.Conn, error) { return <-l.conns, nil }
+func (l handoffListener) Close() error              { return nil }
+func (l handoffListener) Addr() net.Addr            { return &net.TCPAddr{} }
+
+// TestShutdownRefusesRacingConnection: a connection that Accept returns
+// after the serve context is canceled is closed unserved, and Serve returns.
+func TestShutdownRefusesRacingConnection(t *testing.T) {
+	serveCtx, shutdown := context.WithCancel(context.Background())
+	l := handoffListener{conns: make(chan net.Conn)}
+	served := make(chan error, 1)
+	go func() {
+		served <- Serve(serveCtx, l, Config{
+			NewHandler: func(*qipc.Credentials) (Handler, func(), error) {
+				return HandlerFunc(func(context.Context, string) (qval.Value, error) { return qval.Long(1), nil }), nil, nil
+			},
+		})
+	}()
+	shutdown()
+	client, server := net.Pipe()
+	defer client.Close()
+	l.conns <- server
+	if err := qipc.ClientHandshake(client, "late", ""); err == nil {
+		t.Fatal("draining server accepted a new session")
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve = %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Serve never returned after shutdown")
+	}
+}
+
 func addr(t *testing.T, l net.Listener) string {
 	t.Helper()
 	return l.Addr().String()

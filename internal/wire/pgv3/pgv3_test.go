@@ -7,14 +7,10 @@ import (
 	"testing"
 )
 
-// echoServer accepts one connection and serves canned responses with the
-// given auth method.
-func echoServer(t *testing.T, l net.Listener, method AuthMethod, users map[string]string) {
+// echoServer serves canned responses on one connection with the given auth
+// method.
+func echoServer(t *testing.T, conn net.Conn, method AuthMethod, users map[string]string) {
 	t.Helper()
-	conn, err := l.Accept()
-	if err != nil {
-		return
-	}
 	sc := NewServerConn(conn)
 	defer sc.Close()
 	if err := sc.Startup(); err != nil {
@@ -79,7 +75,11 @@ func startEcho(t *testing.T, method AuthMethod, users map[string]string) string 
 	t.Cleanup(func() { l.Close() })
 	go func() {
 		for {
-			echoServer(t, l, method, users)
+			conn, err := l.Accept()
+			if err != nil {
+				return // listener closed by the test's cleanup
+			}
+			echoServer(t, conn, method, users)
 		}
 	}()
 	return l.Addr().String()
