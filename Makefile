@@ -41,13 +41,17 @@ bench-compare:
 	bash scripts/bench-compare.sh $(BASE)
 
 # fuzz runs each Go fuzz target for FUZZTIME: the SQL parser behind
-# pgserver's network input and the q parser behind hyperq's QIPC input. A
-# crash lands as a corpus entry under the package's testdata/fuzz, which
-# `go test` replays from then on.
+# pgserver's network input, the q parser behind hyperq's QIPC input, the PG v3
+# server's frontend-message loop, and hyperq's decoding of backend replies
+# (text and binary cells) into result columns. A crash lands as a corpus
+# entry under the package's testdata/fuzz, which `go test` replays from then
+# on.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test ./internal/pgdb/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qlang/parse -run '^$$' -fuzz '^FuzzQParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire/pgv3 -run '^$$' -fuzz '^FuzzServerMessages$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzClientResult$$' -fuzztime $(FUZZTIME)
 
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
 # replays the CI seeds against the compiled engine (vector scans, fused

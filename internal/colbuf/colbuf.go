@@ -9,6 +9,7 @@
 package colbuf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -17,13 +18,15 @@ import (
 )
 
 // Spec describes one result column to build: its name, the Q type the
-// finished vector gets (the caller maps SQL types via xtra.QTypeForSQL), and
+// finished vector gets (the caller maps SQL types via xtra.QTypeForSQL),
 // whether the column is translation plumbing to drop from the result (the
-// implicit order column).
+// implicit order column), and whether its wire cells arrive in PostgreSQL
+// binary format (AppendBinary) rather than text (AppendText).
 type Spec struct {
 	Name    string
 	QType   qval.Type
 	Discard bool
+	Binary  bool
 }
 
 // column is one column under construction. Exactly one storage slice is
@@ -305,6 +308,60 @@ func (b *TableBuilder) AppendText(j int, field []byte) error {
 		c.i64 = append(c.i64, ns)
 	default:
 		c.syms = append(c.syms, b.symbol(j, field))
+	}
+	return nil
+}
+
+// AppendBinary decodes a PostgreSQL binary-format cell into column j, the
+// fixed-width form of the column's type in the PG v3 binary set: boolean
+// (one byte), smallint, integer and bigint (2, 4 and 8 bytes big-endian,
+// bigint also carrying an interval's nanoseconds), double precision (an
+// IEEE float64), date (int32 days since 2000-01-01, the kdb+ epoch) and time
+// (int64 microseconds since midnight, truncated to kdb+ milliseconds as the
+// text form's first three fraction digits are). A cell of the wrong width,
+// or in a column of another type, is an error. cell must be non-nil (NULL
+// cells go through AppendNull).
+func (b *TableBuilder) AppendBinary(j int, cell []byte) error {
+	sp := b.specs[j]
+	if sp.Discard {
+		return nil
+	}
+	width := 0
+	switch sp.QType {
+	case qval.KBool:
+		width = 1
+	case qval.KShort:
+		width = 2
+	case qval.KInt, qval.KDate:
+		width = 4
+	case qval.KLong, qval.KFloat, qval.KTime:
+		width = 8
+	default:
+		return fmt.Errorf("binary cell in %s column", qval.TypeName(sp.QType))
+	}
+	if len(cell) != width {
+		return fmt.Errorf("binary %s cell of %d bytes", qval.TypeName(sp.QType), len(cell))
+	}
+	c := &b.cols[j]
+	switch sp.QType {
+	case qval.KBool:
+		c.bools = append(c.bools, cell[0] != 0)
+	case qval.KShort:
+		c.i16 = append(c.i16, int16(binary.BigEndian.Uint16(cell)))
+	case qval.KInt:
+		c.i32 = append(c.i32, int32(binary.BigEndian.Uint32(cell)))
+	case qval.KDate:
+		c.i64 = append(c.i64, int64(int32(binary.BigEndian.Uint32(cell))))
+	case qval.KLong:
+		c.i64 = append(c.i64, int64(binary.BigEndian.Uint64(cell)))
+	case qval.KTime:
+		c.i64 = append(c.i64, int64(binary.BigEndian.Uint64(cell))/1000)
+	case qval.KFloat:
+		f := math.Float64frombits(binary.BigEndian.Uint64(cell))
+		if math.IsNaN(f) {
+			f = math.NaN()
+		}
+		c.f64 = append(c.f64, f)
 	}
 	return nil
 }

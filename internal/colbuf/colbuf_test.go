@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 )
 
@@ -244,6 +245,63 @@ func TestParseDateTextMatchesTimeParse(t *testing.T) {
 	}
 }
 
+// TestParseDateTextFarYears: days count exactly across the whole
+// four-digit-year range, past the ±292 years a time.Duration spans.
+func TestParseDateTextFarYears(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64
+	}{
+		{"1700-01-01", -109572},
+		{"2400-01-01", 146097},
+		{"0000-01-01", -730485},
+		{"0000-02-29", -730426},
+		{"1600-02-29", -146038},
+		{"9999-12-31", 2921939},
+	} {
+		if got, err := ParseDateText(c.in); err != nil || got != c.want {
+			t.Errorf("ParseDateText(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	// every day round-trips through the server's rendering
+	for d := int64(-730485); d <= 2921939; d += 3 {
+		s := pgdb.FormatValue(d, "date")
+		if got, err := ParseDateText(s); err != nil || got != d {
+			t.Fatalf("ParseDateText(%q) = %d, %v; want %d", s, got, err, d)
+		}
+	}
+}
+
+// TestParseTimeTextSign: a negative time of day is a sign before the
+// absolute value, as the server renders it.
+func TestParseTimeTextSign(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64
+	}{
+		{"-00:00:00.999", -999},
+		{"-00:00:00.001", -1},
+		{"-00:30:00.000", -1800000},
+		{"-01:00:00.001", -3600001},
+		{"-100:00:00", -360000000},
+	} {
+		if got, err := ParseTimeText(c.in); err != nil || got != c.want {
+			t.Errorf("ParseTimeText(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"-", "-12:34", "-:00:00"} {
+		if _, err := ParseTimeText(bad); err == nil {
+			t.Errorf("ParseTimeText(%q) accepted", bad)
+		}
+	}
+	for ms := int64(-400000000); ms <= 400000000; ms += 99991 {
+		s := pgdb.FormatValue(ms, "time")
+		if got, err := ParseTimeText(s); err != nil || got != ms {
+			t.Fatalf("ParseTimeText(%q) = %d, %v; want %d", s, got, err, ms)
+		}
+	}
+}
+
 func TestParseTimestampTextMatchesTimeParse(t *testing.T) {
 	layouts := []string{"2006-01-02 15:04:05.999999999", "2006-01-02T15:04:05.999999999", "2006-01-02"}
 	ref := func(s string) (int64, bool) {
@@ -423,5 +481,61 @@ func TestSymbolInterning(t *testing.T) {
 	b.AppendText(0, field)
 	if allocs := testing.AllocsPerRun(100, func() { b.AppendText(0, field) }); allocs > 0.1 {
 		t.Errorf("repeated symbol: %.2f allocations per cell", allocs)
+	}
+}
+
+// TestAppendBinaryDecode decodes each binary-set form into its column and
+// refuses cells of the wrong width or in a column without a binary form.
+func TestAppendBinaryDecode(t *testing.T) {
+	b := Get()
+	defer b.Release()
+	b.Reset([]Spec{
+		{Name: "b", QType: qval.KBool, Binary: true},
+		{Name: "h", QType: qval.KShort, Binary: true},
+		{Name: "i", QType: qval.KInt, Binary: true},
+		{Name: "j", QType: qval.KLong, Binary: true},
+		{Name: "f", QType: qval.KFloat, Binary: true},
+		{Name: "d", QType: qval.KDate, Binary: true},
+		{Name: "t", QType: qval.KTime, Binary: true},
+		{Name: "s", QType: qval.KSymbol, Binary: true},
+	}, 0)
+	cells := [][]byte{
+		{1},
+		{0xff, 0xfe},
+		{0x80, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0, 0, 42},
+		{0x7f, 0xf8, 0, 0, 0, 0, 0, 1}, // a NaN payload, canonicalized
+		{0xff, 0xfe, 0x5e, 0xfc},       // -106756 days
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xf0, 0xbd, 0xc0}, // -1000000 µs
+	}
+	for j, c := range cells {
+		if err := b.AppendBinary(j, c); err != nil {
+			t.Fatalf("column %d: %v", j, err)
+		}
+	}
+	if err := b.AppendBinary(7, []byte("x")); err == nil {
+		t.Error("binary cell accepted in a symbol column")
+	}
+	for j, c := range cells {
+		if err := b.AppendBinary(j, append(c, 0)); err == nil {
+			t.Errorf("column %d: %d-byte cell accepted", j, len(c)+1)
+		}
+	}
+	b.AppendNull(7)
+	b.FinishRow()
+	_, data := b.Build()
+	f := data[4].(qval.FloatVec)[0]
+	if math.Float64bits(f) != math.Float64bits(math.NaN()) {
+		t.Errorf("NaN bits %x, want canonical", math.Float64bits(f))
+	}
+	want := []qval.Value{
+		qval.BoolVec{true}, qval.ShortVec{-2}, qval.IntVec{math.MinInt32}, qval.LongVec{42}, data[4],
+		qval.TemporalVec{T: qval.KDate, V: []int64{-106756}}, qval.TemporalVec{T: qval.KTime, V: []int64{-1000}},
+		qval.SymbolVec{""},
+	}
+	for j := range want {
+		if !qval.EqualValues(data[j], want[j]) {
+			t.Errorf("column %d = %v, want %v", j, data[j], want[j])
+		}
 	}
 }

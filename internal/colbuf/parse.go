@@ -146,21 +146,26 @@ func parseYMD[T Text](s T) (y, m, d int, err error) {
 }
 
 // ParseDateText parses "YYYY-MM-DD" into days since the kdb+ epoch
-// (2000-01-01), matching the text path's time.Parse + qval.DateFromTime.
+// (2000-01-01), accepting what time.Parse("2006-01-02") does.
 func ParseDateText[T Text](s T) (int64, error) {
 	y, m, d, err := parseYMD(s)
 	if err != nil {
 		return 0, err
 	}
-	return qval.DateFromTime(time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)), nil
+	return qval.DaysFromCivil(int64(y), int64(m), int64(d)), nil
 }
 
-// ParseTimeText parses "HH:MM:SS[.FFF...]" into milliseconds since
-// midnight, mirroring the text path's parser exactly: the fraction is the
-// first three characters after the dot (zero-padded when shorter, parsed
-// with Atoi semantics), the remainder splits on ':' into exactly three
-// Atoi-parsed fields with no range validation.
+// ParseTimeText parses "[-]HH:MM:SS[.FFF...]" into milliseconds since
+// midnight, the inverse of pgdb's rendering: a leading '-' negates the whole
+// value, the fraction is the first three characters after the dot
+// (zero-padded when shorter, parsed with Atoi semantics), and the remainder
+// splits on ':' into exactly three Atoi-parsed fields with no range
+// validation (hours past 24 count on).
 func ParseTimeText[T Text](s T) (int64, error) {
+	sign := int64(1)
+	if len(s) > 0 && s[0] == '-' {
+		sign, s = -1, s[1:]
+	}
 	frac := int64(0)
 	for i := 0; i < len(s); i++ {
 		if s[i] != '.' {
@@ -204,7 +209,7 @@ func ParseTimeText[T Text](s T) (int64, error) {
 	if e1 != nil || e2 != nil || e3 != nil {
 		return 0, fmt.Errorf("bad time %q", string(s))
 	}
-	return int64(h)*3600000 + int64(m)*60000 + int64(sec)*1000 + frac, nil
+	return sign * (int64(h)*3600000 + int64(m)*60000 + int64(sec)*1000 + frac), nil
 }
 
 // ParseTimestampText parses the timestamp layouts the text path tries

@@ -23,6 +23,9 @@ type Field struct {
 type BackendCol struct {
 	Name    string
 	SQLType string
+	// Binary marks a streamed column whose wire cells are in PostgreSQL
+	// binary format rather than text (RowSink.WireRow).
+	Binary bool
 }
 
 // BackendResult is a backend result set in text form — what arrives over the

@@ -12,7 +12,7 @@ import (
 )
 
 // RowSink receives one backend result set as a stream: a schema, then rows
-// (typed or wire-text form depending on the backend), then the command tag.
+// (typed or wire form depending on the backend), then the command tag.
 // Implementations must tolerate the stream stopping early on error.
 type RowSink interface {
 	// Schema starts a result. hint, when >= 0, is the expected row count
@@ -22,10 +22,11 @@ type RowSink interface {
 	// float64, string — the pgdb value vocabulary). The slice is only valid
 	// during the call.
 	Row(vals []any) error
-	// TextRow delivers one row of PostgreSQL text-format cells. A nil cell
-	// is SQL NULL; a non-nil empty cell is an empty string. The slices are
-	// only valid during the call.
-	TextRow(fields [][]byte) error
+	// WireRow delivers one row of PG v3 DataRow cells, each in its column's
+	// wire format: PostgreSQL binary for a BackendCol marked Binary, text
+	// otherwise. A nil cell is SQL NULL; a non-nil empty cell is an empty
+	// string. The slices are only valid during the call.
+	WireRow(fields [][]byte) error
 	// Tag delivers the command tag after the last row.
 	Tag(tag string)
 }
@@ -85,6 +86,7 @@ func (s *TableSink) Schema(cols []BackendCol, hint int) error {
 			Name:    c.Name,
 			QType:   xtra.QTypeForSQL(c.SQLType),
 			Discard: c.Name == xtra.OrdCol || c.Name == "hq_rn",
+			Binary:  c.Binary,
 		})
 		s.sqlType = append(s.sqlType, c.SQLType)
 	}
@@ -146,15 +148,21 @@ func (s *TableSink) textCell(j int, v any) error {
 	return s.b.AppendText(j, s.scratch)
 }
 
-// TextRow implements RowSink for wire-text cells.
-func (s *TableSink) TextRow(fields [][]byte) error {
+// WireRow implements RowSink for wire cells, decoding each by its column's
+// format.
+func (s *TableSink) WireRow(fields [][]byte) error {
 	b := s.b
 	for j, f := range fields {
-		if f == nil {
+		var err error
+		switch {
+		case f == nil:
 			b.AppendNull(j)
-			continue
+		case s.specs[j].Binary:
+			err = b.AppendBinary(j, f)
+		default:
+			err = b.AppendText(j, f)
 		}
-		if err := b.AppendText(j, f); err != nil {
+		if err != nil {
 			return fmt.Errorf("column %s: %w", s.specs[j].Name, err)
 		}
 	}
@@ -171,7 +179,11 @@ func (s *TableSink) CommandTag() string { return s.tag }
 // Table finishes the built columns as a Q table (ownership of column
 // storage transfers to the table; the sink can then be Released).
 func (s *TableSink) Table() *qval.Table {
-	names, data := s.b.Build()
+	var names []string
+	var data []qval.Value
+	if s.b != nil { // nil when no schema arrived: a result without columns
+		names, data = s.b.Build()
+	}
 	if data == nil {
 		data = []qval.Value{}
 	}
@@ -226,7 +238,7 @@ func ReplayResult(res *BackendResult, sink RowSink) error {
 				fields[j] = []byte(f.Text)
 			}
 		}
-		if err := sink.TextRow(fields); err != nil {
+		if err := sink.WireRow(fields); err != nil {
 			return err
 		}
 	}

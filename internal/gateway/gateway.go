@@ -55,16 +55,19 @@ func (g *Gateway) Exec(ctx context.Context, sql string) (*core.BackendResult, er
 	return out, nil
 }
 
-// ExecStream implements core.StreamBackend: DataRow messages decode
-// incrementally into the sink as they arrive off the wire, with no
-// [][]Field materialization in between. Cancellation and abort semantics
-// match Exec's.
+// ExecStream implements core.StreamBackend: the statement runs through the
+// extended query cycle, and DataRow messages decode incrementally into the
+// sink as they arrive off the wire, with no [][]Field materialization in
+// between. From a text's second run on the connection, its numeric, boolean,
+// date and time columns arrive as binary cells (pgv3.QueryExtended), which
+// the sink decodes without a text round trip. Cancellation and abort
+// semantics match Exec's.
 func (g *Gateway) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
-	return g.conn.QueryStream(ctx, sql, &streamAdapter{sink: sink})
+	return g.conn.QueryExtended(ctx, sql, &streamAdapter{sink: sink})
 }
 
 // streamAdapter bridges pgv3.RowReceiver onto core.RowSink, mapping wire
-// OIDs to SQL type names once per result.
+// OIDs to SQL type names and format codes to binary flags once per result.
 type streamAdapter struct {
 	sink core.RowSink
 	cols []core.BackendCol
@@ -73,13 +76,17 @@ type streamAdapter struct {
 func (a *streamAdapter) Describe(cols []pgv3.ColDesc) error {
 	a.cols = a.cols[:0]
 	for _, c := range cols {
-		a.cols = append(a.cols, core.BackendCol{Name: c.Name, SQLType: pgv3.TypeForOID(c.TypeOID)})
+		a.cols = append(a.cols, core.BackendCol{
+			Name:    c.Name,
+			SQLType: pgv3.TypeForOID(c.TypeOID),
+			Binary:  c.Format == pgv3.FormatBinary,
+		})
 	}
 	// no row-count hint: the wire protocol does not announce result size
 	return a.sink.Schema(a.cols, -1)
 }
 
-func (a *streamAdapter) DataRow(fields [][]byte) error { return a.sink.TextRow(fields) }
+func (a *streamAdapter) DataRow(fields [][]byte) error { return a.sink.WireRow(fields) }
 
 func (a *streamAdapter) Complete(tag string) { a.sink.Tag(tag) }
 

@@ -18,13 +18,19 @@ func (s *Session) Exec(sql string) (*Result, error) {
 // row-batch boundaries, so a runaway scan or join over the embedded engine
 // is abortable the same way a networked backend query is.
 func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	prev, prevTicks := s.ctx, s.ticks
-	s.ctx, s.ticks = ctx, 0
-	defer func() { s.ctx, s.ticks = prev, prevTicks }()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, errf("42601", "%v", err)
 	}
+	return s.execStmtContext(ctx, stmt)
+}
+
+// execStmtContext is ExecStmt bounded by a context, for a statement parsed
+// ahead of its execution.
+func (s *Session) execStmtContext(ctx context.Context, stmt sqlparse.Stmt) (*Result, error) {
+	prev, prevTicks := s.ctx, s.ticks
+	s.ctx, s.ticks = ctx, 0
+	defer func() { s.ctx, s.ticks = prev, prevTicks }()
 	return s.ExecStmt(stmt)
 }
 

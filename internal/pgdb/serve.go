@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 
+	"hyperq/internal/pgdb/sqlparse"
 	"hyperq/internal/wire/pgv3"
 )
 
@@ -60,62 +61,125 @@ func handleConn(ctx context.Context, conn net.Conn, db *DB, auth AuthConfig) {
 	}
 	session := db.NewSession()
 	defer session.Close()
-	for {
-		sql, err := sc.ReadQuery()
-		if err != nil {
-			return // EOF on Terminate or broken connection
-		}
-		results, err := session.ExecScriptContext(ctx, sql)
-		for _, res := range results {
-			if sendErr := sendResult(sc, res); sendErr != nil {
-				return
-			}
-		}
-		if err != nil {
-			var pe *Error
-			se := &pgv3.ServerError{Severity: "ERROR", Code: "XX000", Message: err.Error()}
-			if errors.As(err, &pe) {
-				se.Code = pe.Code
-				se.Message = pe.Msg
-			}
-			if err := sc.SendError(se); err != nil {
-				return
-			}
-		}
-		if err := sc.SendReadyForQuery(); err != nil {
-			return
-		}
-		if err := sc.Flush(); err != nil {
-			return
-		}
-	}
+	sc.Serve(&wireSession{ctx: ctx, sc: sc, session: session})
 }
 
-// sendResult writes one statement's result. Cells render with AppendValue
-// straight into the connection's output buffer, so a row costs no
-// allocation however wide it is.
-func sendResult(sc *pgv3.ServerConn, res *Result) error {
-	if len(res.Cols) > 0 {
-		cols := make([]pgv3.ColDesc, len(res.Cols))
-		for i, c := range res.Cols {
-			cols[i] = pgv3.ColDesc{Name: c.Name, TypeOID: pgv3.OIDForType(c.Type)}
+// wireSession executes one connection's statements for pgv3's message loop
+// (pgv3.Handler).
+type wireSession struct {
+	ctx     context.Context
+	sc      *pgv3.ServerConn
+	session *Session
+}
+
+// Query runs a simple-query script; the first failure ends it.
+func (w *wireSession) Query(sql string) ([]pgv3.Result, error) {
+	results, err := w.session.ExecScriptContext(w.ctx, sql)
+	out := make([]pgv3.Result, len(results))
+	for i, res := range results {
+		out[i] = wireResult{w.sc, res}
+	}
+	return out, serverError(err)
+}
+
+// Parse prepares the unnamed statement: one statement, or none for the
+// empty query.
+func (w *wireSession) Parse(sql string) (pgv3.Statement, error) {
+	stmts, err := sqlparse.ParseScript(sql)
+	switch {
+	case err != nil:
+		return nil, serverError(errf("42601", "%v", err))
+	case len(stmts) > 1:
+		return nil, serverError(errf("42601", "cannot insert multiple commands into a prepared statement"))
+	}
+	p := &prepared{w: w}
+	if len(stmts) == 1 {
+		p.stmt = stmts[0]
+	}
+	return p, nil
+}
+
+// prepared is a parsed unnamed statement; stmt is nil for the empty query.
+type prepared struct {
+	w    *wireSession
+	stmt sqlparse.Stmt
+}
+
+// Run implements pgv3.Statement.
+func (p *prepared) Run() (pgv3.Result, error) {
+	if p.stmt == nil {
+		return nil, nil
+	}
+	res, err := p.w.session.execStmtContext(p.w.ctx, p.stmt)
+	if err != nil {
+		return nil, serverError(err)
+	}
+	return wireResult{p.w.sc, res}, nil
+}
+
+// serverError maps an execution error onto the ErrorResponse reporting it;
+// an error without a SQLSTATE of its own reports XX000.
+func serverError(err error) error {
+	if err == nil {
+		return nil
+	}
+	se := &pgv3.ServerError{Severity: "ERROR", Code: "XX000", Message: err.Error()}
+	var pe *Error
+	if errors.As(err, &pe) {
+		se.Code = pe.Code
+		se.Message = pe.Msg
+	}
+	return se
+}
+
+// wireResult writes one statement's result to a connection (pgv3.Result).
+type wireResult struct {
+	sc  *pgv3.ServerConn
+	res *Result
+}
+
+// Columns implements pgv3.Result.
+func (r wireResult) Columns() []pgv3.ColDesc {
+	if len(r.res.Cols) == 0 {
+		return nil
+	}
+	cols := make([]pgv3.ColDesc, len(r.res.Cols))
+	for i, c := range r.res.Cols {
+		cols[i] = pgv3.ColDesc{Name: c.Name, TypeOID: pgv3.OIDForType(c.Type)}
+	}
+	return cols
+}
+
+// WriteRows implements pgv3.Result. Cells render with AppendValue, or
+// appendBinary for a binary column, straight into the connection's output
+// buffer, so a row costs no allocation however wide it is. A cell that has
+// no binary form fails the statement with the rows before it sent.
+func (r wireResult) WriteRows(cols []pgv3.ColDesc) error {
+	sc := r.sc
+	for _, row := range r.res.Rows {
+		sc.BeginDataRow(len(row))
+		for j, v := range row {
+			if v == nil {
+				sc.NullCell()
+				continue
+			}
+			if cols[j].Format == pgv3.FormatText {
+				sc.EndCell(AppendValue(sc.BeginCell(), v, r.res.Cols[j].Type))
+				continue
+			}
+			cell, err := appendBinary(sc.BeginCell(), v, cols[j].TypeOID, r.res.Cols[j].Type)
+			if err != nil {
+				sc.AbortDataRow()
+				return serverError(err)
+			}
+			sc.EndCell(cell)
 		}
-		if err := sc.SendRowDescription(cols); err != nil {
+		if err := sc.EndDataRow(); err != nil {
 			return err
 		}
-		for _, row := range res.Rows {
-			sc.BeginDataRow(len(row))
-			for j, v := range row {
-				if v == nil {
-					sc.NullCell()
-					continue
-				}
-				sc.EndCell(AppendValue(sc.BeginCell(), v, res.Cols[j].Type))
-			}
-			if err := sc.EndDataRow(); err != nil {
-				return err
-			}
-		}
 	}
-	return sc.SendCommandComplete(res.Tag)
+	return nil
 }
+
+// Tag implements pgv3.Result.
+func (r wireResult) Tag() string { return r.res.Tag }

@@ -21,6 +21,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"hyperq/internal/wire/pgv3"
 )
 
 // Column describes one table column.
@@ -132,6 +134,105 @@ func AppendValue(dst []byte, v any, typ string) []byte {
 	}
 }
 
+// appendBinary appends v's PostgreSQL binary form for a column of type typ,
+// whose wire type oid must be in pgv3's binary set (pgv3.BinaryWidth): the
+// binary counterpart of AppendValue, for the columns a client asked for in
+// binary. A value the binary form cannot hold fails with the SQLSTATE
+// PostgreSQL uses: 22003 for a smallint or integer out of range, 22008 for a
+// date or time out of range. A value whose Go type is not the column's own
+// takes the text path's route to the same cell: its AppendValue rendering,
+// parsed as the column type's text (a string in a date or time column as
+// that type's SQL input).
+func appendBinary(dst []byte, v any, oid uint32, typ string) ([]byte, error) {
+	switch oid {
+	case pgv3.OidBool:
+		b, ok := v.(bool)
+		if !ok {
+			t := AppendValue(dst, v, typ)
+			s := t[len(dst):]
+			b = string(s) == "t" || string(s) == "true" || string(s) == "1"
+			dst = t[:len(dst)]
+		}
+		if b {
+			return append(dst, 1), nil
+		}
+		return append(dst, 0), nil
+	case pgv3.OidInt2, pgv3.OidInt4, pgv3.OidInt8:
+		n, ok := v.(int64)
+		if !ok {
+			var err error
+			if dst, n, err = reparse(dst, v, typ, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }); err != nil {
+				return dst, err
+			}
+		}
+		switch oid {
+		case pgv3.OidInt2:
+			if n < math.MinInt16 || n > math.MaxInt16 {
+				return dst, errf("22003", "smallint out of range: %d", n)
+			}
+			return binary.BigEndian.AppendUint16(dst, uint16(n)), nil
+		case pgv3.OidInt4:
+			if n < math.MinInt32 || n > math.MaxInt32 {
+				return dst, errf("22003", "integer out of range: %d", n)
+			}
+			return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
+		}
+		return binary.BigEndian.AppendUint64(dst, uint64(n)), nil
+	case pgv3.OidFloat8:
+		var f float64
+		switch x := v.(type) {
+		case float64:
+			f = x
+		case int64:
+			f = float64(x) // rounds as parsing its decimal text does
+		default:
+			var err error
+			if dst, f, err = reparse(dst, v, typ, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }); err != nil {
+				return dst, err
+			}
+		}
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(f)), nil
+	case pgv3.OidDate, pgv3.OidTime:
+		n, ok := v.(int64)
+		if !ok {
+			// a string read as the type's SQL input, as a cast would have
+			s, isStr := v.(string)
+			if !isStr {
+				return dst, errf("42804", "%s column holds a %T value", typ, v)
+			}
+			x, err := ParseValue(s, typ)
+			if err != nil {
+				return dst, err
+			}
+			n = x.(int64)
+		}
+		if oid == pgv3.OidDate {
+			if n < math.MinInt32 || n > math.MaxInt32 {
+				return dst, errf("22008", "date out of range: %d days", n)
+			}
+			return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
+		}
+		if n < math.MinInt64/1000 || n > math.MaxInt64/1000 {
+			return dst, errf("22008", "time out of range: %d ms", n)
+		}
+		return binary.BigEndian.AppendUint64(dst, uint64(n*1000)), nil
+	}
+	return dst, errf("0A000", "no binary format for type %s", typ)
+}
+
+// reparse renders v as the text path would, past the end of dst, and parses
+// that text as the column type; the rendering is dropped again, so dst comes
+// back as it was. A parse failure is the error the text path's decoder
+// would hit.
+func reparse[T any](dst []byte, v any, typ string, parse func(string) (T, error)) ([]byte, T, error) {
+	t := AppendValue(dst, v, typ)
+	x, err := parse(string(t[len(dst):]))
+	if err != nil {
+		return t[:len(dst)], x, errf("22P02", "invalid input syntax for type %s: %q", typ, t[len(dst):])
+	}
+	return t[:len(dst)], x, nil
+}
+
 // Days since 2000-01-01 of the first and last dates with four-digit years.
 const (
 	minYMDDay = -730485 // 0000-01-01
@@ -165,30 +266,28 @@ func appendDate(dst []byte, days int64) []byte {
 		byte('0'+d/10), byte('0'+d%10))
 }
 
-// appendTimeOfDay renders ms-since-midnight exactly as
-// fmt's "%02d:%02d:%02d.%03d" of hours, minutes, seconds and milliseconds
-// does, including negative and over-24-hour values.
+// appendTimeOfDay renders ms-since-midnight as "HH:MM:SS.mmm", hours
+// counting on past 24; a negative value is a '-' before its absolute
+// value's rendering.
 func appendTimeOfDay(dst []byte, ms int64) []byte {
-	dst = appendPadded(dst, ms/3600000, 2)
+	if ms < 0 {
+		dst = append(dst, '-')
+	}
+	u := absInt(ms)
+	dst = appendPadded(dst, u/3600000, 2)
 	dst = append(dst, ':')
-	dst = appendPadded(dst, ms/60000%60, 2)
+	dst = appendPadded(dst, u/60000%60, 2)
 	dst = append(dst, ':')
-	dst = appendPadded(dst, ms/1000%60, 2)
+	dst = appendPadded(dst, u/1000%60, 2)
 	dst = append(dst, '.')
-	return appendPadded(dst, ms%1000, 3)
+	return appendPadded(dst, u%1000, 3)
 }
 
-// appendPadded is fmt's "%0<width>d": zeros between the sign and the digits
-// pad the whole to width, the sign counting toward it.
-func appendPadded(dst []byte, v int64, width int) []byte {
+// appendPadded is fmt's "%0<width>d" of an unsigned value.
+func appendPadded(dst []byte, v uint64, width int) []byte {
 	var buf [20]byte
-	digits := strconv.AppendUint(buf[:0], absInt(v), 10)
-	n := len(digits)
-	if v < 0 {
-		dst = append(dst, '-')
-		n++
-	}
-	for ; n < width; n++ {
+	digits := strconv.AppendUint(buf[:0], v, 10)
+	for n := len(digits); n < width; n++ {
 		dst = append(dst, '0')
 	}
 	return append(dst, digits...)
@@ -232,7 +331,8 @@ func ParseValue(s string, typ string) (any, error) {
 		if err != nil {
 			return nil, errf("22007", "invalid date %q", s)
 		}
-		return int64(t.Sub(pgEpoch) / (24 * time.Hour)), nil
+		// Unix seconds, unlike a time.Duration, do not saturate 292 years out
+		return (t.Unix() - pgEpoch.Unix()) / 86400, nil
 	case typ == "time":
 		var h, m, sec, ms int
 		if n, _ := fmt.Sscanf(s, "%d:%d:%d.%d", &h, &m, &sec, &ms); n < 3 {

@@ -99,6 +99,27 @@ func TestTemporalLiterals(t *testing.T) {
 	}
 }
 
+// TestFarDateLiterals: a date literal counts its days exactly however far
+// it lies from 2000.01.01; a time.Duration difference saturates about 292
+// years out.
+func TestFarDateLiterals(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		days int64
+	}{
+		{"1700.01.01", -109572},
+		{"2400.01.01", 146097},
+		{"1600.03.01", -146037},
+		{"0001.01.01", -730119},
+		{"9999.12.31", 2921939},
+	} {
+		want := qval.Temporal{T: qval.KDate, V: c.days}
+		if tok := one(t, c.src); !qval.EqualValues(tok.Val, want) {
+			t.Errorf("%q: val = %v (%#v), want day %d", c.src, tok.Val, tok.Val, c.days)
+		}
+	}
+}
+
 func TestSymbols(t *testing.T) {
 	tok := one(t, "`GOOG")
 	if tok.Kind != Sym || tok.Val.(qval.Symbol) != "GOOG" {

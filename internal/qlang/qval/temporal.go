@@ -18,9 +18,30 @@ const (
 )
 
 // DateFromTime converts a wall-clock time to a kdb+ date count (days since
-// 2000.01.01, UTC).
+// 2000.01.01, UTC). The count comes from the calendar date by integer
+// arithmetic, so it is exact for every year: a time.Duration difference
+// would saturate about 292 years from the epoch.
 func DateFromTime(t time.Time) int64 {
-	return int64(t.UTC().Truncate(24*time.Hour).Sub(KdbEpoch) / (24 * time.Hour))
+	y, m, d := t.UTC().Date()
+	return DaysFromCivil(int64(y), int64(m), int64(d))
+}
+
+// DaysFromCivil returns the days from 2000-01-01 to the proleptic Gregorian
+// date y-m-d (Hinnant's days-from-civil over 400-year eras of 146097 days,
+// years starting in March); m and d must be in range.
+func DaysFromCivil(y, m, d int64) int64 {
+	if m <= 2 {
+		y--
+	}
+	era := y / 400
+	if y < 0 && y%400 != 0 {
+		era-- // floor division
+	}
+	yoe := y - era*400                       // [0, 399]
+	mp := (m + 9) % 12                       // March = 0
+	doy := (153*mp+2)/5 + d - 1              // [0, 365]
+	doe := yoe*365 + yoe/4 - yoe/100 + doy   // [0, 146096]
+	return era*146097 + doe - 719468 - 10957 // 719468: 0000-03-01 to 1970-01-01; 10957: 1970 to 2000
 }
 
 // TimeOfDayMillis returns the kdb+ time-of-day (milliseconds since midnight)

@@ -29,6 +29,35 @@ type pathStack struct {
 	name    string
 	session *core.Session
 	cleanup func()
+	// binary counts the streamed results that had binary cells (pgv3 only)
+	binary *int
+}
+
+// binaryCounter is a gateway that counts the streamed results whose columns
+// came in PostgreSQL binary format.
+type binaryCounter struct {
+	*gateway.Gateway
+	n *int
+}
+
+func (g binaryCounter) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
+	return g.Gateway.ExecStream(ctx, sql, binarySpy{sink, g.n})
+}
+
+// binarySpy passes a result through, counting it if any column is binary.
+type binarySpy struct {
+	core.RowSink
+	n *int
+}
+
+func (s binarySpy) Schema(cols []core.BackendCol, hint int) error {
+	for _, c := range cols {
+		if c.Binary {
+			*s.n++
+			break
+		}
+	}
+	return s.RowSink.Schema(cols, hint)
 }
 
 // newPathStack loads ds into a fresh pgdb, runs the setup statements on it,
@@ -58,6 +87,7 @@ func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind stri
 	}
 	var backend core.Backend = loader
 	cleanup := func() {}
+	binary := new(int)
 	if kind == "pgv3" {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -69,7 +99,7 @@ func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind stri
 			l.Close()
 			t.Fatal(err)
 		}
-		backend = gw
+		backend = binaryCounter{gw, binary}
 		cleanup = func() {
 			gw.Close()
 			l.Close()
@@ -77,7 +107,7 @@ func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind stri
 	}
 	s := core.NewPlatform().NewSession(backend, core.Config{ResultPath: path})
 	stackCleanup := cleanup
-	return &pathStack{name: name, session: s, cleanup: func() {
+	return &pathStack{name: name, session: s, binary: binary, cleanup: func() {
 		s.Close()
 		stackCleanup()
 	}}
@@ -195,7 +225,7 @@ func TestStreamParityFuzz(t *testing.T) {
 
 // TestStreamParityBackends holds the two backend shapes to each other on the
 // columnar path: the embedded engine's typed rows (Row) and a loopback PG v3
-// server's text rows (TextRow) must encode to byte-identical QIPC. The
+// server's wire rows (WireRow) must encode to byte-identical QIPC. The
 // per-backend suites above compare two legs that read the same wire bytes;
 // here one result crossed pgserver's DataRow writer and the other never did,
 // so a server-side rendering bug shows.
@@ -277,4 +307,60 @@ func TestStreamParityBackends(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStreamParityBinaryCells holds pgv3's binary result cells to the text
+// path. Each query runs twice on the columnar wire stack: the first run
+// describes the text's columns in text, the second gets binary cells for
+// the binary-set types, and its QIPC bytes must equal the text path's.
+func TestStreamParityBinaryCells(t *testing.T) {
+	ctx := context.Background()
+	agree := func(t *testing.T, wire, txt *pathStack, q string) bool {
+		wire.session.Run(ctx, q) // learns the result types; compared on the rerun
+		return assertPathsAgree(t, ctx, wire, txt, q)
+	}
+	binary := 0
+	t.Run("corpus", func(t *testing.T) {
+		entries, err := LoadCorpus("testdata/qdiff")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			ds, err := qgen.DecodeDataset(e.Tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire := newPathStack(t, ctx, ds, "pgv3", core.ColumnarPath)
+			txt := newPathStack(t, ctx, ds, "pgv3", core.TextPath)
+			agree(t, wire, txt, e.Query)
+			binary += *wire.binary
+			wire.cleanup()
+			txt.cleanup()
+		}
+	})
+	t.Run("fuzz", func(t *testing.T) {
+		const n, reload = 150, 30
+		g := qgen.New(qgen.Config{Seed: 29})
+		var wire, txt *pathStack
+		for i := 0; i < n; i++ {
+			if i%reload == 0 {
+				if wire != nil {
+					binary += *wire.binary
+					wire.cleanup()
+					txt.cleanup()
+				}
+				ds := g.Dataset()
+				wire = newPathStack(t, ctx, ds, "pgv3", core.ColumnarPath)
+				txt = newPathStack(t, ctx, ds, "pgv3", core.TextPath)
+			}
+			agree(t, wire, txt, g.Query().Q())
+		}
+		binary += *wire.binary
+		wire.cleanup()
+		txt.cleanup()
+	})
+	t.Logf("%d results came with binary cells", binary)
+	if binary < 50 {
+		t.Errorf("only %d results came with binary cells", binary)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"time"
 )
@@ -17,17 +18,39 @@ type ClientConn struct {
 	out  frame
 	// streaming scratch, reused across messages of one query at a time (a
 	// connection serves one query at a time)
-	rbuf   []byte
-	fields [][]byte
+	rbuf    []byte
+	fields  [][]byte
+	widths  []int   // the described columns' binary cell widths; 0 for text
+	formats []int16 // the result format codes Bind requests
+	// resultOIDs is the describe cache: the result column types of the last
+	// successful extended run of each SQL text, from which the next run of
+	// the text picks its result formats before anything is described.
+	resultOIDs map[string][]uint32
+	remembered []uint32 // the running text's entry; nil when it has none
 }
 
-// RowReceiver receives one streamed simple-query result: the schema, then
-// each data row as it is decoded off the wire, then the command tag.
+// resultOIDsBound caps the describe cache; a full cache is dropped
+// wholesale rather than tracked for recency.
+const resultOIDsBound = 256
+
+// errStaleFormats reports that a run asked for binary cells on the strength
+// of a describe-cache entry that no longer holds: the text's result types
+// changed since it was remembered.
+var errStaleFormats = errors.New("pgv3: remembered result formats are stale")
+
+// errUndecodable reports a RowDescription with a binary column outside the
+// binary set, whose cells this package cannot decode.
+var errUndecodable = errf("binary result column of a type outside the binary set")
+
+// RowReceiver receives one streamed result: the schema, then each data row
+// as it is decoded off the wire, then the command tag.
 type RowReceiver interface {
-	// Describe delivers the RowDescription.
+	// Describe delivers the RowDescription, with each column's format.
 	Describe(cols []ColDesc) error
-	// DataRow delivers one row. A nil cell is SQL NULL; non-nil cells point
-	// into the connection's read buffer and are only valid during the call.
+	// DataRow delivers one row of exactly the described columns, each cell
+	// in its column's format (a binary cell has its type's width). A nil
+	// cell is SQL NULL; non-nil cells point into the connection's read
+	// buffer and are only valid during the call.
 	DataRow(fields [][]byte) error
 	// Complete delivers the command tag once the result finished cleanly.
 	Complete(tag string)
@@ -49,13 +72,24 @@ func Connect(ctx context.Context, addr, user, password, database string) (*Clien
 	if err != nil {
 		return nil, err
 	}
+	c, err := NewClientConn(ctx, conn, user, password, database)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// NewClientConn completes startup and authentication over an open
+// connection, which the returned ClientConn then owns (on an error the
+// caller still does). The context bounds the handshake only.
+func NewClientConn(ctx context.Context, conn net.Conn, user, password, database string) (*ClientConn, error) {
 	if deadline, ok := ctx.Deadline(); ok {
 		conn.SetDeadline(deadline)
 		defer conn.SetDeadline(time.Time{})
 	}
 	c := &ClientConn{conn: conn, r: bufio.NewReader(conn)}
 	if err := c.startup(user, password, database); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	return c, nil
@@ -192,7 +226,116 @@ func (c *ClientConn) QueryStream(ctx context.Context, sql string, rr RowReceiver
 		return err
 	}
 	finish := c.armContext(ctx)
-	return finish(c.queryStream(ctx, sql, rr))
+	return finish(c.queryStream(ctx, sql, rr, false))
+}
+
+// QueryExtended runs one SQL statement through the extended query cycle
+// (Parse, Bind, Describe, Execute, Sync over the unnamed statement and
+// portal) and streams its rows like QueryStream, with the same cancellation
+// and drain semantics. The first run of a text on the connection binds with
+// no result format codes, so every column comes back as text; later runs
+// ask for binary cells on the columns the last run described with a type in
+// the binary set (BinaryWidth). RowReceiver.Describe reports each column's
+// format. A run whose remembered formats no longer fit the text's result —
+// the server refuses them, or describes a binary column outside the set —
+// is forgotten and run once more in text.
+func (c *ClientConn) QueryExtended(ctx context.Context, sql string, rr RowReceiver) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	finish := c.armContext(ctx)
+	err := c.queryStream(ctx, sql, rr, true)
+	if err == errStaleFormats {
+		err = c.queryStream(ctx, sql, rr, true) // the failed run dropped the entry
+	}
+	return finish(err)
+}
+
+// pickFormats sets c.formats for an extended run of sql: binary for the
+// columns the describe cache holds with a type in the binary set, none at
+// all (every column text) when no column qualifies or the text is not
+// remembered. It reports whether any column asks for binary.
+func (c *ClientConn) pickFormats(sql string) bool {
+	c.formats = c.formats[:0]
+	c.remembered = c.resultOIDs[sql]
+	binary := false
+	for _, oid := range c.remembered {
+		code := int16(FormatText)
+		if _, ok := BinaryWidth(oid); ok {
+			code, binary = FormatBinary, true
+		}
+		c.formats = append(c.formats, code)
+	}
+	if !binary || len(c.formats) > math.MaxInt16 {
+		c.formats = c.formats[:0]
+		return false
+	}
+	return true
+}
+
+// remember records the result types of an extended run of sql that
+// succeeded with cols (nil when it described no rows), or forgets them after
+// a run that failed.
+func (c *ClientConn) remember(sql string, cols []ColDesc, failed bool) {
+	switch {
+	case failed || cols == nil:
+		if c.remembered != nil {
+			delete(c.resultOIDs, sql)
+		}
+		return
+	case c.remembered != nil && sameOIDs(c.remembered, cols):
+		return
+	}
+	if c.resultOIDs == nil || len(c.resultOIDs) >= resultOIDsBound {
+		c.resultOIDs = make(map[string][]uint32)
+	}
+	oids := make([]uint32, len(cols))
+	for j, col := range cols {
+		oids[j] = col.TypeOID
+	}
+	c.resultOIDs[sql] = oids
+}
+
+func sameOIDs(oids []uint32, cols []ColDesc) bool {
+	if len(oids) != len(cols) {
+		return false
+	}
+	for j, col := range cols {
+		if oids[j] != col.TypeOID {
+			return false
+		}
+	}
+	return true
+}
+
+// sendExtended queues one extended cycle for sql over the unnamed statement
+// and portal: Parse, Bind with c.formats, Describe, Execute, Sync.
+func (c *ClientConn) sendExtended(sql string) {
+	c.out.begin('P')
+	c.out.cstr("") // unnamed statement
+	c.out.cstr(sql)
+	c.out.int16(0) // no parameter types
+	c.out.end()
+	c.out.begin('B')
+	c.out.cstr("") // unnamed portal
+	c.out.cstr("") // unnamed statement
+	c.out.int16(0) // no parameter format codes
+	c.out.int16(0) // no parameters
+	c.out.int16(int16(len(c.formats)))
+	for _, f := range c.formats {
+		c.out.int16(f)
+	}
+	c.out.end()
+	c.out.begin('D')
+	c.out.byte1('P')
+	c.out.cstr("")
+	c.out.end()
+	c.out.begin('E')
+	c.out.cstr("")
+	c.out.int32(0) // no row limit
+	c.out.end()
+	c.out.begin('S')
+	c.out.end()
 }
 
 // armContext maps ctx onto the socket for the duration of one query. The
@@ -235,15 +378,29 @@ func (c *ClientConn) armContext(ctx context.Context) func(error) error {
 	}
 }
 
-func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver) error {
-	c.out.begin('Q')
-	c.out.cstr(sql)
-	c.out.end()
+// queryStream runs one statement over the simple cycle, or over the
+// extended cycle when extended is set, and reads its reply: the one read
+// loop both cycles share. A reply the protocol does not allow — a DataRow
+// before any RowDescription, a row whose field count differs from the
+// description, a binary cell of the wrong width — stops delivery and fails
+// the statement, after the reply drains to ReadyForQuery.
+func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver, extended bool) error {
+	binary := false
+	if extended {
+		binary = c.pickFormats(sql)
+		c.sendExtended(sql)
+	} else {
+		c.out.begin('Q')
+		c.out.cstr(sql)
+		c.out.end()
+	}
 	if err := c.flush(); err != nil {
 		return err
 	}
-	var qerr, sinkErr error
+	var qerr *ServerError
+	var badErr, sinkErr error
 	var tag string
+	var cols []ColDesc // the current statement's columns; nil before its RowDescription
 	aborted := false
 	for {
 		typ, body, err := c.read()
@@ -252,12 +409,11 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 		}
 		switch typ {
 		case 'T':
-			if aborted || sinkErr != nil {
-				continue
+			if cols, err = c.describe(body); err != nil && badErr == nil {
+				badErr = err
 			}
-			cols, err := parseRowDescription(body)
-			if err != nil {
-				return err
+			if aborted || sinkErr != nil || badErr != nil {
+				continue
 			}
 			if err := rr.Describe(cols); err != nil {
 				sinkErr = err
@@ -269,11 +425,16 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 			if !aborted && ctx.Err() != nil {
 				aborted = true
 			}
-			if aborted || sinkErr != nil {
+			if aborted || sinkErr != nil || badErr != nil {
+				continue
+			}
+			if cols == nil {
+				badErr = errf("DataRow before RowDescription")
 				continue
 			}
 			if err := c.parseDataRowInto(body); err != nil {
-				return err
+				badErr = err
+				continue
 			}
 			if err := rr.DataRow(c.fields); err != nil {
 				sinkErr = err
@@ -284,18 +445,37 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 				return err
 			}
 			tag = t
+			if !extended {
+				cols = nil // the script's next statement describes its own rows
+			}
 		case 'E':
 			qerr = parseServerError(body)
+		case '1', '2', 'n', 'I':
+			// ParseComplete, BindComplete, NoData, EmptyQueryResponse
 		case 'N', 'S', 'K':
 			// notices and parameter updates: ignore
 		case 'Z':
+			var err error
 			switch {
+			case binary && cols == nil && qerr != nil && (qerr.Code == "0A000" || qerr.Code == "08P01"),
+				binary && badErr == errUndecodable:
+				// the formats were refused before anything was described, or
+				// granted for a type that cannot be decoded
+				err = errStaleFormats
 			case qerr != nil:
-				return qerr
+				err = qerr
+			case badErr != nil:
+				err = badErr
 			case sinkErr != nil:
-				return sinkErr
+				err = sinkErr
 			case aborted:
-				return ctx.Err()
+				err = ctx.Err()
+			}
+			if extended {
+				c.remember(sql, cols, err != nil)
+			}
+			if err != nil {
+				return err
 			}
 			rr.Complete(tag)
 			return nil
@@ -305,14 +485,44 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 	}
 }
 
-// parseDataRowInto decodes a DataRow into the connection's reusable field
-// slice: nil for NULL, subslices of the read buffer otherwise.
+// describe decodes a RowDescription and records each column's binary cell
+// width for parseDataRowInto.
+func (c *ClientConn) describe(body []byte) ([]ColDesc, error) {
+	cols, err := parseRowDescription(body)
+	if err != nil {
+		return nil, err
+	}
+	c.widths = c.widths[:0]
+	for _, col := range cols {
+		w := 0
+		switch col.Format {
+		case FormatText:
+		case FormatBinary:
+			var ok bool
+			if w, ok = BinaryWidth(col.TypeOID); !ok {
+				return cols, errUndecodable
+			}
+		default:
+			return cols, errf("unknown format code %d for column %q", col.Format, col.Name)
+		}
+		c.widths = append(c.widths, w)
+	}
+	return cols, nil
+}
+
+// parseDataRowInto decodes a DataRow of the described columns into the
+// connection's reusable field slice: nil for NULL, subslices of the read
+// buffer otherwise. The field count must match the description and each
+// binary cell must have its type's width.
 func (c *ClientConn) parseDataRowInto(b []byte) error {
 	if len(b) < 2 {
 		return errf("short DataRow")
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
+	if n != len(c.widths) {
+		return errf("DataRow has %d fields, RowDescription %d columns", n, len(c.widths))
+	}
 	if cap(c.fields) < n {
 		c.fields = make([][]byte, n)
 	}
@@ -329,6 +539,9 @@ func (c *ClientConn) parseDataRowInto(b []byte) error {
 		}
 		if int(ln) > len(b) {
 			return errf("field overruns message")
+		}
+		if w := c.widths[i]; w != 0 && int(ln) != w {
+			return errf("binary field %d is %d bytes, want %d", i, ln, w)
 		}
 		c.fields[i] = b[:ln:ln]
 		b = b[ln:]
@@ -350,7 +563,9 @@ func parseRowDescription(b []byte) ([]ColDesc, error) {
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
-	cols := make([]ColDesc, 0, n)
+	// a column takes at least 19 bytes (an empty name's NUL and 18 of
+	// fields): size by the bytes that arrived, not by the claimed count
+	cols := make([]ColDesc, 0, min(n, len(b)/19))
 	for i := 0; i < n; i++ {
 		name, rest, err := cutCString(b)
 		if err != nil {
@@ -360,7 +575,8 @@ func parseRowDescription(b []byte) ([]ColDesc, error) {
 			return nil, errf("short column descriptor")
 		}
 		oid := binary.BigEndian.Uint32(rest[6:10])
-		cols = append(cols, ColDesc{Name: name, TypeOID: oid})
+		format := int16(binary.BigEndian.Uint16(rest[16:18]))
+		cols = append(cols, ColDesc{Name: name, TypeOID: oid, Format: format})
 		b = rest[18:]
 	}
 	return cols, nil

@@ -119,20 +119,13 @@ func startBulkServer(t *testing.T, n int) string {
 				if err := sc.Authenticate(AuthMethodTrust, nil); err != nil {
 					return
 				}
-				for {
-					if _, err := sc.ReadQuery(); err != nil {
-						return
-					}
-					sc.SendRowDescription([]ColDesc{{Name: "n", TypeOID: OidInt8}})
+				sc.Serve(&cannedHandler{sc: sc, run: func(string) (*cannedResult, error) {
+					res := &cannedResult{cols: []ColDesc{{Name: "n", TypeOID: OidInt8}}, tag: fmt.Sprintf("SELECT %d", n)}
 					for i := 0; i < n; i++ {
-						sendRow(sc, strconv.Itoa(i))
+						res.rows = append(res.rows, []any{strconv.Itoa(i)})
 					}
-					sc.SendCommandComplete(fmt.Sprintf("SELECT %d", n))
-					sc.SendReadyForQuery()
-					if err := sc.Flush(); err != nil {
-						return
-					}
-				}
+					return res, nil
+				}})
 			}(conn)
 		}
 	}()

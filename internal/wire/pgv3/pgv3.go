@@ -39,7 +39,16 @@ type Field struct {
 type ColDesc struct {
 	Name    string
 	TypeOID uint32
+	// Format is the column's cell encoding, FormatText or FormatBinary.
+	Format int16
 }
+
+// Result format codes, as Bind requests them and RowDescription reports
+// them.
+const (
+	FormatText   = 0
+	FormatBinary = 1
+)
 
 // Error is a protocol-level error.
 type Error struct {
@@ -96,6 +105,32 @@ const (
 	OidTS      = 1114
 	OidNumeric = 1700
 )
+
+// BinaryWidth reports the byte width of a binary cell of type oid, and
+// whether the type is in the binary set: the types whose result cells this
+// package's two halves exchange in binary format. They are the fixed-width
+// types whose binary form carries exactly the value the engine holds:
+// boolean; smallint, integer and bigint (an interval travels as bigint
+// nanoseconds); double precision; date (int32 days since 2000-01-01, which
+// is also the kdb+ epoch); and time (int64 microseconds since midnight). The
+// others stay text: timestamp because the engine keeps nanoseconds and the
+// binary form holds microseconds, real because narrowing the float64 the
+// engine holds can round differently from parsing its shortest text at
+// 32 bits, and numeric, the text types and unknown OIDs because their binary
+// forms save nothing or are not decoded here.
+func BinaryWidth(oid uint32) (int, bool) {
+	switch oid {
+	case OidBool:
+		return 1, true
+	case OidInt2:
+		return 2, true
+	case OidInt4, OidDate:
+		return 4, true
+	case OidInt8, OidFloat8, OidTime:
+		return 8, true
+	}
+	return 0, false
+}
 
 // OIDForType maps a normalized SQL type name to its wire OID.
 func OIDForType(t string) uint32 {
@@ -194,16 +229,21 @@ const maxMessage = 1 << 30
 // readTyped reads one typed message into buf, returning the type byte, the
 // body (valid until buf is next reused) and buf for reuse.
 func readTyped(r io.Reader, buf []byte) (byte, []byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// the header goes through buf too: a local array would escape to the
+	// heap through the io.Reader call, one allocation per message
+	if cap(buf) < 5 {
+		buf = make([]byte, 5, 512)
+	}
+	hdr := buf[:5]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
+	typ, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
 	if n < 4 || n > maxMessage {
 		return 0, nil, buf, errf("implausible message length %d", n)
 	}
 	body, err := readBody(r, buf, int(n-4))
-	return hdr[0], body, body, err
+	return typ, body, body, err
 }
 
 // readBody reads an n-byte message body into buf's storage. The buffer grows

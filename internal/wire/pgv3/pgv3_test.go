@@ -3,6 +3,7 @@ package pgv3
 import (
 	"context"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,28 +31,78 @@ func echoServer(t *testing.T, conn net.Conn, method AuthMethod, users map[string
 	if err := sc.Authenticate(method, verify); err != nil {
 		return
 	}
-	for {
-		sql, err := sc.ReadQuery()
-		if err != nil {
-			return
-		}
+	sc.Serve(&cannedHandler{sc: sc, run: func(sql string) (*cannedResult, error) {
 		if strings.Contains(sql, "boom") {
-			sc.SendError(&ServerError{Severity: "ERROR", Code: "42P01", Message: "relation does not exist"})
-			sc.SendReadyForQuery()
-			sc.Flush()
-			continue
+			return nil, &ServerError{Severity: "ERROR", Code: "42P01", Message: "relation does not exist"}
 		}
-		sc.SendRowDescription([]ColDesc{
-			{Name: "a", TypeOID: OidInt8},
-			{Name: "b", TypeOID: OidVarchar},
-		})
-		sendRow(sc, "1", "x")
-		sendRow(sc, "2", nil)
-		sc.SendCommandComplete("SELECT 2")
-		sc.SendReadyForQuery()
-		sc.Flush()
-	}
+		return &cannedResult{
+			cols: []ColDesc{{Name: "a", TypeOID: OidInt8}, {Name: "b", TypeOID: OidVarchar}},
+			rows: [][]any{{"1", "x"}, {"2", nil}},
+			tag:  "SELECT 2",
+		}, nil
+	}})
 }
+
+// cannedHandler is a Handler whose statements all answer what run returns
+// for their text.
+type cannedHandler struct {
+	sc  *ServerConn
+	run func(sql string) (*cannedResult, error)
+}
+
+// cannedResult is a Result of fixed rows. A string cell goes out as is in
+// either format (a binary cell's bytes are the test's to get right), a nil
+// cell is NULL.
+type cannedResult struct {
+	sc   *ServerConn
+	cols []ColDesc
+	rows [][]any
+	tag  string
+}
+
+func (h *cannedHandler) Query(sql string) ([]Result, error) {
+	res, err := h.result(sql)
+	if res == nil {
+		return nil, err
+	}
+	return []Result{res}, err
+}
+
+func (h *cannedHandler) result(sql string) (*cannedResult, error) {
+	res, err := h.run(sql)
+	if res != nil {
+		res.sc = h.sc
+	}
+	return res, err
+}
+
+func (h *cannedHandler) Parse(sql string) (Statement, error) { return cannedStmt{h, sql}, nil }
+
+type cannedStmt struct {
+	h   *cannedHandler
+	sql string
+}
+
+func (s cannedStmt) Run() (Result, error) {
+	res, err := s.h.result(s.sql)
+	if res == nil {
+		return nil, err
+	}
+	return res, err
+}
+
+func (r *cannedResult) Columns() []ColDesc { return slices.Clone(r.cols) }
+
+func (r *cannedResult) WriteRows([]ColDesc) error {
+	for _, row := range r.rows {
+		if err := sendRow(r.sc, row...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *cannedResult) Tag() string { return r.tag }
 
 // sendRow writes one DataRow: a string cell is text, a nil cell is NULL.
 func sendRow(sc *ServerConn, cells ...any) error {
