@@ -56,16 +56,17 @@ fuzz:
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
 # replays the CI seeds against the compiled engine (vector scans, fused
 # aggregates, columnar joins and index paths included), plus sweeps of the
-# interpreted engine to pin the retained AST walker and of the text result
-# path, cold-reopen sweeps over the durable store — unbounded, and under a tight
-# budget that churns segments through evict and refault — and sweeps with
-# secondary indexes forced on, resident and across a cold reopen. The
-# -persist sweeps run the vector fast paths over cold reopened segments:
-# zone verdicts on evicted stubs and column-granular fault-in.
+# interpreted engine to pin the retained AST walker, cold-reopen sweeps over
+# the durable store — unbounded, and under a tight budget that churns
+# segments through evict and refault — and sweeps with secondary indexes
+# forced on, resident and across a cold reopen. The -persist sweeps run the
+# vector fast paths over cold reopened segments: zone verdicts on evicted
+# stubs and column-granular fault-in. Every leg reads its results over PG v3
+# from the engine in the same process and runs each query twice, the rerun
+# with binary cells.
 qdiff:
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -exec interpreted -shrink > /dev/null || exit 1; done
-	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -result-path text -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -persist -mem-budget 65536 -shrink > /dev/null || exit 1; done
 	for s in 1 2 7 42; do $(GO) run ./cmd/qdiff -seed $$s -n 10000 -index -shrink > /dev/null || exit 1; done

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
@@ -42,16 +43,28 @@ func stackFor(b *testing.B, trades int) (*core.Session, core.Backend) {
 	db, ok := benchStacks[trades]
 	if !ok {
 		db = pgdb.NewDB()
-		loader := core.NewDirectBackend(db)
-		if _, err := workload.Setup(context.Background(), loader, taq.Config{Seed: 1, Trades: trades, NumSymbols: 100}); err != nil {
+		loader := pipe(b, db)
+		_, err := workload.Setup(context.Background(), loader, taq.Config{Seed: 1, Trades: trades, NumSymbols: 100})
+		loader.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 		benchStacks[trades] = db
 	}
-	backend := core.NewDirectBackend(db)
+	backend := pipe(b, db)
 	s := core.NewPlatform().NewSession(backend, core.Config{MDITTL: 5 * time.Minute})
 	b.Cleanup(func() { s.Close() })
 	return s, backend
+}
+
+// pipe opens an in-process gateway to db; a session over it closes it.
+func pipe(b *testing.B, db *pgdb.DB) core.Backend {
+	b.Helper()
+	gw, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return gw
 }
 
 // BenchmarkFigure6_Translation times pure query translation (the overhead
@@ -134,7 +147,7 @@ func BenchmarkMetadataCache(b *testing.B) {
 				stackFor(b, 5000)
 				db = benchStacks[5000]
 			}
-			backend := core.NewDirectBackend(db)
+			backend := pipe(b, db)
 			ttl := mode.ttl
 			if ttl < 0 {
 				ttl = time.Nanosecond // effectively disabled
@@ -168,7 +181,7 @@ func BenchmarkMaterialization(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				backend := core.NewDirectBackend(db)
+				backend := pipe(b, db)
 				s := core.NewPlatform().NewSession(backend, core.Config{Materialization: mode.m})
 				if _, _, err := s.Run(ctx, q); err != nil {
 					b.Fatal(err)
@@ -180,28 +193,30 @@ func BenchmarkMaterialization(b *testing.B) {
 }
 
 // BenchmarkResultPivot measures the row-oriented -> column-oriented result
-// conversion the paper describes in §4.2 (Hyper-Q buffers the PG v3 rows and
-// forms a single QIPC message).
+// conversion the paper describes in §4.2: PG v3 DataRow cells, as text,
+// decode into the column builders a session's TableSink pivots them with
+// into a single Q table.
 func BenchmarkResultPivot(b *testing.B) {
+	cols := []core.BackendCol{
+		{Name: "Symbol", SQLType: "varchar"},
+		{Name: "Price", SQLType: "double precision"},
+		{Name: "Size", SQLType: "bigint"},
+	}
+	row := [][]byte{[]byte("GOOG"), []byte("101.25"), []byte("400")}
 	for _, rows := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
-			res := &core.BackendResult{
-				Cols: []core.BackendCol{
-					{Name: "Symbol", SQLType: "varchar"},
-					{Name: "Price", SQLType: "double precision"},
-					{Name: "Size", SQLType: "bigint"},
-				},
-			}
-			for i := 0; i < rows; i++ {
-				res.Rows = append(res.Rows, []core.Field{
-					{Text: "GOOG"}, {Text: "101.25"}, {Text: "400"},
-				})
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ResultToQ(res); err != nil {
+				sink := core.GetTableSink()
+				if err := sink.Schema(cols, -1); err != nil {
 					b.Fatal(err)
 				}
+				for r := 0; r < rows; r++ {
+					if err := sink.WireRow(row); err != nil {
+						b.Fatal(err)
+					}
+				}
+				sink.Table()
+				sink.Release()
 			}
 		})
 	}
@@ -291,7 +306,7 @@ func BenchmarkAblationXformer(b *testing.B) {
 				stackFor(b, 5000)
 				db = benchStacks[5000]
 			}
-			backend := core.NewDirectBackend(db)
+			backend := pipe(b, db)
 			s := core.NewPlatform().NewSession(backend, core.Config{Xformer: c.cfg, MDITTL: 5 * time.Minute})
 			defer s.Close()
 			var sqlLen int
@@ -325,7 +340,7 @@ func BenchmarkAblationExecutionPruning(b *testing.B) {
 				stackFor(b, 5000)
 				db = benchStacks[5000]
 			}
-			backend := core.NewDirectBackend(db)
+			backend := pipe(b, db)
 			s := core.NewPlatform().NewSession(backend, core.Config{Xformer: c.cfg, MDITTL: 5 * time.Minute})
 			defer s.Close()
 			b.ResetTimer()

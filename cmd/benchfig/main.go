@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/taq"
 	"hyperq/internal/workload"
@@ -39,13 +40,15 @@ func main() {
 	flag.Parse()
 
 	db := pgdb.NewDB()
-	b := core.NewDirectBackend(db)
-	b.Delay = *delay
-	if _, err := workload.Setup(context.Background(), b, taq.Config{Seed: *seed, Trades: *trades, NumSymbols: *symbols}); err != nil {
+	gw, err := gateway.Pipe(context.Background(), db)
+	if err != nil {
+		log.Fatalf("backend: %v", err)
+	}
+	if _, err := workload.Setup(context.Background(), gw, taq.Config{Seed: *seed, Trades: *trades, NumSymbols: *symbols}); err != nil {
 		log.Fatalf("setup: %v", err)
 	}
 	p := core.NewPlatform()
-	s := p.NewSession(b, core.Config{MDITTL: 5 * time.Minute})
+	s := p.NewSession(delayed{Backend: gw, d: *delay}, core.Config{MDITTL: 5 * time.Minute})
 	defer s.Close()
 
 	ms, err := workload.RunAll(context.Background(), s, *reps)
@@ -61,6 +64,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "unknown figure; use 6 or 7")
 		os.Exit(2)
 	}
+}
+
+// delayed adds -delay before every statement a backend runs, modeling the
+// dispatch latency of a networked MPP backend.
+type delayed struct {
+	core.Backend
+	d time.Duration
+}
+
+func (b delayed) Exec(ctx context.Context, sql string) (*core.BackendResult, error) {
+	time.Sleep(b.d)
+	return b.Backend.Exec(ctx, sql)
+}
+
+func (b delayed) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
+	time.Sleep(b.d)
+	return b.Backend.ExecStream(ctx, sql, sink)
 }
 
 func printFigure6(ms []workload.Measurement) {

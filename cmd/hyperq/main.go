@@ -137,7 +137,12 @@ func run(ctx context.Context, o *options) (err error) {
 		if eng.Restored {
 			log.Printf("embedded backend restored from %s", o.engine.DataDir)
 		} else {
-			data, err := workload.Setup(ctx, core.NewDirectBackend(eng.DB), taq.Config{Seed: 1, Trades: o.trades})
+			loader, err := gateway.Pipe(ctx, eng.DB)
+			if err != nil {
+				return err
+			}
+			data, err := workload.Setup(ctx, loader, taq.Config{Seed: 1, Trades: o.trades})
+			loader.Close()
 			if err != nil {
 				return err
 			}
@@ -149,7 +154,9 @@ func run(ctx context.Context, o *options) (err error) {
 		Size: o.poolSize,
 		Dial: func(ctx context.Context) (pool.Conn, error) {
 			if eng != nil {
-				return core.NewDirectBackend(eng.DB), nil
+				// the served session outlives this checkout's context: the
+				// pool's Close ends it
+				return gateway.Pipe(context.Background(), eng.DB)
 			}
 			return gateway.Dial(ctx, o.backend, o.bUser, o.bPass, o.bDB)
 		},

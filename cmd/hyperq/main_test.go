@@ -1,14 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"io"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"hyperq/internal/config"
+	"hyperq/internal/qlang/qval"
+	"hyperq/internal/wire/qipc"
 )
 
 func parse(t *testing.T, args ...string) (*options, *flag.FlagSet) {
@@ -40,9 +45,10 @@ func TestEngineFlagsAreConfigs(t *testing.T) {
 }
 
 // TestBenchmarkFlags pins the flags bench/stack.go starts hyperq with, and
-// the whole flag set, so the options this binary dropped (-result-path,
-// -exec, -parallel, the checkpoint-layout, read-path and index-threshold flags, and the
-// scatter-gather cluster flags) stay dropped: the flag package exits 2 on them.
+// the whole flag set, so the options this binary dropped (the result pipeline
+// switch, -exec, -parallel, the checkpoint-layout, read-path and
+// index-threshold flags, and the scatter-gather cluster flags) stay dropped:
+// the flag package exits 2 on them.
 func TestBenchmarkFlags(t *testing.T) {
 	_, fs := parse(t)
 	for name, def := range map[string]string{"listen": "127.0.0.1:5010", "backend": ""} {
@@ -121,5 +127,67 @@ func TestStartupFailureCheckpoints(t *testing.T) {
 	}
 	if in.Store.ReplayedChanges() {
 		t.Error("reopen replayed WAL: the failed start exited without its final checkpoint")
+	}
+}
+
+// TestEmbeddedRepeatsQueryBytes sends one q query twice through -embedded —
+// pool, in-process gateway, pgdb — and requires identical QIPC replies.
+// With one pooled connection the second run gets binary cells from the
+// connection's describe cache, so the two replies crossed both cell formats.
+func TestEmbeddedRepeatsQueryBytes(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	o, fs := parse(t, "-listen", addr, "-embedded", "-trades", "300", "-pool-size", "1")
+	if err := o.validate(fs); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, o) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("run: %v", err)
+		}
+	}()
+
+	var conn net.Conn
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+	}
+	defer conn.Close()
+	if err := qipc.ClientHandshake(conn, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	const q = "select mx:max Price, vol:sum Size, n:count Price by Symbol from trades where Size>100"
+	var replies [2][]byte
+	for i := range replies {
+		if err := qipc.WriteMessage(conn, qipc.Sync, qval.CharVec(q)); err != nil {
+			t.Fatal(err)
+		}
+		var hdr [8]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		replies[i] = make([]byte, binary.LittleEndian.Uint32(hdr[4:]))
+		copy(replies[i], hdr[:])
+		if _, err := io.ReadFull(conn, replies[i][8:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, _, err := qipc.DecodeValue(replies[0][8:]); err != nil || v.Type() != qval.KTable || v.Len() == 0 {
+		t.Fatalf("reply %v (%v), want a table", v, err)
+	}
+	if !bytes.Equal(replies[0], replies[1]) {
+		t.Errorf("the rerun's reply differs: %d bytes, then %d bytes", len(replies[0]), len(replies[1]))
 	}
 }

@@ -15,7 +15,7 @@ import (
 	"syscall"
 
 	"hyperq/internal/config"
-	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/taq"
 	"hyperq/internal/wire/pgv3"
@@ -97,7 +97,12 @@ func run(ctx context.Context, o *options) (err error) {
 		log.Printf("stats on http://%s/debug/vars", eng.StatsAddr)
 	}
 	if o.demo && !eng.Restored { // a restored catalog wins over reseeding
-		data, err := workload.Setup(ctx, core.NewDirectBackend(eng.DB), taq.Config{Seed: o.seed, Trades: o.trades})
+		loader, err := gateway.Pipe(ctx, eng.DB)
+		if err != nil {
+			return err
+		}
+		data, err := workload.Setup(ctx, loader, taq.Config{Seed: o.seed, Trades: o.trades})
+		loader.Close()
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,9 @@
 // Command qdiff is the differential query fuzzer: it generates random typed
 // tables and random q-sql queries, runs each query through both the kdb+
 // substrate (package interp) and the Hyper-Q → SQL pipeline, and reports
-// every divergence (paper §5's side-by-side methodology, automated).
+// every divergence (paper §5's side-by-side methodology, automated). Hyper-Q
+// reads each result over PG v3 from the embedded engine in this process, and
+// runs each query twice so the rerun's binary cells are compared too.
 //
 //	qdiff -seed 1 -n 10000            # fuzz, exit 1 on any divergence
 //	qdiff -seed 1 -n 1000 -shrink     # minimize failures before reporting
@@ -18,7 +20,6 @@ import (
 	"os"
 
 	"hyperq/internal/config"
-	"hyperq/internal/core"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/sidebyside"
 )
@@ -29,7 +30,6 @@ func main() {
 	shrink := flag.Bool("shrink", false, "minimize failing cases before reporting")
 	out := flag.String("out", "", "directory to write failing cases as corpus JSON")
 	maxRows := flag.Int("maxrows", 0, "max fact-table rows (0 = generator default)")
-	resultPath := flag.String("result-path", "columnar", "session result pipeline under test: columnar or text")
 	persistMode := flag.Bool("persist", false, "disk-backed mode: checkpoint every dataset to splayed column files under a temporary -data-dir and force each query to fault its segments back from disk")
 	index := flag.Bool("index", false, "force-enable secondary indexes and load tables in halves around an index-building probe, so queries run against incrementally-maintained indexes")
 	exec := pgdb.ExecCompiled
@@ -41,17 +41,6 @@ func main() {
 	var engine config.Engine
 	engine.RegisterFlags(flag.CommandLine, "mem-budget")
 	flag.Parse()
-
-	var path core.ResultPath
-	switch *resultPath {
-	case "columnar":
-		path = core.ColumnarPath
-	case "text":
-		path = core.TextPath
-	default:
-		fmt.Fprintf(os.Stderr, "qdiff: unknown -result-path %q (want columnar or text)\n", *resultPath)
-		os.Exit(2)
-	}
 
 	if *persistMode {
 		dir, err := os.MkdirTemp("", "qdiff-persist-")
@@ -68,14 +57,13 @@ func main() {
 	}
 
 	rep, err := sidebyside.Fuzz(context.Background(), sidebyside.FuzzConfig{
-		Seed:       *seed,
-		N:          *n,
-		Shrink:     *shrink,
-		MaxRows:    *maxRows,
-		Engine:     engine,
-		Exec:       exec,
-		ResultPath: path,
-		Index:      *index,
+		Seed:    *seed,
+		N:       *n,
+		Shrink:  *shrink,
+		MaxRows: *maxRows,
+		Engine:  engine,
+		Exec:    exec,
+		Index:   *index,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qdiff:", err)

@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
@@ -58,7 +59,10 @@ func main() {
 		}
 	case *viaHQ:
 		db := pgdb.NewDB()
-		b := core.NewDirectBackend(db)
+		b, err := gateway.Pipe(context.Background(), db)
+		if err != nil {
+			log.Fatalf("embedded backend: %v", err)
+		}
 		if *demo {
 			loadDemo(b)
 		}

@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/sidebyside"
@@ -31,7 +32,10 @@ func main() {
 	// the two worlds: a kdb+ substrate and a Hyper-Q session over SQL
 	kdb := interp.New()
 	db := pgdb.NewDB()
-	backend := core.NewDirectBackend(db)
+	backend, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	session := core.NewPlatform().NewSession(backend, core.Config{})
 	defer session.Close()
 

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 	"hyperq/internal/taq"
@@ -22,7 +23,10 @@ import (
 func main() {
 	ctx := context.Background()
 	db := pgdb.NewDB()
-	backend := core.NewDirectBackend(db)
+	backend, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// a bigger "historical" data set than a single in-memory day
 	if _, err := workload.Setup(ctx, backend, taq.Config{Seed: 7, Trades: 30000}); err != nil {
 		log.Fatal(err)

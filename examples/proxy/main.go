@@ -28,7 +28,10 @@ import (
 func main() {
 	// --- backend: embedded engine behind a PG v3 server with MD5 auth ---
 	db := pgdb.NewDB()
-	loader := core.NewDirectBackend(db)
+	loader, err := gateway.Pipe(context.Background(), db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	data := taq.Generate(taq.Config{Seed: 5, Trades: 5000})
 	for _, t := range []struct {
 		name string
@@ -38,6 +41,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+	loader.Close()
 	pgL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -1,5 +1,6 @@
 // Quickstart: translate a Q query to SQL and run it end-to-end against the
-// embedded PostgreSQL-dialect backend, entirely in-process.
+// embedded PostgreSQL-dialect backend, entirely in-process (the session
+// reads its results over PG v3 from an in-process gateway).
 //
 //	go run ./examples/quickstart
 package main
@@ -10,6 +11,7 @@ import (
 	"log"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 )
@@ -18,7 +20,10 @@ func main() {
 	ctx := context.Background()
 	// 1. Start an embedded PG-compatible backend and load a Q table into it.
 	db := pgdb.NewDB()
-	backend := core.NewDirectBackend(db)
+	backend, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		log.Fatal(err)
+	}
 	trades := qval.NewTable(
 		[]string{"Symbol", "Time", "Price", "Size"},
 		[]qval.Value{

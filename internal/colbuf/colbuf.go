@@ -85,9 +85,8 @@ func (b *TableBuilder) Release() {
 }
 
 // Reset configures the builder for a new result. capHint, when positive,
-// preallocates each kept column for that many rows (the Direct backend knows
-// the exact count; wire backends pass the running estimate of the first
-// batch or 0).
+// preallocates each kept column for that many rows (a wire result does not
+// announce its size, so sessions pass -1).
 func (b *TableBuilder) Reset(specs []Spec, capHint int) {
 	b.specs = specs
 	b.rows = 0
@@ -165,84 +164,6 @@ func (b *TableBuilder) AppendNull(j int) {
 	default:
 		c.syms = append(c.syms, "")
 	}
-}
-
-// AppendBool appends a boolean cell to column j (which must be KBool).
-func (b *TableBuilder) AppendBool(j int, v bool) {
-	if b.specs[j].Discard {
-		return
-	}
-	b.cols[j].bools = append(b.cols[j].bools, v)
-}
-
-// AppendInt appends an integral cell to column j, narrowing with the same
-// range checks the text path's ParseInt applies. Temporal columns take the
-// raw magnitude: the embedded engine stores temporals in exactly the kdb+
-// units (days / ms / ns), so the copy is unit-exact.
-func (b *TableBuilder) AppendInt(j int, v int64) error {
-	sp := b.specs[j]
-	if sp.Discard {
-		return nil
-	}
-	c := &b.cols[j]
-	switch sp.QType {
-	case qval.KShort:
-		if v < math.MinInt16 || v > math.MaxInt16 {
-			return fmt.Errorf("value %d out of range for smallint", v)
-		}
-		c.i16 = append(c.i16, int16(v))
-	case qval.KInt:
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return fmt.Errorf("value %d out of range for integer", v)
-		}
-		c.i32 = append(c.i32, int32(v))
-	case qval.KLong, qval.KDate, qval.KTime, qval.KTimestamp:
-		c.i64 = append(c.i64, v)
-	case qval.KReal:
-		c.f32 = append(c.f32, float32(v))
-	case qval.KFloat:
-		c.f64 = append(c.f64, float64(v))
-	default:
-		return fmt.Errorf("integer value in %s column", qval.TypeName(sp.QType))
-	}
-	return nil
-}
-
-// AppendFloat appends a float cell to column j (KReal narrows to float32).
-// NaN is canonicalized to the float null bit pattern, matching what the text
-// path produces when it re-parses "NaN".
-func (b *TableBuilder) AppendFloat(j int, v float64) error {
-	sp := b.specs[j]
-	if sp.Discard {
-		return nil
-	}
-	c := &b.cols[j]
-	switch sp.QType {
-	case qval.KReal:
-		if math.IsNaN(v) {
-			c.f32 = append(c.f32, float32(math.NaN()))
-		} else {
-			c.f32 = append(c.f32, float32(v))
-		}
-	case qval.KFloat:
-		if math.IsNaN(v) {
-			c.f64 = append(c.f64, math.NaN())
-		} else {
-			c.f64 = append(c.f64, v)
-		}
-	default:
-		return fmt.Errorf("float value in %s column", qval.TypeName(sp.QType))
-	}
-	return nil
-}
-
-// AppendSym appends a symbol cell to column j (which must be KSymbol or any
-// type colbuf does not model numerically).
-func (b *TableBuilder) AppendSym(j int, s string) {
-	if b.specs[j].Discard {
-		return
-	}
-	b.cols[j].syms = append(b.cols[j].syms, s)
 }
 
 // AppendText decodes a PG text-format cell into column j with the same

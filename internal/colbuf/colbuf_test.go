@@ -1,6 +1,7 @@
 package colbuf
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -29,35 +30,15 @@ func TestBuildTypedVectors(t *testing.T) {
 		{Name: "p", QType: qval.KTimestamp},
 	}
 	b.Reset(specs, 4)
-	for r := 0; r < 2; r++ {
-		if err := b.AppendInt(0, int64(r)); err != nil {
-			t.Fatal(err)
-		}
-		b.AppendBool(1, r == 0)
-		if err := b.AppendInt(2, int64(10+r)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AppendInt(3, int64(100+r)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AppendInt(4, int64(1000+r)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AppendFloat(5, 1.5+float64(r)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AppendFloat(6, 2.5+float64(r)); err != nil {
-			t.Fatal(err)
-		}
-		b.AppendSym(7, fmt.Sprintf("s%d", r))
-		if err := b.AppendInt(8, int64(r)); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AppendInt(9, int64(r)*1000); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AppendInt(10, int64(r)*1e9); err != nil {
-			t.Fatal(err)
+	rows := [][]string{
+		{"0", "t", "10", "100", "1000", "1.5", "2.5", "s0", "2000-01-01", "00:00:00.000", "2000-01-01 00:00:00"},
+		{"1", "f", "11", "101", "1001", "2.5", "3.5", "s1", "2000-01-02", "00:00:01.000", "2000-01-01 00:00:01"},
+	}
+	for _, row := range rows {
+		for j, cell := range row {
+			if err := b.AppendText(j, []byte(cell)); err != nil {
+				t.Fatalf("column %s: %v", specs[j].Name, err)
+			}
 		}
 		b.FinishRow()
 	}
@@ -156,7 +137,7 @@ func TestBuildAllDiscardedIsNil(t *testing.T) {
 	b := Get()
 	defer b.Release()
 	b.Reset([]Spec{{Name: "ord", QType: qval.KLong, Discard: true}}, 0)
-	if err := b.AppendInt(0, 7); err != nil {
+	if err := b.AppendText(0, []byte("7")); err != nil {
 		t.Fatal(err)
 	}
 	b.FinishRow()
@@ -170,16 +151,16 @@ func TestAppendIntRange(t *testing.T) {
 	b := Get()
 	defer b.Release()
 	b.Reset([]Spec{{Name: "h", QType: qval.KShort}, {Name: "i", QType: qval.KInt}}, 0)
-	if err := b.AppendInt(0, math.MaxInt16+1); err == nil {
+	if err := b.AppendText(0, []byte("32768")); err == nil {
 		t.Error("short overflow not detected")
 	}
-	if err := b.AppendInt(1, math.MinInt32-1); err == nil {
+	if err := b.AppendText(1, []byte("-2147483649")); err == nil {
 		t.Error("int underflow not detected")
 	}
-	if err := b.AppendInt(0, math.MinInt16); err != nil {
+	if err := b.AppendText(0, []byte("-32768")); err != nil {
 		t.Error(err)
 	}
-	if err := b.AppendInt(1, math.MaxInt32); err != nil {
+	if err := b.AppendText(1, []byte("2147483647")); err != nil {
 		t.Error(err)
 	}
 }
@@ -189,8 +170,9 @@ func TestAppendFloatNaNCanonical(t *testing.T) {
 	defer b.Release()
 	b.Reset([]Spec{{Name: "f", QType: qval.KFloat}}, 0)
 	// an arithmetic NaN with a different payload from math.NaN()
-	weird := math.Float64frombits(0x7FF8000000000000)
-	if err := b.AppendFloat(0, weird); err != nil {
+	var weird [8]byte
+	binary.BigEndian.PutUint64(weird[:], 0x7FF8000000000000)
+	if err := b.AppendBinary(0, weird[:]); err != nil {
 		t.Fatal(err)
 	}
 	_, data := b.Build()
@@ -408,7 +390,7 @@ func TestAppendTextPerColumnDecode(t *testing.T) {
 func TestPoolReuseIsolation(t *testing.T) {
 	b := Get()
 	b.Reset([]Spec{{Name: "j", QType: qval.KLong}}, 2)
-	if err := b.AppendInt(0, 1); err != nil {
+	if err := b.AppendText(0, []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	b.FinishRow()
@@ -417,7 +399,7 @@ func TestPoolReuseIsolation(t *testing.T) {
 
 	b2 := Get()
 	b2.Reset([]Spec{{Name: "j", QType: qval.KLong}}, 2)
-	if err := b2.AppendInt(0, 99); err != nil {
+	if err := b2.AppendText(0, []byte("99")); err != nil {
 		t.Fatal(err)
 	}
 	b2.FinishRow()

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"hyperq/internal/pgdb"
 )
@@ -36,15 +35,19 @@ type BackendResult struct {
 	Tag  string
 }
 
-// Backend abstracts the PostgreSQL-compatible database behind Hyper-Q. The
-// in-process implementation runs the embedded pgdb engine directly; the
-// networked implementation is the Gateway speaking PG v3 over TCP (§3.1).
+// Backend abstracts the PostgreSQL-compatible database behind Hyper-Q. It
+// is implemented by the PG v3 gateway (package gateway), over TCP to a
+// networked server or over a socket pair to the embedded engine in this
+// process (§3.1), and by wrappers around gateways such as the pool's
+// SessionBackend. A session runs every query through ExecStream, so each
+// result it reads crossed the wire.
 // The context on every call is the request's: its deadline bounds the
-// statement (mapped onto socket I/O by networked backends, polled at
-// row-batch boundaries by the embedded engine) and its cancellation aborts
-// execution with an error satisfying errors.Is(err, ctx.Err()).
+// statement (mapped onto socket I/O) and its cancellation aborts execution
+// with an error satisfying errors.Is(err, ctx.Err()).
 type Backend interface {
-	// Exec runs one SQL statement under ctx.
+	StreamBackend
+	// Exec runs one SQL statement under ctx and returns its whole result in
+	// text form (DDL, loading).
 	Exec(ctx context.Context, sql string) (*BackendResult, error)
 	// QueryCatalog runs a metadata query under ctx, returning text rows
 	// (MDI use).
@@ -53,12 +56,13 @@ type Backend interface {
 	Close() error
 }
 
-// DirectBackend runs SQL against an embedded pgdb session in-process.
+// DirectBackend runs SQL against an embedded pgdb session in-process,
+// returning engine results untouched. It is not a Backend: sessions reach
+// the embedded engine through gateway.Pipe. Its last caller is the
+// benchmark's traced replay (bench/tracedrun.go), which times the engine
+// alone.
 type DirectBackend struct {
 	session *pgdb.Session
-	// Delay injects artificial per-statement latency, used by benchmarks to
-	// model a networked MPP backend.
-	Delay time.Duration
 }
 
 // NewDirectBackend opens a session on an embedded database.
@@ -66,94 +70,21 @@ func NewDirectBackend(db *pgdb.DB) *DirectBackend {
 	return &DirectBackend{session: db.NewSession()}
 }
 
-// Exec implements Backend. The artificial Delay models a networked
-// backend's data motion, so cancellation interrupts it the way it would
-// abort in-flight I/O.
-func (b *DirectBackend) Exec(ctx context.Context, sql string) (*BackendResult, error) {
-	if b.Delay > 0 {
-		timer := time.NewTimer(b.Delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		}
-	}
-	res, err := b.session.ExecContext(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	return ToBackendResult(res), nil
-}
-
-// ExecStream implements StreamBackend: engine-typed values flow straight
-// into the sink with no text rendering. The artificial Delay applies as in
-// Exec.
-func (b *DirectBackend) ExecStream(ctx context.Context, sql string, sink RowSink) error {
-	if b.Delay > 0 {
-		timer := time.NewTimer(b.Delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return ctx.Err()
-		}
-	}
-	res, err := b.session.ExecContext(ctx, sql)
-	if err != nil {
-		return err
-	}
-	return FeedResult(ctx, res, sink)
-}
-
 // ExecTyped runs sql and returns the engine result itself, its Go values
-// untouched by any rendering. The artificial Delay applies as in Exec.
+// untouched by any rendering.
 func (b *DirectBackend) ExecTyped(ctx context.Context, sql string) (*pgdb.Result, error) {
-	if b.Delay > 0 {
-		timer := time.NewTimer(b.Delay)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return nil, ctx.Err()
-		}
-	}
 	return b.session.ExecContext(ctx, sql)
 }
 
-// QueryCatalog implements Backend.
-func (b *DirectBackend) QueryCatalog(ctx context.Context, sql string) ([][]string, error) {
-	res, err := b.session.ExecContext(ctx, sql)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		r := make([]string, len(row))
-		for j, v := range row {
-			r[j] = pgdb.FormatValue(v, res.Cols[j].Type)
-		}
-		out[i] = r
-	}
-	return out, nil
-}
-
-// Ping reports whether the backend session is usable (pool health checks).
-// It bypasses the artificial Delay — a health probe models no data motion.
-func (b *DirectBackend) Ping() error {
-	_, err := b.session.Exec("SELECT 1")
-	return err
-}
-
-// Close implements Backend.
+// Close ends the session.
 func (b *DirectBackend) Close() error {
 	b.session.Close()
 	return nil
 }
 
-// ToBackendResult renders an embedded-engine result into the text form the
-// materialized path consumes — the conversion the columnar pipeline's
-// ExecStream avoids (kept as the fallback and as the benchmark baseline).
+// ToBackendResult renders an embedded-engine result into the text rows a
+// PG v3 server would send. Its last caller is the benchmark's traced replay
+// (bench/tracedrun.go).
 func ToBackendResult(res *pgdb.Result) *BackendResult {
 	out := &BackendResult{Tag: res.Tag}
 	for _, c := range res.Cols {

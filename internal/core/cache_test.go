@@ -1,19 +1,20 @@
-package core
+package core_test
 
 import (
 	"sync"
 	"testing"
 
+	"hyperq/internal/core"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qcache"
 	"hyperq/internal/qlang/qval"
 )
 
 // newCachedStack is newStack plus a shared query cache.
-func newCachedStack(t *testing.T) (*Platform, *Session, Backend, *qcache.Cache) {
+func newCachedStack(t *testing.T) (*core.Platform, *core.Session, core.Backend, *qcache.Cache) {
 	t.Helper()
 	cache := qcache.New(64)
-	p, s, b := newStack(t, Config{Cache: cache})
+	p, s, b := newStack(t, core.Config{Cache: cache})
 	return p, s, b, cache
 }
 
@@ -104,7 +105,7 @@ func TestCacheInvalidatesOnSessionVariableChange(t *testing.T) {
 }
 
 func TestCacheInvalidatesOnServerScopeChange(t *testing.T) {
-	p, s, b, _ := newCachedStack(t)
+	p, s, b, cache := newCachedStack(t)
 	if _, _, err := s.Run(ctx, "lim:: 100.5"); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestCacheInvalidatesOnServerScopeChange(t *testing.T) {
 	runQ(t, s, q)
 
 	// a second session mutating the server scope invalidates for everyone
-	s2 := p.NewSession(b, Config{Cache: s.cache})
+	s2 := p.NewSession(b, core.Config{Cache: cache})
 	defer s2.Close()
 	if _, _, err := s2.Run(ctx, "lim:: 150.5"); err != nil {
 		t.Fatal(err)
@@ -130,7 +131,7 @@ func TestCacheInvalidatesOnDDL(t *testing.T) {
 	_, s, b, _ := newCachedStack(t)
 	const q = "select from minidata"
 	small := qval.NewTable([]string{"A"}, []qval.Value{qval.LongVec{1, 2}})
-	if err := LoadQTable(ctx, b, "minidata", small); err != nil {
+	if err := core.LoadQTable(ctx, b, "minidata", small); err != nil {
 		t.Fatal(err)
 	}
 	first := runQ(t, s, q)
@@ -143,7 +144,7 @@ func TestCacheInvalidatesOnDDL(t *testing.T) {
 		t.Fatal(err)
 	}
 	wide := qval.NewTable([]string{"A", "B"}, []qval.Value{qval.LongVec{1, 2}, qval.FloatVec{0.5, 1.5}})
-	if err := LoadQTable(ctx, b, "minidata", wide); err != nil {
+	if err := core.LoadQTable(ctx, b, "minidata", wide); err != nil {
 		t.Fatal(err)
 	}
 	s.MDI().InvalidateAll()
@@ -171,7 +172,7 @@ func TestCacheSharedAcrossSessions(t *testing.T) {
 		t.Fatal("first session run is cold")
 	}
 
-	s2 := p.NewSession(b, Config{Cache: cache})
+	s2 := p.NewSession(b, core.Config{Cache: cache})
 	defer s2.Close()
 	v2, stats2, err := s2.Run(ctx, q)
 	if err != nil {
@@ -189,20 +190,20 @@ func TestCachePrivateStateNotShared(t *testing.T) {
 	// two sessions with identical-looking private histories must not
 	// collide: their variables are backed by different temp tables
 	db := pgdb.NewDB()
-	loader := NewDirectBackend(db)
+	loader := pipe(t, db)
 	trades := qval.NewTable([]string{"P"}, []qval.Value{qval.FloatVec{1, 2, 3}})
 	quotes := qval.NewTable([]string{"P"}, []qval.Value{qval.FloatVec{10, 20}})
-	if err := LoadQTable(ctx, loader, "trades", trades); err != nil {
+	if err := core.LoadQTable(ctx, loader, "trades", trades); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadQTable(ctx, loader, "quotes", quotes); err != nil {
+	if err := core.LoadQTable(ctx, loader, "quotes", quotes); err != nil {
 		t.Fatal(err)
 	}
 	cache := qcache.New(64)
-	p := NewPlatform()
-	s1 := p.NewSession(NewDirectBackend(db), Config{Cache: cache})
+	p := core.NewPlatform()
+	s1 := p.NewSession(pipe(t, db), core.Config{Cache: cache})
 	defer s1.Close()
-	s2 := p.NewSession(NewDirectBackend(db), Config{Cache: cache})
+	s2 := p.NewSession(pipe(t, db), core.Config{Cache: cache})
 	defer s2.Close()
 
 	if _, _, err := s1.Run(ctx, "x: select from trades"); err != nil {
@@ -326,25 +327,29 @@ func TestCacheConcurrentIdenticalQueriesTranslateOnce(t *testing.T) {
 	// N sessions fire the same query concurrently; single-flight ensures
 	// one translation, and every session gets the right rows
 	db := pgdb.NewDB()
-	loader := NewDirectBackend(db)
+	loader := pipe(t, db)
 	trades := qval.NewTable([]string{"Symbol", "Price"}, []qval.Value{
 		qval.SymbolVec{"GOOG", "IBM", "GOOG"}, qval.FloatVec{100, 150, 101},
 	})
-	if err := LoadQTable(ctx, loader, "trades", trades); err != nil {
+	if err := core.LoadQTable(ctx, loader, "trades", trades); err != nil {
 		t.Fatal(err)
 	}
 	cache := qcache.New(64)
-	p := NewPlatform()
+	p := core.NewPlatform()
 	const q = "select Price from trades where Symbol=`GOOG"
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	lens := make([]int, n)
+	backends := make([]core.Backend, n)
+	for i := range backends {
+		backends[i] = pipe(t, db)
+	}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := p.NewSession(NewDirectBackend(db), Config{Cache: cache})
+			s := p.NewSession(backends[i], core.Config{Cache: cache})
 			defer s.Close()
 			v, _, err := s.Run(ctx, q)
 			if err != nil {

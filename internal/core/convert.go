@@ -14,7 +14,9 @@ import (
 // ResultToQ pivots a row-oriented backend result into a column-oriented Q
 // table (paper §4.2: Hyper-Q buffers the streamed rows, then extracts
 // columns to form the single QIPC message). The implicit order column is
-// stripped — it is translation plumbing, not application data.
+// stripped — it is translation plumbing, not application data. Sessions
+// build tables with TableSink instead; this independent text parser stays as
+// the oracle gateway's TestBinaryCellsMatchText holds binary cells to.
 func ResultToQ(res *BackendResult) (*qval.Table, error) {
 	var cols []string
 	var keep []int

@@ -1,21 +1,39 @@
-package core
+package core_test
 
 import (
 	"context"
 	"strings"
 	"testing"
 
+	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 	"hyperq/internal/xformer"
 )
 
+// pipe opens an in-process gateway to db, closed when the test ends.
+func pipe(t testing.TB, db *pgdb.DB) core.Backend {
+	t.Helper()
+	b, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	return b
+}
+
 // newStack builds a platform + session over a fresh embedded backend loaded
 // with small trades/quotes tables.
-func newStack(t *testing.T, cfg Config) (*Platform, *Session, Backend) {
+func newStack(t *testing.T, cfg core.Config) (*core.Platform, *core.Session, core.Backend) {
 	t.Helper()
-	db := pgdb.NewDB()
-	b := NewDirectBackend(db)
+	return newStackOn(t, pgdb.NewDB(), cfg)
+}
+
+// newStackOn is newStack over db.
+func newStackOn(t *testing.T, db *pgdb.DB, cfg core.Config) (*core.Platform, *core.Session, core.Backend) {
+	t.Helper()
+	b := pipe(t, db)
 	trades := qval.NewTable(
 		[]string{"Symbol", "Time", "Price", "Size"},
 		[]qval.Value{
@@ -32,13 +50,13 @@ func newStack(t *testing.T, cfg Config) (*Platform, *Session, Backend) {
 			qval.FloatVec{99.5, 100.5, 149.5, 101.5},
 			qval.FloatVec{100.5, 101.5, 150.5, 102.5},
 		})
-	if err := LoadQTable(ctx, b, "trades", trades); err != nil {
+	if err := core.LoadQTable(ctx, b, "trades", trades); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadQTable(ctx, b, "quotes", quotes); err != nil {
+	if err := core.LoadQTable(ctx, b, "quotes", quotes); err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlatform()
+	p := core.NewPlatform()
 	s := p.NewSession(b, cfg)
 	t.Cleanup(func() { s.Close() })
 	return p, s, b
@@ -47,7 +65,7 @@ func newStack(t *testing.T, cfg Config) (*Platform, *Session, Backend) {
 // ctx for test queries: the happy path carries no deadline.
 var ctx = context.Background()
 
-func runQ(t *testing.T, s *Session, q string) *qval.Table {
+func runQ(t *testing.T, s *core.Session, q string) *qval.Table {
 	t.Helper()
 	v, _, err := s.Run(ctx, q)
 	if err != nil {
@@ -61,7 +79,7 @@ func runQ(t *testing.T, s *Session, q string) *qval.Table {
 }
 
 func TestSelectAllThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "select from trades")
 	if tbl.Len() != 5 || tbl.NumCols() != 4 {
 		t.Fatalf("shape %dx%d: %v", tbl.Len(), tbl.NumCols(), tbl.Cols)
@@ -78,7 +96,7 @@ func TestSelectAllThroughStack(t *testing.T) {
 }
 
 func TestSelectWhereThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "select Price from trades where Symbol=`GOOG")
 	p, _ := tbl.Column("Price")
 	if !qval.EqualValues(p, qval.FloatVec{100, 101, 102}) {
@@ -87,7 +105,7 @@ func TestSelectWhereThroughStack(t *testing.T) {
 }
 
 func TestColumnExpressionAndRename(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "select Notional:Price*Size, Symbol from trades where Symbol=`IBM")
 	n, ok := tbl.Column("Notional")
 	if !ok {
@@ -99,7 +117,7 @@ func TestColumnExpressionAndRename(t *testing.T) {
 }
 
 func TestAggregationThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "select max Price from trades")
 	if tbl.Len() != 1 {
 		t.Fatalf("agg rows = %d", tbl.Len())
@@ -111,7 +129,7 @@ func TestAggregationThroughStack(t *testing.T) {
 }
 
 func TestGroupByThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "select mx:max Price, tot:sum Size by Symbol from trades")
 	if tbl.Len() != 2 {
 		t.Fatalf("groups = %d", tbl.Len())
@@ -129,7 +147,7 @@ func TestGroupByThroughStack(t *testing.T) {
 
 func TestPaperExample1AsOfJoin(t *testing.T) {
 	// Example 1: prevailing quote as of each trade.
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "aj[`Symbol`Time; trades; quotes]")
 	if tbl.Len() != 5 {
 		t.Fatalf("aj rows = %d", tbl.Len())
@@ -148,14 +166,14 @@ func TestPaperExample1AsOfJoin(t *testing.T) {
 }
 
 func TestAsOfJoinUnmatchedYieldsNull(t *testing.T) {
-	_, s, b := newStack(t, Config{})
+	_, s, b := newStack(t, core.Config{})
 	early := qval.NewTable(
 		[]string{"Symbol", "Time"},
 		[]qval.Value{
 			qval.SymbolVec{"MSFT"},
 			qval.TemporalVec{T: qval.KTime, V: []int64{34200000}},
 		})
-	if err := LoadQTable(ctx, b, "early", early); err != nil {
+	if err := core.LoadQTable(ctx, b, "early", early); err != nil {
 		t.Fatal(err)
 	}
 	tbl := runQ(t, s, "aj[`Symbol`Time; early; quotes]")
@@ -167,7 +185,7 @@ func TestAsOfJoinUnmatchedYieldsNull(t *testing.T) {
 
 func TestPaperExample3FunctionUnrolling(t *testing.T) {
 	// Example 3: function with a local variable, eager materialization.
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	src := "f:{[Sym] dt: select Price from trades where Symbol=Sym; :select max Price from dt;}"
 	if _, _, err := s.Run(ctx, src); err != nil {
 		t.Fatal(err)
@@ -187,7 +205,7 @@ func TestPaperExample3FunctionUnrolling(t *testing.T) {
 
 func TestEagerMaterializationEmitsTempTables(t *testing.T) {
 	// paper §4.3: translating Example 3 produces CREATE TEMPORARY TABLE.
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	src := "f:{[Sym] dt: select Price from trades where Symbol=Sym; :select max Price from dt;}"
 	if _, _, err := s.Run(ctx, src); err != nil {
 		t.Fatal(err)
@@ -215,7 +233,7 @@ func TestEagerMaterializationEmitsTempTables(t *testing.T) {
 }
 
 func TestScalarVariableBinding(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "SOMEPRICE:150.5; select from trades where Price>SOMEPRICE")
 	if tbl.Len() != 1 {
 		t.Fatalf("rows = %d", tbl.Len())
@@ -223,7 +241,7 @@ func TestScalarVariableBinding(t *testing.T) {
 }
 
 func TestSymbolListVariableWithIn(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "SYMLIST:`GOOG`MSFT; select from trades where Symbol in SYMLIST")
 	if tbl.Len() != 3 {
 		t.Fatalf("rows = %d", tbl.Len())
@@ -231,7 +249,7 @@ func TestSymbolListVariableWithIn(t *testing.T) {
 }
 
 func TestUpdateDoesNotPersistThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "update Price:2*Price from trades where Symbol=`IBM")
 	p, _ := tbl.Column("Price")
 	if !qval.EqualValues(p, qval.FloatVec{100, 300, 101, 302, 102}) {
@@ -246,7 +264,7 @@ func TestUpdateDoesNotPersistThroughStack(t *testing.T) {
 }
 
 func TestDeleteTemplateThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "delete from trades where Symbol=`IBM")
 	if tbl.Len() != 3 {
 		t.Fatalf("delete rows left %d", tbl.Len())
@@ -258,13 +276,14 @@ func TestDeleteTemplateThroughStack(t *testing.T) {
 }
 
 func TestSessionVariablePromotionOnClose(t *testing.T) {
-	p, s, b := newStack(t, Config{})
+	db := pgdb.NewDB()
+	p, s, _ := newStackOn(t, db, core.Config{})
 	if _, _, err := s.Run(ctx, "g:{[x] :select from trades where Symbol=x;}"); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	// a new session sees the promoted server variable (paper §3.2.3)
-	s2 := p.NewSession(b, Config{})
+	s2 := p.NewSession(pipe(t, db), core.Config{})
 	tbl := runQ(t, s2, "g[`IBM]")
 	if tbl.Len() != 2 {
 		t.Fatalf("promoted fn rows = %d", tbl.Len())
@@ -272,7 +291,7 @@ func TestSessionVariablePromotionOnClose(t *testing.T) {
 }
 
 func TestLocalScopeShadowsGlobal(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	if _, _, err := s.Run(ctx, "cut:100.5"); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +305,7 @@ func TestLocalScopeShadowsGlobal(t *testing.T) {
 }
 
 func TestKdbStyleErrors(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	_, _, err := s.Run(ctx, "select from nosuchtable")
 	if err == nil || !strings.Contains(err.Error(), "nosuchtable") {
 		t.Fatalf("unknown table error = %v", err)
@@ -302,7 +321,7 @@ func TestKdbStyleErrors(t *testing.T) {
 }
 
 func TestTranslateOnlyTimesStages(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	sql, stats, err := s.Translate(ctx, "select mx:max Price by Symbol from trades where Size>15")
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +339,7 @@ func TestTranslateOnlyTimesStages(t *testing.T) {
 
 func TestNullSemanticsAblation(t *testing.T) {
 	// with NullSemantics disabled, equality serializes as plain '='
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	sqlOn, _, err := s.Translate(ctx, "select from trades where Symbol=`GOOG")
 	if err != nil {
 		t.Fatal(err)
@@ -329,13 +348,13 @@ func TestNullSemanticsAblation(t *testing.T) {
 		t.Fatalf("expected null-safe equality: %s", sqlOn)
 	}
 	db := pgdb.NewDB()
-	b := NewDirectBackend(db)
+	b := pipe(t, db)
 	trades := qval.NewTable([]string{"Symbol"}, []qval.Value{qval.SymbolVec{"A"}})
-	if err := LoadQTable(ctx, b, "trades", trades); err != nil {
+	if err := core.LoadQTable(ctx, b, "trades", trades); err != nil {
 		t.Fatal(err)
 	}
-	p2 := NewPlatform()
-	s2 := p2.NewSession(b, Config{Xformer: xformerOff()})
+	p2 := core.NewPlatform()
+	s2 := p2.NewSession(b, core.Config{Xformer: xformerOff()})
 	defer s2.Close()
 	sqlOff, _, err := s2.Translate(ctx, "select from trades where Symbol=`GOOG")
 	if err != nil {
@@ -351,7 +370,7 @@ func TestColumnPruningShrinksSQL(t *testing.T) {
 	// pruning trims it; a 60-column left table queried for one column
 	// should not drag all 60 columns through the subquery
 	db := pgdb.NewDB()
-	b := NewDirectBackend(db)
+	b := pipe(t, db)
 	cols := make([]string, 61)
 	data := make([]qval.Value, 61)
 	cols[0] = "k"
@@ -361,21 +380,21 @@ func TestColumnPruningShrinksSQL(t *testing.T) {
 		data[i] = qval.LongVec{1, 2, 3}
 	}
 	wide := qval.NewTable(cols, data)
-	if err := LoadQTable(ctx, b, "widet", wide); err != nil {
+	if err := core.LoadQTable(ctx, b, "widet", wide); err != nil {
 		t.Fatal(err)
 	}
 	side := qval.NewTable([]string{"k", "extra"}, []qval.Value{qval.LongVec{1, 2}, qval.LongVec{10, 20}})
-	if err := LoadQTable(ctx, b, "sidet", side); err != nil {
+	if err := core.LoadQTable(ctx, b, "sidet", side); err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlatform()
-	s := p.NewSession(b, Config{})
+	p := core.NewPlatform()
+	s := p.NewSession(b, core.Config{})
 	defer s.Close()
 	sqlPruned, _, err := s.Translate(ctx, "select caa, extra from widet lj sidet")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := p.NewSession(NewDirectBackend(db), Config{Xformer: pruneOff()})
+	s2 := p.NewSession(pipe(t, db), core.Config{Xformer: pruneOff()})
 	defer s2.Close()
 	sqlFull, _, err := s2.Translate(ctx, "select caa, extra from widet lj sidet")
 	if err != nil {
@@ -389,18 +408,18 @@ func TestColumnPruningShrinksSQL(t *testing.T) {
 
 func TestResultPivotRoundTrip(t *testing.T) {
 	// row-oriented backend result -> column-oriented Q table (paper §4.2)
-	res := &BackendResult{
-		Cols: []BackendCol{
+	res := &core.BackendResult{
+		Cols: []core.BackendCol{
 			{Name: "c1", SQLType: "bigint"},
 			{Name: "c2", SQLType: "varchar"},
 			{Name: "c3", SQLType: "double precision"},
 		},
-		Rows: [][]Field{
+		Rows: [][]core.Field{
 			{{Text: "1"}, {Text: "a"}, {Text: "1.5"}},
 			{{Text: "2"}, {Null: true}, {Null: true}},
 		},
 	}
-	tbl, err := ResultToQ(res)
+	tbl, err := core.ResultToQ(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +434,7 @@ func TestResultPivotRoundTrip(t *testing.T) {
 }
 
 func TestLogicalMaterializationUsesViews(t *testing.T) {
-	_, s, _ := newStack(t, Config{Materialization: Logical})
+	_, s, _ := newStack(t, core.Config{Materialization: core.Logical})
 	_, stats, err := s.Run(ctx, "gg: select from trades where Symbol=`GOOG; select count Price from gg")
 	if err != nil {
 		t.Fatal(err)
@@ -445,11 +464,11 @@ func pruneOff() (c xformerConfig) {
 type xformerConfig = xformer.Config
 
 func TestUnionJoinThroughStack(t *testing.T) {
-	_, s, b := newStack(t, Config{})
+	_, s, b := newStack(t, core.Config{})
 	extra := qval.NewTable(
 		[]string{"Symbol", "Venue"},
 		[]qval.Value{qval.SymbolVec{"MSFT"}, qval.SymbolVec{"DARK"}})
-	if err := LoadQTable(ctx, b, "extra", extra); err != nil {
+	if err := core.LoadQTable(ctx, b, "extra", extra); err != nil {
 		t.Fatal(err)
 	}
 	tbl := runQ(t, s, "trades uj extra")
@@ -477,7 +496,7 @@ func TestUnionJoinThroughStack(t *testing.T) {
 }
 
 func TestSortVerbThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "`Price xasc trades")
 	p, _ := tbl.Column("Price")
 	if !qval.EqualValues(p, qval.FloatVec{100, 101, 102, 150, 151}) {
@@ -491,7 +510,7 @@ func TestSortVerbThroughStack(t *testing.T) {
 }
 
 func TestTakeThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "3#trades")
 	if tbl.Len() != 3 {
 		t.Fatalf("take rows = %d", tbl.Len())
@@ -503,7 +522,7 @@ func TestTakeThroughStack(t *testing.T) {
 }
 
 func TestMultiColumnGroupByThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "select n:count Price by Symbol, big:Size>25 from trades")
 	if tbl.Len() != 4 { // GOOG x {small,big}, IBM x {small,big}
 		t.Fatalf("groups = %d\n%v", tbl.Len(), tbl)
@@ -514,7 +533,7 @@ func TestMultiColumnGroupByThroughStack(t *testing.T) {
 }
 
 func TestDistinctTableVerbThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "distinct select Symbol from trades")
 	if tbl.Len() != 2 {
 		t.Fatalf("distinct rows = %d", tbl.Len())
@@ -522,7 +541,7 @@ func TestDistinctTableVerbThroughStack(t *testing.T) {
 }
 
 func TestCountTableVerbThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "count trades")
 	n, _ := tbl.Column("count")
 	if !qval.EqualValues(qval.Index(n, 0), qval.Long(5)) {
@@ -531,7 +550,7 @@ func TestCountTableVerbThroughStack(t *testing.T) {
 }
 
 func TestScalarExprStatementThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	v, stats, err := s.Run(ctx, "1+2")
 	if err != nil {
 		t.Fatal(err)
@@ -546,7 +565,7 @@ func TestScalarExprStatementThroughStack(t *testing.T) {
 }
 
 func TestCondExpressionThroughStack(t *testing.T) {
-	_, s, _ := newStack(t, Config{})
+	_, s, _ := newStack(t, core.Config{})
 	tbl := runQ(t, s, "select Symbol, band:$[Price>120; `high; `low] from trades")
 	b, _ := tbl.Column("band")
 	if !qval.EqualValues(b, qval.SymbolVec{"low", "high", "low", "high", "low"}) {

@@ -30,26 +30,20 @@ const (
 	Logical
 )
 
-// ResultPath selects how backend results become Q tables.
+// ResultPath has one value, which sessions ignore: every result streams off
+// the PG v3 wire. Its last caller is the benchmark's in-process stack
+// (bench/inproc.go).
 type ResultPath int
 
-// Result-path modes.
-const (
-	// ColumnarPath streams rows into pooled typed column builders
-	// (StreamBackend) — the default. Backends without ExecStream fall back
-	// to the text path transparently.
-	ColumnarPath ResultPath = iota
-	// TextPath materializes a text BackendResult and re-parses it via
-	// ResultToQ — the compatibility fallback and differential oracle.
-	TextPath
-)
+// ColumnarPath is the one result path: rows stream off the PG v3 wire into
+// pooled typed column builders.
+const ColumnarPath ResultPath = 0
 
 // Config tunes a platform session.
 type Config struct {
 	Xformer         xformer.Config
 	Materialization Materialization
-	// ResultPath selects the columnar streaming pipeline (default) or the
-	// materialized text path for result conversion.
+	// ResultPath is ignored (see ResultPath).
 	ResultPath ResultPath
 	// MDITTL is the metadata cache expiration (0 disables caching).
 	MDITTL time.Duration
@@ -347,33 +341,19 @@ func (s *Session) execStatement(ctx context.Context, stmt ast.Node, stats *RunSt
 func (s *Session) scopes() *binder.Scopes { return s.binder.Scopes }
 
 // execToQ runs one query on the backend and pivots the result into a Q
-// table. On the (default) columnar path with a streaming-capable backend,
-// rows flow into pooled typed column builders as they are produced; the
-// text path — also taken when the backend only implements Exec —
-// materializes a text result and re-parses it via ResultToQ.
+// table: rows stream into pooled typed column builders as they come off the
+// wire.
 func (s *Session) execToQ(ctx context.Context, sql string, stats *RunStats) (*qval.Table, error) {
-	if s.cfg.ResultPath == ColumnarPath {
-		if sb, ok := s.backend.(StreamBackend); ok {
-			sink := GetTableSink()
-			defer sink.Release()
-			t0 := time.Now()
-			err := sb.ExecStream(ctx, sql, sink)
-			stats.Execute += time.Since(t0)
-			stats.SQLs = append(stats.SQLs, sql)
-			if err != nil {
-				return nil, err
-			}
-			return sink.Table(), nil
-		}
-	}
+	sink := GetTableSink()
+	defer sink.Release()
 	t0 := time.Now()
-	res, err := s.backend.Exec(ctx, sql)
+	err := s.backend.ExecStream(ctx, sql, sink)
 	stats.Execute += time.Since(t0)
 	stats.SQLs = append(stats.SQLs, sql)
 	if err != nil {
 		return nil, err
 	}
-	return ResultToQ(res)
+	return sink.Table(), nil
 }
 
 // cachedTranslation consults the query cache for qsrc, translating (once,

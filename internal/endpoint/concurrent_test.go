@@ -34,7 +34,11 @@ import (
 func startPooledStack(t *testing.T, data *taq.Data, poolSize int) (addr string, p *pool.Pool, cache *qcache.Cache) {
 	t.Helper()
 	db := pgdb.NewDB()
-	loader := core.NewDirectBackend(db)
+	loader, err := gateway.Pipe(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loader.Close()
 	for _, tb := range []struct {
 		name string
 		tbl  *qval.Table

@@ -24,7 +24,11 @@ import (
 func startStack(t *testing.T, auth func(u, p string) bool) string {
 	t.Helper()
 	db := pgdb.NewDB()
-	loader := core.NewDirectBackend(db)
+	loader, err := gateway.Pipe(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loader.Close()
 	data := taq.Generate(taq.Config{Seed: 3, Trades: 500, Quotes: 1000, WideCols: 4,
 		Symbols: []string{"AAPL", "IBM"}})
 	for _, tb := range []struct {

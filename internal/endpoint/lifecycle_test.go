@@ -28,6 +28,11 @@ func (c *blockingConn) Exec(ctx context.Context, sql string) (*core.BackendResul
 	return nil, ctx.Err()
 }
 
+func (c *blockingConn) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
+	_, err := c.Exec(ctx, sql)
+	return err
+}
+
 func (c *blockingConn) QueryCatalog(ctx context.Context, sql string) ([][]string, error) {
 	return nil, nil
 }

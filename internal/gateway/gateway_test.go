@@ -77,17 +77,16 @@ func TestGatewayQueryCatalog(t *testing.T) {
 
 func TestGatewayAsCoreBackend(t *testing.T) {
 	// the full platform runs over the networked gateway exactly as over the
-	// direct backend (the plugin boundary of §3.1)
-	addr, db := startBackend(t)
-	loader := core.NewDirectBackend(db)
-	if _, err := loader.Exec(ctx, "CREATE TABLE trades (ordcol bigint, \"Symbol\" varchar, \"Price\" double precision)"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loader.Exec(ctx, "INSERT INTO trades VALUES (0, 'A', 1.5), (1, 'B', 2.5)"); err != nil {
-		t.Fatal(err)
-	}
+	// in-process one (the plugin boundary of §3.1)
+	addr, _ := startBackend(t)
 	gw, err := Dial(ctx, addr, "hq", "pw", "db")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.Exec(ctx, "CREATE TABLE trades (ordcol bigint, \"Symbol\" varchar, \"Price\" double precision)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.Exec(ctx, "INSERT INTO trades VALUES (0, 'A', 1.5), (1, 'B', 2.5)"); err != nil {
 		t.Fatal(err)
 	}
 	s := core.NewPlatform().NewSession(gw, core.Config{})

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 	"hyperq/internal/taq"
@@ -34,13 +35,17 @@ var benchShapes = []string{
 
 // benchTables loads trading days from 2016.06.27 on, each of the given
 // number of trades (twice as many quotes), plus the first day's daily and
-// refdata tables, into a database behind a direct backend. Each day's load
+// refdata tables, into a database behind an in-process gateway. Each day's load
 // numbers its rows' order column from 0.
 func benchTables(t *testing.T, days, trades int) (*pgdb.DB, core.Backend) {
 	t.Helper()
 	ctx := context.Background()
 	db := pgdb.NewDB()
-	b := core.NewDirectBackend(db)
+	b, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
 	for i := 0; i < days; i++ {
 		d := taq.Generate(taq.Config{Seed: int64(i + 1), Trades: trades, Date: qval.MkDate(2016, 6, 27+i)})
 		tables := []struct {
@@ -273,7 +278,11 @@ func TestWorkloadEqualitiesUseHashIndex(t *testing.T) {
 func TestPointLookupAllocsBounded(t *testing.T) {
 	ctx := context.Background()
 	db := pgdb.NewDB()
-	b := core.NewDirectBackend(db)
+	b, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
 	if err := core.LoadQTable(ctx, b, "daily", taq.Generate(taq.Config{Seed: 1, Trades: 3000}).Daily); err != nil {
 		t.Fatal(err)
 	}

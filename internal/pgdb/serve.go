@@ -32,11 +32,15 @@ func Serve(ctx context.Context, l net.Listener, db *DB, auth AuthConfig) error {
 			}
 			return err
 		}
-		go handleConn(ctx, conn, db, auth)
+		go ServeConn(ctx, conn, db, auth)
 	}
 }
 
-func handleConn(ctx context.Context, conn net.Conn, db *DB, auth AuthConfig) {
+// ServeConn runs one PG v3 connection to its end: startup, authentication,
+// then one session (with its own temp tables) executing the connection's
+// statements under ctx. It closes conn before it returns. Serve runs it per
+// accepted connection; an in-process gateway runs it over a socket pair.
+func ServeConn(ctx context.Context, conn net.Conn, db *DB, auth AuthConfig) {
 	sc := pgv3.NewServerConn(conn)
 	defer sc.Close()
 	if err := sc.Startup(); err != nil {

@@ -27,6 +27,11 @@ func (c *ctxConn) Exec(ctx context.Context, sql string) (*core.BackendResult, er
 	return &core.BackendResult{Tag: "OK"}, nil
 }
 
+func (c *ctxConn) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
+	_, err := c.Exec(ctx, sql)
+	return err
+}
+
 func (c *ctxConn) QueryCatalog(ctx context.Context, sql string) ([][]string, error) {
 	return [][]string{{"col", "bigint"}}, nil
 }

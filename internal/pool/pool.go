@@ -1,10 +1,11 @@
 // Package pool implements the backend half of the concurrent serving
-// runtime: a bounded pool of backend connections (PG v3 gateways in the
-// networked deployment, embedded-engine sessions in demo mode) shared by
-// every Hyper-Q session of a process. The seed opened one dedicated backend
-// connection per Q client; under heavy concurrent traffic the dial cost and
-// the unbounded backend fan-out dominate, so sessions now check connections
-// out per statement and return them immediately.
+// runtime: a bounded pool of backend connections (PG v3 gateways, over TCP
+// to a networked server or over a socket pair to the embedded engine in
+// demo mode) shared by every Hyper-Q session of a process. The seed opened
+// one dedicated backend connection per Q client; under heavy concurrent
+// traffic the dial cost and the unbounded backend fan-out dominate, so
+// sessions now check connections out per statement and return them
+// immediately.
 //
 // Features: lazy dialing (connections are created on demand up to Size),
 // health checks on checkout with a skip window for recently-healthy
@@ -236,20 +237,11 @@ func (p *Pool) Exec(ctx context.Context, c Conn, sql string) (*core.BackendResul
 }
 
 // ExecStream runs one statement on conn, streaming the result into sink,
-// under the same per-query context as Exec. A connection that does not
-// implement core.StreamBackend is bridged: its materialized text result is
-// replayed into the sink.
+// under the same per-query context as Exec.
 func (p *Pool) ExecStream(ctx context.Context, c Conn, sql string, sink core.RowSink) error {
 	ctx, cancel := p.queryContext(ctx)
 	defer cancel()
-	if sb, ok := c.(core.StreamBackend); ok {
-		return sb.ExecStream(ctx, sql, sink)
-	}
-	res, err := c.Exec(ctx, sql)
-	if err != nil {
-		return err
-	}
-	return core.ReplayResult(res, sink)
+	return c.ExecStream(ctx, sql, sink)
 }
 
 // QueryCatalog runs one catalog query on conn under the per-query context.

@@ -41,6 +41,11 @@ func (f *fakeConn) Exec(ctx context.Context, sql string) (*core.BackendResult, e
 	return &core.BackendResult{Tag: "OK"}, nil
 }
 
+func (f *fakeConn) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
+	_, err := f.Exec(ctx, sql)
+	return err
+}
+
 func (f *fakeConn) QueryCatalog(ctx context.Context, sql string) ([][]string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

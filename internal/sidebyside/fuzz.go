@@ -13,6 +13,7 @@ import (
 
 	"hyperq/internal/config"
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/persist"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qgen"
@@ -21,14 +22,14 @@ import (
 )
 
 // openFramework builds a fresh side-by-side framework over the embedded
-// engine e describes, running the exec engine — one Hyper-Q session with the
-// given result path, no
-// state shared with any previous framework except the kdb+ substrate the
-// caller passes. The fuzz driver rebuilds frameworks regularly so a
-// corrupted global cannot poison later iterations. index builds hash indexes
-// at any table size (FuzzConfig.Index). The caller owns the returned
-// instance's store, if e has a DataDir.
-func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, path core.ResultPath, index bool) (*Framework, *config.Instance, error) {
+// engine e describes, running the exec engine — one Hyper-Q session reading
+// its results over PG v3 from an in-process gateway, no state shared with
+// any previous framework except the kdb+ substrate the caller passes. The
+// fuzz driver rebuilds frameworks regularly so a corrupted global cannot
+// poison later iterations. index builds hash indexes at any table size
+// (FuzzConfig.Index). The caller closes the framework, and then owns the
+// returned instance's store, if e has a DataDir.
+func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, index bool) (*Framework, *config.Instance, error) {
 	in, err := e.Open()
 	if err != nil {
 		return nil, nil, err
@@ -37,9 +38,19 @@ func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, path
 	if index {
 		in.DB.SetIndexMinRows(0)
 	}
-	b := core.NewDirectBackend(in.DB)
-	s := core.NewPlatform().NewSession(b, core.Config{ResultPath: path})
+	b, err := pipe(in.DB)
+	if err != nil {
+		in.Close()
+		return nil, nil, err
+	}
+	s := core.NewPlatform().NewSession(b, core.Config{})
 	return New(kdb, s, b), in, nil
+}
+
+// pipe opens a framework's backend: a gateway to db over an in-process PG v3
+// connection. Tests wrap it to watch the results cross the wire.
+var pipe = func(db *pgdb.DB) (core.Backend, error) {
+	return gateway.Pipe(context.Background(), db)
 }
 
 // FuzzConfig controls a qdiff run.
@@ -71,9 +82,6 @@ type FuzzConfig struct {
 	// Exec selects the execution engine under test (default ExecCompiled,
 	// the serving engine; ExecInterpreted pins the reference walker).
 	Exec pgdb.ExecMode
-	// ResultPath selects the session result pipeline under test (default
-	// ColumnarPath, the streaming builders; TextPath is the fallback).
-	ResultPath core.ResultPath
 	// Index force-enables secondary indexes in every embedded database
 	// (SetIndexMinRows(0), so even the tiny generated tables index) and loads
 	// each table in two halves around an index-building probe: the first
@@ -138,9 +146,17 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 	g := qgen.New(qgen.Config{Seed: cfg.Seed, MaxRows: cfg.MaxRows})
 	rep := &FuzzReport{Seed: cfg.Seed, N: cfg.N, Mismatches: []FuzzCase{}}
 	var f *Framework
+	defer func() {
+		if f != nil {
+			f.Close()
+		}
+	}()
 	var ds *qgen.Dataset
 	for i := 0; i < cfg.N; i++ {
 		if f == nil || i%cfg.ReloadEvery == 0 {
+			if f != nil {
+				f.Close()
+			}
 			ds = g.Dataset()
 			var err error
 			f, err = loadDataset(ctx, ds, cfg)
@@ -169,6 +185,7 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 				if mr, err := mf.Compare(ctx, sq.Q()); err == nil && !mr.Match {
 					r = mr
 				}
+				mf.Close()
 			}
 		}
 		tables, err := qgen.EncodeDataset(sds)
@@ -191,16 +208,18 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 // shrink reloads never reuse (and re-replay) an earlier framework's WAL.
 var persistSeq atomic.Int64
 
-// loadDataset builds a fresh framework with the dataset installed.
+// loadDataset builds a fresh framework with the dataset installed; the
+// caller closes it.
 func loadDataset(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framework, error) {
 	if cfg.DataDir != "" {
 		return loadDatasetPersist(ctx, ds, cfg)
 	}
-	f, _, err := openFramework(interp.New(), cfg.Engine, cfg.Exec, cfg.ResultPath, cfg.Index)
+	f, _, err := openFramework(interp.New(), cfg.Engine, cfg.Exec, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
 	if err := loadTables(ctx, f, ds, cfg.Index); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return f, nil
@@ -249,13 +268,16 @@ func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (
 	staging := e // only written and checkpointed: the budget waits for the reopen
 	staging.MemBudget = 0
 	kdb := interp.New()
-	loader, in, err := openFramework(kdb, staging, cfg.Exec, cfg.ResultPath, cfg.Index)
+	loader, in, err := openFramework(kdb, staging, cfg.Exec, cfg.Index)
 	if err != nil {
 		return nil, err
 	}
 	// with Index the checkpoint records the indexes built mid-load, so the
 	// cold reopen exercises the manifest's access-path round-trip
-	if err := loadTables(ctx, loader, ds, cfg.Index); err != nil {
+	err = loadTables(ctx, loader, ds, cfg.Index)
+	loader.Close() // the loading session ends before the checkpoint
+	if err != nil {
+		in.Close()
 		return nil, err
 	}
 	if err := in.Close(); err != nil {
@@ -264,11 +286,12 @@ func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (
 	// Cold reopen: a fresh database restored purely from the on-disk
 	// catalog. The corpus is read-only after load, so the reopened store's
 	// WAL handle can be released immediately too.
-	f, in, err := openFramework(kdb, e, cfg.Exec, cfg.ResultPath, cfg.Index)
+	f, in, err := openFramework(kdb, e, cfg.Exec, cfg.Index)
 	if err != nil {
 		return nil, fmt.Errorf("cold reopen: %w", err)
 	}
 	if err := in.Store.Close(); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("close reopened store: %w", err)
 	}
 	return f, nil
@@ -285,6 +308,7 @@ func reproduces(ctx context.Context, q *qgen.Query, ds *qgen.Dataset, class stri
 	if err != nil {
 		return false
 	}
+	defer f.Close()
 	r, err := f.Compare(ctx, q.Q())
 	if err != nil || r.Match {
 		return false
@@ -451,10 +475,11 @@ func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine, e
 	if err != nil {
 		return nil, err
 	}
-	f, _, err := openFramework(interp.New(), eng, exec, core.ColumnarPath, index)
+	f, _, err := openFramework(interp.New(), eng, exec, index)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
 	for _, tj := range e.Tables {
 		if err := f.LoadTable(ctx, tj.Name, ds.Tables[tj.Name]); err != nil {
 			return nil, fmt.Errorf("load %s: %w", tj.Name, err)

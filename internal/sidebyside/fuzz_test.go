@@ -4,8 +4,10 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hyperq/internal/config"
 )
@@ -49,6 +51,29 @@ func TestFuzzSmoke(t *testing.T) {
 	}
 	for _, m := range rep.Mismatches {
 		t.Errorf("iteration %d [%s]: %s\n  diffs: %v", m.Iteration, m.Class, m.Query, m.Diffs)
+	}
+}
+
+// TestFuzzClosesFrameworks: every framework a run opens — one per reload —
+// ends its in-process gateway and the server goroutine behind it, so a run
+// leaves no more goroutines than it found.
+func TestFuzzClosesFrameworks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rep, err := Fuzz(context.Background(), FuzzConfig{Seed: 3, N: 40, ReloadEvery: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Matches != rep.N {
+		t.Errorf("%d of %d queries matched", rep.Matches, rep.N)
+	}
+	// goroutines that already returned may take a moment to be reaped
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines before the run, %d after", before, after)
 	}
 }
 

@@ -32,6 +32,9 @@ func New(kdb *interp.Interp, session *core.Session, backend core.Backend) *Frame
 	return &Framework{Kdb: kdb, Session: session, backend: backend, FloatTol: 1e-9}
 }
 
+// Close ends the Hyper-Q session and its backend connection.
+func (f *Framework) Close() error { return f.Session.Close() }
+
 // LoadTable installs a table on both sides.
 func (f *Framework) LoadTable(ctx context.Context, name string, t *qval.Table) error {
 	f.Kdb.SetGlobal(name, t)
@@ -85,10 +88,33 @@ func (r *Report) String() string {
 	return "MISMATCH " + r.Query + "\n  " + strings.Join(r.Diffs, "\n  ")
 }
 
-// Compare runs q on both sides and diffs the canonicalized results.
+// Compare runs q on both sides and diffs the canonicalized results. When
+// Hyper-Q answers, it runs q a second time on the same backend connection
+// and diffs that result too: over PG v3 the rerun of a SQL text gets its
+// numeric, boolean, date and time columns as binary cells, so both cell
+// formats are held to the interpreter. A divergence on the rerun only ends
+// its Diffs with rerunDiff.
 func (f *Framework) Compare(ctx context.Context, q string) (*Report, error) {
-	rep := &Report{Query: q}
 	kv, kerr := f.Kdb.Eval(q)
+	rep := f.compare(ctx, q, kv, kerr)
+	if !rep.Match || kerr != nil {
+		return rep, nil
+	}
+	if again := f.compare(ctx, q, kv, kerr); !again.Match {
+		again.Diffs = append(again.Diffs, rerunDiff)
+		return again, nil
+	}
+	return rep, nil
+}
+
+// rerunDiff ends the Diffs of a report whose query matched on its first run
+// and diverged on its second.
+const rerunDiff = "(on the rerun, with binary cells)"
+
+// compare runs q through Hyper-Q and diffs it against the kdb+ side's
+// outcome.
+func (f *Framework) compare(ctx context.Context, q string, kv qval.Value, kerr error) *Report {
+	rep := &Report{Query: q}
 	hv, _, herr := f.Session.Run(ctx, q)
 	if kerr != nil || herr != nil {
 		rep.KdbErr, rep.HyperQErr = Classify(kerr), Classify(herr)
@@ -99,21 +125,21 @@ func (f *Framework) Compare(ctx context.Context, q string) (*Report, error) {
 			if rep.KdbErr == rep.HyperQErr {
 				rep.Match = true
 				rep.Diffs = append(rep.Diffs, fmt.Sprintf("both error (%s): kdb=%v hyperq=%v", rep.KdbErr, kerr, herr))
-				return rep, nil
+				return rep
 			}
 			rep.Diffs = append(rep.Diffs, fmt.Sprintf("error class divergence: kdb=%s(%v) hyperq=%s(%v)",
 				rep.KdbErr, kerr, rep.HyperQErr, herr))
-			return rep, nil
+			return rep
 		}
 		rep.Diffs = append(rep.Diffs, fmt.Sprintf("error divergence: kdb=%v hyperq=%v", kerr, herr))
-		return rep, nil
+		return rep
 	}
 	kt, _ := canonicalize(kv)
 	ht, _ := canonicalize(hv)
 	rep.KdbResult, rep.HyperQResult = kt, ht
 	rep.Diffs = Diff(kv, hv, f.FloatTol)
 	rep.Match = len(rep.Diffs) == 0
-	return rep, nil
+	return rep
 }
 
 // Diff compares a kdb-side and a Hyper-Q-side result, returning human-

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
@@ -16,7 +17,10 @@ var ctx = context.Background()
 func newFramework(t *testing.T) *Framework {
 	t.Helper()
 	db := pgdb.NewDB()
-	b := core.NewDirectBackend(db)
+	b, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := core.NewPlatform()
 	s := p.NewSession(b, core.Config{})
 	t.Cleanup(func() { s.Close() })

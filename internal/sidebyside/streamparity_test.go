@@ -16,64 +16,39 @@ import (
 	"hyperq/internal/wire/qipc"
 )
 
-// The columnar result pipeline and the retained text path must be
-// observationally identical: for any query, the QIPC encoding of the result
-// must agree byte for byte. These tests drive the qdiff corpus and a seeded
-// generated stream through both paths, over both backend shapes — the
-// embedded DirectBackend (typed values into builders) and a loopback PG v3
-// gateway (wire text into builders).
+// A result's QIPC encoding must not depend on how its cells crossed the PG
+// v3 wire. A session's first run of a SQL text gets every cell as text; the
+// rerun on the same connection gets numeric, boolean, date and time columns
+// as binary cells (pgv3's describe cache). These tests run each query of
+// the qdiff corpus and of seeded generated streams twice on one connection
+// and require byte-identical QIPC, over both transports a session reaches
+// pgdb by: "direct", the in-process gateway over a socket pair
+// (gateway.Pipe), and "pgv3", a loopback TCP pgdb.Serve (gateway.Dial).
+// Compare's rerun holds the binary cells to the interpreter within a float
+// tolerance; these hold them to the text cells exactly.
 
-// pathStack is one Hyper-Q session pinned to a result path, over its own
-// freshly loaded database.
-type pathStack struct {
+// wireStack is one Hyper-Q session over its own freshly loaded database.
+type wireStack struct {
 	name    string
 	session *core.Session
 	cleanup func()
-	// binary counts the streamed results that had binary cells (pgv3 only)
-	binary *int
 }
 
-// binaryCounter is a gateway that counts the streamed results whose columns
-// came in PostgreSQL binary format.
-type binaryCounter struct {
-	*gateway.Gateway
-	n *int
-}
-
-func (g binaryCounter) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
-	return g.Gateway.ExecStream(ctx, sql, binarySpy{sink, g.n})
-}
-
-// binarySpy passes a result through, counting it if any column is binary.
-type binarySpy struct {
-	core.RowSink
-	n *int
-}
-
-func (s binarySpy) Schema(cols []core.BackendCol, hint int) error {
-	for _, c := range cols {
-		if c.Binary {
-			*s.n++
-			break
-		}
-	}
-	return s.RowSink.Schema(cols, hint)
-}
-
-// newPathStack loads ds into a fresh pgdb, runs the setup statements on it,
-// and opens a session with the given result path over the requested backend
-// kind ("direct" or "pgv3").
-func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind string, path core.ResultPath, setup ...string) *pathStack {
+// newWireStack loads ds into a fresh pgdb, runs the setup statements on it,
+// and opens a session over the kind of transport named.
+func newWireStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind string, setup ...string) *wireStack {
 	t.Helper()
 	db := pgdb.NewDB()
-	loader := core.NewDirectBackend(db)
+	loader, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loader.Close()
 	for _, name := range ds.Names() {
-		tbl, ok := ds.Tables[name]
-		if !ok {
-			continue
-		}
-		if err := core.LoadQTable(ctx, loader, name, tbl); err != nil {
-			t.Fatalf("load %s: %v", name, err)
+		if tbl, ok := ds.Tables[name]; ok {
+			if err := core.LoadQTable(ctx, loader, name, tbl); err != nil {
+				t.Fatalf("load %s: %v", name, err)
+			}
 		}
 	}
 	for _, sql := range setup {
@@ -81,42 +56,34 @@ func newPathStack(t *testing.T, ctx context.Context, ds *qgen.Dataset, kind stri
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	name := kind + "/columnar"
-	if path == core.TextPath {
-		name = kind + "/text"
-	}
-	var backend core.Backend = loader
-	cleanup := func() {}
-	binary := new(int)
-	if kind == "pgv3" {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	stop := func() {}
+	var gw *gateway.Gateway
+	if kind == "direct" {
+		gw, err = gateway.Pipe(ctx, db)
+	} else {
+		l, lerr := net.Listen("tcp", "127.0.0.1:0")
+		if lerr != nil {
+			t.Fatal(lerr)
 		}
 		go pgdb.Serve(context.Background(), l, db, pgdb.AuthConfig{Method: pgv3.AuthMethodTrust})
-		gw, err := gateway.Dial(ctx, l.Addr().String(), "hq", "", "db")
-		if err != nil {
-			l.Close()
-			t.Fatal(err)
-		}
-		backend = binaryCounter{gw, binary}
-		cleanup = func() {
-			gw.Close()
-			l.Close()
-		}
+		stop = func() { l.Close() }
+		gw, err = gateway.Dial(ctx, l.Addr().String(), "hq", "", "db")
 	}
-	s := core.NewPlatform().NewSession(backend, core.Config{ResultPath: path})
-	stackCleanup := cleanup
-	return &pathStack{name: name, session: s, binary: binary, cleanup: func() {
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	s := core.NewPlatform().NewSession(gw, core.Config{})
+	return &wireStack{name: kind, session: s, cleanup: func() {
 		s.Close()
-		stackCleanup()
+		stop()
 	}}
 }
 
 // runEncoded evaluates q and returns the QIPC bytes of its result.
-func (ps *pathStack) runEncoded(t *testing.T, ctx context.Context, q string) ([]byte, error) {
+func (ws *wireStack) runEncoded(t *testing.T, ctx context.Context, q string) ([]byte, error) {
 	t.Helper()
-	v, _, err := ps.session.Run(ctx, q)
+	v, _, err := ws.session.Run(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -127,28 +94,28 @@ func (ps *pathStack) runEncoded(t *testing.T, ctx context.Context, q string) ([]
 	return b, nil
 }
 
-// assertPathsAgree runs one query through both stacks and requires identical
-// outcomes: both error, or both succeed with byte-identical QIPC encodings.
-// It reports whether both succeeded.
-func assertPathsAgree(t *testing.T, ctx context.Context, a, b *pathStack, q string) bool {
+// runTwice runs q twice on ws and requires the two runs to agree: both
+// error, or both succeed with byte-identical QIPC. It returns the rerun's
+// bytes, nil when q failed.
+func runTwice(t *testing.T, ctx context.Context, ws *wireStack, q string) []byte {
 	t.Helper()
-	ab, aerr := a.runEncoded(t, ctx, q)
-	bb, berr := b.runEncoded(t, ctx, q)
+	text, terr := ws.runEncoded(t, ctx, q)
+	binary, berr := ws.runEncoded(t, ctx, q)
 	switch {
-	case (aerr == nil) != (berr == nil):
-		t.Errorf("error divergence on %q: %s=%v %s=%v", q, a.name, aerr, b.name, berr)
-	case aerr == nil && !bytes.Equal(ab, bb):
-		t.Errorf("QIPC bytes diverge on %q: %s %d bytes, %s %d bytes", q, a.name, len(ab), b.name, len(bb))
+	case (terr == nil) != (berr == nil):
+		t.Errorf("%s: error divergence on %q: first run %v, rerun %v", ws.name, q, terr, berr)
+	case terr == nil && !bytes.Equal(text, binary):
+		t.Errorf("%s: QIPC bytes diverge on %q: first run %d bytes, rerun %d bytes", ws.name, q, len(text), len(binary))
 	}
-	return aerr == nil && berr == nil
+	return binary
 }
 
 var streamParityBackends = []string{"direct", "pgv3"}
 
-// TestStreamParityCorpus replays every checked-in qdiff reproducer through
-// the columnar pipeline and the text fallback on both backend shapes. Each
-// entry once exposed a semantic edge case (NaN, infinities, nulls, negative
-// zero...), which makes the corpus a sharp oracle for cell conversion.
+// TestStreamParityCorpus runs every checked-in qdiff reproducer twice over
+// each transport. Each entry once exposed a semantic edge case (NaN,
+// infinities, nulls, negative zero...), which makes the corpus a sharp
+// oracle for cell conversion.
 func TestStreamParityCorpus(t *testing.T) {
 	entries, err := LoadCorpus("testdata/qdiff")
 	if err != nil {
@@ -165,76 +132,52 @@ func TestStreamParityCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				col := newPathStack(t, ctx, ds, kind, core.ColumnarPath)
-				defer col.cleanup()
-				txt := newPathStack(t, ctx, ds, kind, core.TextPath)
-				defer txt.cleanup()
-				assertPathsAgree(t, ctx, col, txt, e.Query)
+				ws := newWireStack(t, ctx, ds, kind)
+				defer ws.cleanup()
+				runTwice(t, ctx, ws, e.Query)
 			})
 		}
 	}
 }
 
-// TestFuzzTextFallbackPath runs a seeded qdiff stream with the text result
-// path pinned, keeping the fallback verified against the kdb+ reference even
-// though sessions default to the columnar pipeline.
-func TestFuzzTextFallbackPath(t *testing.T) {
-	rep, err := Fuzz(context.Background(), FuzzConfig{Seed: 7, N: 150, ResultPath: core.TextPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Matches != rep.N {
-		t.Errorf("text path: %d of %d queries matched", rep.Matches, rep.N)
-	}
-	for _, c := range rep.Mismatches {
-		t.Errorf("text path, iteration %d [%s]: %s\n  diffs: %v", c.Iteration, c.Class, c.Query, c.Diffs)
-	}
-}
-
-// TestStreamParityFuzz drives a seeded generated query stream through both
-// result paths in lockstep. Both sessions see the identical statement
-// sequence, so even stateful queries stay comparable.
+// TestStreamParityFuzz runs a seeded generated query stream twice over
+// each transport.
 func TestStreamParityFuzz(t *testing.T) {
 	ctx := context.Background()
 	for _, kind := range streamParityBackends {
-		kind := kind
 		t.Run(kind, func(t *testing.T) {
-			n, reload := 150, 25
-			if kind == "pgv3" {
-				n = 60 // real sockets per query: keep the stream shorter
-			}
+			const n, reload = 100, 25
 			g := qgen.New(qgen.Config{Seed: 11})
-			var col, txt *pathStack
+			var ws *wireStack
 			for i := 0; i < n; i++ {
 				if i%reload == 0 {
-					if col != nil {
-						col.cleanup()
-						txt.cleanup()
+					if ws != nil {
+						ws.cleanup()
 					}
-					ds := g.Dataset()
-					col = newPathStack(t, ctx, ds, kind, core.ColumnarPath)
-					txt = newPathStack(t, ctx, ds, kind, core.TextPath)
+					ws = newWireStack(t, ctx, g.Dataset(), kind)
 				}
-				assertPathsAgree(t, ctx, col, txt, g.Query().Q())
+				runTwice(t, ctx, ws, g.Query().Q())
 			}
-			col.cleanup()
-			txt.cleanup()
+			ws.cleanup()
 		})
 	}
 }
 
-// TestStreamParityBackends holds the two backend shapes to each other on the
-// columnar path: the embedded engine's typed rows (Row) and a loopback PG v3
-// server's wire rows (WireRow) must encode to byte-identical QIPC. The
-// per-backend suites above compare two legs that read the same wire bytes;
-// here one result crossed pgserver's DataRow writer and the other never did,
-// so a server-side rendering bug shows.
+// TestStreamParityBackends holds the two transports to each other: the same
+// query over the socket pair and over loopback TCP must encode to
+// byte-identical QIPC, so the in-process gateway qdiff and hyperq -embedded
+// use shows what a served client gets.
 func TestStreamParityBackends(t *testing.T) {
 	ctx := context.Background()
-	pair := func(t *testing.T, ds *qgen.Dataset, setup ...string) (direct, wire *pathStack) {
-		direct = newPathStack(t, ctx, ds, "direct", core.ColumnarPath, setup...)
-		wire = newPathStack(t, ctx, ds, "pgv3", core.ColumnarPath, setup...)
-		return direct, wire
+	agree := func(t *testing.T, direct, wire *wireStack, q string) bool {
+		a, b := runTwice(t, ctx, direct, q), runTwice(t, ctx, wire, q)
+		if (a == nil) != (b == nil) || !bytes.Equal(a, b) {
+			t.Errorf("transports diverge on %q: direct %d bytes, pgv3 %d bytes", q, len(a), len(b))
+		}
+		return a != nil && b != nil
+	}
+	pair := func(t *testing.T, ds *qgen.Dataset, setup ...string) (direct, wire *wireStack) {
+		return newWireStack(t, ctx, ds, "direct", setup...), newWireStack(t, ctx, ds, "pgv3", setup...)
 	}
 	t.Run("corpus", func(t *testing.T) {
 		entries, err := LoadCorpus("testdata/qdiff")
@@ -247,15 +190,15 @@ func TestStreamParityBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			direct, wire := pair(t, ds)
-			assertPathsAgree(t, ctx, direct, wire, e.Query)
+			agree(t, direct, wire, e.Query)
 			direct.cleanup()
 			wire.cleanup()
 		}
 	})
 	t.Run("fuzz", func(t *testing.T) {
-		const n, reload = 300, 30
+		const n, reload = 100, 25
 		g := qgen.New(qgen.Config{Seed: 23})
-		var direct, wire *pathStack
+		var direct, wire *wireStack
 		ok := 0
 		for i := 0; i < n; i++ {
 			if i%reload == 0 {
@@ -265,7 +208,7 @@ func TestStreamParityBackends(t *testing.T) {
 				}
 				direct, wire = pair(t, g.Dataset())
 			}
-			if assertPathsAgree(t, ctx, direct, wire, g.Query().Q()) {
+			if agree(t, direct, wire, g.Query().Q()) {
 				ok++
 			}
 		}
@@ -273,7 +216,7 @@ func TestStreamParityBackends(t *testing.T) {
 		wire.cleanup()
 		// agreeing by erroring on both sides proves nothing about rendering
 		if ok < n/2 {
-			t.Errorf("only %d of %d queries returned a result on both backends", ok, n)
+			t.Errorf("only %d of %d queries returned a result on both transports", ok, n)
 		}
 	})
 	t.Run("wide-symbols", func(t *testing.T) {
@@ -302,65 +245,94 @@ func TestStreamParityBackends(t *testing.T) {
 			"select from t where s in `k0001`k2999`",
 			"select last s by i from t",
 		} {
-			if !assertPathsAgree(t, ctx, direct, wire, q) {
+			if !agree(t, direct, wire, q) {
 				t.Errorf("%q failed", q)
 			}
 		}
 	})
 }
 
-// TestStreamParityBinaryCells holds pgv3's binary result cells to the text
-// path. Each query runs twice on the columnar wire stack: the first run
-// describes the text's columns in text, the second gets binary cells for
-// the binary-set types, and its QIPC bytes must equal the text path's.
+// binaryCounter is a backend that counts the streamed results whose
+// columns came in PostgreSQL binary format.
+type binaryCounter struct {
+	core.Backend
+	n *int
+}
+
+func (b binaryCounter) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
+	return b.Backend.ExecStream(ctx, sql, binarySpy{sink, b.n})
+}
+
+// binarySpy passes a result through, counting it if any column is binary.
+type binarySpy struct {
+	core.RowSink
+	n *int
+}
+
+func (s binarySpy) Schema(cols []core.BackendCol, hint int) error {
+	for _, c := range cols {
+		if c.Binary {
+			*s.n++
+			break
+		}
+	}
+	return s.RowSink.Schema(cols, hint)
+}
+
+// countBinary makes every framework opened until the test ends count its
+// binary results into the returned counter.
+func countBinary(t *testing.T) *int {
+	n := new(int)
+	open := pipe
+	pipe = func(db *pgdb.DB) (core.Backend, error) {
+		b, err := open(db)
+		if err != nil {
+			return nil, err
+		}
+		return binaryCounter{b, n}, nil
+	}
+	t.Cleanup(func() { pipe = open })
+	return n
+}
+
+// TestStreamParityBinaryCells pins that the differential runs reach binary
+// cells: Compare's rerun of a query gets them, so replaying the corpus and
+// a qdiff run at seed 7 must both match the interpreter with binary results
+// among them.
 func TestStreamParityBinaryCells(t *testing.T) {
 	ctx := context.Background()
-	agree := func(t *testing.T, wire, txt *pathStack, q string) bool {
-		wire.session.Run(ctx, q) // learns the result types; compared on the rerun
-		return assertPathsAgree(t, ctx, wire, txt, q)
-	}
-	binary := 0
 	t.Run("corpus", func(t *testing.T) {
+		binary := countBinary(t)
 		entries, err := LoadCorpus("testdata/qdiff")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			ds, err := qgen.DecodeDataset(e.Tables)
+			r, err := ReplayEntry(ctx, e)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire := newPathStack(t, ctx, ds, "pgv3", core.ColumnarPath)
-			txt := newPathStack(t, ctx, ds, "pgv3", core.TextPath)
-			agree(t, wire, txt, e.Query)
-			binary += *wire.binary
-			wire.cleanup()
-			txt.cleanup()
+			if !r.Match {
+				t.Errorf("%s: %v", e.Name, r.Diffs)
+			}
+		}
+		t.Logf("%d corpus results came with binary cells", *binary)
+		if *binary == 0 {
+			t.Error("no corpus result came with binary cells")
 		}
 	})
 	t.Run("fuzz", func(t *testing.T) {
-		const n, reload = 150, 30
-		g := qgen.New(qgen.Config{Seed: 29})
-		var wire, txt *pathStack
-		for i := 0; i < n; i++ {
-			if i%reload == 0 {
-				if wire != nil {
-					binary += *wire.binary
-					wire.cleanup()
-					txt.cleanup()
-				}
-				ds := g.Dataset()
-				wire = newPathStack(t, ctx, ds, "pgv3", core.ColumnarPath)
-				txt = newPathStack(t, ctx, ds, "pgv3", core.TextPath)
-			}
-			agree(t, wire, txt, g.Query().Q())
+		binary := countBinary(t)
+		rep, err := Fuzz(ctx, FuzzConfig{Seed: 7, N: 150})
+		if err != nil {
+			t.Fatal(err)
 		}
-		binary += *wire.binary
-		wire.cleanup()
-		txt.cleanup()
+		for _, c := range rep.Mismatches {
+			t.Errorf("iteration %d [%s]: %s\n  diffs: %v", c.Iteration, c.Class, c.Query, c.Diffs)
+		}
+		t.Logf("%d results came with binary cells over %d queries", *binary, rep.N)
+		if *binary == 0 {
+			t.Error("no result came with binary cells")
+		}
 	})
-	t.Logf("%d results came with binary cells", binary)
-	if binary < 50 {
-		t.Errorf("only %d results came with binary cells", binary)
-	}
 }

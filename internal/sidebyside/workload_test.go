@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
@@ -18,7 +19,10 @@ import (
 // (§5).
 func TestFullWorkloadAgreement(t *testing.T) {
 	db := pgdb.NewDB()
-	b := core.NewDirectBackend(db)
+	b, err := gateway.Pipe(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := core.NewPlatform()
 	s := p.NewSession(b, core.Config{})
 	defer s.Close()

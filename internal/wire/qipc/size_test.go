@@ -3,6 +3,7 @@ package qipc
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"testing"
 
 	"hyperq/internal/colbuf"
@@ -107,13 +108,11 @@ func TestBuilderColumnsCompressRoundTrip(t *testing.T) {
 	defer b.Release()
 	b.Reset(specs, rows)
 	for i := 0; i < rows; i++ {
-		if err := b.AppendInt(0, int64(i%100)); err != nil {
-			t.Fatal(err)
+		for j, cell := range []string{strconv.Itoa(i % 100), strconv.Itoa(100 + i%7), []string{"GOOG", "IBM", "MSFT"}[i%3]} {
+			if err := b.AppendText(j, []byte(cell)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := b.AppendFloat(1, float64(100+i%7)); err != nil {
-			t.Fatal(err)
-		}
-		b.AppendSym(2, []string{"GOOG", "IBM", "MSFT"}[i%3])
 		b.FinishRow()
 	}
 	names, data := b.Build()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 	"hyperq/internal/taq"
@@ -13,7 +14,10 @@ import (
 func smallStack(t *testing.T) *core.Session {
 	t.Helper()
 	db := pgdb.NewDB()
-	b := core.NewDirectBackend(db)
+	b, err := gateway.Pipe(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Setup(context.Background(), b, taq.Config{Seed: 1, Trades: 400, Quotes: 800, WideCols: 500}); err != nil {
 		t.Fatal(err)
 	}

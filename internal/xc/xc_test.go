@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hyperq/internal/core"
+	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
 )
@@ -69,7 +70,10 @@ func TestFSMActionErrorSticks(t *testing.T) {
 func newCompiler(t *testing.T) *CrossCompiler {
 	t.Helper()
 	db := pgdb.NewDB()
-	b := core.NewDirectBackend(db)
+	b, err := gateway.Pipe(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
 	trades := qval.NewTable(
 		[]string{"Symbol", "Price"},
 		[]qval.Value{qval.SymbolVec{"A", "B", "A"}, qval.FloatVec{1, 2, 3}})
