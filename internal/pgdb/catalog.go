@@ -107,6 +107,8 @@ type DB struct {
 	// idxStats collects database-wide access-path counters.
 	indexMinRows atomic.Int32
 	idxStats     IndexStats
+	// selectHook (tests) hears whether each top-level SELECT is columnar.
+	selectHook func(columnar bool)
 }
 
 // NewDB creates an empty database. The default execution mode is

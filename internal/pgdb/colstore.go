@@ -2,10 +2,10 @@ package pgdb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Columnar table storage: a storedTable keeps its data as typed column
@@ -393,11 +393,13 @@ type colStore struct {
 
 	// private marks a statement-private store (gather.go): a subquery's or
 	// a join's output, never registered in the catalog, with no access
-	// paths. src is set for a private view — an unfiltered projection
-	// sharing the vectors of a table store (or of a materialized private
-	// store) — and srcCols[c] names the src column behind column c; the
-	// view's stub columns fault in through src.
+	// paths; shared marks one that may share a table's vectors. src is set
+	// for a private view — an unfiltered projection sharing the vectors of a
+	// table store (or of a materialized private store) — and srcCols[c]
+	// names the src column behind column c; the view's stub columns fault in
+	// through src.
 	private bool
+	shared  bool
 	src     *colStore
 	srcCols []int
 }
@@ -409,6 +411,29 @@ func newColStore(cols []Column) *colStore {
 }
 
 func (st *colStore) numRows() int { return st.n }
+
+// sharesTable reports whether st's vectors may be a table's own, which
+// UPDATE writes in place and INSERT appends to under the statement lock.
+func (st *colStore) sharesTable() bool { return !st.private || st.shared }
+
+// ascendingInts reports whether column c (-1: none) is integer, NULL-free
+// and non-decreasing, so a stable ascending sort on it is the identity.
+func (st *colStore) ascendingInts(c int) bool {
+	last := int64(math.MinInt64)
+	for si := 0; c >= 0 && si < len(st.slots); si++ {
+		v := &st.seg(si).vecs[c]
+		if v.kind != vkInt || v.nullCnt > 0 {
+			return false
+		}
+		for _, x := range v.ints {
+			if x < last {
+				return false
+			}
+			last = x
+		}
+	}
+	return c >= 0
+}
 func (st *colStore) numSegs() int { return len(st.slots) }
 
 // peekSeg returns the segment as resident in memory — possibly a stub — for
@@ -605,13 +630,16 @@ func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
 
 // iota32 lists the positions of a full segment, 0 to segSize-1: the
 // selection of a segment every row of which is selected.
-var iota32 = func() []int32 {
-	s := make([]int32, segSize)
+var iota32 = seq32(segSize)
+
+// seq32 lists 0 to n-1.
+func seq32(n int) []int32 {
+	s := make([]int32, n)
 	for i := range s {
 		s[i] = int32(i)
 	}
 	return s
-}()
+}
 
 // selSegs calls fn for each segment holding a row set in sel (nil: every
 // row) with the segment, cols resident, and its selected positions in
@@ -645,8 +673,7 @@ func (st *colStore) selSegs(sel []uint64, cols []int, poll func() error, fn func
 
 // boxCols is boxSel into rows of width cells: output k is column cols[k],
 // or kerns[k]'s value where kerns (nil: none) sets a kernel, boxed into cell
-// dst[k]. One backing array holds every row, and each typed output of a
-// segment boxes with one allocation (boxInto). poll, when set, runs before
+// dst[k]. One backing array holds every row. poll, when set, runs before
 // each segment is boxed; its error stops the boxing, as a kernel's division
 // by zero does.
 func (st *colStore) boxCols(sel []uint64, cols []int, kerns []valKernel, dst []int, width int, poll func() error) ([][]any, error) {
@@ -675,15 +702,17 @@ func (st *colStore) boxCols(sel []uint64, cols []int, kerns []valKernel, dst []i
 	err := st.selSegs(sel, read, poll, func(_ int, seg *segment, pos []int32) error {
 		rows := out[lo : lo+len(pos)]
 		for k, c := range cols {
-			if kerns == nil || kerns[k] == nil {
-				seg.vecs[c].boxInto(rows, dst[k], pos)
-				continue
+			v, at := &seg.vecs[c], pos
+			if kerns != nil && kerns[k] != nil {
+				o := kerns[k].eval(seg, pos)
+				if o.errs != nil {
+					return divByZero()
+				}
+				v, at = &o.colVec, iota32[:len(pos)]
 			}
-			o := kerns[k].eval(seg, pos)
-			if o.errs != nil {
-				return divByZero()
+			for j, i := range at {
+				rows[j][dst[k]] = v.get(int(i))
 			}
-			o.boxInto(rows, dst[k], iota32[:len(pos)])
 		}
 		lo += len(pos)
 		return nil
@@ -692,58 +721,6 @@ func (st *colStore) boxCols(sel []uint64, cols []int, kerns []valKernel, dst []i
 		return nil, err
 	}
 	return out, nil
-}
-
-// eface is the gc runtime's layout of an empty interface: a type word and
-// a pointer to the value (for int64, float64 and string, a heap copy). The
-// Go spec does not promise it. boxTyped writes interfaces in this layout by
-// hand, many pointing into one array — the price of boxing rows per
-// statement without an allocation per cell; TestEfaceLayout fails if the
-// layout, or the runtime's tolerance of such pointers, changes.
-type eface struct{ typ, data unsafe.Pointer }
-
-// typeWord returns the type word of x's dynamic type.
-func typeWord(x any) unsafe.Pointer { return (*eface)(unsafe.Pointer(&x)).typ }
-
-var (
-	int64Word   = typeWord(int64(0))
-	float64Word = typeWord(float64(0))
-	stringWord  = typeWord("")
-)
-
-// boxInto sets cell c of rows[j] to the value at position pos[j] (NULL
-// cells stay nil).
-func (v *colVec) boxInto(rows [][]any, c int, pos []int32) {
-	switch v.kind {
-	case vkInt:
-		boxTyped(v, v.ints, int64Word, rows, c, pos)
-	case vkFloat:
-		boxTyped(v, v.floats, float64Word, rows, c, pos)
-	case vkStr:
-		boxTyped(v, v.strs, stringWord, rows, c, pos)
-	default:
-		// bools box without allocating, vkAny cells are boxed already
-		for j, i := range pos {
-			rows[j][c] = v.get(int(i))
-		}
-	}
-}
-
-// boxTyped boxes src[pos[j]] into cell c of rows[j] with one allocation: the
-// values are copied into one array, and each interface points into it, as
-// converting one value to an interface would point into a heap cell of its
-// own. The copy, never written after, keeps a result's cells fixed while
-// UPDATE rewrites the vector in place.
-func boxTyped[T int64 | float64 | string](v *colVec, src []T, typ unsafe.Pointer, rows [][]any, c int, pos []int32) {
-	vals := make([]T, len(pos))
-	for j, i := range pos {
-		vals[j] = src[i]
-	}
-	for j, i := range pos {
-		if !v.isNull(int(i)) {
-			*(*eface)(unsafe.Pointer(&rows[j][c])) = eface{typ, unsafe.Pointer(&vals[j])}
-		}
-	}
 }
 
 // setCell overwrites one cell in the vectors (UPDATE).

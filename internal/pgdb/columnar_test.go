@@ -243,7 +243,7 @@ func TestGatherAndViewSizedToRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.execSelect(stmt.(*sqlparse.SelectStmt), true)
+		res, err := s.execSelect(stmt.(*sqlparse.SelectStmt), formView)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -283,7 +283,7 @@ func compileExpr(e sqlparse.Expr, schema []colBinding) compiled {
 		// executed per evaluation, like the interpreter: no memoization, so
 		// statements that observe their own writes (UPDATE) stay identical
 		return compiled{fn: func(ec *evalCtx, row []any) (any, error) {
-			res, err := ec.s.execSelect(q, false)
+			res, err := ec.s.execSelect(q, formRows)
 			if err != nil {
 				return nil, err
 			}

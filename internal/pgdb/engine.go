@@ -22,16 +22,25 @@ func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) 
 	if err != nil {
 		return nil, errf("42601", "%v", err)
 	}
-	return s.execStmtContext(ctx, stmt)
+	return boxed(s.execStmtContext(ctx, stmt))
 }
 
-// execStmtContext is ExecStmt bounded by a context, for a statement parsed
+// boxed is the exported entry points' boundary: a columnar result leaves
+// them with its rows boxed.
+func boxed(res *Result, err error) (*Result, error) {
+	if res != nil && res.store != nil {
+		res.Rows, res.store = res.store.boxSel(nil, seq(0, len(res.Cols))), nil
+	}
+	return res, err
+}
+
+// execStmtContext is execTop bounded by a context, for a statement parsed
 // ahead of its execution.
 func (s *Session) execStmtContext(ctx context.Context, stmt sqlparse.Stmt) (*Result, error) {
 	prev, prevTicks := s.ctx, s.ticks
 	s.ctx, s.ticks = ctx, 0
 	defer func() { s.ctx, s.ticks = prev, prevTicks }()
-	return s.ExecStmt(stmt)
+	return s.execTop(stmt)
 }
 
 // ctxCheckRows is how many row visits pass between context checks — the
@@ -70,6 +79,15 @@ func (s *Session) ExecScript(sql string) ([]*Result, error) {
 // ExecScriptContext is ExecScript bounded by a context; the whole batch
 // shares one deadline.
 func (s *Session) ExecScriptContext(ctx context.Context, sql string) ([]*Result, error) {
+	out, err := s.execScript(ctx, sql)
+	for _, r := range out {
+		boxed(r, nil)
+	}
+	return out, err
+}
+
+// execScript is ExecScriptContext without the boxing.
+func (s *Session) execScript(ctx context.Context, sql string) ([]*Result, error) {
 	prev, prevTicks := s.ctx, s.ticks
 	s.ctx, s.ticks = ctx, 0
 	defer func() { s.ctx, s.ticks = prev, prevTicks }()
@@ -79,7 +97,7 @@ func (s *Session) ExecScriptContext(ctx context.Context, sql string) ([]*Result,
 	}
 	out := make([]*Result, 0, len(stmts))
 	for _, st := range stmts {
-		r, err := s.ExecStmt(st)
+		r, err := s.execTop(st)
 		if err != nil {
 			return out, err
 		}
@@ -94,6 +112,12 @@ func (s *Session) ExecScriptContext(ctx context.Context, sql string) ([]*Result,
 // a scan against a half-applied append or in-place update. Nested calls
 // (view expansion) run under the outer statement's lock.
 func (s *Session) ExecStmt(stmt sqlparse.Stmt) (*Result, error) {
+	return boxed(s.execTop(stmt))
+}
+
+// execTop is ExecStmt without the boxing: a SELECT's result may be a
+// private column store (formOwned).
+func (s *Session) execTop(stmt sqlparse.Stmt) (*Result, error) {
 	if s.lockDepth > 0 {
 		return s.execStmt(stmt)
 	}
@@ -155,11 +179,18 @@ func (s *Session) execStmt(stmt sqlparse.Stmt) (res *Result, err error) {
 	defer trapFault(&err)
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		res, err := s.execSelect(st, false)
+		res, err := s.execSelect(st, formOwned)
 		if err != nil {
 			return nil, err
 		}
-		res.Tag = fmt.Sprintf("SELECT %d", len(res.Rows))
+		n := len(res.Rows)
+		if res.store != nil {
+			n = res.store.n
+		}
+		if h := s.db.selectHook; h != nil {
+			h(res.store != nil)
+		}
+		res.Tag = fmt.Sprintf("SELECT %d", n)
 		return res, nil
 	case *sqlparse.CreateTableStmt:
 		return s.execCreateTable(st)
@@ -200,7 +231,7 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTableStmt) (*Result, error)
 	var t *storedTable
 	var initRows [][]any
 	if st.AsSelect != nil {
-		res, err := s.execSelect(st.AsSelect, false)
+		res, err := s.execSelect(st.AsSelect, formRows)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +354,7 @@ func (s *Session) execInsert(st *sqlparse.InsertStmt) (*Result, error) {
 	}
 	var incoming [][]any
 	if st.Select != nil {
-		res, err := s.execSelect(st.Select, false)
+		res, err := s.execSelect(st.Select, formRows)
 		if err != nil {
 			return nil, err
 		}

@@ -182,7 +182,7 @@ func (s *Session) evalExprWin(e sqlparse.Expr, schema []colBinding, row []any, r
 		}
 		return s.evalScalarFunc(x, schema, row, rowIdx, winVals)
 	case *sqlparse.SubqueryExpr:
-		res, err := s.execSelect(x.Query, false)
+		res, err := s.execSelect(x.Query, formRows)
 		if err != nil {
 			return nil, err
 		}

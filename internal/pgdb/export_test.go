@@ -39,3 +39,8 @@ func LowersToVector(db *DB, table, where string) bool {
 	_, ok := lowerVecPred(stmt.(*sqlparse.SelectStmt).Where, schemaOf(t.cols, table), t.store)
 	return ok
 }
+
+// OnSelect makes db report whether each top-level SELECT's result is a
+// column store, which a PG v3 connection writes as it is and the exported
+// entry points box. Set it before any statement runs.
+func OnSelect(db *DB, fn func(columnar bool)) { db.selectHook = fn }

@@ -5,12 +5,11 @@ import (
 	"slices"
 )
 
-// Columnar intermediates. A FROM-clause subquery that takes the bare-column
+// Columnar intermediates. A subquery or top-level SELECT that takes the
 // vector projection, a typed hash equi-join and a typed as-of join each
-// return a statement-private colStore instead of boxed rows, so the operator
-// above them runs the same vector paths a base-table scan does: bitmap
-// predicates, the fused aggregation and the late-materialized projection.
-// Two shapes exist:
+// return a statement-private colStore instead of boxed rows: the operator
+// above runs the vector paths a base-table scan does, and the PG v3 writer
+// walks a top-level one (serve.go). Two shapes exist:
 //
 //   - a view (viewOf) — the unfiltered projection of a store: segments whose
 //     vectors are struct copies of the source's, sharing the data. A view
@@ -28,8 +27,10 @@ import (
 // as-of cache. Zone maps are the source's (a view) or nil (a gather: no
 // verdict). Every vector's capacity equals its segment's row count — a
 // one-row point lookup must not allocate a segment's worth of each column.
-// A consumer that still needs rows calls rowsView, which boxes the private
-// store once for the statement (boxSel).
+// A consumer that still needs rows boxes the store once (rowsView, boxSel).
+// A store that may share a table's vectors is marked shared; a top-level
+// SELECT gathers instead, since it is read after the statement lock is
+// released and UPDATE writes a table's vectors in place.
 
 // newPrivateStore returns a statement-private store of n rows over cols,
 // its segments allocated with unset vectors for the builder to fill.
@@ -45,7 +46,7 @@ func newPrivateStore(cols []Column, n int) *colStore {
 // st's vectors, stubs included, and records the store they come from.
 func viewOf(st *colStore, cols []int, out []Column) *colStore {
 	v := newPrivateStore(out, st.n)
-	v.src, v.srcCols = st, cols
+	v.src, v.srcCols, v.shared = st, cols, st.sharesTable()
 	if st.src != nil {
 		v.src, v.srcCols = st.src, make([]int, len(cols))
 		for k, c := range cols {
@@ -126,6 +127,7 @@ func (st *colStore) gatherCols(dst []int, src *colStore, cols []int, ids []int32
 		return
 	}
 	if ids == nil {
+		st.shared = st.shared || src.sharesTable()
 		for si := range st.slots {
 			from, to := src.segCols(si, cols), st.peekSeg(si)
 			for k, c := range cols {

@@ -161,10 +161,10 @@ func TestPassThroughProjectionAllocs(t *testing.T) {
 	}
 }
 
-// TestBoxingPollsContext: boxing a table's rows — a top-level vector
-// projection, UPDATE and DELETE — checks the statement's context once per
-// segment, so a cancelled statement stops before it boxes the table or
-// writes a row.
+// TestBoxingPollsContext: a top-level vector projection checks the
+// statement's context before it copies the table, and UPDATE and DELETE
+// once per segment as they box its rows, so a cancelled statement stops
+// before it reads the table or writes a row.
 func TestBoxingPollsContext(t *testing.T) {
 	_, s := newProjectDB(t, 3*segSize)
 	before := tableRows(s)

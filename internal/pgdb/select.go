@@ -80,13 +80,25 @@ func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
 	return sortedSet(seen)
 }
 
+// resultForm is the shape execSelect may return a result in: boxed rows;
+// for a FROM-clause subquery, a private store that may share its input's
+// vectors; for a top-level SELECT, one that shares no table's (gather.go).
+type resultForm uint8
+
+const (
+	formRows resultForm = iota
+	formView
+	formOwned
+)
+
 // execSelect runs the full select pipeline: FROM (with joins) → WHERE →
 // GROUP/aggregate → HAVING → projection (with window functions) → DISTINCT
-// → UNION → ORDER BY → LIMIT/OFFSET. The result is boxed unless columnar is
-// set — a FROM-clause subquery — and the select is a bare-column vector
-// projection with none of the later stages: then it is a statement-private
-// column store (Result.store, Rows nil) the enclosing select scans.
-func (s *Session) execSelect(sel *sqlparse.SelectStmt, columnar bool) (*Result, error) {
+// → UNION → ORDER BY → LIMIT/OFFSET. The result is boxed unless form allows
+// columns and the select is a vector projection with none of the later
+// stages: then it is a statement-private column store (Result.store, Rows
+// nil). An ORDER BY that leaves the store as it is (ascendingInts) keeps it;
+// any other order boxes the store and sorts the rows.
+func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result, error) {
 	var rel *relation
 	var err error
 	where := sel.Where
@@ -136,15 +148,20 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, columnar bool) (*Result, 
 		if grouped {
 			res, ok, err = s.execGroupedVec(sel, rel, selBits)
 		} else {
-			columnar = columnar && !sel.Distinct && sel.Union == nil && len(sel.OrderBy) == 0 &&
-				sel.Limit == nil && sel.Offset == nil
-			res, ok, err = s.projectVec(sel, rel, selBits, columnar)
+			if sel.Distinct || sel.Union != nil || sel.Limit != nil || sel.Offset != nil {
+				form = formRows
+			}
+			res, ok, err = s.projectVec(sel, rel, selBits, form)
 		}
 		if err != nil {
 			return nil, err
 		}
 		if ok && res.store != nil {
-			return res, nil
+			if len(sel.OrderBy) == 0 || len(sel.OrderBy) == 1 && !sel.OrderBy[0].Desc &&
+				res.store.ascendingInts(outputKey(sel.OrderBy[0].Expr, res)) {
+				return res, nil
+			}
+			boxed(res, nil)
 		}
 		// the fast paths' results are self-contained; an ORDER BY key that
 		// is not an output column still reads the selected input rows, and a
@@ -176,7 +193,7 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, columnar bool) (*Result, 
 		res.Rows = dedupRows(res.Rows)
 	}
 	if sel.Union != nil {
-		right, err := s.execSelect(sel.Union.Right, false)
+		right, err := s.execSelect(sel.Union.Right, formRows)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +294,7 @@ func (s *Session) buildRef(ref sqlparse.TableRef) (*relation, error) {
 			alias = r.Name
 		}
 	case *sqlparse.SubqueryRef:
-		res, err = s.execSelect(r.Query, true)
+		res, err = s.execSelect(r.Query, formView)
 		alias = r.Alias
 	case *sqlparse.JoinRef:
 		return s.buildJoin(r)
@@ -717,20 +734,20 @@ func isIdentity[T int | int32](xs []T, width int) bool {
 // projectVec is the late-materialization fast path for a vector scan: when
 // every output item is a bare column reference or lowers to a value kernel
 // (kernel.go), the result is built straight from the selection bitmap over
-// the column vectors (boxCols) — one arena-backed output row per selected
-// position, no intermediate filtered slice and no per-row closure dispatch;
-// a kernel evaluates each segment's selected rows at once. With columnar set
-// the result stays columns: a view of the input store when nothing is
-// filtered or computed, else a typed gather of the selected rows with the
-// kernels' values filled in beside them (gather.go). Returns ok=false for
+// the column vectors. Unless form is formRows it stays columns: a view of
+// the input store when nothing is filtered or computed and form allows
+// sharing it, else a typed gather of the selected rows with the kernels'
+// values beside them (gather.go). Otherwise, or when a kernel's kind
+// differs between segments, boxCols boxes the rows. Returns ok=false for
 // any shape it does not handle, deferring both work and error surfacing to
 // the generic projection path.
-func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64, columnar bool) (*Result, bool, error) {
+func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64, form resultForm) (*Result, bool, error) {
 	items, err := expandStars(sel.Items, rel.schema)
 	if err != nil {
 		return nil, false, nil
 	}
 	st := rel.store
+	columnar := form != formRows
 	cols := make([]int, len(items))
 	var kerns []valKernel // nil: every item is a bare column
 	var kinds []vecKind   // a columnar kernel's kind in every segment
@@ -749,10 +766,8 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 		kerns[i] = k
 		if columnar {
 			// a private column has one kind: kernels whose kind differs
-			// between segments take the row path
-			if kinds[i], ok = storeKind(k, st); !ok {
-				return nil, false, nil
-			}
+			// between segments box
+			kinds[i], columnar = storeKind(k, st)
 		}
 	}
 	res := &Result{}
@@ -766,16 +781,23 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 	// holding selected rows are touched, so a selection the zone maps fully
 	// pruned leaves evicted segments on disk and boxes nothing else.
 	if columnar {
-		if selBits == nil && kerns == nil {
+		copyAll := form == formOwned && st.sharesTable()
+		if selBits == nil && kerns == nil && !copyAll {
 			res.store = viewOf(st, cols, res.Cols)
 			refineStoreTypes(res)
 			return res, true, nil
 		}
-		var ids []int32 // nil: every row
+		if err := s.poll(); err != nil {
+			return nil, false, err
+		}
+		var ids []int32 // nil: every row, sharing the bare columns' vectors
 		n := st.n
-		if selBits != nil {
+		switch {
+		case selBits != nil:
 			ids = appendSetBits([]int32{}, selBits)
 			n = len(ids)
+		case copyAll:
+			ids = seq32(n)
 		}
 		res.store = newPrivateStore(res.Cols, n)
 		var dst, src []int

@@ -2,7 +2,9 @@ package pgdb
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 
 	"hyperq/internal/pgdb/sqlparse"
@@ -78,7 +80,7 @@ type wireSession struct {
 
 // Query runs a simple-query script; the first failure ends it.
 func (w *wireSession) Query(sql string) ([]pgv3.Result, error) {
-	results, err := w.session.ExecScriptContext(w.ctx, sql)
+	results, err := w.session.execScript(w.ctx, sql)
 	out := make([]pgv3.Result, len(results))
 	for i, res := range results {
 		out[i] = wireResult{w.sc, res}
@@ -159,6 +161,9 @@ func (r wireResult) Columns() []pgv3.ColDesc {
 // buffer, so a row costs no allocation however wide it is. A cell that has
 // no binary form fails the statement with the rows before it sent.
 func (r wireResult) WriteRows(cols []pgv3.ColDesc) error {
+	if r.res.store != nil {
+		return r.writeStore(cols)
+	}
 	sc := r.sc
 	for _, row := range r.res.Rows {
 		sc.BeginDataRow(len(row))
@@ -187,3 +192,50 @@ func (r wireResult) WriteRows(cols []pgv3.ColDesc) error {
 
 // Tag implements pgv3.Result.
 func (r wireResult) Tag() string { return r.res.Tag }
+
+// writeStore is WriteRows for a columnar result, which shares no table's
+// vectors (formOwned): it is read after the statement lock is released.
+func (r wireResult) writeStore(cols []pgv3.ColDesc) error {
+	sc, st := r.sc, r.res.store
+	for si := range st.slots {
+		seg := st.seg(si)
+		for i := 0; i < seg.n; i++ {
+			sc.BeginDataRow(len(cols))
+			for j, col := range cols {
+				if seg.vecs[j].isNull(i) {
+					sc.NullCell()
+					continue
+				}
+				cell, err := appendVecCell(sc.BeginCell(), &seg.vecs[j], i, col, r.res.Cols[j].Type)
+				if err != nil {
+					sc.AbortDataRow()
+					return serverError(err)
+				}
+				sc.EndCell(cell)
+			}
+			if err := sc.EndDataRow(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// appendVecCell appends the non-NULL cell i of v in col's format.
+func appendVecCell(dst []byte, v *colVec, i int, col pgv3.ColDesc, typ string) ([]byte, error) {
+	switch text := col.Format == pgv3.FormatText; {
+	case v.kind == vkInt && text:
+		return appendIntText(dst, v.ints[i], typ), nil
+	case v.kind == vkInt:
+		return appendBinaryInt(dst, v.ints[i], col.TypeOID, typ)
+	case v.kind == vkFloat && text:
+		return appendFloatText(dst, v.floats[i]), nil
+	case v.kind == vkFloat && col.TypeOID == pgv3.OidFloat8:
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.floats[i])), nil
+	case v.kind == vkStr && text:
+		return append(dst, v.strs[i]...), nil
+	case text:
+		return AppendValue(dst, v.get(i), typ), nil
+	}
+	return appendBinary(dst, v.get(i), col.TypeOID, typ)
+}

@@ -37,12 +37,12 @@ type Result struct {
 	Rows [][]any
 	Tag  string // command tag, e.g. "SELECT 5"
 	// store is set for a base table's columnar storage, or for a FROM-clause
-	// subquery's statement-private one (gather.go), letting the compiled
-	// engine scan the typed vectors instead of boxed rows. Rows is then nil:
-	// consumers that need boxed rows box them through the relation (rowsView,
-	// boxSel), so scans the planner fully prunes never touch evicted
-	// segments. Results returned from the exported entry points always carry
-	// Rows.
+	// subquery's or a top-level SELECT's statement-private one (gather.go).
+	// Rows is then nil: consumers that need boxed rows box them through the
+	// relation (rowsView, boxSel), so scans the planner fully prunes never
+	// touch evicted segments. A top-level store leaves pgdb only through the
+	// PG v3 writer (wireResult), which walks its vectors; the exported entry
+	// points box it (boxed), so their results always carry Rows.
 	store *colStore
 }
 
@@ -105,33 +105,42 @@ func AppendValue(dst []byte, v any, typ string) []byte {
 		}
 		return append(dst, 'f')
 	case int64:
-		switch typ {
-		case "date":
-			return appendDate(dst, x)
-		case "time":
-			return appendTimeOfDay(dst, x)
-		case "timestamp", "timestamptz":
-			return pgEpoch.Add(time.Duration(x)).AppendFormat(dst, "2006-01-02 15:04:05.999999999")
-		default: // integers, and an interval's nanoseconds: int8 on the wire
-			return strconv.AppendInt(dst, x, 10)
-		}
+		return appendIntText(dst, x, typ)
 	case float64:
-		// PostgreSQL spells infinities "Infinity"/"-Infinity"; Go's
-		// AppendFloat would emit "+Inf"/"-Inf"
-		switch {
-		case math.IsNaN(x):
-			return append(dst, "NaN"...)
-		case math.IsInf(x, 1):
-			return append(dst, "Infinity"...)
-		case math.IsInf(x, -1):
-			return append(dst, "-Infinity"...)
-		}
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+		return appendFloatText(dst, x)
 	case string:
 		return append(dst, x...)
 	default:
 		return fmt.Appendf(dst, "%v", x)
 	}
+}
+
+// appendIntText is AppendValue for an int64 value.
+func appendIntText(dst []byte, x int64, typ string) []byte {
+	switch typ {
+	case "date":
+		return appendDate(dst, x)
+	case "time":
+		return appendTimeOfDay(dst, x)
+	case "timestamp", "timestamptz":
+		return pgEpoch.Add(time.Duration(x)).AppendFormat(dst, "2006-01-02 15:04:05.999999999")
+	default: // integers, and an interval's nanoseconds: int8 on the wire
+		return strconv.AppendInt(dst, x, 10)
+	}
+}
+
+// appendFloatText is AppendValue for a float64 value. PostgreSQL spells
+// infinities "Infinity"/"-Infinity", not Go's "+Inf"/"-Inf".
+func appendFloatText(dst []byte, x float64) []byte {
+	switch {
+	case math.IsNaN(x):
+		return append(dst, "NaN"...)
+	case math.IsInf(x, 1):
+		return append(dst, "Infinity"...)
+	case math.IsInf(x, -1):
+		return append(dst, "-Infinity"...)
+	}
+	return strconv.AppendFloat(dst, x, 'g', -1, 64)
 }
 
 // appendBinary appends v's PostgreSQL binary form for a column of type typ,
@@ -157,65 +166,70 @@ func appendBinary(dst []byte, v any, oid uint32, typ string) ([]byte, error) {
 			return append(dst, 1), nil
 		}
 		return append(dst, 0), nil
-	case pgv3.OidInt2, pgv3.OidInt4, pgv3.OidInt8:
-		n, ok := v.(int64)
-		if !ok {
-			var err error
-			if dst, n, err = reparse(dst, v, typ, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) }); err != nil {
-				return dst, err
-			}
-		}
-		switch oid {
-		case pgv3.OidInt2:
-			if n < math.MinInt16 || n > math.MaxInt16 {
-				return dst, errf("22003", "smallint out of range: %d", n)
-			}
-			return binary.BigEndian.AppendUint16(dst, uint16(n)), nil
-		case pgv3.OidInt4:
-			if n < math.MinInt32 || n > math.MaxInt32 {
-				return dst, errf("22003", "integer out of range: %d", n)
-			}
-			return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
-		}
-		return binary.BigEndian.AppendUint64(dst, uint64(n)), nil
 	case pgv3.OidFloat8:
-		var f float64
-		switch x := v.(type) {
-		case float64:
-			f = x
-		case int64:
-			f = float64(x) // rounds as parsing its decimal text does
-		default:
-			var err error
-			if dst, f, err = reparse(dst, v, typ, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }); err != nil {
-				return dst, err
-			}
+		if f, ok := v.(float64); ok {
+			return binary.BigEndian.AppendUint64(dst, math.Float64bits(f)), nil
 		}
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(f)), nil
-	case pgv3.OidDate, pgv3.OidTime:
-		n, ok := v.(int64)
-		if !ok {
+	}
+	n, ok := v.(int64)
+	if !ok {
+		var err error
+		switch oid {
+		case pgv3.OidInt2, pgv3.OidInt4, pgv3.OidInt8:
+			dst, n, err = reparse(dst, v, typ, func(s string) (int64, error) { return strconv.ParseInt(s, 10, 64) })
+		case pgv3.OidFloat8:
+			var f float64
+			if dst, f, err = reparse(dst, v, typ, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }); err == nil {
+				return appendBinary(dst, f, oid, typ)
+			}
+		case pgv3.OidDate, pgv3.OidTime:
 			// a string read as the type's SQL input, as a cast would have
 			s, isStr := v.(string)
 			if !isStr {
 				return dst, errf("42804", "%s column holds a %T value", typ, v)
 			}
-			x, err := ParseValue(s, typ)
-			if err != nil {
-				return dst, err
+			var x any
+			if x, err = ParseValue(s, typ); err == nil {
+				n = x.(int64)
 			}
-			n = x.(int64)
+		default:
+			return dst, errf("0A000", "no binary format for type %s", typ)
 		}
-		if oid == pgv3.OidDate {
-			if n < math.MinInt32 || n > math.MaxInt32 {
-				return dst, errf("22008", "date out of range: %d days", n)
-			}
+		if err != nil {
+			return dst, err
+		}
+	}
+	return appendBinaryInt(dst, n, oid, typ)
+}
+
+// appendBinaryInt is appendBinary for an int64 value.
+func appendBinaryInt(dst []byte, n int64, oid uint32, typ string) ([]byte, error) {
+	switch oid {
+	case pgv3.OidInt2:
+		if n < math.MinInt16 || n > math.MaxInt16 {
+			return dst, errf("22003", "smallint out of range: %d", n)
+		}
+		return binary.BigEndian.AppendUint16(dst, uint16(n)), nil
+	case pgv3.OidInt4, pgv3.OidDate:
+		switch {
+		case n >= math.MinInt32 && n <= math.MaxInt32:
 			return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
+		case oid == pgv3.OidDate:
+			return dst, errf("22008", "date out of range: %d days", n)
 		}
+		return dst, errf("22003", "integer out of range: %d", n)
+	case pgv3.OidInt8:
+		return binary.BigEndian.AppendUint64(dst, uint64(n)), nil
+	case pgv3.OidFloat8:
+		// rounds as parsing its decimal text does
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(n))), nil
+	case pgv3.OidTime:
 		if n < math.MinInt64/1000 || n > math.MaxInt64/1000 {
 			return dst, errf("22008", "time out of range: %d ms", n)
 		}
 		return binary.BigEndian.AppendUint64(dst, uint64(n*1000)), nil
+	case pgv3.OidBool:
+		return appendBinary(dst, n, oid, typ)
 	}
 	return dst, errf("0A000", "no binary format for type %s", typ)
 }

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
-	"unsafe"
 
 	"hyperq/internal/pgdb/sqlparse"
 )
@@ -608,61 +606,6 @@ func TestBoxSelMatchesGet(t *testing.T) {
 		}
 		st.setCell(3, 0, int64(3000))
 		st.setCell(3, 2, "s3")
-	}
-}
-
-// TestEfaceLayout checks the runtime representation boxTyped writes by hand:
-// an interface is a type word followed by a pointer to its value, for
-// int64, float64 and string alike. Interfaces built that way must then
-// behave as converted ones do — type switches, reflection, ==, map keys,
-// formatting — and keep their values through a collection once the vector
-// they came from is rewritten.
-func TestEfaceLayout(t *testing.T) {
-	if unsafe.Sizeof(any(nil)) != unsafe.Sizeof(eface{}) {
-		t.Fatalf("interface is %d bytes, eface %d", unsafe.Sizeof(any(nil)), unsafe.Sizeof(eface{}))
-	}
-	i, f, s := any(int64(-7)<<40), any(-2.5), any("seven")
-	for _, c := range []struct {
-		x    any
-		word unsafe.Pointer
-		val  func(unsafe.Pointer) any
-	}{
-		{i, int64Word, func(p unsafe.Pointer) any { return *(*int64)(p) }},
-		{f, float64Word, func(p unsafe.Pointer) any { return *(*float64)(p) }},
-		{s, stringWord, func(p unsafe.Pointer) any { return *(*string)(p) }},
-	} {
-		e := *(*eface)(unsafe.Pointer(&c.x))
-		if e.typ != c.word || c.val(e.data) != c.x {
-			t.Fatalf("%T %v is not stored as (type word, pointer to value)", c.x, c.x)
-		}
-	}
-	st := newColStore([]Column{{Name: "i", Type: "bigint"}, {Name: "f", Type: "double precision"}, {Name: "s", Type: "varchar"}})
-	st.appendRow([]any{i, f, s})
-	row := st.boxSel(nil, seq(0, 3))[0]
-	for c := range 3 {
-		st.setCell(0, c, []any{int64(1), 1.0, "x"}[c])
-	}
-	runtime.GC()
-	_ = make([]byte, 1<<20)
-	runtime.GC()
-	want := []any{i, f, s}
-	keys := map[any]int{i: 0, f: 1, s: 2}
-	for c, got := range row {
-		if got != want[c] || reflect.TypeOf(got) != reflect.TypeOf(want[c]) ||
-			keys[got] != c || fmt.Sprint(got) != fmt.Sprint(want[c]) {
-			t.Fatalf("cell %d: %#v, want %#v", c, got, want[c])
-		}
-	}
-	if v, ok := row[0].(int64); !ok || v != int64(-7)<<40 {
-		t.Fatalf("type assertion: %v %v", v, ok)
-	}
-	switch v := row[2].(type) {
-	case string:
-		if v != "seven" {
-			t.Fatalf("type switch: %q", v)
-		}
-	default:
-		t.Fatalf("type switch: %T", v)
 	}
 }
 
