@@ -225,8 +225,8 @@ func run(ctx context.Context, o *options) (err error) {
 	}
 	if cache != nil {
 		cs := cache.Stats()
-		log.Printf("qcache: %d entries, %d hits, %d misses, %d dedups, %d evictions",
-			cs.Entries, cs.Hits, cs.Misses, cs.Dedups, cs.Evictions)
+		log.Printf("qcache: %d entries, %d hits (%d spliced), %d misses, %d dedups, %d evictions, %d rejected skeletons",
+			cs.Entries, cs.Hits, cs.Splices, cs.Misses, cs.Dedups, cs.Evictions, cs.Rejected)
 	}
 	ps := backendPool.Stats()
 	log.Printf("pool: %d dials (%d errors), %d checkouts, %d health failures (%d checks skipped), %d discards",

@@ -3,7 +3,9 @@
 // substrate (package interp) and the Hyper-Q → SQL pipeline, and reports
 // every divergence (paper §5's side-by-side methodology, automated). Hyper-Q
 // reads each result over PG v3 from the embedded engine in this process, and
-// runs each query twice so the rerun's binary cells are compared too.
+// runs each query twice so the rerun's binary cells are compared too, and
+// once more with its liftable literals changed, which the session's
+// translation cache answers by splicing the first run's template.
 //
 //	qdiff -seed 1 -n 10000            # fuzz, exit 1 on any divergence
 //	qdiff -seed 1 -n 1000 -shrink     # minimize failures before reporting
@@ -96,6 +98,6 @@ func main() {
 			len(rep.Mismatches), rep.N, rep.Seed)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "qdiff: %d queries, %d matches (%d as agreeing errors), 0 divergences\n",
-		rep.N, rep.Matches, rep.BothError)
+	fmt.Fprintf(os.Stderr, "qdiff: %d queries, %d matches (%d as agreeing errors), 0 divergences; %d perturbed comparisons, %d template splices, %d rejected skeletons\n",
+		rep.N, rep.Matches, rep.BothError, rep.Perturbed, rep.Splices, rep.Rejected)
 }

@@ -206,12 +206,3 @@ func (s *Scopes) DestroySession() {
 	s.locals = nil
 	s.gen++
 }
-
-// SessionNames lists variables currently defined at session level.
-func (s *Scopes) SessionNames() []string {
-	out := make([]string, 0, len(s.session.vars))
-	for n := range s.session.vars {
-		out = append(out, n)
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qcache"
 	"hyperq/internal/qlang/qval"
+	"hyperq/internal/taq"
 )
 
 // newCachedStack is newStack plus a shared query cache.
@@ -325,7 +327,9 @@ func TestTranslateUsesCache(t *testing.T) {
 
 func TestCacheConcurrentIdenticalQueriesTranslateOnce(t *testing.T) {
 	// N sessions fire the same query concurrently; single-flight ensures
-	// one translation, and every session gets the right rows
+	// one translation, and every session gets the right rows. Then N
+	// sessions fire N distinct texts of one new skeleton: the first
+	// verifies its template once and the rest splice it.
 	db := pgdb.NewDB()
 	loader := pipe(t, db)
 	trades := qval.NewTable([]string{"Symbol", "Price"}, []qval.Value{
@@ -336,43 +340,181 @@ func TestCacheConcurrentIdenticalQueriesTranslateOnce(t *testing.T) {
 	}
 	cache := qcache.New(64)
 	p := core.NewPlatform()
-	const q = "select Price from trades where Symbol=`GOOG"
 	const n = 16
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	lens := make([]int, n)
-	backends := make([]core.Backend, n)
-	for i := range backends {
-		backends[i] = pipe(t, db)
-	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := p.NewSession(backends[i], core.Config{Cache: cache})
-			defer s.Close()
-			v, _, err := s.Run(ctx, q)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			lens[i] = v.(*qval.Table).Len()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
+	for _, round := range []struct {
+		name string
+		text func(i int) string
+	}{
+		{"identical", func(int) string { return "select Price from trades where Symbol=`GOOG" }},
+		{"fresh literals", func(i int) string {
+			return fmt.Sprintf("select Price from trades where Symbol=`GOOG, Price<%d.5", 200+i)
+		}},
+	} {
+		backends := make([]core.Backend, n)
+		for i := range backends {
+			backends[i] = pipe(t, db)
 		}
-		if lens[i] != 2 {
-			t.Fatalf("session %d got %d rows, want 2", i, lens[i])
+		before := cache.Stats()
+		var wg sync.WaitGroup
+		errs := make([]error, n)
+		lens := make([]int, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				s := p.NewSession(backends[i], core.Config{Cache: cache})
+				defer s.Close()
+				v, _, err := s.Run(ctx, round.text(i))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				lens[i] = v.(*qval.Table).Len()
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: session %d: %v", round.name, i, err)
+			}
+			if lens[i] != 2 {
+				t.Fatalf("%s: session %d got %d rows, want 2", round.name, i, lens[i])
+			}
+		}
+		st := cache.Stats()
+		if d := st.Misses - before.Misses; d != 1 {
+			t.Fatalf("%s: translations = %d (misses), want exactly 1; stats %+v", round.name, d, st)
+		}
+		if d := st.Hits + st.Dedups - before.Hits - before.Dedups; d != n-1 {
+			t.Fatalf("%s: hits+dedups = %d, want %d; stats %+v", round.name, d, n-1, st)
+		}
+	}
+	// both rounds' texts lift their symbol, so every sharer splices
+	if st := cache.Stats(); st.Splices != 2*(n-1) || st.Entries != 2 {
+		t.Fatalf("stats %+v, want %d splices over 2 entries", st, 2*(n-1))
+	}
+}
+
+// pointShapes are the benchmark's point_lookups request shapes
+// (bench/workloads.go): a symbol slot and a numeric slot each.
+var pointShapes = []struct {
+	format string
+	float  bool
+}{
+	{"select from daily where Symbol=`%s, Volume<%s", false},
+	{"select attr_007 from refdata where Symbol=`%s, attr_007<%s", false},
+	{"select Close from daily where Symbol=`%s, High>%s", true},
+	{"select Symbol, attr_100, attr_250 from refdata where Symbol=`%s, attr_499<%s", false},
+	{"select rng:High-Low from daily where Symbol=`%s, Low>%s", true},
+	{"exec Close from daily where Symbol=`%s, Volume<%s", false},
+	{"select Sector from refdata where Symbol=`%s, attr_000<%s", false},
+	{"select Symbol, Open, Close from daily where Symbol=`%s, Open>%s", true},
+}
+
+// pointTexts are n distinct point lookups over the shapes: every text
+// carries fresh literals, and half its numeric predicates are false.
+func pointTexts(n int, syms []string) []string {
+	out := make([]string, n)
+	for i := range out {
+		s := pointShapes[i%len(pointShapes)]
+		lit := fmt.Sprintf("%d", 1+i*97%2_000_000_000)
+		if s.float {
+			lit = fmt.Sprintf("%d.%03d", i%200, i%997+1)
+		}
+		out[i] = fmt.Sprintf(s.format, syms[i%len(syms)], lit)
+	}
+	return out
+}
+
+func TestCacheFreshLiteralsSpliceOneTemplatePerShape(t *testing.T) {
+	n := 10_000
+	if testing.Short() {
+		n = 800
+	}
+	data := taq.Generate(taq.Config{Seed: 5, Trades: 50, Quotes: 50})
+	db := pgdb.NewDB()
+	loader := pipe(t, db)
+	for name, tbl := range map[string]*qval.Table{"daily": data.Daily, "refdata": data.RefData} {
+		if err := core.LoadQTable(ctx, loader, name, tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache := qcache.New(64)
+	p := core.NewPlatform()
+	cached := p.NewSession(pipe(t, db), core.Config{Cache: cache})
+	defer cached.Close()
+	plain := p.NewSession(pipe(t, db), core.Config{})
+	defer plain.Close()
+	for i, q := range pointTexts(n, append([]string{"NONE"}, taq.DefaultSymbols...)) {
+		got, stats, err := cached.Run(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if i >= len(pointShapes) && !stats.CacheHit {
+			t.Fatalf("%s: fresh literals missed the template", q)
+		}
+		want, _, err := plain.Run(ctx, q)
+		if err != nil {
+			t.Fatalf("%s uncached: %v", q, err)
+		}
+		if !qval.EqualValues(got, want) {
+			t.Fatalf("%s:\ncached:   %v\nuncached: %v", q, got, want)
 		}
 	}
 	st := cache.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("translations = %d (misses), want exactly 1; stats %+v", st.Misses, st)
+	if st.Entries != len(pointShapes) || st.Evictions != 0 || st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want %d entries, no evictions, no rejections", st, len(pointShapes))
 	}
-	if st.Hits+st.Dedups != n-1 {
-		t.Fatalf("hits+dedups = %d, want %d; stats %+v", st.Hits+st.Dedups, n-1, st)
+	if want := int64(n - len(pointShapes)); st.Splices != want || st.Hits != want {
+		t.Fatalf("stats = %+v, want %d splices and hits", st, want)
+	}
+}
+
+func TestCacheCastTargetRejectedServedByExactText(t *testing.T) {
+	_, s, _, cache := newCachedStack(t)
+	const q = "select x:`long$Price from trades"
+	cold := runQ(t, s, q)
+	st := cache.Stats()
+	if st.Rejected != 1 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want the skeleton rejected beside the text's own entry", st)
+	}
+	warm, stats, err := s.Run(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.CacheHit || !qval.EqualValues(cold, warm) {
+		t.Fatalf("exact-text hit = %v, results %v vs %v", stats.CacheHit, cold, warm)
+	}
+	if st := cache.Stats(); st.Splices != 0 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want one exact-text hit after one miss", st)
+	}
+	// another cast target reads its own text, not the rejected skeleton
+	if _, _, err := s.Run(ctx, "select x:`int$Price from trades"); err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Rejected != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want a second exact-text miss", st)
+	}
+}
+
+func TestCacheTemplateStatsChargeProbes(t *testing.T) {
+	_, s, _, _ := newCachedStack(t)
+	_, cold, err := s.Run(ctx, "select Price from trades where Symbol=`GOOG, Size>15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, warm, err := s.Run(ctx, "select Price from trades where Symbol=`IBM, Size>25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.CacheHit || warm.Stages.Translation() != 0 {
+		t.Fatalf("fresh literals should splice: %+v", warm)
+	}
+	// the leader translated the request and two probes; a hit saves one
+	if cold.Stages.Translation() <= warm.Saved.Translation() {
+		t.Fatalf("leader stages %v should exceed one translation's %v", cold.Stages, warm.Saved)
+	}
+	if got := v.(*qval.Table); got.Len() != 1 {
+		t.Fatalf("rows = %d, want 1", got.Len())
 	}
 }

@@ -121,14 +121,8 @@ func parseQAtom(text string, qt qval.Type) (qval.Value, error) {
 	}
 }
 
-// QAtomToSQLText renders a Q atom as PostgreSQL text input for its mapped
-// SQL type, used when loading Q tables into the backend.
-func QAtomToSQLText(v qval.Value) (text string, null bool) {
-	b, null := AppendQAtomSQLText(nil, v)
-	return string(b), null
-}
-
-// AppendQAtomSQLText is QAtomToSQLText into a reusable scratch buffer: the
+// AppendQAtomSQLText renders a Q atom as PostgreSQL text input for its
+// mapped SQL type, used when loading Q tables into the backend. The
 // rendering appends to dst, so bulk loaders avoid a string allocation per
 // cell.
 func AppendQAtomSQLText(dst []byte, v qval.Value) (text []byte, null bool) {

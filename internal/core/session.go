@@ -361,19 +361,23 @@ func (s *Session) execToQ(ctx context.Context, sql string, stats *RunStats) (*qv
 // cacheable. The bool reports whether a usable entry was obtained — callers
 // fall back to the full pipeline otherwise. The cache key ties the entry to
 // the exact variable-scope and metadata state it was translated under, so
-// DDL and variable-store mutations invalidate implicitly.
+// DDL and variable-store mutations invalidate implicitly. A request whose
+// literals were lifted into a cached template is spliced, not translated;
+// the caller that verifies a new template pays for its two probe
+// translations too.
 func (s *Session) cachedTranslation(ctx context.Context, qsrc string, stats *RunStats) (*qcache.Entry, bool) {
 	if s.cache == nil || s.scopes().InFunction() {
 		return nil, false
 	}
-	key := qcache.Key{
-		Query: qcache.Normalize(qsrc),
-		Scope: s.scopes().Fingerprint(),
-		Meta:  s.mdi.Generation(),
-	}
-	e, shared, err := s.cache.Do(ctx, key, func(ctx context.Context) (*qcache.Entry, error) {
-		return s.translateCacheable(ctx, qsrc)
-	})
+	var spent StageTiming
+	e, shared, err := s.cache.Translate(ctx, qcache.Normalize(qsrc), s.scopes().Fingerprint(), s.mdi.Generation(),
+		func(ctx context.Context, q string) (*qcache.Entry, error) {
+			e, err := s.translateCacheable(ctx, q)
+			if e != nil {
+				spent.Add(timingFromCost(e.Cost))
+			}
+			return e, err
+		})
 	if err != nil || e == nil {
 		// not cacheable (or the leader's translation failed): take the full
 		// pipeline, which reproduces any error with proper attribution
@@ -383,7 +387,7 @@ func (s *Session) cachedTranslation(ctx context.Context, qsrc string, stats *Run
 		stats.CacheHit = true
 		stats.Saved = timingFromCost(e.Cost)
 	} else {
-		stats.Stages = timingFromCost(e.Cost) // leader paid the full cost
+		stats.Stages = spent // the leader paid the full cost
 	}
 	return e, true
 }

@@ -105,9 +105,6 @@ func (s *TableSink) WireRow(fields [][]byte) error {
 // Tag implements RowSink.
 func (s *TableSink) Tag(tag string) { s.tag = tag }
 
-// CommandTag returns the streamed statement's command tag.
-func (s *TableSink) CommandTag() string { return s.tag }
-
 // Table finishes the built columns as a Q table (ownership of column
 // storage transfers to the table; the sink can then be Released).
 func (s *TableSink) Table() *qval.Table {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"net"
 	"testing"
+	"time"
 
 	"hyperq/internal/core"
 	"hyperq/internal/gateway"
@@ -22,6 +23,13 @@ import (
 // startStack launches pgserver + hyperq endpoint on loopback and returns the
 // QIPC address.
 func startStack(t *testing.T, auth func(u, p string) bool) string {
+	t.Helper()
+	return startStackNotify(t, auth, func() {})
+}
+
+// startStackNotify is startStack calling closed after each session's
+// teardown has finished.
+func startStackNotify(t *testing.T, auth func(u, p string) bool, closed func()) string {
 	t.Helper()
 	db := pgdb.NewDB()
 	loader, err := gateway.Pipe(context.Background(), db)
@@ -67,7 +75,7 @@ func startStack(t *testing.T, auth func(u, p string) bool) string {
 			return HandlerFunc(func(ctx context.Context, q string) (qval.Value, error) {
 				v, _, err := compiler.HandleQuery(ctx, q)
 				return v, err
-			}), func() { session.Close() }, nil
+			}), func() { session.Close(); closed() }, nil
 		},
 	})
 	return qL.Addr().String()
@@ -194,18 +202,20 @@ func TestEndToEndAsyncMessages(t *testing.T) {
 func TestTwoConnectionsShareServerScope(t *testing.T) {
 	// paper §3.2.3: session vars promote to server scope on session close,
 	// making functions visible to later sessions
-	addr := startStack(t, nil)
+	closed := make(chan struct{}, 2)
+	addr := startStackNotify(t, nil, func() { closed <- struct{}{} })
 	conn1 := dialQ(t, addr, "one", "")
 	query(t, conn1, "shared:{[s] :select from trades where Symbol=s;}")
 	conn1.Close()
-	// closing tears down the session asynchronously; retry via fresh conn
-	conn2 := dialQ(t, addr, "two", "")
-	deadline := 50
-	for i := 0; i < deadline; i++ {
-		v := query(t, conn2, "shared[`AAPL]")
-		if _, ok := v.(*qval.Table); ok {
-			return
-		}
+	// closing tears down the session asynchronously: wait for it
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first session never finished closing")
 	}
-	t.Fatal("promoted function never became visible to the second session")
+	conn2 := dialQ(t, addr, "two", "")
+	v := query(t, conn2, "shared[`AAPL]")
+	if _, ok := v.(*qval.Table); !ok {
+		t.Fatalf("promoted function not visible to the second session: %v", v)
+	}
 }

@@ -101,7 +101,9 @@ func TestPipeCloseWaitsForServer(t *testing.T) {
 // TestPipeCancelMidResult: canceling a request while its result streams in
 // fails the statement with an error satisfying errors.Is(err,
 // context.Canceled), and the pool discards the connection rather than
-// reuse one with half a reply on it.
+// reuse one with half a reply on it. The client abandons the reply at the
+// first row after the cancellation (pgv3.ErrAbandoned), so the discard does
+// not depend on whether the reply could have drained first.
 func TestPipeCancelMidResult(t *testing.T) {
 	db := wideDB(t)
 	p := pool.New(pool.Config{
@@ -119,8 +121,8 @@ func TestPipeCancelMidResult(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled mid-result: %v after %d rows, want context.Canceled", err, sink.rows)
 	}
-	if sink.rows == 5000 {
-		t.Fatal("the whole result arrived before the cancellation took")
+	if sink.rows != 1 {
+		t.Fatalf("%d rows delivered, want only the one that canceled", sink.rows)
 	}
 	if d := p.Stats().Discards; d != 1 {
 		t.Fatalf("pool discarded %d connections, want the canceled one", d)

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"hyperq/internal/pgdb"
 )
@@ -477,16 +476,4 @@ func decodeDelete(b []byte) (string, []int, error) {
 		off += 4
 	}
 	return table, removed, nil
-}
-
-// syncWait is a tiny helper for tests that want the batch syncer drained.
-func (w *walWriter) syncWait(d time.Duration) {
-	deadline := time.Now().Add(d)
-	w.mu.Lock()
-	for w.syncing && time.Now().Before(deadline) {
-		w.mu.Unlock()
-		time.Sleep(100 * time.Microsecond)
-		w.mu.Lock()
-	}
-	w.mu.Unlock()
 }

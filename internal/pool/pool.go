@@ -375,8 +375,10 @@ func (p *Pool) dialWithRetry(ctx context.Context) (Conn, error) {
 // connection; clean server errors (a SQL error over a healthy connection)
 // and embedded-engine errors leave it reusable. A context abort mid-protocol
 // surfaces as a pgv3.AbortError whose transport error keeps it in the broken
-// class; a pure context error (embedded backend, pre-I/O cancellation)
-// leaves the connection intact.
+// class — a statement canceled while its rows stream in always does, since
+// the client abandons the rest of the reply (pgv3.ErrAbandoned); a pure
+// context error (embedded backend, pre-I/O cancellation) leaves the
+// connection intact.
 func connBroken(err error) bool {
 	if err == nil {
 		return false
@@ -384,6 +386,9 @@ func connBroken(err error) bool {
 	var se *pgv3.ServerError
 	if errors.As(err, &se) {
 		return false
+	}
+	if errors.Is(err, pgv3.ErrAbandoned) {
+		return true
 	}
 	var ne net.Error
 	if errors.As(err, &ne) {

@@ -13,10 +13,18 @@
 // the respective generation, which orphans every dependent entry — stale
 // entries are never served and age out of the LRU.
 //
-// Concurrent identical queries are deduplicated with single-flight
-// semantics: the first caller translates, the rest wait and share the
-// result, so a thundering herd of N identical queries costs one
-// translation.
+// The text in the key is a skeleton: each literal whose value no translator
+// branch reads is lifted into a typed hole, so texts that differ only in
+// such literals share one entry, a SQL template. The template is cut from
+// the translations of two probe texts with sentinel literals, and kept only
+// if both cut alike and splicing the request's own literals reproduces its
+// own SQL byte for byte; otherwise the skeleton is marked rejected and its
+// texts keep exact-text keys (DESIGN.md, "Translation templates").
+//
+// Concurrent identical queries, and concurrent texts of one new skeleton,
+// are deduplicated with single-flight semantics: the first caller
+// translates, the rest wait and share the result, so a thundering herd of N
+// identical queries costs one translation.
 package qcache
 
 import (
@@ -38,6 +46,9 @@ type Key struct {
 	// Meta is the metadata generation of the MDI the translation used;
 	// DDL bumps it, invalidating dependent entries.
 	Meta uint64
+	// Skeleton marks a Query with holes: its entry is a template or a
+	// rejection, never one text's translation.
+	Skeleton bool
 }
 
 // Kind classifies how a cached statement's backend result is converted.
@@ -61,11 +72,6 @@ type Cost struct {
 	Serialize time.Duration
 }
 
-// Total returns the summed translation cost.
-func (c Cost) Total() time.Duration {
-	return c.Parse + c.Bind + c.Xform + c.Serialize
-}
-
 // Entry is one cached translation: everything needed to execute the
 // statement without re-running any pipeline stage.
 type Entry struct {
@@ -75,6 +81,7 @@ type Entry struct {
 	// to a bare vector.
 	IsExec bool
 	Cost   Cost
+	tpl    *template // set on a verified skeleton's entry, which has no SQL
 }
 
 // Stats reports cache effectiveness.
@@ -84,8 +91,11 @@ type Stats struct {
 	Evictions int64
 	// Dedups counts callers that waited on another caller's in-flight
 	// translation instead of translating themselves.
-	Dedups  int64
-	Entries int
+	Dedups int64
+	// Splices counts hits spliced into a template; Rejected counts
+	// skeletons that failed verification.
+	Splices, Rejected int64
+	Entries           int
 }
 
 // Cache is a bounded LRU of translated plans with single-flight
@@ -98,7 +108,7 @@ type Cache struct {
 	items   map[Key]*list.Element
 	flights map[Key]*flight
 
-	hits, misses, evictions, dedups int64
+	hits, misses, evictions, dedups, splices, rejected int64
 }
 
 type item struct {
@@ -187,8 +197,10 @@ func (c *Cache) Do(ctx context.Context, k Key, translate func(ctx context.Contex
 		c.mu.Lock()
 		if el, ok := c.items[k]; ok {
 			c.lru.MoveToFront(el)
-			c.hits++
 			e := el.Value.(*item).e
+			if e != rejected {
+				c.hits++ // a rejection sends its caller on to an exact-text key
+			}
 			c.mu.Unlock()
 			return e, true, nil
 		}
@@ -250,6 +262,8 @@ func (c *Cache) Stats() Stats {
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		Dedups:    c.dedups,
+		Splices:   c.splices,
+		Rejected:  c.rejected,
 		Entries:   c.lru.Len(),
 	}
 }

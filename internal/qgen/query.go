@@ -1,6 +1,11 @@
 package qgen
 
-import "strings"
+import (
+	"cmp"
+	"math"
+	"slices"
+	"strings"
+)
 
 // SelCol is one select or by column: Name is empty for bare expressions
 // (exec columns and wildcard selects).
@@ -152,4 +157,56 @@ func subExprs(e Expr) []Expr {
 		out = append(out, subExprs(c)...)
 	}
 	return out
+}
+
+// Perturbed returns the query with each literal a translation cache may lift
+// changed within its class: integers move 3 away from zero, floats scale by
+// 1.5 (by 2 where 1.5 would change their spelling), symbols step to the next
+// one of the dataset and times move by 7 ms. Zeros, empty symbols and like
+// patterns stay, as they stay in the cache key.
+func (q *Query) Perturbed() *Query {
+	c := q.Clone()
+	for _, cols := range [][]SelCol{c.Cols, c.By} {
+		for i := range cols {
+			cols[i].Expr = perturb(cols[i].Expr)
+		}
+	}
+	for i := range c.Where {
+		c.Where[i] = perturb(c.Where[i])
+	}
+	return c
+}
+
+func perturb(e Expr) Expr {
+	switch x := e.(type) {
+	case *ConstInt:
+		return &ConstInt{V: x.V + 3*int64(cmp.Compare(x.V, 0))}
+	case *ConstFloat:
+		if v := x.V * 1.5; (v == math.Trunc(v)) == (x.V == math.Trunc(x.V)) {
+			return &ConstFloat{V: v}
+		}
+		return &ConstFloat{V: x.V * 2}
+	case *ConstSym:
+		// symDomain lists its three non-empty symbols first
+		if i := slices.Index(symDomain[:3], x.V); i >= 0 {
+			return &ConstSym{V: symDomain[(i+1)%3]}
+		}
+	case *ConstTime:
+		if x.Ms != 0 && x.Ms+7 < 86_400_000 {
+			return &ConstTime{Ms: x.Ms + 7}
+		}
+	case *Bin:
+		return &Bin{Op: x.Op, L: perturb(x.L), R: perturb(x.R), T: x.T}
+	case *Agg:
+		return &Agg{Fn: x.Fn, X: perturb(x.X), W: perturb(x.W)} // a nil W stays nil
+	case *In:
+		in := &In{X: perturb(x.X)}
+		for _, it := range x.Items {
+			in.Items = append(in.Items, perturb(it))
+		}
+		return in
+	case *Within:
+		return &Within{X: perturb(x.X), Lo: perturb(x.Lo), Hi: perturb(x.Hi)}
+	}
+	return e
 }

@@ -39,11 +39,6 @@ func numRank(t qval.Type) int {
 	}
 }
 
-func isIntegral(t qval.Type) bool {
-	r := numRank(t)
-	return r >= 1 && r <= 5
-}
-
 // scalarNum extracts a float magnitude and a nullness flag.
 func scalarNum(v qval.Value) (float64, bool, bool) {
 	if qval.IsNull(v) {

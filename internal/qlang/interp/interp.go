@@ -38,17 +38,6 @@ func (in *Interp) Global(name string) (qval.Value, bool) {
 	return v, ok
 }
 
-// GlobalNames lists the defined server variables.
-func (in *Interp) GlobalNames() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]string, 0, len(in.globals))
-	for k := range in.globals {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Eval parses and evaluates a Q program, returning the value of its last
 // statement. The whole request runs under the server lock, mirroring the
 // kdb+ single-threaded main loop.

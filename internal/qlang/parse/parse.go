@@ -9,7 +9,6 @@ package parse
 
 import (
 	"fmt"
-	"strings"
 
 	"hyperq/internal/qlang/ast"
 	"hyperq/internal/qlang/lex"
@@ -735,15 +734,6 @@ func InferColName(e ast.Node) string {
 		return "x"
 	}
 	return name
-}
-
-// IsTemplateKeyword reports whether a word opens a q-sql template.
-func IsTemplateKeyword(w string) bool {
-	switch strings.TrimSpace(w) {
-	case "select", "exec", "update", "delete":
-		return true
-	}
-	return false
 }
 
 // negateLiteral negates a numeric or temporal literal value for the

@@ -44,13 +44,6 @@ func DaysFromCivil(y, m, d int64) int64 {
 	return era*146097 + doe - 719468 - 10957 // 719468: 0000-03-01 to 1970-01-01; 10957: 1970 to 2000
 }
 
-// TimeOfDayMillis returns the kdb+ time-of-day (milliseconds since midnight)
-// of t in UTC.
-func TimeOfDayMillis(t time.Time) int64 {
-	u := t.UTC()
-	return int64(u.Hour())*3600000 + int64(u.Minute())*60000 + int64(u.Second())*1000 + int64(u.Nanosecond())/1e6
-}
-
 // TimestampFromTime converts a wall-clock time to kdb+ timestamp nanoseconds.
 func TimestampFromTime(t time.Time) int64 { return t.UTC().Sub(KdbEpoch).Nanoseconds() }
 
@@ -87,9 +80,6 @@ func MkMinute(h, m int) Temporal { return Temporal{T: KMinute, V: int64(h*60 + m
 
 // MkSecond builds a second atom.
 func MkSecond(h, m, s int) Temporal { return Temporal{T: KSecond, V: int64(h*3600 + m*60 + s)} }
-
-// MkTimespan builds a timespan atom from a duration.
-func MkTimespan(d time.Duration) Temporal { return Temporal{T: KTimespan, V: d.Nanoseconds()} }
 
 func formatTemporal(t Type, v int64) string {
 	if v == NullLong {

@@ -60,12 +60,6 @@ type Value interface {
 // IsAtom reports whether v is an atom (negative type code, or a lambda).
 func IsAtom(v Value) bool { return v.Len() < 0 }
 
-// IsVector reports whether v is a typed vector or general list.
-func IsVector(v Value) bool {
-	t := v.Type()
-	return t >= KList && t <= KTime
-}
-
 // IsTemporal reports whether t (a vector code or its negation) denotes one of
 // the temporal types.
 func IsTemporal(t Type) bool {

@@ -144,7 +144,7 @@ func (s *sz) constTable(op *xtra.ConstTable) (string, error) {
 	for _, row := range op.Rows {
 		var items []string
 		for i, v := range row {
-			lit, err := constSQL(v)
+			lit, err := ConstSQL(v)
 			if err != nil {
 				return "", err
 			}
@@ -343,7 +343,7 @@ func (s *sz) namedExprs(exprs []xtra.NamedExpr) (string, error) {
 func (s *sz) scalar(e xtra.Scalar) (string, error) {
 	switch x := e.(type) {
 	case *xtra.ConstExpr:
-		return constSQL(x.Val)
+		return ConstSQL(x.Val)
 	case *xtra.ColRef:
 		return ident(x.Name), nil
 	case *xtra.AggCall:
@@ -658,11 +658,11 @@ func (s *sz) fnSQL(f *xtra.FnApp) (string, error) {
 			loNN, hiNN = nonNullConst(bounds.Items[0]), nonNullConst(bounds.Items[1])
 		} else if c, isConst := f.Args[1].(*xtra.ConstExpr); isConst && c.Val.Len() == 2 {
 			loV, hiV := qval.Index(c.Val, 0), qval.Index(c.Val, 1)
-			lo, err = constSQL(loV)
+			lo, err = ConstSQL(loV)
 			if err != nil {
 				return "", err
 			}
-			hi, err = constSQL(hiV)
+			hi, err = ConstSQL(hiV)
 			if err != nil {
 				return "", err
 			}
@@ -803,7 +803,7 @@ func (s *sz) inItems(e xtra.Scalar) ([]string, error) {
 	case *xtra.ConstExpr:
 		n := x.Val.Len()
 		if n < 0 {
-			lit, err := constSQL(x.Val)
+			lit, err := ConstSQL(x.Val)
 			if err != nil {
 				return nil, err
 			}
@@ -811,7 +811,7 @@ func (s *sz) inItems(e xtra.Scalar) ([]string, error) {
 		}
 		items := make([]string, n)
 		for i := 0; i < n; i++ {
-			lit, err := constSQL(qval.Index(x.Val, i))
+			lit, err := ConstSQL(qval.Index(x.Val, i))
 			if err != nil {
 				return nil, err
 			}
@@ -857,9 +857,10 @@ func qPatternToSQL(v qval.Value) string {
 	return "'" + strings.ReplaceAll(src, "'", "''") + "'"
 }
 
-// constSQL renders a Q literal as a typed SQL literal (paper §3.2.2: symbol
-// maps to varchar, ints to integer types, strings to text).
-func constSQL(v qval.Value) (string, error) {
+// ConstSQL renders a Q literal as a typed SQL literal (paper §3.2.2: symbol
+// maps to varchar, ints to integer types, strings to text); the translation
+// cache splices its renderings into cached SQL templates.
+func ConstSQL(v qval.Value) (string, error) {
 	if qval.IsNull(v) {
 		return "NULL", nil
 	}

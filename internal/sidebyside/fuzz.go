@@ -16,19 +16,21 @@ import (
 	"hyperq/internal/gateway"
 	"hyperq/internal/persist"
 	"hyperq/internal/pgdb"
+	"hyperq/internal/qcache"
 	"hyperq/internal/qgen"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
 )
 
 // openFramework builds a fresh side-by-side framework over the embedded
-// engine e describes, running the exec engine — one Hyper-Q session reading
-// its results over PG v3 from an in-process gateway, no state shared with
-// any previous framework except the kdb+ substrate the caller passes. The
-// fuzz driver rebuilds frameworks regularly so a corrupted global cannot
-// poison later iterations. index builds hash indexes at any table size
-// (FuzzConfig.Index). The caller closes the framework, and then owns the
-// returned instance's store, if e has a DataDir.
+// engine e describes, running the exec engine — one Hyper-Q session with a
+// translation cache, reading its results over PG v3 from an in-process
+// gateway, no state shared with any previous framework except the kdb+
+// substrate the caller passes. The fuzz loop rebuilds frameworks
+// regularly so a corrupted global cannot poison later iterations. index
+// builds hash indexes at any table size (FuzzConfig.Index). The caller
+// closes the framework, and then owns the returned instance's store, if e
+// has a DataDir.
 func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, index bool) (*Framework, *config.Instance, error) {
 	in, err := e.Open()
 	if err != nil {
@@ -43,8 +45,10 @@ func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, inde
 		in.Close()
 		return nil, nil, err
 	}
-	s := core.NewPlatform().NewSession(b, core.Config{})
-	return New(kdb, s, b), in, nil
+	cache := qcache.New(256) // a framework's ReloadEvery queries evict nothing
+	f := New(kdb, core.NewPlatform().NewSession(b, core.Config{Cache: cache}), b)
+	f.cache = cache
+	return f, in, nil
 }
 
 // pipe opens a framework's backend: a gateway to db over an in-process PG v3
@@ -89,26 +93,37 @@ type FuzzConfig struct {
 	// and the second half's inserts then dirty that index — so the run
 	// exercises incrementally-maintained indexes, not freshly built ones.
 	Index bool
+	// perturbed makes the shrinker reproduce a failure the way a perturbed
+	// comparison found it (compareCase).
+	perturbed bool
 }
 
 // FuzzCase is one divergence, minimized if shrinking was on. Tables holds
 // the dataset the query ran against in corpus JSON form, so the case
 // replays standalone.
 type FuzzCase struct {
-	Seed      int64            `json:"seed"`
-	Iteration int              `json:"iteration"`
-	Query     string           `json:"query"`
-	Class     string           `json:"class"`
-	Diffs     []string         `json:"diffs"`
-	Tables    []qgen.TableJSON `json:"tables"`
+	Seed      int64  `json:"seed"`
+	Iteration int    `json:"iteration"`
+	Query     string `json:"query"`
+	// Warmup, when set, ran just before Query, its perturbation.
+	Warmup string           `json:"warmup,omitempty"`
+	Class  string           `json:"class"`
+	Diffs  []string         `json:"diffs"`
+	Tables []qgen.TableJSON `json:"tables"`
 }
 
 // FuzzReport summarizes a qdiff run.
 type FuzzReport struct {
-	Seed       int64      `json:"seed"`
-	N          int        `json:"n"`
-	Matches    int        `json:"matches"`
-	BothError  int        `json:"both_error"`
+	Seed      int64 `json:"seed"`
+	N         int   `json:"n"`
+	Matches   int   `json:"matches"`
+	BothError int   `json:"both_error"`
+	// Perturbed counts the matching queries compared again with their
+	// liftable literals changed; Splices and Rejected are the translation
+	// caches' template splices and rejected skeletons over the run.
+	Perturbed  int        `json:"perturbed"`
+	Splices    int64      `json:"splices"`
+	Rejected   int64      `json:"rejected_skeletons"`
 	Mismatches []FuzzCase `json:"mismatches"`
 }
 
@@ -146,16 +161,23 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 	g := qgen.New(qgen.Config{Seed: cfg.Seed, MaxRows: cfg.MaxRows})
 	rep := &FuzzReport{Seed: cfg.Seed, N: cfg.N, Mismatches: []FuzzCase{}}
 	var f *Framework
+	closeFramework := func() {
+		st := f.cache.Stats()
+		rep.Splices += st.Splices
+		rep.Rejected += st.Rejected
+		f.Close()
+	}
 	defer func() {
 		if f != nil {
-			f.Close()
+			closeFramework()
 		}
 	}()
 	var ds *qgen.Dataset
 	for i := 0; i < cfg.N; i++ {
 		if f == nil || i%cfg.ReloadEvery == 0 {
 			if f != nil {
-				f.Close()
+				closeFramework()
+				f = nil
 			}
 			ds = g.Dataset()
 			var err error
@@ -169,6 +191,15 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("iteration %d: %s: %w", i, q.Q(), err)
 		}
+		// a match is compared again with its liftable literals changed,
+		// which the translation cache answers from the first run's template
+		perturbed := false
+		if p := q.Perturbed(); r.Match && p.Q() != q.Q() {
+			rep.Perturbed++
+			if pr := f.compareOnce(ctx, p.Q()); !pr.Match {
+				r, perturbed = pr, true
+			}
+		}
 		if r.Match {
 			rep.Matches++
 			if r.KdbErr != ClassNone {
@@ -179,10 +210,11 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 		class := divergenceClass(r)
 		sq, sds := q, ds
 		if cfg.Shrink {
+			cfg.perturbed = perturbed
 			sq, sds = shrinkCase(ctx, q, ds, class, cfg.ShrinkBudget, cfg)
 			// re-derive the diffs for the minimized case
 			if mf, err := loadDataset(ctx, sds, cfg); err == nil {
-				if mr, err := mf.Compare(ctx, sq.Q()); err == nil && !mr.Match {
+				if mr, err := compareCase(ctx, mf, sq, perturbed); err == nil && !mr.Match {
 					r = mr
 				}
 				mf.Close()
@@ -192,16 +224,32 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("iteration %d: encode: %w", i, err)
 		}
-		rep.Mismatches = append(rep.Mismatches, FuzzCase{
+		c := FuzzCase{
 			Seed:      cfg.Seed,
 			Iteration: i,
 			Query:     sq.Q(),
 			Class:     class,
 			Diffs:     r.Diffs,
 			Tables:    tables,
-		})
+		}
+		if perturbed {
+			c.Warmup, c.Query = c.Query, sq.Perturbed().Q()
+		}
+		rep.Mismatches = append(rep.Mismatches, c)
 	}
 	return rep, nil
+}
+
+// compareCase runs q on f the way the fuzz loop ran it: when perturbed, q
+// runs first and its perturbation is the comparison reported.
+func compareCase(ctx context.Context, f *Framework, q *qgen.Query, perturbed bool) (*Report, error) {
+	if !perturbed {
+		return f.Compare(ctx, q.Q())
+	}
+	if _, err := f.Compare(ctx, q.Q()); err != nil {
+		return nil, err
+	}
+	return f.compareOnce(ctx, q.Perturbed().Q()), nil
 }
 
 // persistSeq numbers the per-framework data directories of one process, so
@@ -309,7 +357,7 @@ func reproduces(ctx context.Context, q *qgen.Query, ds *qgen.Dataset, class stri
 		return false
 	}
 	defer f.Close()
-	r, err := f.Compare(ctx, q.Q())
+	r, err := compareCase(ctx, f, q, cfg.perturbed)
 	if err != nil || r.Match {
 		return false
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"hyperq/internal/core"
+	"hyperq/internal/qcache"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
 )
@@ -22,6 +23,7 @@ type Framework struct {
 	Kdb     *interp.Interp
 	Session *core.Session
 	backend core.Backend
+	cache   *qcache.Cache // the session's translation cache, when it has one
 	// FloatTol is the relative tolerance for float comparison (the two
 	// engines may legitimately differ in summation order).
 	FloatTol float64
@@ -105,6 +107,13 @@ func (f *Framework) Compare(ctx context.Context, q string) (*Report, error) {
 		return again, nil
 	}
 	return rep, nil
+}
+
+// compareOnce is Compare without the rerun: the perturbed comparisons of
+// the fuzz loop run a fresh SQL text once, in text cells.
+func (f *Framework) compareOnce(ctx context.Context, q string) *Report {
+	kv, kerr := f.Kdb.Eval(q)
+	return f.compare(ctx, q, kv, kerr)
 }
 
 // rerunDiff ends the Diffs of a report whose query matched on its first run

@@ -401,7 +401,6 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 	var badErr, sinkErr error
 	var tag string
 	var cols []ColDesc // the current statement's columns; nil before its RowDescription
-	aborted := false
 	for {
 		typ, body, err := c.read()
 		if err != nil {
@@ -412,20 +411,21 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 			if cols, err = c.describe(body); err != nil && badErr == nil {
 				badErr = err
 			}
-			if aborted || sinkErr != nil || badErr != nil {
+			if sinkErr != nil || badErr != nil {
 				continue
 			}
 			if err := rr.Describe(cols); err != nil {
 				sinkErr = err
 			}
 		case 'D':
-			// a canceled statement stops delivering (and retaining) rows
-			// right away; the remaining stream drains until the context
-			// watcher's poisoned socket deadline or ReadyForQuery ends it
-			if !aborted && ctx.Err() != nil {
-				aborted = true
+			// a canceled statement abandons its reply at the next row, so
+			// the connection it leaves is mid-protocol every time, not only
+			// when the context watcher's poisoned deadline wins the race
+			// against ReadyForQuery
+			if ctx.Err() != nil {
+				return ErrAbandoned
 			}
-			if aborted || sinkErr != nil || badErr != nil {
+			if sinkErr != nil || badErr != nil {
 				continue
 			}
 			if cols == nil {
@@ -468,8 +468,6 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 				err = badErr
 			case sinkErr != nil:
 				err = sinkErr
-			case aborted:
-				err = ctx.Err()
 			}
 			if extended {
 				c.remember(sql, cols, err != nil)

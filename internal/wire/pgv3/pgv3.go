@@ -11,6 +11,7 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -89,6 +90,11 @@ func (e *AbortError) Error() string {
 
 // Unwrap exposes both the context cause and the transport error.
 func (e *AbortError) Unwrap() []error { return []error{e.Ctx, e.IO} }
+
+// ErrAbandoned is the transport error of an AbortError whose statement was
+// canceled while its rows streamed in: the client stopped reading, so the
+// rest of the reply is still on the connection, which cannot be reused.
+var ErrAbandoned = errors.New("pgv3: reply abandoned mid-result")
 
 // OID constants for the SQL types the engine produces.
 const (

@@ -126,9 +126,6 @@ func (x *CrossCompiler) HandleQuery(ctx context.Context, qtext string) (qval.Val
 // PTTrace exposes the protocol translator's transition log.
 func (x *CrossCompiler) PTTrace() []string { return x.pt.Trace() }
 
-// QTTrace exposes the query translator's transition log.
-func (x *CrossCompiler) QTTrace() []string { return x.qt.Trace() }
-
 // Session exposes the underlying platform session.
 func (x *CrossCompiler) Session() *core.Session { return x.session }
 
