@@ -73,8 +73,6 @@ type tableState struct {
 	ckptRows int            // rows covered by the live checkpoint
 	segs     []pgdb.SegMeta // checkpoint-time metadata, indexed by segment
 	chunks   [][]chunkLoc   // per column, sorted by (SegIdx, StartInSeg)
-	dirty    bool           // UPDATE since checkpoint: eviction disabled
-	invalid  bool           // DELETE since checkpoint: row numbering moved
 }
 
 type chunkLoc struct {
@@ -256,30 +254,9 @@ func (st *Store) applyRecord(rec walRecord) error {
 			return err
 		}
 		return st.db.ApplyAppend(name, rows)
-	case recUpdate:
-		name, cells, err := decodeUpdate(rec.body)
-		if err != nil {
-			return err
-		}
-		if err := st.db.ApplyUpdate(name, cells); err != nil {
-			return err
-		}
-		if ts := st.tables[name]; ts != nil {
-			ts.dirty = true
-		}
-		return nil
-	case recDelete:
-		name, removed, err := decodeDelete(rec.body)
-		if err != nil {
-			return err
-		}
-		if err := st.db.ApplyDelete(name, removed); err != nil {
-			return err
-		}
-		if ts := st.tables[name]; ts != nil {
-			ts.invalid = true
-		}
-		return nil
+	case recUpdate, recDelete:
+		kind := map[byte]string{recUpdate: "UPDATE", recDelete: "DELETE"}[rec.typ]
+		return &pgdb.Error{Code: "58030", Msg: fmt.Sprintf("wal record %d is a retired %s record (type %d): tables are append-only", rec.lsn, kind, rec.typ)}
 	}
 	return fmt.Errorf("persist: unknown wal record type %d", rec.typ)
 }
@@ -341,31 +318,6 @@ func (st *Store) JournalCreateView(name, sql string) error {
 func (st *Store) JournalAppend(table string, rows [][]any) error {
 	body, err := encodeAppend(table, rows)
 	return st.appendRec(recAppend, body, err)
-}
-
-func (st *Store) JournalUpdate(table string, cells []pgdb.CellUpdate) error {
-	body, err := encodeUpdate(table, cells)
-	if err := st.appendRec(recUpdate, body, err); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	if ts := st.tables[table]; ts != nil {
-		ts.dirty = true
-	}
-	st.mu.Unlock()
-	return nil
-}
-
-func (st *Store) JournalDelete(table string, removed []int) error {
-	if err := st.appendRec(recDelete, encodeDelete(table, removed), nil); err != nil {
-		return err
-	}
-	st.mu.Lock()
-	if ts := st.tables[table]; ts != nil {
-		ts.invalid = true
-	}
-	st.mu.Unlock()
-	return nil
 }
 
 // --- segment fault-in ---
@@ -550,8 +502,9 @@ func (st *Store) maintain() {
 }
 
 // evictToBudget drops cold checkpointed segments, oldest partitions first,
-// until resident vector bytes fit the budget. Tables touched by UPDATE or
-// DELETE since the last checkpoint are pinned until the next one.
+// until resident vector bytes fit the budget. Only segments the live
+// checkpoint covers in full are candidates: tables are append-only, so an
+// INSERT never writes into one.
 func (st *Store) evictToBudget() {
 	budget := st.opts.MemBudget
 	st.db.Exclusive(func() {
@@ -575,11 +528,7 @@ func (st *Store) evictToBudget() {
 		}
 		var cands []cand
 		for _, n := range names {
-			ts := st.tables[n]
-			if ts.dirty || ts.invalid {
-				continue
-			}
-			if full := ts.ckptRows / pgdb.SegmentSize; full > 0 {
+			if full := st.tables[n].ckptRows / pgdb.SegmentSize; full > 0 {
 				cands = append(cands, cand{n, full})
 			}
 		}

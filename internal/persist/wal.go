@@ -56,6 +56,9 @@ const (
 	recDrop
 	recCreateView
 	recAppend
+	// recUpdate and recDelete are retired with SQL UPDATE and DELETE: tables
+	// are append-only. The two bytes stay reserved, and a WAL holding either
+	// fails Open.
 	recUpdate
 	recDelete
 )
@@ -407,73 +410,4 @@ func decodeAppend(b []byte) (string, [][]any, error) {
 		}
 	}
 	return table, rows, nil
-}
-
-func encodeUpdate(table string, cells []pgdb.CellUpdate) ([]byte, error) {
-	b := appendString(nil, table)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(cells)))
-	var err error
-	for _, c := range cells {
-		b = binary.LittleEndian.AppendUint32(b, uint32(c.Row))
-		b = binary.LittleEndian.AppendUint32(b, uint32(c.Col))
-		if b, err = appendValue(b, c.Val); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-func decodeUpdate(b []byte) (string, []pgdb.CellUpdate, error) {
-	table, off, err := readString(b, 0)
-	if err != nil {
-		return "", nil, err
-	}
-	if off+4 > len(b) {
-		return "", nil, fmt.Errorf("persist: truncated update record")
-	}
-	n := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	cells := make([]pgdb.CellUpdate, n)
-	for i := range cells {
-		if off+8 > len(b) {
-			return "", nil, fmt.Errorf("persist: truncated update record")
-		}
-		cells[i].Row = int(binary.LittleEndian.Uint32(b[off:]))
-		cells[i].Col = int(binary.LittleEndian.Uint32(b[off+4:]))
-		off += 8
-		if cells[i].Val, off, err = readValue(b, off); err != nil {
-			return "", nil, err
-		}
-	}
-	return table, cells, nil
-}
-
-func encodeDelete(table string, removed []int) []byte {
-	b := appendString(nil, table)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(removed)))
-	for _, r := range removed {
-		b = binary.LittleEndian.AppendUint32(b, uint32(r))
-	}
-	return b
-}
-
-func decodeDelete(b []byte) (string, []int, error) {
-	table, off, err := readString(b, 0)
-	if err != nil {
-		return "", nil, err
-	}
-	if off+4 > len(b) {
-		return "", nil, fmt.Errorf("persist: truncated delete record")
-	}
-	n := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if off+n*4 > len(b) {
-		return "", nil, fmt.Errorf("persist: truncated delete record")
-	}
-	removed := make([]int, n)
-	for i := range removed {
-		removed[i] = int(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-	}
-	return table, removed, nil
 }

@@ -1,17 +1,21 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hyperq/internal/pgdb"
 )
 
 // TestReplayRejectsImpossibleRecords writes WAL records no statement could
-// have journaled — valid framing and CRCs, bodies that do not fit the table
-// — and requires Open to fail with SQLSTATE 58030 instead of restoring a
-// table that silently differs from the one the log describes.
+// have journaled — valid framing and CRCs, bodies that do not fit the table,
+// and the retired UPDATE and DELETE records, whatever their bodies say —
+// and requires Open to fail with SQLSTATE 58030 instead of restoring a
+// table that silently differs from the one the log describes. A retired
+// record's error names it.
 func TestReplayRejectsImpossibleRecords(t *testing.T) {
 	cols := []pgdb.Column{{Name: "a", Type: "bigint"}, {Name: "b", Type: "varchar"}}
 	appendRec := func(rows ...[]any) func(t *testing.T) (byte, []byte) {
@@ -23,19 +27,30 @@ func TestReplayRejectsImpossibleRecords(t *testing.T) {
 			return recAppend, body
 		}
 	}
-	deleteRec := func(removed ...int) func(t *testing.T) (byte, []byte) {
-		return func(*testing.T) (byte, []byte) { return recDelete, encodeDelete("t", removed) }
+	// retired records in the layout they had: table, count, then the
+	// removed row indexes (DELETE) or row, column and value triples (UPDATE)
+	retired := func(typ byte, ints ...int) func(t *testing.T) (byte, []byte) {
+		return func(*testing.T) (byte, []byte) {
+			b := binary.LittleEndian.AppendUint32(appendString(nil, "t"), uint32(len(ints)))
+			for _, n := range ints {
+				b = binary.LittleEndian.AppendUint32(b, uint32(n))
+			}
+			return typ, b
+		}
 	}
 	for _, tc := range []struct {
-		name string
-		rec  func(t *testing.T) (byte, []byte)
+		name    string
+		rec     func(t *testing.T) (byte, []byte)
+		retired string
 	}{
-		{"narrow rows", appendRec([]any{int64(3)}, []any{int64(4)})},
-		{"wide rows", appendRec([]any{int64(3), "z", int64(5)})},
-		{"delete past the end", deleteRec(0, 2)},
-		{"delete negative", deleteRec(-1)},
-		{"delete descending", deleteRec(1, 0)},
-		{"delete twice", deleteRec(1, 1)},
+		{"narrow rows", appendRec([]any{int64(3)}, []any{int64(4)}), ""},
+		{"wide rows", appendRec([]any{int64(3), "z", int64(5)}), ""},
+		{"delete past the end", retired(recDelete, 0, 2), "DELETE"},
+		{"delete negative", retired(recDelete, -1), "DELETE"},
+		{"delete descending", retired(recDelete, 1, 0), "DELETE"},
+		{"delete twice", retired(recDelete, 1, 1), "DELETE"},
+		{"delete in range", retired(recDelete, 0), "DELETE"},
+		{"update", retired(recUpdate, 0, 1), "UPDATE"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -67,6 +82,9 @@ func TestReplayRejectsImpossibleRecords(t *testing.T) {
 			var pe *pgdb.Error
 			if !errors.As(err, &pe) || pe.Code != "58030" {
 				t.Fatalf("Open failed with %v, want SQLSTATE 58030", err)
+			}
+			if tc.retired != "" && !strings.Contains(err.Error(), "retired "+tc.retired+" record") {
+				t.Fatalf("Open failed with %v, want it to name the retired %s record", err, tc.retired)
 			}
 		})
 	}

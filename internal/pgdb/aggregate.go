@@ -7,26 +7,26 @@ import (
 	"hyperq/internal/pgdb/sqlparse"
 )
 
+// aggregateNames are the aggregates the translator writes: q's sum, avg,
+// min, max, count (always COUNT(*)), dev and var.
 var aggregateNames = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-	"stddev": true, "stddev_samp": true, "stddev_pop": true,
-	"variance": true, "var_samp": true, "var_pop": true,
-	"bool_and": true, "bool_or": true, "string_agg": true,
+	"stddev_pop": true, "var_pop": true,
 	// Hyper-Q toolbox extensions (paper §5: a "toolbox" of user-defined
 	// functions covers kdb+ capabilities PostgreSQL lacks): positional
 	// first/last over the input order, and median.
 	"first": true, "last": true, "median": true,
 }
 
-// selectHasAggregate reports whether any select item or the HAVING clause
-// contains a non-windowed aggregate call.
+// selectHasAggregate reports whether any select item contains a
+// non-windowed aggregate call.
 func selectHasAggregate(sel *sqlparse.SelectStmt) bool {
 	for _, item := range sel.Items {
 		if item.Expr != nil && exprHasAggregate(item.Expr) {
 			return true
 		}
 	}
-	return sel.Having != nil && exprHasAggregate(sel.Having)
+	return false
 }
 
 func exprHasAggregate(e sqlparse.Expr) bool {
@@ -53,11 +53,6 @@ func walkExpr(e sqlparse.Expr, fn func(sqlparse.Expr)) {
 		walkExpr(x.X, fn)
 	case *sqlparse.IsNullExpr:
 		walkExpr(x.X, fn)
-	case *sqlparse.InExpr:
-		walkExpr(x.X, fn)
-		for _, l := range x.List {
-			walkExpr(l, fn)
-		}
 	case *sqlparse.BetweenExpr:
 		walkExpr(x.X, fn)
 		walkExpr(x.Lo, fn)
@@ -87,8 +82,8 @@ func walkExpr(e sqlparse.Expr, fn func(sqlparse.Expr)) {
 }
 
 // execGrouped runs the GROUP BY / aggregate path: group rows by the GROUP BY
-// expressions (one global group when absent), evaluate each select item per
-// group with aggregate calls bound to the group's rows, then apply HAVING.
+// expressions (one global group when absent) and evaluate each select item
+// per group with aggregate calls bound to the group's rows.
 func (s *Session) execGrouped(sel *sqlparse.SelectStmt, rel *relation) (*Result, error) {
 	rel.rowsView() // row-at-a-time grouping
 	items, err := expandStars(sel.Items, rel.schema)
@@ -145,15 +140,6 @@ func (s *Session) execGrouped(sel *sqlparse.SelectStmt, rel *relation) (*Result,
 				return nil, err
 			}
 			out[i] = v
-		}
-		if sel.Having != nil {
-			hv, err := s.evalAggExpr(sel.Having, rel.schema, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := hv.(bool); !ok || !b {
-				continue
-			}
 		}
 		res.Rows = append(res.Rows, out)
 	}
@@ -318,23 +304,14 @@ func (s *Session) computeAggregate(fc *sqlparse.FuncCall, schema []colBinding, r
 		return s.evalExpr(fc.Args[0], schema, row)
 	}
 	var vals []any
-	seen := map[string]bool{}
 	for _, row := range rows {
 		v, err := s.evalExpr(fc.Args[0], schema, row)
 		if err != nil {
 			return nil, err
 		}
-		if v == nil {
-			continue
+		if v != nil {
+			vals = append(vals, v)
 		}
-		if fc.Distinct {
-			k := keyString([]any{v})
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-		}
-		vals = append(vals, v)
 	}
 	return finalizeAggregate(fc, vals)
 }
@@ -395,12 +372,8 @@ func finalizeAggregate(fc *sqlparse.FuncCall, vals []any) (any, error) {
 			}
 		}
 		return best, nil
-	case "stddev", "stddev_samp", "variance", "var_samp", "stddev_pop", "var_pop":
+	case "stddev_pop", "var_pop":
 		if len(vals) == 0 {
-			return nil, nil
-		}
-		pop := fc.Name == "stddev_pop" || fc.Name == "var_pop"
-		if !pop && len(vals) < 2 {
 			return nil, nil
 		}
 		var sum float64
@@ -418,34 +391,11 @@ func finalizeAggregate(fc *sqlparse.FuncCall, vals []any) (any, error) {
 		for _, f := range fs {
 			ss += (f - mean) * (f - mean)
 		}
-		den := float64(len(fs) - 1)
-		if pop {
-			den = float64(len(fs))
-		}
-		v := ss / den
-		switch fc.Name {
-		case "stddev", "stddev_samp", "stddev_pop":
+		v := ss / float64(len(fs))
+		if fc.Name == "stddev_pop" {
 			return math.Sqrt(v), nil
-		default:
-			return v, nil
 		}
-	case "bool_and", "bool_or":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		acc := fc.Name == "bool_and"
-		for _, v := range vals {
-			b, ok := v.(bool)
-			if !ok {
-				return nil, errf("42804", "%s of non-boolean", fc.Name)
-			}
-			if fc.Name == "bool_and" {
-				acc = acc && b
-			} else {
-				acc = acc || b
-			}
-		}
-		return acc, nil
+		return v, nil
 	case "median":
 		if len(vals) == 0 {
 			return nil, nil
@@ -464,34 +414,17 @@ func finalizeAggregate(fc *sqlparse.FuncCall, vals []any) (any, error) {
 			return fs[m], nil
 		}
 		return (fs[m-1] + fs[m]) / 2, nil
-	case "string_agg":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		sep := ","
-		if len(fc.Args) > 1 {
-			if sl, ok := fc.Args[1].(*sqlparse.StringLit); ok {
-				sep = sl.V
-			}
-		}
-		out := ""
-		for i, v := range vals {
-			if i > 0 {
-				out += sep
-			}
-			out += FormatValue(v, "varchar")
-		}
-		return out, nil
 	default:
 		return nil, errf("42883", "aggregate %s does not exist", fc.Name)
 	}
 }
 
-// computeWindows precomputes all window-function values referenced by the
-// select items, keyed by the FuncCall node. Supported: row_number, rank,
-// dense_rank, lag, lead, first_value, last_value, and the aggregates
-// sum/avg/min/max/count over a partition (running when ordered, whole
-// partition otherwise — the frames Hyper-Q's order-column injection emits).
+// computeWindows precomputes the values of every window function the select
+// items reference, keyed by the FuncCall node. The only window is
+// ROW_NUMBER(): the xformer's implicit order column (ROW_NUMBER() OVER ())
+// and the translated as-of join's rank (PARTITION BY the left order column,
+// ORDER BY the right time DESC) when the fused path declines. Within a
+// partition, ORDER BY puts NULLs last ascending and first descending.
 func (s *Session) computeWindows(items []sqlparse.SelectItem, rel *relation) (map[*sqlparse.FuncCall][]any, error) {
 	var calls []*sqlparse.FuncCall
 	for _, item := range items {
@@ -507,10 +440,12 @@ func (s *Session) computeWindows(items []sqlparse.SelectItem, rel *relation) (ma
 	out := make(map[*sqlparse.FuncCall][]any, len(calls))
 	n := len(rel.rows)
 	for _, fc := range calls {
-		vals := make([]any, n)
-		// partition rows
-		parts := map[string][]int{}
-		var order []string
+		if fc.Name != "row_number" {
+			return nil, errf("42883", "window function %s does not exist", fc.Name)
+		}
+		// each row's partition and order keys
+		pkeys := make([]string, n)
+		okeys := make([][]any, n)
 		for i, row := range rel.rows {
 			kv := make([]any, len(fc.Over.PartitionBy))
 			for k, pe := range fc.Over.PartitionBy {
@@ -520,167 +455,49 @@ func (s *Session) computeWindows(items []sqlparse.SelectItem, rel *relation) (ma
 				}
 				kv[k] = v
 			}
-			key := keyString(kv)
-			if _, ok := parts[key]; !ok {
-				order = append(order, key)
+			pkeys[i] = keyString(kv)
+			okeys[i] = make([]any, len(fc.Over.OrderBy))
+			for j, ob := range fc.Over.OrderBy {
+				v, err := s.evalExpr(ob.Expr, rel.schema, row)
+				if err != nil {
+					return nil, err
+				}
+				okeys[i][j] = v
 			}
-			parts[key] = append(parts[key], i)
 		}
-		for _, key := range order {
-			idx := parts[key]
-			// order within partition
-			if len(fc.Over.OrderBy) > 0 {
-				keys := make([][]any, len(idx))
-				for k, ri := range idx {
-					keys[k] = make([]any, len(fc.Over.OrderBy))
-					for j, ob := range fc.Over.OrderBy {
-						v, err := s.evalExpr(ob.Expr, rel.schema, rel.rows[ri])
-						if err != nil {
-							return nil, err
-						}
-						keys[k][j] = v
-					}
+		// visit rows in order-key order, ties in input order; each row's
+		// number counts the rows of its partition visited so far
+		perm := seq(0, n)
+		sort.SliceStable(perm, func(a, b int) bool {
+			for j, ob := range fc.Over.OrderBy {
+				av, bv := okeys[perm[a]][j], okeys[perm[b]][j]
+				if av == nil && bv == nil {
+					continue
 				}
-				perm := make([]int, len(idx))
-				for i := range perm {
-					perm[i] = i
+				if av == nil {
+					return ob.Desc
 				}
-				sort.SliceStable(perm, func(a, b int) bool {
-					for j, ob := range fc.Over.OrderBy {
-						av, bv := keys[perm[a]][j], keys[perm[b]][j]
-						if av == nil && bv == nil {
-							continue
-						}
-						if av == nil {
-							return ob.Desc
-						}
-						if bv == nil {
-							return !ob.Desc
-						}
-						c := compareVals(av, bv)
-						if c == 0 {
-							continue
-						}
-						if ob.Desc {
-							return c > 0
-						}
-						return c < 0
-					}
-					return false
-				})
-				sorted := make([]int, len(idx))
-				for i, p := range perm {
-					sorted[i] = idx[p]
+				if bv == nil {
+					return !ob.Desc
 				}
-				idx = sorted
+				c := compareVals(av, bv)
+				if c == 0 {
+					continue
+				}
+				if ob.Desc {
+					return c > 0
+				}
+				return c < 0
 			}
-			if err := s.fillWindow(fc, rel, idx, vals); err != nil {
-				return nil, err
-			}
+			return false
+		})
+		vals := make([]any, n)
+		counts := map[string]int64{}
+		for _, ri := range perm {
+			counts[pkeys[ri]]++
+			vals[ri] = counts[pkeys[ri]]
 		}
 		out[fc] = vals
 	}
 	return out, nil
-}
-
-func (s *Session) fillWindow(fc *sqlparse.FuncCall, rel *relation, idx []int, vals []any) error {
-	argVal := func(ri int) (any, error) {
-		if len(fc.Args) == 0 {
-			return nil, nil
-		}
-		return s.evalExpr(fc.Args[0], rel.schema, rel.rows[ri])
-	}
-	switch fc.Name {
-	case "row_number":
-		for k, ri := range idx {
-			vals[ri] = int64(k + 1)
-		}
-	case "rank", "dense_rank":
-		rank := int64(0)
-		dense := int64(0)
-		var prevKeys []any
-		for k, ri := range idx {
-			cur := make([]any, len(fc.Over.OrderBy))
-			for j, ob := range fc.Over.OrderBy {
-				v, err := s.evalExpr(ob.Expr, rel.schema, rel.rows[ri])
-				if err != nil {
-					return err
-				}
-				cur[j] = v
-			}
-			if k == 0 || keyString(cur) != keyString(prevKeys) {
-				rank = int64(k + 1)
-				dense++
-			}
-			prevKeys = cur
-			if fc.Name == "rank" {
-				vals[ri] = rank
-			} else {
-				vals[ri] = dense
-			}
-		}
-	case "lag", "lead":
-		off := 1
-		if len(fc.Args) > 1 {
-			if n, ok := fc.Args[1].(*sqlparse.NumberLit); ok {
-				fmtSscan(n.Text, &off)
-			}
-		}
-		for k, ri := range idx {
-			src := k - off
-			if fc.Name == "lead" {
-				src = k + off
-			}
-			if src < 0 || src >= len(idx) {
-				vals[ri] = nil
-				continue
-			}
-			v, err := argVal(idx[src])
-			if err != nil {
-				return err
-			}
-			vals[ri] = v
-		}
-	case "first_value", "last_value":
-		for k, ri := range idx {
-			src := 0
-			if fc.Name == "last_value" {
-				// default frame: up to current row
-				src = k
-			}
-			v, err := argVal(idx[src])
-			if err != nil {
-				return err
-			}
-			vals[ri] = v
-		}
-	case "count", "sum", "avg", "min", "max":
-		running := len(fc.Over.OrderBy) > 0
-		var window [][]any
-		for k, ri := range idx {
-			if running {
-				window = append(window, rel.rows[ri])
-			} else if k == 0 {
-				for _, rj := range idx {
-					window = append(window, rel.rows[rj])
-				}
-			}
-			v, err := s.computeAggregate(fc, rel.schema, window)
-			if err != nil {
-				return err
-			}
-			vals[ri] = v
-		}
-	default:
-		return errf("42883", "window function %s does not exist", fc.Name)
-	}
-	return nil
-}
-
-func fmtSscan(s string, out *int) {
-	n := 0
-	for i := 0; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
-		n = n*10 + int(s[i]-'0')
-	}
-	*out = n
 }

@@ -44,10 +44,10 @@ type asOfPattern struct {
 // nil when the query does not match (the generic pipeline then runs).
 func matchAsOfPattern(sel *sqlparse.SelectStmt) *asOfPattern {
 	// outer: single subquery source, WHERE <rn> = 1
-	if len(sel.From) != 1 || sel.Where == nil {
+	if sel.Where == nil {
 		return nil
 	}
-	sub, ok := sel.From[0].(*sqlparse.SubqueryRef)
+	sub, ok := sel.From.(*sqlparse.SubqueryRef)
 	if !ok {
 		return nil
 	}
@@ -64,14 +64,11 @@ func matchAsOfPattern(sel *sqlparse.SelectStmt) *asOfPattern {
 		return nil
 	}
 	inner := sub.Query
-	if len(inner.GroupBy) != 0 || inner.Having != nil || inner.Union != nil ||
-		len(inner.OrderBy) != 0 || inner.Limit != nil || inner.Where != nil || inner.Distinct {
+	if len(inner.GroupBy) != 0 || inner.Union != nil ||
+		len(inner.OrderBy) != 0 || inner.Limit != nil || inner.Where != nil {
 		return nil
 	}
-	if len(inner.From) != 1 {
-		return nil
-	}
-	join, ok := inner.From[0].(*sqlparse.JoinRef)
+	join, ok := inner.From.(*sqlparse.JoinRef)
 	if !ok || join.Type != sqlparse.LeftJoin {
 		return nil
 	}

@@ -132,7 +132,6 @@ func notShapes() (twoValued, threeValued []string) {
 	threeValued = append(threeValued,
 		"NOT (i < 5)",
 		"NOT (i IS NULL OR s < 'b')",
-		"NOT (s IS NULL OR s IN ('a', 's001'))",
 		"NOT (s IS NOT DISTINCT FROM 'a')",
 		"NOT (f IS NULL OR f < NULL)",
 		"NOT (CASE WHEN i IS NULL THEN NULL ELSE i > 0 END)",

@@ -35,23 +35,6 @@ const (
 	vkAny // mixed value types: boxed storage, no zone map
 )
 
-// vecKindName returns the %T name compareVals sees for values of a kind,
-// so constant-result mixed-type comparisons match the row engines exactly.
-func vecKindName(k vecKind) string {
-	switch k {
-	case vkInt:
-		return "int64"
-	case vkFloat:
-		return "float64"
-	case vkStr:
-		return "string"
-	case vkBool:
-		return "bool"
-	default:
-		return ""
-	}
-}
-
 // colVec is one column of one segment: a typed vector chosen from the first
 // non-null value, with dynamic degradation to boxed storage on a type
 // mismatch, a null bitmap, and a conservative min/max zone map.
@@ -67,7 +50,7 @@ type colVec struct {
 	bools  []bool
 	anys   []any
 	nulls  []uint64 // bit i set ⇒ row i is NULL
-	// nullCnt is exact: appends and in-place updates maintain it.
+	// nullCnt is exact: appends maintain it.
 	nullCnt int
 	// minV/maxV bound the non-null values in compareVals order. They only
 	// widen (appends, updates), so after deletes rebuild the bounds may be
@@ -95,13 +78,6 @@ func (v *colVec) setNullBit(i int) {
 		v.nulls = append(v.nulls, 0)
 	}
 	v.nulls[w] |= 1 << (uint(i) & 63)
-}
-
-func (v *colVec) clearNullBit(i int) {
-	w := i >> 6
-	if w < len(v.nulls) {
-		v.nulls[w] &^= 1 << (uint(i) & 63)
-	}
 }
 
 // pad extends the typed storage with one zero placeholder (for a NULL row).
@@ -159,40 +135,6 @@ func (v *colVec) widenZone(val any) {
 	}
 	if compareVals(val, v.maxV) > 0 {
 		v.maxV = val
-	}
-}
-
-// recomputeZone rebuilds the exact min/max bounds and null count from the
-// first n values. widenZone only ever widens, so this is the narrow-again
-// counterpart the UPDATE path runs once per statement on touched vectors.
-func (v *colVec) recomputeZone(n int) {
-	nulls := 0
-	for w := 0; w*64 < n; w++ {
-		word := v.nullWord(w)
-		if rem := n - w*64; rem < 64 {
-			word &= 1<<uint(rem) - 1
-		}
-		nulls += popCount([]uint64{word})
-	}
-	v.nullCnt = nulls
-	v.minV, v.maxV = nil, nil
-	if v.kind == vkAny || v.kind == vkEmpty {
-		return
-	}
-	for i := 0; i < n; i++ {
-		if v.isNull(i) {
-			continue
-		}
-		switch v.kind {
-		case vkInt:
-			v.widenZone(v.ints[i])
-		case vkFloat:
-			v.widenZone(v.floats[i])
-		case vkStr:
-			v.widenZone(v.strs[i])
-		case vkBool:
-			v.widenZone(v.bools[i])
-		}
 	}
 }
 
@@ -263,56 +205,6 @@ func (v *colVec) appendVal(val any, pos int) {
 			v.degrade(pos)
 		}
 		v.anys = append(v.anys, val)
-	}
-	v.widenZone(val)
-}
-
-// setVal overwrites the value at position i in place (UPDATE write-through).
-// segN is the segment's row count, needed if the vector must degrade.
-func (v *colVec) setVal(i int, val any, segN int) {
-	if v.isNull(i) {
-		if val == nil {
-			return
-		}
-		v.clearNullBit(i)
-		v.nullCnt--
-	} else if val == nil {
-		v.setNullBit(i)
-		v.nullCnt++
-		// leave the stale typed cell in place; the null bit masks it
-		if v.kind == vkAny {
-			v.anys[i] = nil
-		}
-		return
-	}
-	stored := false
-	switch x := val.(type) {
-	case int64:
-		if v.kind == vkInt {
-			v.ints[i] = x
-			stored = true
-		}
-	case float64:
-		if v.kind == vkFloat {
-			v.floats[i] = x
-			stored = true
-		}
-	case string:
-		if v.kind == vkStr {
-			v.strs[i] = x
-			stored = true
-		}
-	case bool:
-		if v.kind == vkBool {
-			v.bools[i] = x
-			stored = true
-		}
-	}
-	if !stored {
-		if v.kind != vkAny {
-			v.degrade(segN)
-		}
-		v.anys[i] = val
 	}
 	v.widenZone(val)
 }
@@ -413,7 +305,7 @@ func newColStore(cols []Column) *colStore {
 func (st *colStore) numRows() int { return st.n }
 
 // sharesTable reports whether st's vectors may be a table's own, which
-// UPDATE writes in place and INSERT appends to under the statement lock.
+// INSERT appends to under the statement lock.
 func (st *colStore) sharesTable() bool { return !st.private || st.shared }
 
 // ascendingInts reports whether column c (-1: none) is integer, NULL-free
@@ -721,91 +613,6 @@ func (st *colStore) boxCols(sel []uint64, cols []int, kerns []valKernel, dst []i
 		return nil, err
 	}
 	return out, nil
-}
-
-// setCell overwrites one cell in the vectors (UPDATE).
-func (st *colStore) setCell(rowIdx, col int, val any) {
-	seg := st.seg(rowIdx / segSize)
-	var old any
-	ix := st.ix.idx[col].Load()
-	if ix != nil && ix != notIndexable {
-		old = seg.vecs[col].get(rowIdx % segSize)
-	}
-	seg.vecs[col].setVal(rowIdx%segSize, val, seg.n)
-	st.noteMutation()
-	st.noteSet(rowIdx, col, val, old, ix)
-}
-
-// compact rebuilds the store from the rows set in keep (DELETE): the
-// survivors are copied column by column into densely packed segments —
-// typed columns as a gather copies them, runs as blocks — and zone maps and
-// sorted attributes are recomputed from them.
-func (st *colStore) compact(keep []uint64) {
-	ids := appendSetBits(nil, keep)
-	var segs []*segment
-	for lo := 0; lo < len(ids); lo += segSize {
-		part := ids[lo:min(lo+segSize, len(ids))]
-		first, last := int(part[0])/segSize, int(part[len(part)-1])/segSize
-		seg := &segment{n: len(part), vecs: make([]colVec, len(st.cols))}
-		for c := range st.cols {
-			v := &seg.vecs[c]
-			if k := st.colKindIn(c, first, last+1); k != vkAny {
-				v.gather(k, part, c, st.seg)
-				v.recomputeZone(seg.n)
-				if v.nullCnt == seg.n { // no value survived: no kind either
-					*v = colVec{nulls: v.nulls, nullCnt: v.nullCnt}
-				}
-				continue
-			}
-			// mixed kinds: append cell by cell, so the survivors take the
-			// kind they share, as freshly inserted rows would
-			for j, id := range part {
-				v.appendVal(st.seg(int(id) / segSize).vecs[c].get(int(id)%segSize), j)
-			}
-		}
-		segs = append(segs, seg)
-	}
-	was := st.ix.sorted
-	st.ix.sorted = make([]sortAttr, len(st.cols))
-	st.slots, st.n = nil, len(ids)
-	for _, seg := range segs {
-		st.addSeg(seg)
-	}
-	st.resetAccessPaths()
-	for c := range st.cols {
-		st.ix.sorted[c] = st.sortAttrOf(c, was[c])
-	}
-}
-
-// sortAttrOf re-derives column c's sorted attribute after compact: a
-// subsequence of a sorted column is sorted, anchored at its new last value,
-// and any other column is scanned as appending its values would.
-func (st *colStore) sortAttrOf(c int, was sortAttr) sortAttr {
-	if was.ok && st.n > 0 {
-		return sortAttr{ok: true, last: st.cellAt(st.n-1, c)}
-	}
-	sa := sortAttr{ok: true}
-	for i := 0; i < st.n; i++ {
-		x := st.cellAt(i, c)
-		if x == nil || i > 0 && compareVals(x, sa.last) < 0 {
-			return sortAttr{}
-		}
-		sa.last = x
-	}
-	return sa
-}
-
-// refreshZones recomputes exact zone bounds and null counts for the given
-// (segment, column) pairs. UPDATE write-through only widens bounds (setVal →
-// widenZone), so after a successful UPDATE the touched vectors' bounds can
-// be arbitrarily loose — still sound for pruning, but they would also be
-// serialized loose by a checkpoint and never tighten again. The DML paths
-// call this once per statement over the touched pairs.
-func (st *colStore) refreshZones(touched map[[2]int]struct{}) {
-	for sc := range touched {
-		seg := st.seg(sc[0])
-		seg.vecs[sc[1]].recomputeZone(seg.n)
-	}
 }
 
 // evictSeg swaps segment si for a metadata-only stub, dropping the data of

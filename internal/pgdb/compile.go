@@ -167,48 +167,10 @@ func compileExpr(e sqlparse.Expr, schema []colBinding) compiled {
 			}
 			return isNull, nil
 		}, pure: cx.pure, konst: cx.konst})
-	case *sqlparse.InExpr:
-		cx := compileExpr(x.X, schema)
-		pure, konst := cx.pure, cx.konst
-		list := make([]exprFn, len(x.List))
-		for i, le := range x.List {
-			c := compileExpr(le, schema)
-			list[i] = c.fn
-			pure, konst = pure && c.pure, konst && c.konst
-		}
-		not := x.Not
-		return fold(compiled{fn: func(ec *evalCtx, row []any) (any, error) {
-			v, err := cx.fn(ec, row)
-			if err != nil {
-				return nil, err
-			}
-			if v == nil {
-				return nil, nil
-			}
-			sawNull := false
-			for _, fn := range list {
-				lv, err := fn(ec, row)
-				if err != nil {
-					return nil, err
-				}
-				if lv == nil {
-					sawNull = true
-					continue
-				}
-				if equalVals(v, lv) {
-					return !not, nil
-				}
-			}
-			if sawNull {
-				return nil, nil // unknown per 3VL
-			}
-			return not, nil
-		}, pure: pure, konst: konst})
 	case *sqlparse.BetweenExpr:
 		cx := compileExpr(x.X, schema)
 		clo := compileExpr(x.Lo, schema)
 		chi := compileExpr(x.Hi, schema)
-		not := x.Not
 		return fold(compiled{fn: func(ec *evalCtx, row []any) (any, error) {
 			v, err := cx.fn(ec, row)
 			if err != nil {
@@ -225,11 +187,7 @@ func compileExpr(e sqlparse.Expr, schema []colBinding) compiled {
 			if v == nil || lo == nil || hi == nil {
 				return nil, nil
 			}
-			in := compareVals(v, lo) >= 0 && compareVals(v, hi) <= 0
-			if not {
-				return !in, nil
-			}
-			return in, nil
+			return compareVals(v, lo) >= 0 && compareVals(v, hi) <= 0, nil
 		}, pure: cx.pure && clo.pure && chi.pure, konst: cx.konst && clo.konst && chi.konst})
 	case *sqlparse.CaseExpr:
 		return compileCase(x, schema)
@@ -280,8 +238,7 @@ func compileExpr(e sqlparse.Expr, schema []colBinding) compiled {
 		}, pure: pure, konst: konst})
 	case *sqlparse.SubqueryExpr:
 		q := x.Query
-		// executed per evaluation, like the interpreter: no memoization, so
-		// statements that observe their own writes (UPDATE) stay identical
+		// executed per evaluation, like the interpreter: no memoization
 		return compiled{fn: func(ec *evalCtx, row []any) (any, error) {
 			res, err := ec.s.execSelect(q, formRows)
 			if err != nil {

@@ -78,8 +78,7 @@ func TestCompiledNullSafeComparisons(t *testing.T) {
 		"SELECT * FROM t WHERE NOT (price > 100.0)",
 		"SELECT * FROM t WHERE price > 100.0 AND size < 30",
 		"SELECT * FROM t WHERE price > 100.0 OR flag",
-		"SELECT * FROM t WHERE size IN (10, NULL, 40)",
-		"SELECT * FROM t WHERE size NOT IN (10, 20)",
+		"SELECT * FROM t WHERE (size IS NOT DISTINCT FROM 10) OR (size IS NOT DISTINCT FROM NULL)",
 		"SELECT * FROM t WHERE price BETWEEN 100.0 AND 150.0",
 	}
 	for _, q := range queries {
@@ -217,29 +216,23 @@ func TestHashJoinNestedLoopParity(t *testing.T) {
 func TestCompiledEngineBattery(t *testing.T) {
 	queries := []string{
 		"SELECT sym, price, size FROM t ORDER BY sym, price",
-		"SELECT DISTINCT sym FROM t",
 		"SELECT sym, count(*), sum(size), avg(price), min(price), max(price) FROM t GROUP BY sym",
-		"SELECT sym FROM t GROUP BY sym HAVING count(*) > 1",
 		"SELECT coalesce(sum(size), 0) FROM t WHERE price > 1000.0",
 		"SELECT CASE WHEN price > 120.0 THEN 'hi' WHEN price > 100.0 THEN 'mid' ELSE 'lo' END FROM t",
 		"SELECT CASE sym WHEN 'GOOG' THEN 1 WHEN 'IBM' THEN 2 ELSE 0 END FROM t",
-		"SELECT upper(sym), length(sym), substring(sym, 1, 2) FROM t",
+		"SELECT upper(sym), lower(sym) FROM t",
 		"SELECT CAST(price AS bigint), CAST(size AS double precision) FROM t",
 		"SELECT sym || '_x' FROM t",
 		"SELECT * FROM t WHERE sym LIKE 'G%'",
 		"SELECT price, row_number() OVER (PARTITION BY sym ORDER BY price) FROM t",
-		"SELECT abs(0.0 - price), floor(price), round(price) FROM t",
+		"SELECT abs(0.0 - price), floor(price), ceil(price), sqrt(price), exp(size), ln(price) FROM t",
 		"SELECT sum(price * size) / nullif(sum(size), 0) FROM t",
-		"SELECT count(DISTINCT sym) FROM t",
-		"SELECT stddev(price), variance(price), median(price) FROM t",
+		"SELECT stddev_pop(price), var_pop(price), median(price) FROM t",
 		"SELECT first(price), last(price) FROM t",
-		"SELECT bool_and(flag), bool_or(flag) FROM t",
-		"SELECT string_agg(sym, ',') FROM t",
 		"SELECT (SELECT max(price) FROM t) - price FROM t",
 		"SELECT sym, sum(size) FROM t GROUP BY sym ORDER BY 2 DESC LIMIT 2",
 		"SELECT * FROM t WHERE price > 100.0 UNION ALL SELECT * FROM t WHERE price <= 100.0",
 		"SELECT CASE WHEN count(*) > 0 THEN sum(size) ELSE 0 END FROM t",
-		"SELECT sym FROM t GROUP BY sym HAVING sum(size) IS NOT NULL",
 		"SELECT -price, NOT flag FROM t",
 	}
 	for _, q := range queries {
@@ -247,16 +240,17 @@ func TestCompiledEngineBattery(t *testing.T) {
 	}
 }
 
-// TestCompiledDMLParity exercises the compiled UPDATE/DELETE predicate and
-// SET expression paths.
+// TestCompiledDMLParity exercises INSERT's VALUES expressions, the only DML,
+// on both engines: each row's values evaluate and coerce to the column
+// types the same way.
 func TestCompiledDMLParity(t *testing.T) {
 	setup := append(append([]string{}, paritySetup...),
-		"UPDATE t SET size = size * 2 WHERE price > 100.0",
-		"DELETE FROM t WHERE size IS NULL",
+		"INSERT INTO t VALUES ('X' || 'Y', 1.5 * 2, 3 + 4, NOT TRUE), (NULL, -1, 2.0, NULL)",
+		"INSERT INTO t VALUES (CAST(1 AS varchar), '1.5'::double precision, CASE WHEN 1 > 0 THEN 9 END, 1 = 1)",
 	)
-	res := requireModeParity(t, setup, "SELECT sym, price, size FROM t ORDER BY sym, size")
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows after DML = %d, want 4", len(res.Rows))
+	res := requireModeParity(t, setup, "SELECT sym, price, size, flag FROM t ORDER BY sym, size")
+	if len(res.Rows) != 8 {
+		t.Fatalf("rows after INSERT = %d, want 8", len(res.Rows))
 	}
 }
 
@@ -265,7 +259,7 @@ func TestCompiledDMLParity(t *testing.T) {
 // not be marked pure.
 func TestCompiledPurity(t *testing.T) {
 	schema := []colBinding{{name: "a", typ: "bigint"}}
-	pure := []string{"a + 1", "a > 2 AND a < 10", "abs(a)", "a IN (1, 2, 3)",
+	pure := []string{"a + 1", "a > 2 AND a < 10", "abs(a)", "a BETWEEN 1 AND 3",
 		"CASE WHEN a > 0 THEN 'p' ELSE 'n' END", "a IS NOT DISTINCT FROM 3"}
 	for _, src := range pure {
 		if c := compileExpr(parseExprOrDie(t, src), schema); !c.pure {

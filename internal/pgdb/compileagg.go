@@ -71,13 +71,8 @@ func computeAggSlot(ec *evalCtx, slot aggSlot, rows [][]any) (any, error) {
 		}
 		return slot.arg(ec, row)
 	}
-	var seen map[string]bool
-	if fc.Distinct {
-		seen = map[string]bool{}
-	}
-	// each yields the non-null (and, under DISTINCT, first-occurrence)
-	// argument values in row order — the same stream computeAggregate
-	// collects.
+	// each yields the non-null argument values in row order — the same
+	// stream computeAggregate collects.
 	each := func(f func(v any) error) error {
 		for _, row := range rows {
 			v, err := slot.arg(ec, row)
@@ -86,13 +81,6 @@ func computeAggSlot(ec *evalCtx, slot aggSlot, rows [][]any) (any, error) {
 			}
 			if v == nil {
 				continue
-			}
-			if seen != nil {
-				k := keyString([]any{v})
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
 			}
 			if err := f(v); err != nil {
 				return err
@@ -173,31 +161,8 @@ func computeAggSlot(ec *evalCtx, slot aggSlot, rows [][]any) (any, error) {
 			return nil, err
 		}
 		return best, nil
-	case "bool_and", "bool_or":
-		isAnd := fc.Name == "bool_and"
-		acc := isAnd
-		n := 0
-		if err := each(func(v any) error {
-			b, ok := v.(bool)
-			if !ok {
-				return errf("42804", "%s of non-boolean", fc.Name)
-			}
-			n++
-			if isAnd {
-				acc = acc && b
-			} else {
-				acc = acc || b
-			}
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, nil
-		}
-		return acc, nil
 	default:
-		// stddev family, median, string_agg: collect then share the
+		// stddev_pop, var_pop, median: collect then share the
 		// interpreter's finalizer
 		var vals []any
 		if err := each(func(v any) error { vals = append(vals, v); return nil }); err != nil {
@@ -207,10 +172,9 @@ func computeAggSlot(ec *evalCtx, slot aggSlot, rows [][]any) (any, error) {
 	}
 }
 
-// collectAggSlots walks the select items and HAVING clause in evaluation
-// order and assigns each distinct aggregate call a slot, compiling its
-// argument once.
-func collectAggSlots(items []sqlparse.SelectItem, having sqlparse.Expr, schema []colBinding) ([]aggSlot, map[*sqlparse.FuncCall]int) {
+// collectAggSlots walks the select items in evaluation order and assigns
+// each distinct aggregate call a slot, compiling its argument once.
+func collectAggSlots(items []sqlparse.SelectItem, schema []colBinding) ([]aggSlot, map[*sqlparse.FuncCall]int) {
 	var slots []aggSlot
 	index := map[*sqlparse.FuncCall]int{}
 	add := func(e sqlparse.Expr) {
@@ -232,9 +196,6 @@ func collectAggSlots(items []sqlparse.SelectItem, having sqlparse.Expr, schema [
 	}
 	for _, item := range items {
 		add(item.Expr)
-	}
-	if having != nil {
-		add(having)
 	}
 	return slots, index
 }
@@ -466,14 +427,10 @@ func (s *Session) execGroupedCompiled(sel *sqlparse.SelectStmt, rel *relation) (
 			g.rows = append(g.rows, row)
 		}
 	}
-	slots, index := collectAggSlots(items, sel.Having, rel.schema)
+	slots, index := collectAggSlots(items, rel.schema)
 	itemFns := make([]exprFn, len(items))
 	for i := range items {
 		itemFns[i] = compileAggExpr(items[i].Expr, rel.schema, index)
-	}
-	var havingFn exprFn
-	if sel.Having != nil {
-		havingFn = compileAggExpr(sel.Having, rel.schema, index)
 	}
 	res := &Result{}
 	for _, item := range items {
@@ -497,15 +454,6 @@ func (s *Session) execGroupedCompiled(sel *sqlparse.SelectStmt, rel *relation) (
 				return nil, err
 			}
 			out[i] = v
-		}
-		if havingFn != nil {
-			hv, err := havingFn(gec, rep)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := hv.(bool); !ok || !b {
-				continue
-			}
 		}
 		res.Rows = append(res.Rows, out)
 	}

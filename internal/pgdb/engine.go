@@ -109,8 +109,8 @@ func (s *Session) execScript(ctx context.Context, sql string) ([]*Result, error)
 // ExecStmt executes a parsed statement. The outermost call takes the
 // database's coarse statement lock — exclusively for statements that mutate
 // permanent relations, shared otherwise — so concurrent sessions never race
-// a scan against a half-applied append or in-place update. Nested calls
-// (view expansion) run under the outer statement's lock.
+// a scan against a half-applied append. Nested calls (view expansion) run
+// under the outer statement's lock.
 func (s *Session) ExecStmt(stmt sqlparse.Stmt) (*Result, error) {
 	return boxed(s.execTop(stmt))
 }
@@ -142,16 +142,12 @@ func (s *Session) execTop(stmt sqlparse.Stmt) (*Result, error) {
 }
 
 // stmtWrites reports whether a statement mutates shared (non-temp) catalog
-// state and therefore needs the exclusive statement lock. DML against a
+// state and therefore needs the exclusive statement lock. An INSERT into a
 // session temp table stays shared: temp tables are session-local.
 func (s *Session) stmtWrites(stmt sqlparse.Stmt) bool {
 	isTemp := func(name string) bool { _, ok := s.temp[name]; return ok }
 	switch st := stmt.(type) {
 	case *sqlparse.InsertStmt:
-		return !isTemp(st.Table)
-	case *sqlparse.UpdateStmt:
-		return !isTemp(st.Table)
-	case *sqlparse.DeleteStmt:
 		return !isTemp(st.Table)
 	case *sqlparse.CreateTableStmt:
 		return !st.Temp
@@ -208,12 +204,6 @@ func (s *Session) execStmt(stmt sqlparse.Stmt) (res *Result, err error) {
 		return s.execDrop(st)
 	case *sqlparse.InsertStmt:
 		return s.execInsert(st)
-	case *sqlparse.UpdateStmt:
-		return s.execUpdate(st)
-	case *sqlparse.DeleteStmt:
-		return s.execDelete(st)
-	case *sqlparse.TxStmt:
-		return &Result{Tag: st.Kind}, nil
 	default:
 		return nil, errf("0A000", "unsupported statement %T", stmt)
 	}
@@ -221,9 +211,6 @@ func (s *Session) execStmt(stmt sqlparse.Stmt) (res *Result, err error) {
 
 func (s *Session) execCreateTable(st *sqlparse.CreateTableStmt) (*Result, error) {
 	if _, exists := s.lookupTable(st.Name); exists {
-		if st.IfNotExists {
-			return &Result{Tag: "CREATE TABLE"}, nil
-		}
 		if _, isTemp := s.temp[st.Name]; !isTemp && !st.Temp {
 			return nil, errf("42P07", "relation %q already exists", st.Name)
 		}
@@ -331,66 +318,33 @@ func (s *Session) execInsert(st *sqlparse.InsertStmt) (*Result, error) {
 	if !ok {
 		return nil, errf("42P01", "relation %q does not exist", st.Table)
 	}
-	// map insert columns to table positions
-	pos := make([]int, 0, len(t.cols))
-	if len(st.Cols) == 0 {
-		for i := range t.cols {
-			pos = append(pos, i)
+	// every row evaluates before the first append: a failing INSERT leaves
+	// the table as it was
+	appended := make([][]any, 0, len(st.Rows))
+	for _, rowExprs := range st.Rows {
+		if len(rowExprs) != len(t.cols) {
+			return nil, errf("42601", "INSERT has %d expressions but %d target columns", len(rowExprs), len(t.cols))
 		}
-	} else {
-		for _, c := range st.Cols {
-			found := -1
-			for i, tc := range t.cols {
-				if tc.Name == c {
-					found = i
-					break
-				}
+		row := make([]any, len(rowExprs))
+		for i, e := range rowExprs {
+			v, err := s.evalConst(e)
+			if err != nil {
+				return nil, err
 			}
-			if found < 0 {
-				return nil, errf("42703", "column %q of relation %q does not exist", c, st.Table)
-			}
-			pos = append(pos, found)
+			row[i] = coerceToColumn(v, t.cols[i].Type)
 		}
+		appended = append(appended, row)
 	}
-	var incoming [][]any
-	if st.Select != nil {
-		res, err := s.execSelect(st.Select, formRows)
-		if err != nil {
-			return nil, err
-		}
-		incoming = res.Rows
-	} else {
-		for _, rowExprs := range st.Rows {
-			row := make([]any, len(rowExprs))
-			for i, e := range rowExprs {
-				v, err := s.evalConst(e)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			incoming = append(incoming, row)
-		}
+	for _, row := range appended {
+		t.store.appendRow(row)
 	}
 	_, isTemp := s.temp[st.Table]
-	appended := make([][]any, 0, len(incoming))
-	for _, src := range incoming {
-		if len(src) != len(pos) {
-			return nil, errf("42601", "INSERT has %d expressions but %d target columns", len(src), len(pos))
-		}
-		full := make([]any, len(t.cols))
-		for k, p := range pos {
-			full[p] = coerceToColumn(src[k], t.cols[p].Type)
-		}
-		t.store.appendRow(full)
-		appended = append(appended, full)
-	}
 	if j := s.db.journal; j != nil && !isTemp && len(appended) > 0 {
 		if jerr := j.JournalAppend(st.Table, appended); jerr != nil {
 			return nil, errf("58030", "journal: %v", jerr)
 		}
 	}
-	return &Result{Tag: fmt.Sprintf("INSERT 0 %d", len(incoming))}, nil
+	return &Result{Tag: fmt.Sprintf("INSERT 0 %d", len(appended))}, nil
 }
 
 // coerceToColumn nudges a value toward its column's storage type so that
@@ -410,133 +364,6 @@ func coerceToColumn(v any, typ string) any {
 		}
 	}
 	return v
-}
-
-func (s *Session) execUpdate(st *sqlparse.UpdateStmt) (*Result, error) {
-	t, ok := s.lookupTable(st.Table)
-	if !ok {
-		return nil, errf("42P01", "relation %q does not exist", st.Table)
-	}
-	schema := schemaOf(t.cols, "")
-	// the WHERE predicate and SET expressions compile once per statement;
-	// both engines evaluate them per row against the live table, so an
-	// UPDATE observing its own earlier writes behaves identically
-	pred := s.wherePred(st.Where, schema)
-	type setter struct {
-		idx  int
-		col  string
-		eval exprFn
-	}
-	setters := make([]setter, len(st.Set))
-	exprs := []sqlparse.Expr{st.Where}
-	for k, set := range st.Set {
-		idx := -1
-		for i, c := range t.cols {
-			if c.Name == set.Col {
-				idx = i
-				break
-			}
-		}
-		// an unresolvable column only errors when a row matches, like the
-		// per-row interpreter loop
-		setters[k] = setter{idx, set.Col, s.lowerExpr(set.Expr, schema)}
-		exprs = append(exprs, set.Expr)
-	}
-	ec := &evalCtx{s: s, rowIdx: -1}
-	// the statement's own rows: subqueries read the vectors, which see every
-	// earlier write
-	rows, err := s.dmlRows(t, schema, exprs...)
-	if err != nil {
-		return nil, err
-	}
-	count := 0
-	_, isTemp := s.temp[st.Table]
-	var cells []CellUpdate
-	touched := map[[2]int]struct{}{}
-	for ri, row := range rows {
-		keep, err := pred(row)
-		if err != nil {
-			return nil, err
-		}
-		if !keep {
-			continue
-		}
-		for _, set := range setters {
-			if set.idx < 0 {
-				return nil, errf("42703", "column %q does not exist", set.col)
-			}
-			v, err := set.eval(ec, row)
-			if err != nil {
-				return nil, err
-			}
-			coerced := coerceToColumn(v, t.cols[set.idx].Type)
-			// later SET expressions of the row read the new value
-			row[set.idx] = coerced
-			t.store.setCell(ri, set.idx, coerced)
-			cells = append(cells, CellUpdate{Row: ri, Col: set.idx, Val: coerced})
-			touched[[2]int{ri / segSize, set.idx}] = struct{}{}
-		}
-		count++
-	}
-	// setCell only widens zone bounds; recompute exact min/max and null
-	// counts for the touched vectors so later scans prune as tightly as a
-	// freshly-built segment would (and checkpoints serialize tight bounds)
-	t.store.refreshZones(touched)
-	if j := s.db.journal; j != nil && !isTemp && len(cells) > 0 {
-		if jerr := j.JournalUpdate(st.Table, cells); jerr != nil {
-			return nil, errf("58030", "journal: %v", jerr)
-		}
-	}
-	return &Result{Tag: fmt.Sprintf("UPDATE %d", count)}, nil
-}
-
-func (s *Session) execDelete(st *sqlparse.DeleteStmt) (*Result, error) {
-	t, ok := s.lookupTable(st.Table)
-	if !ok {
-		return nil, errf("42P01", "relation %q does not exist", st.Table)
-	}
-	schema := schemaOf(t.cols, "")
-	pred := s.wherePred(st.Where, schema)
-	keep := make([]uint64, (t.store.numRows()+63)/64)
-	var removed []int
-	if st.Where == nil {
-		removed = seq(0, t.store.numRows())
-	} else {
-		rows, err := s.dmlRows(t, schema, st.Where)
-		if err != nil {
-			return nil, err
-		}
-		for ri, row := range rows {
-			match, err := pred(row)
-			if err != nil {
-				return nil, err
-			}
-			if match {
-				removed = append(removed, ri)
-			} else {
-				keep[ri>>6] |= 1 << (uint(ri) & 63)
-			}
-		}
-	}
-	t.store.compact(keep)
-	_, isTemp := s.temp[st.Table]
-	if j := s.db.journal; j != nil && !isTemp && len(removed) > 0 {
-		if jerr := j.JournalDelete(st.Table, removed); jerr != nil {
-			return nil, errf("58030", "journal: %v", jerr)
-		}
-	}
-	return &Result{Tag: fmt.Sprintf("DELETE %d", len(removed))}, nil
-}
-
-// dmlRows boxes every row of t for UPDATE and DELETE with only the cells
-// exprs read; the other cells stay NULL.
-func (s *Session) dmlRows(t *storedTable, schema []colBinding, exprs ...sqlparse.Expr) ([][]any, error) {
-	seen := map[int]struct{}{}
-	for _, e := range exprs {
-		addColRefs(e, schema, seen)
-	}
-	cols := sortedSet(seen)
-	return t.store.boxCols(nil, cols, nil, cols, len(t.cols), s.poll)
 }
 
 // evalConst evaluates an expression with no row context (literals in

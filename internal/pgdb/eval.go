@@ -87,32 +87,6 @@ func (s *Session) evalExprWin(e sqlparse.Expr, schema []colBinding, row []any, r
 			return !isNull, nil
 		}
 		return isNull, nil
-	case *sqlparse.InExpr:
-		v, err := s.evalExprWin(x.X, schema, row, rowIdx, winVals)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			return nil, nil
-		}
-		sawNull := false
-		for _, le := range x.List {
-			lv, err := s.evalExprWin(le, schema, row, rowIdx, winVals)
-			if err != nil {
-				return nil, err
-			}
-			if lv == nil {
-				sawNull = true
-				continue
-			}
-			if equalVals(v, lv) {
-				return !x.Not, nil
-			}
-		}
-		if sawNull {
-			return nil, nil // unknown per 3VL
-		}
-		return x.Not, nil
 	case *sqlparse.BetweenExpr:
 		v, err := s.evalExprWin(x.X, schema, row, rowIdx, winVals)
 		if err != nil {
@@ -129,11 +103,7 @@ func (s *Session) evalExprWin(e sqlparse.Expr, schema []colBinding, row []any, r
 		if v == nil || lo == nil || hi == nil {
 			return nil, nil
 		}
-		in := compareVals(v, lo) >= 0 && compareVals(v, hi) <= 0
-		if x.Not {
-			return !in, nil
-		}
-		return in, nil
+		return compareVals(v, lo) >= 0 && compareVals(v, hi) <= 0, nil
 	case *sqlparse.CaseExpr:
 		for _, w := range x.Whens {
 			var hit bool
@@ -310,14 +280,11 @@ func applyBinary(op string, l, r any) (any, error) {
 		return arithSQL(op, l, r)
 	case "||":
 		return FormatValue(l, "varchar") + FormatValue(r, "varchar"), nil
-	case "LIKE", "ILIKE":
+	case "LIKE":
 		ls, lok := l.(string)
 		rs, rok := r.(string)
 		if !lok || !rok {
 			return nil, errf("42804", "LIKE requires strings")
-		}
-		if op == "ILIKE" {
-			ls, rs = strings.ToLower(ls), strings.ToLower(rs)
 		}
 		return likeMatch(rs, ls), nil
 	default:
@@ -508,7 +475,7 @@ func applyScalarFunc(name string, args []any) (any, error) {
 			return math.Abs(n), nil
 		}
 		return nil, errf("42804", "abs of non-number")
-	case "floor", "ceil", "ceiling", "round", "sqrt", "exp", "ln":
+	case "floor", "ceil", "sqrt", "exp", "ln":
 		if len(args) != 1 || args[0] == nil {
 			if len(args) == 1 {
 				return nil, nil
@@ -522,10 +489,8 @@ func applyScalarFunc(name string, args []any) (any, error) {
 		switch name {
 		case "floor":
 			return math.Floor(f), nil
-		case "ceil", "ceiling":
+		case "ceil":
 			return math.Ceil(f), nil
-		case "round":
-			return math.Round(f), nil
 		case "sqrt":
 			return math.Sqrt(f), nil
 		case "exp":
@@ -533,14 +498,7 @@ func applyScalarFunc(name string, args []any) (any, error) {
 		default:
 			return math.Log(f), nil
 		}
-	case "power", "pow":
-		if len(args) != 2 || args[0] == nil || args[1] == nil {
-			return nil, nil
-		}
-		a, _ := toFloat(args[0])
-		b, _ := toFloat(args[1])
-		return math.Pow(a, b), nil
-	case "upper", "lower", "trim", "btrim":
+	case "upper", "lower":
 		if len(args) != 1 {
 			return nil, errf("42883", "%s takes 1 argument", name)
 		}
@@ -551,45 +509,12 @@ func applyScalarFunc(name string, args []any) (any, error) {
 		if !ok {
 			return nil, errf("42804", "%s of non-string", name)
 		}
-		switch name {
-		case "upper":
+		if name == "upper" {
 			return strings.ToUpper(str), nil
-		case "lower":
-			return strings.ToLower(str), nil
-		default:
-			return strings.TrimSpace(str), nil
 		}
-	case "length", "char_length":
-		if args[0] == nil {
-			return nil, nil
-		}
-		str, ok := args[0].(string)
-		if !ok {
-			return nil, errf("42804", "length of non-string")
-		}
-		return int64(len(str)), nil
-	case "substring", "substr":
-		if len(args) < 2 || args[0] == nil {
-			return nil, nil
-		}
-		str, _ := args[0].(string)
-		from, _ := toFloat(args[1])
-		start := int(from) - 1
-		if start < 0 {
-			start = 0
-		}
-		if start > len(str) {
-			return "", nil
-		}
-		end := len(str)
-		if len(args) == 3 {
-			cnt, _ := toFloat(args[2])
-			if start+int(cnt) < end {
-				end = start + int(cnt)
-			}
-		}
-		return str[start:end], nil
+		return strings.ToLower(str), nil
 	case "greatest", "least":
+		// the translator's min (&) and max (|) of two atoms
 		var best any
 		for _, a := range args {
 			if a == nil {
@@ -605,7 +530,7 @@ func applyScalarFunc(name string, args []any) (any, error) {
 			}
 		}
 		return best, nil
-	case "count", "sum", "avg", "min", "max", "stddev", "stddev_samp", "stddev_pop", "variance", "var_pop", "var_samp":
+	case "count", "sum", "avg", "min", "max", "stddev_pop", "var_pop":
 		return nil, errf("42803", "aggregate function %s called in non-aggregate context", name)
 	default:
 		return nil, errf("42883", "function %s does not exist", name)

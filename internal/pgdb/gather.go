@@ -30,7 +30,7 @@ import (
 // A consumer that still needs rows boxes the store once (rowsView, boxSel).
 // A store that may share a table's vectors is marked shared; a top-level
 // SELECT gathers instead, since it is read after the statement lock is
-// released and UPDATE writes a table's vectors in place.
+// released and INSERT writes the tail segment's vectors in place.
 
 // newPrivateStore returns a statement-private store of n rows over cols,
 // its segments allocated with unset vectors for the builder to fill.

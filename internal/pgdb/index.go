@@ -4,16 +4,16 @@ package pgdb
 // indexes over colStore, in the spirit of kdb+'s `s#`/`p#` attributes.
 //
 // A sorted attribute records that a column is non-decreasing under
-// compareVals and holds no NULLs; it is verified-or-maintained through every
-// mutation (appendRow, setCell, compact) and invalidated on the first
-// violation, never re-derived by scanning. Sorted columns answer whole
+// compareVals and holds no NULLs; it is maintained through every append and
+// invalidated on the first violation, never re-derived by scanning. Tables
+// are append-only, so no other mutation can break it. Sorted columns answer whole
 // comparison predicates by binary search over the boxed cell accessor —
 // column-granular fault-in means a cold probe touches O(log n) cells of one
 // column — instead of a full bitmap scan.
 //
 // A hash index maps each distinct value of a column to its ascending row-id
 // postings. It is built lazily on the first qualifying lookup, maintained
-// incrementally by DML, dropped wholesale on DELETE-compaction and on
+// by INSERT (new row ids append to the postings), dropped wholesale on
 // segment eviction (the postings pin value memory the eviction is trying to
 // release), and rebuilt on the next qualifying lookup. The vectorized
 // filter answers a top-level `=` predicate from it, and equi-joins use it as
@@ -97,9 +97,8 @@ type hashIdx struct {
 }
 
 // notIndexable is the negative-cache sentinel: the column's kind mix (vkAny,
-// vkBool, or int/float across segments) cannot be indexed. The conditions
-// are sticky until compact rebuilds the store, so the sentinel never goes
-// stale.
+// vkBool, or int/float across segments) cannot be indexed. Appends never
+// undo the conditions, so the sentinel never goes stale.
 var notIndexable = &hashIdx{col: -1, kind: vkAny}
 
 // indexState is the per-table access-path state hanging off colStore.
@@ -150,30 +149,8 @@ func (st *colStore) noteAppend(c int, v any) {
 // noteMutation bumps the version counter; every data change runs through it.
 func (st *colStore) noteMutation() { st.ix.version++ }
 
-// noteSet maintains column c's access paths after row rowIdx was overwritten
-// in place. old is the prior cell value (only read when an index is built).
-func (st *colStore) noteSet(rowIdx, c int, val, old any, ix *hashIdx) {
-	if sa := &st.ix.sorted[c]; sa.ok {
-		switch {
-		case val == nil:
-			sa.ok, sa.last = false, nil
-		case rowIdx > 0 && compareVals(st.cellAt(rowIdx-1, c), val) > 0:
-			sa.ok, sa.last = false, nil
-		case rowIdx < st.n-1 && compareVals(val, st.cellAt(rowIdx+1, c)) > 0:
-			sa.ok, sa.last = false, nil
-		case rowIdx == st.n-1:
-			sa.last = val
-		}
-	}
-	if ix != nil && ix != notIndexable {
-		ix.remove(int32(rowIdx), old)
-		if !ix.insert(int32(rowIdx), val) {
-			st.dropIndex(c)
-		}
-	}
-}
-
-// dropIndex discards column c's built index (type degradation mid-DML).
+// dropIndex discards column c's built index (an INSERT's value of another
+// kind).
 func (st *colStore) dropIndex(c int) {
 	if ix := st.ix.idx[c].Load(); ix != nil && ix != notIndexable {
 		st.ix.stats.add(&st.ix.stats.Invalidations, 1)
@@ -182,10 +159,9 @@ func (st *colStore) dropIndex(c int) {
 	st.ix.idx[c].Store(notIndexable)
 }
 
-// dropIndexes discards every built index and the as-of cache: DELETE
-// compaction renumbers rows, and eviction wants the memory back. Unlike
-// dropIndex the columns stay indexable — the next qualifying lookup
-// rebuilds.
+// dropIndexes discards every built index and the as-of cache: eviction
+// wants the memory back. Unlike dropIndex the columns stay indexable — the
+// next qualifying lookup rebuilds.
 func (st *colStore) dropIndexes() {
 	for c := range st.ix.idx {
 		if ix := st.ix.idx[c].Load(); ix != nil {
@@ -199,16 +175,6 @@ func (st *colStore) dropIndexes() {
 	st.ix.asofMu.Lock()
 	st.ix.asof = nil
 	st.ix.asofMu.Unlock()
-}
-
-// resetAccessPaths clears all access-path state before compact re-appends
-// the surviving rows (which rebuild the sorted attributes as they go).
-func (st *colStore) resetAccessPaths() {
-	st.dropIndexes()
-	for c := range st.ix.sorted {
-		st.ix.sorted[c] = sortAttr{ok: true}
-	}
-	st.noteMutation()
 }
 
 // sortedCol reports whether column c carries a valid sorted attribute.
@@ -233,12 +199,11 @@ func kindOfVal(v any) vecKind {
 }
 
 // insert adds one (row, value) posting. Row ids arrive in ascending order
-// (appends) or replace a removed posting in place (updates), so postings
-// lists are kept sorted by a positioned insert. Returns false when the value
-// does not fit the index's kind — the caller drops the index.
+// (appends), so each postings list stays sorted. Returns false when the
+// value does not fit the index's kind — the caller drops the index.
 func (ix *hashIdx) insert(row int32, v any) bool {
 	if v == nil {
-		ix.nulls = insertPosting(ix.nulls, row)
+		ix.nulls = append(ix.nulls, row)
 		ix.bytes += 4
 		return true
 	}
@@ -256,72 +221,31 @@ func (ix *hashIdx) insert(row int32, v any) bool {
 			ix.ints = map[int64][]int32{}
 		}
 		x := v.(int64)
-		ix.ints[x] = insertPosting(ix.ints[x], row)
+		ix.ints[x] = append(ix.ints[x], row)
 		ix.bytes += 12
 	case vkFloat:
 		f := v.(float64)
 		if math.IsNaN(f) {
-			ix.nan = insertPosting(ix.nan, row)
+			ix.nan = append(ix.nan, row)
 			ix.bytes += 4
 			return true
 		}
 		if ix.floats == nil {
 			ix.floats = map[float64][]int32{}
 		}
-		ix.floats[f] = insertPosting(ix.floats[f], row)
+		ix.floats[f] = append(ix.floats[f], row)
 		ix.bytes += 12
 	case vkStr:
 		if ix.strs == nil {
 			ix.strs = map[string][]int32{}
 		}
 		x := v.(string)
-		ix.strs[x] = insertPosting(ix.strs[x], row)
+		ix.strs[x] = append(ix.strs[x], row)
 		ix.bytes += int64(len(x)) + 20
 	default:
 		return false
 	}
 	return true
-}
-
-// remove deletes one (row, value) posting; absent postings are a no-op (a
-// value the index never saw cannot have a posting).
-func (ix *hashIdx) remove(row int32, v any) {
-	if v == nil {
-		ix.nulls = removePosting(ix.nulls, row)
-		return
-	}
-	switch x := v.(type) {
-	case int64:
-		if ix.ints != nil {
-			ix.ints[x] = removePosting(ix.ints[x], row)
-		}
-	case float64:
-		if math.IsNaN(x) {
-			ix.nan = removePosting(ix.nan, row)
-		} else if ix.floats != nil {
-			ix.floats[x] = removePosting(ix.floats[x], row)
-		}
-	case string:
-		if ix.strs != nil {
-			ix.strs[x] = removePosting(ix.strs[x], row)
-		}
-	}
-}
-
-func insertPosting(list []int32, row int32) []int32 {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= row })
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = row
-	return list
-}
-
-func removePosting(list []int32, row int32) []int32 {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= row })
-	if i < len(list) && list[i] == row {
-		return append(list[:i], list[i+1:]...)
-	}
-	return list
 }
 
 // hashIdxFor returns column col's hash index, building it lazily when the
@@ -584,11 +508,10 @@ func sortedPredRange(p vecPred, st *colStore) (lo, hi int, ok bool) {
 // first through their resident zone metadata — stubs carry min/max, so the
 // walk does no I/O — and only the one segment that can contain the bound has
 // its cells probed, faulting at most that segment of this column. A constant
-// outside every zone resolves with zero faults. Zone maps only widen under
-// in-place updates, so both prune directions stay sound: a segment whose max
-// is below the bound holds no qualifying cell, and one whose min is past it
-// holds only qualifying cells; a spuriously wide max just falls through to
-// the next segment after an empty probe.
+// outside every zone resolves with zero faults. Zone maps are exact over a
+// sorted column's appends, so both prune directions are sound: a segment
+// whose max is below the bound holds no qualifying cell, and one whose min is
+// past it holds only qualifying cells.
 func sortedBound(st *colStore, col int, konst any, strict bool) int {
 	over := func(v any) bool {
 		c := compareVals(v, konst)

@@ -26,9 +26,9 @@ func storeOf(t *testing.T, db *DB, name string) *colStore {
 	return tab.store
 }
 
-// TestSortedAttrMaintenance drives the sorted attribute through appends and
-// in-place updates: kept while order holds, dropped on the first violation
-// or NULL, and never resurrected without a rebuild (compact).
+// TestSortedAttrMaintenance drives the sorted attribute through appends:
+// kept while order holds (ties included), dropped on the first violation or
+// NULL, and never resurrected by later in-order appends.
 func TestSortedAttrMaintenance(t *testing.T) {
 	db, s := indexedDB(t)
 	mustExec(t, s, "CREATE TABLE st (k bigint, v varchar)")
@@ -40,51 +40,26 @@ func TestSortedAttrMaintenance(t *testing.T) {
 	if st.sortedCol(1) {
 		t.Fatalf("shuffled v should not be sorted")
 	}
-
-	// an in-place update that keeps the neighborhood ordered keeps the flag
-	mustExec(t, s, "UPDATE st SET k = 3 WHERE v = 'd'")
+	// an append equal to the last value keeps the flag
+	mustExec(t, s, "INSERT INTO st VALUES (5,'e'),(6,'f')")
 	if !st.sortedCol(0) {
-		t.Fatalf("order-preserving update dropped the sorted attribute")
+		t.Fatalf("in-order append dropped the sorted attribute")
 	}
-	// tail update keeps the append anchor correct: the next in-order insert
-	// must still be accepted
-	mustExec(t, s, "UPDATE st SET k = 4 WHERE v = 'a'")
-	mustExec(t, s, "INSERT INTO st VALUES (4,'e')")
-	if !st.sortedCol(0) {
-		t.Fatalf("tail update broke the append anchor")
-	}
-	// out-of-order append invalidates
-	mustExec(t, s, "INSERT INTO st VALUES (0,'f')")
+	// out-of-order append invalidates, for good
+	mustExec(t, s, "INSERT INTO st VALUES (0,'g')")
 	if st.sortedCol(0) {
 		t.Fatalf("out-of-order append kept the sorted attribute")
 	}
-	// DELETE compacts the store and re-appends survivors, re-deriving flags
-	mustExec(t, s, "DELETE FROM st WHERE k = 0")
-	if !st.sortedCol(0) {
-		t.Fatalf("compact should rebuild the sorted attribute")
+	mustExec(t, s, "INSERT INTO st VALUES (9,'h')")
+	if st.sortedCol(0) {
+		t.Fatalf("a later in-order append resurrected the sorted attribute")
 	}
 	// NULL kills it
-	mustExec(t, s, "INSERT INTO st VALUES (NULL,'g')")
-	if st.sortedCol(0) {
+	mustExec(t, s, "CREATE TABLE sn (k bigint)")
+	mustExec(t, s, "INSERT INTO sn VALUES (1),(2)")
+	mustExec(t, s, "INSERT INTO sn VALUES (NULL)")
+	if storeOf(t, db, "sn").sortedCol(0) {
 		t.Fatalf("NULL append kept the sorted attribute")
-	}
-}
-
-// TestSortedUpdateNeighborViolation: an in-place overwrite that breaks order
-// against either neighbor must invalidate the attribute.
-func TestSortedUpdateNeighborViolation(t *testing.T) {
-	for _, tc := range []struct{ set, cond string }{
-		{"k = 9", "k = 2"}, // larger than right neighbor
-		{"k = 0", "k = 5"}, // smaller than left neighbor
-	} {
-		db, s := indexedDB(t)
-		mustExec(t, s, "CREATE TABLE st (k bigint)")
-		mustExec(t, s, "INSERT INTO st VALUES (1),(2),(5),(7)")
-		st := storeOf(t, db, "st")
-		mustExec(t, s, "UPDATE st SET "+tc.set+" WHERE "+tc.cond)
-		if st.sortedCol(0) {
-			t.Fatalf("UPDATE %s WHERE %s kept the sorted attribute", tc.set, tc.cond)
-		}
 	}
 }
 
@@ -153,9 +128,9 @@ func TestSortedRangeParity(t *testing.T) {
 }
 
 // TestHashIndexDMLParity runs the same statement stream — with lookups
-// interleaved so indexes build early and DML then maintains them — against
-// an indexed and an index-free database, requiring identical results after
-// every step.
+// interleaved so indexes build early and INSERTs then maintain them —
+// against an indexed and an index-free database, requiring identical
+// results after every step.
 func TestHashIndexDMLParity(t *testing.T) {
 	dbi := NewDB()
 	dbi.SetIndexMinRows(0)
@@ -166,9 +141,10 @@ func TestHashIndexDMLParity(t *testing.T) {
 	probes := []string{
 		"SELECT count(*), sum(n) FROM kv WHERE k = 'a'",
 		"SELECT count(*), sum(n) FROM kv WHERE k = 'b'",
-		"SELECT count(*), sum(n) FROM kv WHERE k IN ('a','c','zz')",
+		"SELECT count(*), sum(n) FROM kv WHERE (k IS NOT DISTINCT FROM 'a') OR (k IS NOT DISTINCT FROM 'c') OR (k IS NOT DISTINCT FROM 'zz')",
 		"SELECT count(*), sum(n) FROM kv WHERE n = 5",
-		"SELECT count(*), sum(n) FROM kv WHERE n IN (1,2,3)",
+		"SELECT count(*), sum(n) FROM kv WHERE (n IS NOT DISTINCT FROM 1) OR (n IS NOT DISTINCT FROM 3)",
+		"SELECT count(*), sum(n) FROM kv WHERE k IS NOT DISTINCT FROM NULL",
 		"SELECT count(*) FROM kv a JOIN kv b ON a.k = b.k",
 		"SELECT k, count(*) FROM kv GROUP BY k ORDER BY k",
 	}
@@ -176,13 +152,9 @@ func TestHashIndexDMLParity(t *testing.T) {
 		"CREATE TABLE kv (k varchar, n bigint)",
 		"INSERT INTO kv VALUES ('a',1),('b',2),('a',3),('c',4),('b',5),(NULL,6)",
 		"INSERT INTO kv VALUES ('a',7),('d',8)",
-		"UPDATE kv SET k = 'b' WHERE n = 4",
-		"UPDATE kv SET n = 50 WHERE k = 'b'",
-		"DELETE FROM kv WHERE n = 1",
+		"INSERT INTO kv VALUES ('b',50),(NULL,5)",
 		"INSERT INTO kv VALUES ('a',9),(NULL,10)",
-		"UPDATE kv SET k = NULL WHERE n = 8",
-		"UPDATE kv SET k = 'e' WHERE k IS NULL",
-		"DELETE FROM kv WHERE k = 'e'",
+		"INSERT INTO kv VALUES ('e',NULL),('zz',1)",
 	}
 	for _, step := range steps {
 		mustExec(t, si, step)
@@ -204,7 +176,7 @@ func TestHashIndexDMLParity(t *testing.T) {
 	}
 }
 
-// TestIndexTypeDegradation: DML that writes a value outside the index's kind
+// TestIndexTypeDegradation: an append of a value outside the index's kind
 // drops the index (sticky), and results stay correct through the fallback.
 func TestIndexTypeDegradation(t *testing.T) {
 	db, s := indexedDB(t)
@@ -217,9 +189,9 @@ func TestIndexTypeDegradation(t *testing.T) {
 		t.Fatalf("expected one build, got %d", db.IndexStats().Builds.Load())
 	}
 	// SQL coerces writes to the column type, so reach below it: a raw float
-	// write is the kind-mixing mutation the maintenance hook must survive
+	// append is the kind-mixing mutation the maintenance hook must survive
 	st := storeOf(t, db, "mix")
-	st.setCell(0, 0, 2.5)
+	st.appendRow([]any{2.5})
 	res := mustExec(t, s, "SELECT count(*) FROM mix WHERE k = 2")
 	if res.Rows[0][0].(int64) != 2 {
 		t.Fatalf("post-degradation count = %v", res.Rows[0][0])
@@ -228,7 +200,6 @@ func TestIndexTypeDegradation(t *testing.T) {
 		t.Fatalf("type degradation did not invalidate")
 	}
 	// bytes accounting returns to zero once every index is gone
-	mustExec(t, s, "DELETE FROM mix WHERE k = 1")
 	if b := db.IndexStats().BytesResident.Load(); b != 0 {
 		t.Fatalf("BytesResident = %d after all indexes dropped", b)
 	}

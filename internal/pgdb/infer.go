@@ -36,11 +36,11 @@ func (s *Session) inferType(e sqlparse.Expr, schema []colBinding) string {
 		return s.inferType(x.X, schema)
 	case *sqlparse.IsNullExpr:
 		return "boolean"
-	case *sqlparse.InExpr, *sqlparse.BetweenExpr:
+	case *sqlparse.BetweenExpr:
 		return "boolean"
 	case *sqlparse.BinaryExpr:
 		switch x.Op {
-		case "AND", "OR", "=", "<>", "<", ">", "<=", ">=", "LIKE", "ILIKE",
+		case "AND", "OR", "=", "<>", "<", ">", "<=", ">=", "LIKE",
 			"IS DISTINCT FROM", "IS NOT DISTINCT FROM":
 			return "boolean"
 		case "||":
@@ -77,14 +77,12 @@ func (s *Session) inferType(e sqlparse.Expr, schema []colBinding) string {
 		return "unknown"
 	case *sqlparse.FuncCall:
 		switch x.Name {
-		case "count", "row_number", "rank", "dense_rank", "length", "char_length":
+		case "count", "row_number":
 			return "bigint"
-		case "avg", "stddev", "stddev_samp", "stddev_pop", "variance",
-			"var_samp", "var_pop", "sqrt", "exp", "ln", "power", "pow",
-			"floor", "ceil", "ceiling", "round", "median":
+		case "avg", "stddev_pop", "var_pop", "sqrt", "exp", "ln",
+			"floor", "ceil", "median":
 			return "double precision"
-		case "sum", "min", "max", "lag", "lead", "first_value", "last_value",
-			"abs", "first", "last":
+		case "sum", "min", "max", "abs", "first", "last":
 			if len(x.Args) > 0 {
 				return s.inferType(x.Args[0], schema)
 			}
@@ -106,10 +104,8 @@ func (s *Session) inferType(e sqlparse.Expr, schema []colBinding) string {
 				}
 			}
 			return out
-		case "upper", "lower", "trim", "btrim", "substring", "substr", "string_agg":
+		case "upper", "lower":
 			return "varchar"
-		case "bool_and", "bool_or":
-			return "boolean"
 		default:
 			return "unknown"
 		}

@@ -617,7 +617,7 @@ func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel,
 			return &kCast{x: k, to: to}, true
 		}
 	case *sqlparse.FuncCall:
-		if x.Name != "nullif" || len(x.Args) != 2 || x.Over != nil || x.Distinct {
+		if x.Name != "nullif" || len(x.Args) != 2 || x.Over != nil {
 			return nil, false
 		}
 		c, isConst := vecConstOf(x.Args[1], schema)

@@ -322,7 +322,7 @@ func TestValueKernelsDecline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*sqlparse.SelectStmt)
-	slots, _ := collectAggSlots(sel.Items, nil, schema)
+	slots, _ := collectAggSlots(sel.Items, schema)
 	if _, ok := planFusedSlots(slots, schema, st); ok {
 		t.Error("sum over a mixed-value column fuses")
 	}

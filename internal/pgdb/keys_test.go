@@ -22,11 +22,10 @@ func TestKeysDoNotCollide(t *testing.T) {
 			sql  string
 			rows int
 		}{
-			{"SELECT a, b, count(*) FROM l GROUP BY a, b", 2},          // fused grouping
-			{"SELECT a, b, count(DISTINCT a) FROM l GROUP BY a, b", 2}, // row-path grouping
-			{"SELECT DISTINCT a, b FROM l", 2},                         // DISTINCT
-			{"SELECT a, b FROM l UNION SELECT a, b FROM l", 2},         // UNION
-			{"SELECT l.a FROM l JOIN r ON l.a = r.a AND l.b = r.b", 1}, // multi-key hash join
+			{"SELECT a, b, count(*) FROM l GROUP BY a, b", 2},                                         // fused grouping
+			{"SELECT a, b, median(1) FROM l GROUP BY a, b", 2},                                        // row-path grouping
+			{"SELECT a, b FROM (SELECT a, b FROM l UNION ALL SELECT a, b FROM l) u GROUP BY a, b", 2}, // grouping boxed rows
+			{"SELECT l.a FROM l JOIN r ON l.a = r.a AND l.b = r.b", 1},                                // multi-key hash join
 		} {
 			if got := len(mustExec(t, s, q.sql).Rows); got != q.rows {
 				t.Errorf("mode %v: %s returned %d rows, want %d", mode, q.sql, got, q.rows)

@@ -1,6 +1,6 @@
 package pgdb
 
-// Persistence API: the narrow surface internal/persist uses to journal DML,
+// Persistence API: the narrow surface internal/persist uses to journal writes,
 // snapshot and restore tables, evict cold segments, and replay a WAL. The
 // engine stays storage-agnostic — everything durable lives behind the
 // Journal interface and the Apply*/Snapshot*/Restore* entry points below.
@@ -8,13 +8,6 @@ package pgdb
 // SegmentSize exposes the store's fixed segment length so persistence
 // layers can map row counts to segment boundaries.
 const SegmentSize = segSize
-
-// CellUpdate is one cell overwrite recorded by an UPDATE statement: the
-// coerced value actually stored, addressed by global row index and column.
-type CellUpdate struct {
-	Row, Col int
-	Val      any
-}
 
 // Journal receives every catalog- or data-changing event on permanent
 // relations, after the change has been applied in memory but before the
@@ -27,13 +20,9 @@ type Journal interface {
 	JournalDrop(name string, view bool) error
 	JournalCreateView(name, sql string) error
 	JournalAppend(table string, rows [][]any) error
-	JournalUpdate(table string, cells []CellUpdate) error
-	// JournalDelete records the deleted original row indexes (ascending);
-	// survivors are renumbered densely, exactly like colStore.compact.
-	JournalDelete(table string, removed []int) error
 }
 
-// SetJournal installs the DML/DDL journal. Pass nil to detach.
+// SetJournal installs the INSERT/DDL journal. Pass nil to detach.
 func (db *DB) SetJournal(j Journal) {
 	db.stmtMu.Lock()
 	defer db.stmtMu.Unlock()
@@ -163,16 +152,6 @@ func (db *DB) SnapshotViews() map[string]string {
 		out[n] = v.sql
 	}
 	return out
-}
-
-// TableRowCount reports the row count of a permanent table without
-// materializing anything. Must run inside Exclusive.
-func (db *DB) TableRowCount(name string) (int, bool) {
-	t, ok := db.tables[name]
-	if !ok {
-		return 0, false
-	}
-	return t.store.numRows(), true
 }
 
 // RestoreTableLazy registers a permanent table whose segments are all stubs:
@@ -389,43 +368,6 @@ func (db *DB) ApplyAppend(name string, rows [][]any) error {
 			}
 			st.appendRow(r)
 		}
-		return nil
-	})
-}
-
-// ApplyUpdate replays cell overwrites, then refreshes the touched zones
-// exactly like the UPDATE statement path.
-func (db *DB) ApplyUpdate(name string, cells []CellUpdate) error {
-	return db.applyToTable(name, func(st *colStore) error {
-		touched := make(map[[2]int]struct{}, len(cells))
-		for _, c := range cells {
-			if c.Row < 0 || c.Row >= st.numRows() || c.Col < 0 || c.Col >= len(st.cols) {
-				return errf("58030", "update replay out of range: row %d col %d", c.Row, c.Col)
-			}
-			st.setCell(c.Row, c.Col, c.Val)
-			touched[[2]int{c.Row / segSize, c.Col}] = struct{}{}
-		}
-		st.refreshZones(touched)
-		return nil
-	})
-}
-
-// ApplyDelete replays a DELETE given the removed original row indexes,
-// which must ascend strictly within the table, compacting survivors
-// densely.
-func (db *DB) ApplyDelete(name string, removed []int) error {
-	return db.applyToTable(name, func(st *colStore) error {
-		keep := make([]uint64, (st.numRows()+63)/64)
-		fillOnes(keep, st.numRows())
-		prev := -1
-		for _, ri := range removed {
-			if ri <= prev || ri >= st.numRows() {
-				return errf("58030", "delete replay: row %d out of range or order (after %d, table %s has %d rows)", ri, prev, name, st.numRows())
-			}
-			keep[ri>>6] &^= 1 << (uint(ri) & 63)
-			prev = ri
-		}
-		st.compact(keep)
 		return nil
 	})
 }

@@ -62,7 +62,7 @@ func addColRefs(e sqlparse.Expr, schema []colBinding, seen map[int]struct{}) {
 }
 
 // stmtCols is the sorted set of columns a select's items (stars expanded),
-// GROUP BY, HAVING and ORDER BY can read from an input row.
+// GROUP BY and ORDER BY can read from an input row.
 func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
 	seen := map[int]struct{}{}
 	if items, err := expandStars(sel.Items, schema); err == nil {
@@ -73,7 +73,6 @@ func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
 	for _, g := range sel.GroupBy {
 		addColRefs(g, schema, seen)
 	}
-	addColRefs(sel.Having, schema, seen)
 	for _, ob := range sel.OrderBy {
 		addColRefs(ob.Expr, schema, seen)
 	}
@@ -92,8 +91,8 @@ const (
 )
 
 // execSelect runs the full select pipeline: FROM (with joins) → WHERE →
-// GROUP/aggregate → HAVING → projection (with window functions) → DISTINCT
-// → UNION → ORDER BY → LIMIT/OFFSET. The result is boxed unless form allows
+// GROUP/aggregate → projection (with window functions) → UNION ALL →
+// ORDER BY → LIMIT. The result is boxed unless form allows
 // columns and the select is a vector projection with none of the later
 // stages: then it is a statement-private column store (Result.store, Rows
 // nil). An ORDER BY that leaves the store as it is (ascendingInts) keeps it;
@@ -148,7 +147,7 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result
 		if grouped {
 			res, ok, err = s.execGroupedVec(sel, rel, selBits)
 		} else {
-			if sel.Distinct || sel.Union != nil || sel.Limit != nil || sel.Offset != nil {
+			if sel.Union != nil || sel.Limit != nil {
 				form = formRows
 			}
 			res, ok, err = s.projectVec(sel, rel, selBits, form)
@@ -189,11 +188,8 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result
 	if err != nil {
 		return nil, err
 	}
-	if sel.Distinct {
-		res.Rows = dedupRows(res.Rows)
-	}
 	if sel.Union != nil {
-		right, err := s.execSelect(sel.Union.Right, formRows)
+		right, err := s.execSelect(sel.Union, formRows)
 		if err != nil {
 			return nil, err
 		}
@@ -201,24 +197,10 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result
 			return nil, errf("42601", "UNION column count mismatch")
 		}
 		res.Rows = append(res.Rows, right.Rows...)
-		if !sel.Union.All {
-			res.Rows = dedupRows(res.Rows)
-		}
 	}
 	if len(sel.OrderBy) > 0 {
 		if err := s.orderResult(res, rel, sel); err != nil {
 			return nil, err
-		}
-	}
-	if sel.Offset != nil {
-		n, err := s.constInt(sel.Offset)
-		if err != nil {
-			return nil, err
-		}
-		if int(n) < len(res.Rows) {
-			res.Rows = res.Rows[n:]
-		} else {
-			res.Rows = nil
 		}
 	}
 	if sel.Limit != nil {
@@ -244,42 +226,17 @@ func (s *Session) constInt(e sqlparse.Expr) (int64, error) {
 	case float64:
 		return int64(x), nil
 	default:
-		return 0, errf("42601", "LIMIT/OFFSET must be numeric")
+		return 0, errf("42601", "LIMIT must be numeric")
 	}
 }
 
-// buildFrom materializes the FROM clause (cross join of refs, each possibly
-// a join tree).
-func (s *Session) buildFrom(refs []sqlparse.TableRef) (*relation, error) {
-	if len(refs) == 0 {
-		// SELECT without FROM: one empty row
+// buildFrom materializes the FROM clause; a SELECT without one reads one
+// empty row.
+func (s *Session) buildFrom(ref sqlparse.TableRef) (*relation, error) {
+	if ref == nil {
 		return &relation{rows: [][]any{{}}}, nil
 	}
-	rel, err := s.buildRef(refs[0])
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range refs[1:] {
-		right, err := s.buildRef(r)
-		if err != nil {
-			return nil, err
-		}
-		rel = crossJoin(rel, right)
-	}
-	return rel, nil
-}
-
-func crossJoin(l, r *relation) *relation {
-	out := &relation{schema: append(append([]colBinding{}, l.schema...), r.schema...)}
-	for _, lr := range l.rowsView() {
-		for _, rr := range r.rowsView() {
-			row := make([]any, 0, len(lr)+len(rr))
-			row = append(row, lr...)
-			row = append(row, rr...)
-			out.rows = append(out.rows, row)
-		}
-	}
-	return out
+	return s.buildRef(ref)
 }
 
 func (s *Session) buildRef(ref sqlparse.TableRef) (*relation, error) {
@@ -318,9 +275,6 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 	right, err := s.buildRef(j.Right)
 	if err != nil {
 		return nil, err
-	}
-	if j.Type == sqlparse.CrossJoin {
-		return crossJoin(left, right), nil
 	}
 	if out, err := s.hashJoinVec(j, left, right); out != nil || err != nil {
 		return out, err
@@ -372,13 +326,8 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 				matched = true
 			}
 		}
-		if !matched && (j.Type == sqlparse.LeftJoin || j.Type == sqlparse.FullJoin) {
+		if !matched && j.Type == sqlparse.LeftJoin {
 			out.rows = append(out.rows, padRight(lr, len(right.schema)))
-		}
-	}
-	if j.Type == sqlparse.RightJoin || j.Type == sqlparse.FullJoin {
-		if err := s.appendUnmatchedRight(out, left, right, j.On); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil
@@ -397,8 +346,7 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 // IS NOT DISTINCT FROM, as hashKey decides. A nil relation (and no error)
 // declines the shape, and the row join runs it.
 func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*relation, error) {
-	if s.interpretedMode() || left.store == nil || right.store == nil ||
-		(j.Type != sqlparse.InnerJoin && j.Type != sqlparse.LeftJoin) {
+	if s.interpretedMode() || left.store == nil || right.store == nil {
 		return nil, nil
 	}
 	lks, rks, safe, residual, ok := extractHashKeys(j.On, left.schema, right.schema)
@@ -481,30 +429,6 @@ func bindingCols(schema []colBinding) []Column {
 		cols[i] = Column{Name: b.name, Type: b.typ}
 	}
 	return cols
-}
-
-func (s *Session) appendUnmatchedRight(out *relation, left, right *relation, on sqlparse.Expr) error {
-	onPred := s.wherePred(on, out.schema)
-	for _, rr := range right.rows {
-		matched := false
-		for _, lr := range left.rows {
-			row := append(append(make([]any, 0, len(lr)+len(rr)), lr...), rr...)
-			ok, err := onPred(row)
-			if err != nil {
-				return err
-			}
-			if ok {
-				matched = true
-				break
-			}
-		}
-		if !matched {
-			row := make([]any, len(left.schema), len(left.schema)+len(rr))
-			row = append(row, rr...)
-			out.rows = append(out.rows, row)
-		}
-	}
-	return nil
 }
 
 func padRight(lr []any, rightWidth int) []any {
@@ -610,19 +534,6 @@ func hashKey(row []any, keys []int, nullSafe []bool) (key string, ok bool) {
 		buf = appendKeyVal(buf, row[k])
 	}
 	return string(buf), true
-}
-
-func dedupRows(rows [][]any) [][]any {
-	seen := map[string]bool{}
-	var out [][]any
-	for _, r := range rows {
-		k := keyString(r)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // project evaluates the select items over each row (no grouping), computing

@@ -6,28 +6,19 @@ type Stmt interface{ stmt() }
 // Expr is any SQL scalar expression.
 type Expr interface{ expr() }
 
-// SelectStmt is a SELECT query, possibly with set operations chained via
+// SelectStmt is a SELECT query, possibly with a UNION ALL chained via
 // Union.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     []TableRef // comma-joined table refs (cross joins)
-	Where    Expr
-	GroupBy  []Expr
-	Having   Expr
-	OrderBy  []OrderItem
-	Limit    Expr
-	Offset   Expr
-	Union    *UnionClause
+	Items   []SelectItem
+	From    TableRef // nil: SELECT without FROM
+	Where   Expr
+	GroupBy []Expr
+	OrderBy []OrderItem
+	Limit   Expr
+	Union   *SelectStmt // the right side of UNION ALL
 }
 
 func (*SelectStmt) stmt() {}
-
-// UnionClause chains a set operation onto a select.
-type UnionClause struct {
-	All   bool
-	Right *SelectStmt
-}
 
 // SelectItem is one output column: expression plus optional alias; a Star
 // item expands to all columns (optionally qualified).
@@ -66,9 +57,6 @@ type JoinType int
 const (
 	InnerJoin JoinType = iota
 	LeftJoin
-	RightJoin
-	FullJoin
-	CrossJoin
 )
 
 // JoinRef is a binary join between two table refs with an ON condition.
@@ -91,11 +79,10 @@ type OrderItem struct {
 // CreateTableStmt covers CREATE [TEMPORARY] TABLE name (cols) and
 // CREATE [TEMPORARY] TABLE name AS SELECT.
 type CreateTableStmt struct {
-	Temp        bool
-	IfNotExists bool
-	Name        string
-	Cols        []ColumnDef
-	AsSelect    *SelectStmt
+	Temp     bool
+	Name     string
+	Cols     []ColumnDef
+	AsSelect *SelectStmt
 }
 
 func (*CreateTableStmt) stmt() {}
@@ -125,46 +112,15 @@ type DropStmt struct {
 
 func (*DropStmt) stmt() {}
 
-// InsertStmt is INSERT INTO name [(cols)] VALUES (...),(...) or
-// INSERT INTO name [(cols)] SELECT.
+// InsertStmt is INSERT INTO name VALUES (...),(...): one value per table
+// column, in column order. Tables are append-only; no statement updates or
+// deletes a row.
 type InsertStmt struct {
-	Table  string
-	Cols   []string
-	Rows   [][]Expr
-	Select *SelectStmt
+	Table string
+	Rows  [][]Expr
 }
 
 func (*InsertStmt) stmt() {}
-
-// UpdateStmt is UPDATE name SET col=expr,... [WHERE].
-type UpdateStmt struct {
-	Table string
-	Set   []SetClause
-	Where Expr
-}
-
-func (*UpdateStmt) stmt() {}
-
-// SetClause is one col=expr of an UPDATE.
-type SetClause struct {
-	Col  string
-	Expr Expr
-}
-
-// DeleteStmt is DELETE FROM name [WHERE].
-type DeleteStmt struct {
-	Table string
-	Where Expr
-}
-
-func (*DeleteStmt) stmt() {}
-
-// TxStmt is BEGIN/COMMIT/ROLLBACK (no-ops in the embedded engine).
-type TxStmt struct {
-	Kind string
-}
-
-func (*TxStmt) stmt() {}
 
 // Expressions
 
@@ -234,19 +190,9 @@ type IsNullExpr struct {
 
 func (*IsNullExpr) expr() {}
 
-// InExpr is x [NOT] IN (e1, e2, ...).
-type InExpr struct {
-	X    Expr
-	Not  bool
-	List []Expr
-}
-
-func (*InExpr) expr() {}
-
-// BetweenExpr is x [NOT] BETWEEN lo AND hi.
+// BetweenExpr is x BETWEEN lo AND hi.
 type BetweenExpr struct {
 	X      Expr
-	Not    bool
 	Lo, Hi Expr
 }
 
@@ -270,11 +216,10 @@ type CaseWhen struct {
 // FuncCall is a function invocation, possibly an aggregate (COUNT/SUM/...)
 // or, when Over is non-nil, a window function.
 type FuncCall struct {
-	Name     string // lowercased
-	Star     bool   // COUNT(*)
-	Distinct bool
-	Args     []Expr
-	Over     *WindowSpec
+	Name string // lowercased
+	Star bool   // COUNT(*)
+	Args []Expr
+	Over *WindowSpec
 }
 
 func (*FuncCall) expr() {}

@@ -1,9 +1,12 @@
 // Package sqlparse implements a lexer and parser for the PostgreSQL dialect
 // that Hyper-Q's serializer emits and that the embedded pgdb engine executes:
-// SELECT with joins, grouping, ordering, subqueries and window functions;
-// CREATE [TEMPORARY] TABLE [AS], CREATE VIEW, INSERT, UPDATE, DELETE, DROP;
-// expressions with SQL three-valued logic, IS [NOT] DISTINCT FROM, CASE,
-// CAST/:: and the common scalar and aggregate functions.
+// SELECT with inner and left joins, grouping, ordering, LIMIT, UNION ALL,
+// subqueries and ROW_NUMBER() windows; CREATE [TEMPORARY] TABLE [AS], CREATE
+// VIEW, INSERT ... VALUES and DROP — tables are append-only; expressions with
+// SQL three-valued logic, IS [NOT] DISTINCT FROM, BETWEEN, LIKE, CASE,
+// CAST/:: and function calls. Everything else is a parse error. Keywords of
+// the wider PostgreSQL grammar stay reserved, so a statement using one fails
+// instead of reading it as a name (FROM t RIGHT JOIN u is not t AS right).
 package sqlparse
 
 import (

@@ -112,22 +112,6 @@ func (p *parser) parseStmt() (Stmt, error) {
 		return p.parseDrop()
 	case p.atKw("INSERT"):
 		return p.parseInsert()
-	case p.atKw("UPDATE"):
-		return p.parseUpdate()
-	case p.atKw("DELETE"):
-		return p.parseDelete()
-	case p.atKw("TRUNCATE"):
-		p.next()
-		if p.atKw("TABLE") {
-			p.next()
-		}
-		name, err := p.parseName()
-		if err != nil {
-			return nil, err
-		}
-		return &DeleteStmt{Table: name}, nil
-	case p.atKw("BEGIN"), p.atKw("COMMIT"), p.atKw("ROLLBACK"):
-		return &TxStmt{Kind: p.next().Text}, nil
 	default:
 		return nil, p.errf("unsupported statement beginning with %s", p.tok())
 	}
@@ -162,10 +146,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		return nil, err
 	}
 	s := &SelectStmt{}
-	if p.atKw("DISTINCT") {
-		p.next()
-		s.Distinct = true
-	}
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -180,18 +160,11 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 	}
 	if p.atKw("FROM") {
 		p.next()
-		for {
-			tr, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			s.From = append(s.From, tr)
-			if p.atOp(",") {
-				p.next()
-				continue
-			}
-			break
+		tr, err := p.parseTableRef()
+		if err != nil {
+			return nil, err
 		}
+		s.From = tr
 	}
 	if p.atKw("WHERE") {
 		p.next()
@@ -206,39 +179,22 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if p.atOp(",") {
-				p.next()
-				continue
-			}
-			break
-		}
-	}
-	if p.atKw("HAVING") {
-		p.next()
-		h, err := p.parseExpr()
+		groupBy, err := p.parseExprList()
 		if err != nil {
 			return nil, err
 		}
-		s.Having = h
+		s.GroupBy = groupBy
 	}
 	if p.atKw("UNION") {
 		p.next()
-		all := false
-		if p.atKw("ALL") {
-			p.next()
-			all = true
+		if err := p.expectKw("ALL"); err != nil {
+			return nil, err
 		}
 		right, err := p.parseSelect()
 		if err != nil {
 			return nil, err
 		}
-		s.Union = &UnionClause{All: all, Right: right}
+		s.Union = right
 	}
 	if p.atKw("ORDER") {
 		p.next()
@@ -258,14 +214,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		s.Limit = e
-	}
-	if p.atKw("OFFSET") {
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Offset = e
 	}
 	return s, nil
 }
@@ -336,73 +284,27 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	return item, nil
 }
 
+// parseTableRef parses a table ref and the join chain after it.
 func (p *parser) parseTableRef() (TableRef, error) {
-	var left TableRef
-	if p.atOp("(") {
-		p.next()
-		if p.atKw("SELECT") {
-			q, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			alias := ""
-			if p.atKw("AS") {
-				p.next()
-			}
-			if p.at(TIdent) {
-				alias = p.next().Text
-			}
-			left = &SubqueryRef{Query: q, Alias: alias}
-		} else {
-			tr, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			left = tr
-		}
-	} else {
-		schema, name, err := p.parseQualifiedName()
-		if err != nil {
-			return nil, err
-		}
-		bt := &BaseTable{Schema: schema, Name: name}
-		if p.atKw("AS") {
-			p.next()
-			alias, err := p.parseName()
-			if err != nil {
-				return nil, err
-			}
-			bt.Alias = alias
-		} else if p.at(TIdent) {
-			bt.Alias = p.next().Text
-		}
-		left = bt
+	left, err := p.parseTableRefPrimary()
+	if err != nil {
+		return nil, err
 	}
-	// join chain
 	for {
-		jt, ok := p.peekJoin()
-		if !ok {
-			return left, nil
+		jt, ok, err := p.parseJoinKw()
+		if err != nil || !ok {
+			return left, err
 		}
 		right, err := p.parseTableRefPrimary()
 		if err != nil {
 			return nil, err
 		}
-		var on Expr
-		if jt != CrossJoin {
-			if err := p.expectKw("ON"); err != nil {
-				return nil, err
-			}
-			on, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
+		if err := p.expectKw("ON"); err != nil {
+			return nil, err
+		}
+		on, err := p.parseExpr()
+		if err != nil {
+			return nil, err
 		}
 		left = &JoinRef{Type: jt, Left: left, Right: right, On: on}
 	}
@@ -457,44 +359,18 @@ func (p *parser) parseTableRefPrimary() (TableRef, error) {
 	return bt, nil
 }
 
-// peekJoin consumes a join introducer if present and reports its type.
-func (p *parser) peekJoin() (JoinType, bool) {
-	switch {
-	case p.atKw("JOIN"):
+// parseJoinKw consumes JOIN or LEFT JOIN, the joins the translator writes,
+// and reports its type. RIGHT, FULL and CROSS stay reserved words, so they
+// fail here rather than read as a table alias.
+func (p *parser) parseJoinKw() (JoinType, bool, error) {
+	jt := InnerJoin
+	if p.atKw("LEFT") {
 		p.next()
-		return InnerJoin, true
-	case p.atKw("INNER"):
-		p.next()
-		p.next() // JOIN
-		return InnerJoin, true
-	case p.atKw("LEFT"):
-		p.next()
-		if p.atKw("OUTER") {
-			p.next()
-		}
-		p.next() // JOIN
-		return LeftJoin, true
-	case p.atKw("RIGHT"):
-		p.next()
-		if p.atKw("OUTER") {
-			p.next()
-		}
-		p.next() // JOIN
-		return RightJoin, true
-	case p.atKw("FULL"):
-		p.next()
-		if p.atKw("OUTER") {
-			p.next()
-		}
-		p.next() // JOIN
-		return FullJoin, true
-	case p.atKw("CROSS"):
-		p.next()
-		p.next() // JOIN
-		return CrossJoin, true
-	default:
-		return 0, false
+		jt = LeftJoin
+	} else if !p.atKw("JOIN") {
+		return 0, false, nil
 	}
+	return jt, true, p.expectKw("JOIN")
 }
 
 func (p *parser) parseCreate() (Stmt, error) {
@@ -525,22 +401,11 @@ func (p *parser) parseCreate() (Stmt, error) {
 	if err := p.expectKw("TABLE"); err != nil {
 		return nil, err
 	}
-	ifNot := false
-	if p.atKw("IF") {
-		p.next()
-		if err := p.expectKw("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		ifNot = true
-	}
 	name, err := p.parseName()
 	if err != nil {
 		return nil, err
 	}
-	st := &CreateTableStmt{Temp: temp, IfNotExists: ifNot, Name: name}
+	st := &CreateTableStmt{Temp: temp, Name: name}
 	if p.atKw("AS") {
 		p.next()
 		sel, err := p.parseSelect()
@@ -563,10 +428,6 @@ func (p *parser) parseCreate() (Stmt, error) {
 			return nil, err
 		}
 		st.Cols = append(st.Cols, ColumnDef{Name: cn, Type: ct})
-		// skip simple constraints
-		for p.atKw("PRIMARY") || p.atKw("KEY") || p.atKw("NOT") || p.atKw("NULL") {
-			p.next()
-		}
 		if p.atOp(",") {
 			p.next()
 			continue
@@ -579,8 +440,7 @@ func (p *parser) parseCreate() (Stmt, error) {
 	return st, nil
 }
 
-// parseTypeName accepts multi-word and parameterized types such as
-// "double precision", "varchar(255)", "numeric(10,2)", "timestamp".
+// parseTypeName accepts a type name, "double precision" included.
 func (p *parser) parseTypeName() (string, error) {
 	if !p.at(TIdent) && !p.at(TKeyword) {
 		return "", p.errf("expected type name, got %s", p.tok())
@@ -589,15 +449,6 @@ func (p *parser) parseTypeName() (string, error) {
 	if name == "double" && p.at(TIdent) && p.tok().Text == "precision" {
 		p.next()
 		name = "double precision"
-	}
-	if p.atOp("(") {
-		p.next()
-		for !p.atOp(")") && !p.at(TEOF) {
-			p.next()
-		}
-		if err := p.expectOp(")"); err != nil {
-			return "", err
-		}
 	}
 	return name, nil
 }
@@ -635,130 +486,47 @@ func (p *parser) parseInsert() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.expectKw("VALUES"); err != nil {
+		return nil, err
+	}
 	st := &InsertStmt{Table: name}
-	if p.atOp("(") {
-		p.next()
-		for {
-			c, err := p.parseName()
-			if err != nil {
-				return nil, err
-			}
-			st.Cols = append(st.Cols, c)
-			if p.atOp(",") {
-				p.next()
-				continue
-			}
-			break
+	for {
+		if err := p.expectOp("("); err != nil {
+			return nil, err
+		}
+		row, err := p.parseExprList()
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
-	}
-	if p.atKw("VALUES") {
+		st.Rows = append(st.Rows, row)
+		if !p.atOp(",") {
+			return st, nil
+		}
 		p.next()
-		for {
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			var row []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, e)
-				if p.atOp(",") {
-					p.next()
-					continue
-				}
-				break
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			st.Rows = append(st.Rows, row)
-			if p.atOp(",") {
-				p.next()
-				continue
-			}
-			break
-		}
-		return st, nil
 	}
-	if p.atKw("SELECT") {
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		st.Select = sel
-		return st, nil
-	}
-	return nil, p.errf("expected VALUES or SELECT in INSERT")
 }
 
-func (p *parser) parseUpdate() (Stmt, error) {
-	p.next() // UPDATE
-	name, err := p.parseName()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("SET"); err != nil {
-		return nil, err
-	}
-	st := &UpdateStmt{Table: name}
+// parseExprList parses one or more comma-separated expressions.
+func (p *parser) parseExprList() ([]Expr, error) {
+	var out []Expr
 	for {
-		c, err := p.parseName()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		st.Set = append(st.Set, SetClause{Col: c, Expr: e})
-		if p.atOp(",") {
-			p.next()
-			continue
+		out = append(out, e)
+		if !p.atOp(",") {
+			return out, nil
 		}
-		break
-	}
-	if p.atKw("WHERE") {
 		p.next()
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
 	}
-	return st, nil
-}
-
-func (p *parser) parseDelete() (Stmt, error) {
-	p.next() // DELETE
-	if err := p.expectKw("FROM"); err != nil {
-		return nil, err
-	}
-	name, err := p.parseName()
-	if err != nil {
-		return nil, err
-	}
-	st := &DeleteStmt{Table: name}
-	if p.atKw("WHERE") {
-		p.next()
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Where = w
-	}
-	return st, nil
 }
 
 // Expression parsing with standard SQL precedence:
-// OR < AND < NOT < comparison/IS/IN/BETWEEN/LIKE < additive (+,-,||) <
+// OR < AND < NOT < comparison/IS/BETWEEN/LIKE < additive (+,-,||) <
 // multiplicative (*,/,%) < unary minus < postfix :: < primary.
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
@@ -814,11 +582,8 @@ func (p *parser) parseComparison() (Expr, error) {
 	}
 	for {
 		switch {
-		case p.atOp("=") || p.atOp("<>") || p.atOp("!=") || p.atOp("<") || p.atOp(">") || p.atOp("<=") || p.atOp(">="):
+		case p.atOp("=") || p.atOp("<>") || p.atOp("<") || p.atOp(">") || p.atOp("<=") || p.atOp(">="):
 			op := p.next().Text
-			if op == "!=" {
-				op = "<>"
-			}
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
@@ -836,79 +601,21 @@ func (p *parser) parseComparison() (Expr, error) {
 				l = &IsNullExpr{X: l, Not: not}
 				continue
 			}
-			// IS [NOT] DISTINCT FROM
-			if p.at(TKeyword) && p.tok().Text == "DISTINCT" {
-				p.next()
-				if err := p.expectKw("FROM"); err != nil {
-					return nil, err
-				}
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				op := "IS DISTINCT FROM"
-				if not {
-					op = "IS NOT DISTINCT FROM"
-				}
-				l = &BinaryExpr{Op: op, L: l, R: r}
-				continue
-			}
-			if p.atKw("TRUE") || p.atKw("FALSE") {
-				val := p.next().Text == "TRUE"
-				cmp := &BinaryExpr{Op: "=", L: l, R: &BoolLit{V: val}}
-				if not {
-					l = &UnaryExpr{Op: "NOT", X: cmp}
-				} else {
-					l = cmp
-				}
-				continue
-			}
-			return nil, p.errf("unsupported IS clause")
-		case p.atKw("IN"):
-			p.next()
-			if err := p.expectOp("("); err != nil {
+			if err := p.expectKw("DISTINCT"); err != nil {
 				return nil, err
 			}
-			var list []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				list = append(list, e)
-				if p.atOp(",") {
-					p.next()
-					continue
-				}
-				break
-			}
-			if err := p.expectOp(")"); err != nil {
+			if err := p.expectKw("FROM"); err != nil {
 				return nil, err
 			}
-			l = &InExpr{X: l, List: list}
-		case p.atKw("NOT") && p.peekKwAt(1, "IN"):
-			p.next()
-			p.next()
-			if err := p.expectOp("("); err != nil {
+			r, err := p.parseAdditive()
+			if err != nil {
 				return nil, err
 			}
-			var list []Expr
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				list = append(list, e)
-				if p.atOp(",") {
-					p.next()
-					continue
-				}
-				break
+			op := "IS DISTINCT FROM"
+			if not {
+				op = "IS NOT DISTINCT FROM"
 			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			l = &InExpr{X: l, Not: true, List: list}
+			l = &BinaryExpr{Op: op, L: l, R: r}
 		case p.atKw("BETWEEN"):
 			p.next()
 			lo, err := p.parseAdditive()
@@ -923,49 +630,17 @@ func (p *parser) parseComparison() (Expr, error) {
 				return nil, err
 			}
 			l = &BetweenExpr{X: l, Lo: lo, Hi: hi}
-		case p.atKw("LIKE") || p.atKw("ILIKE"):
-			op := p.next().Text
+		case p.atKw("LIKE"):
+			p.next()
 			r, err := p.parseAdditive()
 			if err != nil {
 				return nil, err
 			}
-			l = &BinaryExpr{Op: op, L: l, R: r}
-		case p.atKw("NOT") && (p.peekKwAt(1, "LIKE") || p.peekKwAt(1, "BETWEEN")):
-			p.next()
-			if p.atKw("LIKE") {
-				p.next()
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &UnaryExpr{Op: "NOT", X: &BinaryExpr{Op: "LIKE", L: l, R: r}}
-			} else {
-				p.next()
-				lo, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKw("AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &BetweenExpr{X: l, Not: true, Lo: lo, Hi: hi}
-			}
+			l = &BinaryExpr{Op: "LIKE", L: l, R: r}
 		default:
 			return l, nil
 		}
 	}
-}
-
-func (p *parser) peekKwAt(d int, w string) bool {
-	if p.pos+d >= len(p.toks) {
-		return false
-	}
-	t := p.toks[p.pos+d]
-	return t.Kind == TKeyword && t.Text == w
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
@@ -1153,22 +828,11 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 			p.next()
 			fc.Star = true
 		} else if !p.atOp(")") {
-			if p.atKw("DISTINCT") {
-				p.next()
-				fc.Distinct = true
+			args, err := p.parseExprList()
+			if err != nil {
+				return nil, err
 			}
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				fc.Args = append(fc.Args, e)
-				if p.atOp(",") {
-					p.next()
-					continue
-				}
-				break
-			}
+			fc.Args = args
 		}
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
@@ -1184,18 +848,11 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 				if err := p.expectKw("BY"); err != nil {
 					return nil, err
 				}
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					ws.PartitionBy = append(ws.PartitionBy, e)
-					if p.atOp(",") {
-						p.next()
-						continue
-					}
-					break
+				part, err := p.parseExprList()
+				if err != nil {
+					return nil, err
 				}
+				ws.PartitionBy = part
 			}
 			if p.atKw("ORDER") {
 				p.next()
@@ -1207,10 +864,6 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 					return nil, err
 				}
 				ws.OrderBy = items
-			}
-			// tolerate a frame clause; the engine uses the default frame
-			for !p.atOp(")") && !p.at(TEOF) {
-				p.next()
 			}
 			if err := p.expectOp(")"); err != nil {
 				return nil, err

@@ -17,10 +17,10 @@ func sel(t *testing.T, src string) *SelectStmt {
 
 func TestSimpleSelect(t *testing.T) {
 	s := sel(t, "SELECT a, b FROM t WHERE a = 1")
-	if len(s.Items) != 2 || len(s.From) != 1 || s.Where == nil {
+	if len(s.Items) != 2 || s.From == nil || s.Where == nil {
 		t.Fatalf("select = %+v", s)
 	}
-	bt := s.From[0].(*BaseTable)
+	bt := s.From.(*BaseTable)
 	if bt.Name != "t" {
 		t.Fatalf("from = %+v", bt)
 	}
@@ -42,14 +42,14 @@ func TestAliases(t *testing.T) {
 	if s.Items[0].Alias != "x" || s.Items[1].Alias != "y" {
 		t.Fatalf("aliases = %+v", s.Items)
 	}
-	if s.From[0].(*BaseTable).Alias != "tr" {
-		t.Fatalf("table alias = %+v", s.From[0])
+	if s.From.(*BaseTable).Alias != "tr" {
+		t.Fatalf("table alias = %+v", s.From)
 	}
 }
 
 func TestJoins(t *testing.T) {
-	s := sel(t, "SELECT * FROM a LEFT OUTER JOIN b ON a.k = b.k JOIN c ON b.j = c.j")
-	j := s.From[0].(*JoinRef)
+	s := sel(t, "SELECT * FROM a LEFT JOIN b ON a.k = b.k JOIN c ON b.j = c.j")
+	j := s.From.(*JoinRef)
 	if j.Type != InnerJoin {
 		t.Fatalf("outer join type = %v", j.Type)
 	}
@@ -57,15 +57,41 @@ func TestJoins(t *testing.T) {
 	if inner.Type != LeftJoin {
 		t.Fatalf("inner join type = %v", inner.Type)
 	}
+	// the other join kinds are refused; their keywords stay reserved, so
+	// none reads as a table alias
+	for _, src := range []string{
+		"SELECT * FROM a RIGHT JOIN b ON a.k = b.k",
+		"SELECT * FROM a FULL JOIN b ON a.k = b.k",
+		"SELECT * FROM a CROSS JOIN b",
+		"SELECT * FROM a LEFT OUTER JOIN b ON a.k = b.k",
+		"SELECT * FROM a INNER JOIN b ON a.k = b.k",
+		"SELECT * FROM a, b",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
+	}
 }
 
 func TestGroupOrderLimit(t *testing.T) {
-	s := sel(t, "SELECT sym, MAX(price) AS mx FROM t GROUP BY sym HAVING MAX(price) > 10 ORDER BY sym DESC NULLS FIRST LIMIT 5 OFFSET 2")
-	if len(s.GroupBy) != 1 || s.Having == nil || len(s.OrderBy) != 1 || s.Limit == nil || s.Offset == nil {
+	s := sel(t, "SELECT sym, MAX(price) AS mx FROM t GROUP BY sym ORDER BY sym DESC NULLS FIRST, mx NULLS LAST LIMIT 5")
+	if len(s.GroupBy) != 1 || len(s.OrderBy) != 2 || s.Limit == nil {
 		t.Fatalf("clauses = %+v", s)
 	}
 	if !s.OrderBy[0].Desc || s.OrderBy[0].NullsFirst == nil || !*s.OrderBy[0].NullsFirst {
 		t.Fatalf("order item = %+v", s.OrderBy[0])
+	}
+	if s.OrderBy[1].Desc || s.OrderBy[1].NullsFirst == nil || *s.OrderBy[1].NullsFirst {
+		t.Fatalf("order item = %+v", s.OrderBy[1])
+	}
+	for _, src := range []string{
+		"SELECT sym FROM t GROUP BY sym HAVING MAX(price) > 10",
+		"SELECT sym FROM t LIMIT 5 OFFSET 2",
+		"SELECT DISTINCT sym FROM t",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
 	}
 }
 
@@ -82,10 +108,24 @@ func TestIsNotDistinctFrom(t *testing.T) {
 }
 
 func TestIsNullInBetweenLike(t *testing.T) {
-	s := sel(t, "SELECT * FROM t WHERE a IS NULL AND b IS NOT NULL AND c IN (1,2,3) AND d BETWEEN 1 AND 5 AND e LIKE 'G%'")
+	s := sel(t, "SELECT * FROM t WHERE a IS NULL AND b IS NOT NULL AND d BETWEEN 1 AND 5 AND e LIKE 'G%'")
 	and := s.Where.(*BinaryExpr)
 	if and.Op != "AND" {
 		t.Fatalf("top op = %v", and.Op)
+	}
+	for _, src := range []string{
+		"SELECT * FROM t WHERE c IN (1, 2)",
+		"SELECT * FROM t WHERE c NOT IN (1, 2)",
+		"SELECT * FROM t WHERE d NOT BETWEEN 1 AND 5",
+		"SELECT * FROM t WHERE e NOT LIKE 'G%'",
+		"SELECT * FROM t WHERE e ILIKE 'g%'",
+		"SELECT * FROM t WHERE b IS TRUE",
+		"SELECT * FROM t WHERE b IS NOT FALSE",
+		"SELECT * FROM t WHERE a != 1",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
 	}
 }
 
@@ -121,7 +161,7 @@ func TestWindowFunctions(t *testing.T) {
 
 func TestSubqueries(t *testing.T) {
 	s := sel(t, "SELECT * FROM (SELECT a FROM t) sub WHERE a > (SELECT AVG(a) FROM t)")
-	if _, ok := s.From[0].(*SubqueryRef); !ok {
+	if _, ok := s.From.(*SubqueryRef); !ok {
 		t.Fatal("from subquery not parsed")
 	}
 	cmp := s.Where.(*BinaryExpr)
@@ -138,6 +178,15 @@ func TestCreateTable(t *testing.T) {
 	ct := st.(*CreateTableStmt)
 	if ct.Temp || len(ct.Cols) != 3 || ct.Cols[1].Type != "double precision" {
 		t.Fatalf("create = %+v", ct)
+	}
+	for _, src := range []string{
+		"CREATE TABLE IF NOT EXISTS t (a bigint)",
+		"CREATE TABLE t (a varchar(20))",
+		"CREATE TABLE t (a bigint PRIMARY KEY)",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
 	}
 }
 
@@ -171,40 +220,39 @@ func TestCreateView(t *testing.T) {
 }
 
 func TestInsertValuesAndSelect(t *testing.T) {
-	st, err := Parse("INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')")
+	st, err := Parse("INSERT INTO t VALUES (1, 'x'), (2, 'y')")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins := st.(*InsertStmt)
-	if len(ins.Rows) != 2 || len(ins.Cols) != 2 {
+	if len(ins.Rows) != 2 || len(ins.Rows[1]) != 2 {
 		t.Fatalf("insert = %+v", ins)
 	}
-	st, err = Parse("INSERT INTO t SELECT * FROM s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.(*InsertStmt).Select == nil {
-		t.Fatal("insert-select")
+	// a row takes every column in order: no column list, no INSERT SELECT
+	for _, src := range []string{
+		"INSERT INTO t (a, b) VALUES (1, 'x')",
+		"INSERT INTO t SELECT * FROM s",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
 	}
 }
 
 func TestUpdateDeleteDrop(t *testing.T) {
-	st, err := Parse("UPDATE t SET a = a + 1, b = 2 WHERE a < 5")
-	if err != nil {
-		t.Fatal(err)
+	// tables are append-only: UPDATE, DELETE and TRUNCATE are refused, as
+	// are the transaction statements
+	for _, src := range []string{
+		"UPDATE t SET a = a + 1, b = 2 WHERE a < 5",
+		"DELETE FROM t WHERE a = 1",
+		"TRUNCATE t",
+		"BEGIN", "COMMIT", "ROLLBACK",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) should fail", src)
+		}
 	}
-	up := st.(*UpdateStmt)
-	if len(up.Set) != 2 || up.Where == nil {
-		t.Fatalf("update = %+v", up)
-	}
-	st, err = Parse("DELETE FROM t WHERE a = 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.(*DeleteStmt).Where == nil {
-		t.Fatal("delete where")
-	}
-	st, err = Parse("DROP TABLE IF EXISTS t")
+	st, err := Parse("DROP TABLE IF EXISTS t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +263,11 @@ func TestUpdateDeleteDrop(t *testing.T) {
 
 func TestUnion(t *testing.T) {
 	s := sel(t, "SELECT a FROM t UNION ALL SELECT a FROM s")
-	if s.Union == nil || !s.Union.All {
+	if s.Union == nil || s.Union.From.(*BaseTable).Name != "s" {
 		t.Fatalf("union = %+v", s.Union)
+	}
+	if _, err := Parse("SELECT a FROM t UNION SELECT a FROM s"); err == nil {
+		t.Error("UNION without ALL should fail")
 	}
 }
 
@@ -225,7 +276,7 @@ func TestQuotedIdentifiersPreserveCase(t *testing.T) {
 	if s.Items[0].Expr.(*ColRef).Name != "Price" {
 		t.Fatal("quoted ident case lost")
 	}
-	if s.From[0].(*BaseTable).Name != "Trades" {
+	if s.From.(*BaseTable).Name != "Trades" {
 		t.Fatal("quoted table case lost")
 	}
 }
@@ -239,7 +290,7 @@ func TestUnquotedIdentifiersFold(t *testing.T) {
 
 func TestSchemaQualifiedTable(t *testing.T) {
 	s := sel(t, "SELECT * FROM information_schema.columns")
-	bt := s.From[0].(*BaseTable)
+	bt := s.From.(*BaseTable)
 	if bt.Schema != "information_schema" || bt.Name != "columns" {
 		t.Fatalf("qualified = %+v", bt)
 	}

@@ -4,8 +4,9 @@
 // with information_schema metadata queries (used by the binder's MDI,
 // §3.2.3), SQL execution with three-valued logic and IS NOT DISTINCT FROM
 // (§3.3), temporary tables and views for eager materialization (§4.3),
-// window functions for implicit-order generation, and a PG v3 wire front
-// end (package pgv3 plus cmd/pgserver).
+// ROW_NUMBER windows for implicit-order generation, and a PG v3 wire front
+// end (package pgv3 plus cmd/pgserver). It runs the SQL Hyper-Q sends and
+// refuses the rest; tables are append-only.
 //
 // Values are represented as Go any: nil (SQL NULL), bool, int64, float64 and
 // string. Temporal columns store int64 magnitudes in kdb-compatible units
@@ -435,8 +436,8 @@ func toFloat(v any) (float64, bool) {
 // applied by the caller, which handles nulls before calling).
 func equalVals(a, b any) bool { return compareVals(a, b) == 0 }
 
-// keyString builds the hashable key of a value tuple for GROUP BY, DISTINCT,
-// UNION and hash joins; nulls group together, as PostgreSQL GROUP BY
+// keyString builds the hashable key of a value tuple for GROUP BY, window
+// partitions and hash joins; nulls group together, as PostgreSQL GROUP BY
 // specifies.
 func keyString(vals []any) string {
 	var arr [64]byte

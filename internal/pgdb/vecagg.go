@@ -15,7 +15,7 @@ import (
 // a segment's selected rows at once into a typed vector, and the
 // accumulators run typed over both. The result assembly reuses the compiled
 // path's machinery (compileAggExpr over pre-computed slot values, itemName/
-// inferType/refineTypes, items-then-HAVING order), so output and error
+// inferType/refineTypes, item order), so output and error
 // behavior are indistinguishable from execGroupedCompiled.
 
 type fusedKind uint8
@@ -49,9 +49,9 @@ type fusedSlot struct {
 // segment metadata, without faulting: count, first and last fuse over a
 // column of any kind; sum and avg need every segment of the argument to
 // hold ints, floats or only NULLs; min and max also need one kind across
-// segments. Any other slot (DISTINCT, bool_and/bool_or, first/last over an
-// expression, an argument that does not lower to a kernel, the stddev/median
-// tail, argument-count errors) aborts fusion and the caller falls back to
+// segments. Any other slot (first/last over an expression, an argument that
+// does not lower to a kernel, the stddev_pop/var_pop/median tail,
+// argument-count errors) aborts fusion and the caller falls back to
 // execGroupedCompiled, which folds every value kind.
 func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fusedSlot, bool) {
 	out := make([]fusedSlot, len(slots))
@@ -62,7 +62,7 @@ func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fused
 			continue
 		}
 		kind, ok := fusedKinds[fc.Name]
-		if fc.Distinct || len(fc.Args) != 1 || !ok {
+		if len(fc.Args) != 1 || !ok {
 			return nil, false
 		}
 		if cr, isCol := fc.Args[0].(*sqlparse.ColRef); isCol && (kind == fCount || kind == fFirst || kind == fLast) {
@@ -161,13 +161,13 @@ func appendKeyCell(buf []byte, v *colVec, i int) []byte {
 }
 
 // repRowCols computes the set of storage columns the compiled group items
-// and HAVING clause can read from a group's representative row, mirroring
+// can read from a group's representative row, mirroring
 // compileAggExpr's dispatch exactly: aggregate calls read their slot (their
 // arguments never touch the representative row), the scalar shapes it
 // recurses into are analyzed structurally, and any other subtree evaluates
 // whole against the representative row, contributing every column it can
 // read (addColRefs).
-func repRowCols(items []sqlparse.SelectItem, having sqlparse.Expr, schema []colBinding) []int {
+func repRowCols(items []sqlparse.SelectItem, schema []colBinding) []int {
 	seen := map[int]struct{}{}
 	var visit func(e sqlparse.Expr)
 	visit = func(e sqlparse.Expr) {
@@ -209,7 +209,6 @@ func repRowCols(items []sqlparse.SelectItem, having sqlparse.Expr, schema []colB
 	for _, item := range items {
 		visit(item.Expr)
 	}
-	visit(having)
 	return sortedSet(seen)
 }
 
@@ -231,7 +230,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	if err != nil {
 		return nil, false, err
 	}
-	slots, index := collectAggSlots(items, sel.Having, rel.schema)
+	slots, index := collectAggSlots(items, rel.schema)
 	fused, ok := planFusedSlots(slots, rel.schema, st)
 	if !ok {
 		return nil, false, nil
@@ -605,7 +604,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	}
 
 	// finalize every slot into the pre-computed form of a groupAgg; errors
-	// stay lazy, surfacing only through slots the items/HAVING reference
+	// stay lazy, surfacing only through slots the items reference
 	doneAll := make([]bool, len(slots))
 	for i := range doneAll {
 		doneAll[i] = true
@@ -658,10 +657,6 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	for i := range items {
 		itemFns[i] = compileAggExpr(items[i].Expr, rel.schema, index)
 	}
-	var havingFn exprFn
-	if sel.Having != nil {
-		havingFn = compileAggExpr(sel.Having, rel.schema, index)
-	}
 	res := &Result{}
 	for _, item := range items {
 		res.Cols = append(res.Cols, Column{
@@ -670,13 +665,13 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		})
 	}
 	res.Rows = make([][]any, 0, len(order))
-	repCols := repRowCols(items, sel.Having, rel.schema)
+	repCols := repRowCols(items, rel.schema)
 	for _, g := range order {
 		vals, errs := finalize(g)
 		gec := &evalCtx{s: s, rowIdx: -1, agg: &groupAgg{slots: slots, vals: vals, errs: errs, done: doneAll}}
 		var rep []any
 		if g.firstIdx >= 0 {
-			// only the columns the items/HAVING actually evaluate against the
+			// only the columns the items actually evaluate against the
 			// representative row are materialized
 			rep = st.rowAtCols(g.firstIdx, repCols)
 		}
@@ -687,15 +682,6 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				return nil, true, ierr
 			}
 			out[i] = v
-		}
-		if havingFn != nil {
-			hv, herr := havingFn(gec, rep)
-			if herr != nil {
-				return nil, true, herr
-			}
-			if b, ok := hv.(bool); !ok || !b {
-				continue
-			}
 		}
 		res.Rows = append(res.Rows, out)
 	}

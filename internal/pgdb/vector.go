@@ -991,10 +991,7 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 			return nil, false
 		}
 		if lo == nil || hi == nil {
-			return &vecConst{}, true // NULL bound: BETWEEN and NOT BETWEEN both yield NULL
-		}
-		if x.Not {
-			return &vecOr{l: newVecCmp(col, "<", lo), r: newVecCmp(col, ">", hi)}, true
+			return &vecConst{}, true // NULL bound: BETWEEN yields NULL
 		}
 		return &vecAnd{l: newVecCmp(col, ">=", lo), r: newVecCmp(col, "<=", hi)}, true
 	case *sqlparse.BinaryExpr:

@@ -137,19 +137,19 @@ func TestVecSegmentBoundaries(t *testing.T) {
 func TestVecZonePruning(t *testing.T) {
 	mk := mkSegDB(2*segSize + 100)
 	for _, q := range []string{
-		"SELECT count(*) FROM seg WHERE ts > 9000000",                  // above global max: all segments skip
-		"SELECT count(*) FROM seg WHERE ts < 0",                        // below global min
-		"SELECT count(*) FROM seg WHERE ts >= 0",                       // all-true fill
-		"SELECT * FROM seg WHERE ts = 5000",                            // single segment survives pruning
-		"SELECT * FROM seg WHERE ts <> 5000 AND ts > 8250",             // <> plus range
-		"SELECT count(*) FROM seg WHERE ts IN (1, 4096, 8191, 999999)", // IN list: the row filter
-		"SELECT count(*) FROM seg WHERE price > 999999.0",              // nullable column: no all-true fill
-		"SELECT sum(ts) FROM seg WHERE ts BETWEEN 4000 AND 4100",       // fused over pruned scan
+		"SELECT count(*) FROM seg WHERE ts > 9000000",      // above global max: all segments skip
+		"SELECT count(*) FROM seg WHERE ts < 0",            // below global min
+		"SELECT count(*) FROM seg WHERE ts >= 0",           // all-true fill
+		"SELECT * FROM seg WHERE ts = 5000",                // single segment survives pruning
+		"SELECT * FROM seg WHERE ts <> 5000 AND ts > 8250", // <> plus range
+		"SELECT count(*) FROM seg WHERE ts = 1 OR ts = 4096 OR ts = 8191 OR ts = 999999",
+		"SELECT count(*) FROM seg WHERE price > 999999.0",        // nullable column: no all-true fill
+		"SELECT sum(ts) FROM seg WHERE ts BETWEEN 4000 AND 4100", // fused over pruned scan
 		// row-at-a-time consumers of a pruned scan box only the columns they
 		// read: ORDER BY and window inputs outside the select list
 		"SELECT ts FROM seg WHERE ts BETWEEN 4000 AND 4300 ORDER BY price DESC, ts",
 		"SELECT cat, ROW_NUMBER() OVER (PARTITION BY cat ORDER BY price DESC, ts) FROM seg WHERE ts > 8000",
-		"SELECT cat, max(price) FROM seg WHERE ts > 8000 GROUP BY cat HAVING min(ts) > 8001 ORDER BY cat",
+		"SELECT cat, max(price) FROM seg WHERE ts > 8000 GROUP BY cat ORDER BY cat",
 	} {
 		requireVecParity(t, mk, q)
 	}
@@ -174,7 +174,6 @@ func TestVecPredicateLowering(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE flag IS NULL",
 		"SELECT count(*) FROM seg WHERE price IS NOT NULL",
 		"SELECT count(*) FROM seg WHERE ts BETWEEN 100 AND 200",
-		"SELECT count(*) FROM seg WHERE ts NOT BETWEEN 100 AND 200",
 		"SELECT count(*) FROM seg WHERE ts BETWEEN 200 AND 100",  // empty range
 		"SELECT count(*) FROM seg WHERE ts BETWEEN NULL AND 200", // NULL bound
 		"SELECT count(*) FROM seg WHERE ts > 100 AND (price < 50.0 OR cat = 'c2')",
@@ -195,29 +194,21 @@ func TestVecPredicateLowering(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE CASE WHEN price IS NULL THEN FALSE WHEN ts > 300 THEN price IS NULL ELSE price < 9.0 END",
 		"SELECT count(*) FROM seg WHERE CASE WHEN flag IS NULL THEN FALSE WHEN price IS NULL THEN FALSE ELSE ts < 250 END",
 		// fallback shapes: NOT, LIKE, column-vs-column, subquery, simple CASE,
-		// non-boolean CASE results, IN lists
+		// non-boolean CASE results
 		"SELECT count(*) FROM seg WHERE CASE cat WHEN 'c1' THEN true END",
 		"SELECT count(*) FROM seg WHERE CASE WHEN ts > 100 THEN 1 ELSE 0 END = 1",
 		"SELECT count(*) FROM seg WHERE NOT (ts > 100)",
 		"SELECT count(*) FROM seg WHERE cat LIKE 'c%'",
 		"SELECT count(*) FROM seg WHERE ts > price",
 		"SELECT count(*) FROM seg WHERE ts = (SELECT min(ts) FROM seg)",
-		"SELECT count(*) FROM seg WHERE cat IN ('c1', 'c4')",
-		"SELECT count(*) FROM seg WHERE cat NOT IN ('c1', 'c4')",
-		"SELECT count(*) FROM seg WHERE cat NOT IN ('c1', NULL)", // NULL member: never TRUE
-		"SELECT count(*) FROM seg WHERE cat IN ('c1', NULL)",
-		"SELECT count(*) FROM seg WHERE ts IN (1, 2.0, 3)", // mixed numeric members
+		// the translator's q `in`: ORed IS NOT DISTINCT FROM, NULL and mixed
+		// numeric members included
+		"SELECT count(*) FROM seg WHERE cat IS NOT DISTINCT FROM 'c1' OR cat IS NOT DISTINCT FROM NULL",
+		"SELECT count(*) FROM seg WHERE ts IS NOT DISTINCT FROM 1 OR ts IS NOT DISTINCT FROM 2.0 OR ts IS NOT DISTINCT FROM 3",
 	} {
 		requireVecParity(t, mk, q)
 	}
-	// the translator writes q's `in` as an OR of IS NOT DISTINCT FROM, which
-	// lowers; a SQL IN list takes the row filter
 	db := mk(t)
-	for _, where := range []string{"cat IN ('c1', 'c4')", "cat NOT IN ('c1', NULL)", "ts IN (1, 2.0, 3)"} {
-		if LowersToVector(db, "seg", where) {
-			t.Errorf("%s lowers to a bitmap program", where)
-		}
-	}
 	if !LowersToVector(db, "seg", "cat IS NOT DISTINCT FROM 'c1' OR cat IS NOT DISTINCT FROM 'c4'") {
 		t.Errorf("the translator's IN shape does not lower")
 	}
@@ -265,11 +256,9 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 		"SELECT count(z), sum(z), min(z), max(z), avg(z) FROM odd", // all-null column
 		"SELECT count(*) FROM odd WHERE k = 'nope'",                // empty global group
 		"SELECT sum(z), first(k) FROM odd WHERE f > 100.0",
-		"SELECT min(m), max(m), count(m) FROM odd",  // mixed-kind min/max: the row fold
-		"SELECT k, sum(m) FROM odd GROUP BY k",      // sum over strings: lazy 42804 from the row fold
-		"SELECT k, bool_and(m) FROM odd GROUP BY k", // bool_and over non-boolean: the row fold
-		"SELECT sum(f) FROM odd HAVING sum(f) > 0.0",
-		"SELECT k, count(*) FROM odd GROUP BY k HAVING count(*) > 1",
+		"SELECT min(m), max(m), count(m) FROM odd",                                           // mixed-kind min/max: the row fold
+		"SELECT k, sum(m) FROM odd GROUP BY k",                                               // sum over strings: lazy 42804 from the row fold
+		"SELECT k, median(m) FROM odd GROUP BY k",                                            // median over non-numbers: the row fold
 		"SELECT k, CASE WHEN count(*) > 1 THEN sum(m) ELSE count(*) END FROM odd GROUP BY k", // error slot behind untaken CASE arm
 		"SELECT COALESCE(sum(z), 0) FROM odd WHERE f IS NULL",
 		// computed arguments: NaN, ±0 and NULLs through the closure, lazy
@@ -278,12 +267,12 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 		"SELECT k, sum(NULLIF(f, 'NaN'::double precision)), count(NULLIF(f, 'NaN'::double precision)) FROM odd GROUP BY k",
 		"SELECT k, min(k || 'x'), max(COALESCE(m, 'n')), count(z + 1) FROM odd GROUP BY k",
 		"SELECT k, sum(m * 2) FROM odd GROUP BY k",
-		"SELECT k, bool_and(f > 0.0), bool_or(f IS NULL) FROM odd GROUP BY k",
+		"SELECT k, stddev_pop(f + 0.0), var_pop(f * 2.0) FROM odd GROUP BY k",
 		"SELECT k, CASE WHEN count(*) > 1 THEN sum(m * 2) ELSE avg(f + 1.0) END FROM odd GROUP BY k",
 		"SELECT sum(z * 2), avg(f / 0.0) FROM odd WHERE k = 'nope'",
 		// non-fusable shapes exercising the fallback-after-vec-filter path
 		"SELECT k, first(f + 0.0), last(f * 2.0) FROM odd WHERE f IS NOT NULL GROUP BY k",
-		"SELECT count(DISTINCT k) FROM odd",
+		"SELECT median(f) FROM odd",
 		"SELECT k || 'x', count(*) FROM odd GROUP BY k || 'x'",
 	} {
 		requireVecParity(t, mkOddDB, q)
@@ -294,7 +283,7 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 // from segment metadata: a pure expression does, reading exactly its
 // columns, so the translator's wavg and spread shapes stay on the fused
 // path, and count fuses over a column of any kind. first/last over an
-// expression, impure arguments, bool_and/bool_or, sum/avg/min/max over
+// expression, impure arguments, median, sum/avg/min/max over
 // strings, bools or mixed values, and min/max over a column or kernel whose
 // kind changes between segments (kt's m: ints, then floats) fall back. Each
 // query also runs against the interpreter.
@@ -316,14 +305,14 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 		{mkOddDB, "SELECT max(m) FROM odd", false, nil},
 		{mkOddDB, "SELECT sum(m) FROM odd", false, nil},
 		{mkOddDB, "SELECT avg(k) FROM odd", false, nil},
-		{mkOddDB, "SELECT bool_and(f > 0.0) FROM odd", false, nil},
+		{mkOddDB, "SELECT median(f) FROM odd", false, nil},
 		{mkKernelDB, "SELECT sum(m), avg(m) FROM kt", true, []int{5}},
 		{mkKernelDB, "SELECT count(v) FROM kt", true, []int{9}},
 		{mkKernelDB, "SELECT min(a) FROM kt", true, []int{1}},
 		{mkKernelDB, "SELECT min(m) FROM kt", false, nil},
 		{mkKernelDB, "SELECT max(m * 2) FROM kt", false, nil},
 		{mkKernelDB, "SELECT max(flag) FROM kt", false, nil},
-		{mkKernelDB, "SELECT bool_or(flag) FROM kt", false, nil},
+		{mkKernelDB, "SELECT var_pop(a) FROM kt", false, nil},
 	} {
 		db := c.mk(t)
 		var st *colStore
@@ -335,8 +324,8 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 			t.Fatal(err)
 		}
 		sel := stmt.(*sqlparse.SelectStmt)
-		schema := schemaOf(st.cols, sel.From[0].(*sqlparse.BaseTable).Name)
-		slots, _ := collectAggSlots(sel.Items, nil, schema)
+		schema := schemaOf(st.cols, sel.From.(*sqlparse.BaseTable).Name)
+		slots, _ := collectAggSlots(sel.Items, schema)
 		fused, ok := planFusedSlots(slots, schema, st)
 		switch {
 		case ok != c.fuse:
@@ -354,22 +343,19 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 	}
 }
 
-// TestVecDMLAcrossSegments checks UPDATE write-through and DELETE compaction
-// with row sets straddling segment boundaries, then re-queries through the
-// vector scans (zone maps must stay sound after both).
+// TestVecDMLAcrossSegments checks INSERTs that fill the tail segment and
+// open the next one, with values outside every earlier zone, NULLs and new
+// keys, then re-queries through the vector scans (zone maps must stay sound
+// as appends widen them).
 func TestVecDMLAcrossSegments(t *testing.T) {
-	n := segSize + 300
+	n := segSize - 3
 	for _, script := range [][]string{
-		{"UPDATE seg SET price = 99999.5 WHERE ts BETWEEN 4000 AND 4200"},
-		{"UPDATE seg SET price = NULL WHERE cat = 'c1'"},
-		{"UPDATE seg SET cat = 'zz' WHERE ts > 4090"},
-		{"DELETE FROM seg WHERE ts BETWEEN 4000 AND 4200"},
-		{"DELETE FROM seg WHERE price IS NULL"},
-		{"DELETE FROM seg WHERE ts >= 0"}, // delete everything
+		{"INSERT INTO seg VALUES (4094, 99999.5, 'c1', TRUE), (4095, NULL, 'zz', NULL), (4096, -5.5, 'c2', FALSE), (4097, 0.25, NULL, TRUE)"},
+		{"INSERT INTO seg VALUES (-1, NULL, 'zz', NULL), (-2, NULL, 'zz', NULL), (-3, NULL, 'zz', NULL), (-4, 12345.5, 'a', FALSE)"},
 		{
-			"UPDATE seg SET price = 12345.5 WHERE ts = 4096",
-			"DELETE FROM seg WHERE ts < 100",
-			"UPDATE seg SET flag = NULL WHERE cat = 'c2'",
+			"INSERT INTO seg VALUES (5000, 1.5, 'c3', TRUE), (5001, 1.5, 'c3', TRUE)",
+			"INSERT INTO seg VALUES (4100, 99999.5, 'zz', FALSE), (4101, NULL, NULL, NULL)",
+			"INSERT INTO seg VALUES (100, 2.5, 'c0', TRUE)",
 		},
 	} {
 		script := script
@@ -391,8 +377,8 @@ func TestVecDMLAcrossSegments(t *testing.T) {
 			"SELECT count(*) FROM seg WHERE flag IS NULL",
 			"SELECT count(*) FROM seg WHERE cat = 'zz'",
 		} {
-			// the DML above already ran per-engine inside mk; every engine
-			// sees the same post-DML table
+			// the INSERTs above already ran per-engine inside mk; every
+			// engine sees the same table
 			requireVecParity(t, mk, q)
 		}
 	}
@@ -419,7 +405,7 @@ func TestVecUpdateDegradesColumn(t *testing.T) {
 	}
 }
 
-// TestVecRowViewCoherence interleaves INSERT, UPDATE and DELETE with reads
+// TestVecRowViewCoherence interleaves INSERTs with reads
 // that read the whole table by every path — a vector projection, a lowered
 // NOT filter, a two-key row join, a filter the vector kernels do not lower,
 // and the interpreter — and requires them to agree after every step: each
@@ -440,7 +426,7 @@ func TestVecRowViewCoherence(t *testing.T) {
 		"SELECT a, b FROM c ORDER BY a",
 		"SELECT a, b FROM c WHERE NOT (a IS NULL OR a < -100) ORDER BY a",
 		"SELECT x.a, x.b FROM c x JOIN c y ON x.a = y.a AND x.b IS NOT DISTINCT FROM y.b ORDER BY x.a",
-		"SELECT a, b FROM c WHERE length(b) >= 0 OR b IS NULL ORDER BY a",
+		"SELECT a, b FROM c WHERE lower(b) = lower(b) OR b IS NULL ORDER BY a",
 	}
 	check := func(step string) {
 		t.Helper()
@@ -462,22 +448,19 @@ func TestVecRowViewCoherence(t *testing.T) {
 	for _, step := range []string{
 		"INSERT INTO c VALUES (1, 'x'), (2, 'y'), (4, NULL)",
 		"INSERT INTO c VALUES (3, 'w')",
-		"UPDATE c SET b = 'z' WHERE a = 2",
-		"DELETE FROM c WHERE a = 1",
-		"UPDATE c SET b = NULL, a = a + 10 WHERE b = 'w'",
+		"INSERT INTO c VALUES (-50, 'z'), (7, NULL)",
 		"INSERT INTO c VALUES (5, 'v')",
-		"DELETE FROM c WHERE b IS NULL AND a > 10",
 	} {
 		mustExec(step)
 		check(step)
 	}
-	if res := mustExec("SELECT a, b FROM c ORDER BY a"); fmt.Sprint(res.Rows) != "[[2 z] [4 <nil>] [5 v]]" {
-		t.Fatalf("post-DML table wrong: %v", res.Rows)
+	if res := mustExec("SELECT a, b FROM c ORDER BY a"); fmt.Sprint(res.Rows) != "[[-50 z] [1 x] [2 y] [3 w] [4 <nil>] [5 v] [7 <nil>]]" {
+		t.Fatalf("table after INSERTs wrong: %v", res.Rows)
 	}
 }
 
 // TestColVecZoneMaps unit-tests the storage layer directly: per-segment
-// min/max bounds, null bitmap counts, degradation, and compaction.
+// min/max bounds, null bitmap counts and degradation.
 func TestColVecZoneMaps(t *testing.T) {
 	st := newColStore([]Column{{Name: "x", Type: "bigint"}})
 	for i := 0; i < segSize+10; i++ {
@@ -493,42 +476,23 @@ func TestColVecZoneMaps(t *testing.T) {
 	if v1.minV != int64(segSize) || v1.maxV != int64(segSize+9) {
 		t.Fatalf("seg1 zone [%v,%v]", v1.minV, v1.maxV)
 	}
-	// widen-only on update: shrinking writes leave bounds stale but sound
-	st.setCell(0, 0, int64(-100))
-	if v0.minV != int64(-100) {
-		t.Fatalf("zone must widen on update: %v", v0.minV)
-	}
-	st.setCell(0, 0, int64(5))
-	if v0.minV != int64(-100) {
-		t.Fatalf("zone must not shrink: %v", v0.minV)
+	// appends widen the tail segment's bounds
+	st.appendRow([]any{int64(-100)})
+	if v1.minV != int64(-100) || v0.minV != int64(0) {
+		t.Fatalf("zone must widen on append: seg0 %v seg1 %v", v0.minV, v1.minV)
 	}
 	// nulls tracked exactly
-	st.setCell(3, 0, nil)
-	if v0.nullCnt != 1 || !v0.isNull(3) {
-		t.Fatalf("null bookkeeping: cnt=%d", v0.nullCnt)
-	}
-	st.setCell(3, 0, int64(3))
-	if v0.nullCnt != 0 {
-		t.Fatalf("null clear: cnt=%d", v0.nullCnt)
+	st.appendRow([]any{nil})
+	if v1.nullCnt != 1 || !v1.isNull(11) {
+		t.Fatalf("null bookkeeping: cnt=%d", v1.nullCnt)
 	}
 	// degradation on type mismatch drops the zone map
-	st.setCell(1, 0, "oops")
-	if v0.kind != vkAny || v0.minV != nil {
-		t.Fatalf("degrade: kind=%d zone=%v", v0.kind, v0.minV)
+	st.appendRow([]any{"oops"})
+	if v1.kind != vkAny || v1.minV != nil {
+		t.Fatalf("degrade: kind=%d zone=%v", v1.kind, v1.minV)
 	}
-	if st.cellAt(2, 0) != int64(2) || st.cellAt(1, 0) != "oops" {
-		t.Fatalf("cells after degrade: %v %v", st.cellAt(2, 0), st.cellAt(1, 0))
-	}
-	// compaction rebuilds fresh bounds
-	keep := make([]uint64, (st.numRows()+63)/64)
-	keep[0] = 1<<7 | 1<<9
-	st.compact(keep)
-	if st.numRows() != 2 || st.numSegs() != 1 {
-		t.Fatalf("compact: n=%d segs=%d", st.numRows(), st.numSegs())
-	}
-	nv := &st.seg(0).vecs[0]
-	if nv.kind != vkInt || nv.minV != int64(7) || nv.maxV != int64(9) {
-		t.Fatalf("compact zone: kind=%d [%v,%v]", nv.kind, nv.minV, nv.maxV)
+	if st.cellAt(segSize+2, 0) != int64(segSize+2) || st.cellAt(segSize+12, 0) != "oops" || st.cellAt(segSize+11, 0) != nil {
+		t.Fatalf("cells after degrade: %v %v %v", st.cellAt(segSize+2, 0), st.cellAt(segSize+12, 0), st.cellAt(segSize+11, 0))
 	}
 }
 
@@ -552,7 +516,7 @@ func TestSortRowsByColTyped(t *testing.T) {
 // TestBoxSelMatchesGet holds the one-allocation-per-column boxing to
 // boxing cell by cell: every kind, NULLs, NaN and a mixed (vkAny) segment,
 // across a segment boundary and under a selection, compare equal as
-// interfaces and keep their values when UPDATE rewrites the vector.
+// interfaces and keep their values when an INSERT appends to the vector.
 func TestBoxSelMatchesGet(t *testing.T) {
 	st := newColStore([]Column{{Name: "i", Type: "bigint"}, {Name: "f", Type: "double precision"},
 		{Name: "s", Type: "varchar"}, {Name: "b", Type: "boolean"}, {Name: "m", Type: "varchar"}})
@@ -595,101 +559,13 @@ func TestBoxSelMatchesGet(t *testing.T) {
 				}
 			}
 		}
-		row3 := rows[3]
-		if s != nil {
-			row3 = rows[1]
-		}
-		st.setCell(3, 0, int64(-1))
-		st.setCell(3, 2, "changed")
-		if row3[0] != int64(3000) || row3[2] != "s3" {
-			t.Fatalf("UPDATE reached a boxed row: %v", row3)
-		}
-		st.setCell(3, 0, int64(3000))
-		st.setCell(3, 2, "s3")
-	}
-}
-
-// TestCompactMatchesReappend holds DELETE's typed compaction to re-appending
-// the surviving rows one at a time: the same segments, vector kinds, NULLs,
-// zone maps, values and sorted attributes, over sorted, NULL-holding, NaN,
-// boolean, mixed-kind and nearly all-NULL columns and keep patterns that
-// empty, thin out or re-sort the table.
-func TestCompactMatchesReappend(t *testing.T) {
-	cols := []Column{{Name: "i", Type: "bigint"}, {Name: "j", Type: "bigint"}, {Name: "f", Type: "double precision"},
-		{Name: "s", Type: "varchar"}, {Name: "b", Type: "boolean"}, {Name: "m", Type: "varchar"}, {Name: "e", Type: "bigint"}}
-	n := 3*segSize + 50
-	build := func() *colStore {
-		st := newColStore(cols)
-		for k := 0; k < n; k++ {
-			row := []any{int64(k), int64(k % 7), float64(k) / 4, fmt.Sprintf("s%d", (k*7919)%n), k >= n/2, "x", nil}
-			switch {
-			case k == 100:
-				row[0] = int64(-1) // out of order until deleted
-			case k == n-1:
-				row[2] = math.NaN() // sorts above everything
-			case k == 5:
-				row[2] = math.Inf(-1)
-			}
-			if k%13 == 0 {
-				row[1] = nil
-			}
-			if k >= segSize && k < 2*segSize && k%3 == 0 {
-				row[5] = int64(k) // the second segment's m degrades to vkAny
-			}
-			if k < 10 {
-				row[6] = int64(k)
-			}
-			st.appendRow(row)
-		}
-		return st
-	}
-	keepers := map[string]func(k int) bool{
-		"all":           func(int) bool { return true },
-		"none":          func(int) bool { return false },
-		"every third":   func(k int) bool { return k%3 == 0 },
-		"re-sorts i":    func(k int) bool { return k != 100 },
-		"no e, no NaN":  func(k int) bool { return k >= 10 && k < n-1 },
-		"spans kinds":   func(k int) bool { return k%3 != 0 || k < segSize },
-		"last segments": func(k int) bool { return k > segSize+17 },
-	}
-	cell := func(x any) string { return fmt.Sprintf("%T %v", x, x) }
-	for name, keepRow := range keepers {
-		st, ref := build(), newColStore(cols)
-		keep := make([]uint64, (n+63)/64)
-		for k := 0; k < n; k++ {
-			if keepRow(k) {
-				keep[k>>6] |= 1 << (uint(k) & 63)
-				row := make([]any, len(cols))
-				for c := range cols {
-					row[c] = st.cellAt(k, c)
-				}
-				ref.appendRow(row)
-			}
-		}
-		st.compact(keep)
-		if st.numRows() != ref.numRows() || st.numSegs() != ref.numSegs() {
-			t.Fatalf("%s: %d rows in %d segments, want %d in %d", name, st.numRows(), st.numSegs(), ref.numRows(), ref.numSegs())
-		}
-		for si := 0; si < st.numSegs(); si++ {
-			got, want := st.seg(si), ref.seg(si)
-			for c := range cols {
-				g, w := &got.vecs[c], &want.vecs[c]
-				if got.n != want.n || g.kind != w.kind || g.nullCnt != w.nullCnt ||
-					cell(g.minV) != cell(w.minV) || cell(g.maxV) != cell(w.maxV) {
-					t.Fatalf("%s: segment %d column %s: n %d kind %d nulls %d zone [%v,%v], want n %d kind %d nulls %d zone [%v,%v]",
-						name, si, cols[c].Name, got.n, g.kind, g.nullCnt, g.minV, g.maxV, want.n, w.kind, w.nullCnt, w.minV, w.maxV)
-				}
-				for i := 0; i < got.n; i++ {
-					if cell(g.get(i)) != cell(w.get(i)) {
-						t.Fatalf("%s: segment %d row %d column %s: %v, want %v", name, si, i, cols[c].Name, g.get(i), w.get(i))
-					}
-				}
-			}
-		}
-		for c := range cols {
-			if g, w := st.ix.sorted[c], ref.ix.sorted[c]; g.ok != w.ok || cell(g.last) != cell(w.last) {
-				t.Errorf("%s: column %s sorted %v (last %v), want %v (last %v)", name, cols[c].Name, g.ok, g.last, w.ok, w.last)
-			}
+		// an INSERT writes the tail segment in place: boxed rows keep
+		// their values
+		last := rows[len(rows)-1]
+		before := fmt.Sprint(last)
+		st.appendRow([]any{nil, nil, "later", true, int64(1)})
+		if fmt.Sprint(last) != before {
+			t.Fatalf("INSERT reached a boxed row: %v, was %v", last, before)
 		}
 	}
 }

@@ -91,6 +91,17 @@ func (b *Bin) Q() string        { return "(" + b.L.Q() + " " + b.Op + " " + b.R.
 func (b *Bin) Kind() Kind       { return b.T }
 func (b *Bin) Children() []Expr { return []Expr{b.L, b.R} }
 
+// Un applies a monadic verb: abs, neg, sqrt, exp, log, floor, ceiling and
+// signum to a Num operand, lower and upper to a Sym one.
+type Un struct {
+	Fn string
+	X  Expr
+}
+
+func (u *Un) Q() string        { return "(" + u.Fn + " " + u.X.Q() + ")" }
+func (u *Un) Kind() Kind       { return u.X.Kind() }
+func (u *Un) Children() []Expr { return []Expr{u.X} }
+
 // Agg applies an aggregate verb. W is non-nil only for the dyadic wavg/wsum.
 type Agg struct {
 	Fn string

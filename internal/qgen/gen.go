@@ -207,7 +207,33 @@ func (g *Generator) Query() *Query {
 	for j := 0; j < nw; j++ {
 		q.Where = append(q.Where, g.predicate(cols))
 	}
+	if q.Kind != "exec" && len(q.By) == 0 && r.Intn(4) == 0 {
+		g.sortOn(q, cols)
+	}
 	return q
+}
+
+// sortOn sorts an unkeyed result on one or two of its output columns: the
+// select list's, plus the input's for a wildcard select, a delete or an
+// update.
+func (g *Generator) sortOn(q *Query, cols []*Col) {
+	var out []string
+	for _, c := range q.Cols {
+		out = append(out, c.Name)
+	}
+	if len(q.Cols) == 0 || q.Kind == "update" {
+		for _, c := range cols {
+			out = append(out, c.Name)
+		}
+	}
+	r := g.rng
+	q.Sort = []string{"xasc", "xdesc"}[r.Intn(2)]
+	i := r.Intn(len(out))
+	q.SortBy = []string{out[i]}
+	if len(out) > 1 && r.Intn(2) == 0 {
+		j := (i + 1 + r.Intn(len(out)-1)) % len(out)
+		q.SortBy = append(q.SortBy, out[j])
+	}
 }
 
 func colName(j int) string { return string(rune('x' + j)) }
@@ -243,14 +269,22 @@ func (g *Generator) numAtom(cols []*Col, mustCol bool) Expr {
 var arithOps = []string{"+", "-", "*", "%", "mod", "div", "xbar", "&", "|"}
 
 // colExpr yields a column-referencing expression for a select column:
-// either a direct column of any type or a Num arithmetic tree.
+// either a direct column of any type, a case-mapped symbol column or a Num
+// arithmetic tree.
 func (g *Generator) colExpr(cols []*Col, depth int) Expr {
 	r := g.rng
-	if r.Intn(3) == 0 {
+	switch r.Intn(8) {
+	case 0, 1:
 		return cols[r.Intn(len(cols))]
+	case 2:
+		if c := g.pick(cols, Sym); c != nil {
+			return &Un{Fn: []string{"lower", "upper"}[r.Intn(2)], X: c}
+		}
 	}
 	return g.numTree(cols, depth, true)
 }
+
+var numFns = []string{"abs", "neg", "sqrt", "exp", "log", "floor", "ceiling", "signum"}
 
 // numTree builds a Num expression tree; mustCol forces at least one column
 // reference into the tree.
@@ -258,6 +292,9 @@ func (g *Generator) numTree(cols []*Col, depth int, mustCol bool) Expr {
 	r := g.rng
 	if depth <= 0 || r.Intn(3) == 0 {
 		return g.numAtom(cols, mustCol)
+	}
+	if r.Intn(5) == 0 {
+		return &Un{Fn: numFns[r.Intn(len(numFns))], X: g.numTree(cols, depth-1, mustCol)}
 	}
 	op := arithOps[r.Intn(len(arithOps))]
 	colSide := r.Intn(2)

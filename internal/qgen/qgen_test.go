@@ -2,6 +2,7 @@ package qgen
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -29,8 +30,16 @@ func TestGeneratedQueriesAreWellFormed(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		q := g.Query()
 		text := q.Q()
-		if !strings.HasPrefix(text, "select") && !strings.HasPrefix(text, "exec") &&
-			!strings.HasPrefix(text, "delete from t") && !strings.HasPrefix(text, "update x:") {
+		body := text
+		if q.Sort != "" {
+			// `k xasc <query>: every key is an output column of the query
+			_, body, _ = strings.Cut(text, " "+q.Sort+" ")
+			if q.Kind == "exec" || len(q.By) > 0 || len(q.SortBy) == 0 {
+				t.Fatalf("sort over a vector or keyed result: %s", text)
+			}
+		}
+		if !strings.HasPrefix(body, "select") && !strings.HasPrefix(body, "exec") &&
+			!strings.HasPrefix(body, "delete from t") && !strings.HasPrefix(body, "update x:") {
 			t.Fatalf("bad query kind: %s", text)
 		}
 		if q.Kind == "delete" && (len(q.Cols) > 0 || q.From != "t") {
@@ -162,6 +171,42 @@ func TestGeneratorCoversValueKernelShapes(t *testing.T) {
 	}
 	if nested == 0 || updates == 0 {
 		t.Fatalf("500 queries hold %d nested aggregate arguments and %d updates", nested, updates)
+	}
+}
+
+// TestGeneratorCoversSortsAndMonads checks the generator emits one- and
+// two-key xasc and xdesc sorts and every monadic verb.
+func TestGeneratorCoversSortsAndMonads(t *testing.T) {
+	g := New(Config{Seed: 1})
+	sorts := map[string]bool{}
+	fns := map[string]bool{}
+	var visit func(e Expr)
+	visit = func(e Expr) {
+		if u, ok := e.(*Un); ok {
+			fns[u.Fn] = true
+		}
+		for _, c := range e.Children() {
+			visit(c)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		q := g.Query()
+		if q.Sort != "" {
+			sorts[fmt.Sprint(q.Sort, len(q.SortBy))] = true
+		}
+		for _, sc := range q.Cols {
+			visit(sc.Expr)
+		}
+	}
+	for _, want := range []string{"xasc1", "xasc2", "xdesc1", "xdesc2"} {
+		if !sorts[want] {
+			t.Errorf("no %s-key %s sort in 2000 queries", want[len(want)-1:], want[:len(want)-1])
+		}
+	}
+	for _, fn := range append(numFns, "lower", "upper") {
+		if !fns[fn] {
+			t.Errorf("no %s in 2000 queries", fn)
+		}
 	}
 }
 

@@ -24,11 +24,21 @@ type Query struct {
 	By    []SelCol
 	From  string // "t", "t lj d" or "aj[`s`tm; t; qts]"
 	Where []Expr // conjuncts
+	// Sort, "xasc" or "xdesc", sorts the result on the output columns
+	// SortBy: `a`b xasc select ...
+	Sort   string
+	SortBy []string
 }
 
 // Q renders the query as q source.
 func (q *Query) Q() string {
 	var b strings.Builder
+	if q.Sort != "" {
+		for _, c := range q.SortBy {
+			b.WriteString("`" + c)
+		}
+		b.WriteString(" " + q.Sort + " ")
+	}
 	b.WriteString(q.Kind)
 	for i, c := range q.Cols {
 		if i > 0 {
@@ -70,7 +80,7 @@ func (q *Query) Q() string {
 // Clone deep-copies the query structure (expressions are immutable once
 // generated, so sharing them is safe).
 func (q *Query) Clone() *Query {
-	c := &Query{Kind: q.Kind, From: q.From}
+	c := &Query{Kind: q.Kind, From: q.From, Sort: q.Sort, SortBy: q.SortBy}
 	c.Cols = append([]SelCol(nil), q.Cols...)
 	c.By = append([]SelCol(nil), q.By...)
 	c.Where = append([]Expr(nil), q.Where...)
@@ -82,6 +92,17 @@ func (q *Query) Clone() *Query {
 // divergence.
 func (q *Query) Shrinks() []*Query {
 	var out []*Query
+	// drop the sort, then a second sort key
+	if q.Sort != "" {
+		c := q.Clone()
+		c.Sort, c.SortBy = "", nil
+		out = append(out, c)
+		if len(q.SortBy) > 1 {
+			c := q.Clone()
+			c.SortBy = q.SortBy[:1]
+			out = append(out, c)
+		}
+	}
 	// drop the whole where clause, then individual conjuncts
 	if len(q.Where) > 0 {
 		c := q.Clone()
@@ -101,16 +122,20 @@ func (q *Query) Shrinks() []*Query {
 		c.By = nil
 		out = append(out, c)
 	}
-	// drop select columns one at a time (keep at least one)
+	// drop select columns one at a time (keep at least one and the sort keys)
 	if len(q.Cols) > 1 {
 		for i := range q.Cols {
+			if slices.Contains(q.SortBy, q.Cols[i].Name) {
+				continue
+			}
 			c := q.Clone()
 			c.Cols = append(append([]SelCol(nil), q.Cols[:i]...), q.Cols[i+1:]...)
 			out = append(out, c)
 		}
 	}
-	// simplify the from clause to the bare fact table
-	if q.From != "t" {
+	// simplify the from clause to the bare fact table (its columns must
+	// still hold the sort keys)
+	if q.From != "t" && (len(q.Cols) > 0 || sortKeysIn(q.SortBy, fromVariants[0].cols)) {
 		c := q.Clone()
 		c.From = "t"
 		out = append(out, c)
@@ -197,6 +222,8 @@ func perturb(e Expr) Expr {
 		}
 	case *Bin:
 		return &Bin{Op: x.Op, L: perturb(x.L), R: perturb(x.R), T: x.T}
+	case *Un:
+		return &Un{Fn: x.Fn, X: perturb(x.X)}
 	case *Agg:
 		return &Agg{Fn: x.Fn, X: perturb(x.X), W: perturb(x.W)} // a nil W stays nil
 	case *In:
@@ -209,4 +236,14 @@ func perturb(e Expr) Expr {
 		return &Within{X: perturb(x.X), Lo: perturb(x.Lo), Hi: perturb(x.Hi)}
 	}
 	return e
+}
+
+// sortKeysIn reports whether every sort key names one of cols.
+func sortKeysIn(keys []string, cols []*Col) bool {
+	for _, k := range keys {
+		if !slices.ContainsFunc(cols, func(c *Col) bool { return c.Name == k }) {
+			return false
+		}
+	}
+	return true
 }

@@ -103,11 +103,7 @@ func (s *sz) rel(n xtra.Node) (string, error) {
 		var items []string
 		items = append(items, a+".*")
 		for _, f := range op.Funcs {
-			w, err := s.windowFunc(f)
-			if err != nil {
-				return "", err
-			}
-			items = append(items, w+" AS "+ident(f.Name))
+			items = append(items, strings.ToUpper(f.Fn)+"() OVER () AS "+ident(f.Name))
 		}
 		return "SELECT " + strings.Join(items, ", ") + " FROM (" + sub + ") " + a, nil
 	case *xtra.Union:
@@ -117,11 +113,12 @@ func (s *sz) rel(n xtra.Node) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		// q sorts nulls lowest: first ascending, last descending
 		var keys []string
 		for _, k := range op.Keys {
-			dir := ""
+			dir := " NULLS FIRST"
 			if k.Desc {
-				dir = " DESC"
+				dir = " DESC NULLS LAST"
 			}
 			keys = append(keys, ident(k.Col)+dir)
 		}
@@ -213,9 +210,6 @@ func (s *sz) join(op *xtra.Join) (string, error) {
 	if op.Kind == xtra.LeftOuterJoin {
 		kw = "LEFT JOIN"
 	}
-	if op.Kind == xtra.CrossJoinKind {
-		kw = "CROSS JOIN"
-	}
 	var conds []string
 	for _, c := range op.EqCols {
 		// null-safe equality: Q's lj matches nulls as equal keys
@@ -295,36 +289,6 @@ func (s *sz) asofJoin(op *xtra.AsOfJoin) (string, error) {
 	outer := s.alias()
 	return "SELECT " + strings.Join(outCols, ", ") +
 		" FROM (" + innerSQL + ") " + outer + " WHERE hq_rn = 1", nil
-}
-
-func (s *sz) windowFunc(f xtra.WindowFunc) (string, error) {
-	var arg string
-	if f.Arg != nil {
-		a, err := s.scalar(f.Arg)
-		if err != nil {
-			return "", err
-		}
-		arg = a
-	}
-	var over []string
-	if len(f.PartitionBy) > 0 {
-		cols := make([]string, len(f.PartitionBy))
-		for i, c := range f.PartitionBy {
-			cols[i] = ident(c)
-		}
-		over = append(over, "PARTITION BY "+strings.Join(cols, ", "))
-	}
-	if len(f.OrderBy) > 0 {
-		keys := make([]string, len(f.OrderBy))
-		for i, k := range f.OrderBy {
-			keys[i] = ident(k.Col)
-			if k.Desc {
-				keys[i] += " DESC"
-			}
-		}
-		over = append(over, "ORDER BY "+strings.Join(keys, ", "))
-	}
-	return strings.ToUpper(f.Fn) + "(" + arg + ") OVER (" + strings.Join(over, " ") + ")", nil
 }
 
 func (s *sz) namedExprs(exprs []xtra.NamedExpr) (string, error) {
@@ -618,7 +582,9 @@ func (s *sz) fnSQL(f *xtra.FnApp) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return "(- " + a + ")", nil
+		// q's neg is 0-x, which never yields IEEE -0.0: a later division
+		// by it keeps the sign q gives the infinity
+		return "(0 - " + a + ")", nil
 	case "in":
 		l, err := s.scalar(f.Args[0])
 		if err != nil {
@@ -724,18 +690,19 @@ func (s *sz) fnSQL(f *xtra.FnApp) (string, error) {
 			return "", err
 		}
 		return "CAST(" + a + " AS " + xtra.SQLTypeFor(f.Typ) + ")", nil
-	case "abs", "sqrt", "exp", "floor", "upper", "lower":
+	case "abs", "exp", "floor", "upper", "lower":
 		a, err := s.scalar(f.Args[0])
 		if err != nil {
 			return "", err
 		}
 		return strings.ToUpper(f.Op) + "(" + a + ")", nil
-	case "log":
+	case "sqrt", "log":
 		a, err := s.scalar(f.Args[0])
 		if err != nil {
 			return "", err
 		}
-		return "LN(" + a + ")", nil
+		// the root or log of a negative number is NaN, q's null 0n
+		return nanNull(map[string]string{"sqrt": "SQRT(", "log": "LN("}[f.Op] + a + ")"), nil
 	case "ceiling":
 		a, err := s.scalar(f.Args[0])
 		if err != nil {

@@ -106,7 +106,8 @@ func TestSerializeSortAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`ORDER BY ordcol, "Price" DESC`, "LIMIT 10"} {
+	// q sorts nulls lowest: first ascending, last descending
+	for _, want := range []string{`ORDER BY ordcol NULLS FIRST, "Price" DESC NULLS LAST`, "LIMIT 10"} {
 		if !strings.Contains(sql, want) {
 			t.Fatalf("sql %q missing %q", sql, want)
 		}
@@ -241,9 +242,12 @@ func TestMoreScalarSpellings(t *testing.T) {
 		{&xtra.FnApp{Op: "and", Typ: qval.KBool, Args: []xtra.Scalar{boolCol("p"), boolCol("q")}}, "(p AND q)"},
 		{&xtra.FnApp{Op: "or", Typ: qval.KBool, Args: []xtra.Scalar{boolCol("p"), boolCol("q")}}, "(p OR q)"},
 		{&xtra.FnApp{Op: "not", Typ: qval.KBool, Args: []xtra.Scalar{boolCol("p")}}, "(NOT p)"},
-		{&xtra.FnApp{Op: "neg", Typ: qval.KLong, Args: []xtra.Scalar{col("a")}}, "(- a)"},
+		// neg is q's 0-x: no IEEE -0.0 for a later division to see
+		{&xtra.FnApp{Op: "neg", Typ: qval.KLong, Args: []xtra.Scalar{col("a")}}, "(0 - a)"},
 		{&xtra.FnApp{Op: "abs", Typ: qval.KLong, Args: []xtra.Scalar{col("a")}}, "ABS(a)"},
-		{&xtra.FnApp{Op: "log", Typ: qval.KFloat, Args: []xtra.Scalar{col("a")}}, "LN(a)"},
+		// the log or root of a negative is NaN, q's null
+		{&xtra.FnApp{Op: "log", Typ: qval.KFloat, Args: []xtra.Scalar{col("a")}}, "NULLIF(LN(a), 'NaN'::double precision)"},
+		{&xtra.FnApp{Op: "sqrt", Typ: qval.KFloat, Args: []xtra.Scalar{col("a")}}, "NULLIF(SQRT(a), 'NaN'::double precision)"},
 		{&xtra.FnApp{Op: "ceiling", Typ: qval.KLong, Args: []xtra.Scalar{col("a")}}, "CEIL(a)"},
 		{&xtra.FnApp{Op: "null", Typ: qval.KBool, Args: []xtra.Scalar{col("a")}}, "(a IS NULL)"},
 		{&xtra.FnApp{Op: "cast", Typ: qval.KFloat, Args: []xtra.Scalar{col("a"), &xtra.ConstExpr{Val: qval.Symbol("float")}}},

@@ -335,15 +335,6 @@ func prune(n xtra.Node, need map[string]bool, fired *bool) {
 		childNeed := copyNeed(need)
 		for _, f := range op.Funcs {
 			delete(childNeed, f.Name)
-			if f.Arg != nil {
-				addScalarCols(f.Arg, childNeed)
-			}
-			for _, p := range f.PartitionBy {
-				childNeed[p] = true
-			}
-			for _, o := range f.OrderBy {
-				childNeed[o.Col] = true
-			}
 		}
 		prune(op.Input, childNeed, fired)
 	case *xtra.Filter:

@@ -241,18 +241,13 @@ type JoinKind int
 const (
 	InnerJoin JoinKind = iota
 	LeftOuterJoin
-	CrossJoinKind
 )
 
 func (k JoinKind) String() string {
-	switch k {
-	case InnerJoin:
+	if k == InnerJoin {
 		return "inner"
-	case LeftOuterJoin:
-		return "leftouter"
-	default:
-		return "cross"
 	}
+	return "leftouter"
 }
 
 // Join is a binary join with an optional predicate.
@@ -313,13 +308,12 @@ func (g *GroupAgg) Children() []Node { return []Node{g.Input} }
 // OpName implements Node.
 func (g *GroupAgg) OpName() string { return "xtra_groupagg" }
 
-// WindowFunc is one windowed computation added by the Window operator.
+// WindowFunc is one windowed computation added by the Window operator: a
+// function of no arguments over the whole input in its order, which
+// serializes as FN() OVER ().
 type WindowFunc struct {
-	Name        string   // output column
-	Fn          string   // row_number, last_value, sum, ...
-	Arg         Scalar   // may be nil (row_number)
-	PartitionBy []string // column names
-	OrderBy     []SortKey
+	Name string // output column
+	Fn   string // row_number
 }
 
 // Window appends window-function columns to its input — the operator the

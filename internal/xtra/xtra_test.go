@@ -120,7 +120,7 @@ func TestSQLTypeMappingRoundTrip(t *testing.T) {
 }
 
 func TestJoinKindStrings(t *testing.T) {
-	if InnerJoin.String() != "inner" || LeftOuterJoin.String() != "leftouter" || CrossJoinKind.String() != "cross" {
+	if InnerJoin.String() != "inner" || LeftOuterJoin.String() != "leftouter" {
 		t.Error("join kind strings wrong")
 	}
 }
