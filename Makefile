@@ -56,9 +56,10 @@ fuzz:
 	$(GO) test ./internal/qcache -run '^$$' -fuzz '^FuzzLift$$' -fuzztime $(FUZZTIME)
 
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
-# replays the CI seeds against the compiled engine (vector scans, fused
-# aggregates, columnar joins and index paths included), plus sweeps of the
-# interpreted engine to pin the retained AST walker, cold-reopen sweeps over
+# replays the CI seeds against the serving engine (vector scans, fused
+# aggregates, columnar joins and index paths, with the AST walker as their
+# only row fallback), plus sweeps of the walker alone (-exec interpreted),
+# the reference both modes are held to, cold-reopen sweeps over
 # the durable store — unbounded, and under a tight budget that churns
 # segments through evict and refault — and sweeps with secondary indexes
 # forced on, resident and across a cold reopen. The -persist sweeps run the

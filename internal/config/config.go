@@ -30,9 +30,10 @@ type Engine struct {
 
 // Defaults is the engine a binary runs when no engine flag is given, in
 // memory or over a store given only -data-dir. What is not a field is not a
-// setting: the servers run the compiled engine, whose vector scans, fused
-// aggregates, column-granular fault-in and index access paths need no flag
-// (the interpreter is a test reference, which qdiff selects itself), a
+// setting: the servers run the compiled engine — vector scans, fused
+// aggregates, column-granular fault-in and index access paths, with the AST
+// walker as the only row fallback — which needs no flag (the walker alone
+// is the test reference, which qdiff selects itself), a
 // statement runs on one goroutine, hash indexes build at
 // pgdb.DefaultIndexMinRows rows, and checkpoints always encode per chunk and
 // read back by pread.

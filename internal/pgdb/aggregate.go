@@ -58,7 +58,6 @@ func walkExpr(e sqlparse.Expr, fn func(sqlparse.Expr)) {
 		walkExpr(x.Lo, fn)
 		walkExpr(x.Hi, fn)
 	case *sqlparse.CaseExpr:
-		walkExpr(x.Operand, fn)
 		for _, w := range x.Whens {
 			walkExpr(w.Cond, fn)
 			walkExpr(w.Then, fn)
@@ -90,168 +89,160 @@ func (s *Session) execGrouped(sel *sqlparse.SelectStmt, rel *relation) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	type group struct {
-		keyVals []any
-		rows    [][]any
-	}
 	var order []string
-	groups := map[string]*group{}
+	groups := map[string][][]any{}
 	if len(sel.GroupBy) == 0 {
-		g := &group{rows: rel.rows}
-		groups[""] = g
+		groups[""] = rel.rows
 		order = append(order, "")
 	} else {
+		keyVals := make([]any, len(sel.GroupBy))
 		for _, row := range rel.rows {
-			keyVals := make([]any, len(sel.GroupBy))
+			if err := s.tick(); err != nil {
+				return nil, err
+			}
 			for i, ge := range sel.GroupBy {
-				v, err := s.evalExpr(ge, rel.schema, row)
+				v, err := evalExpr(ge, rel.schema, row)
 				if err != nil {
 					return nil, err
 				}
 				keyVals[i] = v
 			}
 			k := keyString(keyVals)
-			g, ok := groups[k]
-			if !ok {
-				g = &group{keyVals: keyVals}
-				groups[k] = g
+			if _, ok := groups[k]; !ok {
 				order = append(order, k)
 			}
-			g.rows = append(g.rows, row)
+			groups[k] = append(groups[k], row)
 		}
 	}
-	res := &Result{}
-	for _, item := range items {
-		res.Cols = append(res.Cols, Column{
-			Name: itemName(item, rel.schema),
-			Type: s.inferType(item.Expr, rel.schema),
-		})
-	}
+	res := s.groupedResult(items, rel.schema, len(order))
 	for _, k := range order {
-		g := groups[k]
-		if len(sel.GroupBy) == 0 && len(g.rows) == 0 {
-			// global aggregate over empty input still yields one row
-			g.rows = nil
+		rows := groups[k]
+		var rep []any // an empty global group has no representative row
+		if len(rows) > 0 {
+			rep = rows[0]
 		}
-		out := make([]any, len(items))
-		for i, item := range items {
-			v, err := s.evalAggExpr(item.Expr, rel.schema, g.rows)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+		err := res.appendGroup(items, rel.schema, rep, func(fc *sqlparse.FuncCall) (any, error) {
+			return computeAggregate(fc, rel.schema, rows)
+		})
+		if err != nil {
+			return nil, err
 		}
-		res.Rows = append(res.Rows, out)
 	}
 	refineTypes(res)
 	return res, nil
 }
 
-// evalAggExpr evaluates an expression in group context: aggregate calls
-// consume the group's rows; everything else evaluates against the group's
-// first row (the PostgreSQL requirement that non-aggregated columns be
-// grouping columns makes this well-defined for valid queries).
-func (s *Session) evalAggExpr(e sqlparse.Expr, schema []colBinding, rows [][]any) (any, error) {
-	switch x := e.(type) {
-	case *sqlparse.FuncCall:
-		if x.Over == nil && aggregateNames[x.Name] {
-			return s.computeAggregate(x, schema, rows)
+// groupedResult is the empty result of a grouped select with room for n
+// groups: the items' names and inferred types.
+func (s *Session) groupedResult(items []sqlparse.SelectItem, schema []colBinding, n int) *Result {
+	res := &Result{Rows: make([][]any, 0, n)}
+	for _, item := range items {
+		res.Cols = append(res.Cols, Column{
+			Name: itemName(item, schema),
+			Type: s.inferType(item.Expr, schema),
+		})
+	}
+	return res
+}
+
+// appendGroup evaluates the items over one group and appends its row.
+func (res *Result) appendGroup(items []sqlparse.SelectItem, schema []colBinding, rep []any, agg aggValue) error {
+	out := make([]any, len(items))
+	for i, item := range items {
+		v, err := evalAggExpr(item.Expr, schema, rep, agg)
+		if err != nil {
+			return err
 		}
-		// scalar function over aggregate results, e.g. COALESCE(SUM(x), 0)
-		// or NULLIF(SUM(w), 0) — the shapes Hyper-Q emits to impose Q's
-		// aggregate identities
-		if exprHasAggregate(x) {
-			lits := make([]sqlparse.Expr, len(x.Args))
+		out[i] = v
+	}
+	res.Rows = append(res.Rows, out)
+	return nil
+}
+
+// aggValue is the value of one aggregate call over the group being
+// evaluated: computed from the group's rows (execGrouped) or looked up among
+// the finished slots of the vector path (execGroupedVec).
+type aggValue func(fc *sqlparse.FuncCall) (any, error)
+
+// evalAggExpr evaluates an expression in group context. An aggregate call
+// takes its value from agg, which is asked only for the calls evaluation
+// reaches: one under a CASE arm not taken never runs, so its error never
+// surfaces. The scalar structure above an aggregate (a function, CASE, IS
+// NULL, an operator, CAST) applies to the values below it, both operands of
+// AND/OR evaluated. Any other subtree evaluates against rep, the group's
+// first row: PostgreSQL's requirement that non-aggregated columns be
+// grouping columns makes that well-defined for valid queries. rep is nil
+// for an empty group, where a subtree that references a column is NULL and
+// a row-independent one still has its value — COALESCE(SUM(x), 0) relies on
+// the 0 surviving.
+func evalAggExpr(e sqlparse.Expr, schema []colBinding, rep []any, agg aggValue) (any, error) {
+	if exprHasAggregate(e) {
+		sub := func(x sqlparse.Expr) (any, error) { return evalAggExpr(x, schema, rep, agg) }
+		switch x := e.(type) {
+		case *sqlparse.FuncCall:
+			if x.Over == nil && aggregateNames[x.Name] {
+				return agg(x)
+			}
+			// scalar function over aggregate results, e.g. COALESCE(SUM(x), 0)
+			// or NULLIF(SUM(w), 0) — the shapes Hyper-Q emits to impose Q's
+			// aggregate identities
+			args := make([]any, len(x.Args))
 			for i, a := range x.Args {
-				v, err := s.evalAggExpr(a, schema, rows)
+				v, err := sub(a)
 				if err != nil {
 					return nil, err
 				}
-				lits[i] = litFor(v)
+				args[i] = v
 			}
-			return s.evalScalarFunc(&sqlparse.FuncCall{Name: x.Name, Args: lits}, nil, nil, -1, nil)
-		}
-	case *sqlparse.CaseExpr:
-		if exprHasAggregate(x) {
+			return applyScalarFunc(x.Name, args)
+		case *sqlparse.CaseExpr:
 			for _, w := range x.Whens {
-				var hit bool
-				if x.Operand != nil {
-					ov, err := s.evalAggExpr(x.Operand, schema, rows)
-					if err != nil {
-						return nil, err
-					}
-					cv, err := s.evalAggExpr(w.Cond, schema, rows)
-					if err != nil {
-						return nil, err
-					}
-					hit = ov != nil && cv != nil && equalVals(ov, cv)
-				} else {
-					cv, err := s.evalAggExpr(w.Cond, schema, rows)
-					if err != nil {
-						return nil, err
-					}
-					b, ok := cv.(bool)
-					hit = ok && b
+				cv, err := sub(w.Cond)
+				if err != nil {
+					return nil, err
 				}
-				if hit {
-					return s.evalAggExpr(w.Then, schema, rows)
+				if b, ok := cv.(bool); ok && b {
+					return sub(w.Then)
 				}
 			}
 			if x.Else != nil {
-				return s.evalAggExpr(x.Else, schema, rows)
+				return sub(x.Else)
 			}
 			return nil, nil
-		}
-	case *sqlparse.IsNullExpr:
-		if exprHasAggregate(x) {
-			v, err := s.evalAggExpr(x.X, schema, rows)
+		case *sqlparse.IsNullExpr:
+			v, err := sub(x.X)
 			if err != nil {
 				return nil, err
 			}
-			if x.Not {
-				return v != nil, nil
-			}
-			return v == nil, nil
-		}
-	case *sqlparse.BinaryExpr:
-		if exprHasAggregate(x) {
-			l, err := s.evalAggExpr(x.L, schema, rows)
+			return (v == nil) != x.Not, nil
+		case *sqlparse.BinaryExpr:
+			l, err := sub(x.L)
 			if err != nil {
 				return nil, err
 			}
-			r, err := s.evalAggExpr(x.R, schema, rows)
+			r, err := sub(x.R)
 			if err != nil {
 				return nil, err
 			}
-			return s.evalBinary(&sqlparse.BinaryExpr{Op: x.Op, L: litFor(l), R: litFor(r)}, nil, nil, -1, nil)
-		}
-	case *sqlparse.CastExpr:
-		if exprHasAggregate(x) {
-			v, err := s.evalAggExpr(x.X, schema, rows)
+			return applyOp(x.Op, l, r)
+		case *sqlparse.CastExpr:
+			v, err := sub(x.X)
 			if err != nil {
 				return nil, err
 			}
 			return castValue(v, normalizeType(x.Type))
-		}
-	case *sqlparse.UnaryExpr:
-		if exprHasAggregate(x) {
-			v, err := s.evalAggExpr(x.X, schema, rows)
+		case *sqlparse.UnaryExpr:
+			v, err := sub(x.X)
 			if err != nil {
 				return nil, err
 			}
-			return s.evalExpr(&sqlparse.UnaryExpr{Op: x.Op, X: litFor(v)}, nil, nil)
+			return applyUnary(x.Op, v)
 		}
 	}
-	if len(rows) == 0 {
-		// row-independent expressions (literals, arithmetic on literals)
-		// still have a value over an empty group — COALESCE(SUM(x), 0)
-		// relies on the 0 surviving
-		if exprHasColRef(e) {
-			return nil, nil
-		}
-		return s.evalExpr(e, schema, nil)
+	if rep == nil && exprHasColRef(e) {
+		return nil, nil
 	}
-	return s.evalExpr(e, schema, rows[0])
+	return evalExpr(e, schema, rep)
 }
 
 func exprHasColRef(e sqlparse.Expr) bool {
@@ -264,27 +255,9 @@ func exprHasColRef(e sqlparse.Expr) bool {
 	return found
 }
 
-// litFor wraps a computed value as a literal for re-evaluation.
-func litFor(v any) sqlparse.Expr {
-	switch x := v.(type) {
-	case nil:
-		return &sqlparse.NullLit{}
-	case bool:
-		return &sqlparse.BoolLit{V: x}
-	case int64:
-		return &sqlparse.NumberLit{Text: FormatValue(x, "bigint")}
-	case float64:
-		return &sqlparse.ValueLit{V: x}
-	case string:
-		return &sqlparse.StringLit{V: x}
-	default:
-		return &sqlparse.ValueLit{V: v}
-	}
-}
-
 // computeAggregate evaluates one aggregate call over the group's rows,
 // skipping NULL inputs per SQL.
-func (s *Session) computeAggregate(fc *sqlparse.FuncCall, schema []colBinding, rows [][]any) (any, error) {
+func computeAggregate(fc *sqlparse.FuncCall, schema []colBinding, rows [][]any) (any, error) {
 	if fc.Star { // COUNT(*)
 		return int64(len(rows)), nil
 	}
@@ -301,11 +274,11 @@ func (s *Session) computeAggregate(fc *sqlparse.FuncCall, schema []colBinding, r
 		if fc.Name == "last" {
 			row = rows[len(rows)-1]
 		}
-		return s.evalExpr(fc.Args[0], schema, row)
+		return evalExpr(fc.Args[0], schema, row)
 	}
 	var vals []any
 	for _, row := range rows {
-		v, err := s.evalExpr(fc.Args[0], schema, row)
+		v, err := evalExpr(fc.Args[0], schema, row)
 		if err != nil {
 			return nil, err
 		}
@@ -317,8 +290,7 @@ func (s *Session) computeAggregate(fc *sqlparse.FuncCall, schema []colBinding, r
 }
 
 // finalizeAggregate computes an aggregate from its collected non-null input
-// values. Shared by the interpreter and the compiled engine (compileagg.go)
-// so numeric results are bit-identical between the two.
+// values.
 func finalizeAggregate(fc *sqlparse.FuncCall, vals []any) (any, error) {
 	switch fc.Name {
 	case "count":
@@ -372,11 +344,7 @@ func finalizeAggregate(fc *sqlparse.FuncCall, vals []any) (any, error) {
 			}
 		}
 		return best, nil
-	case "stddev_pop", "var_pop":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		var sum float64
+	case "stddev_pop", "var_pop", "median":
 		fs := make([]float64, len(vals))
 		for i, v := range vals {
 			f, ok := toFloat(v)
@@ -384,85 +352,82 @@ func finalizeAggregate(fc *sqlparse.FuncCall, vals []any) (any, error) {
 				return nil, errf("42804", "%s of non-number", fc.Name)
 			}
 			fs[i] = f
-			sum += f
 		}
-		mean := sum / float64(len(fs))
-		var ss float64
-		for _, f := range fs {
-			ss += (f - mean) * (f - mean)
-		}
-		v := ss / float64(len(fs))
-		if fc.Name == "stddev_pop" {
-			return math.Sqrt(v), nil
-		}
-		return v, nil
-	case "median":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		fs := make([]float64, len(vals))
-		for i, v := range vals {
-			f, ok := toFloat(v)
-			if !ok {
-				return nil, errf("42804", "median of non-number")
-			}
-			fs[i] = f
-		}
-		sort.Float64s(fs)
-		m := len(fs) / 2
-		if len(fs)%2 == 1 {
-			return fs[m], nil
-		}
-		return (fs[m-1] + fs[m]) / 2, nil
+		return finishFloats(fc.Name, fs), nil
 	default:
 		return nil, errf("42883", "aggregate %s does not exist", fc.Name)
 	}
 }
 
-// computeWindows precomputes the values of every window function the select
-// items reference, keyed by the FuncCall node. The only window is
-// ROW_NUMBER(): the xformer's implicit order column (ROW_NUMBER() OVER ())
-// and the translated as-of join's rank (PARTITION BY the left order column,
-// ORDER BY the right time DESC) when the fused path declines. Within a
-// partition, ORDER BY puts NULLs last ascending and first descending.
-func (s *Session) computeWindows(items []sqlparse.SelectItem, rel *relation) (map[*sqlparse.FuncCall][]any, error) {
-	var calls []*sqlparse.FuncCall
-	for _, item := range items {
-		walkExpr(item.Expr, func(e sqlparse.Expr) {
-			if fc, ok := e.(*sqlparse.FuncCall); ok && fc.Over != nil {
-				calls = append(calls, fc)
-			}
-		})
+// finishFloats computes stddev_pop, var_pop or median from a group's
+// non-null input values in row order; median sorts fs. The vector path's
+// collecting slots finish through it too, so both engines agree bit for bit.
+func finishFloats(name string, fs []float64) any {
+	if len(fs) == 0 {
+		return nil
 	}
-	if len(calls) == 0 {
-		return nil, nil
+	if name == "median" {
+		sort.Float64s(fs)
+		m := len(fs) / 2
+		if len(fs)%2 == 1 {
+			return fs[m]
+		}
+		return (fs[m-1] + fs[m]) / 2
 	}
-	out := make(map[*sqlparse.FuncCall][]any, len(calls))
+	var sum float64
+	for _, f := range fs {
+		sum += f
+	}
+	mean := sum / float64(len(fs))
+	var ss float64
+	for _, f := range fs {
+		ss += (f - mean) * (f - mean)
+	}
+	v := ss / float64(len(fs))
+	if name == "stddev_pop" {
+		return math.Sqrt(v)
+	}
+	return v
+}
+
+// computeWindows computes the values of each select item that is a window
+// call, by item index (nil for the other items). A window is written only
+// as a whole select item, and the only one is ROW_NUMBER(): the xformer's
+// implicit order column (ROW_NUMBER() OVER ()) and the translated as-of
+// join's rank (PARTITION BY the left order column, ORDER BY the right time
+// DESC) when the fused path declines. Within a partition, ORDER BY puts
+// NULLs last ascending and first descending.
+func computeWindows(items []sqlparse.SelectItem, rel *relation) ([][]any, error) {
+	out := make([][]any, len(items))
 	n := len(rel.rows)
-	for _, fc := range calls {
+	for i, item := range items {
+		fc, ok := item.Expr.(*sqlparse.FuncCall)
+		if !ok || fc.Over == nil {
+			continue
+		}
 		if fc.Name != "row_number" {
 			return nil, errf("42883", "window function %s does not exist", fc.Name)
 		}
 		// each row's partition and order keys
 		pkeys := make([]string, n)
 		okeys := make([][]any, n)
-		for i, row := range rel.rows {
+		for r, row := range rel.rows {
 			kv := make([]any, len(fc.Over.PartitionBy))
 			for k, pe := range fc.Over.PartitionBy {
-				v, err := s.evalExpr(pe, rel.schema, row)
+				v, err := evalExpr(pe, rel.schema, row)
 				if err != nil {
 					return nil, err
 				}
 				kv[k] = v
 			}
-			pkeys[i] = keyString(kv)
-			okeys[i] = make([]any, len(fc.Over.OrderBy))
+			pkeys[r] = keyString(kv)
+			okeys[r] = make([]any, len(fc.Over.OrderBy))
 			for j, ob := range fc.Over.OrderBy {
-				v, err := s.evalExpr(ob.Expr, rel.schema, row)
+				v, err := evalExpr(ob.Expr, rel.schema, row)
 				if err != nil {
 					return nil, err
 				}
-				okeys[i][j] = v
+				okeys[r][j] = v
 			}
 		}
 		// visit rows in order-key order, ties in input order; each row's
@@ -497,7 +462,7 @@ func (s *Session) computeWindows(items []sqlparse.SelectItem, rel *relation) (ma
 			counts[pkeys[ri]]++
 			vals[ri] = counts[pkeys[ri]]
 		}
-		out[fc] = vals
+		out[i] = vals
 	}
 	return out, nil
 }

@@ -405,23 +405,17 @@ func (s *Session) asofRows(left, right *relation, lKeys, rKeys []int, nullSafe [
 		}
 	}
 	out := &relation{schema: schema, rows: make([][]any, 0, len(joinedRows))}
-	// items lower once; the rank item is 1 by construction
-	fns := make([]exprFn, len(items))
-	for i, item := range items {
-		if isWindowCall(item.Expr) {
-			fns[i] = func(*evalCtx, []any) (any, error) { return int64(1), nil }
-			continue
-		}
-		fns[i] = s.lowerExpr(item.Expr, joined)
-	}
-	ec := &evalCtx{s: s, rowIdx: -1}
 	for _, row := range joinedRows {
 		if err := s.tick(); err != nil {
 			return nil, err
 		}
 		or := make([]any, len(items))
-		for i, fn := range fns {
-			v, err := fn(ec, row)
+		for i, item := range items {
+			if isWindowCall(item.Expr) {
+				or[i] = int64(1) // the rank is 1 by construction
+				continue
+			}
+			v, err := evalExpr(item.Expr, joined, row)
 			if err != nil {
 				return nil, err
 			}

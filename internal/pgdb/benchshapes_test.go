@@ -182,7 +182,7 @@ func TestComputedShapesStayColumnar(t *testing.T) {
 // TestComputedAggregatesAllocsBounded holds the translated computed
 // aggregates to allocations that do not grow with the table: at 40 000
 // trades (80 000 quotes) each may allocate at most 10 % more than at 4000.
-// Boxing each argument cell, as a per-row closure does, scales linearly.
+// Boxing each argument cell, as the walker does, scales linearly.
 func TestComputedAggregatesAllocsBounded(t *testing.T) {
 	allocs := func(trades int) map[int]float64 {
 		db, b := benchTables(t, 1, trades)
@@ -267,6 +267,39 @@ func TestWorkloadEqualitiesUseHashIndex(t *testing.T) {
 			if on != (cols[c].Name == "Symbol") {
 				t.Errorf("%s.%s indexed=%v", table, cols[c].Name, on)
 			}
+		}
+	}
+}
+
+// TestWorkloadGroupingIsVectorized translates the grouped shapes that once
+// needed row-at-a-time grouping — Analytical Workload query 7 (an xbar
+// bucket as the GROUP BY key), query 11 (dev, var and med) and ingest_mix's
+// bucketed OHLC reader — and requires each to group in the vector engine
+// and to answer as the interpreter does, over three segments of trades.
+func TestWorkloadGroupingIsVectorized(t *testing.T) {
+	db, b := benchTables(t, 1, 5000)
+	cs := core.NewPlatform().NewSession(b, core.Config{})
+	s := db.NewSession()
+	for _, q := range []string{workloadQuery(7), workloadQuery(11), benchShapes[7]} {
+		sql, _, err := cs.Translate(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vec, err := pgdb.GroupsInVector(db, sql); err != nil || !vec {
+			t.Errorf("%s: grouped in the vector engine = %v, %v", q, vec, err)
+		}
+		got, err := s.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		db.SetExecMode(pgdb.ExecInterpreted)
+		want, err := s.Exec(sql)
+		db.SetExecMode(pgdb.ExecCompiled)
+		if err != nil {
+			t.Fatalf("%s (interpreted): %v", q, err)
+		}
+		if len(got.Rows) < 2 || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+			t.Errorf("%s: %d rows compiled, %d interpreted, or they differ", q, len(got.Rows), len(want.Rows))
 		}
 	}
 }

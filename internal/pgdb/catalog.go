@@ -16,17 +16,19 @@ import (
 type ExecMode int32
 
 const (
-	// ExecCompiled is the default and only serving engine. Base-table scans
-	// read the column vectors directly: WHERE clauses that lower to bitmap
-	// kernels (vector.go) skip segments by zone map or answer from sorted
-	// attributes and hash indexes (index.go), lowerable aggregations fold
-	// over the selection bitmap (vecagg.go), and bare projections gather
-	// only the selected cells. Shapes that do not lower run the closure
-	// compiler (compile.go, compileagg.go) over boxed rows that hold only
-	// the selected rows and the columns the statement reads.
+	// ExecCompiled is the default and only serving engine: the vector paths,
+	// with the AST walker (eval.go) as their only row fallback. Base-table
+	// scans read the column vectors directly: WHERE clauses that lower to
+	// bitmap kernels (vector.go) skip segments by zone map or answer from
+	// sorted attributes and hash indexes (index.go), aggregations whose keys
+	// and arguments lower to columns or value kernels (kernel.go) fold over
+	// the selection bitmap (vecagg.go), and projections of columns and value
+	// kernels gather only the selected cells. Shapes that do not lower run
+	// the walker over boxed rows that hold only the selected rows and the
+	// columns the statement reads.
 	ExecCompiled ExecMode = iota
-	// ExecInterpreted retains the per-row AST-walking engine over rows it
-	// boxes from the vectors per statement. It is kept as the reference
+	// ExecInterpreted runs the walker alone, with none of the vector paths,
+	// over rows it boxes from the vectors per statement. It is the reference
 	// implementation for differential parity testing (internal/sidebyside,
 	// qdiff -exec interpreted); no server serves with it.
 	ExecInterpreted

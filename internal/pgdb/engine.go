@@ -327,7 +327,7 @@ func (s *Session) execInsert(st *sqlparse.InsertStmt) (*Result, error) {
 		}
 		row := make([]any, len(rowExprs))
 		for i, e := range rowExprs {
-			v, err := s.evalConst(e)
+			v, err := evalExpr(e, nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -364,10 +364,4 @@ func coerceToColumn(v any, typ string) any {
 		}
 	}
 	return v
-}
-
-// evalConst evaluates an expression with no row context (literals in
-// INSERT VALUES).
-func (s *Session) evalConst(e sqlparse.Expr) (any, error) {
-	return s.evalExpr(e, nil, nil)
 }

@@ -8,15 +8,14 @@ import (
 	"hyperq/internal/pgdb/sqlparse"
 )
 
-// evalExpr evaluates a scalar expression over one row with SQL three-valued
-// logic: any comparison with NULL yields NULL (Go nil), except IS NULL and
-// IS [NOT] DISTINCT FROM, which are null-safe — the construct Hyper-Q's
-// Xformer emits to impose Q's two-valued semantics (paper §3.3).
-func (s *Session) evalExpr(e sqlparse.Expr, schema []colBinding, row []any) (any, error) {
-	return s.evalExprWin(e, schema, row, -1, nil)
-}
-
-func (s *Session) evalExprWin(e sqlparse.Expr, schema []colBinding, row []any, rowIdx int, winVals map[*sqlparse.FuncCall][]any) (any, error) {
+// evalExpr is the reference walker: it evaluates a scalar expression over
+// one row with SQL three-valued logic: any comparison with NULL yields NULL
+// (Go nil), except IS NULL and IS [NOT] DISTINCT FROM, which are null-safe —
+// the construct Hyper-Q's Xformer emits to impose Q's two-valued semantics
+// (paper §3.3). A window call reaches it only nested in an expression, where
+// the function lookup refuses it: project computes a window select item
+// whole.
+func evalExpr(e sqlparse.Expr, schema []colBinding, row []any) (any, error) {
 	switch x := e.(type) {
 	case *sqlparse.NumberLit:
 		if strings.ContainsAny(x.Text, ".eE") {
@@ -39,8 +38,6 @@ func (s *Session) evalExprWin(e sqlparse.Expr, schema []colBinding, row []any, r
 		return nil, nil
 	case *sqlparse.ParamRef:
 		return nil, errf("0A000", "parameters are not supported in direct execution")
-	case *sqlparse.ValueLit:
-		return x.V, nil
 	case *sqlparse.ColRef:
 		i, err := findCol(schema, x)
 		if err != nil {
@@ -48,55 +45,43 @@ func (s *Session) evalExprWin(e sqlparse.Expr, schema []colBinding, row []any, r
 		}
 		return row[i], nil
 	case *sqlparse.UnaryExpr:
-		v, err := s.evalExprWin(x.X, schema, row, rowIdx, winVals)
+		v, err := evalExpr(x.X, schema, row)
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case "NOT":
-			if v == nil {
-				return nil, nil
-			}
-			b, ok := v.(bool)
-			if !ok {
-				return nil, errf("42804", "argument of NOT must be boolean")
-			}
-			return !b, nil
-		case "-":
-			switch n := v.(type) {
-			case nil:
-				return nil, nil
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
-			default:
-				return nil, errf("42804", "cannot negate %T", v)
-			}
-		}
-		return nil, errf("0A000", "unsupported unary %s", x.Op)
+		return applyUnary(x.Op, v)
 	case *sqlparse.BinaryExpr:
-		return s.evalBinary(x, schema, row, rowIdx, winVals)
+		// AND/OR have their own 3VL truth tables with short circuits
+		l, err := evalExpr(x.L, schema, row)
+		if err != nil {
+			return nil, err
+		}
+		if x.Op == "AND" || x.Op == "OR" {
+			if v, done := andOrShortCircuit(x.Op, l); done {
+				return v, nil
+			}
+		}
+		r, err := evalExpr(x.R, schema, row)
+		if err != nil {
+			return nil, err
+		}
+		return applyOp(x.Op, l, r)
 	case *sqlparse.IsNullExpr:
-		v, err := s.evalExprWin(x.X, schema, row, rowIdx, winVals)
+		v, err := evalExpr(x.X, schema, row)
 		if err != nil {
 			return nil, err
 		}
-		isNull := v == nil
-		if x.Not {
-			return !isNull, nil
-		}
-		return isNull, nil
+		return (v == nil) != x.Not, nil
 	case *sqlparse.BetweenExpr:
-		v, err := s.evalExprWin(x.X, schema, row, rowIdx, winVals)
+		v, err := evalExpr(x.X, schema, row)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := s.evalExprWin(x.Lo, schema, row, rowIdx, winVals)
+		lo, err := evalExpr(x.Lo, schema, row)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := s.evalExprWin(x.Hi, schema, row, rowIdx, winVals)
+		hi, err := evalExpr(x.Hi, schema, row)
 		if err != nil {
 			return nil, err
 		}
@@ -106,93 +91,73 @@ func (s *Session) evalExprWin(e sqlparse.Expr, schema []colBinding, row []any, r
 		return compareVals(v, lo) >= 0 && compareVals(v, hi) <= 0, nil
 	case *sqlparse.CaseExpr:
 		for _, w := range x.Whens {
-			var hit bool
-			if x.Operand != nil {
-				ov, err := s.evalExprWin(x.Operand, schema, row, rowIdx, winVals)
-				if err != nil {
-					return nil, err
-				}
-				cv, err := s.evalExprWin(w.Cond, schema, row, rowIdx, winVals)
-				if err != nil {
-					return nil, err
-				}
-				hit = ov != nil && cv != nil && equalVals(ov, cv)
-			} else {
-				cv, err := s.evalExprWin(w.Cond, schema, row, rowIdx, winVals)
-				if err != nil {
-					return nil, err
-				}
-				b, ok := cv.(bool)
-				hit = ok && b
+			cv, err := evalExpr(w.Cond, schema, row)
+			if err != nil {
+				return nil, err
 			}
-			if hit {
-				return s.evalExprWin(w.Then, schema, row, rowIdx, winVals)
+			if b, ok := cv.(bool); ok && b {
+				return evalExpr(w.Then, schema, row)
 			}
 		}
 		if x.Else != nil {
-			return s.evalExprWin(x.Else, schema, row, rowIdx, winVals)
+			return evalExpr(x.Else, schema, row)
 		}
 		return nil, nil
 	case *sqlparse.CastExpr:
-		v, err := s.evalExprWin(x.X, schema, row, rowIdx, winVals)
+		v, err := evalExpr(x.X, schema, row)
 		if err != nil {
 			return nil, err
 		}
 		return castValue(v, normalizeType(x.Type))
 	case *sqlparse.FuncCall:
-		if x.Over != nil {
-			if winVals == nil || rowIdx < 0 {
-				return nil, errf("42P20", "window function %s outside projection", x.Name)
+		args := make([]any, len(x.Args))
+		for i, a := range x.Args {
+			v, err := evalExpr(a, schema, row)
+			if err != nil {
+				return nil, err
 			}
-			vals, ok := winVals[x]
-			if !ok {
-				return nil, errf("XX000", "window values missing for %s", x.Name)
-			}
-			return vals[rowIdx], nil
+			args[i] = v
 		}
-		return s.evalScalarFunc(x, schema, row, rowIdx, winVals)
-	case *sqlparse.SubqueryExpr:
-		res, err := s.execSelect(x.Query, formRows)
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Rows) == 0 {
-			return nil, nil
-		}
-		if len(res.Rows) > 1 {
-			return nil, errf("21000", "scalar subquery returned more than one row")
-		}
-		return res.Rows[0][0], nil
+		return applyScalarFunc(x.Name, args)
 	default:
 		return nil, errf("0A000", "unsupported expression %T", e)
 	}
 }
 
-func (s *Session) evalBinary(x *sqlparse.BinaryExpr, schema []colBinding, row []any, rowIdx int, winVals map[*sqlparse.FuncCall][]any) (any, error) {
-	// AND/OR have their own 3VL truth tables with short circuits
-	if x.Op == "AND" || x.Op == "OR" {
-		l, err := s.evalExprWin(x.L, schema, row, rowIdx, winVals)
-		if err != nil {
-			return nil, err
+// applyUnary applies NOT or unary minus to an evaluated operand.
+func applyUnary(op string, v any) (any, error) {
+	switch op {
+	case "NOT":
+		if v == nil {
+			return nil, nil
 		}
-		if v, done := andOrShortCircuit(x.Op, l); done {
-			return v, nil
+		b, ok := v.(bool)
+		if !ok {
+			return nil, errf("42804", "argument of NOT must be boolean")
 		}
-		r, err := s.evalExprWin(x.R, schema, row, rowIdx, winVals)
-		if err != nil {
-			return nil, err
+		return !b, nil
+	case "-":
+		switch n := v.(type) {
+		case nil:
+			return nil, nil
+		case int64:
+			return -n, nil
+		case float64:
+			return -n, nil
+		default:
+			return nil, errf("42804", "cannot negate %T", v)
 		}
-		return applyAndOr(x.Op, l, r), nil
 	}
-	l, err := s.evalExprWin(x.L, schema, row, rowIdx, winVals)
-	if err != nil {
-		return nil, err
+	return nil, errf("0A000", "unsupported unary %s", op)
+}
+
+// applyOp applies a binary operator, AND and OR included, to two evaluated
+// operands.
+func applyOp(op string, l, r any) (any, error) {
+	if op == "AND" || op == "OR" {
+		return applyAndOr(op, l, r), nil
 	}
-	r, err := s.evalExprWin(x.R, schema, row, rowIdx, winVals)
-	if err != nil {
-		return nil, err
-	}
-	return applyBinary(x.Op, l, r)
+	return applyBinary(op, l, r)
 }
 
 // andOrShortCircuit reports whether the left operand alone decides an
@@ -235,8 +200,7 @@ func applyAndOr(op string, l, r any) any {
 }
 
 // applyBinary applies a non-AND/OR binary operator to two evaluated
-// operands. Shared by the interpreter and the compiled engine so the two
-// paths cannot drift.
+// operands.
 func applyBinary(op string, l, r any) (any, error) {
 	switch op {
 	case "IS DISTINCT FROM", "IS NOT DISTINCT FROM":
@@ -430,21 +394,7 @@ func castValue(v any, typ string) (any, error) {
 	return nil, errf("42846", "cannot cast %T to %s", v, typ)
 }
 
-// evalScalarFunc evaluates non-aggregate, non-window function calls.
-func (s *Session) evalScalarFunc(x *sqlparse.FuncCall, schema []colBinding, row []any, rowIdx int, winVals map[*sqlparse.FuncCall][]any) (any, error) {
-	args := make([]any, len(x.Args))
-	for i, a := range x.Args {
-		v, err := s.evalExprWin(a, schema, row, rowIdx, winVals)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return applyScalarFunc(x.Name, args)
-}
-
 // applyScalarFunc applies a scalar function to already evaluated arguments.
-// Shared by the interpreter and the compiled engine.
 func applyScalarFunc(name string, args []any) (any, error) {
 	switch name {
 	case "coalesce":

@@ -40,6 +40,41 @@ func LowersToVector(db *DB, table, where string) bool {
 	return ok
 }
 
+// GroupsInVector reports whether the grouped SELECT innermost in sql — the
+// translator nests it as a FROM subquery — folds in the vector engine
+// rather than in the walker.
+func GroupsInVector(db *DB, sql string) (bool, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return false, err
+	}
+	sel := stmt.(*sqlparse.SelectStmt)
+	for {
+		sub, ok := sel.From.(*sqlparse.SubqueryRef)
+		if !ok {
+			break
+		}
+		sel = sub.Query
+	}
+	s := db.NewSession()
+	rel, err := s.buildFrom(sel.From)
+	if err != nil || rel.store == nil {
+		return false, err
+	}
+	var selBits []uint64
+	if sel.Where != nil {
+		p, ok := lowerVecPred(sel.Where, rel.schema, rel.store)
+		if !ok {
+			return false, nil
+		}
+		if selBits, err = s.evalVecPred(p, rel.store); err != nil {
+			return false, err
+		}
+	}
+	_, ok, err := s.execGroupedVec(sel, rel, selBits)
+	return ok, err
+}
+
 // OnSelect makes db report whether each top-level SELECT's result is a
 // column store, which a PG v3 connection writes as it is and the exported
 // entry points box. Set it before any statement runs.

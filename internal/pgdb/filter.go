@@ -6,24 +6,19 @@ import (
 	"hyperq/internal/pgdb/sqlparse"
 )
 
-// wherePred lowers a WHERE, join or DML predicate once and returns a per-row
-// keep test with 3VL semantics: only TRUE keeps, and a nil predicate keeps
-// every row. Every row loop funnels through it or tick, so it doubles as
-// the row-batch context checkpoint.
+// wherePred returns a per-row keep test for a WHERE or join predicate with
+// 3VL semantics: only TRUE keeps, and a nil predicate keeps every row.
+// Every row loop funnels through it or tick, so it doubles as the row-batch
+// context checkpoint.
 func (s *Session) wherePred(e sqlparse.Expr, schema []colBinding) func(row []any) (bool, error) {
-	var pred exprFn
-	if e != nil {
-		pred = s.lowerExpr(e, schema)
-	}
-	ec := &evalCtx{s: s, rowIdx: -1}
 	return func(row []any) (bool, error) {
 		if err := s.tick(); err != nil {
 			return false, err
 		}
-		if pred == nil {
+		if e == nil {
 			return true, nil
 		}
-		v, err := pred(ec, row)
+		v, err := evalExpr(e, schema, row)
 		b, ok := v.(bool)
 		return ok && b && err == nil, err // NULL (nil) and FALSE both reject
 	}

@@ -109,21 +109,6 @@ func (s *Session) inferType(e sqlparse.Expr, schema []colBinding) string {
 		default:
 			return "unknown"
 		}
-	case *sqlparse.SubqueryExpr:
-		return "unknown"
-	case *sqlparse.ValueLit:
-		switch x.V.(type) {
-		case int64:
-			return "bigint"
-		case float64:
-			return "double precision"
-		case bool:
-			return "boolean"
-		case string:
-			return "varchar"
-		default:
-			return "unknown"
-		}
 	default:
 		return "unknown"
 	}

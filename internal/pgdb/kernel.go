@@ -9,12 +9,13 @@ import (
 
 // Value kernels: lowerValue compiles a pure numeric scalar expression — the
 // translator's `Ask - Bid`, `NULLIF(Size * Price, 'NaN'::double precision)`,
-// `CAST(BidSize - AskSize AS double precision) / (BidSize + AskSize)` and
-// the `CASE WHEN <filter> THEN … ELSE NULL END` of a q update — into a tree
+// `CAST(BidSize - AskSize AS double precision) / (BidSize + AskSize)`, the
+// `CASE WHEN <filter> THEN … ELSE NULL END` of a q update and the
+// `(b) * FLOOR(CAST(x AS double precision) / (b))` of an xbar — into a tree
 // of typed kernels that evaluate one segment's selected rows at a time into
 // scratch vectors. The fused aggregation folds the output through its typed
 // loops and projectVec boxes or gathers it, so no argument cell is boxed and
-// no closure runs per row.
+// no expression is walked per row.
 //
 // The kernels compute what arithSQL, castValue and applyScalarFunc compute:
 // int∘int stays int64 with Go's wraparound, except `/`, which is
@@ -22,7 +23,7 @@ import (
 // float64; float `/` and `%` (math.Mod) follow IEEE 754; a NULL operand
 // gives NULL. An int `/` or `%` by zero on a row whose operands are both
 // non-NULL is that row's 22012 error. It is kept per entry (kvec.errs), so
-// the consumer raises it where the row engines would: a projection fails, a
+// the consumer raises it where the walker would: a projection fails, a
 // fused aggregate freezes that group's slot. Lowering declines every other
 // shape, and any column that some segment holds as strings, bools or mixed
 // values. That check reads segment metadata only, before anything faults, so
@@ -389,6 +390,36 @@ func (p *kCast) eval(seg *segment, pos []int32) *kvec {
 	return o
 }
 
+// kFloor is FLOOR, which applyScalarFunc computes in float64 whatever the
+// operand's kind.
+type kFloor struct {
+	x   valKernel
+	xf  []float64 // an int operand promoted to float64
+	out kvec
+}
+
+func (p *kFloor) cols(add func(int)) { p.x.cols(add) }
+
+func (p *kFloor) kind(seg *segment) (vecKind, bool) {
+	if k, ok := p.x.kind(seg); !ok || k == vkEmpty {
+		return k, ok
+	}
+	return vkFloat, true
+}
+
+func (p *kFloor) eval(seg *segment, pos []int32) *kvec {
+	x, o, n := p.x.eval(seg, pos), &p.out, len(pos)
+	if x.kind == vkEmpty {
+		return x
+	}
+	o.reset(vkFloat, n)
+	o.inherit(x)
+	for j, f := range floatsOf(x, n, &p.xf) {
+		o.floats[j] = math.Floor(f)
+	}
+	return o
+}
+
 // kNullIf is NULLIF(x, k) for a numeric constant k, under applyScalarFunc's
 // equalVals: ints compare as float64, and NaN equals NaN and nothing else.
 type kNullIf struct {
@@ -438,9 +469,9 @@ func (p *kNullIf) eval(seg *segment, pos []int32) *kvec {
 // kCase is a searched CASE whose conditions lower to predicate kernels.
 // Entry j takes the first arm whose condition bitmap holds row pos[j] — the
 // bitmap holds the rows where the condition is TRUE, exactly the rows on
-// which the row engines take the arm — and the ELSE (NULL when absent)
+// which the walker takes the arm — and the ELSE (NULL when absent)
 // otherwise. Each arm evaluates only over the rows that take it, so an
-// arm's division by zero fails only the rows the row engines evaluate it
+// arm's division by zero fails only the rows the walker evaluates it
 // on.
 type kCase struct {
 	conds []vecPred
@@ -572,7 +603,7 @@ func storeKind(k valKernel, st *colStore) (vecKind, bool) {
 }
 
 func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel, bool) {
-	if v, ok := vecConstOf(e, schema); ok {
+	if v, ok := vecConstOf(e); ok {
 		switch x := v.(type) {
 		case nil:
 			return &kConst{k: vkEmpty}, true
@@ -617,10 +648,16 @@ func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel,
 			return &kCast{x: k, to: to}, true
 		}
 	case *sqlparse.FuncCall:
+		if x.Name == "floor" && len(x.Args) == 1 && x.Over == nil {
+			if k, ok := lowerKernel(x.Args[0], schema, st); ok {
+				return &kFloor{x: k}, true
+			}
+			return nil, false
+		}
 		if x.Name != "nullif" || len(x.Args) != 2 || x.Over != nil {
 			return nil, false
 		}
-		c, isConst := vecConstOf(x.Args[1], schema)
+		c, isConst := vecConstOf(x.Args[1])
 		k, ok := lowerKernel(x.Args[0], schema, st)
 		if !isConst || !ok {
 			return nil, false
@@ -642,9 +679,6 @@ func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel,
 // lowerValueCase lowers a searched CASE whose conditions lower to predicate
 // kernels and whose results lower to value kernels.
 func lowerValueCase(x *sqlparse.CaseExpr, schema []colBinding, st *colStore) (valKernel, bool) {
-	if x.Operand != nil {
-		return nil, false
-	}
 	c := &kCase{}
 	for _, w := range x.Whens {
 		cond, ok := lowerVecPred(w.Cond, schema, st)

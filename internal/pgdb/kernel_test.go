@@ -74,9 +74,11 @@ func kernelExpr(r *rand.Rand, depth int) string {
 		return leaves[r.Intn(len(leaves))]
 	}
 	sub := func() string { return kernelExpr(r, depth-1) }
-	switch r.Intn(9) {
+	switch r.Intn(10) {
 	case 0:
 		return "-(" + sub() + ")"
+	case 4:
+		return "FLOOR(" + sub() + ")"
 	case 1:
 		return "CAST(" + sub() + []string{" AS bigint)", " AS double precision)", " AS integer)"}[r.Intn(3)]
 	case 2:
@@ -118,20 +120,19 @@ func kernelSelections(r *rand.Rand, n int) [][]int32 {
 	return [][]int32{iota32[:n], third, {int32(r.Intn(n))}, {}}
 }
 
-// TestValueKernelsMatchRowPath holds every kernel to the compiled row
-// closure, entry by entry: the same NULLs, the same kind, the same int64 or
-// float64 bits, and a division-by-zero failure exactly where the closure
-// returns 22012. Then the fused computed-argument aggregates run against
-// execGroupedCompiled over the same table, filtered and not, including a
-// frozen slot the items never read, and min/max over an argument whose kind
-// differs across segments declines and matches the interpreter.
+// TestValueKernelsMatchRowPath holds every kernel to the walker, entry by
+// entry: the same NULLs, the same kind, the same int64 or float64 bits, and
+// a division-by-zero failure exactly where the walker returns 22012. Then
+// the fused computed-argument aggregates and computed GROUP BY keys run
+// against execGrouped over the same table, filtered and not, including a
+// frozen slot the items never read and a key that divides by zero, and
+// min/max over an argument whose kind differs across segments declines and
+// matches the interpreter.
 func TestValueKernelsMatchRowPath(t *testing.T) {
 	db := mkKernelDB(t)
 	s := db.NewSession()
 	st := db.tables["kt"].store
 	schema := schemaOf(st.cols, "kt")
-	rows := st.boxSel(nil, seq(0, len(st.cols)))
-	ec := &evalCtx{s: s, rowIdx: -1}
 	r := rand.New(rand.NewSource(1))
 	lowered, failed := 0, 0
 	var exprs []string
@@ -144,37 +145,7 @@ func TestValueKernelsMatchRowPath(t *testing.T) {
 		}
 		lowered++
 		exprs = append(exprs, expr)
-		fn := s.lowerExpr(e, schema)
-		for si := 0; si < st.numSegs(); si++ {
-			seg := st.seg(si)
-			for _, pos := range kernelSelections(r, seg.n) {
-				o := k.eval(seg, pos)
-				nulls := 0
-				for j, i := range pos {
-					if o.isNull(j) {
-						nulls++
-					}
-					want, err := fn(ec, rows[si*segSize+int(i)])
-					var pe *Error
-					switch {
-					case err != nil && errors.As(err, &pe) && pe.Code == "22012":
-						if !o.failed(j) {
-							t.Fatalf("%s, row %d: the closure divides by zero, the kernel gives %v", expr, si*segSize+int(i), o.get(j))
-						}
-						failed++
-					case err != nil:
-						t.Fatalf("%s lowered, but the closure fails with %v", expr, err)
-					case o.failed(j):
-						t.Fatalf("%s, row %d: the kernel divides by zero, the closure gives %v", expr, si*segSize+int(i), want)
-					case !sameBits(o.get(j), want):
-						t.Fatalf("%s, row %d: kernel %#v, closure %#v", expr, si*segSize+int(i), o.get(j), want)
-					}
-				}
-				if o.nullCnt != nulls {
-					t.Fatalf("%s: nullCnt %d, %d NULL entries", expr, o.nullCnt, nulls)
-				}
-			}
-		}
+		failed += requireKernelMatchesWalker(t, r, st, expr, k)
 	}
 	t.Logf("%d of 300 expressions lowered, %d entries divided by zero", lowered, failed)
 	if lowered < 200 || failed == 0 {
@@ -187,15 +158,16 @@ func TestValueKernelsMatchRowPath(t *testing.T) {
 		for _, q := range []string{
 			fmt.Sprintf("SELECT g, count(%[1]s), sum(%[1]s), avg(%[1]s) FROM kt%s GROUP BY g", expr, where),
 			fmt.Sprintf("SELECT count(*), CASE WHEN count(*) < 0 THEN sum(%s) ELSE 0 END FROM kt%s", expr, where),
+			fmt.Sprintf("SELECT %[1]s, count(*), median(a) FROM kt%[2]s GROUP BY %[1]s", expr, where),
 		} {
-			requireFusedMatchesCompiled(t, s, st, schema, q)
+			requireFusedMatchesWalker(t, s, st, schema, q)
 		}
 		// min and max fuse only over a kernel of one kind in every segment;
 		// the others (m is int in segment 0, float after) take the row fold
 		q := fmt.Sprintf("SELECT g, min(%[1]s), max(%[1]s) FROM kt%s GROUP BY g", expr, where)
 		k, _ := lowerValue(parseItem(t, expr), schema, st)
 		if _, oneKind := storeKind(k, st); oneKind {
-			requireFusedMatchesCompiled(t, s, st, schema, q)
+			requireFusedMatchesWalker(t, s, st, schema, q)
 			continue
 		}
 		declined++
@@ -211,6 +183,73 @@ func TestValueKernelsMatchRowPath(t *testing.T) {
 	if declined == 0 {
 		t.Fatalf("no min/max argument changes kind across segments: the decline is untested")
 	}
+}
+
+// TestFloorKernelMatchesWalker holds FLOOR's kernel to the walker over the
+// operands that distinguish them: negative values, ±0, NaN, ±Inf and NULL
+// from kt's float columns, ints from its bigint columns, a column that is
+// ints in one segment and floats in the others, and the serializer's xbar
+// over a constant bucket and over a bucket that is not a constant.
+func TestFloorKernelMatchesWalker(t *testing.T) {
+	db := mkKernelDB(t)
+	st := db.tables["kt"].store
+	schema := schemaOf(st.cols, "kt")
+	r := rand.New(rand.NewSource(3))
+	for _, expr := range []string{
+		"FLOOR(x)", "FLOOR(-y)", "FLOOR(a)", "FLOOR(m)", "FLOOR(z)", "FLOOR(NULL)", "FLOOR(-2.5)",
+		"FLOOR(x / y)", "FLOOR(CAST(a AS double precision) / 3)",
+		"((5) * FLOOR(CAST(a AS double precision) / (5)))",
+		"((b) * FLOOR(CAST(a AS double precision) / (b)))",
+		"((x) * FLOOR(CAST(y AS double precision) / (x)))",
+		"CAST(((300000) * FLOOR(CAST(a AS double precision) / (300000))) AS time)",
+		"CAST(FLOOR(CAST(a AS double precision) / NULLIF(b, 0)) AS bigint)",
+	} {
+		k, ok := lowerValue(parseItem(t, expr), schema, st)
+		if !ok {
+			t.Fatalf("%s does not lower", expr)
+		}
+		requireKernelMatchesWalker(t, r, st, expr, k)
+	}
+}
+
+// requireKernelMatchesWalker evaluates kernel k of expr over every segment of
+// st under several selections and holds each entry to the walker over the
+// same row. It returns the number of entries that divided by zero.
+func requireKernelMatchesWalker(t *testing.T, r *rand.Rand, st *colStore, expr string, k valKernel) (failed int) {
+	t.Helper()
+	e, schema := parseItem(t, expr), schemaOf(st.cols, "kt")
+	rows := st.boxSel(nil, seq(0, len(st.cols)))
+	for si := 0; si < st.numSegs(); si++ {
+		seg := st.seg(si)
+		for _, pos := range kernelSelections(r, seg.n) {
+			o := k.eval(seg, pos)
+			nulls := 0
+			for j, i := range pos {
+				if o.isNull(j) {
+					nulls++
+				}
+				want, err := evalExpr(e, schema, rows[si*segSize+int(i)])
+				var pe *Error
+				switch {
+				case err != nil && errors.As(err, &pe) && pe.Code == "22012":
+					if !o.failed(j) {
+						t.Fatalf("%s, row %d: the walker divides by zero, the kernel gives %v", expr, si*segSize+int(i), o.get(j))
+					}
+					failed++
+				case err != nil:
+					t.Fatalf("%s lowered, but the walker fails with %v", expr, err)
+				case o.failed(j):
+					t.Fatalf("%s, row %d: the kernel divides by zero, the walker gives %v", expr, si*segSize+int(i), want)
+				case !sameBits(o.get(j), want):
+					t.Fatalf("%s, row %d: kernel %#v, walker %#v", expr, si*segSize+int(i), o.get(j), want)
+				}
+			}
+			if o.nullCnt != nulls {
+				t.Fatalf("%s: nullCnt %d, %d NULL entries", expr, o.nullCnt, nulls)
+			}
+		}
+	}
+	return failed
 }
 
 // requireMatchesInterpreter runs q on db in the compiled engine and in the
@@ -240,7 +279,7 @@ func requireMatchesInterpreter(t *testing.T, db *DB, q string) {
 	}
 }
 
-// sameBits reports whether a kernel entry and a closure value are the same
+// sameBits reports whether a kernel entry and a walker value are the same
 // value of the same type, floats compared bit for bit.
 func sameBits(got, want any) bool {
 	if gf, ok := got.(float64); ok {
@@ -250,9 +289,9 @@ func sameBits(got, want any) bool {
 	return reflect.DeepEqual(got, want)
 }
 
-// requireFusedMatchesCompiled runs a grouped select over kt through the
-// fused path and through execGroupedCompiled over the boxed selected rows.
-func requireFusedMatchesCompiled(t *testing.T, s *Session, st *colStore, schema []colBinding, q string) {
+// requireFusedMatchesWalker runs a grouped select over kt through the fused
+// path and through execGrouped over the boxed selected rows.
+func requireFusedMatchesWalker(t *testing.T, s *Session, st *colStore, schema []colBinding, q string) {
 	t.Helper()
 	stmt, err := sqlparse.Parse(q)
 	if err != nil {
@@ -274,19 +313,19 @@ func requireFusedMatchesCompiled(t *testing.T, s *Session, st *colStore, schema 
 		t.Fatalf("%s: not fused", q)
 	}
 	rel := &relation{schema: schema, rows: st.boxSel(selBits, seq(0, len(st.cols)))}
-	comp, cerr := s.execGroupedCompiled(sel, rel)
-	if (ferr == nil) != (cerr == nil) || ferr != nil && ferr.Error() != cerr.Error() {
-		t.Fatalf("%s:\n  fused err:    %v\n  compiled err: %v", q, ferr, cerr)
+	walk, werr := s.execGrouped(sel, rel)
+	if (ferr == nil) != (werr == nil) || ferr != nil && ferr.Error() != werr.Error() {
+		t.Fatalf("%s:\n  fused err:  %v\n  walker err: %v", q, ferr, werr)
 	}
 	if ferr != nil {
 		return
 	}
-	if !reflect.DeepEqual(fused.Cols, comp.Cols) || len(fused.Rows) != len(comp.Rows) {
-		t.Fatalf("%s: fused %v %d rows, compiled %v %d rows", q, fused.Cols, len(fused.Rows), comp.Cols, len(comp.Rows))
+	if !reflect.DeepEqual(fused.Cols, walk.Cols) || len(fused.Rows) != len(walk.Rows) {
+		t.Fatalf("%s: fused %v %d rows, walker %v %d rows", q, fused.Cols, len(fused.Rows), walk.Cols, len(walk.Rows))
 	}
 	for i := range fused.Rows {
-		if !rowsEqualNaN(fused.Rows[i], comp.Rows[i]) {
-			t.Fatalf("%s: row %d:\n  fused:    %v\n  compiled: %v", q, i, fused.Rows[i], comp.Rows[i])
+		if !rowsEqualNaN(fused.Rows[i], walk.Rows[i]) {
+			t.Fatalf("%s: row %d:\n  fused:  %v\n  walker: %v", q, i, fused.Rows[i], walk.Rows[i])
 		}
 	}
 }
@@ -294,7 +333,7 @@ func requireFusedMatchesCompiled(t *testing.T, s *Session, st *colStore, schema 
 // TestValueKernelsDecline pins the shapes and operands the kernels refuse:
 // string, bool and mixed-value columns, non-numeric constants, and
 // operators and functions outside the lowered set. A fused aggregate over
-// such an argument declines to execGroupedCompiled.
+// such an argument declines to execGrouped.
 func TestValueKernelsDecline(t *testing.T) {
 	db := mkKernelDB(t)
 	st := db.tables["kt"].store
@@ -302,9 +341,9 @@ func TestValueKernelsDecline(t *testing.T) {
 	for _, expr := range []string{
 		"s + 1", "flag + 1", "v * 2", "-s", "CAST(v AS bigint)", "NULLIF(flag, 1)",
 		"a + 'x'", "NULLIF(a, 'x')", "NULLIF(a, b)", "a || 'x'", "abs(a)", "a > 1",
-		"CASE a WHEN 1 THEN 2 END", "CASE WHEN a > 1 THEN s END", "CASE WHEN a + 1 > 2 THEN 1 END",
+		"CASE WHEN a > 1 THEN s END", "CASE WHEN a + 1 > 2 THEN 1 END",
 		"CASE WHEN a > 1 THEN a ELSE x END", // int and float arms
-		"CAST(a AS varchar)", "x + (SELECT 1)", "m + 1 + s",
+		"CAST(a AS varchar)", "m + 1 + s", "floor(s)", "floor(a, b)", "ceil(x)",
 	} {
 		if _, ok := lowerValue(parseItem(t, expr), schema, st); ok {
 			t.Errorf("%s lowers", expr)
@@ -322,8 +361,8 @@ func TestValueKernelsDecline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*sqlparse.SelectStmt)
-	slots, _ := collectAggSlots(sel.Items, schema)
-	if _, ok := planFusedSlots(slots, schema, st); ok {
+	calls, _ := aggCalls(sel.Items)
+	if _, ok := planFusedSlots(calls, schema, st); ok {
 		t.Error("sum over a mixed-value column fuses")
 	}
 }

@@ -78,6 +78,10 @@ func TestRefusedSQLOverTheWire(t *testing.T) {
 		{"SELECT k FROM t WHERE k != 1", "42601", parse},
 		{"SELECT count(DISTINCT s) FROM t", "42601", parse},
 		{"SELECT ROW_NUMBER() OVER (ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW) FROM t", "42601", parse},
+		// expressions: only the searched CASE, and subqueries only in FROM
+		{"SELECT CASE k WHEN 1 THEN 'one' ELSE 'other' END FROM t", "42601", parse},
+		{"SELECT k FROM t WHERE f > (SELECT avg(f) FROM t)", "42601", parse},
+		{"SELECT (SELECT max(k) FROM u) - k FROM t", "42601", parse},
 		// names: functions, aggregates and windows
 		{"SELECT power(f, 2) FROM t", "42883", "function power does not exist"},
 		{"SELECT trim(s) FROM t", "42883", "function trim does not exist"},
@@ -93,6 +97,8 @@ func TestRefusedSQLOverTheWire(t *testing.T) {
 		{"SELECT rank() OVER (ORDER BY k) FROM t", "42883", "window function rank does not exist"},
 		{"SELECT lag(k) OVER (ORDER BY k) FROM t", "42883", "window function lag does not exist"},
 		{"SELECT sum(k) OVER (PARTITION BY s) FROM t", "42883", "window function sum does not exist"},
+		// a window is a whole select item; nested, it is an unknown function
+		{"SELECT ROW_NUMBER() OVER (ORDER BY k) + 1 FROM t", "42883", "function row_number does not exist"},
 		// catalog relations
 		{"SELECT table_name FROM information_schema.tables", "42P01", "relation information_schema.tables does not exist"},
 		{"SELECT tablename FROM pg_catalog.pg_tables", "42P01", "relation pg_catalog.pg_tables does not exist"},

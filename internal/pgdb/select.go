@@ -173,15 +173,13 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result
 		switch {
 		case ok:
 		case grouped:
-			res, err = s.execGroupedCompiled(sel, rel)
+			res, err = s.execGrouped(sel, rel)
 		default:
 			res, err = s.project(sel, rel)
 		}
 		rel.store = nil
-	case grouped && s.interpretedMode():
-		res, err = s.execGrouped(sel, rel)
 	case grouped:
-		res, err = s.execGroupedCompiled(sel, rel)
+		res, err = s.execGrouped(sel, rel)
 	default:
 		res, err = s.project(sel, rel)
 	}
@@ -216,7 +214,7 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result
 }
 
 func (s *Session) constInt(e sqlparse.Expr) (int64, error) {
-	v, err := s.evalConst(e)
+	v, err := evalExpr(e, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -536,8 +534,8 @@ func hashKey(row []any, keys []int, nullSafe []bool) (key string, ok bool) {
 	return string(buf), true
 }
 
-// project evaluates the select items over each row (no grouping), computing
-// window functions first.
+// project evaluates the select items over each row (no grouping); a
+// window item takes its precomputed value.
 func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, error) {
 	items, err := expandStars(sel.Items, rel.schema)
 	if err != nil {
@@ -558,25 +556,22 @@ func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, err
 			return res, nil
 		}
 	}
-	winVals, err := s.computeWindows(items, rel)
+	win, err := computeWindows(items, rel)
 	if err != nil {
 		return nil, err
 	}
-	// each item lowers once; the output buffer is preallocated
-	fns := make([]exprFn, len(items))
-	for i, item := range items {
-		fns[i] = s.lowerExpr(item.Expr, rel.schema)
-	}
-	ec := &evalCtx{s: s, winVals: winVals}
 	res.Rows = make([][]any, 0, len(rel.rows))
 	for ri, row := range rel.rows {
 		if err := s.tick(); err != nil {
 			return nil, err
 		}
-		ec.rowIdx = ri
 		out := make([]any, len(items))
-		for i, fn := range fns {
-			v, err := fn(ec, row)
+		for i, item := range items {
+			if w := win[i]; w != nil {
+				out[i] = w[ri]
+				continue
+			}
+			v, err := evalExpr(item.Expr, rel.schema, row)
 			if err != nil {
 				return nil, err
 			}
@@ -967,7 +962,7 @@ func (s *Session) orderKey(e sqlparse.Expr, res *Result, rel *relation, rowIdx i
 		return res.Rows[rowIdx][i], nil
 	}
 	if aligned {
-		return s.evalExpr(e, rel.schema, rel.rows[rowIdx])
+		return evalExpr(e, rel.schema, rel.rows[rowIdx])
 	}
 	return nil, errf("42703", "cannot resolve ORDER BY expression")
 }

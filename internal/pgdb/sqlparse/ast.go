@@ -198,11 +198,10 @@ type BetweenExpr struct {
 
 func (*BetweenExpr) expr() {}
 
-// CaseExpr is CASE [operand] WHEN ... THEN ... [ELSE ...] END.
+// CaseExpr is a searched CASE WHEN ... THEN ... [ELSE ...] END.
 type CaseExpr struct {
-	Operand Expr // nil for searched CASE
-	Whens   []CaseWhen
-	Else    Expr
+	Whens []CaseWhen
+	Else  Expr
 }
 
 func (*CaseExpr) expr() {}
@@ -237,19 +236,3 @@ type CastExpr struct {
 }
 
 func (*CastExpr) expr() {}
-
-// SubqueryExpr is a scalar subquery (SELECT ...) used as an expression.
-type SubqueryExpr struct {
-	Query *SelectStmt
-}
-
-func (*SubqueryExpr) expr() {}
-
-// ValueLit is an engine-internal literal carrying an already-computed value.
-// The parser never produces it; the executor synthesizes it when folding
-// aggregate results back into scalar expressions.
-type ValueLit struct {
-	V any
-}
-
-func (*ValueLit) expr() {}

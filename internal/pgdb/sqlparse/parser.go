@@ -753,16 +753,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 		return &CastExpr{X: x, Type: tn}, nil
 	case p.atOp("("):
 		p.next()
-		if p.atKw("SELECT") {
-			q, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &SubqueryExpr{Query: q}, nil
-		}
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
@@ -782,11 +772,7 @@ func (p *parser) parseCase() (Expr, error) {
 	p.next() // CASE
 	c := &CaseExpr{}
 	if !p.atKw("WHEN") {
-		op, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Operand = op
+		return nil, p.errf("expected WHEN after CASE, got %s", p.tok())
 	}
 	for p.atKw("WHEN") {
 		p.next()

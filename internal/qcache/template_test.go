@@ -62,6 +62,9 @@ func TestLift(t *testing.T) {
 			"select from t where m=2024.01m, u>09:30, v>09:30:00, n<0D00:00:01, d=2000.01.01", nil},
 		// a cast target lifts; verification rejects its skeleton
 		{"select x:`long$Price from t", "select x:{symbol}$Price from t", []string{"`long"}},
+		// a sort column stays
+		{"`Price xasc select from t where s=`a", "`Price xasc select from t where s={symbol}", []string{"`a"}},
+		{"`Size xdesc select from t where x>5", "`Size xdesc select from t where x>{long}", []string{"5"}},
 	} {
 		l, ok := lift(c.text)
 		if !ok {
@@ -224,5 +227,29 @@ func TestTranslateRejectedSkeletonKeysExactText(t *testing.T) {
 	// exact-text hit; the third text translates under its own key
 	if translations != 4 || st.Rejected != 1 || st.Hits != 1 || st.Misses != 2 || st.Entries != 3 || st.Splices != 0 {
 		t.Fatalf("translations = %d, stats = %+v", translations, st)
+	}
+}
+
+func TestTranslateSortedSkeletonSplices(t *testing.T) {
+	c := New(16)
+	translations := 0
+	// the sort column must name a column, as the translator's binder
+	// requires: a probe that renamed it would fail and reject the skeleton
+	translate := func(_ context.Context, q string) (*Entry, error) {
+		translations++
+		if !strings.HasPrefix(q, "`Price xasc ") {
+			return nil, errors.New("'sort column")
+		}
+		return &Entry{SQL: stubSQL(q) + ` ORDER BY "Price"`}, nil
+	}
+	for _, q := range []string{"`Price xasc select from t where s=`a", "`Price xasc select from t where s=`b"} {
+		e, _, err := c.Translate(ctx, q, 0, 0, translate)
+		if err != nil || e.SQL != stubSQL(q)+` ORDER BY "Price"` {
+			t.Fatalf("%s: %+v %v", q, e, err)
+		}
+	}
+	// the first text pays for itself and two probes; the second splices
+	if st := c.Stats(); translations != 3 || st.Rejected != 0 || st.Splices != 1 {
+		t.Fatalf("translations = %d, stats = %+v", translations, c.Stats())
 	}
 }

@@ -373,7 +373,7 @@ func (g *Generator) predicate(cols []*Col) Expr {
 	case 5: // zone-map probe: boundary and out-of-range constants, so the
 		// vector scans' segment skip / all-true verdicts fire against the
 		// data domain (i ∈ [-2,5], f ∈ [-2.5,100]∪{±0w}, tm ≥ 09:00) and
-		// must agree with the row engines' per-row answers
+		// must agree with the walker's per-row answers
 		if c := g.pick(cols, Time); c != nil && r.Intn(4) == 0 {
 			op := cmpOps[2+r.Intn(4)]
 			probes := []int64{0, 8 * 3600000, 23*3600000 + 3599999}
