@@ -1,11 +1,11 @@
 // Package colbuf provides pooled, typed column builders for the result
-// pipeline (paper §4.2): backend rows stream cell-by-cell into preallocated
-// typed slices, which finish directly as qval vectors — no per-cell atom
-// boxing and no text round-trip. A sync.Pool recycles builder scratch
-// (the builder struct, per-column headers, decode buffers) across results;
-// the column data slices themselves are handed off to the finished vectors
-// by Build and are never pooled, so a served table can never alias a later
-// result.
+// pipeline (paper §4.2): backend rows stream cell-by-cell into typed slices,
+// presized from the row count of the text's last run, which finish directly
+// as qval vectors — no per-cell atom boxing and no text round-trip. A
+// sync.Pool recycles builder scratch (the builder struct, per-column
+// headers, decode buffers) across results; the column data slices
+// themselves are handed off to the finished vectors by Build and are never
+// pooled, so a served table can never alias a later result.
 package colbuf
 
 import (
@@ -85,8 +85,12 @@ func (b *TableBuilder) Release() {
 }
 
 // Reset configures the builder for a new result. capHint, when positive,
-// preallocates each kept column for that many rows (a wire result does not
-// announce its size, so sessions pass -1).
+// preallocates each kept column for that many rows; a column fed past it
+// grows by append. The wire does not announce a result's size: sessions pass
+// the row count of the text's last run on the connection (the PG v3
+// client's describe cache), or -1 for a text it has not run. That count is
+// rewritten after every run, so a result that shrank over-allocates once,
+// to at most the size of the run before it.
 func (b *TableBuilder) Reset(specs []Spec, capHint int) {
 	b.specs = specs
 	b.rows = 0

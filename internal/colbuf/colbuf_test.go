@@ -521,3 +521,53 @@ func TestAppendBinaryDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestHintedBuildDoesNotGrow pins what a result sized by its hint costs: a
+// builder reset with hint n and fed n rows allocates each kept column's
+// slice once and never grows it, a discarded column allocates nothing, and
+// a symbol column of one repeated value allocates at most one string.
+func TestHintedBuildDoesNotGrow(t *testing.T) {
+	const n = 5000
+	specs := []Spec{
+		{Name: "ord", QType: qval.KLong, Discard: true},
+		{Name: "j", QType: qval.KLong, Binary: true},
+		{Name: "f", QType: qval.KFloat},
+		{Name: "b", QType: qval.KBool},
+		{Name: "s", QType: qval.KSymbol},
+		{Name: "d", QType: qval.KDate},
+	}
+	cells := [][]byte{[]byte("7"), binary.BigEndian.AppendUint64(nil, 42), []byte("1.5"), []byte("t"), []byte("GOOG"), []byte("2000-01-02")}
+	b := Get()
+	defer b.Release()
+	feed := func(hint int) {
+		b.Reset(specs, hint)
+		for r := 0; r < n; r++ {
+			for j, c := range cells {
+				var err error
+				if specs[j].Binary {
+					err = b.AppendBinary(j, c)
+				} else {
+					err = b.AppendText(j, c)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			b.FinishRow()
+		}
+	}
+	kept := len(specs) - 1
+	if allocs := testing.AllocsPerRun(20, func() { feed(n) }); allocs > float64(kept+1) {
+		t.Errorf("hinted build: %.1f allocations, want at most %d (one slice per kept column and one symbol)", allocs, kept+1)
+	}
+	feed(n)
+	for j, c := range b.cols[1:] {
+		if l, k := max(len(c.i64), len(c.f64), len(c.bools), len(c.syms)), max(cap(c.i64), cap(c.f64), cap(c.bools), cap(c.syms)); l != n || k != n {
+			t.Errorf("column %s: %d rows in a slice of capacity %d, want %d in %d", specs[j+1].Name, l, k, n, n)
+		}
+	}
+	// unhinted, every column grows by append: the allocations the hint saves
+	if allocs := testing.AllocsPerRun(5, func() { feed(-1) }); allocs < float64(4*kept) {
+		t.Errorf("unhinted build: only %.1f allocations", allocs)
+	}
+}

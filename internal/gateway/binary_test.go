@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hyperq/internal/core"
@@ -12,16 +13,19 @@ import (
 	"hyperq/internal/wire/qipc"
 )
 
-// binarySpy records whether a streamed result described any binary column.
+// binarySpy records whether a streamed result described any binary column,
+// and the row-count hint it was described with.
 type binarySpy struct {
 	*core.TableSink
 	binary bool
+	hint   int
 }
 
 func (s *binarySpy) Schema(cols []core.BackendCol, hint int) error {
 	for _, c := range cols {
 		s.binary = s.binary || c.Binary
 	}
+	s.hint = hint
 	return s.TableSink.Schema(cols, hint)
 }
 
@@ -29,12 +33,20 @@ func (s *binarySpy) Schema(cols []core.BackendCol, hint int) error {
 // cells came in binary.
 func stream(t *testing.T, gw *Gateway, sql string) (*qval.Table, bool, error) {
 	t.Helper()
+	tbl, spy, err := streamSpy(t, gw, sql)
+	return tbl, spy.binary, err
+}
+
+// streamSpy runs sql through ExecStream and returns the table and what the
+// spy saw of its schema.
+func streamSpy(t *testing.T, gw *Gateway, sql string) (*qval.Table, *binarySpy, error) {
+	t.Helper()
 	spy := &binarySpy{TableSink: core.GetTableSink()}
 	defer spy.Release()
 	if err := gw.ExecStream(ctx, sql, spy); err != nil {
-		return nil, spy.binary, err
+		return nil, spy, err
 	}
-	return spy.Table(), spy.binary, nil
+	return spy.Table(), spy, nil
 }
 
 func encode(t *testing.T, v qval.Value) []byte {
@@ -203,4 +215,70 @@ func TestExtendedRefusesScripts(t *testing.T) {
 	if _, err := gw.Exec(ctx, "SELECT 1; SELECT 2"); err != nil {
 		t.Fatalf("simple cycle: %v", err)
 	}
+}
+
+// TestRowCountHintBuildsExactTable: from a text's second run the sink is
+// sized by the text's last row count, and a result larger than that hint
+// (rows inserted between runs, as under a writer) or smaller (the table
+// recreated with fewer) still builds exactly the table the text path does.
+func TestRowCountHintBuildsExactTable(t *testing.T) {
+	addr, _ := startBackend(t)
+	gw, err := Dial(ctx, addr, "hq", "pw", "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	next := 0
+	insert := func(n int) {
+		t.Helper()
+		var vals []string
+		for i := 0; i < n; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d.5, 'S%d', NULL)", next, next, next%3))
+			next++
+		}
+		if _, err := gw.Exec(ctx, "INSERT INTO h VALUES "+strings.Join(vals, ", ")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sql = "SELECT j, f, s, d FROM h"
+	check := func(step string, wantHint, wantRows int) {
+		t.Helper()
+		res, err := gw.Exec(ctx, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := core.ResultToQ(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, spy, err := streamSpy(t, gw, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if spy.hint != wantHint || tbl.Len() != wantRows {
+			t.Fatalf("%s: hint %d and %d rows, want hint %d and %d rows", step, spy.hint, tbl.Len(), wantHint, wantRows)
+		}
+		if got, want := encode(t, tbl), encode(t, text); !bytes.Equal(got, want) {
+			t.Fatalf("%s:\n got %v\nwant %v", step, tbl, text)
+		}
+	}
+	create := "CREATE TABLE h (j bigint, f double precision, s varchar, d date)"
+	if _, err := gw.Exec(ctx, create); err != nil {
+		t.Fatal(err)
+	}
+	insert(300)
+	check("first run", -1, 300)
+	check("hinted run", 300, 300)
+	insert(200)
+	check("larger than the hint", 300, 500)
+	insert(1)
+	check("one row past the hint", 500, 501)
+	for _, ddl := range []string{"DROP TABLE h", create} {
+		if _, err := gw.Exec(ctx, ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(40)
+	check("smaller than the hint", 501, 40)
+	check("after shrinking", 40, 40)
 }

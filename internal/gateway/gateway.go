@@ -136,13 +136,14 @@ func (g *Gateway) ExecStream(ctx context.Context, sql string, sink core.RowSink)
 }
 
 // streamAdapter bridges pgv3.RowReceiver onto core.RowSink, mapping wire
-// OIDs to SQL type names and format codes to binary flags once per result.
+// OIDs to SQL type names and format codes to binary flags once per result,
+// and passing the remembered row count on as the sink's size hint.
 type streamAdapter struct {
 	sink core.RowSink
 	cols []core.BackendCol
 }
 
-func (a *streamAdapter) Describe(cols []pgv3.ColDesc) error {
+func (a *streamAdapter) Describe(cols []pgv3.ColDesc, rows int) error {
 	a.cols = a.cols[:0]
 	for _, c := range cols {
 		a.cols = append(a.cols, core.BackendCol{
@@ -151,8 +152,9 @@ func (a *streamAdapter) Describe(cols []pgv3.ColDesc) error {
 			Binary:  c.Format == pgv3.FormatBinary,
 		})
 	}
-	// no row-count hint: the wire protocol does not announce result size
-	return a.sink.Schema(a.cols, -1)
+	// the wire does not announce a result's size; the text's last run on
+	// this connection, which the describe cache remembers, sizes the sink
+	return a.sink.Schema(a.cols, rows)
 }
 
 func (a *streamAdapter) DataRow(fields [][]byte) error { return a.sink.WireRow(fields) }

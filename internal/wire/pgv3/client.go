@@ -22,16 +22,24 @@ type ClientConn struct {
 	fields  [][]byte
 	widths  []int   // the described columns' binary cell widths; 0 for text
 	formats []int16 // the result format codes Bind requests
-	// resultOIDs is the describe cache: the result column types of the last
-	// successful extended run of each SQL text, from which the next run of
-	// the text picks its result formats before anything is described.
-	resultOIDs map[string][]uint32
-	remembered []uint32 // the running text's entry; nil when it has none
+	// described is the describe cache: what the last successful extended
+	// run of each SQL text described, from which the next run of the text
+	// picks its result formats before anything is described, and announces
+	// its likely row count to the receiver.
+	described  map[string]describedResult
+	remembered describedResult // the running text's entry; zero when it has none
 }
 
-// resultOIDsBound caps the describe cache; a full cache is dropped
+// describedResult is one describe-cache entry: the result column types of a
+// text's last successful extended run and how many rows that run delivered.
+type describedResult struct {
+	oids []uint32
+	rows int
+}
+
+// describedBound caps the describe cache; a full cache is dropped
 // wholesale rather than tracked for recency.
-const resultOIDsBound = 256
+const describedBound = 256
 
 // errStaleFormats reports that a run asked for binary cells on the strength
 // of a describe-cache entry that no longer holds: the text's result types
@@ -45,8 +53,11 @@ var errUndecodable = errf("binary result column of a type outside the binary set
 // RowReceiver receives one streamed result: the schema, then each data row
 // as it is decoded off the wire, then the command tag.
 type RowReceiver interface {
-	// Describe delivers the RowDescription, with each column's format.
-	Describe(cols []ColDesc) error
+	// Describe delivers the RowDescription, with each column's format, and
+	// the row count of the text's last successful extended run on this
+	// connection, or -1 when none is remembered. The count is a sizing hint:
+	// the rows that follow may be more or fewer.
+	Describe(cols []ColDesc, rows int) error
 	// DataRow delivers one row of exactly the described columns, each cell
 	// in its column's format (a binary cell has its type's width). A nil
 	// cell is SQL NULL; non-nil cells point into the connection's read
@@ -88,7 +99,9 @@ func NewClientConn(ctx context.Context, conn net.Conn, user, password, database 
 		conn.SetDeadline(deadline)
 		defer conn.SetDeadline(time.Time{})
 	}
-	c := &ClientConn{conn: conn, r: bufio.NewReader(conn)}
+	// the reader holds one of the server's flushes whole, so a flush costs
+	// one read, not one per default-sized (4 KiB) buffer
+	c := &ClientConn{conn: conn, r: bufio.NewReaderSize(conn, flushAt)}
 	if err := c.startup(user, password, database); err != nil {
 		return nil, err
 	}
@@ -191,7 +204,7 @@ func (c *ClientConn) Query(ctx context.Context, sql string) (*QueryResult, error
 // collectReceiver materializes a streamed result as a QueryResult.
 type collectReceiver QueryResult
 
-func (cr *collectReceiver) Describe(cols []ColDesc) error {
+func (cr *collectReceiver) Describe(cols []ColDesc, _ int) error {
 	cr.Cols = cols
 	return nil
 }
@@ -236,9 +249,10 @@ func (c *ClientConn) QueryStream(ctx context.Context, sql string, rr RowReceiver
 // no result format codes, so every column comes back as text; later runs
 // ask for binary cells on the columns the last run described with a type in
 // the binary set (BinaryWidth). RowReceiver.Describe reports each column's
-// format. A run whose remembered formats no longer fit the text's result —
-// the server refuses them, or describes a binary column outside the set —
-// is forgotten and run once more in text.
+// format, and the row count of the text's last run. A run whose remembered
+// formats no longer fit the text's result — the server refuses them, or
+// describes a binary column outside the set — is forgotten and run once
+// more in text.
 func (c *ClientConn) QueryExtended(ctx context.Context, sql string, rr RowReceiver) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -257,9 +271,9 @@ func (c *ClientConn) QueryExtended(ctx context.Context, sql string, rr RowReceiv
 // remembered. It reports whether any column asks for binary.
 func (c *ClientConn) pickFormats(sql string) bool {
 	c.formats = c.formats[:0]
-	c.remembered = c.resultOIDs[sql]
+	c.remembered = c.described[sql]
 	binary := false
-	for _, oid := range c.remembered {
+	for _, oid := range c.remembered.oids {
 		code := int16(FormatText)
 		if _, ok := BinaryWidth(oid); ok {
 			code, binary = FormatBinary, true
@@ -273,27 +287,31 @@ func (c *ClientConn) pickFormats(sql string) bool {
 	return true
 }
 
-// remember records the result types of an extended run of sql that
-// succeeded with cols (nil when it described no rows), or forgets them after
-// a run that failed.
-func (c *ClientConn) remember(sql string, cols []ColDesc, failed bool) {
+// remember records the result types and row count of an extended run of
+// sql that succeeded with cols (nil when it described no rows), or forgets
+// them after a run that failed.
+func (c *ClientConn) remember(sql string, cols []ColDesc, rows int, failed bool) {
+	entry := describedResult{oids: c.remembered.oids, rows: rows}
 	switch {
 	case failed || cols == nil:
-		if c.remembered != nil {
-			delete(c.resultOIDs, sql)
+		if entry.oids != nil {
+			delete(c.described, sql)
 		}
 		return
-	case c.remembered != nil && sameOIDs(c.remembered, cols):
+	case entry.oids != nil && sameOIDs(entry.oids, cols):
+		if entry.rows != c.remembered.rows {
+			c.described[sql] = entry
+		}
 		return
 	}
-	if c.resultOIDs == nil || len(c.resultOIDs) >= resultOIDsBound {
-		c.resultOIDs = make(map[string][]uint32)
+	if c.described == nil || len(c.described) >= describedBound {
+		c.described = make(map[string]describedResult)
 	}
-	oids := make([]uint32, len(cols))
+	entry.oids = make([]uint32, len(cols))
 	for j, col := range cols {
-		oids[j] = col.TypeOID
+		entry.oids[j] = col.TypeOID
 	}
-	c.resultOIDs[sql] = oids
+	c.described[sql] = entry
 }
 
 func sameOIDs(oids []uint32, cols []ColDesc) bool {
@@ -385,9 +403,12 @@ func (c *ClientConn) armContext(ctx context.Context) func(error) error {
 // description, a binary cell of the wrong width — stops delivery and fails
 // the statement, after the reply drains to ReadyForQuery.
 func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver, extended bool) error {
-	binary := false
+	binary, hint := false, -1
 	if extended {
 		binary = c.pickFormats(sql)
+		if c.remembered.oids != nil {
+			hint = c.remembered.rows
+		}
 		c.sendExtended(sql)
 	} else {
 		c.out.begin('Q')
@@ -401,6 +422,7 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 	var badErr, sinkErr error
 	var tag string
 	var cols []ColDesc // the current statement's columns; nil before its RowDescription
+	rows := 0          // DataRows delivered to rr
 	for {
 		typ, body, err := c.read()
 		if err != nil {
@@ -414,7 +436,7 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 			if sinkErr != nil || badErr != nil {
 				continue
 			}
-			if err := rr.Describe(cols); err != nil {
+			if err := rr.Describe(cols, hint); err != nil {
 				sinkErr = err
 			}
 		case 'D':
@@ -438,7 +460,9 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 			}
 			if err := rr.DataRow(c.fields); err != nil {
 				sinkErr = err
+				continue
 			}
+			rows++
 		case 'C':
 			t, _, err := cutCString(body)
 			if err != nil {
@@ -470,7 +494,7 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 				err = sinkErr
 			}
 			if extended {
-				c.remember(sql, cols, err != nil)
+				c.remember(sql, cols, rows, err != nil)
 			}
 			if err != nil {
 				return err

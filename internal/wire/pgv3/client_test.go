@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 )
 
 // streamCollector is a RowReceiver that records everything it is handed.
 type streamCollector struct {
 	cols  []ColDesc
+	hints []int // each Describe's remembered row count
 	rows  [][]string
 	nulls int
 	tag   string
@@ -21,8 +24,9 @@ type streamCollector struct {
 	rowErr error
 }
 
-func (sc *streamCollector) Describe(cols []ColDesc) error {
+func (sc *streamCollector) Describe(cols []ColDesc, rows int) error {
 	sc.cols = cols
+	sc.hints = append(sc.hints, rows)
 	return nil
 }
 
@@ -95,41 +99,17 @@ func TestQueryStreamServerError(t *testing.T) {
 	}
 }
 
-// startBulkServer serves one connection: any query returns rows numbered
+// startBulkServer serves connections where any query returns rows numbered
 // 0..n-1 in a single flushed burst, then CommandComplete/ReadyForQuery.
 func startBulkServer(t *testing.T, n int) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				sc := NewServerConn(conn)
-				defer sc.Close()
-				if err := sc.Startup(); err != nil {
-					return
-				}
-				if err := sc.Authenticate(AuthMethodTrust, nil); err != nil {
-					return
-				}
-				sc.Serve(&cannedHandler{sc: sc, run: func(string) (*cannedResult, error) {
-					res := &cannedResult{cols: []ColDesc{{Name: "n", TypeOID: OidInt8}}, tag: fmt.Sprintf("SELECT %d", n)}
-					for i := 0; i < n; i++ {
-						res.rows = append(res.rows, []any{strconv.Itoa(i)})
-					}
-					return res, nil
-				}})
-			}(conn)
+	return startCanned(t, func(string) (*cannedResult, error) {
+		res := &cannedResult{cols: []ColDesc{{Name: "n", TypeOID: OidInt8}}, tag: fmt.Sprintf("SELECT %d", n)}
+		for i := 0; i < n; i++ {
+			res.rows = append(res.rows, []any{strconv.Itoa(i)})
 		}
-	}()
-	return l.Addr().String()
+		return res, nil
+	})
 }
 
 // TestCancelMidStreamStopsDelivery pins the fix for the canceled-statement
@@ -185,4 +165,115 @@ func TestReceiverErrorDrainsProtocol(t *testing.T) {
 	if len(good.rows) != 100 {
 		t.Fatalf("follow-up rows = %d", len(good.rows))
 	}
+}
+
+// TestDescribeCacheRemembersRowCount: an extended run is described with the
+// row count of its text's last successful run on the connection, -1 for a
+// text not remembered. A failed run forgets the count, and so does a run
+// whose remembered formats turned stale: its rerun in text is described
+// with -1. The count is a hint, so a run may deliver more or fewer rows.
+func TestDescribeCacheRemembersRowCount(t *testing.T) {
+	var mu sync.Mutex
+	rows, oid, fail := 3, uint32(OidVarchar), false
+	set := func(n int, o uint32, f bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		rows, oid, fail = n, o, f
+	}
+	addr := startCanned(t, func(string) (*cannedResult, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if fail {
+			return nil, &ServerError{Severity: "ERROR", Code: "22012", Message: "division by zero"}
+		}
+		res := &cannedResult{cols: []ColDesc{{Name: "v", TypeOID: oid}}, tag: fmt.Sprintf("SELECT %d", rows)}
+		for i := 0; i < rows; i++ {
+			// eight bytes: a bigint's binary width, and a text cell too
+			res.rows = append(res.rows, []any{fmt.Sprintf("%08d", i)})
+		}
+		return res, nil
+	})
+	c, err := Connect(context.Background(), addr, "u", "", "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	run := func(sql string) (*streamCollector, error) {
+		t.Helper()
+		sc := &streamCollector{}
+		err := c.QueryExtended(context.Background(), sql, sc)
+		if err == nil && len(sc.rows) != rows {
+			t.Fatalf("%s: %d rows delivered, want %d", sql, len(sc.rows), rows)
+		}
+		return sc, err
+	}
+	expect := func(step string, sql string, want ...int) *streamCollector {
+		t.Helper()
+		sc, err := run(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if !slices.Equal(sc.hints, want) {
+			t.Fatalf("%s: described with %v, want %v", step, sc.hints, want)
+		}
+		return sc
+	}
+	const sql = "SELECT v FROM t"
+	expect("first run", sql, -1)
+	expect("second run", sql, 3)
+	expect("other text", "SELECT v FROM u", -1)
+	set(5, OidVarchar, false)
+	expect("grown result", sql, 3)
+	expect("after growth", sql, 5)
+	set(2, OidVarchar, false)
+	expect("shrunk result", sql, 5)
+	expect("after shrinking", sql, 2)
+
+	set(2, OidVarchar, true)
+	if _, err := run(sql); err == nil {
+		t.Fatal("failing run succeeded")
+	}
+	set(2, OidVarchar, false)
+	expect("after a failed run", sql, -1)
+	expect("remembered again", sql, 2)
+
+	// a bigint column: the next run asks for its cells in binary
+	set(4, OidInt8, false)
+	expect("new types", sql, 2)
+	if sc := expect("binary run", sql, 4); sc.cols[0].Format != FormatBinary {
+		t.Fatal("the bigint column was not asked for in binary")
+	}
+	set(4, OidVarchar, false)
+	expect("stale formats rerun in text", sql, -1)
+	expect("after the rerun", sql, 4)
+}
+
+// startCanned serves connections whose statements answer what run returns.
+func startCanned(t *testing.T, run func(sql string) (*cannedResult, error)) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				sc := NewServerConn(conn)
+				defer sc.Close()
+				if err := sc.Startup(); err != nil {
+					return
+				}
+				if err := sc.Authenticate(AuthMethodTrust, nil); err != nil {
+					return
+				}
+				sc.Serve(&cannedHandler{sc: sc, run: run})
+			}(conn)
+		}
+	}()
+	return l.Addr().String()
 }

@@ -24,7 +24,7 @@ const (
 // Output buffering: queued messages go to the socket once they pass
 // flushAt bytes (or on Flush), and a buffer grown past maxRetained by one
 // huge message is dropped after the write rather than pinned for the
-// connection's life.
+// connection's life. ClientConn sizes its read buffer to flushAt too.
 const (
 	flushAt     = 64 << 10
 	maxRetained = 1 << 20

@@ -310,7 +310,10 @@ func (d *decoder) sym() (string, error) {
 	return s, nil
 }
 
-func (d *decoder) vecLen() (int, error) {
+// vecLen reads a vector's attributes and length, whose elements take at
+// least width bytes each: a length the rest of the message cannot hold is
+// refused before anything is sized from it.
+func (d *decoder) vecLen(width int) (int, error) {
 	if _, err := d.u8(); err != nil { // attributes
 		return 0, err
 	}
@@ -318,7 +321,7 @@ func (d *decoder) vecLen() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if int(n) < 0 || int(n) > len(d.b) {
+	if int64(n)*int64(width) > int64(len(d.b)-d.pos) {
 		return 0, errf("implausible vector length %d", n)
 	}
 	return int(n), nil
@@ -368,24 +371,26 @@ func (d *decoder) value() (qval.Value, error) {
 		v, err := d.u64()
 		return qval.Datetime(math.Float64frombits(v)), err
 	case 0:
-		n, err := d.vecLen()
+		// an element takes at least two bytes (a type and a one-byte atom)
+		n, err := d.vecLen(2)
 		if err != nil {
 			return nil, err
 		}
-		out := make(qval.List, n)
+		// grown as elements decode, not sized by the claim: each list on a
+		// chain of nested ones would otherwise hold the whole message's
+		// worth of slots while its first element decodes
+		out := make(qval.List, 0, min(n, 64))
 		for i := 0; i < n; i++ {
-			out[i], err = d.value()
+			e, err := d.value()
 			if err != nil {
 				return nil, err
 			}
+			out = append(out, e)
 		}
 		return out, nil
 	case 1:
-		n, err := d.vecLen()
+		n, err := d.vecLen(1)
 		if err != nil {
-			return nil, err
-		}
-		if err := d.need(n); err != nil {
 			return nil, err
 		}
 		out := make(qval.BoolVec, n)
@@ -395,11 +400,8 @@ func (d *decoder) value() (qval.Value, error) {
 		d.pos += n
 		return out, nil
 	case 4:
-		n, err := d.vecLen()
+		n, err := d.vecLen(1)
 		if err != nil {
-			return nil, err
-		}
-		if err := d.need(n); err != nil {
 			return nil, err
 		}
 		out := make(qval.ByteVec, n)
@@ -407,7 +409,7 @@ func (d *decoder) value() (qval.Value, error) {
 		d.pos += n
 		return out, nil
 	case 5:
-		n, err := d.vecLen()
+		n, err := d.vecLen(2)
 		if err != nil {
 			return nil, err
 		}
@@ -421,7 +423,7 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 6:
-		n, err := d.vecLen()
+		n, err := d.vecLen(4)
 		if err != nil {
 			return nil, err
 		}
@@ -435,7 +437,7 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 7:
-		n, err := d.vecLen()
+		n, err := d.vecLen(8)
 		if err != nil {
 			return nil, err
 		}
@@ -449,7 +451,7 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 8:
-		n, err := d.vecLen()
+		n, err := d.vecLen(4)
 		if err != nil {
 			return nil, err
 		}
@@ -463,7 +465,7 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 9:
-		n, err := d.vecLen()
+		n, err := d.vecLen(8)
 		if err != nil {
 			return nil, err
 		}
@@ -477,11 +479,8 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 10:
-		n, err := d.vecLen()
+		n, err := d.vecLen(1)
 		if err != nil {
-			return nil, err
-		}
-		if err := d.need(n); err != nil {
 			return nil, err
 		}
 		out := make(qval.CharVec, n)
@@ -489,7 +488,7 @@ func (d *decoder) value() (qval.Value, error) {
 		d.pos += n
 		return out, nil
 	case 11:
-		n, err := d.vecLen()
+		n, err := d.vecLen(1)
 		if err != nil {
 			return nil, err
 		}
@@ -503,7 +502,7 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 12, 16:
-		n, err := d.vecLen()
+		n, err := d.vecLen(8)
 		if err != nil {
 			return nil, err
 		}
@@ -517,7 +516,7 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 13, 14, 17, 18, 19:
-		n, err := d.vecLen()
+		n, err := d.vecLen(4)
 		if err != nil {
 			return nil, err
 		}
@@ -531,7 +530,7 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		return out, nil
 	case 15:
-		n, err := d.vecLen()
+		n, err := d.vecLen(8)
 		if err != nil {
 			return nil, err
 		}
@@ -566,6 +565,11 @@ func (d *decoder) value() (qval.Value, error) {
 		}
 		if len(syms) != len(vals) {
 			return nil, errf("table column mismatch")
+		}
+		for _, v := range vals {
+			if v.Len() != vals[0].Len() {
+				return nil, errf("table columns differ in length")
+			}
 		}
 		data := make([]qval.Value, len(vals))
 		copy(data, vals)

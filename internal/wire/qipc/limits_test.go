@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// allocated reports the fewest bytes f allocated over a few runs: other
+// allocated reports the fewest bytes f allocated over two runs: other
 // goroutines of the test binary may allocate meanwhile, and the minimum
 // filters them out.
 func allocated(f func()) uint64 {
 	least := uint64(math.MaxUint64)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 2; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()
@@ -69,6 +69,34 @@ func TestDecompressionBomb(t *testing.T) {
 		_, err := Decompress(forged)
 		if rejected := err != nil && bytes.Contains([]byte(err.Error()), []byte("exceeds")); rejected != (claim > limit) {
 			t.Errorf("claim %d (limit %d): err = %v", claim, limit, err)
+		}
+	}
+}
+
+// TestNestedListClaims: a chain of nested general lists, each claiming as
+// many elements as the rest of the message could hold, is refused without
+// every list on the chain allocating that many slots, and a typed vector
+// is sized only by a length the message backs with data.
+func TestNestedListClaims(t *testing.T) {
+	const depth = 1000
+	var payload []byte
+	for i := 0; i < depth; i++ {
+		payload = binary.LittleEndian.AppendUint32(append(payload, 0, 0), uint32(6*(depth-i)/2))
+	}
+	msg := binary.LittleEndian.AppendUint32([]byte{1, byte(Sync), 0, 0}, uint32(headerLen+len(payload)))
+	msg = append(msg, payload...)
+	var err error
+	if n := allocated(func() { _, err = ReadMessage(bytes.NewReader(msg)) }); n > 8<<20 {
+		t.Errorf("allocated %d bytes for a %d-byte chain of list claims", n, len(msg))
+	}
+	if err == nil {
+		t.Fatal("a chain of unbacked list claims decoded")
+	}
+
+	for _, typ := range []byte{5, 6, 7, 9, 11, 12, 14} {
+		vec := binary.LittleEndian.AppendUint32([]byte{typ, 0}, 1000)
+		if _, _, err := DecodeValue(append(vec, make([]byte, 999)...)); err == nil {
+			t.Errorf("type %d: a 1000-element claim decoded from 999 bytes", typ)
 		}
 	}
 }
