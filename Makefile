@@ -44,8 +44,9 @@ bench-compare:
 # pgserver's network input, the q parser behind hyperq's QIPC input, the PG v3
 # server's frontend-message loop, hyperq's decoding of backend replies
 # (text and binary cells) into result columns, the translation cache's
-# lifting of literals out of q text, and the QIPC message codec with its
-# decompressor, which read every client's bytes. A crash lands as a corpus
+# lifting of literals out of q text, the QIPC message codec with its
+# decompressor, which read every client's bytes, and the persist chunk codec,
+# which reads every column file a cold fault opens. A crash lands as a corpus
 # entry under the package's testdata/fuzz, which `go test` replays from then
 # on.
 FUZZTIME ?= 20s
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzClientResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/qcache -run '^$$' -fuzz '^FuzzLift$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/qipc -run '^$$' -fuzz '^FuzzQIPCMessage$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzChunkCodec$$' -fuzztime $(FUZZTIME)
 
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
 # replays the CI seeds against the serving engine (vector scans, fused

@@ -17,8 +17,11 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"log"
 	"net"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -60,6 +63,9 @@ type Config struct {
 	DrainTimeout time.Duration
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
+	// decode, when set, replaces qipc.ReadMessage as the inbound decoder
+	// (tests make it panic).
+	decode func(io.Reader) (*qipc.Message, error)
 }
 
 // Serve accepts QIPC connections until the listener closes or ctx is
@@ -161,34 +167,48 @@ func serveConn(ctx context.Context, conn net.Conn, cfg Config, logf func(string,
 	// in ReadMessage on the *next* message — which is exactly where it
 	// observes a mid-query client disconnect and cancels the connection
 	// context, aborting the in-flight query.
-	msgs := make(chan *qipc.Message)
+	// A decoder panic comes through as an inbound item with fault set: the
+	// loop below, the connection's only writer, answers it and closes the
+	// connection, so the reader leaves it open.
+	msgs := make(chan inbound)
 	go func() {
-		defer cancel()
 		defer close(msgs)
 		for {
-			msg, err := qipc.ReadMessage(br)
-			if err != nil {
+			msg, err := readMessage(cfg.decode, br)
+			var fault *panicError
+			if errors.As(err, &fault) {
+				logf("endpoint: reading a message panicked: %v\n%s", fault.val, fault.stack)
+			} else if err != nil {
+				cancel()
 				return // disconnect (or conn closed by hard-cancel)
 			}
 			select {
-			case msgs <- msg:
+			case msgs <- inbound{msg, fault}:
 			case <-connCtx.Done():
+				return
+			}
+			if fault != nil {
 				return
 			}
 		}
 	}()
 
 	for {
-		var msg *qipc.Message
+		var in inbound
 		var ok bool
 		select {
-		case msg, ok = <-msgs:
+		case in, ok = <-msgs:
 			if !ok {
 				return // client gone
 			}
 		case <-connCtx.Done():
 			return
 		}
+		if in.fault != nil {
+			respondErr(reply, in.fault.Error())
+			return
+		}
+		msg := in.msg
 		qtext, extracted := extractQuery(msg.Value)
 		if !extracted {
 			if msg.Type == qipc.Sync {
@@ -197,6 +217,15 @@ func serveConn(ctx context.Context, conn net.Conn, cfg Config, logf func(string,
 			continue
 		}
 		result, err := handleOne(connCtx, handler, cfg.RequestTimeout, qtext)
+		if fault := (*panicError)(nil); errors.As(err, &fault) {
+			// the handler's session may be half-updated: answer, then drop
+			// the connection (and the session with it)
+			logf("endpoint: query %q panicked: %v\n%s", qtext, fault.val, fault.stack)
+			if msg.Type == qipc.Sync {
+				respondErr(reply, fault.Error())
+			}
+			return
+		}
 		if msg.Type != qipc.Sync {
 			// async: execute, no response — but a failure would otherwise
 			// vanish silently; surface the dropped work in the log
@@ -219,8 +248,45 @@ func serveConn(ctx context.Context, conn net.Conn, cfg Config, logf func(string,
 	}
 }
 
-// handleOne runs a single query under its per-request context.
-func handleOne(connCtx context.Context, h Handler, timeout time.Duration, qtext string) (qval.Value, error) {
+// inbound is one item of a connection's inbound stream: a message, or the
+// panic that reading one raised.
+type inbound struct {
+	msg   *qipc.Message
+	fault *panicError
+}
+
+// panicError is a panic recovered while serving one connection, with the
+// stack it was raised on. It fails the request that raised it and closes
+// that connection; hyperq and its other connections go on.
+type panicError struct {
+	val   any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("internal error: %v", e.val) }
+
+// recoverInto turns a panic into *err as a *panicError; it must be deferred
+// directly.
+func recoverInto(err *error) {
+	if r := recover(); r != nil {
+		*err = &panicError{val: r, stack: debug.Stack()}
+	}
+}
+
+// readMessage runs decode (nil: qipc.ReadMessage) with a panic recovered
+// into the error.
+func readMessage(decode func(io.Reader) (*qipc.Message, error), br *bufio.Reader) (msg *qipc.Message, err error) {
+	defer recoverInto(&err)
+	if decode == nil {
+		decode = qipc.ReadMessage
+	}
+	return decode(br)
+}
+
+// handleOne runs a single query under its per-request context; a panic in
+// the handler comes back as a *panicError.
+func handleOne(connCtx context.Context, h Handler, timeout time.Duration, qtext string) (_ qval.Value, err error) {
+	defer recoverInto(&err)
 	ctx := connCtx
 	if timeout > 0 {
 		var cancel context.CancelFunc

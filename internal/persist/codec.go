@@ -275,9 +275,11 @@ func encodeDataRaw(v pgdb.VecData, lo, hi int) ([]byte, error) {
 	case vkStr:
 		offs := make([]uint64, 0, rows+1)
 		var data []byte
-		for _, s := range v.Strs[lo:hi] {
+		for i := lo; i < hi; i++ {
 			offs = append(offs, uint64(len(data)))
-			data = append(data, s...)
+			if !nullAt(v.Nulls, i) {
+				data = append(data, v.Dict[v.Codes[i]]...)
+			}
 		}
 		offs = append(offs, uint64(len(data)))
 		buf = make([]byte, 0, len(offs)*8+len(data))
@@ -455,10 +457,9 @@ func decodeChunkInto(dst *pgdb.VecData, start, rows int, b []byte) error {
 			return fmt.Errorf("persist: encoding %d invalid for bool vector", dataEnc)
 		}
 	case vkStr:
-		if start+rows > len(dst.Strs) {
+		if start+rows > len(dst.Codes) {
 			return fmt.Errorf("persist: chunk shape mismatch")
 		}
-		out := dst.Strs[start : start+rows]
 		switch dataEnc {
 		case dataRaw:
 			if (rows+1)*8 > len(data) {
@@ -466,25 +467,33 @@ func decodeChunkInto(dst *pgdb.VecData, start, rows int, b []byte) error {
 			}
 			offs := data[: (rows+1)*8 : (rows+1)*8]
 			body := data[(rows+1)*8:]
-			// One backing allocation for the whole chunk: every cell is a
-			// substring of blob, so the loop allocates string headers only.
-			// Run-length deduplication on top keeps repeated values (date
-			// columns are constant within a partition) sharing one header.
-			blob := string(body)
-			var last string
+			// every non-NULL cell is interned; a run of one value (date
+			// columns are constant within a partition) probes once
+			d := newSegDict(dst)
+			var last []byte
+			var code uint16
+			have := false
 			for i := 0; i < rows; i++ {
 				lo := binary.LittleEndian.Uint64(offs[i*8:])
 				hi := binary.LittleEndian.Uint64(offs[(i+1)*8:])
 				if hi < lo || hi > uint64(len(body)) {
 					return fmt.Errorf("persist: bad string offsets")
 				}
-				if cell := blob[lo:hi]; i == 0 || cell != last {
-					last = cell
+				if nullAt(dst.Nulls, start+i) {
+					dst.Codes[start+i] = 0
+					continue
 				}
-				out[i] = last
+				if cell := body[lo:hi]; !have || string(cell) != string(last) {
+					var err error
+					if code, err = d.code(cell); err != nil {
+						return err
+					}
+					last, have = cell, true
+				}
+				dst.Codes[start+i] = code
 			}
 		case dataDictStr:
-			return decodeDictStr(out, data)
+			return decodeDictStr(dst, start, rows, data)
 		default:
 			return fmt.Errorf("persist: encoding %d invalid for string vector", dataEnc)
 		}

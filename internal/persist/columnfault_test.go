@@ -219,8 +219,8 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 		{"int-clustered", pgdb.VecData{Kind: 1, Ints: clustered, Nulls: nulls}, true},
 		{"int-wild", pgdb.VecData{Kind: 1, Ints: wild, Nulls: make([]uint64, len(nulls))}, false},
 		{"float", pgdb.VecData{Kind: 2, Floats: floats, Nulls: nulls}, false},
-		{"str-lowcard", pgdb.VecData{Kind: 3, Strs: lowCard, Nulls: nulls}, true},
-		{"str-unique", pgdb.VecData{Kind: 3, Strs: uniq, Nulls: make([]uint64, len(nulls))}, false},
+		{"str-lowcard", strVec(lowCard, nulls), true},
+		{"str-unique", strVec(uniq, make([]uint64, len(nulls))), false},
 		{"bool-runs", pgdb.VecData{Kind: 4, Bools: bools, Nulls: nulls}, true},
 		{"any", pgdb.VecData{Kind: 5, Anys: anys, Nulls: nulls}, false},
 	}
@@ -238,19 +238,7 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 				layout string
 				b      []byte
 			}{{"encoded", enc}, {"raw", raw}} {
-				dst := pgdb.VecData{Kind: tc.v.Kind, Nulls: make([]uint64, len(tc.v.Nulls))}
-				switch tc.v.Kind {
-				case vkInt:
-					dst.Ints = make([]int64, n)
-				case vkFloat:
-					dst.Floats = make([]float64, n)
-				case vkStr:
-					dst.Strs = make([]string, n)
-				case vkBool:
-					dst.Bools = make([]bool, n)
-				case vkAny:
-					dst.Anys = make([]any, n)
-				}
+				dst := segVec(tc.v.Kind, n)
 				if err := decodeChunkInto(&dst, 0, n, chunk.b); err != nil {
 					t.Fatalf("decode %s: %v", chunk.layout, err)
 				}
@@ -271,7 +259,7 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 					}
 					got, want = gb, wb
 				case vkStr:
-					got, want = dst.Strs, tc.v.Strs
+					got, want = cellStrs(dst), cellStrs(tc.v)
 				case vkBool:
 					got, want = dst.Bools, tc.v.Bools
 				case vkAny:
@@ -283,6 +271,37 @@ func TestChunkCodecRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// strVec is the string vector of vals, NULL where nulls sets a bit: codes
+// into a dictionary of the non-NULL values in first-appearance order.
+func strVec(vals []string, nulls []uint64) pgdb.VecData {
+	v := pgdb.VecData{Kind: vkStr, Codes: make([]uint16, len(vals)), Nulls: nulls}
+	idx := map[string]uint16{}
+	for i, s := range vals {
+		if nullAt(v.Nulls, i) {
+			continue
+		}
+		c, ok := idx[s]
+		if !ok {
+			c = uint16(len(v.Dict))
+			v.Dict = append(v.Dict, s)
+			idx[s] = c
+		}
+		v.Codes[i] = c
+	}
+	return v
+}
+
+// cellStrs lists a string vector's cells, "" for a NULL row.
+func cellStrs(v pgdb.VecData) []string {
+	out := make([]string, len(v.Codes))
+	for i, c := range v.Codes {
+		if !nullAt(v.Nulls, i) {
+			out[i] = v.Dict[c]
+		}
+	}
+	return out
 }
 
 // rawChunk lays rows [0, n) of v out with no encoding at all: a raw null

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"hyperq/internal/pgdb"
@@ -100,7 +101,7 @@ func encodeDataCompressed(v pgdb.VecData, lo, hi int) (byte, []byte) {
 	case vkInt:
 		return encodeIntPacked(v.Ints[lo:hi])
 	case vkStr:
-		return encodeDictStr(v.Strs[lo:hi])
+		return encodeDictStr(v, lo, hi)
 	case vkBool:
 		return encodeRLEBool(v.Bools[lo:hi])
 	}
@@ -211,30 +212,39 @@ func decodeDeltaInt(out []int64, data []byte) error {
 	return nil
 }
 
-// encodeDictStr dictionary-encodes a low-cardinality string column:
-// u32 dictN | dictN × { u32 len | bytes } | u8 width | packed indexes.
-// Bails (nil) past dictMaxEntries distinct values.
-func encodeDictStr(vals []string) (byte, []byte) {
-	if len(vals) == 0 {
+// encodeDictStr writes rows [lo, hi) of a string vector as a dictionary
+// chunk: u32 dictN | dictN × { u32 len | bytes } | u8 width | packed
+// indexes. The chunk's dictionary is the segment dictionary's entries that
+// its non-NULL rows use, in first-appearance order, found through a table
+// over the segment's codes rather than a map. A NULL row indexes entry 0,
+// and a chunk of NULLs only carries the one entry "".
+func encodeDictStr(v pgdb.VecData, lo, hi int) (byte, []byte) {
+	if hi <= lo {
 		return 0, nil
 	}
-	dict := make(map[string]uint64, 16)
+	remap := make([]int32, len(v.Dict)) // segment code → chunk index + 1
 	var order []string
-	idx := make([]uint64, len(vals))
-	for i, s := range vals {
-		id, ok := dict[s]
-		if !ok {
-			if len(order) >= dictMaxEntries {
-				return 0, nil
-			}
-			id = uint64(len(order))
-			dict[s] = id
-			order = append(order, s)
+	idx := make([]uint64, hi-lo)
+	for i := lo; i < hi; i++ {
+		if nullAt(v.Nulls, i) {
+			continue
 		}
-		idx[i] = id
+		c := v.Codes[i]
+		if remap[c] == 0 {
+			order = append(order, v.Dict[c])
+			remap[c] = int32(len(order))
+		}
+		idx[i-lo] = uint64(remap[c] - 1)
+	}
+	if len(order) == 0 {
+		order = []string{""}
 	}
 	width := bits.Len64(uint64(len(order) - 1))
-	buf := make([]byte, 0, 5+len(vals))
+	size := 4 + 1 + packedLen(len(idx), width)
+	for _, s := range order {
+		size += 4 + len(s)
+	}
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(order)))
 	for _, s := range order {
 		buf = appendString(buf, s)
@@ -243,26 +253,68 @@ func encodeDictStr(vals []string) (byte, []byte) {
 	return dataDictStr, append(buf, packBits(idx, width)...)
 }
 
-func decodeDictStr(out []string, data []byte) error {
+// nullAt reports whether null bitmap nulls sets row i.
+func nullAt(nulls []uint64, i int) bool {
+	w := i >> 6
+	return w < len(nulls) && nulls[w]&(1<<(uint(i)&63)) != 0
+}
+
+// segDict interns a chunk's strings into the dictionary of the segment
+// vector it decodes into, so the chunks of a segment split across two
+// partitions merge entry by entry.
+type segDict struct {
+	dst *pgdb.VecData
+	idx map[string]uint16
+}
+
+func newSegDict(dst *pgdb.VecData) *segDict {
+	d := &segDict{dst: dst, idx: make(map[string]uint16, len(dst.Dict))}
+	for c, s := range dst.Dict {
+		d.idx[s] = uint16(c)
+	}
+	return d
+}
+
+// code returns the code of the string b holds, adding it when it is new.
+func (d *segDict) code(b []byte) (uint16, error) {
+	if c, ok := d.idx[string(b)]; ok {
+		return c, nil
+	}
+	if len(d.dst.Dict) > math.MaxUint16 {
+		return 0, fmt.Errorf("persist: segment dictionary exceeds %d entries", math.MaxUint16+1)
+	}
+	s := string(b)
+	c := uint16(len(d.dst.Dict))
+	d.dst.Dict = append(d.dst.Dict, s)
+	d.idx[s] = c
+	return c, nil
+}
+
+// decodeDictStr decodes a dictionary chunk into rows [start, start+rows) of
+// the string vector dst, whose null bits for those rows are already set.
+// It unpacks indexes into codes and builds no string per row: each entry a
+// non-NULL row uses is interned into dst's dictionary once, and a NULL row
+// takes code 0.
+func decodeDictStr(dst *pgdb.VecData, start, rows int, data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("persist: truncated dictionary")
 	}
 	dictN := int(binary.LittleEndian.Uint32(data))
-	if dictN < 0 || dictN > dictMaxEntries {
+	if dictN > dictMaxEntries || 4+dictN*4 > len(data) {
 		return fmt.Errorf("persist: dictionary size %d out of range", dictN)
 	}
 	off := 4
-	dict := make([]string, dictN)
-	for i := range dict {
+	ents := make([][2]int, dictN) // each entry's byte range in data
+	for i := range ents {
 		if off+4 > len(data) {
 			return fmt.Errorf("persist: truncated dictionary entry")
 		}
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
-		if n < 0 || off+n > len(data) {
+		if n > len(data)-off {
 			return fmt.Errorf("persist: truncated dictionary entry")
 		}
-		dict[i] = string(data[off : off+n])
+		ents[i] = [2]int{off, off + n}
 		off += n
 	}
 	if off >= len(data) {
@@ -274,15 +326,29 @@ func decodeDictStr(out []string, data []byte) error {
 		return fmt.Errorf("persist: dictionary width %d out of range", width)
 	}
 	body := data[off:]
-	if packedLen(len(out), width) > len(body) {
+	if packedLen(rows, width) > len(body) {
 		return fmt.Errorf("persist: truncated dictionary indexes")
 	}
+	d := newSegDict(dst)
+	remap := make([]int32, dictN) // chunk index → segment code + 1
+	out := dst.Codes[start : start+rows]
 	for i := range out {
 		id := bitsAt(body, i*width, width)
 		if id >= uint64(dictN) {
 			return fmt.Errorf("persist: dictionary index %d out of range", id)
 		}
-		out[i] = dict[id]
+		if nullAt(dst.Nulls, start+i) {
+			out[i] = 0
+			continue
+		}
+		if remap[id] == 0 {
+			c, err := d.code(data[ents[id][0]:ents[id][1]])
+			if err != nil {
+				return err
+			}
+			remap[id] = int32(c) + 1
+		}
+		out[i] = uint16(remap[id] - 1)
 	}
 	return nil
 }

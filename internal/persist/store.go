@@ -358,25 +358,8 @@ func (st *Store) loadSegment(ts *tableState, si int, cols []int) (pgdb.SegmentDa
 			return sd, fmt.Errorf("persist: segment %d: column %d out of range", si, c)
 		}
 		vm := meta.Vecs[c]
-		dst := pgdb.VecData{
-			Kind:    vm.Kind,
-			NullCnt: vm.NullCnt,
-			Min:     vm.Min,
-			Max:     vm.Max,
-			Nulls:   make([]uint64, (meta.N+63)/64),
-		}
-		switch vm.Kind {
-		case vkInt:
-			dst.Ints = make([]int64, meta.N)
-		case vkFloat:
-			dst.Floats = make([]float64, meta.N)
-		case vkStr:
-			dst.Strs = make([]string, meta.N)
-		case vkBool:
-			dst.Bools = make([]bool, meta.N)
-		case vkAny:
-			dst.Anys = make([]any, meta.N)
-		}
+		dst := segVec(vm.Kind, meta.N)
+		dst.NullCnt, dst.Min, dst.Max = vm.NullCnt, vm.Min, vm.Max
 		covered := 0
 		for _, loc := range chunksForSeg(ts.chunks[c], si) {
 			payload, err := st.readChunk(loc, &buf)
@@ -396,6 +379,25 @@ func (st *Store) loadSegment(ts *tableState, si int, cols []int) (pgdb.SegmentDa
 		st.stats.ColumnsFaulted.Add(1)
 	}
 	return sd, nil
+}
+
+// segVec returns an n-row vector of the given kind for chunks to decode
+// into: its null bitmap and the kind's data slice allocated, zeroed.
+func segVec(kind uint8, n int) pgdb.VecData {
+	v := pgdb.VecData{Kind: kind, Nulls: make([]uint64, (n+63)/64)}
+	switch kind {
+	case vkInt:
+		v.Ints = make([]int64, n)
+	case vkFloat:
+		v.Floats = make([]float64, n)
+	case vkStr:
+		v.Codes = make([]uint16, n)
+	case vkBool:
+		v.Bools = make([]bool, n)
+	case vkAny:
+		v.Anys = make([]any, n)
+	}
+	return v
 }
 
 // readChunk preads one chunk payload into the caller's reusable buffer
@@ -835,11 +837,16 @@ func partitionRanges(cols []pgdb.Column, segs []pgdb.SegmentData, nrows int) (in
 			return single()
 		}
 		for i := 0; i < s.N; i++ {
+			// a row repeating the one above neither moves the date nor
+			// breaks the order: skip it before boxing its value
+			if i > 0 && (v.Kind == vkInt && v.Ints[i] == v.Ints[i-1] || v.Kind == vkStr && v.Codes[i] == v.Codes[i-1]) {
+				continue
+			}
 			var d any
 			if v.Kind == vkInt {
 				d = v.Ints[i]
 			} else {
-				d = v.Strs[i]
+				d = v.Dict[v.Codes[i]]
 			}
 			if prev != nil && dateLess(d, prev) {
 				return single() // out of order: not partitionable

@@ -308,9 +308,14 @@ func (s *Session) asofVec(left, right *relation, lk, rk, lt, rt int, nullSafe bo
 	}
 	ix := s.asofIndexFor(rs, rk, rt)
 	match := make([]int32, 0, ls.n)
+	// entries[code] is the bucket of a left key dictionary entry (noBucket:
+	// none), probed on the entry's first row in the segment
+	var entries []*asofBucket
 	for si := 0; si < ls.numSegs(); si++ {
 		seg := ls.segCols(si, []int{lk, lt})
 		kv, tv := &seg.vecs[lk], &seg.vecs[lt]
+		entries = grow(entries, len(kv.dict))
+		clear(entries)
 		for i := 0; i < seg.n; i++ {
 			if err := s.tick(); err != nil {
 				return nil, err
@@ -320,7 +325,13 @@ func (s *Session) asofVec(left, right *relation, lk, rk, lt, rt int, nullSafe bo
 				var b *asofBucket
 				switch {
 				case !kv.isNull(i):
-					b = ix.byKey[kv.strs[i]]
+					c := kv.codes[i]
+					if b = entries[c]; b == nil {
+						if b = ix.byKey[kv.dict[c]]; b == nil {
+							b = noBucket
+						}
+						entries[c] = b
+					}
 				case nullSafe:
 					b = ix.nulls
 				}
@@ -354,6 +365,10 @@ func (s *Session) asofVec(left, right *relation, lk, rk, lt, rt int, nullSafe bo
 	out.gatherCols(rDst, rs, rSrc, match)
 	return &relation{schema: schema, store: out}, nil
 }
+
+// noBucket stands for a key the build side does not hold: it has no
+// entries, so it matches no time.
+var noBucket = &asofBucket{}
 
 // asofIndexFor returns the as-of build side over key column kc and time
 // column tc of st. A table, or a view over one, shares the table's cached

@@ -173,6 +173,9 @@ type Session struct {
 	// lockDepth tracks nested ExecStmt calls (view expansion re-enters the
 	// executor): only the outermost acquires the database's statement lock.
 	lockDepth int
+	// strProbes counts the string-map probes that single-key string GROUP
+	// BYs made, one per dictionary entry per segment (tests read it).
+	strProbes int
 }
 
 // NewSession opens a session on the database.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -38,6 +39,14 @@ const (
 // colVec is one column of one segment: a typed vector chosen from the first
 // non-null value, with dynamic degradation to boxed storage on a type
 // mismatch, a null bitmap, and a conservative min/max zone map.
+//
+// A string vector is dictionary-encoded, the way kdb+ enumerates a symbol
+// column: row i holds dict[codes[i]]. The dictionary is the segment's own,
+// so a code fits 16 bits (segSize rows hold at most segSize distinct
+// values) and a segment faults in, evicts and persists with its
+// dictionary. A NULL row's code is 0, so every code indexes dict whenever
+// some row is non-NULL. Kernels over a string vector do their string work
+// once per dictionary entry and index by code per row.
 type colVec struct {
 	kind vecKind
 	// stub marks an evicted column: the metadata below (kind, null count,
@@ -46,7 +55,12 @@ type colVec struct {
 	stub   bool
 	ints   []int64
 	floats []float64
-	strs   []string
+	codes  []uint16
+	dict   []string
+	// intern maps each dict entry to its code while appends can still
+	// reach the vector: only a table's open tail segment keeps one, and it
+	// is rebuilt from dict when a restored or faulted-in tail grows.
+	intern map[string]uint16
 	bools  []bool
 	anys   []any
 	nulls  []uint64 // bit i set ⇒ row i is NULL
@@ -88,7 +102,7 @@ func (v *colVec) pad() {
 	case vkFloat:
 		v.floats = append(v.floats, 0)
 	case vkStr:
-		v.strs = append(v.strs, "")
+		v.codes = append(v.codes, 0)
 	case vkBool:
 		v.bools = append(v.bools, false)
 	case vkAny:
@@ -110,13 +124,13 @@ func (v *colVec) degrade(n int) {
 		case vkFloat:
 			anys[i] = v.floats[i]
 		case vkStr:
-			anys[i] = v.strs[i]
+			anys[i] = v.dict[v.codes[i]]
 		case vkBool:
 			anys[i] = v.bools[i]
 		}
 	}
 	v.kind = vkAny
-	v.ints, v.floats, v.strs, v.bools = nil, nil, nil, nil
+	v.ints, v.floats, v.codes, v.dict, v.intern, v.bools = nil, nil, nil, nil, nil, nil
 	v.anys = anys
 	v.minV, v.maxV = nil, nil
 }
@@ -177,9 +191,14 @@ func (v *colVec) appendVal(val any, pos int) {
 		switch v.kind {
 		case vkEmpty:
 			v.kind = vkStr
-			v.strs = append(make([]string, pos, pos+1), x)
+			v.codes = make([]uint16, pos, pos+1)
+			fallthrough
 		case vkStr:
-			v.strs = append(v.strs, x)
+			code, seen := v.internStr(x)
+			v.codes = append(v.codes, code)
+			if seen {
+				return // the zone map already covers a known entry
+			}
 		case vkAny:
 			v.anys = append(v.anys, x)
 		default:
@@ -209,6 +228,26 @@ func (v *colVec) appendVal(val any, pos int) {
 	v.widenZone(val)
 }
 
+// internStr returns x's code in the dictionary, adding x (a copy, so the
+// entry holds no statement text alive) when it is new; seen reports an
+// existing entry.
+func (v *colVec) internStr(x string) (code uint16, seen bool) {
+	if v.intern == nil {
+		v.intern = make(map[string]uint16, len(v.dict)+1)
+		for c, s := range v.dict {
+			v.intern[s] = uint16(c)
+		}
+	}
+	if code, seen = v.intern[x]; seen {
+		return code, true
+	}
+	code = uint16(len(v.dict))
+	x = strings.Clone(x)
+	v.dict = append(v.dict, x)
+	v.intern[x] = code
+	return code, false
+}
+
 // get boxes the value at position i.
 func (v *colVec) get(i int) any {
 	if v.isNull(i) {
@@ -220,7 +259,7 @@ func (v *colVec) get(i int) any {
 	case vkFloat:
 		return v.floats[i]
 	case vkStr:
-		return v.strs[i]
+		return v.dict[v.codes[i]]
 	case vkBool:
 		return v.bools[i]
 	case vkAny:
@@ -484,6 +523,12 @@ func (st *colStore) appendRow(row []any) {
 	}
 	seg.n++
 	st.n++
+	if seg.n == segSize {
+		// a full segment takes no more appends: drop its intern maps
+		for c := range seg.vecs {
+			seg.vecs[c].intern = nil
+		}
+	}
 	st.noteMutation()
 }
 
@@ -664,7 +709,8 @@ func (v *colVec) memBytes() int64 {
 	case vkFloat:
 		b += int64(len(v.floats) * 8)
 	case vkStr:
-		for _, s := range v.strs {
+		b += int64(len(v.codes) * 2)
+		for _, s := range v.dict {
 			b += int64(len(s)) + 16
 		}
 	case vkBool:

@@ -256,7 +256,10 @@ func TestGatherAndViewSizedToRows(t *testing.T) {
 			for c := range seg.vecs {
 				v := &seg.vecs[c]
 				caps := map[string][2]int{"ints": {len(v.ints), cap(v.ints)}, "floats": {len(v.floats), cap(v.floats)},
-					"strs": {len(v.strs), cap(v.strs)}, "bools": {len(v.bools), cap(v.bools)}, "anys": {len(v.anys), cap(v.anys)}}
+					"codes": {len(v.codes), cap(v.codes)}, "bools": {len(v.bools), cap(v.bools)}, "anys": {len(v.anys), cap(v.anys)}}
+				if len(v.dict) != cap(v.dict) {
+					t.Errorf("%s: segment %d column %d dictionary len %d cap %d", q, si, c, len(v.dict), cap(v.dict))
+				}
 				for name, lc := range caps {
 					if lc[1] != 0 && (lc[0] != seg.n || lc[1] != seg.n) {
 						t.Errorf("%s: segment %d column %d %s len %d cap %d for %d rows", q, si, c, name, lc[0], lc[1], seg.n)

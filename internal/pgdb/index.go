@@ -305,6 +305,10 @@ func buildHashIdx(st *colStore, col int) *hashIdx {
 		seg := st.segCols(si, []int{col})
 		v := &seg.vecs[col]
 		base := int32(si * segSize)
+		if v.kind == vkStr {
+			ix.addStrSeg(v, seg.n, base)
+			continue
+		}
 		for i := 0; i < seg.n; i++ {
 			if v.isNull(i) {
 				ix.nulls = append(ix.nulls, base+int32(i))
@@ -326,14 +330,55 @@ func buildHashIdx(st *colStore, col int) *hashIdx {
 				}
 				ix.floats = lazyAppendF(ix.floats, f, row)
 				ix.bytes += 12
-			case vkStr:
-				x := v.strs[i]
-				ix.strs = lazyAppendS(ix.strs, x, row)
-				ix.bytes += int64(len(x)) + 20
 			}
 		}
 	}
 	return ix
+}
+
+// addStrSeg indexes the n rows of string segment v, the first of which is
+// row base: a counting sort by code lays each dictionary entry's rows out
+// contiguously, then each entry's postings append under one map probe.
+func (ix *hashIdx) addStrSeg(v *colVec, n int, base int32) {
+	start := make([]int32, len(v.dict)+1) // entry c's rows are rows[start[c]:start[c+1]]
+	for i := 0; i < n; i++ {
+		if v.isNull(i) {
+			ix.nulls = append(ix.nulls, base+int32(i))
+			ix.bytes += 4
+			continue
+		}
+		start[v.codes[i]+1]++
+	}
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	rows := make([]int32, start[len(v.dict)])
+	next := append([]int32(nil), start[:len(v.dict)]...)
+	for i := 0; i < n; i++ {
+		if !v.isNull(i) {
+			c := v.codes[i]
+			rows[next[c]] = base + int32(i)
+			next[c]++
+		}
+	}
+	if ix.strs == nil {
+		ix.strs = map[string][]int32{}
+	}
+	for c, x := range v.dict {
+		lo, hi := start[c], start[c+1]
+		if lo == hi {
+			continue
+		}
+		// an entry's first postings alias rows; a later append copies
+		p := ix.strs[x]
+		if p == nil {
+			p = rows[lo:hi:hi]
+		} else {
+			p = append(p, rows[lo:hi]...)
+		}
+		ix.strs[x] = p
+		ix.bytes += int64(hi-lo) * (int64(len(x)) + 20)
+	}
 }
 
 func lazyAppend(m map[int64][]int32, k int64, row int32) map[int64][]int32 {
@@ -347,14 +392,6 @@ func lazyAppend(m map[int64][]int32, k int64, row int32) map[int64][]int32 {
 func lazyAppendF(m map[float64][]int32, k float64, row int32) map[float64][]int32 {
 	if m == nil {
 		m = map[float64][]int32{}
-	}
-	m[k] = append(m[k], row)
-	return m
-}
-
-func lazyAppendS(m map[string][]int32, k string, row int32) map[string][]int32 {
-	if m == nil {
-		m = map[string][]int32{}
 	}
 	m[k] = append(m[k], row)
 	return m
@@ -695,10 +732,15 @@ func (st *colStore) cachedAsofIndex(kc, tc int) *asofIndex {
 func buildAsofIndex(st *colStore, kc, tc int) *asofIndex {
 	ix := &asofIndex{byKey: map[string]*asofBucket{}}
 	cols := []int{kc, tc}
+	var entries []*asofBucket
 	for si := 0; si < st.numSegs(); si++ {
 		seg := st.segCols(si, cols)
 		kv, tv := &seg.vecs[kc], &seg.vecs[tc]
 		base := int32(si * segSize)
+		// entries[code] is the bucket of a key dictionary entry, resolved
+		// on the entry's first row in the segment
+		entries = grow(entries, len(kv.dict))
+		clear(entries)
 		for i := 0; i < seg.n; i++ {
 			if tv.isNull(i) {
 				continue
@@ -711,9 +753,13 @@ func buildAsofIndex(st *colStore, kc, tc int) *asofIndex {
 				}
 				b = ix.nulls
 			default:
-				if b = ix.byKey[kv.strs[i]]; b == nil {
-					b = &asofBucket{}
-					ix.byKey[kv.strs[i]] = b
+				if b = entries[kv.codes[i]]; b == nil {
+					x := kv.dict[kv.codes[i]]
+					if b = ix.byKey[x]; b == nil {
+						b = &asofBucket{}
+						ix.byKey[x] = b
+					}
+					entries[kv.codes[i]] = b
 				}
 			}
 			b.ts = append(b.ts, tv.ints[i])

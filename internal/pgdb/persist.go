@@ -49,12 +49,14 @@ func (db *DB) Exclusive(fn func()) {
 
 // VecData is the serializable form of one column vector of one segment:
 // the typed slices, null bitmap, and zone metadata round-trip verbatim, so
-// a restore re-infers nothing.
+// a restore re-infers nothing. A string vector is its codes and its
+// dictionary: row i holds Dict[Codes[i]], and a NULL row's code is 0.
 type VecData struct {
 	Kind    uint8
 	Ints    []int64
 	Floats  []float64
-	Strs    []string
+	Codes   []uint16
+	Dict    []string
 	Bools   []bool
 	Anys    []any
 	Nulls   []uint64
@@ -89,7 +91,8 @@ func vecToData(v *colVec) VecData {
 		Kind:    uint8(v.kind),
 		Ints:    v.ints,
 		Floats:  v.floats,
-		Strs:    v.strs,
+		Codes:   v.codes,
+		Dict:    v.dict,
 		Bools:   v.bools,
 		Anys:    v.anys,
 		Nulls:   v.nulls,
@@ -104,7 +107,8 @@ func vecFromData(d VecData) colVec {
 		kind:    vecKind(d.Kind),
 		ints:    d.Ints,
 		floats:  d.Floats,
-		strs:    d.Strs,
+		codes:   d.Codes,
+		dict:    d.Dict,
 		bools:   d.Bools,
 		anys:    d.Anys,
 		nulls:   d.Nulls,

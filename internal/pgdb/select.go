@@ -370,10 +370,19 @@ func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*rela
 	outer := j.Type == sqlparse.LeftJoin
 	lids := make([]int32, 0, ls.n)
 	rids := make([]int32, 0, ls.n)
+	// a string key probes the build side once per dictionary entry of each
+	// left segment: posts[code] holds the entry's matches once probed[code]
+	var posts [][]int32
+	var probed []bool
 	for si := 0; si < ls.numSegs(); si++ {
 		seg := ls.segCols(si, lks)
 		v := &seg.vecs[lk]
 		base := int32(si * segSize)
+		if v.kind == vkStr {
+			posts = grow(posts, len(v.dict))
+			probed = grow(probed, len(v.dict))
+			clear(probed)
+		}
 		for i := 0; i < seg.n; i++ {
 			if err := s.tick(); err != nil {
 				return nil, err
@@ -387,7 +396,12 @@ func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*rela
 			case v.kind == vkInt:
 				m = ix.ints[v.ints[i]]
 			case v.kind == vkStr:
-				m = ix.strs[v.strs[i]]
+				if c := v.codes[i]; probed[c] {
+					m = posts[c]
+				} else {
+					m = ix.strs[v.dict[c]]
+					posts[c], probed[c] = m, true
+				}
 			}
 			for _, ri := range m {
 				lids = append(lids, base+int32(i))

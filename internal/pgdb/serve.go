@@ -233,7 +233,7 @@ func appendVecCell(dst []byte, v *colVec, i int, col pgv3.ColDesc, typ string) (
 	case v.kind == vkFloat && col.TypeOID == pgv3.OidFloat8:
 		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.floats[i])), nil
 	case v.kind == vkStr && text:
-		return append(dst, v.strs[i]...), nil
+		return append(dst, v.dict[v.codes[i]]...), nil
 	case text:
 		return AppendValue(dst, v.get(i), typ), nil
 	}

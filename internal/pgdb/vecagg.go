@@ -155,7 +155,7 @@ func appendKeyCell(buf []byte, v *colVec, i int) []byte {
 	case vkFloat:
 		return appendKeyFloat(buf, v.floats[i])
 	case vkStr:
-		return appendKeyStr(buf, v.strs[i])
+		return appendKeyStr(buf, v.dict[v.codes[i]])
 	case vkBool:
 		return appendKeyBool(buf, v.bools[i])
 	default:
@@ -489,6 +489,11 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		keyVecs = make([]*colVec, len(keys)) // the key vectors of the segment being scanned
 		base    int                          // the global row index of its first row
 		kv      *colVec                      // keyVecs[0], for a single key
+		// entryGroups[code] is the group of a single string key's
+		// dictionary entry in the segment being scanned (nil: not yet
+		// resolved), so the string map is probed once per entry, not once
+		// per row. Groups still open in first-appearance order.
+		entryGroups []*vecGroup
 	)
 	// groupGeneric and groupOf take a row's in-segment position i and its
 	// selection entry e: a column key's vector is indexed by the one, a
@@ -587,11 +592,16 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				}
 				return g
 			case vkStr:
-				s := kv.strs[i]
-				g := gStr[s]
+				code := kv.codes[i]
+				g := entryGroups[code]
 				if g == nil {
-					g = mkGroup(gi)
-					gStr[s] = g
+					s.strProbes++
+					str := kv.dict[code]
+					if g = gStr[str]; g == nil {
+						g = mkGroup(gi)
+						gStr[str] = g
+					}
+					entryGroups[code] = g
 				}
 				return g
 			case vkFloat:
@@ -636,16 +646,29 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 		}
 		if single {
 			kv = keyVecs[0]
+			if kv.kind == vkStr {
+				entryGroups = grow(entryGroups, len(kv.dict))
+				clear(entryGroups)
+			}
 		}
 		for i := range fused {
 			if fs := &fused[i]; fs.arg != nil {
 				args[i] = fs.arg.eval(seg, pos)
 			}
 		}
+		// a single string key column reads a resolved entry's group inline;
+		// groupOf takes NULLs and an entry's first row
+		strKey := single && kv.kind == vkStr && keys[0].k == nil
 		for ord := 0; ord < len(pos); ord += 64 {
 			blk := pos[ord:min(ord+64, len(pos))]
 			for k, i := range blk {
-				g := groupOf(int(i), ord+k)
+				var g *vecGroup
+				if strKey && (kv.nullCnt == 0 || !kv.isNull(int(i))) {
+					g = entryGroups[kv.codes[i]]
+				}
+				if g == nil {
+					g = groupOf(int(i), ord+k)
+				}
 				g.lastIdx = base + int(i)
 				g.n++
 				gbuf[k] = g

@@ -391,6 +391,9 @@ type vecCmp struct {
 	ks    string // string form
 	ksOK  bool
 	ktn   string // %T name of the constant, for mixed-type ordering
+	// verdict is cmpStrKernel's per-dictionary-entry buffer, reused across
+	// segments (a statement evaluates its predicates on one goroutine)
+	verdict []bool
 }
 
 func (p *vecCmp) cols(add func(int)) { add(p.col) }
@@ -527,7 +530,7 @@ func (p *vecCmp) evalSeg(seg *segment, out []uint64) {
 		}
 	case vkStr:
 		if p.ksOK {
-			cmpStrKernel(p.op, v.strs[:seg.n], p.ks, out)
+			p.verdict = cmpStrKernel(p.op, v.codes[:seg.n], v.dict, p.ks, p.verdict, out)
 			clearNulls(out, v)
 		} else {
 			p.constVerdict(v, seg, out, strings.Compare("string", p.ktn))
@@ -672,49 +675,52 @@ func cmpFloatKernel(op string, fs []float64, k float64, out []uint64) {
 	}
 }
 
-// cmpStrKernel compares string cells with Go's native operators, which
-// order byte-wise exactly like strings.Compare in compareVals. String
-// comparison is not branch-predictable anyway, so the plain branchy form
-// is kept here.
-func cmpStrKernel(op string, ss []string, k string, out []uint64) {
-	switch op {
-	case "=":
-		for i, s := range ss {
-			if s == k {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
+// cmpStrKernel sets a bit per string cell whose comparison with k holds.
+// The comparison runs once per dictionary entry, with Go's native
+// operators, which order byte-wise exactly like strings.Compare in
+// compareVals, into verdict (the caller's buffer, returned for reuse); each
+// row then reads its code's verdict, branch-free. NULL rows' bits are the
+// caller's to clear.
+func cmpStrKernel(op string, codes []uint16, dict []string, k string, verdict []bool, out []uint64) []bool {
+	verdict = grow(verdict, len(dict))
+	hits := 0
+	for c, s := range dict {
+		var ok bool
+		switch op {
+		case "=":
+			ok = s == k
+		case "<>":
+			ok = s != k
+		case "<":
+			ok = s < k
+		case "<=":
+			ok = s <= k
+		case ">":
+			ok = s > k
+		default: // >=
+			ok = s >= k
 		}
-	case "<>":
-		for i, s := range ss {
-			if s != k {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	case "<":
-		for i, s := range ss {
-			if s < k {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	case "<=":
-		for i, s := range ss {
-			if s <= k {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	case ">":
-		for i, s := range ss {
-			if s > k {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	case ">=":
-		for i, s := range ss {
-			if s >= k {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
+		verdict[c] = ok
+		if ok {
+			hits++
 		}
 	}
+	n := len(codes)
+	switch hits {
+	case 0:
+		return verdict
+	case len(dict):
+		fillOnes(out, n)
+		return verdict
+	}
+	for w := 0; w*64 < n; w++ {
+		var bw uint64
+		for i, c := range codes[w*64 : min((w+1)*64, n)] {
+			bw |= b2u(verdict[c]) << uint(i)
+		}
+		out[w] |= bw
+	}
+	return verdict
 }
 
 // vecCase is a searched CASE whose conditions, results and ELSE all lower.

@@ -194,3 +194,48 @@ func TestDoConcurrentCancellationTorture(t *testing.T) {
 	waitFor(t, func() bool { return runtime.NumGoroutine() <= base+2 },
 		fmt.Sprintf("goroutines leaked: started with %d, now %d", base, runtime.NumGoroutine()))
 }
+
+// TestDoTranslatePanicReleasesWaiters: a translate that panics re-panics in
+// its leader, and the flight still ends — a waiter gets
+// ErrTranslatePanicked at once, and the next request for the key leads a
+// fresh translation.
+func TestDoTranslatePanicReleasesWaiters(t *testing.T) {
+	c := New(8)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.Do(ctx, key("p"), func(context.Context) (*Entry, error) {
+			close(started)
+			<-release
+			panic("translator bug")
+		})
+	}()
+	<-started
+	waiterErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, key("p"), func(context.Context) (*Entry, error) {
+			t.Error("a waiter of a panicked flight must not translate")
+			return nil, nil
+		})
+		waiterErr <- err
+	}()
+	waitFor(t, func() bool { return c.Stats().Dedups == 1 }, "waiter never joined the flight")
+	close(release)
+	if r := <-leaderPanic; r != "translator bug" {
+		t.Fatalf("leader recovered %v, want the translator's panic", r)
+	}
+	select {
+	case err := <-waiterErr:
+		if !errors.Is(err, ErrTranslatePanicked) {
+			t.Fatalf("waiter err = %v, want ErrTranslatePanicked", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter still blocked on the panicked flight")
+	}
+	e, shared, err := c.Do(ctx, key("p"), func(context.Context) (*Entry, error) { return entry("SELECT p"), nil })
+	if err != nil || shared || e == nil {
+		t.Fatalf("after the panic: e=%v shared=%v err=%v, want a fresh translation", e, shared, err)
+	}
+}

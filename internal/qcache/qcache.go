@@ -221,11 +221,25 @@ func (c *Cache) Do(ctx context.Context, k Key, translate func(ctx context.Contex
 		f := &flight{done: make(chan struct{})}
 		c.flights[k] = f
 		c.mu.Unlock()
+		e, err := c.lead(ctx, k, f, translate)
+		return e, false, err
+	}
+}
 
-		f.e, f.err = translate(ctx)
-		// A failure caused by the leader's own context is the leader's alone:
-		// mark the flight aborted so live waiters retry rather than inherit it.
-		f.aborted = f.err != nil && ctx.Err() != nil && errors.Is(f.err, ctx.Err())
+// ErrTranslatePanicked is what the waiters of a flight get when its
+// leader's translate panicked; the panic itself goes on up the leader's
+// stack.
+var ErrTranslatePanicked = errors.New("qcache: the translation this request waited on panicked")
+
+// lead runs translate as flight f's leader and finishes the flight in a
+// defer: a translate that panics still removes the flight and releases its
+// waiters, with ErrTranslatePanicked, before the panic unwinds further.
+func (c *Cache) lead(ctx context.Context, k Key, f *flight, translate func(ctx context.Context) (*Entry, error)) (*Entry, error) {
+	returned := false
+	defer func() {
+		if !returned {
+			f.e, f.err = nil, ErrTranslatePanicked
+		}
 		c.mu.Lock()
 		if f.err == nil && f.e != nil {
 			c.put(k, f.e)
@@ -233,8 +247,13 @@ func (c *Cache) Do(ctx context.Context, k Key, translate func(ctx context.Contex
 		delete(c.flights, k)
 		c.mu.Unlock()
 		close(f.done)
-		return f.e, false, f.err
-	}
+	}()
+	f.e, f.err = translate(ctx)
+	returned = true
+	// A failure caused by the leader's own context is the leader's alone:
+	// mark the flight aborted so live waiters retry rather than inherit it.
+	f.aborted = f.err != nil && ctx.Err() != nil && errors.Is(f.err, ctx.Err())
+	return f.e, f.err
 }
 
 // Clear drops every entry (explicit invalidation; generation-keyed

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Compares this checkout (head) against a base ref on the repository's
-# benchmark, the way the gate does: BASE is checked out into a git worktree,
-# bench/run.sh runs in alternating base/head pairs per workload, and the
-# medians of each end-to-end metric are held to the bound BENCHMARK.json
-# fixes for it. A metric whose base runs spread (interquartile, relative to
+# benchmark, the way the gate does: BASE's committed files are unpacked into
+# a temporary directory (git archive, so nothing is written under the
+# repository's .git), bench/run.sh runs in alternating base/head pairs per
+# workload, and the medians of each end-to-end metric are held to the bound
+# BENCHMARK.json fixes for it. A metric whose base runs spread (interquartile, relative to
 # the median) wider than its bound is reported as unresolved, not as
 # unchanged. Exits 1 if any metric regressed beyond its bound.
 #
@@ -13,7 +14,7 @@
 # workload in BENCHMARK.json.
 set -euo pipefail
 
-[ $# -ge 1 ] || { sed -n '2,15p' "$0" >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,14p' "$0" >&2; exit 2; }
 base_ref=$1
 pairs=${2:-5}
 shift $(($# > 2 ? 2 : $#))
@@ -33,12 +34,9 @@ mapfile -t metrics < <(awk '/"end_to_end"/{on=1} /"per_layer"/{on=0}
 	on && /"bound"/{gsub(/[",]/,""); print name, better, $2}' "$spec")
 
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach "$tmp/base" "$base_ref" >/dev/null
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$root" archive "$base_ref" | tar -x -C "$tmp/base"
 
 # run SIDE DIR WORKLOAD appends the run's last-line JSON to $tmp/SIDE.WORKLOAD
 run() {
