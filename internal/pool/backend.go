@@ -42,39 +42,45 @@ func (p *Pool) SessionBackend() *SessionBackend {
 // Exec implements core.Backend. The request context bounds the checkout
 // wait and the statement itself; a pinned connection runs under the same
 // ctx-derived per-query deadline as a pooled one.
-func (b *SessionBackend) Exec(ctx context.Context, sql string) (*core.BackendResult, error) {
+func (b *SessionBackend) Exec(ctx context.Context, sql string) (res *core.BackendResult, err error) {
 	c, pinned, err := b.checkout(ctx, pinsConnection(sql))
 	if err != nil {
 		return nil, err
 	}
-	res, err := b.pool.Exec(ctx, c, sql)
-	b.checkin(c, pinned, err)
+	done := false
+	defer func() { b.checkin(c, pinned, !done || connBroken(err)) }()
+	res, err = b.pool.Exec(ctx, c, sql)
+	done = true
 	return res, err
 }
 
 // ExecStream implements core.StreamBackend with the same checkout, pinning
 // and checkin rules as Exec — a statement that creates a temp table pins the
 // connection whichever result path delivered it.
-func (b *SessionBackend) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
+func (b *SessionBackend) ExecStream(ctx context.Context, sql string, sink core.RowSink) (err error) {
 	c, pinned, err := b.checkout(ctx, pinsConnection(sql))
 	if err != nil {
 		return err
 	}
+	done := false
+	defer func() { b.checkin(c, pinned, !done || connBroken(err)) }()
 	err = b.pool.ExecStream(ctx, c, sql, sink)
-	b.checkin(c, pinned, err)
+	done = true
 	return err
 }
 
 // QueryCatalog implements core.Backend. Catalog queries never pin, but a
 // session that already pinned keeps using its connection — its temp tables
 // are only visible there.
-func (b *SessionBackend) QueryCatalog(ctx context.Context, sql string) ([][]string, error) {
+func (b *SessionBackend) QueryCatalog(ctx context.Context, sql string) (rows [][]string, err error) {
 	c, pinned, err := b.checkout(ctx, false)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := b.pool.QueryCatalog(ctx, c, sql)
-	b.checkin(c, pinned, err)
+	done := false
+	defer func() { b.checkin(c, pinned, !done || connBroken(err)) }()
+	rows, err = b.pool.QueryCatalog(ctx, c, sql)
+	done = true
 	return rows, err
 }
 
@@ -118,9 +124,11 @@ func (b *SessionBackend) checkout(ctx context.Context, pin bool) (c Conn, pinned
 }
 
 // checkin returns a per-statement connection to the pool, or handles the
-// loss of a pinned one.
-func (b *SessionBackend) checkin(c Conn, pinned bool, execErr error) {
-	broken := connBroken(execErr)
+// loss of a pinned one. A connection is broken when its transport failed or
+// when a panic (in the caller's sink, or in decoding the reply) unwound the
+// statement: its socket may stand mid-protocol, so it is closed, never
+// reused.
+func (b *SessionBackend) checkin(c Conn, pinned, broken bool) {
 	if !pinned {
 		b.pool.Put(c, !broken)
 		return

@@ -43,6 +43,9 @@ func (f *fakeConn) Exec(ctx context.Context, sql string) (*core.BackendResult, e
 
 func (f *fakeConn) ExecStream(ctx context.Context, sql string, sink core.RowSink) error {
 	_, err := f.Exec(ctx, sql)
+	if err == nil && sink != nil {
+		sink.Tag("OK")
+	}
 	return err
 }
 
@@ -362,6 +365,60 @@ func TestSessionBackendLostPinnedConn(t *testing.T) {
 		t.Fatalf("broken pinned connection should release its slot: %+v", st)
 	}
 	b.Close()
+}
+
+// panicSink is a core.RowSink that panics when the result ends.
+type panicSink struct{}
+
+func (panicSink) Schema([]core.BackendCol, int) error { return nil }
+func (panicSink) WireRow([][]byte) error              { return nil }
+func (panicSink) Tag(string)                          { panic("sink bug") }
+
+// execPanics runs sql through b.ExecStream into a panicking sink and
+// reports whether the panic reached the caller.
+func execPanics(b *SessionBackend, sql string) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	b.ExecStream(ctx, sql, panicSink{})
+	return false
+}
+
+// TestSessionBackendPanicDiscardsConn: a panic that unwinds a statement
+// closes its connection and frees its slot, so a pool of one still serves;
+// a pinned connection so lost marks the session lost.
+func TestSessionBackendPanicDiscardsConn(t *testing.T) {
+	d := &dialer{}
+	p := New(Config{Size: 1, Dial: d.dial, CheckoutTimeout: time.Second})
+	b := p.SessionBackend()
+	if !execPanics(b, "SELECT 1") {
+		t.Fatal("the sink's panic did not reach the caller")
+	}
+	if st := p.Stats(); st.InUse != 0 || st.Discards != 1 || !d.conns[0].isClosed() {
+		t.Fatalf("after a panic mid-statement: %+v, closed %v; want the connection discarded and its slot free",
+			st, d.conns[0].isClosed())
+	}
+	if _, err := b.Exec(ctx, "SELECT 2"); err != nil {
+		t.Fatal(err)
+	}
+	if d.count() != 2 {
+		t.Fatalf("dials = %d, want 2 (the panicked connection is not reused)", d.count())
+	}
+
+	if _, err := b.Exec(ctx, "CREATE TEMP TABLE t AS SELECT 1"); err != nil {
+		t.Fatal(err)
+	}
+	if !execPanics(b, "SELECT * FROM t") {
+		t.Fatal("the sink's panic did not reach the caller")
+	}
+	if _, err := b.Exec(ctx, "SELECT 3"); !errors.Is(err, ErrSessionConnLost) {
+		t.Fatalf("err = %v, want ErrSessionConnLost", err)
+	}
+	if st := p.Stats(); st.InUse != 0 || !d.conns[1].isClosed() {
+		t.Fatalf("pinned connection lost to a panic still held: %+v", st)
+	}
+	b.Close()
+	if _, err := p.SessionBackend().Exec(ctx, "SELECT 4"); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestConnBrokenClassification(t *testing.T) {
