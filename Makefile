@@ -48,32 +48,34 @@ bench-compare:
 # decompressor, which read every client's bytes, and the persist chunk codec,
 # which reads every column file a cold fault opens. A crash lands as a corpus
 # entry under the package's testdata/fuzz, which `go test` replays from then
-# on.
+# on. Minimizing each new interesting input is capped at a second: at go's
+# default of a minute, a target spends most of FUZZTIME minimizing instead
+# of fuzzing.
 FUZZTIME ?= 20s
+FUZZFLAGS = -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 fuzz:
-	$(GO) test ./internal/pgdb/sqlparse -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/qlang/parse -run '^$$' -fuzz '^FuzzQParse$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wire/pgv3 -run '^$$' -fuzz '^FuzzServerMessages$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzClientResult$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/qcache -run '^$$' -fuzz '^FuzzLift$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wire/qipc -run '^$$' -fuzz '^FuzzQIPCMessage$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzChunkCodec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pgdb/sqlparse -run '^$$' -fuzz '^FuzzParse$$' $(FUZZFLAGS)
+	$(GO) test ./internal/qlang/parse -run '^$$' -fuzz '^FuzzQParse$$' $(FUZZFLAGS)
+	$(GO) test ./internal/wire/pgv3 -run '^$$' -fuzz '^FuzzServerMessages$$' $(FUZZFLAGS)
+	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzClientResult$$' $(FUZZFLAGS)
+	$(GO) test ./internal/qcache -run '^$$' -fuzz '^FuzzLift$$' $(FUZZFLAGS)
+	$(GO) test ./internal/wire/qipc -run '^$$' -fuzz '^FuzzQIPCMessage$$' $(FUZZFLAGS)
+	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzChunkCodec$$' $(FUZZFLAGS)
 
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
 # replays the CI seeds against the serving engine (vector scans, fused
-# aggregates, columnar joins and index paths, with the AST walker as their
-# only row fallback), plus sweeps of the walker alone (-exec interpreted),
-# the reference both modes are held to, cold-reopen sweeps over
-# the durable store — unbounded, and under a tight budget that churns
-# segments through evict and refault — and sweeps with secondary indexes
-# forced on, resident and across a cold reopen. The -persist sweeps run the
-# vector fast paths over cold reopened segments: zone verdicts on evicted
-# stubs and column-granular fault-in. Every leg reads its results over PG v3
-# from the engine in the same process and runs each query twice, the rerun
-# with binary cells. QDIFF_LEGS lists each leg's extra flags, legs separated
-# by '|' ("-" for none).
+# aggregates, columnar joins and sorted-attribute ranges, with the AST walker
+# as their only row fallback), plus sweeps of the walker alone (-exec
+# interpreted), the reference both modes are held to, and cold-reopen sweeps
+# over the durable store — unbounded, and under a tight budget that churns
+# segments through evict and refault. The -persist sweeps run the vector
+# fast paths over cold reopened segments: zone verdicts on evicted stubs and
+# column-granular fault-in. Every leg reads its results over PG v3 from the
+# engine in the same process and runs each query twice, the rerun with
+# binary cells. QDIFF_LEGS lists each leg's extra flags, legs separated by
+# '|' ("-" for none).
 QDIFF_SEEDS = 1 2 7 42
-QDIFF_LEGS = -|-exec interpreted|-persist|-persist -mem-budget 65536|-index|-index -persist
+QDIFF_LEGS = -|-exec interpreted|-persist|-persist -mem-budget 65536
 qdiff:
 	@$(MAKE) -s --no-print-directory qdiff-runs | while read -r run; do \
 		echo "qdiff $$run"; \

@@ -33,7 +33,6 @@ func main() {
 	out := flag.String("out", "", "directory to write failing cases as corpus JSON")
 	maxRows := flag.Int("maxrows", 0, "max fact-table rows (0 = generator default)")
 	persistMode := flag.Bool("persist", false, "disk-backed mode: checkpoint every dataset to splayed column files under a temporary -data-dir and force each query to fault its segments back from disk")
-	index := flag.Bool("index", false, "force-enable secondary indexes and load tables in halves around an index-building probe, so queries run against incrementally-maintained indexes")
 	exec := pgdb.ExecCompiled
 	flag.Func("exec", "execution `engine` under test: compiled (the serving engine, default) or interpreted (the reference walker)", func(s string) (err error) {
 		exec, err = pgdb.ParseExecMode(s)
@@ -65,7 +64,6 @@ func main() {
 		MaxRows: *maxRows,
 		Engine:  engine,
 		Exec:    exec,
-		Index:   *index,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "qdiff:", err)

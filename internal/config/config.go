@@ -23,20 +23,20 @@ type Engine struct {
 	DataDir   string
 	Sync      persist.SyncMode
 	MemBudget int64
-	// StatsAddr, when non-empty, serves the persist.* and pgdb.index_*
-	// counters at http://StatsAddr/debug/vars.
+	// StatsAddr, when non-empty, serves the persist.* counters and pgdb's
+	// access-path counters (pgdb.index_hits, pgdb.asof_builds,
+	// pgdb.asof_hits) at http://StatsAddr/debug/vars.
 	StatsAddr string
 }
 
 // Defaults is the engine a binary runs when no engine flag is given, in
 // memory or over a store given only -data-dir. What is not a field is not a
 // setting: the servers run the compiled engine — vector scans, fused
-// aggregates, column-granular fault-in and index access paths, with the AST
-// walker as the only row fallback — which needs no flag (the walker alone
-// is the test reference, which qdiff selects itself), a
-// statement runs on one goroutine, hash indexes build at
-// pgdb.DefaultIndexMinRows rows, and checkpoints always encode per chunk and
-// read back by pread.
+// aggregates, column-granular fault-in and sorted-attribute access paths,
+// with the AST walker as the only row fallback — which needs no flag (the
+// walker alone is the test reference, which qdiff selects itself), a
+// statement runs on one goroutine, tables keep no hash index, and
+// checkpoints always encode per chunk and read back by pread.
 func Defaults() Engine {
 	return Engine{Sync: persist.SyncBatch}
 }
@@ -53,7 +53,7 @@ func (e *Engine) RegisterFlags(fs *flag.FlagSet, only ...string) {
 		return err
 	})
 	all.Int64Var(&e.MemBudget, "mem-budget", e.MemBudget, "resident column-data budget in bytes (0 = unlimited; needs -data-dir)")
-	all.StringVar(&e.StatsAddr, "stats-addr", e.StatsAddr, "HTTP address serving persist and index counters at /debug/vars (empty = off)")
+	all.StringVar(&e.StatsAddr, "stats-addr", e.StatsAddr, "HTTP address serving persist and access-path counters at /debug/vars (empty = off)")
 	all.VisitAll(func(f *flag.Flag) {
 		if len(only) == 0 || slices.Contains(only, f.Name) {
 			fs.Var(f.Value, f.Name, f.Usage)

@@ -125,8 +125,9 @@ func TestExplicit(t *testing.T) {
 
 // TestOpenClose drives the whole bring-up and pins what the benchmark reads
 // from outside the process: the wal.log file name and the persist.* and
-// pgdb.index_* keys at /debug/vars. The persist.* set is exact: the
-// counters of the deleted memory-mapped and read-ahead paths are gone.
+// pgdb.* keys at /debug/vars. Both sets are exact: the counters of the
+// deleted memory-mapped and read-ahead paths and of the deleted hash index
+// are gone.
 func TestOpenClose(t *testing.T) {
 	e := Defaults()
 	e.DataDir = t.TempDir()
@@ -135,8 +136,8 @@ func TestOpenClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Restored || in.DB.ExecutionMode() != pgdb.ExecCompiled || in.DB.IndexMinRows() != pgdb.DefaultIndexMinRows {
-		t.Errorf("fresh instance: restored=%v exec=%v index-min-rows=%d", in.Restored, in.DB.ExecutionMode(), in.DB.IndexMinRows())
+	if in.Restored || in.DB.ExecutionMode() != pgdb.ExecCompiled {
+		t.Errorf("fresh instance: restored=%v exec=%v", in.Restored, in.DB.ExecutionMode())
 	}
 	if _, err := in.DB.NewSession().ExecScript("CREATE TABLE t (a bigint); INSERT INTO t VALUES (1), (2)"); err != nil {
 		t.Fatal(err)
@@ -153,20 +154,20 @@ func TestOpenClose(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"pgdb.index_builds", "pgdb.index_hits"} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("/debug/vars lacks %s", key)
+	for prefix, want := range map[string]string{
+		"persist.": "persist.bytes_read persist.chunks_decoded persist.columns_faulted persist.evictions persist.segments_faulted",
+		"pgdb.":    "pgdb.asof_builds pgdb.asof_hits pgdb.index_hits",
+	} {
+		var keys []string
+		for key := range vars {
+			if strings.HasPrefix(key, prefix) {
+				keys = append(keys, key)
+			}
 		}
-	}
-	var persistKeys []string
-	for key := range vars {
-		if strings.HasPrefix(key, "persist.") {
-			persistKeys = append(persistKeys, key)
+		slices.Sort(keys)
+		if got := strings.Join(keys, " "); got != want {
+			t.Errorf("/debug/vars %s keys %q, want %q", prefix, got, want)
 		}
-	}
-	slices.Sort(persistKeys)
-	if got, want := strings.Join(persistKeys, " "), "persist.bytes_read persist.chunks_decoded persist.columns_faulted persist.evictions persist.segments_faulted"; got != want {
-		t.Errorf("/debug/vars persist keys %q, want %q", got, want)
 	}
 	if err := in.Close(); err != nil {
 		t.Fatal(err)

@@ -1,21 +1,23 @@
 package persist
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hyperq/internal/pgdb"
 )
 
-// TestAccessMetaRoundTrip: sorted attributes and index hints survive a
-// checkpoint and cold reopen. The reopened database is left at the default
-// index row threshold — far above this table's size — so the only way a
-// hash index can build after restart is the manifest's hint, and the only
-// way a range scan can hit an access path is the restored sorted attribute.
+// TestAccessMetaRoundTrip: sorted attributes survive a checkpoint and cold
+// reopen. The reopened table's rows bypass the append path, so the only way
+// a range predicate can hit an access path after restart is the manifest's
+// restored sorted flag; the unsorted column stays unsorted, and appends
+// keep maintaining the restored attribute.
 func TestAccessMetaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	db, s, st := openStore(t, dir, Options{Sync: SyncAlways})
-	db.SetIndexMinRows(0)
+	_, s, st := openStore(t, dir, Options{Sync: SyncAlways})
 	mustExec(t, s, "CREATE TABLE kv (k bigint, s varchar, v bigint)")
 	for lo := 0; lo < 600; lo += 200 {
 		sql := "INSERT INTO kv VALUES "
@@ -23,15 +25,10 @@ func TestAccessMetaRoundTrip(t *testing.T) {
 			if i > lo {
 				sql += ","
 			}
-			// k ascending keeps its sorted attribute; s cycles so it is
-			// unsorted and the point lookup below must build a hash index
+			// k and v ascend, keeping their sorted attributes; s cycles
 			sql += fmt.Sprintf("(%d,'s%d',%d)", i, i%7, i*3)
 		}
 		mustExec(t, s, sql)
-	}
-	mustExec(t, s, "SELECT count(*) FROM kv WHERE s = 's3'")
-	if db.IndexStats().Builds.Load() == 0 {
-		t.Fatalf("seed lookup did not build an index")
 	}
 	wantPoint := mustExec(t, s, "SELECT count(*) FROM kv WHERE s = 's3'").Rows[0][0]
 	wantRange := mustExec(t, s, "SELECT count(*) FROM kv WHERE k >= 550").Rows[0][0]
@@ -42,40 +39,62 @@ func TestAccessMetaRoundTrip(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	manifests, _ := filepath.Glob(filepath.Join(dir, "ckpt-*", "manifest.json"))
+	if len(manifests) == 0 {
+		t.Fatal("the checkpoint wrote no manifest")
+	}
+	for _, m := range manifests {
+		b, err := os.ReadFile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Tables []map[string]json.RawMessage `json:"tables"`
+		}
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		for _, tm := range got.Tables {
+			var sorted []bool
+			if err := json.Unmarshal(tm["sorted"], &sorted); err != nil {
+				t.Fatal(err)
+			}
+			// k and v ascend, s cycles
+			if _, ok := tm["indexed"]; ok || fmt.Sprint(sorted) != "[true false true]" {
+				t.Fatalf("%s records sorted %v and indexed %s, want sorted [true false true] and no indexed",
+					m, sorted, tm["indexed"])
+			}
+		}
+	}
 
 	db2, s2, st2 := openStore(t, dir, Options{Sync: SyncAlways})
 	defer st2.Close()
 	stats := db2.IndexStats()
 
-	// restored sorted attribute answers the range predicate with no build
+	// restored sorted attribute answers the range predicate
 	if got := mustExec(t, s2, "SELECT count(*) FROM kv WHERE k >= 550").Rows[0][0]; got != wantRange {
 		t.Fatalf("cold range count = %v, want %v", got, wantRange)
 	}
-	if stats.Hits.Load() == 0 {
+	hits := stats.Hits.Load()
+	if hits == 0 {
 		t.Fatalf("range scan after reopen did not hit the restored sorted attribute")
 	}
-	if stats.Builds.Load() != 0 {
-		t.Fatalf("range scan built an index (builds=%d)", stats.Builds.Load())
-	}
 
-	// the hint rebuilds the hash index even though 600 rows is far below
-	// the default threshold
+	// the unsorted column scans
 	if got := mustExec(t, s2, "SELECT count(*) FROM kv WHERE s = 's3'").Rows[0][0]; got != wantPoint {
 		t.Fatalf("cold point count = %v, want %v", got, wantPoint)
 	}
-	if stats.Builds.Load() != 1 {
-		t.Fatalf("hinted point lookup builds = %d, want 1", stats.Builds.Load())
+	if stats.Hits.Load() != hits {
+		t.Fatalf("an equality on the unsorted column hit an access path")
 	}
 
-	// incremental maintenance on the rebuilt index: one more matching row,
-	// no rebuild
+	// an in-order append keeps the restored attribute
 	mustExec(t, s2, "INSERT INTO kv VALUES (600,'s3',1800)")
-	got := mustExec(t, s2, "SELECT count(*) FROM kv WHERE s = 's3'").Rows[0][0]
-	if got != wantPoint.(int64)+1 {
-		t.Fatalf("post-insert point count = %v, want %v", got, wantPoint.(int64)+1)
+	if got := mustExec(t, s2, "SELECT count(*) FROM kv WHERE k >= 550").Rows[0][0]; got != wantRange.(int64)+1 {
+		t.Fatalf("post-insert range count = %v, want %v", got, wantRange.(int64)+1)
 	}
-	if stats.Builds.Load() != 1 {
-		t.Fatalf("insert forced a rebuild (builds=%d)", stats.Builds.Load())
+	if stats.Hits.Load() != hits+1 {
+		t.Fatalf("the append dropped the restored sorted attribute")
 	}
 
 	// full-table parity across every engine

@@ -235,16 +235,40 @@ func encodeChunk(v pgdb.VecData, lo, hi int) ([]byte, error) {
 		}
 	}
 
+	// the raw layout is built only when it is the smaller one; its length
+	// is computed without building it
+	if enc, body := encodeDataCompressed(v, lo, hi); body != nil && len(body) < rawLen(v, lo, hi) {
+		buf = append(buf, enc)
+		return append(buf, body...), nil
+	}
 	raw, err := encodeDataRaw(v, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	if enc, body := encodeDataCompressed(v, lo, hi); body != nil && len(body) < len(raw) {
-		buf = append(buf, enc)
-		return append(buf, body...), nil
-	}
 	buf = append(buf, dataRaw)
 	return append(buf, raw...), nil
+}
+
+// rawLen is len(encodeDataRaw(v, lo, hi)) for the kinds with a compressed
+// candidate — integers, booleans and strings — computed without building
+// the layout. Other kinds report -1: there is nothing to compare.
+func rawLen(v pgdb.VecData, lo, hi int) int {
+	rows := hi - lo
+	switch v.Kind {
+	case vkInt:
+		return 8 * rows
+	case vkBool:
+		return rows
+	case vkStr:
+		n := 8 * (rows + 1) // the offsets, then the non-NULL cells' bytes
+		for i := lo; i < hi; i++ {
+			if !nullAt(v.Nulls, i) {
+				n += len(v.Dict[v.Codes[i]])
+			}
+		}
+		return n
+	}
+	return -1
 }
 
 // encodeDataRaw serializes the data section in the kind's natural layout.

@@ -201,8 +201,8 @@ func (st *Store) restoreManifest(m *manifest) error {
 		}
 		st.tables[tm.Name] = ts
 		st.db.RestoreTableLazy(tm.Name, cols, segs, st.loaderFor(tm.Name))
-		if tm.Sorted != nil || tm.Indexed != nil {
-			st.db.RestoreAccessMeta(tm.Name, tm.Sorted, tm.Indexed)
+		if tm.Sorted != nil {
+			st.db.RestoreAccessMeta(tm.Name, tm.Sorted)
 		}
 	}
 	viewNames := make([]string, 0, len(m.Views))
@@ -662,8 +662,8 @@ func (st *Store) checkpointLocked(seq uint64, oldDir string) error {
 		partCol, parts := partitionRanges(cols, segs, nrows)
 
 		tm := manifestTable{Name: name, Rows: nrows, PartCol: partCol}
-		if sorted, indexed, ok := st.db.TableAccessMeta(name); ok {
-			tm.Sorted, tm.Indexed = sorted, indexed
+		if sorted, ok := st.db.TableAccessMeta(name); ok {
+			tm.Sorted = sorted
 		}
 		for _, c := range cols {
 			tm.Cols = append(tm.Cols, manifestCol{Name: c.Name, Type: c.Type})
@@ -992,12 +992,11 @@ type manifestTable struct {
 	PartCol int            `json:"part_col"`
 	Parts   []manifestPart `json:"parts,omitempty"`
 	Segs    []manifestSeg  `json:"segs,omitempty"`
-	// Sorted/Indexed record each column's access paths at checkpoint time:
-	// Sorted columns restore their sorted attribute without a scan, Indexed
-	// columns are rebuilt on the first qualifying lookup after a cold open.
-	// Absent in old manifests (nil → all false), which is always sound.
-	Sorted  []bool `json:"sorted,omitempty"`
-	Indexed []bool `json:"indexed,omitempty"`
+	// Sorted records each column's sorted attribute at checkpoint time, so
+	// a cold open restores it without a scan. Absent in old manifests (nil →
+	// all false), which is always sound. Manifests written before the hash
+	// index was deleted also carry an "indexed" list, which decoding ignores.
+	Sorted []bool `json:"sorted,omitempty"`
 }
 
 type manifestCol struct {

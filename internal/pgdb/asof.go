@@ -306,7 +306,7 @@ func (s *Session) asofVec(left, right *relation, lk, rk, lt, rt int, nullSafe bo
 		}
 		src[i] = c
 	}
-	ix := s.asofIndexFor(rs, rk, rt)
+	ix := asofIndexFor(rs, rk, rt)
 	match := make([]int32, 0, ls.n)
 	// entries[code] is the bucket of a left key dictionary entry (noBucket:
 	// none), probed on the entry's first row in the segment
@@ -374,10 +374,9 @@ var noBucket = &asofBucket{}
 // column tc of st. A table, or a view over one, shares the table's cached
 // index in the table's column space — a view's row ids are its table's —
 // so every wrapper shape over the same columns hits one entry; a
-// materialized private store, or any store while indexes are disabled,
-// builds per query.
-func (s *Session) asofIndexFor(st *colStore, kc, tc int) *asofIndex {
-	if base, bk := st.baseCol(kc); base != nil && s.db.IndexMinRows() >= 0 {
+// materialized private store builds per query.
+func asofIndexFor(st *colStore, kc, tc int) *asofIndex {
+	if base, bk := st.baseCol(kc); base != nil {
 		_, bt := st.baseCol(tc)
 		return base.cachedAsofIndex(bk, bt)
 	}

@@ -3,7 +3,6 @@ package pgdb
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -20,10 +19,10 @@ const (
 	// with the AST walker (eval.go) as their only row fallback. Base-table
 	// scans read the column vectors directly: WHERE clauses that lower to
 	// bitmap kernels (vector.go) skip segments by zone map or answer from
-	// sorted attributes and hash indexes (index.go), aggregations whose keys
-	// and arguments lower to columns or value kernels (kernel.go) fold over
-	// the selection bitmap (vecagg.go), and projections of columns and value
-	// kernels gather only the selected cells. Shapes that do not lower run
+	// sorted attributes (index.go), aggregations whose keys and arguments
+	// lower to columns or value kernels (kernel.go) fold over the selection
+	// bitmap (vecagg.go), and projections of columns and value kernels
+	// gather only the selected cells. Shapes that do not lower run
 	// the walker over boxed rows that hold only the selected rows and the
 	// columns the statement reads.
 	ExecCompiled ExecMode = iota
@@ -105,39 +104,18 @@ type DB struct {
 	journal   Journal
 	afterStmt func()
 
-	// indexMinRows gates lazy hash-index builds (see SetIndexMinRows);
 	// idxStats collects database-wide access-path counters.
-	indexMinRows atomic.Int32
-	idxStats     IndexStats
+	idxStats IndexStats
 	// selectHook (tests) hears whether each top-level SELECT is columnar.
 	selectHook func(columnar bool)
 }
 
 // NewDB creates an empty database. The default execution mode is
 // ExecCompiled — vector scans, fused aggregates, column-granular fault-in
-// and index access paths included. Secondary indexes build lazily once a
-// table reaches DefaultIndexMinRows rows.
+// and sorted-attribute access paths included.
 func NewDB() *DB {
-	db := &DB{tables: map[string]*storedTable{}, views: map[string]*storedView{}}
-	db.indexMinRows.Store(DefaultIndexMinRows)
-	return db
+	return &DB{tables: map[string]*storedTable{}, views: map[string]*storedView{}}
 }
-
-// SetIndexMinRows sets the minimum table row count before a lazy hash-index
-// build triggers on a qualifying lookup. 0 indexes every table; n < 0
-// disables secondary indexes and the as-of bucket cache entirely.
-func (db *DB) SetIndexMinRows(n int) {
-	if n > math.MaxInt32 {
-		n = math.MaxInt32
-	}
-	if n < 0 {
-		n = -1
-	}
-	db.indexMinRows.Store(int32(n))
-}
-
-// IndexMinRows reports the lazy index-build threshold (-1 = disabled).
-func (db *DB) IndexMinRows() int { return int(db.indexMinRows.Load()) }
 
 // IndexStats exposes the database's access-path counters; the pointer stays
 // valid for the database's lifetime.
@@ -152,6 +130,15 @@ func (db *DB) ExecutionMode() ExecMode { return ExecMode(db.execMode.Load()) }
 // SetParallelism does nothing: a statement runs on its session's goroutine.
 // It remains for callers written against the former worker-count setting.
 func (db *DB) SetParallelism(int) {}
+
+// SetIndexMinRows does nothing: a table keeps no hash index. It and
+// DefaultIndexMinRows remain for callers written against the former index
+// row threshold.
+func (db *DB) SetIndexMinRows(int) {}
+
+// DefaultIndexMinRows was the former hash index's row threshold; nothing
+// reads it.
+const DefaultIndexMinRows = segSize
 
 // interpretedMode reports whether the session's database runs the retained
 // AST-walking engine instead of the compiled one.

@@ -318,8 +318,8 @@ type colStore struct {
 	// the slot's own mutex.
 	loader SegLoader
 
-	// ix holds the table's access paths: per-column sorted attributes, lazy
-	// hash indexes, and the as-of bucket cache (index.go).
+	// ix holds the table's access paths: per-column sorted attributes and
+	// the as-of bucket cache (index.go).
 	ix indexState
 
 	// private marks a statement-private store (gather.go): a subquery's or

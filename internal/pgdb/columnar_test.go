@@ -173,62 +173,6 @@ func TestColumnarJoinParity(t *testing.T) {
 	}
 }
 
-// TestJoinProbesViewIndex: a join whose build side is a pass-through view
-// over an indexed table column probes the table's postings — the index hit
-// counter moves, nothing is built, and the join allocates far less than one
-// posting list per distinct build key would.
-func TestJoinProbesViewIndex(t *testing.T) {
-	db, s := joinParityDB(t)
-	mustExec(t, s, "SELECT count(*) FROM d WHERE k = 'k7'") // builds d.k's index
-	stats := db.IndexStats()
-	builds, hits := stats.Builds.Load(), stats.Hits.Load()
-	if builds == 0 {
-		t.Fatal("the point lookup built no index")
-	}
-	q := "SELECT a.x, b.y FROM (SELECT k, x FROM f WHERE x < 20) a JOIN (SELECT k AS k, y AS y FROM d) b ON a.k = b.k"
-	want := fmt.Sprint(mustExec(t, s, q).Rows)
-	if stats.Hits.Load() == hits || stats.Builds.Load() != builds {
-		t.Fatalf("join over the view: index hits %d -> %d, builds %d -> %d",
-			hits, stats.Hits.Load(), builds, stats.Builds.Load())
-	}
-	// d.k holds 4000 distinct keys; a per-query build allocates a posting
-	// list for each
-	allocs := testing.AllocsPerRun(5, func() { mustExec(t, s, q) })
-	t.Logf("%.0f allocations per join", allocs)
-	if allocs > 1000 {
-		t.Fatalf("join allocates %.0f times: it built its own hash table", allocs)
-	}
-	db.SetExecMode(ExecInterpreted)
-	if got := fmt.Sprint(mustExec(t, s, q).Rows); got != want {
-		t.Fatalf("indexed join differs from the interpreter")
-	}
-}
-
-// TestDeclinedJoinBuildsNoIndex: a join the typed hash join declines from
-// its key kinds — a float key, which no join probes, or a left key with a
-// boxed segment — builds no index on the right table, which every later DML
-// there would have to maintain, and the row join still matches the
-// interpreter.
-func TestDeclinedJoinBuildsNoIndex(t *testing.T) {
-	db, s := joinParityDB(t)
-	stats := db.IndexStats()
-	for _, q := range []string{
-		"SELECT f.x, d.y FROM f JOIN d ON f.kf = d.kf",
-		"SELECT f.x, d.y FROM f LEFT JOIN d ON f.ka = d.ka WHERE f.x < 300",
-	} {
-		db.SetExecMode(ExecCompiled)
-		builds := stats.Builds.Load()
-		got := fmt.Sprint(mustExec(t, s, q).Rows)
-		if n := stats.Builds.Load() - builds; n != 0 {
-			t.Errorf("%s: built %d indexes", q, n)
-		}
-		db.SetExecMode(ExecInterpreted)
-		if want := fmt.Sprint(mustExec(t, s, q).Rows); got != want {
-			t.Errorf("%s: compiled and interpreted engines differ", q)
-		}
-	}
-}
-
 // TestGatherAndViewSizedToRows: the vectors of a private store — a view of
 // a table, a gather of a few rows, a join's output — have exactly their
 // segment's row count of capacity, never a full segment's worth.

@@ -50,13 +50,12 @@ func (s *Session) evalVecPred(p vecPred, st *colStore) ([]uint64, error) {
 	n := st.numRows()
 	out := make([]uint64, (n+63)/64)
 	// access-path pre-pass: a predicate over sorted columns resolves to one
-	// contiguous range by binary search, and a top-level equality on an
-	// indexed column reads its postings — either way no segment is scanned
+	// contiguous range by binary search, and no segment is scanned
 	var idxErr error
 	var idxDone bool
 	func() {
 		defer trapFault(&idxErr)
-		idxDone = s.tryIndexPred(p, st, out)
+		idxDone = trySortedPred(p, st, out)
 	}()
 	if idxErr != nil {
 		return nil, idxErr

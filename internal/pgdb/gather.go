@@ -15,18 +15,18 @@ import (
 //     vectors are struct copies of the source's, sharing the data. A view
 //     keeps its source's stubs and faults them in through the source, and it
 //     records the table store behind it (baseCol), which is how the typed
-//     joins reach a table's hash index and as-of cache through the
-//     translator's pass-through wrappers.
+//     as-of join reaches a table's as-of cache through the translator's
+//     pass-through wrappers.
 //   - a materialized store (gatherCols) — typed copies of picked rows: the
 //     selected rows of a filtered subquery, or a join's (left, right) row
 //     pairs. Only the gathered columns of segments holding a picked row
 //     fault in.
 //
 // Private stores are built for one statement and are never written, so
-// they carry no access paths: no sorted attributes, no hash indexes and no
-// as-of cache. Zone maps are the source's (a view) or nil (a gather: no
-// verdict). Every vector's capacity equals its segment's row count — a
-// one-row point lookup must not allocate a segment's worth of each column.
+// they carry no access paths: no sorted attributes and no as-of cache. Zone
+// maps are the source's (a view) or nil (a gather: no verdict). Every
+// vector's capacity equals its segment's row count — a one-row point
+// lookup must not allocate a segment's worth of each column.
 // A consumer that still needs rows boxes the store once (rowsView, boxSel).
 // A store that may share a table's vectors is marked shared; a top-level
 // SELECT gathers instead, since it is read after the statement lock is

@@ -1,7 +1,8 @@
 package pgdb
 
-// Access paths: per-column sorted attributes and lazy secondary hash
-// indexes over colStore, in the spirit of kdb+'s `s#`/`p#` attributes.
+// Access paths: per-column sorted attributes over colStore, in the spirit of
+// kdb+'s `s#` attribute, the typed hash join's build side and the as-of
+// bucket cache.
 //
 // A sorted attribute records that a column is non-decreasing under
 // compareVals and holds no NULLs; it is maintained through every append and
@@ -11,58 +12,32 @@ package pgdb
 // column-granular fault-in means a cold probe touches O(log n) cells of one
 // column — instead of a full bitmap scan.
 //
-// A hash index maps each distinct value of a column to its ascending row-id
-// postings. It is built lazily on the first qualifying lookup, maintained
-// by INSERT (new row ids append to the postings), dropped wholesale on
-// segment eviction (the postings pin value memory the eviction is trying to
-// release), and rebuilt on the next qualifying lookup. The vectorized
-// filter answers a top-level `=` predicate from it, and equi-joins use it as
-// a prebuilt build side.
-//
-// All lookup-side decisions replicate the engines' comparison semantics
-// exactly: predicate lookups match the vectorized kernels (numeric
-// compare-as-float with the 2^53 guard, NaN = NaN), join lookups match
-// keyString (type-tagged equality, so int64 2 and float64 2.0 never join).
+// A table keeps no hash index. A `col = const` filter scans: over a string
+// column that is one compare per dictionary entry and one table read per
+// row (cmpStrKernel). An equi-join builds its side per query (buildHashIdx),
+// with keyString's semantics: type-tagged equality, so int64 2 and float64
+// 2.0 never join.
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// DefaultIndexMinRows is the default minimum table row count before a lazy
-// hash-index build triggers: one full segment, so small working tables never
-// pay index maintenance.
-const DefaultIndexMinRows = segSize
-
-// maxExactFloatInt is 2^53, the bound beyond which float64 cannot represent
-// every int64 exactly; equality lookups against an int column fall back to
-// the scan kernels there rather than guess which ints collide.
-const maxExactFloatInt = float64(1 << 53)
-
 // IndexStats counts access-path activity database-wide. All fields are
 // atomics: lookups happen under the shared statement lock.
 type IndexStats struct {
-	Builds        atomic.Int64 // hash-index builds (lazy or hint-driven)
-	Hits          atomic.Int64 // lookups answered from an index or sorted attribute
-	Misses        atomic.Int64 // qualifying lookups with no usable index
-	Invalidations atomic.Int64 // indexes dropped by DML, eviction, or type degradation
-	BytesResident atomic.Int64 // estimated heap bytes held by built indexes
-	AsofBuilds    atomic.Int64 // as-of bucket-index builds
-	AsofHits      atomic.Int64 // as-of joins answered from a cached bucket index
+	Hits       atomic.Int64 // predicates answered from a sorted attribute
+	AsofBuilds atomic.Int64 // as-of bucket-index builds
+	AsofHits   atomic.Int64 // as-of joins answered from a cached bucket index
 }
 
 // Vars returns the counters in /debug/vars form, keyed like persist.Stats.
 func (s *IndexStats) Vars() map[string]int64 {
 	return map[string]int64{
-		"pgdb.index_builds":         s.Builds.Load(),
-		"pgdb.index_hits":           s.Hits.Load(),
-		"pgdb.index_misses":         s.Misses.Load(),
-		"pgdb.index_invalidations":  s.Invalidations.Load(),
-		"pgdb.index_bytes_resident": s.BytesResident.Load(),
-		"pgdb.asof_builds":          s.AsofBuilds.Load(),
-		"pgdb.asof_hits":            s.AsofHits.Load(),
+		"pgdb.index_hits":  s.Hits.Load(),
+		"pgdb.asof_builds": s.AsofBuilds.Load(),
+		"pgdb.asof_hits":   s.AsofHits.Load(),
 	}
 }
 
@@ -80,38 +55,9 @@ type sortAttr struct {
 	last any
 }
 
-// hashIdx is one column's secondary index: value → ascending row-id
-// postings, typed by the column's uniform vector kind. nulls collects the
-// NULL rows for null-safe join probes. A hashIdx is immutable to readers
-// once published except under the exclusive statement lock (DML), matching
-// the vectors' own coherence rule.
-type hashIdx struct {
-	col    int
-	kind   vecKind // vkInt, vkStr, vkFloat, or vkEmpty (all-NULL so far)
-	ints   map[int64][]int32
-	floats map[float64][]int32
-	strs   map[string][]int32
-	nan    []int32 // float NaN postings (compareVals: NaN = NaN)
-	nulls  []int32
-	bytes  int64 // estimated heap footprint, mirrored into BytesResident
-}
-
-// notIndexable is the negative-cache sentinel: the column's kind mix (vkAny,
-// vkBool, or int/float across segments) cannot be indexed. Appends never
-// undo the conditions, so the sentinel never goes stale.
-var notIndexable = &hashIdx{col: -1, kind: vkAny}
-
 // indexState is the per-table access-path state hanging off colStore.
 type indexState struct {
 	sorted []sortAttr
-	// idx[c] swaps atomically between nil, a built index, and the
-	// notIndexable sentinel, so shared-lock readers never see a half-built
-	// index; buildMu serializes concurrent lazy builds.
-	idx     []atomic.Pointer[hashIdx]
-	buildMu sync.Mutex
-	// hint marks columns the persist manifest recorded as indexed: the next
-	// qualifying lookup rebuilds them regardless of the row threshold.
-	hint []bool
 	// version counts mutations; cached derived structures (the as-of bucket
 	// cache, keyed by key and time column) key their validity on it.
 	version uint64
@@ -122,15 +68,13 @@ type indexState struct {
 
 func (ix *indexState) init(cols int) {
 	ix.sorted = make([]sortAttr, cols)
-	ix.idx = make([]atomic.Pointer[hashIdx], cols)
-	ix.hint = make([]bool, cols)
 	for c := range ix.sorted {
 		ix.sorted[c].ok = true // an empty column is trivially sorted
 	}
 }
 
-// noteAppend maintains the sorted attribute and hash index of column c for a
-// value being appended as row id st.n (called before the count bumps).
+// noteAppend maintains the sorted attribute of column c for a value being
+// appended as row id st.n (called before the count bumps).
 func (st *colStore) noteAppend(c int, v any) {
 	if sa := &st.ix.sorted[c]; sa.ok {
 		if v == nil || (st.n > 0 && compareVals(v, sa.last) < 0) {
@@ -139,39 +83,14 @@ func (st *colStore) noteAppend(c int, v any) {
 			sa.last = v
 		}
 	}
-	if ix := st.ix.idx[c].Load(); ix != nil && ix != notIndexable {
-		if !ix.insert(int32(st.n), v) {
-			st.dropIndex(c)
-		}
-	}
 }
 
 // noteMutation bumps the version counter; every data change runs through it.
 func (st *colStore) noteMutation() { st.ix.version++ }
 
-// dropIndex discards column c's built index (an INSERT's value of another
-// kind).
-func (st *colStore) dropIndex(c int) {
-	if ix := st.ix.idx[c].Load(); ix != nil && ix != notIndexable {
-		st.ix.stats.add(&st.ix.stats.Invalidations, 1)
-		st.ix.stats.add(&st.ix.stats.BytesResident, -ix.bytes)
-	}
-	st.ix.idx[c].Store(notIndexable)
-}
-
-// dropIndexes discards every built index and the as-of cache: eviction
-// wants the memory back. Unlike dropIndex the columns stay indexable — the
-// next qualifying lookup rebuilds.
-func (st *colStore) dropIndexes() {
-	for c := range st.ix.idx {
-		if ix := st.ix.idx[c].Load(); ix != nil {
-			if ix != notIndexable {
-				st.ix.stats.add(&st.ix.stats.Invalidations, 1)
-				st.ix.stats.add(&st.ix.stats.BytesResident, -ix.bytes)
-			}
-			st.ix.idx[c].Store(nil)
-		}
-	}
+// dropAsofCache discards the as-of bucket cache: eviction wants the memory
+// back. The next as-of join rebuilds.
+func (st *colStore) dropAsofCache() {
 	st.ix.asofMu.Lock()
 	st.ix.asof = nil
 	st.ix.asofMu.Unlock()
@@ -181,126 +100,23 @@ func (st *colStore) dropIndexes() {
 // Statement-private stores carry none.
 func (st *colStore) sortedCol(c int) bool { return !st.private && st.ix.sorted[c].ok }
 
-// --- hash index build and maintenance ---
+// --- hash join build side ---
 
-// kindOfVal maps a non-nil engine value to its vector kind.
-func kindOfVal(v any) vecKind {
-	switch v.(type) {
-	case int64:
-		return vkInt
-	case float64:
-		return vkFloat
-	case string:
-		return vkStr
-	case bool:
-		return vkBool
-	}
-	return vkAny
+// hashIdx is a hash join's build side over one key column: value →
+// ascending row-id postings, and the NULL rows for null-safe probes.
+// joinKind admits only integer or string keys, so at most one of ints and
+// strs holds entries.
+type hashIdx struct {
+	ints  map[int64][]int32
+	strs  map[string][]int32
+	nulls []int32
 }
 
-// insert adds one (row, value) posting. Row ids arrive in ascending order
-// (appends), so each postings list stays sorted. Returns false when the
-// value does not fit the index's kind — the caller drops the index.
-func (ix *hashIdx) insert(row int32, v any) bool {
-	if v == nil {
-		ix.nulls = append(ix.nulls, row)
-		ix.bytes += 4
-		return true
-	}
-	k := kindOfVal(v)
-	if ix.kind == vkEmpty && (k == vkInt || k == vkFloat || k == vkStr) {
-		// an all-NULL column adopts the kind of its first non-null value
-		ix.kind = k
-	}
-	if k != ix.kind {
-		return false
-	}
-	switch k {
-	case vkInt:
-		if ix.ints == nil {
-			ix.ints = map[int64][]int32{}
-		}
-		x := v.(int64)
-		ix.ints[x] = append(ix.ints[x], row)
-		ix.bytes += 12
-	case vkFloat:
-		f := v.(float64)
-		if math.IsNaN(f) {
-			ix.nan = append(ix.nan, row)
-			ix.bytes += 4
-			return true
-		}
-		if ix.floats == nil {
-			ix.floats = map[float64][]int32{}
-		}
-		ix.floats[f] = append(ix.floats[f], row)
-		ix.bytes += 12
-	case vkStr:
-		if ix.strs == nil {
-			ix.strs = map[string][]int32{}
-		}
-		x := v.(string)
-		ix.strs[x] = append(ix.strs[x], row)
-		ix.bytes += int64(len(x)) + 20
-	default:
-		return false
-	}
-	return true
-}
-
-// hashIdxFor returns column col's hash index, building it lazily when the
-// table qualifies (row threshold, or a persisted index hint from a cold
-// open). nil means no index applies — the caller scans. Statement-private
-// stores never index.
-func (s *Session) hashIdxFor(st *colStore, col int) *hashIdx {
-	minRows := s.db.IndexMinRows()
-	if minRows < 0 || st.private {
-		return nil
-	}
-	if ix := st.ix.idx[col].Load(); ix != nil {
-		if ix == notIndexable {
-			return nil
-		}
-		st.ix.stats.add(&st.ix.stats.Hits, 1)
-		return ix
-	}
-	if st.n < minRows && !st.ix.hint[col] {
-		st.ix.stats.add(&st.ix.stats.Misses, 1)
-		return nil
-	}
-	st.ix.buildMu.Lock()
-	defer st.ix.buildMu.Unlock()
-	if ix := st.ix.idx[col].Load(); ix != nil { // lost the build race
-		if ix == notIndexable {
-			return nil
-		}
-		st.ix.stats.add(&st.ix.stats.Hits, 1)
-		return ix
-	}
-	ix := buildHashIdx(st, col)
-	if ix == nil {
-		st.ix.idx[col].Store(notIndexable)
-		st.ix.stats.add(&st.ix.stats.Misses, 1)
-		return nil
-	}
-	st.ix.idx[col].Store(ix)
-	st.ix.stats.add(&st.ix.stats.Builds, 1)
-	st.ix.stats.add(&st.ix.stats.BytesResident, ix.bytes)
-	return ix
-}
-
-// buildHashIdx scans one column (faulting it in segment by segment, other
-// columns untouched) and returns its index, or nil when the column's kind
-// mix is not indexable.
+// buildHashIdx scans one key column (faulting it in segment by segment,
+// other columns untouched) into a join build side. The caller has checked
+// joinKind, so every segment holds integers, strings or only NULLs.
 func buildHashIdx(st *colStore, col int) *hashIdx {
-	if st.n >= math.MaxInt32 {
-		return nil
-	}
-	kind := st.colKind(col)
-	if kind == vkAny || kind == vkBool {
-		return nil
-	}
-	ix := &hashIdx{col: col, kind: kind}
+	ix := &hashIdx{ints: map[int64][]int32{}, strs: map[string][]int32{}}
 	for si := 0; si < st.numSegs(); si++ {
 		seg := st.segCols(si, []int{col})
 		v := &seg.vecs[col]
@@ -310,27 +126,12 @@ func buildHashIdx(st *colStore, col int) *hashIdx {
 			continue
 		}
 		for i := 0; i < seg.n; i++ {
+			row := base + int32(i)
 			if v.isNull(i) {
-				ix.nulls = append(ix.nulls, base+int32(i))
-				ix.bytes += 4
+				ix.nulls = append(ix.nulls, row)
 				continue
 			}
-			row := base + int32(i)
-			switch kind {
-			case vkInt:
-				x := v.ints[i]
-				ix.ints = lazyAppend(ix.ints, x, row)
-				ix.bytes += 12
-			case vkFloat:
-				f := v.floats[i]
-				if math.IsNaN(f) {
-					ix.nan = append(ix.nan, row)
-					ix.bytes += 4
-					continue
-				}
-				ix.floats = lazyAppendF(ix.floats, f, row)
-				ix.bytes += 12
-			}
+			ix.ints[v.ints[i]] = append(ix.ints[v.ints[i]], row)
 		}
 	}
 	return ix
@@ -344,7 +145,6 @@ func (ix *hashIdx) addStrSeg(v *colVec, n int, base int32) {
 	for i := 0; i < n; i++ {
 		if v.isNull(i) {
 			ix.nulls = append(ix.nulls, base+int32(i))
-			ix.bytes += 4
 			continue
 		}
 		start[v.codes[i]+1]++
@@ -361,9 +161,6 @@ func (ix *hashIdx) addStrSeg(v *colVec, n int, base int32) {
 			next[c]++
 		}
 	}
-	if ix.strs == nil {
-		ix.strs = map[string][]int32{}
-	}
 	for c, x := range v.dict {
 		lo, hi := start[c], start[c+1]
 		if lo == hi {
@@ -377,72 +174,14 @@ func (ix *hashIdx) addStrSeg(v *colVec, n int, base int32) {
 			p = append(p, rows[lo:hi]...)
 		}
 		ix.strs[x] = p
-		ix.bytes += int64(hi-lo) * (int64(len(x)) + 20)
 	}
 }
 
-func lazyAppend(m map[int64][]int32, k int64, row int32) map[int64][]int32 {
-	if m == nil {
-		m = map[int64][]int32{}
-	}
-	m[k] = append(m[k], row)
-	return m
-}
-
-func lazyAppendF(m map[float64][]int32, k float64, row int32) map[float64][]int32 {
-	if m == nil {
-		m = map[float64][]int32{}
-	}
-	m[k] = append(m[k], row)
-	return m
-}
-
-// --- predicate-side lookups (vectorized kernel semantics) ---
-
-// lookupEq returns the rows whose cells equal konst under the comparison
-// kernels' semantics. ok=false means the index cannot answer soundly (the
-// 2^53 int/float collision zone) and the caller must scan.
-func (ix *hashIdx) lookupEq(konst any) (rows []int32, ok bool) {
-	kf, kfOK := toFloat(konst)
-	ks, ksOK := konst.(string)
-	switch ix.kind {
-	case vkInt:
-		if !kfOK || math.IsNaN(kf) {
-			return nil, true // type-name or NaN inequality: no int cell matches
-		}
-		if kf != math.Trunc(kf) {
-			return nil, true
-		}
-		if math.Abs(kf) >= maxExactFloatInt {
-			return nil, false // distinct int64s collide as float64 here
-		}
-		return ix.ints[int64(kf)], true
-	case vkFloat:
-		if !kfOK {
-			return nil, true
-		}
-		if math.IsNaN(kf) {
-			return ix.nan, true // compareVals: NaN = NaN
-		}
-		return ix.floats[kf], true
-	case vkStr:
-		if !ksOK {
-			return nil, true
-		}
-		return ix.strs[ks], true
-	case vkEmpty:
-		return nil, true // only NULLs: equality never matches
-	}
-	return nil, false
-}
-
-// --- join-side lookups (keyString semantics) ---
-
-// joinKind reports whether an index over a right key column of kind rkind
-// can serve as the hash-join build side for a left key column of kind
-// lkind (colKind of each). Both must be uniformly int or uniformly string,
-// all-NULL columns aside. Floats are excluded: keyString distinguishes +0
-// from -0 and NaN from NaN, which the float map cannot reproduce.
+// joinKind reports whether a right key column of kind rkind can be the
+// hash-join build side for a left key column of kind lkind (colKind of
+// each). Both must be uniformly int or uniformly string, all-NULL columns
+// aside. Floats are excluded: keyString distinguishes +0 from -0 and NaN
+// from NaN, which a float map cannot reproduce.
 func joinKind(rkind, lkind vecKind) bool {
 	keyed := func(k vecKind) bool { return k == vkInt || k == vkStr || k == vkEmpty }
 	return keyed(rkind) && keyed(lkind) && (rkind == vkEmpty || lkind == vkEmpty || rkind == lkind)
@@ -450,19 +189,19 @@ func joinKind(rkind, lkind vecKind) bool {
 
 // --- whole-predicate fast paths over the selection bitmap ---
 
-// tryIndexPred attempts to answer a lowered predicate without scanning:
-// first by reducing it to one contiguous row range over sorted columns
-// (binary search), then by hash-index equality postings. Returns true when
-// out holds the final selection bitmap.
-func (s *Session) tryIndexPred(p vecPred, st *colStore, out []uint64) bool {
-	if lo, hi, ok := sortedPredRange(p, st); ok {
-		fillRange(out, lo, hi)
-		if _, isConst := p.(*vecConst); !isConst {
-			st.ix.stats.add(&st.ix.stats.Hits, 1)
-		}
-		return true
+// trySortedPred answers a lowered predicate without scanning when it
+// reduces to one contiguous row range over sorted columns (binary search).
+// Returns true when out holds the final selection bitmap.
+func trySortedPred(p vecPred, st *colStore, out []uint64) bool {
+	lo, hi, ok := sortedPredRange(p, st)
+	if !ok {
+		return false
 	}
-	return s.idxPredBits(p, st, out)
+	fillRange(out, lo, hi)
+	if _, isConst := p.(*vecConst); !isConst {
+		st.ix.stats.add(&st.ix.stats.Hits, 1)
+	}
+	return true
 }
 
 // sortedPredRange reduces a predicate tree to a single contiguous row range
@@ -611,31 +350,6 @@ func sortedCmpRange(st *colStore, col int, op string, konst any) (lo, hi int, ok
 	return 0, 0, false
 }
 
-// idxPredBits answers a top-level `col = const` predicate from the column's
-// hash index, setting the postings' bits in out.
-func (s *Session) idxPredBits(p vecPred, st *colStore, out []uint64) bool {
-	x, ok := p.(*vecCmp)
-	if !ok || x.op != "=" {
-		return false
-	}
-	ix := s.hashIdxFor(st, x.col)
-	if ix == nil {
-		return false
-	}
-	rows, ok := ix.lookupEq(x.konst)
-	if !ok {
-		return false
-	}
-	setBits(out, rows)
-	return true
-}
-
-func setBits(out []uint64, rows []int32) {
-	for _, r := range rows {
-		out[r>>6] |= 1 << (uint32(r) & 63)
-	}
-}
-
 // fillRange sets bits [lo, hi) word-at-a-time.
 func fillRange(out []uint64, lo, hi int) {
 	if lo >= hi {
@@ -775,18 +489,4 @@ func buildAsofIndex(st *colStore, kc, tc int) *asofIndex {
 		sort.Sort(ix.nulls)
 	}
 	return ix
-}
-
-// DropTableIndexes drops every built hash index on one table, so the next
-// qualifying lookup rebuilds from scratch — benchmarks use it to measure the
-// lazy build in isolation. Sorted attributes and the as-of bucket cache are
-// untouched.
-func (db *DB) DropTableIndexes(name string) {
-	db.mu.RLock()
-	t, ok := db.tables[name]
-	db.mu.RUnlock()
-	if !ok || t.store == nil {
-		return
-	}
-	t.store.dropIndexes()
 }

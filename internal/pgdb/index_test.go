@@ -4,18 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
-)
 
-// indexedDB returns a database with lazy indexing forced on (no row
-// threshold), so small test tables exercise every access path.
-func indexedDB(t *testing.T) (*DB, *Session) {
-	t.Helper()
-	db := NewDB()
-	db.SetIndexMinRows(0)
-	return db, db.NewSession()
-}
+	"hyperq/internal/pgdb/sqlparse"
+)
 
 func storeOf(t *testing.T, db *DB, name string) *colStore {
 	t.Helper()
@@ -30,7 +24,8 @@ func storeOf(t *testing.T, db *DB, name string) *colStore {
 // kept while order holds (ties included), dropped on the first violation or
 // NULL, and never resurrected by later in-order appends.
 func TestSortedAttrMaintenance(t *testing.T) {
-	db, s := indexedDB(t)
+	db := NewDB()
+	s := db.NewSession()
 	mustExec(t, s, "CREATE TABLE st (k bigint, v varchar)")
 	mustExec(t, s, "INSERT INTO st VALUES (1,'c'),(2,'b'),(2,'d'),(5,'a')")
 	st := storeOf(t, db, "st")
@@ -67,7 +62,8 @@ func TestSortedAttrMaintenance(t *testing.T) {
 // return the same rows in both engines — the compiled one answering from
 // binary search, the interpreter scanning.
 func TestSortedRangeParity(t *testing.T) {
-	db, s := indexedDB(t)
+	db := NewDB()
+	s := db.NewSession()
 	mustExec(t, s, "CREATE TABLE big (k bigint, f double precision, txt varchar)")
 	// two full segments plus change, sorted k with long duplicate runs
 	rng := rand.New(rand.NewSource(7))
@@ -127,17 +123,16 @@ func TestSortedRangeParity(t *testing.T) {
 	}
 }
 
-// TestHashIndexDMLParity runs the same statement stream — with lookups
-// interleaved so indexes build early and INSERTs then maintain them —
-// against an indexed and an index-free database, requiring identical
-// results after every step.
+// TestHashIndexDMLParity runs a statement stream — filters and joins on
+// string and integer keys, NULL keys under = and IS NOT DISTINCT FROM,
+// with INSERTs between the runs, one of them past a segment boundary —
+// through the compiled engine and the interpreter, requiring identical
+// results after every step. The compiled engine scans every equality and
+// builds each join's hash side per query, so an INSERT must show in the
+// next statement.
 func TestHashIndexDMLParity(t *testing.T) {
-	dbi := NewDB()
-	dbi.SetIndexMinRows(0)
-	dbn := NewDB()
-	dbn.SetIndexMinRows(-1)
-	si, sn := dbi.NewSession(), dbn.NewSession()
-
+	db := NewDB()
+	s := db.NewSession()
 	probes := []string{
 		"SELECT count(*), sum(n) FROM kv WHERE k = 'a'",
 		"SELECT count(*), sum(n) FROM kv WHERE k = 'b'",
@@ -145,82 +140,86 @@ func TestHashIndexDMLParity(t *testing.T) {
 		"SELECT count(*), sum(n) FROM kv WHERE n = 5",
 		"SELECT count(*), sum(n) FROM kv WHERE (n IS NOT DISTINCT FROM 1) OR (n IS NOT DISTINCT FROM 3)",
 		"SELECT count(*), sum(n) FROM kv WHERE k IS NOT DISTINCT FROM NULL",
-		"SELECT count(*) FROM kv a JOIN kv b ON a.k = b.k",
+		"SELECT count(*), sum(a.n) FROM kv a JOIN kv b ON a.k = b.k",
+		"SELECT count(*), sum(b.n) FROM kv a LEFT JOIN kv b ON a.k IS NOT DISTINCT FROM b.k",
+		"SELECT count(*), sum(b.n) FROM kv a LEFT JOIN kv b ON a.n = b.n",
+		"SELECT count(*), sum(a.n) FROM kv a JOIN kv b ON a.n IS NOT DISTINCT FROM b.n",
 		"SELECT k, count(*) FROM kv GROUP BY k ORDER BY k",
+	}
+	bulk := "INSERT INTO kv VALUES "
+	for i := 0; i < SegmentSize+100; i++ {
+		if i > 0 {
+			bulk += ","
+		}
+		if i%211 == 0 {
+			bulk += fmt.Sprintf("(NULL,%d)", i%97)
+		} else {
+			bulk += fmt.Sprintf("('k%d',%d)", i%1500, i%97)
+		}
 	}
 	steps := []string{
 		"CREATE TABLE kv (k varchar, n bigint)",
 		"INSERT INTO kv VALUES ('a',1),('b',2),('a',3),('c',4),('b',5),(NULL,6)",
 		"INSERT INTO kv VALUES ('a',7),('d',8)",
 		"INSERT INTO kv VALUES ('b',50),(NULL,5)",
+		bulk,
 		"INSERT INTO kv VALUES ('a',9),(NULL,10)",
 		"INSERT INTO kv VALUES ('e',NULL),('zz',1)",
 	}
 	for _, step := range steps {
-		mustExec(t, si, step)
-		mustExec(t, sn, step)
+		mustExec(t, s, step)
 		for _, q := range probes {
-			ri := mustExec(t, si, q)
-			rn := mustExec(t, sn, q)
-			if !reflect.DeepEqual(ri.Rows, rn.Rows) {
-				t.Fatalf("after %q: %s\n  indexed:   %v\n  unindexed: %v", step, q, ri.Rows, rn.Rows)
+			db.SetExecMode(ExecCompiled)
+			got := mustExec(t, s, q).Rows
+			db.SetExecMode(ExecInterpreted)
+			want := mustExec(t, s, q).Rows
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %.60q: %s\n  compiled:    %v\n  interpreted: %v", step, q, got, want)
 			}
 		}
 	}
-	stats := dbi.IndexStats()
-	if stats.Builds.Load() == 0 {
-		t.Fatalf("the indexed database never built an index")
-	}
-	if dbn.IndexStats().Builds.Load() != 0 {
-		t.Fatalf("the disabled database built an index")
-	}
 }
 
-// TestIndexTypeDegradation: an append of a value outside the index's kind
-// drops the index (sticky), and results stay correct through the fallback.
-func TestIndexTypeDegradation(t *testing.T) {
-	db, s := indexedDB(t)
-	// unsorted, so the equality lookup routes to the hash index rather than
-	// the sorted attribute's binary search
-	mustExec(t, s, "CREATE TABLE mix (k bigint)")
-	mustExec(t, s, "INSERT INTO mix VALUES (3),(1),(2),(2)")
-	mustExec(t, s, "SELECT count(*) FROM mix WHERE k = 2") // builds
-	if db.IndexStats().Builds.Load() != 1 {
-		t.Fatalf("expected one build, got %d", db.IndexStats().Builds.Load())
-	}
-	// SQL coerces writes to the column type, so reach below it: a raw float
-	// append is the kind-mixing mutation the maintenance hook must survive
-	st := storeOf(t, db, "mix")
-	st.appendRow([]any{2.5})
-	res := mustExec(t, s, "SELECT count(*) FROM mix WHERE k = 2")
-	if res.Rows[0][0].(int64) != 2 {
-		t.Fatalf("post-degradation count = %v", res.Rows[0][0])
-	}
-	if db.IndexStats().Invalidations.Load() == 0 {
-		t.Fatalf("type degradation did not invalidate")
-	}
-	// bytes accounting returns to zero once every index is gone
-	if b := db.IndexStats().BytesResident.Load(); b != 0 {
-		t.Fatalf("BytesResident = %d after all indexes dropped", b)
-	}
-}
-
-// TestIndexConcurrentLookups hammers one table with concurrent point lookups
-// (shared statement lock) so the lazy build, the hit path, and the postings
-// reads race against each other; run under -race.
+// TestIndexConcurrentLookups hammers one table with concurrent lookups
+// (shared statement lock): equality scans, sorted-attribute ranges and
+// fused as-of joins whose first runs race to build the bucket cache. Every
+// answer must equal the interpreter's; run under -race.
 func TestIndexConcurrentLookups(t *testing.T) {
-	db, s := indexedDB(t)
-	mustExec(t, s, "CREATE TABLE c (k bigint, v varchar)")
+	db := NewDB()
+	s := db.NewSession()
+	mustExec(t, s, "CREATE TABLE c (id bigint, k bigint, v varchar, tm bigint)")
+	mustExec(t, s, "CREATE TABLE q (v varchar, tm bigint, px bigint)")
 	for lo := 0; lo < 4000; lo += 500 {
 		sql := "INSERT INTO c VALUES "
 		for i := lo; i < lo+500; i++ {
 			if i > lo {
 				sql += ","
 			}
-			sql += fmt.Sprintf("(%d,'s%d')", i%97, i%13)
+			sql += fmt.Sprintf("(%d,%d,'s%d',%d)", i, i%97, i%13, i%1000)
 		}
 		mustExec(t, s, sql)
 	}
+	for i := 0; i < 60; i++ {
+		mustExec(t, s, fmt.Sprintf("INSERT INTO q VALUES ('s%d',%d,%d)", i%13, i*17%1000, i))
+	}
+	var queries []string
+	for i := 0; i < 13; i++ {
+		queries = append(queries,
+			fmt.Sprintf("SELECT count(*) FROM c WHERE k = %d", i*7),
+			fmt.Sprintf("SELECT count(*) FROM c WHERE v = 's%d'", i),
+			fmt.Sprintf("SELECT count(*), sum(k) FROM c WHERE id >= %d AND id < %d", i*250, i*300+7))
+	}
+	asof := `SELECT count(px), sum(px) FROM (
+		SELECT a.id, b.px, ROW_NUMBER() OVER (PARTITION BY a.id ORDER BY b.tm DESC) AS rn
+		FROM c a LEFT JOIN q b ON a.v IS NOT DISTINCT FROM b.v AND b.tm <= a.tm
+	) x WHERE rn = 1`
+	queries = append(queries, asof)
+	db.SetExecMode(ExecInterpreted)
+	want := map[string]string{}
+	for _, q := range queries {
+		want[q] = fmt.Sprint(mustExec(t, s, q).Rows)
+	}
+	db.SetExecMode(ExecCompiled)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -229,11 +228,15 @@ func TestIndexConcurrentLookups(t *testing.T) {
 			defer wg.Done()
 			sess := db.NewSession()
 			for i := 0; i < 40; i++ {
-				q := fmt.Sprintf("SELECT count(*) FROM c WHERE k = %d", (g*7+i)%97)
-				if i%3 == 0 {
-					q = fmt.Sprintf("SELECT count(*) FROM c WHERE v = 's%d'", (g+i)%13)
+				q := queries[(g*7+i)%len(queries)]
+				if i%4 == 0 {
+					q = asof
 				}
-				if _, err := sess.Exec(q); err != nil {
+				res, err := sess.Exec(q)
+				if err == nil && fmt.Sprint(res.Rows) != want[q] {
+					err = fmt.Errorf("%s: %v, interpreter %s", q, res.Rows, want[q])
+				}
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -246,15 +249,17 @@ func TestIndexConcurrentLookups(t *testing.T) {
 		t.Fatalf("concurrent lookup: %v", err)
 	}
 	st := db.IndexStats()
-	if st.Builds.Load() == 0 || st.Hits.Load() == 0 {
-		t.Fatalf("concurrent run built %d indexes, hit %d", st.Builds.Load(), st.Hits.Load())
+	if st.Hits.Load() == 0 || st.AsofBuilds.Load() == 0 || st.AsofHits.Load() == 0 {
+		t.Fatalf("concurrent run: %d sorted hits, %d as-of builds, %d as-of hits",
+			st.Hits.Load(), st.AsofBuilds.Load(), st.AsofHits.Load())
 	}
 }
 
 // TestAsofBucketCache: repeated fused as-of joins against an unchanged right
 // table reuse the cached bucket index; any mutation invalidates it.
 func TestAsofBucketCache(t *testing.T) {
-	db, s := indexedDB(t)
+	db := NewDB()
+	s := db.NewSession()
 	mustExec(t, s, "CREATE TABLE lt (id bigint, sym varchar, tm bigint)")
 	mustExec(t, s, "CREATE TABLE rt (sym varchar, tm bigint, px double precision)")
 	mustExec(t, s, "INSERT INTO lt VALUES (0,'a',10),(1,'a',20),(2,'b',15)")
@@ -307,7 +312,7 @@ func TestAsofBucketCache(t *testing.T) {
 // the generic comparator, and a stable sort over identical keys must yield
 // the identical permutation.
 func TestOrderBySingleKeyTyped(t *testing.T) {
-	_, s := indexedDB(t)
+	s := NewDB().NewSession()
 	mustExec(t, s, "CREATE TABLE ob (i bigint, f double precision, v varchar)")
 	mustExec(t, s, `INSERT INTO ob VALUES
 		(3, 2.5, 'b'), (1, 'NaN'::double precision, 'a'), (NULL, -0.5, NULL),
@@ -331,50 +336,78 @@ func TestOrderBySingleKeyTyped(t *testing.T) {
 	}
 }
 
-// TestIndexedJoinParity: equi-joins using the prebuilt index build side must
-// match the generic hash join (index off) across join types.
+// TestIndexedJoinParity holds the typed hash join, which builds its side
+// per query, to the interpreter: string and integer keys, NULL keys under =
+// and IS NOT DISTINCT FROM, INNER and LEFT joins, and a right side that is a
+// base table, a pass-through projection of one, a filtered subquery and a
+// CREATE VIEW over the table — before and after INSERTs into both sides.
+// Except over the stored view, which the engine boxes, the join's FROM must
+// stay columnar, so the compiled run is the typed join.
 func TestIndexedJoinParity(t *testing.T) {
-	dbi := NewDB()
-	dbi.SetIndexMinRows(0)
-	dbn := NewDB()
-	dbn.SetIndexMinRows(-1)
+	db := NewDB()
+	s := db.NewSession()
 	for _, stmt := range []string{
-		"CREATE TABLE f (k varchar, x bigint)",
-		"CREATE TABLE dim (k varchar, y bigint)",
-		"INSERT INTO f VALUES ('a',1),('b',2),(NULL,3),('a',4),('zz',5)",
-		"INSERT INTO dim VALUES ('a',10),('b',20),(NULL,30),('c',40)",
+		"CREATE TABLE f (k varchar, ki bigint, x bigint)",
+		"CREATE TABLE dim (k varchar, ki bigint, y bigint)",
+		"CREATE VIEW dv AS SELECT k, ki, y FROM dim",
+		"INSERT INTO f VALUES ('a',1,1),('b',2,2),(NULL,NULL,3),('a',1,4),('zz',26,5)",
+		"INSERT INTO dim VALUES ('a',1,10),('b',2,20),(NULL,NULL,30),('c',3,40)",
 	} {
-		mustExec(t, dbi.NewSession(), stmt)
-		mustExec(t, dbn.NewSession(), stmt)
+		mustExec(t, s, stmt)
 	}
-	queries := []string{
-		"SELECT f.k, x, y FROM f JOIN dim ON f.k = dim.k ORDER BY x, y",
-		"SELECT f.k, x, y FROM f LEFT JOIN dim ON f.k = dim.k ORDER BY x, y",
-		"SELECT f.k, x, y FROM f JOIN dim ON f.k IS NOT DISTINCT FROM dim.k ORDER BY x, y",
-		"SELECT f.k, x, y FROM f JOIN dim ON f.k = dim.k WHERE y > 10 ORDER BY x, y",
+	rights := []string{
+		"dim",
+		"(SELECT k AS k, ki AS ki, y AS y FROM dim)",
+		"(SELECT k, ki, y FROM dim WHERE y > 15)",
+		"dv",
 	}
-	for _, mode := range []ExecMode{ExecCompiled} {
-		dbi.SetExecMode(mode)
-		dbn.SetExecMode(mode)
-		for _, q := range queries {
-			ri := mustExec(t, dbi.NewSession(), q)
-			rn := mustExec(t, dbn.NewSession(), q)
-			if !reflect.DeepEqual(ri.Rows, rn.Rows) {
-				t.Fatalf("mode %d %s:\n  indexed:   %v\n  unindexed: %v", mode, q, ri.Rows, rn.Rows)
+	var queries []string
+	for _, r := range rights {
+		for _, join := range []string{"JOIN", "LEFT JOIN"} {
+			for _, key := range []string{"k", "ki"} {
+				for _, op := range []string{"=", "IS NOT DISTINCT FROM"} {
+					queries = append(queries, fmt.Sprintf(
+						"SELECT f.k, f.x, r.y FROM f %s %s r ON f.%s %s r.%s", join, r, key, op, key))
+				}
 			}
 		}
 	}
-	if dbi.IndexStats().Builds.Load() == 0 {
-		t.Fatalf("joins never built an index")
+	check := func(when string) {
+		t.Helper()
+		for _, q := range queries {
+			stmt, err := sqlparse.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.SetExecMode(ExecCompiled)
+			rel, err := s.buildFrom(stmt.(*sqlparse.SelectStmt).From)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if rel.store == nil && !strings.Contains(q, " dv ") {
+				t.Errorf("%s: the join ran over boxed rows", q)
+			}
+			got := fmt.Sprint(mustExec(t, s, q).Rows)
+			db.SetExecMode(ExecInterpreted)
+			if want := fmt.Sprint(mustExec(t, s, q).Rows); got != want {
+				t.Errorf("%s %s:\n  compiled:    %s\n  interpreted: %s", when, q, got, want)
+			}
+		}
 	}
+	check("before inserts:")
+	mustExec(t, s, "INSERT INTO dim VALUES ('zz',26,50),(NULL,NULL,60),('a',1,70)")
+	mustExec(t, s, "INSERT INTO f VALUES ('c',3,6),(NULL,NULL,7)")
+	check("after inserts:")
 }
 
 // TestTranslatedShapeIndexPaths drives the exact SQL shapes the Hyper-Q
 // translator emits — null-safe equality predicates and as-of joins whose
-// sides are wrapped in bare pass-through projections — and checks they reach
-// the same index-backed fast paths as hand-written SQL.
+// sides are wrapped in bare pass-through projections — and checks they answer
+// as the interpreter does and reach the as-of bucket cache as hand-written
+// SQL does.
 func TestTranslatedShapeIndexPaths(t *testing.T) {
-	db, s := indexedDB(t)
+	db := NewDB()
+	s := db.NewSession()
 	mustExec(t, s, "CREATE TABLE tr (sym varchar, tm bigint, px double precision)")
 	mustExec(t, s, `INSERT INTO tr VALUES
 		('GOOG',10,1.0),('IBM',11,2.0),('GOOG',20,3.0),(NULL,30,4.0),('IBM',21,5.0)`)
@@ -383,8 +416,7 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 		('GOOG',5,0.9,1.1),('GOOG',15,2.9,3.1),('IBM',8,1.9,2.1),(NULL,25,3.9,4.1)`)
 	stats := db.IndexStats()
 
-	// translated equality: IS [NOT] DISTINCT FROM must lower to the
-	// vectorized kernels and consult the index, with NULL cells handled per
+	// translated equality: IS [NOT] DISTINCT FROM handles NULL cells per
 	// null-safe semantics (matched by the plain variant, not by NOT)
 	preds := []struct {
 		where string
@@ -411,10 +443,6 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 			rows = got
 		}
 	}
-	if stats.Hits.Load()+stats.Builds.Load() == 0 {
-		t.Fatalf("translated equality predicates never touched an index")
-	}
-
 	// translated as-of: both sides behind pass-through projections; the
 	// bucket cache must key on the base store and survive the wrapper
 	db.SetExecMode(ExecCompiled)
@@ -461,16 +489,12 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 		}
 	}
 
-	// equi-join through a pass-through wrapper probes the prebuilt side
+	// equi-join through a pass-through wrapper
 	db.SetExecMode(ExecCompiled)
-	jb0 := stats.Builds.Load() + stats.Hits.Load()
 	joinWrapped := `SELECT a.sym, a.px, b.bid FROM tr a
 		JOIN (SELECT sym AS sym, tm AS tm, bid AS bid FROM qt) b ON a.sym = b.sym
 		ORDER BY a.tm, b.tm`
 	jw := mustExec(t, s, joinWrapped).Rows
-	if stats.Builds.Load()+stats.Hits.Load() == jb0 {
-		t.Fatalf("wrapped join build side never consulted the index")
-	}
 	for _, mode := range []ExecMode{ExecInterpreted, ExecCompiled} {
 		db.SetExecMode(mode)
 		got := mustExec(t, s, joinWrapped).Rows

@@ -218,42 +218,36 @@ func (db *DB) EvictSegments(name string, from, to int) (int64, int) {
 		cols += st.evictSeg(si)
 	}
 	if cols > 0 {
-		// indexes and as-of buckets pin value copies of the evicted columns;
-		// drop them and let the next qualifying lookup rebuild
-		st.dropIndexes()
+		// as-of buckets pin value copies of the evicted columns; drop them
+		// and let the next as-of join rebuild
+		st.dropAsofCache()
 	}
 	return freed, cols
 }
 
-// TableAccessMeta reports per-column access-path state for checkpointing:
-// the sorted attribute and whether the column has (or is hinted to rebuild)
-// a hash index. A sorted flag is only exported when the last segment carries
-// usable zone bounds — the restore path re-derives the append anchor from
-// them. Must run inside Exclusive.
-func (db *DB) TableAccessMeta(name string) (sorted, indexed []bool, ok bool) {
+// TableAccessMeta reports each column's sorted attribute for
+// checkpointing. A sorted flag is only exported when the last segment
+// carries usable zone bounds — the restore path re-derives the append
+// anchor from them. Must run inside Exclusive.
+func (db *DB) TableAccessMeta(name string) (sorted []bool, ok bool) {
 	t, found := db.tables[name]
 	if !found {
-		return nil, nil, false
+		return nil, false
 	}
 	st := t.store
 	sorted = make([]bool, len(st.cols))
-	indexed = make([]bool, len(st.cols))
 	for c := range st.cols {
 		sorted[c] = st.ix.sorted[c].ok &&
 			(st.numSegs() == 0 || st.peekSeg(st.numSegs() - 1).vecs[c].maxV != nil)
-		ix := st.ix.idx[c].Load()
-		indexed[c] = (ix != nil && ix != notIndexable) || st.ix.hint[c]
 	}
-	return sorted, indexed, true
+	return sorted, true
 }
 
-// RestoreAccessMeta re-establishes the access-path state a checkpoint
-// recorded on a lazily restored table: sorted attributes resume maintenance
-// with their append anchor taken from the last segment's zone max (sorted ⇒
-// no NULLs ⇒ the segment max is the last value), and indexed columns are
-// hinted so the first qualifying lookup rebuilds them — the postings
-// themselves are cheaper to rebuild column-granularly than to serialize.
-func (db *DB) RestoreAccessMeta(name string, sorted, indexed []bool) {
+// RestoreAccessMeta re-establishes the sorted attributes a checkpoint
+// recorded on a lazily restored table: they resume maintenance with their
+// append anchor taken from the last segment's zone max (sorted ⇒ no NULLs ⇒
+// the segment max is the last value).
+func (db *DB) RestoreAccessMeta(name string, sorted []bool) {
 	db.mu.RLock()
 	t, ok := db.tables[name]
 	db.mu.RUnlock()
@@ -270,9 +264,6 @@ func (db *DB) RestoreAccessMeta(name string, sorted, indexed []bool) {
 			if st.n == 0 || last != nil {
 				st.ix.sorted[c] = sortAttr{ok: true, last: last}
 			}
-		}
-		if c < len(indexed) && indexed[c] {
-			st.ix.hint[c] = true
 		}
 	}
 }

@@ -333,16 +333,14 @@ func (s *Session) buildJoin(j *sqlparse.JoinRef) (*relation, error) {
 
 // hashJoinVec is the typed equi-join: INNER or LEFT, one key, no residual,
 // both sides columnar and the key columns uniformly integer or uniformly
-// string (all-NULL segments aside). The build side is the hash index of the
-// table column behind the right key — a table, or a view over one, probes
-// its postings (built lazily, maintained by DML) — or else a per-query
-// index over the right key vector. The left key vector probes in row order,
-// so the (left, right) pairs come in the row join's order: left rows in
-// order, each one's matches by ascending right row. The output gathers both
-// sides into a private store; when every left row appears exactly once, in
-// order, the left columns are shared instead. NULL keys match only under
-// IS NOT DISTINCT FROM, as hashKey decides. A nil relation (and no error)
-// declines the shape, and the row join runs it.
+// string (all-NULL segments aside). The build side is a hash table over the
+// right key vector, built per query (buildHashIdx). The left key vector
+// probes in row order, so the (left, right) pairs come in the row join's
+// order: left rows in order, each one's matches by ascending right row. The
+// output gathers both sides into a private store; when every left row
+// appears exactly once, in order, the left columns are shared instead. NULL
+// keys match only under IS NOT DISTINCT FROM, as hashKey decides. A nil
+// relation (and no error) declines the shape, and the row join runs it.
 func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*relation, error) {
 	if s.interpretedMode() || left.store == nil || right.store == nil {
 		return nil, nil
@@ -353,20 +351,11 @@ func (s *Session) hashJoinVec(j *sqlparse.JoinRef, left, right *relation) (*rela
 	}
 	ls, lk, nullSafe := left.store, lks[0], safe[0]
 	// both key kinds come from segment metadata, so a declined shape builds
-	// no index it would never probe
-	if !joinKind(right.store.colKind(rks[0]), ls.colKind(lk)) || ls.n >= math.MaxInt32 {
+	// no hash table it would never probe
+	if !joinKind(right.store.colKind(rks[0]), ls.colKind(lk)) || max(ls.n, right.store.n) >= math.MaxInt32 {
 		return nil, nil
 	}
-	var ix *hashIdx
-	if base, bc := right.store.baseCol(rks[0]); base != nil {
-		ix = s.hashIdxFor(base, bc)
-	}
-	if ix == nil {
-		ix = buildHashIdx(right.store, rks[0])
-	}
-	if ix == nil {
-		return nil, nil
-	}
+	ix := buildHashIdx(right.store, rks[0])
 	outer := j.Type == sqlparse.LeftJoin
 	lids := make([]int32, 0, ls.n)
 	rids := make([]int32, 0, ls.n)

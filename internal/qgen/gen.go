@@ -36,7 +36,7 @@ var symDomain = []string{"a", "b", "c", ""}
 
 // hiDupDomain is the shrunk symbol universe of high-duplicate datasets: a
 // couple of distinct keys spread over every row, the distribution where a
-// secondary index's postings lists grow long and equality predicates select
+// hash join's postings lists grow long and equality predicates select
 // large fractions of the table.
 var hiDupDomain = []string{"a", ""}
 
@@ -387,8 +387,8 @@ func (g *Generator) predicate(cols []*Col) Expr {
 			}
 			return &Bin{Op: op, L: c, R: probes[r.Intn(len(probes))], T: Bool}
 		}
-	case 6: // numeric membership: the IN-list shape a hash index answers by
-		// unioning postings, mixing in-domain, boundary and absent keys
+	case 6: // numeric membership: q's `in`, which arrives as ORed equalities,
+		// mixing in-domain, boundary and absent keys
 		if c := g.pick(cols, Num); c != nil {
 			k := 1 + r.Intn(3)
 			items := make([]Expr, k)

@@ -27,19 +27,15 @@ import (
 // translation cache, reading its results over PG v3 from an in-process
 // gateway, no state shared with any previous framework except the kdb+
 // substrate the caller passes. The fuzz loop rebuilds frameworks
-// regularly so a corrupted global cannot poison later iterations. index
-// builds hash indexes at any table size (FuzzConfig.Index). The caller
-// closes the framework, and then owns the returned instance's store, if e
-// has a DataDir.
-func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode, index bool) (*Framework, *config.Instance, error) {
+// regularly so a corrupted global cannot poison later iterations. The
+// caller closes the framework, and then owns the returned instance's store,
+// if e has a DataDir.
+func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode) (*Framework, *config.Instance, error) {
 	in, err := e.Open()
 	if err != nil {
 		return nil, nil, err
 	}
 	in.DB.SetExecMode(exec)
-	if index {
-		in.DB.SetIndexMinRows(0)
-	}
 	b, err := pipe(in.DB)
 	if err != nil {
 		in.Close()
@@ -86,13 +82,6 @@ type FuzzConfig struct {
 	// Exec selects the execution engine under test (default ExecCompiled,
 	// the serving engine; ExecInterpreted pins the reference walker).
 	Exec pgdb.ExecMode
-	// Index force-enables secondary indexes in every embedded database
-	// (SetIndexMinRows(0), so even the tiny generated tables index) and loads
-	// each table in two halves around an index-building probe: the first
-	// half is inserted, a self-join on the key column builds its hash index,
-	// and the second half's inserts then dirty that index — so the run
-	// exercises incrementally-maintained indexes, not freshly built ones.
-	Index bool
 	// perturbed makes the shrinker reproduce a failure the way a perturbed
 	// comparison found it (compareCase).
 	perturbed bool
@@ -181,7 +170,7 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 			}
 			ds = g.Dataset()
 			var err error
-			f, err = loadDataset(ctx, ds, cfg)
+			f, err = loadDataset(ctx, ds, ds.Names(), cfg)
 			if err != nil {
 				return nil, fmt.Errorf("iteration %d: load dataset: %w", i, err)
 			}
@@ -213,7 +202,7 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 			cfg.perturbed = perturbed
 			sq, sds = shrinkCase(ctx, q, ds, class, cfg.ShrinkBudget, cfg)
 			// re-derive the diffs for the minimized case
-			if mf, err := loadDataset(ctx, sds, cfg); err == nil {
+			if mf, err := loadDataset(ctx, sds, sds.Names(), cfg); err == nil {
 				if mr, err := compareCase(ctx, mf, sq, perturbed); err == nil && !mr.Match {
 					r = mr
 				}
@@ -256,51 +245,35 @@ func compareCase(ctx context.Context, f *Framework, q *qgen.Query, perturbed boo
 // shrink reloads never reuse (and re-replay) an earlier framework's WAL.
 var persistSeq atomic.Int64
 
-// loadDataset builds a fresh framework with the dataset installed; the
-// caller closes it.
-func loadDataset(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framework, error) {
+// loadDataset builds a fresh framework with the named tables of ds
+// installed, in order; the caller closes it.
+func loadDataset(ctx context.Context, ds *qgen.Dataset, names []string, cfg FuzzConfig) (*Framework, error) {
 	if cfg.DataDir != "" {
-		return loadDatasetPersist(ctx, ds, cfg)
+		return loadDatasetPersist(ctx, ds, names, cfg)
 	}
-	f, _, err := openFramework(interp.New(), cfg.Engine, cfg.Exec, cfg.Index)
+	f, _, err := openFramework(interp.New(), cfg.Engine, cfg.Exec)
 	if err != nil {
 		return nil, err
 	}
-	if err := loadTables(ctx, f, ds, cfg.Index); err != nil {
+	if err := loadTables(ctx, f, ds, names); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return f, nil
 }
 
-// loadTables installs every table of ds on f. Index-enabled runs build each
-// table's index mid-load (see FuzzConfig.Index).
-func loadTables(ctx context.Context, f *Framework, ds *qgen.Dataset, index bool) error {
-	for _, name := range ds.Names() {
+// loadTables installs the named tables of ds on f, skipping names ds lacks.
+func loadTables(ctx context.Context, f *Framework, ds *qgen.Dataset, names []string) error {
+	for _, name := range names {
 		t, ok := ds.Tables[name]
 		if !ok {
 			continue
 		}
-		var err error
-		if index {
-			err = f.LoadTableStaged(ctx, name, t, indexProbe(name))
-		} else {
-			err = f.LoadTable(ctx, name, t)
-		}
-		if err != nil {
+		if err := f.LoadTable(ctx, name, t); err != nil {
 			return fmt.Errorf("load %s: %w", name, err)
 		}
 	}
 	return nil
-}
-
-// indexProbe is the SQL statement an index-enabled load runs between the two
-// halves of a table: a self-join on the symbol key column, which builds the
-// column's hash index (join build side), so the tail inserts maintain a live
-// index.
-// Every generated table (t, d, qts) keys on column s.
-func indexProbe(name string) string {
-	return fmt.Sprintf("SELECT count(*) FROM %s a JOIN %s b ON a.s = b.s WHERE a.s = 'a'", name, name)
 }
 
 // loadDatasetPersist is loadDataset's disk-backed variant: the dataset is
@@ -310,19 +283,17 @@ func indexProbe(name string) string {
 // test starts as on-disk stubs, so each query faults its vectors back
 // through the persist codec. The kdb substrate is loaded once and shared
 // by the staging and final frameworks, since both sides see the same data.
-func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (*Framework, error) {
+func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, names []string, cfg FuzzConfig) (*Framework, error) {
 	e := cfg.Engine
 	e.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("db%06d", persistSeq.Add(1)))
 	staging := e // only written and checkpointed: the budget waits for the reopen
 	staging.MemBudget = 0
 	kdb := interp.New()
-	loader, in, err := openFramework(kdb, staging, cfg.Exec, cfg.Index)
+	loader, in, err := openFramework(kdb, staging, cfg.Exec)
 	if err != nil {
 		return nil, err
 	}
-	// with Index the checkpoint records the indexes built mid-load, so the
-	// cold reopen exercises the manifest's access-path round-trip
-	err = loadTables(ctx, loader, ds, cfg.Index)
+	err = loadTables(ctx, loader, ds, names)
 	loader.Close() // the loading session ends before the checkpoint
 	if err != nil {
 		in.Close()
@@ -334,7 +305,7 @@ func loadDatasetPersist(ctx context.Context, ds *qgen.Dataset, cfg FuzzConfig) (
 	// Cold reopen: a fresh database restored purely from the on-disk
 	// catalog. The corpus is read-only after load, so the reopened store's
 	// WAL handle can be released immediately too.
-	f, in, err := openFramework(kdb, e, cfg.Exec, cfg.Index)
+	f, in, err := openFramework(kdb, e, cfg.Exec)
 	if err != nil {
 		return nil, fmt.Errorf("cold reopen: %w", err)
 	}
@@ -352,7 +323,7 @@ func reproduces(ctx context.Context, q *qgen.Query, ds *qgen.Dataset, class stri
 		return false
 	}
 	*budget--
-	f, err := loadDataset(ctx, ds, cfg)
+	f, err := loadDataset(ctx, ds, ds.Names(), cfg)
 	if err != nil {
 		return false
 	}
@@ -513,25 +484,25 @@ func LoadCorpus(dir string) ([]*CorpusEntry, error) {
 // ReplayEntry runs one corpus entry through a fresh framework (compiled
 // engine) and returns the comparison report.
 func ReplayEntry(ctx context.Context, e *CorpusEntry) (*Report, error) {
-	return ReplayEntryEngine(ctx, e, config.Defaults(), pgdb.ExecCompiled, false)
+	return ReplayEntryEngine(ctx, e, config.Defaults(), pgdb.ExecCompiled)
 }
 
 // ReplayEntryEngine is ReplayEntry on an engine configured as eng running
-// exec, with hash indexes at any table size when index is set.
-func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine, exec pgdb.ExecMode, index bool) (*Report, error) {
+// exec. With a DataDir the entry's tables are checkpointed and cold-reopened
+// first, as the fuzz loop's are (FuzzConfig.DataDir).
+func ReplayEntryEngine(ctx context.Context, e *CorpusEntry, eng config.Engine, exec pgdb.ExecMode) (*Report, error) {
 	ds, err := qgen.DecodeDataset(e.Tables)
 	if err != nil {
 		return nil, err
 	}
-	f, _, err := openFramework(interp.New(), eng, exec, index)
+	names := make([]string, len(e.Tables))
+	for i, tj := range e.Tables {
+		names[i] = tj.Name
+	}
+	f, err := loadDataset(ctx, ds, names, FuzzConfig{Engine: eng, Exec: exec})
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	for _, tj := range e.Tables {
-		if err := f.LoadTable(ctx, tj.Name, ds.Tables[tj.Name]); err != nil {
-			return nil, fmt.Errorf("load %s: %w", tj.Name, err)
-		}
-	}
 	return f.Compare(ctx, e.Query)
 }

@@ -43,31 +43,6 @@ func (f *Framework) LoadTable(ctx context.Context, name string, t *qval.Table) e
 	return core.LoadQTable(ctx, f.backend, name, t)
 }
 
-// LoadTableStaged installs a table like LoadTable, but loads the primary
-// backend in two halves with probe (a SQL statement against the primary
-// backend) executed in between. Index-enabled fuzz runs use it to build a
-// secondary index over the first half of the data and then dirty it with the
-// second half's inserts, so every generated query runs against an
-// incrementally-maintained index rather than a freshly built one. The
-// implicit-order values are global row indexes either way, so the loaded
-// table is identical to a LoadTable result.
-func (f *Framework) LoadTableStaged(ctx context.Context, name string, t *qval.Table, probe string) error {
-	f.Kdb.SetGlobal(name, t)
-	if err := core.CreateQTable(ctx, f.backend, name, t); err != nil {
-		return err
-	}
-	half := t.Len() / 2
-	if err := core.LoadQTableRows(ctx, f.backend, name, t, 0, half); err != nil {
-		return err
-	}
-	if probe != "" {
-		if _, err := f.backend.Exec(ctx, probe); err != nil {
-			return err
-		}
-	}
-	return core.LoadQTableRows(ctx, f.backend, name, t, half, t.Len())
-}
-
 // Report is the outcome of one comparison.
 type Report struct {
 	Query string
