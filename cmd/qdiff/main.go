@@ -96,6 +96,8 @@ func main() {
 			len(rep.Mismatches), rep.N, rep.Seed)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "qdiff: %d queries, %d matches (%d as agreeing errors), 0 divergences; %d perturbed comparisons, %d template splices, %d rejected skeletons\n",
-		rep.N, rep.Matches, rep.BothError, rep.Perturbed, rep.Splices, rep.Rejected)
+	fb := rep.RowFallbacks
+	fmt.Fprintf(os.Stderr, "qdiff: %d queries, %d matches (%d as agreeing errors), 0 divergences; %d perturbed comparisons, %d template splices, %d rejected skeletons; walker blocks: %d boxed input, %d WHERE, %d projection, %d grouped\n",
+		rep.N, rep.Matches, rep.BothError, rep.Perturbed, rep.Splices, rep.Rejected,
+		fb["boxed_input"], fb["where"], fb["projection"], fb["grouped"])
 }

@@ -23,9 +23,10 @@ type Engine struct {
 	DataDir   string
 	Sync      persist.SyncMode
 	MemBudget int64
-	// StatsAddr, when non-empty, serves the persist.* counters and pgdb's
+	// StatsAddr, when non-empty, serves the persist.* counters, pgdb's
 	// access-path counters (pgdb.index_hits, pgdb.asof_builds,
-	// pgdb.asof_hits) at http://StatsAddr/debug/vars.
+	// pgdb.asof_hits) and its walker-block counters (pgdb.row_fallbacks.*,
+	// one per reason) at http://StatsAddr/debug/vars.
 	StatsAddr string
 }
 

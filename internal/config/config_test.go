@@ -127,7 +127,7 @@ func TestExplicit(t *testing.T) {
 // from outside the process: the wal.log file name and the persist.* and
 // pgdb.* keys at /debug/vars. Both sets are exact: the counters of the
 // deleted memory-mapped and read-ahead paths and of the deleted hash index
-// are gone.
+// are gone, and the walker-block counters are there, one per reason.
 func TestOpenClose(t *testing.T) {
 	e := Defaults()
 	e.DataDir = t.TempDir()
@@ -156,7 +156,8 @@ func TestOpenClose(t *testing.T) {
 	}
 	for prefix, want := range map[string]string{
 		"persist.": "persist.bytes_read persist.chunks_decoded persist.columns_faulted persist.evictions persist.segments_faulted",
-		"pgdb.":    "pgdb.asof_builds pgdb.asof_hits pgdb.index_hits",
+		"pgdb.": "pgdb.asof_builds pgdb.asof_hits pgdb.index_hits pgdb.row_fallbacks.boxed_input " +
+			"pgdb.row_fallbacks.grouped pgdb.row_fallbacks.projection pgdb.row_fallbacks.where",
 	} {
 		var keys []string
 		for key := range vars {

@@ -66,7 +66,7 @@ func TestGatewayQueryCatalog(t *testing.T) {
 	if _, err := gw.Exec(ctx, "CREATE TABLE trades (ordcol bigint, price double precision)"); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := gw.QueryCatalog(ctx, "SELECT column_name, data_type FROM information_schema.columns WHERE table_name = 'trades' ORDER BY ordinal_position")
+	rows, err := gw.QueryCatalog(ctx, "SELECT column_name, data_type, ordinal_position FROM information_schema.columns WHERE table_name = 'trades' ORDER BY ordinal_position")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ func (m *MDI) LookupTable(ctx context.Context, name string) (*TableMeta, error) 
 	m.catalogRTs.Add(1)
 
 	sql := fmt.Sprintf(
-		"SELECT column_name, data_type FROM information_schema.columns WHERE table_name = '%s' ORDER BY ordinal_position",
+		"SELECT column_name, data_type, ordinal_position FROM information_schema.columns WHERE table_name = '%s' ORDER BY ordinal_position",
 		escapeSQLString(name))
 	rows, err := m.q.QueryCatalog(ctx, sql)
 	if err != nil {

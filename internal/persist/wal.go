@@ -118,7 +118,6 @@ func openWAL(path string, mode SyncMode, nextLSN uint64) (*walWriter, error) {
 
 // append frames, writes and (per mode) syncs one record. Returns its LSN.
 func (w *walWriter) append(typ byte, body []byte) (uint64, error) {
-	payload := make([]byte, 0, 9+len(body))
 	w.mu.Lock()
 	if w.failed != nil {
 		w.mu.Unlock()
@@ -126,13 +125,7 @@ func (w *walWriter) append(typ byte, body []byte) (uint64, error) {
 	}
 	lsn := w.nextLSN
 	w.nextLSN++
-	payload = binary.LittleEndian.AppendUint64(payload, lsn)
-	payload = append(payload, typ)
-	payload = append(payload, body...)
-	rec := make([]byte, 0, 8+len(payload))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	rec = append(rec, payload...)
+	rec := walFrame(lsn, typ, body)
 
 	if w.failAfterBytes >= 0 && w.size+int64(len(rec)) > w.failAfterBytes {
 		// torn write: emit only the byte budget left, then die.
@@ -237,6 +230,17 @@ func (w *walWriter) close() error {
 	return w.f.Close()
 }
 
+// walFrame frames one record: u32 len | u32 crc32(payload) | payload, the
+// payload being u64 lsn | u8 type | body.
+func walFrame(lsn uint64, typ byte, body []byte) []byte {
+	rec := make([]byte, 8, 17+len(body))
+	rec = binary.LittleEndian.AppendUint64(rec, lsn)
+	rec = append(append(rec, typ), body...)
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-8))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
+	return rec
+}
+
 // replayWAL scans a log, invoking apply for every intact record with
 // lsn > minLSN. It returns the highest LSN seen (0 if none) and the byte
 // offset of the first torn or corrupt record, which the caller truncates
@@ -326,6 +330,11 @@ func decodeCreateTable(b []byte) (string, []pgdb.Column, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
+	// a column is at least its name's and type's 4-byte headers: a count
+	// the bytes left cannot back is corrupt, whatever the CRC says
+	if n > (len(b)-off)/8 {
+		return "", nil, fmt.Errorf("persist: create_table record claims %d columns in %d bytes", n, len(b)-off)
+	}
 	cols := make([]pgdb.Column, n)
 	for i := range cols {
 		if cols[i].Name, off, err = readString(b, off); err != nil {
@@ -400,9 +409,18 @@ func decodeAppend(b []byte) (string, [][]any, error) {
 	nrows := int(binary.LittleEndian.Uint32(b[off:]))
 	ncols := int(binary.LittleEndian.Uint32(b[off+4:]))
 	off += 8
+	// a cell is at least its tag byte: counts the bytes left cannot back
+	// are corrupt, whatever the CRC says
+	switch {
+	case ncols == 0 && nrows > 0:
+		return "", nil, fmt.Errorf("persist: append record claims %d rows of no columns", nrows)
+	case uint64(nrows)*uint64(ncols) > uint64(len(b)-off):
+		return "", nil, fmt.Errorf("persist: append record claims %d×%d cells in %d bytes", nrows, ncols, len(b)-off)
+	}
 	rows := make([][]any, nrows)
+	cells := make([]any, nrows*ncols)
 	for i := range rows {
-		rows[i] = make([]any, ncols)
+		rows[i] = cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
 		for c := 0; c < ncols; c++ {
 			if rows[i][c], off, err = readValue(b, off); err != nil {
 				return "", nil, err

@@ -128,7 +128,6 @@ func (s *Session) execGrouped(sel *sqlparse.SelectStmt, rel *relation) (*Result,
 			return nil, err
 		}
 	}
-	refineTypes(res)
 	return res, nil
 }
 

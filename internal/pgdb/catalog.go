@@ -104,10 +104,8 @@ type DB struct {
 	journal   Journal
 	afterStmt func()
 
-	// idxStats collects database-wide access-path counters.
+	// idxStats collects database-wide access-path and fallback counters.
 	idxStats IndexStats
-	// selectHook (tests) hears whether each top-level SELECT is columnar.
-	selectHook func(columnar bool)
 }
 
 // NewDB creates an empty database. The default execution mode is
@@ -266,9 +264,10 @@ func (s *Session) informationSchema(rel string) (*Result, error) {
 		{Name: "ordinal_position", Type: "bigint"},
 		{Name: "data_type", Type: "varchar"},
 	}}
+	var rows [][]any
 	emit := func(schema string, t *storedTable) {
 		for i, c := range t.cols {
-			res.Rows = append(res.Rows, []any{schema, t.name, c.Name, int64(i + 1), c.Type})
+			rows = append(rows, []any{schema, t.name, c.Name, int64(i + 1), c.Type})
 		}
 	}
 	s.db.mu.RLock()
@@ -279,32 +278,16 @@ func (s *Session) informationSchema(rel string) (*Result, error) {
 	for _, t := range s.temp {
 		emit("pg_temp", t)
 	}
-	sortRowsByCol(res.Rows, 1)
+	// by table name, then ordinal position
+	res.store = columnize(res.Cols, rows)
+	ids, err := s.sortedIDs(res.store, nil, []sortKey{{col: 1}, {col: 3}})
+	if err != nil {
+		return nil, err
+	}
+	if ids != nil {
+		res.store = gatherAll(res.Cols, res.store, ids)
+	}
 	return res, nil
-}
-
-func sortRowsByCol(rows [][]any, col int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i][col], rows[j][col]
-		// NULLs first, then the engines' typed total order — bare string
-		// assertions here used to collapse every non-string key to "" and
-		// silently leave the rows unsorted.
-		if a == nil || b == nil {
-			return a == nil && b != nil
-		}
-		if c := compareVals(a, b); c != 0 {
-			return c < 0
-		}
-		// secondary: ordinal position when present
-		if len(rows[i]) > 3 {
-			ai, aok := rows[i][3].(int64)
-			bi, bok := rows[j][3].(int64)
-			if aok && bok {
-				return ai < bi
-			}
-		}
-		return false
-	})
 }
 
 // resolveRelation materializes a named relation: temp table, base table,
@@ -331,7 +314,11 @@ func (s *Session) resolveRelation(schema, name string) (*Result, error) {
 		if err != nil {
 			return nil, errf("42601", "%v", err)
 		}
-		return s.ExecStmt(stmt)
+		sel, ok := stmt.(*sqlparse.SelectStmt)
+		if !ok {
+			return nil, errf("42601", "view %s is not a SELECT", name)
+		}
+		return s.execSelect(sel)
 	}
 	return nil, errf("42P01", "relation %q does not exist", strings.TrimSpace(name))
 }

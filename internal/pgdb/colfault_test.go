@@ -286,7 +286,7 @@ func TestFallbackBoxesOnlyReadColumns(t *testing.T) {
 		read []int
 	}{
 		{"SELECT c0 + 1 FROM t WHERE c1 > 20000", []int{0, 1}},                                      // computed projection
-		{"SELECT c2 FROM t WHERE c1 > 20000 ORDER BY c3 DESC", []int{1, 2, 3}},                      // fused projection + ORDER BY
+		{"SELECT c2, c3 FROM t WHERE c1 > 20000 ORDER BY c3 DESC", []int{1, 2, 3}},                  // fused projection + ORDER BY
 		{"SELECT c2 % 3, count(*), sum(c4) FROM t WHERE c1 < 5000 GROUP BY c2 % 3", []int{1, 2, 4}}, // expression key
 		{"SELECT c5, median(c0) FROM t WHERE c1 < 5000 GROUP BY c5", []int{0, 1, 5}},                // unfused aggregate
 	} {

@@ -2,7 +2,6 @@ package pgdb
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -347,24 +346,6 @@ func (st *colStore) numRows() int { return st.n }
 // INSERT appends to under the statement lock.
 func (st *colStore) sharesTable() bool { return !st.private || st.shared }
 
-// ascendingInts reports whether column c (-1: none) is integer, NULL-free
-// and non-decreasing, so a stable ascending sort on it is the identity.
-func (st *colStore) ascendingInts(c int) bool {
-	last := int64(math.MinInt64)
-	for si := 0; c >= 0 && si < len(st.slots); si++ {
-		v := &st.seg(si).vecs[c]
-		if v.kind != vkInt || v.nullCnt > 0 {
-			return false
-		}
-		for _, x := range v.ints {
-			if x < last {
-				return false
-			}
-			last = x
-		}
-	}
-	return c >= 0
-}
 func (st *colStore) numSegs() int { return len(st.slots) }
 
 // peekSeg returns the segment as resident in memory — possibly a stub — for
@@ -557,12 +538,32 @@ func (st *colStore) rowAtCols(i int, cols []int) []any {
 }
 
 // boxSel boxes the rows set in sel (nil: every row) in row order, filling
-// only cols and leaving the other cells NULL. Segments with no selected row
-// are skipped before anything faults; the rest fault just cols, once per
-// segment.
+// only cols and leaving the other cells NULL. One backing array holds every
+// row. Segments with no selected row are skipped before anything faults;
+// the rest fault just cols, once per segment.
 func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
-	rows, _ := st.boxCols(sel, cols, nil, cols, len(st.cols), nil)
-	return rows
+	nsel, width := st.n, len(st.cols)
+	if sel != nil {
+		nsel = popCount(sel)
+	}
+	backing := make([]any, nsel*width)
+	out := make([][]any, nsel)
+	for i := range out {
+		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
+	}
+	lo := 0
+	st.selSegs(sel, cols, nil, func(_ int, seg *segment, pos []int32) error {
+		rows := out[lo : lo+len(pos)]
+		for _, c := range cols {
+			v := &seg.vecs[c]
+			for j, i := range pos {
+				rows[j][c] = v.get(int(i))
+			}
+		}
+		lo += len(pos)
+		return nil
+	})
+	return out
 }
 
 // iota32 lists the positions of a full segment, 0 to segSize-1: the
@@ -606,58 +607,6 @@ func (st *colStore) selSegs(sel []uint64, cols []int, poll func() error, fn func
 		}
 	}
 	return nil
-}
-
-// boxCols is boxSel into rows of width cells: output k is column cols[k],
-// or kerns[k]'s value where kerns (nil: none) sets a kernel, boxed into cell
-// dst[k]. One backing array holds every row. poll, when set, runs before
-// each segment is boxed; its error stops the boxing, as a kernel's division
-// by zero does.
-func (st *colStore) boxCols(sel []uint64, cols []int, kerns []valKernel, dst []int, width int, poll func() error) ([][]any, error) {
-	nsel := st.n
-	if sel != nil {
-		nsel = popCount(sel)
-	}
-	backing := make([]any, nsel*width)
-	out := make([][]any, nsel)
-	for i := range out {
-		out[i] = backing[i*width : (i+1)*width : (i+1)*width]
-	}
-	read := cols
-	if kerns != nil {
-		seen := map[int]struct{}{}
-		for k, c := range cols {
-			if kerns[k] != nil {
-				kerns[k].cols(func(c int) { seen[c] = struct{}{} })
-			} else {
-				seen[c] = struct{}{}
-			}
-		}
-		read = sortedSet(seen)
-	}
-	lo := 0
-	err := st.selSegs(sel, read, poll, func(_ int, seg *segment, pos []int32) error {
-		rows := out[lo : lo+len(pos)]
-		for k, c := range cols {
-			v, at := &seg.vecs[c], pos
-			if kerns != nil && kerns[k] != nil {
-				o := kerns[k].eval(seg, pos)
-				if o.errs != nil {
-					return divByZero()
-				}
-				v, at = &o.colVec, iota32[:len(pos)]
-			}
-			for j, i := range at {
-				rows[j][dst[k]] = v.get(int(i))
-			}
-		}
-		lo += len(pos)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // evictSeg swaps segment si for a metadata-only stub, dropping the data of

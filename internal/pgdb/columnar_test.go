@@ -187,7 +187,7 @@ func TestGatherAndViewSizedToRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.execSelect(stmt.(*sqlparse.SelectStmt), formView)
+		res, err := s.execSelect(stmt.(*sqlparse.SelectStmt))
 		if err != nil {
 			t.Fatal(err)
 		}

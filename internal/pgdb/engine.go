@@ -115,8 +115,8 @@ func (s *Session) ExecStmt(stmt sqlparse.Stmt) (*Result, error) {
 	return boxed(s.execTop(stmt))
 }
 
-// execTop is ExecStmt without the boxing: a SELECT's result may be a
-// private column store (formOwned).
+// execTop is ExecStmt without the boxing: a SELECT's result is a private
+// column store that shares no table's vectors.
 func (s *Session) execTop(stmt sqlparse.Stmt) (*Result, error) {
 	if s.lockDepth > 0 {
 		return s.execStmt(stmt)
@@ -175,18 +175,19 @@ func (s *Session) execStmt(stmt sqlparse.Stmt) (res *Result, err error) {
 	defer trapFault(&err)
 	switch st := stmt.(type) {
 	case *sqlparse.SelectStmt:
-		res, err := s.execSelect(st, formOwned)
+		res, err := s.execSelect(st)
 		if err != nil {
 			return nil, err
 		}
-		n := len(res.Rows)
-		if res.store != nil {
-			n = res.store.n
+		if res.store.sharesTable() {
+			// the result is read after the statement lock is released, and
+			// INSERT writes a table's tail vectors in place
+			if err := s.poll(); err != nil {
+				return nil, err
+			}
+			res.store = gatherAll(res.Cols, res.store, seq32(res.store.n))
 		}
-		if h := s.db.selectHook; h != nil {
-			h(res.store != nil)
-		}
-		res.Tag = fmt.Sprintf("SELECT %d", n)
+		res.Tag = fmt.Sprintf("SELECT %d", res.store.n)
 		return res, nil
 	case *sqlparse.CreateTableStmt:
 		return s.execCreateTable(st)
@@ -218,12 +219,12 @@ func (s *Session) execCreateTable(st *sqlparse.CreateTableStmt) (*Result, error)
 	var t *storedTable
 	var initRows [][]any
 	if st.AsSelect != nil {
-		res, err := s.execSelect(st.AsSelect, formRows)
+		res, err := s.execSelect(st.AsSelect)
 		if err != nil {
 			return nil, err
 		}
-		initRows = res.Rows
-		t = newStoredTable(s.db, st.Name, res.Cols, res.Rows)
+		initRows = res.store.boxSel(nil, seq(0, len(res.Cols)))
+		t = newStoredTable(s.db, st.Name, res.Cols, initRows)
 	} else {
 		t = newStoredTable(s.db, st.Name, append([]Column(nil), columnDefs(st.Cols)...), nil)
 	}

@@ -75,7 +75,29 @@ func GroupsInVector(db *DB, sql string) (bool, error) {
 	return ok, err
 }
 
-// OnSelect makes db report whether each top-level SELECT's result is a
-// column store, which a PG v3 connection writes as it is and the exported
-// entry points box. Set it before any statement runs.
-func OnSelect(db *DB, fn func(columnar bool)) { db.selectHook = fn }
+// SortsRows reports whether the ORDER BY of sql, one SELECT block, moves
+// any of the rows the block produces: false when they arrive in its order,
+// and the tail then neither sorts nor gathers them.
+func SortsRows(db *DB, sql string) (bool, error) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return false, err
+	}
+	sel, ok := stmt.(*sqlparse.SelectStmt)
+	if !ok || sel.Union != nil {
+		return false, errf("0A000", "SortsRows wants one SELECT block")
+	}
+	block := *sel
+	block.OrderBy, block.Limit = nil, nil
+	s := db.NewSession()
+	res, err := s.execTop(&block)
+	if err != nil {
+		return false, err
+	}
+	keys, err := orderKeys(sel.OrderBy, res.Cols)
+	if err != nil {
+		return false, err
+	}
+	ids, err := s.sortedIDs(res.store, nil, keys)
+	return ids != nil, err
+}

@@ -3,13 +3,16 @@ package pgdb
 import (
 	"math/bits"
 	"slices"
+	"strings"
+
+	"hyperq/internal/pgdb/sqlparse"
 )
 
-// Columnar intermediates. A subquery or top-level SELECT that takes the
-// vector projection, a typed hash equi-join and a typed as-of join each
-// return a statement-private colStore instead of boxed rows: the operator
-// above runs the vector paths a base-table scan does, and the PG v3 writer
-// walks a top-level one (serve.go). Two shapes exist:
+// Columnar intermediates. Every SELECT block ends in a statement-private
+// colStore, and so do a typed hash equi-join and a typed as-of join: the
+// operator above runs the vector paths a base-table scan does, the statement
+// tail (UNION ALL, ORDER BY, LIMIT) gathers stores, and the PG v3 writer
+// walks the top-level one (serve.go). Three shapes exist:
 //
 //   - a view (viewOf) — the unfiltered projection of a store: segments whose
 //     vectors are struct copies of the source's, sharing the data. A view
@@ -18,19 +21,24 @@ import (
 //     as-of join reaches a table's as-of cache through the translator's
 //     pass-through wrappers.
 //   - a materialized store (gatherCols) — typed copies of picked rows: the
-//     selected rows of a filtered subquery, or a join's (left, right) row
-//     pairs. Only the gathered columns of segments holding a picked row
+//     selected rows of a filtered subquery, a join's (left, right) row
+//     pairs, or the tail's rows in their sorted, concatenated or clipped
+//     order. Only the gathered columns of segments holding a picked row
 //     fault in.
+//   - a columnized store (columnize) — the walker's boxed rows appended
+//     once, as a table's cells are, at the end of the block that produced
+//     them.
 //
 // Private stores are built for one statement and are never written, so
 // they carry no access paths: no sorted attributes and no as-of cache. Zone
-// maps are the source's (a view) or nil (a gather: no verdict). Every
-// vector's capacity equals its segment's row count — a one-row point
-// lookup must not allocate a segment's worth of each column.
+// maps are the source's (a view), the appended values' (a columnized
+// store) or nil (a gather: no verdict). A gathered vector's capacity equals
+// its segment's row count — a one-row point lookup must not allocate a
+// segment's worth of each column.
 // A consumer that still needs rows boxes the store once (rowsView, boxSel).
 // A store that may share a table's vectors is marked shared; a top-level
-// SELECT gathers instead, since it is read after the statement lock is
-// released and INSERT writes the tail segment's vectors in place.
+// SELECT copies one (execStmt), since it is read after the statement lock
+// is released and INSERT writes the tail segment's vectors in place.
 
 // newPrivateStore returns a statement-private store of n rows over cols,
 // its segments allocated with unset vectors for the builder to fill.
@@ -353,50 +361,266 @@ func (v *colVec) markNull(j, n int) {
 	v.nullCnt++
 }
 
-// refineStoreTypes is refineTypes for a columnar result: an integer column
-// holding a float turns double precision, and an untyped column takes the
-// type of its last non-NULL value (varchar when it has none).
-func refineStoreTypes(res *Result) {
-	st := res.store
-	for i := range res.Cols {
-		switch res.Cols[i].Type {
-		case "bigint", "integer", "smallint":
-			for si := range st.slots {
-				seg := st.peekSeg(si)
-				if k := seg.vecs[i].kind; seg.vecs[i].nullCnt < seg.n && (k == vkFloat ||
-					k == vkAny && slices.ContainsFunc(st.segCols(si, []int{i}).vecs[i].anys, isFloat)) {
-					res.Cols[i].Type = "double precision"
-					break
-				}
+// columnize turns boxed rows into a private store through the append path
+// tables use (appendVal): each segment's column takes the kind its
+// non-NULL cells share, or boxed storage (vkAny) when they differ, and
+// keeps a zone map. The walker's results become stores here and nowhere
+// else.
+func columnize(cols []Column, rows [][]any) *colStore {
+	st := newPrivateStore(cols, len(rows))
+	for si := range st.slots {
+		seg := st.peekSeg(si)
+		for j, r := range rows[si*segSize : si*segSize+seg.n] {
+			for c, x := range r {
+				seg.vecs[c].appendVal(x, j)
 			}
-			continue
-		case "", "unknown":
+		}
+	}
+	return st
+}
+
+// kindOf is the vector kind that stores x typed, vkEmpty for NULL.
+func kindOf(x any) vecKind {
+	switch x.(type) {
+	case nil:
+		return vkEmpty
+	case int64:
+		return vkInt
+	case float64:
+		return vkFloat
+	case string:
+		return vkStr
+	case bool:
+		return vkBool
+	}
+	return vkAny
+}
+
+// gatherAll is the private store of st's rows that ids names, in that order.
+func gatherAll(cols []Column, st *colStore, ids []int32) *colStore {
+	out := newPrivateStore(cols, len(ids))
+	all := seq(0, len(cols))
+	out.gatherCols(all, st, all, ids)
+	return out
+}
+
+// concatStores lines up the UNION ALL of parts, which hold len(cols)
+// columns each, for the tail to read by row id: the one part itself (ids
+// nil: every row in order), or a scratch store holding every part's
+// segments one after another, each part's first at a segment boundary, and
+// the ids of their rows in chain order.
+func concatStores(cols []Column, parts []*colStore) (st *colStore, ids []int32) {
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	st = &colStore{cols: cols, private: true}
+	ids = []int32{}
+	for _, p := range parts {
+		base := int32(st.numSegs() * segSize)
+		for si := range p.slots {
+			st.addSeg(p.seg(si))
+		}
+		for i := range int32(p.n) {
+			ids = append(ids, base+i)
+		}
+	}
+	return st, ids
+}
+
+// sortKey is one ORDER BY key: output column col, its direction and where
+// its NULLs go.
+type sortKey struct {
+	col              int
+	desc, nullsFirst bool
+}
+
+// orderKeys resolves a SELECT's ORDER BY against its output columns; a key
+// that names none is refused.
+func orderKeys(order []sqlparse.OrderItem, cols []Column) ([]sortKey, error) {
+	keys := make([]sortKey, len(order))
+	for i, ob := range order {
+		c := outputKey(ob.Expr, cols)
+		if c < 0 {
+			return nil, errf("42P10", "ORDER BY expression must name an output column")
+		}
+		keys[i] = sortKey{col: c, desc: ob.Desc, nullsFirst: ob.Desc} // PG default: NULLS LAST asc, NULLS FIRST desc
+		if ob.NullsFirst != nil {
+			keys[i].nullsFirst = *ob.NullsFirst
+		}
+	}
+	return keys, nil
+}
+
+// sortedIDs orders the rows of st that ids names (nil: every row, in
+// order) under keys and returns their row ids, or ids itself when the rows
+// already are in that order: no keys, or a stable sort would leave them as
+// they are (a scan over a sorted attribute, or grouped rows keyed by an
+// ascending order column, arrive that way).
+func (s *Session) sortedIDs(st *colStore, ids []int32, keys []sortKey) ([]int32, error) {
+	n := st.n
+	if ids != nil {
+		n = len(ids)
+	}
+	if len(keys) == 0 || n < 2 {
+		return ids, nil
+	}
+	if err := s.poll(); err != nil {
+		return nil, err
+	}
+	cmps := make([]func(a, b int) int, len(keys))
+	for i, k := range keys {
+		cmps[i] = keyCmp(st, ids, n, k)
+	}
+	cmp := func(a, b int) int {
+		for _, c := range cmps {
+			if r := c(a, b); r != 0 {
+				return r
+			}
+		}
+		return 0
+	}
+	i := 1
+	for i < n && cmp(i-1, i) <= 0 {
+		i++
+	}
+	if i == n {
+		return ids, nil
+	}
+	pos := seq32(n)
+	slices.SortStableFunc(pos, func(a, b int32) int { return cmp(int(a), int(b)) })
+	if ids != nil {
+		for p, q := range pos {
+			pos[p] = ids[q]
+		}
+	}
+	return pos, nil
+}
+
+// keyCmp compares two of the n rows ids names (nil: every row of st) by
+// their positions in ids, on key k, NULL placement and direction included.
+// The key's cells extract once into a flat slice and compare as
+// compareVals does: a column of numbers (integers, floats, booleans) as
+// float64 with NaN equal to itself and above every other value, a column
+// of strings by strings.Compare, and any other column cell by cell through
+// compareVals.
+func keyCmp(st *colStore, ids []int32, n int, k sortKey) func(a, b int) int {
+	num, str := true, true
+	for si := range st.slots {
+		switch st.peekSeg(si).vecs[k.col].kind {
+		case vkInt, vkFloat, vkBool:
+			str = false
+		case vkStr:
+			num = false
+		case vkAny:
+			num, str = false, false
+		}
+	}
+	var nulls []bool
+	var fs []float64
+	var ss []string
+	var as []any
+	switch {
+	case num:
+		fs = make([]float64, n)
+	case str:
+		ss = make([]string, n)
+	default:
+		as = make([]any, n)
+	}
+	si, v := -1, (*colVec)(nil)
+	for p := range n {
+		id := p
+		if ids != nil {
+			id = int(ids[p])
+		}
+		if id/segSize != si {
+			si = id / segSize
+			v = &st.segCols(si, []int{k.col}).vecs[k.col]
+		}
+		j := id % segSize
+		switch {
+		case v.isNull(j):
+			if nulls == nil {
+				nulls = make([]bool, n)
+			}
+			nulls[p] = true
+		case num && v.kind == vkInt:
+			fs[p] = float64(v.ints[j])
+		case num && v.kind == vkFloat:
+			fs[p] = v.floats[j]
+		case num:
+			if v.bools[j] {
+				fs[p] = 1
+			}
+		case str:
+			ss[p] = v.dict[v.codes[j]]
 		default:
-			continue
+			as[p] = v.get(j)
 		}
-		t := "varchar"
-	last:
-		for si := len(st.slots) - 1; si >= 0; si-- {
-			seg := st.segCols(si, []int{i})
-			v := &seg.vecs[i]
-			for j := seg.n - 1; j >= 0; j-- {
-				switch v.get(j).(type) {
-				case int64:
-					t = "bigint"
-				case float64:
-					t = "double precision"
-				case bool:
-					t = "boolean"
-				case string:
-					t = "varchar"
-				default:
-					continue
-				}
-				break last
+	}
+	var cmp func(a, b int) int
+	switch {
+	case num:
+		cmp = func(a, b int) int { return cmpFloatVals(fs[a], fs[b]) }
+	case str:
+		cmp = func(a, b int) int { return strings.Compare(ss[a], ss[b]) }
+	default:
+		cmp = func(a, b int) int { return compareVals(as[a], as[b]) }
+	}
+	return func(a, b int) int {
+		if nulls != nil && (nulls[a] || nulls[b]) {
+			switch {
+			case nulls[a] && nulls[b]:
+				return 0
+			case nulls[a] == k.nullsFirst:
+				return -1
 			}
+			return 1
 		}
-		res.Cols[i].Type = t
+		if k.desc {
+			return cmp(b, a)
+		}
+		return cmp(a, b)
 	}
 }
 
-func isFloat(v any) bool { _, ok := v.(float64); return ok }
+// kindTypes names the SQL type of a typed vector kind's values.
+var kindTypes = [...]string{vkInt: "bigint", vkFloat: "double precision", vkStr: "varchar", vkBool: "boolean", vkAny: ""}
+
+// refineStoreTypes settles a block result's column types from its data: an
+// integer column holding a float turns double precision, and an untyped
+// column takes the type of its first non-NULL value (varchar when it has
+// none). A typed segment's kind says what it holds; only a boxed segment's
+// cells are read.
+func refineStoreTypes(res *Result) {
+	st := res.store
+	for i := range res.Cols {
+		t := res.Cols[i].Type
+		integer := t == "bigint" || t == "integer" || t == "smallint"
+		if !integer && t != "" && t != "unknown" {
+			continue
+		}
+		if !integer {
+			res.Cols[i].Type = "varchar"
+		}
+		settles := func(k vecKind) bool { return k == vkFloat || !integer && kindTypes[k] != "" }
+		for si := range st.slots {
+			seg := st.peekSeg(si)
+			k := seg.vecs[i].kind
+			if seg.vecs[i].nullCnt == seg.n {
+				continue
+			}
+			if k == vkAny {
+				for _, x := range st.segCols(si, []int{i}).vecs[i].anys {
+					if k = kindOf(x); settles(k) {
+						break
+					}
+				}
+			}
+			if settles(k) {
+				res.Cols[i].Type = kindTypes[k]
+				break
+			}
+		}
+	}
+}

@@ -24,20 +24,31 @@ import (
 	"sync/atomic"
 )
 
-// IndexStats counts access-path activity database-wide. All fields are
-// atomics: lookups happen under the shared statement lock.
+// IndexStats counts access-path activity database-wide, and the SELECT
+// blocks the compiled engine ran on the walker instead, by the reason the
+// vector paths declined. All fields are atomics: lookups happen under the
+// shared statement lock.
 type IndexStats struct {
 	Hits       atomic.Int64 // predicates answered from a sorted attribute
 	AsofBuilds atomic.Int64 // as-of bucket-index builds
 	AsofHits   atomic.Int64 // as-of joins answered from a cached bucket index
+
+	FallbackInput      atomic.Int64 // blocks whose input was boxed rows
+	FallbackWhere      atomic.Int64 // blocks whose WHERE did not lower
+	FallbackProjection atomic.Int64 // projections the vector path declined
+	FallbackGrouped    atomic.Int64 // aggregations the fused path declined
 }
 
 // Vars returns the counters in /debug/vars form, keyed like persist.Stats.
 func (s *IndexStats) Vars() map[string]int64 {
 	return map[string]int64{
-		"pgdb.index_hits":  s.Hits.Load(),
-		"pgdb.asof_builds": s.AsofBuilds.Load(),
-		"pgdb.asof_hits":   s.AsofHits.Load(),
+		"pgdb.index_hits":                s.Hits.Load(),
+		"pgdb.asof_builds":               s.AsofBuilds.Load(),
+		"pgdb.asof_hits":                 s.AsofHits.Load(),
+		"pgdb.row_fallbacks.boxed_input": s.FallbackInput.Load(),
+		"pgdb.row_fallbacks.where":       s.FallbackWhere.Load(),
+		"pgdb.row_fallbacks.projection":  s.FallbackProjection.Load(),
+		"pgdb.row_fallbacks.grouped":     s.FallbackGrouped.Load(),
 	}
 }
 

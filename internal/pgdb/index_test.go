@@ -264,7 +264,7 @@ func TestAsofBucketCache(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE rt (sym varchar, tm bigint, px double precision)")
 	mustExec(t, s, "INSERT INTO lt VALUES (0,'a',10),(1,'a',20),(2,'b',15)")
 	mustExec(t, s, "INSERT INTO rt VALUES ('a',5,1.0),('a',15,2.0),('b',12,3.0)")
-	asof := `SELECT sym, tm, px FROM (
+	asof := `SELECT sym, tm, px, id FROM (
 		SELECT a.id, a.sym, a.tm, b.px,
 		       ROW_NUMBER() OVER (PARTITION BY a.id ORDER BY b.tm DESC) AS rn
 		FROM lt a LEFT JOIN rt b ON a.sym IS NOT DISTINCT FROM b.sym AND b.tm <= a.tm
@@ -491,9 +491,9 @@ func TestTranslatedShapeIndexPaths(t *testing.T) {
 
 	// equi-join through a pass-through wrapper
 	db.SetExecMode(ExecCompiled)
-	joinWrapped := `SELECT a.sym, a.px, b.bid FROM tr a
+	joinWrapped := `SELECT a.sym, a.px, b.bid, a.tm AS atm, b.tm AS btm FROM tr a
 		JOIN (SELECT sym AS sym, tm AS tm, bid AS bid FROM qt) b ON a.sym = b.sym
-		ORDER BY a.tm, b.tm`
+		ORDER BY atm, btm`
 	jw := mustExec(t, s, joinWrapped).Rows
 	for _, mode := range []ExecMode{ExecInterpreted, ExecCompiled} {
 		db.SetExecMode(mode)

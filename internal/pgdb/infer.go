@@ -7,8 +7,8 @@ import (
 )
 
 // inferType derives an output column type from an expression shape; when
-// the shape is inconclusive it returns "unknown" and refineTypes fixes it
-// from the data.
+// the shape is inconclusive it returns "unknown" and refineStoreTypes fixes
+// it from the data.
 func (s *Session) inferType(e sqlparse.Expr, schema []colBinding) string {
 	switch x := e.(type) {
 	case *sqlparse.NumberLit:
@@ -111,43 +111,5 @@ func (s *Session) inferType(e sqlparse.Expr, schema []colBinding) string {
 		}
 	default:
 		return "unknown"
-	}
-}
-
-// refineTypes replaces "unknown" column types by inspecting actual values.
-// It also widens integer columns that turn out to hold float values — shape
-// inference is static and can miss promotions the evaluator performs.
-func refineTypes(res *Result) {
-	for i := range res.Cols {
-		switch res.Cols[i].Type {
-		case "bigint", "integer", "smallint":
-			for _, row := range res.Rows {
-				if _, ok := row[i].(float64); ok {
-					res.Cols[i].Type = "double precision"
-					break
-				}
-			}
-			continue
-		}
-		if res.Cols[i].Type != "" && res.Cols[i].Type != "unknown" {
-			continue
-		}
-		t := "varchar"
-		for _, row := range res.Rows {
-			switch row[i].(type) {
-			case int64:
-				t = "bigint"
-			case float64:
-				t = "double precision"
-			case bool:
-				t = "boolean"
-			case string:
-				t = "varchar"
-			default:
-				continue
-			}
-			break
-		}
-		res.Cols[i].Type = t
 	}
 }

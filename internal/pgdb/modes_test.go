@@ -122,7 +122,7 @@ func TestCompiledConstantFolding(t *testing.T) {
 	requireModeParity(t, withRow, "SELECT 1 / 0 FROM e") // identical error both engines
 }
 
-// TestCompiledTypeWidening verifies the static inference plus refineTypes
+// TestCompiledTypeWidening verifies the static inference plus refineStoreTypes
 // promotion behaves identically across engines: integer columns that hold
 // float values widen to double precision.
 func TestCompiledTypeWidening(t *testing.T) {

@@ -38,7 +38,7 @@ func TestCaseWithOperand(t *testing.T) {
 	mustExec(t, s, "INSERT INTO t VALUES (1),(2),(3)")
 	// only the searched CASE parses; the translator writes no other
 	mustRefuse(t, s, "SELECT CASE x WHEN 1 THEN 'one' WHEN 2 THEN 'two' ELSE 'many' END FROM t ORDER BY x", "42601")
-	res := mustExec(t, s, "SELECT CASE WHEN x = 1 THEN 'one' WHEN x = 2 THEN 'two' ELSE 'many' END FROM t ORDER BY x")
+	res := mustExec(t, s, "SELECT CASE WHEN x = 1 THEN 'one' WHEN x = 2 THEN 'two' ELSE 'many' END, x FROM t ORDER BY x")
 	if res.Rows[0][0].(string) != "one" || res.Rows[2][0].(string) != "many" {
 		t.Fatalf("searched case = %v", res.Rows)
 	}
@@ -165,7 +165,7 @@ func TestAsOfFusedPathMatchesNaive(t *testing.T) {
 	mustExec(t, s, `CREATE TABLE r (sym varchar, t bigint, v bigint)`)
 	mustExec(t, s, `INSERT INTO l VALUES (0,'a',10),(1,'a',20),(2,'b',15),(3,'c',5)`)
 	mustExec(t, s, `INSERT INTO r VALUES ('a',5,100),('a',15,101),('b',15,200),('b',16,201),('c',9,300)`)
-	fused := `SELECT sym, t, v FROM (
+	fused := `SELECT sym, t, v, ordcol FROM (
 		SELECT a.ordcol, a.sym, a.t, b.v,
 		       ROW_NUMBER() OVER (PARTITION BY a.ordcol ORDER BY b.t DESC) AS hq_rn
 		FROM (SELECT ordcol, sym, t FROM l) a
@@ -174,7 +174,7 @@ func TestAsOfFusedPathMatchesNaive(t *testing.T) {
 	) x WHERE hq_rn = 1 ORDER BY ordcol`
 	// same query with rn = 1 spelled as 1 = rn... would not match the
 	// pattern; instead force the naive path via an extra filter level
-	naive := `SELECT sym, t, v FROM (
+	naive := `SELECT sym, t, v, ordcol FROM (
 		SELECT * FROM (
 			SELECT a.ordcol, a.sym, a.t, b.v,
 			       ROW_NUMBER() OVER (PARTITION BY a.ordcol ORDER BY b.t DESC) AS hq_rn

@@ -1,6 +1,7 @@
 package pgdb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -181,11 +182,11 @@ func TestJoins(t *testing.T) {
 	mustExec(t, s, "CREATE TABLE b (k bigint, y varchar)")
 	mustExec(t, s, "INSERT INTO a VALUES (1,'a1'), (2,'a2'), (3,'a3')")
 	mustExec(t, s, "INSERT INTO b VALUES (1,'b1'), (3,'b3'), (3,'b3x')")
-	res := mustExec(t, s, "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY a.k")
+	res := mustExec(t, s, "SELECT a.x, b.y, a.k FROM a JOIN b ON a.k = b.k ORDER BY k")
 	if len(res.Rows) != 3 {
 		t.Fatalf("inner join rows = %d", len(res.Rows))
 	}
-	res = mustExec(t, s, "SELECT a.x, b.y FROM a LEFT JOIN b ON a.k = b.k ORDER BY a.k")
+	res = mustExec(t, s, "SELECT a.x, b.y, a.k FROM a LEFT JOIN b ON a.k = b.k ORDER BY k")
 	if len(res.Rows) != 4 {
 		t.Fatalf("left join rows = %d", len(res.Rows))
 	}
@@ -286,7 +287,7 @@ func TestUnion(t *testing.T) {
 
 func TestCaseExpression(t *testing.T) {
 	_, s := newTestDB(t)
-	res := mustExec(t, s, "SELECT CASE WHEN price > 120 THEN 'high' ELSE 'low' END AS band FROM trades ORDER BY ts")
+	res := mustExec(t, s, "SELECT CASE WHEN price > 120 THEN 'high' ELSE 'low' END AS band, ts FROM trades ORDER BY ts")
 	if res.Rows[0][0].(string) != "low" || res.Rows[1][0].(string) != "high" {
 		t.Fatalf("case = %v", res.Rows)
 	}
@@ -350,9 +351,25 @@ func TestUpdateDelete(t *testing.T) {
 	}
 }
 
+// TestCatalogRowOrder: information_schema.columns lists the tables by
+// name, each one's columns by ordinal position, a temp table beside the
+// permanent one of the same name.
+func TestCatalogRowOrder(t *testing.T) {
+	s := NewDB().NewSession()
+	for _, q := range []string{"CREATE TABLE b (y bigint, x varchar)", "CREATE TABLE a (z double precision)",
+		"CREATE TABLE c (w boolean, v bigint, u bigint)", "CREATE TEMPORARY TABLE a (t bigint, r bigint)"} {
+		mustExec(t, s, q)
+	}
+	res := mustExec(t, s, "SELECT table_schema, table_name, column_name, ordinal_position FROM information_schema.columns")
+	want := "[[public a z 1] [pg_temp a t 1] [pg_temp a r 2] [public b y 1] [public b x 2] [public c w 1] [public c v 2] [public c u 3]]"
+	if got := fmt.Sprint(res.Rows); got != want {
+		t.Fatalf("catalog rows %s, want %s", got, want)
+	}
+}
+
 func TestInformationSchema(t *testing.T) {
 	_, s := newTestDB(t)
-	res := mustExec(t, s, "SELECT column_name, data_type FROM information_schema.columns WHERE table_name = 'trades' ORDER BY ordinal_position")
+	res := mustExec(t, s, "SELECT column_name, data_type, ordinal_position FROM information_schema.columns WHERE table_name = 'trades' ORDER BY ordinal_position")
 	if len(res.Rows) != 4 {
 		t.Fatalf("info schema rows = %d", len(res.Rows))
 	}

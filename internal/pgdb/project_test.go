@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"slices"
 	"testing"
 
 	"hyperq/internal/pgdb/sqlparse"
@@ -44,6 +43,11 @@ func tableRows(s *Session) [][]any {
 // shares them.
 const notVec = "(SELECT * FROM p WHERE lower(sym) = lower(sym)) q"
 
+// TestPassThroughProjectionLeavesRowsUnchanged: a pass-through wrapper over
+// a column store is a view sharing its input's vectors, and ORDER BY, UNION
+// ALL and LIMIT above one gather a private store instead of reordering
+// anything in place: a statement's result is the same the second time, and
+// the table's rows never change.
 func TestPassThroughProjectionLeavesRowsUnchanged(t *testing.T) {
 	_, s := newProjectDB(t, 300)
 	stmt, err := sqlparse.Parse("SELECT * FROM p WHERE lower(sym) = lower(sym)")
@@ -55,24 +59,14 @@ func TestPassThroughProjectionLeavesRowsUnchanged(t *testing.T) {
 		t.Fatal("the filter lowers to a vector program; pick one that does not")
 	}
 	before := tableRows(s)
-	// an identity wrapper shares its input relation's boxed rows but owns its
-	// outer slice, so ORDER BY permuting it in place leaves the relation's
-	// row order alone
 	all, err := sqlparse.Parse("SELECT * FROM p")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel := &relation{schema: schemaOf(tbl.cols, "p"), store: tbl.store}
-	out, err := s.project(all.(*sqlparse.SelectStmt), rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &out.Rows[0][0] != &rel.rows[0][0] {
-		t.Fatal("identity wrapper did not share the relation's rows")
-	}
-	slices.Reverse(out.Rows)
-	if !reflect.DeepEqual(rel.rows, before) {
-		t.Fatal("permuting a pass-through result reordered the relation's rows")
+	out, ok, err := s.projectVec(all.(*sqlparse.SelectStmt), rel, nil)
+	if err != nil || !ok || out.store.src != tbl.store {
+		t.Fatalf("identity wrapper is not a view of its input (%v, %v)", ok, err)
 	}
 	for _, q := range []string{
 		// identity wrappers
@@ -130,9 +124,9 @@ func TestInsertDoesNotRewriteSharedRows(t *testing.T) {
 	}
 }
 
-// TestPassThroughProjectionAllocs holds the identity wrapper to a constant
-// number of allocations whatever the row count, and the arena projection
-// likewise.
+// TestPassThroughProjectionAllocs holds a pass-through wrapper over a
+// column store, the identity projection and a reordering one alike, to a
+// view: its allocations follow the input's segment count, not its row count.
 func TestPassThroughProjectionAllocs(t *testing.T) {
 	allocs := func(n int, q string) float64 {
 		_, s := newProjectDB(t, n)
@@ -142,10 +136,10 @@ func TestPassThroughProjectionAllocs(t *testing.T) {
 		}
 		sel := stmt.(*sqlparse.SelectStmt)
 		tbl, _ := s.lookupTable("p")
-		rel := &relation{schema: schemaOf(tbl.cols, "q"), rows: tableRows(s)}
+		rel := &relation{schema: schemaOf(tbl.cols, "q"), store: tbl.store}
 		return testing.AllocsPerRun(20, func() {
-			if _, err := s.project(sel, rel); err != nil {
-				t.Fatal(err)
+			if _, ok, err := s.projectVec(sel, rel, nil); err != nil || !ok {
+				t.Fatalf("%s: vector projection declined (%v)", q, err)
 			}
 		})
 	}
@@ -153,9 +147,9 @@ func TestPassThroughProjectionAllocs(t *testing.T) {
 		"SELECT id AS id, sym AS sym, px AS px FROM q",
 		"SELECT px AS px, id AS id FROM q",
 	} {
-		small, large := allocs(1000, q), allocs(20000, q)
+		small, large := allocs(3*segSize+1, q), allocs(4*segSize, q)
 		if large != small {
-			t.Errorf("%s: %.0f allocations at 1k rows, %.0f at 20k", q, small, large)
+			t.Errorf("%s: %.0f allocations at %d rows, %.0f at %d", q, small, 3*segSize+1, large, 4*segSize)
 		}
 	}
 }

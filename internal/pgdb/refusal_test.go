@@ -104,6 +104,13 @@ func TestRefusedSQLOverTheWire(t *testing.T) {
 		{"SELECT tablename FROM pg_catalog.pg_tables", "42P01", "relation pg_catalog.pg_tables does not exist"},
 		// tables are named bare: a schema qualifier is refused, public too
 		{"SELECT * FROM public.t", "42P01", "relation public.t does not exist"},
+		// an ORDER BY key names an output column: 42P10
+		{"SELECT k FROM t ORDER BY f", "42P10", "ORDER BY expression must name an output column"},
+		{"SELECT k FROM t ORDER BY t.k", "42P10", "ORDER BY expression must name an output column"},
+		// a negative LIMIT is refused before a row is read, top-level or in
+		// a FROM subquery: 2201W
+		{"SELECT k FROM t LIMIT -1", "2201W", "LIMIT must not be negative"},
+		{"SELECT k FROM (SELECT k FROM t LIMIT -1) x", "2201W", "LIMIT must not be negative"},
 	} {
 		_, err := gw.Exec(ctx, c.sql)
 		var se *pgv3.ServerError

@@ -3,7 +3,6 @@ package pgdb
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"hyperq/internal/pgdb/sqlparse"
@@ -25,14 +24,16 @@ func schemaOf(cols []Column, alias string) []colBinding {
 	return out
 }
 
-// relation is an intermediate result: bound columns plus materialized rows.
-// store is set for a columnar relation — a base-table scan, or a subquery's
-// or join's statement-private store (gather.go) — whose columns line up with
-// schema and which the compiled engine scans through the vector paths. Its
-// rows stay nil until a consumer needs them: rowsView boxes every row, and a
-// vector scan's row-at-a-time fallback boxes only what it reads (boxSel),
-// so fully-pruned scans never fault evicted segments or box a cell. Boxed
-// rows belong to the relation, which lives for one statement.
+// relation is a block's input: bound columns plus their rows. store is set
+// for a columnar relation — a base-table scan, a catalog read, or a
+// subquery's or join's statement-private store (gather.go) — whose columns
+// line up with schema and which the compiled engine scans through the
+// vector paths. Only a row join's output, a walker WHERE's kept rows and
+// the one empty row of a SELECT without FROM are boxed rows alone. A
+// store's rows stay nil until a consumer needs them: rowsView boxes every
+// row, and a vector scan's row-at-a-time fallback boxes only what it reads
+// (boxSel), so fully-pruned scans never fault evicted segments or box a
+// cell. Boxed rows belong to the relation, which lives for one statement.
 type relation struct {
 	schema []colBinding
 	rows   [][]any
@@ -61,8 +62,8 @@ func addColRefs(e sqlparse.Expr, schema []colBinding, seen map[int]struct{}) {
 	})
 }
 
-// stmtCols is the sorted set of columns a select's items (stars expanded),
-// GROUP BY and ORDER BY can read from an input row.
+// stmtCols is the sorted set of columns a select's items (stars expanded)
+// and GROUP BY can read from an input row.
 func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
 	seen := map[int]struct{}{}
 	if items, err := expandStars(sel.Items, schema); err == nil {
@@ -73,31 +74,74 @@ func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
 	for _, g := range sel.GroupBy {
 		addColRefs(g, schema, seen)
 	}
-	for _, ob := range sel.OrderBy {
-		addColRefs(ob.Expr, schema, seen)
-	}
 	return sortedSet(seen)
 }
 
-// resultForm is the shape execSelect may return a result in: boxed rows;
-// for a FROM-clause subquery, a private store that may share its input's
-// vectors; for a top-level SELECT, one that shares no table's (gather.go).
-type resultForm uint8
+// execSelect runs a SELECT: each block of its UNION ALL chain (execBlock)
+// ends in a statement-private column store, and the statement tail works on
+// stores only. The chain's stores line up by row id (concatStores), ORDER BY
+// (the chain's last link holds it, as it holds LIMIT) sorts a permutation
+// of those ids, and LIMIT clips it; the rows then gather once, in their new
+// order, and a lone block's rows that need no reordering do not gather.
+// The result may share a table's vectors (gather.go); a top-level SELECT
+// copies such a store before the statement lock is released (execStmt).
+func (s *Session) execSelect(sel *sqlparse.SelectStmt) (*Result, error) {
+	last := sel
+	for last.Union != nil {
+		last = last.Union
+	}
+	limit := -1
+	if last.Limit != nil {
+		n, err := s.constInt(last.Limit)
+		if err != nil {
+			return nil, err
+		}
+		if n < 0 {
+			return nil, errf("2201W", "LIMIT must not be negative")
+		}
+		limit = int(min(n, math.MaxInt32))
+	}
+	var res *Result
+	var parts []*colStore
+	for b := sel; b != nil; b = b.Union {
+		r, err := s.execBlock(b)
+		if err != nil {
+			return nil, err
+		}
+		if res == nil {
+			res = r
+		} else if len(r.Cols) != len(res.Cols) {
+			return nil, errf("42601", "UNION column count mismatch")
+		}
+		parts = append(parts, r.store)
+	}
+	keys, err := orderKeys(last.OrderBy, res.Cols)
+	if err != nil {
+		return nil, err
+	}
+	st, ids := concatStores(res.Cols, parts)
+	if ids, err = s.sortedIDs(st, ids, keys); err != nil {
+		return nil, err
+	}
+	if ids == nil && limit >= 0 && limit < st.n {
+		ids = seq32(limit)
+	}
+	if limit >= 0 && limit < len(ids) {
+		ids = ids[:limit]
+	}
+	if ids != nil {
+		st = gatherAll(res.Cols, st, ids)
+	}
+	res.store = st
+	return res, nil
+}
 
-const (
-	formRows resultForm = iota
-	formView
-	formOwned
-)
-
-// execSelect runs the full select pipeline: FROM (with joins) → WHERE →
-// GROUP/aggregate → projection (with window functions) → UNION ALL →
-// ORDER BY → LIMIT. The result is boxed unless form allows
-// columns and the select is a vector projection with none of the later
-// stages: then it is a statement-private column store (Result.store, Rows
-// nil). An ORDER BY that leaves the store as it is (ascendingInts) keeps it;
-// any other order boxes the store and sorts the rows.
-func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result, error) {
+// execBlock runs one SELECT block: FROM (with joins) → WHERE →
+// GROUP/aggregate → projection (with window functions). It ends in a
+// statement-private column store: the vector paths build one, and the
+// walker's rows are columnized here, the one place boxed rows become a
+// store.
+func (s *Session) execBlock(sel *sqlparse.SelectStmt) (*Result, error) {
 	var rel *relation
 	var err error
 	where := sel.Where
@@ -115,13 +159,16 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result
 	if err != nil {
 		return nil, err
 	}
+	compiled := !s.interpretedMode()
+	fallback := &s.db.idxStats.FallbackInput // the relation is boxed rows
 	// WHERE — vector fast path first: a fully-lowerable predicate over a
 	// columnar relation fills a selection bitmap straight from the column
 	// vectors (zone maps skip segments). The bitmap either feeds the fused
 	// aggregation below or late-materializes only the selected positions.
 	var selBits []uint64
 	vecScan := false
-	if !s.interpretedMode() && rel.store != nil {
+	if compiled && rel.store != nil {
+		fallback = &s.db.idxStats.FallbackWhere
 		if where == nil {
 			vecScan = true
 		} else if p, ok := lowerVecPred(where, rel.schema, rel.store); ok {
@@ -141,75 +188,41 @@ func (s *Session) execSelect(sel *sqlparse.SelectStmt, form resultForm) (*Result
 	}
 	var res *Result
 	grouped := len(sel.GroupBy) > 0 || selectHasAggregate(sel)
-	switch {
-	case vecScan:
-		var ok bool
+	ok := false
+	if vecScan {
 		if grouped {
+			fallback = &s.db.idxStats.FallbackGrouped
 			res, ok, err = s.execGroupedVec(sel, rel, selBits)
 		} else {
-			if sel.Union != nil || sel.Limit != nil {
-				form = formRows
-			}
-			res, ok, err = s.projectVec(sel, rel, selBits, form)
+			fallback = &s.db.idxStats.FallbackProjection
+			res, ok, err = s.projectVec(sel, rel, selBits)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if ok && res.store != nil {
-			if len(sel.OrderBy) == 0 || len(sel.OrderBy) == 1 && !sel.OrderBy[0].Desc &&
-				res.store.ascendingInts(outputKey(sel.OrderBy[0].Expr, res)) {
-				return res, nil
-			}
-			boxed(res, nil)
+		if !ok {
+			// a declined shape runs the row-at-a-time operator over the
+			// selected rows, boxing only the columns the statement reads
+			rel.rows, rel.store = rel.store.boxSel(selBits, stmtCols(sel, rel.schema)), nil
 		}
-		// the fast paths' results are self-contained; an ORDER BY key that
-		// is not an output column still reads the selected input rows, and a
-		// declined shape runs the row-at-a-time operator over them — either
-		// way only the selected rows, with the columns the statement reads,
-		// are boxed
-		if !ok || !orderByOutputs(sel, res) {
-			rel.rows = rel.store.boxSel(selBits, stmtCols(sel, rel.schema))
+	}
+	if !ok {
+		if compiled {
+			fallback.Add(1)
 		}
-		switch {
-		case ok:
-		case grouped:
+		if grouped {
 			res, err = s.execGrouped(sel, rel)
-		default:
+		} else {
 			res, err = s.project(sel, rel)
 		}
-		rel.store = nil
-	case grouped:
-		res, err = s.execGrouped(sel, rel)
-	default:
-		res, err = s.project(sel, rel)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if sel.Union != nil {
-		right, err := s.execSelect(sel.Union, formRows)
 		if err != nil {
 			return nil, err
 		}
-		if len(right.Cols) != len(res.Cols) {
-			return nil, errf("42601", "UNION column count mismatch")
-		}
-		res.Rows = append(res.Rows, right.Rows...)
 	}
-	if len(sel.OrderBy) > 0 {
-		if err := s.orderResult(res, rel, sel); err != nil {
-			return nil, err
-		}
+	if res.store == nil {
+		res.store, res.Rows = columnize(res.Cols, res.Rows), nil
 	}
-	if sel.Limit != nil {
-		n, err := s.constInt(sel.Limit)
-		if err != nil {
-			return nil, err
-		}
-		if int(n) < len(res.Rows) {
-			res.Rows = res.Rows[:n]
-		}
-	}
+	refineStoreTypes(res)
 	return res, nil
 }
 
@@ -249,7 +262,7 @@ func (s *Session) buildRef(ref sqlparse.TableRef) (*relation, error) {
 			alias = r.Name
 		}
 	case *sqlparse.SubqueryRef:
-		res, err = s.execSelect(r.Query, formView)
+		res, err = s.execSelect(r.Query)
 		alias = r.Alias
 	case *sqlparse.JoinRef:
 		return s.buildJoin(r)
@@ -552,13 +565,6 @@ func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, err
 			Type: s.inferType(item.Expr, rel.schema),
 		})
 	}
-	if !s.interpretedMode() {
-		if cols, ok := bareColumns(items, rel.schema); ok {
-			res.Rows = passThrough(rel.rows, cols)
-			refineTypes(res)
-			return res, nil
-		}
-	}
 	win, err := computeWindows(items, rel)
 	if err != nil {
 		return nil, err
@@ -582,58 +588,16 @@ func (s *Session) project(sel *sqlparse.SelectStmt, rel *relation) (*Result, err
 		}
 		res.Rows = append(res.Rows, out)
 	}
-	refineTypes(res)
 	return res, nil
 }
 
-// bareColumns maps each item to the input column it names, reporting false
-// unless every item is a bare column reference that resolves.
-func bareColumns(items []sqlparse.SelectItem, schema []colBinding) ([]int, bool) {
-	cols := make([]int, len(items))
-	for i, item := range items {
-		cr, ok := item.Expr.(*sqlparse.ColRef)
-		if !ok {
-			return nil, false
-		}
-		c, err := findCol(schema, cr)
-		if err != nil {
-			return nil, false
-		}
-		cols[i] = c
-	}
-	return cols, true
-}
-
-// passThrough projects rows onto cols — the translator's
-// `SELECT a AS a, ... FROM (...)` wrappers. The input rows belong to the
-// statement's relation and are never written once built, so an identity
-// projection shares them and copies only the outer slice, which ORDER BY
-// permutes; any other projection fills one arena.
-func passThrough(rows [][]any, cols []int) [][]any {
-	out := make([][]any, len(rows))
-	if len(rows) > 0 && isIdentity(cols, len(rows[0])) {
-		copy(out, rows)
-		return out
-	}
-	w := len(cols)
-	backing := make([]any, len(rows)*w)
-	for i, row := range rows {
-		r := backing[i*w : (i+1)*w : (i+1)*w]
-		for k, c := range cols {
-			r[k] = row[c]
-		}
-		out[i] = r
-	}
-	return out
-}
-
 // isIdentity reports whether xs lists 0..width-1 in order.
-func isIdentity[T int | int32](xs []T, width int) bool {
+func isIdentity(xs []int32, width int) bool {
 	if len(xs) != width {
 		return false
 	}
 	for i, x := range xs {
-		if x != T(i) {
+		if x != int32(i) {
 			return false
 		}
 	}
@@ -642,24 +606,21 @@ func isIdentity[T int | int32](xs []T, width int) bool {
 
 // projectVec is the late-materialization fast path for a vector scan: when
 // every output item is a bare column reference or lowers to a value kernel
-// (kernel.go), the result is built straight from the selection bitmap over
-// the column vectors. Unless form is formRows it stays columns: a view of
-// the input store when nothing is filtered or computed and form allows
-// sharing it, else a typed gather of the selected rows with the kernels'
-// values beside them (gather.go). Otherwise, or when a kernel's kind
-// differs between segments, boxCols boxes the rows. Returns ok=false for
-// any shape it does not handle, deferring both work and error surfacing to
-// the generic projection path.
-func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64, form resultForm) (*Result, bool, error) {
+// (kernel.go) of one kind in every segment, the result is built straight
+// from the selection bitmap over the column vectors: a view of the input
+// store when nothing is filtered or computed, else a typed gather of the
+// selected rows with the kernels' values beside them (gather.go). Returns
+// ok=false for any shape it does not handle, deferring both work and error
+// surfacing to the generic projection path.
+func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []uint64) (*Result, bool, error) {
 	items, err := expandStars(sel.Items, rel.schema)
 	if err != nil {
 		return nil, false, nil
 	}
 	st := rel.store
-	columnar := form != formRows
 	cols := make([]int, len(items))
 	var kerns []valKernel // nil: every item is a bare column
-	var kinds []vecKind   // a columnar kernel's kind in every segment
+	var kinds []vecKind   // a kernel's kind in every segment
 	for i, item := range items {
 		if c, ok := lowerColRef(item.Expr, rel.schema, st); ok {
 			cols[i] = c
@@ -672,11 +633,11 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 		if kerns == nil {
 			kerns, kinds = make([]valKernel, len(items)), make([]vecKind, len(items))
 		}
+		// a private column has one kind: a kernel whose kind differs
+		// between segments takes the row path
 		kerns[i] = k
-		if columnar {
-			// a private column has one kind: kernels whose kind differs
-			// between segments box
-			kinds[i], columnar = storeKind(k, st)
+		if kinds[i], ok = storeKind(k, st); !ok {
+			return nil, false, nil
 		}
 	}
 	res := &Result{}
@@ -688,49 +649,36 @@ func (s *Session) projectVec(sel *sqlparse.SelectStmt, rel *relation, selBits []
 	}
 	// The scan projects straight from the column store: only segments
 	// holding selected rows are touched, so a selection the zone maps fully
-	// pruned leaves evicted segments on disk and boxes nothing else.
-	if columnar {
-		copyAll := form == formOwned && st.sharesTable()
-		if selBits == nil && kerns == nil && !copyAll {
-			res.store = viewOf(st, cols, res.Cols)
-			refineStoreTypes(res)
-			return res, true, nil
-		}
-		if err := s.poll(); err != nil {
-			return nil, false, err
-		}
-		var ids []int32 // nil: every row, sharing the bare columns' vectors
-		n := st.n
-		switch {
-		case selBits != nil:
-			ids = appendSetBits([]int32{}, selBits)
-			n = len(ids)
-		case copyAll:
-			ids = seq32(n)
-		}
-		res.store = newPrivateStore(res.Cols, n)
-		var dst, src []int
-		for i, c := range cols {
-			if kerns == nil || kerns[i] == nil {
-				dst, src = append(dst, i), append(src, c)
-			}
-		}
-		res.store.gatherCols(dst, st, src, ids)
-		for i, k := range kerns {
-			if k == nil {
-				continue
-			}
-			if err := res.store.fillKernel(i, st, selBits, k, kinds[i]); err != nil {
-				return nil, false, err
-			}
-		}
-		refineStoreTypes(res)
+	// pruned leaves evicted segments on disk.
+	if selBits == nil && kerns == nil {
+		res.store = viewOf(st, cols, res.Cols)
 		return res, true, nil
 	}
-	if res.Rows, err = st.boxCols(selBits, cols, kerns, seq(0, len(cols)), len(cols), s.poll); err != nil {
+	if err := s.poll(); err != nil {
 		return nil, false, err
 	}
-	refineTypes(res)
+	var ids []int32 // nil: every row, sharing the bare columns' vectors
+	n := st.n
+	if selBits != nil {
+		ids = appendSetBits([]int32{}, selBits)
+		n = len(ids)
+	}
+	res.store = newPrivateStore(res.Cols, n)
+	var dst, src []int
+	for i, c := range cols {
+		if kerns == nil || kerns[i] == nil {
+			dst, src = append(dst, i), append(src, c)
+		}
+	}
+	res.store.gatherCols(dst, st, src, ids)
+	for i, k := range kerns {
+		if k == nil {
+			continue
+		}
+		if err := res.store.fillKernel(i, st, selBits, k, kinds[i]); err != nil {
+			return nil, false, err
+		}
+	}
 	return res, true, nil
 }
 
@@ -777,227 +725,23 @@ func itemName(item sqlparse.SelectItem, schema []colBinding) string {
 	}
 }
 
-// orderResult sorts the result rows. Order keys may reference output aliases
-// or positions; otherwise they are evaluated against the source relation,
-// whose rows are index-aligned with the output before ordering. Single-key
-// sorts take a typed fast path (orderSingle); multi-key sorts run the
-// generic boxed comparator below.
-func (s *Session) orderResult(res *Result, rel *relation, sel *sqlparse.SelectStmt) error {
-	n := len(res.Rows)
-	aligned := len(rel.rows) == n
-	if len(sel.OrderBy) == 1 {
-		return s.orderSingle(res, rel, sel, aligned)
-	}
-	type keyed struct {
-		out  []any
-		keys []any
-	}
-	rows := make([]keyed, n)
-	for i := range res.Rows {
-		rows[i].out = res.Rows[i]
-		rows[i].keys = make([]any, len(sel.OrderBy))
-		for k, ob := range sel.OrderBy {
-			v, err := s.orderKey(ob.Expr, res, rel, i, aligned)
-			if err != nil {
-				return err
-			}
-			rows[i].keys[k] = v
-		}
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for k, ob := range sel.OrderBy {
-			av, bv := rows[a].keys[k], rows[b].keys[k]
-			if av == nil && bv == nil {
-				continue
-			}
-			nullsFirst := ob.Desc // PG default: NULLS LAST asc, NULLS FIRST desc
-			if ob.NullsFirst != nil {
-				nullsFirst = *ob.NullsFirst
-			}
-			if av == nil {
-				return nullsFirst
-			}
-			if bv == nil {
-				return !nullsFirst
-			}
-			c := compareVals(av, bv)
-			if c == 0 {
-				continue
-			}
-			if ob.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	for i := range rows {
-		res.Rows[i] = rows[i].out
-	}
-	return nil
-}
-
-// orderSingle is the single-key ORDER BY path: keys extract once into a flat
-// slice, an O(n) pre-check skips the sort entirely when the input is already
-// ordered (a scan over a sorted attribute arrives that way), and otherwise a
-// typed comparator sorts a row permutation — no per-row key slices, no boxed
-// comparison when the key column is uniformly numeric or string.
-func (s *Session) orderSingle(res *Result, rel *relation, sel *sqlparse.SelectStmt, aligned bool) error {
-	n := len(res.Rows)
-	ob := sel.OrderBy[0]
-	keys := make([]any, n)
-	for i := range res.Rows {
-		v, err := s.orderKey(ob.Expr, res, rel, i, aligned)
-		if err != nil {
-			return err
-		}
-		keys[i] = v
-	}
-	nullsFirst := ob.Desc // PG default: NULLS LAST asc, NULLS FIRST desc
-	if ob.NullsFirst != nil {
-		nullsFirst = *ob.NullsFirst
-	}
-	less := singleKeyLess(keys, ob.Desc, nullsFirst)
-	// already ordered ⇒ a stable sort is the identity permutation: skip it
-	sortedAlready := true
-	for i := 1; i < n; i++ {
-		if less(i, i-1) {
-			sortedAlready = false
-			break
-		}
-	}
-	if sortedAlready {
-		return nil
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return less(perm[a], perm[b]) })
-	out := make([][]any, n)
-	for i, p := range perm {
-		out[i] = res.Rows[p]
-	}
-	copy(res.Rows, out)
-	return nil
-}
-
-// singleKeyLess builds the comparison the generic multi-key path would apply
-// to one key, specialized by the keys' uniform type. Numeric keys (int64,
-// float64, bool — everything toFloat accepts) compare exactly like
-// compareVals does for them: as float64 with NaN equal to NaN and above all;
-// string keys via strings.Compare. Mixed-type keys fall back to compareVals.
-func singleKeyLess(keys []any, desc, nullsFirst bool) func(a, b int) bool {
-	allNum, allStr := true, true
-	for _, k := range keys {
-		if k == nil {
-			continue
-		}
-		if _, ok := toFloat(k); !ok {
-			allNum = false
-		}
-		if _, ok := k.(string); !ok {
-			allStr = false
-		}
-		if !allNum && !allStr {
-			break
-		}
-	}
-	var cmp func(a, b int) int
-	switch {
-	case allNum:
-		fs := make([]float64, len(keys))
-		nan := make([]bool, len(keys))
-		for i, k := range keys {
-			if k == nil {
-				continue
-			}
-			f, _ := toFloat(k)
-			fs[i], nan[i] = f, math.IsNaN(f)
-		}
-		cmp = func(a, b int) int {
-			switch {
-			case nan[a] && nan[b]:
-				return 0
-			case nan[a]:
-				return 1
-			case nan[b]:
-				return -1
-			case fs[a] < fs[b]:
-				return -1
-			case fs[a] > fs[b]:
-				return 1
-			}
-			return 0
-		}
-	case allStr:
-		ss := make([]string, len(keys))
-		for i, k := range keys {
-			if k != nil {
-				ss[i] = k.(string)
-			}
-		}
-		cmp = func(a, b int) int { return strings.Compare(ss[a], ss[b]) }
-	default:
-		cmp = func(a, b int) int { return compareVals(keys[a], keys[b]) }
-	}
-	return func(a, b int) bool {
-		av, bv := keys[a], keys[b]
-		if av == nil || bv == nil {
-			if av == nil && bv == nil {
-				return false
-			}
-			if av == nil {
-				return nullsFirst
-			}
-			return !nullsFirst
-		}
-		c := cmp(a, b)
-		if desc {
-			return c > 0
-		}
-		return c < 0
-	}
-}
-
-func (s *Session) orderKey(e sqlparse.Expr, res *Result, rel *relation, rowIdx int, aligned bool) (any, error) {
-	if i := outputKey(e, res); i >= 0 {
-		return res.Rows[rowIdx][i], nil
-	}
-	if aligned {
-		return evalExpr(e, rel.schema, rel.rows[rowIdx])
-	}
-	return nil, errf("42703", "cannot resolve ORDER BY expression")
-}
-
 // outputKey resolves an ORDER BY key to the output column it names — by
 // position (ORDER BY 1) or by output alias or column name — or -1 when it
-// must be evaluated against the input rows.
-func outputKey(e sqlparse.Expr, res *Result) int {
+// names none.
+func outputKey(e sqlparse.Expr, cols []Column) int {
 	if n, ok := e.(*sqlparse.NumberLit); ok && !strings.Contains(n.Text, ".") {
 		var pos int
 		fmt.Sscanf(n.Text, "%d", &pos)
-		if pos >= 1 && pos <= len(res.Cols) {
+		if pos >= 1 && pos <= len(cols) {
 			return pos - 1
 		}
 	}
 	if c, ok := e.(*sqlparse.ColRef); ok && c.Table == "" {
-		for i, col := range res.Cols {
+		for i, col := range cols {
 			if col.Name == c.Name {
 				return i
 			}
 		}
 	}
 	return -1
-}
-
-// orderByOutputs reports whether every ORDER BY key names an output column,
-// so ordering never reads the input rows.
-func orderByOutputs(sel *sqlparse.SelectStmt, res *Result) bool {
-	for _, ob := range sel.OrderBy {
-		if outputKey(ob.Expr, res) < 0 {
-			return false
-		}
-	}
-	return true
 }

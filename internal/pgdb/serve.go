@@ -156,46 +156,13 @@ func (r wireResult) Columns() []pgv3.ColDesc {
 	return cols
 }
 
-// WriteRows implements pgv3.Result. Cells render with AppendValue, or
-// appendBinary for a binary column, straight into the connection's output
-// buffer, so a row costs no allocation however wide it is. A cell that has
-// no binary form fails the statement with the rows before it sent.
+// WriteRows implements pgv3.Result. A SELECT's result is a column store
+// that shares no table's vectors (execStmt), read after the statement lock is
+// released. Cells render typed from the vectors, text or binary per column
+// (appendVecCell), straight into the connection's output buffer, so a row
+// costs no allocation however wide it is. A cell that has no binary form
+// fails the statement with the rows before it sent.
 func (r wireResult) WriteRows(cols []pgv3.ColDesc) error {
-	if r.res.store != nil {
-		return r.writeStore(cols)
-	}
-	sc := r.sc
-	for _, row := range r.res.Rows {
-		sc.BeginDataRow(len(row))
-		for j, v := range row {
-			if v == nil {
-				sc.NullCell()
-				continue
-			}
-			if cols[j].Format == pgv3.FormatText {
-				sc.EndCell(AppendValue(sc.BeginCell(), v, r.res.Cols[j].Type))
-				continue
-			}
-			cell, err := appendBinary(sc.BeginCell(), v, cols[j].TypeOID, r.res.Cols[j].Type)
-			if err != nil {
-				sc.AbortDataRow()
-				return serverError(err)
-			}
-			sc.EndCell(cell)
-		}
-		if err := sc.EndDataRow(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Tag implements pgv3.Result.
-func (r wireResult) Tag() string { return r.res.Tag }
-
-// writeStore is WriteRows for a columnar result, which shares no table's
-// vectors (formOwned): it is read after the statement lock is released.
-func (r wireResult) writeStore(cols []pgv3.ColDesc) error {
 	sc, st := r.sc, r.res.store
 	for si := range st.slots {
 		seg := st.seg(si)
@@ -220,6 +187,9 @@ func (r wireResult) writeStore(cols []pgv3.ColDesc) error {
 	}
 	return nil
 }
+
+// Tag implements pgv3.Result.
+func (r wireResult) Tag() string { return r.res.Tag }
 
 // appendVecCell appends the non-NULL cell i of v in col's format.
 func appendVecCell(dst []byte, v *colVec, i int, col pgv3.ColDesc, typ string) ([]byte, error) {

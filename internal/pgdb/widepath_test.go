@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"hyperq/internal/core"
@@ -15,53 +14,34 @@ import (
 	"hyperq/internal/workload"
 )
 
-// wireForms records, for each top-level SELECT the database runs, whether
-// its result left execution as a column store.
-type wireForms struct {
-	mu    sync.Mutex
-	forms []bool
+// rowFallbacks sums the database's walker-block counters over every reason.
+func rowFallbacks(db *pgdb.DB) int64 {
+	var n int64
+	for k, v := range db.IndexStats().Vars() {
+		if strings.HasPrefix(k, "pgdb.row_fallbacks.") {
+			n += v
+		}
+	}
+	return n
 }
 
-func watchWire(db *pgdb.DB) *wireForms {
-	w := &wireForms{}
-	pgdb.OnSelect(db, func(columnar bool) {
-		w.mu.Lock()
-		w.forms = append(w.forms, columnar)
-		w.mu.Unlock()
-	})
-	return w
-}
-
-// take returns the forms recorded since the last call.
-func (w *wireForms) take() []bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := w.forms
-	w.forms = nil
-	return out
-}
-
-// wideQueries are the workload queries whose results are the rows of a
-// table or join, not an aggregate: plain vector projections that every
-// translation wraps in SELECT ... FROM (...) ORDER BY ordcol.
-var wideQueries = map[int]bool{1: true, 2: true, 9: true, 10: true, 12: true, 14: true, 15: true,
-	18: true, 19: true, 21: true, 22: true, 23: true}
-
-// TestWideResultsLeaveColumnar pins the result path of the 25 workload
-// queries, translated by a Hyper-Q session and served over ServeConn: the
-// twelve wide results leave pgdb as column stores — their ORDER BY ordcol
-// is the identity, so the top-level select boxes nothing — and the grouped
-// and row-path results leave as rows. Each query runs twice, with text and
-// then binary cells. A run's last result is the query's own; any before it
-// are the binder's catalog lookups.
+// TestWideResultsLeaveColumnar runs the 25 workload queries, translated by a
+// Hyper-Q session and served over ServeConn, twice each — text cells, then
+// binary — and then the point_lookups, cold_scan and ingest_mix shapes.
+// None takes a walker step: every block runs on the vector paths, and the
+// translator's SELECT ... FROM (grouped) ORDER BY ordcol wrapper of a `by`
+// query is a view over the grouped store. Every translated ORDER BY finds
+// its rows already in order (ordcol ascends through a scan and through
+// MIN(ordcol) per group in first-appearance order), so the tail neither
+// sorts nor gathers them.
 func TestWideResultsLeaveColumnar(t *testing.T) {
 	ctx := context.Background()
 	db := pgdb.NewDB()
-	wire := watchWire(db)
 	b, err := gateway.Pipe(ctx, db)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer b.Close()
 	if _, err := workload.Setup(ctx, b, taq.Config{Seed: 1, Trades: 400, Quotes: 800, WideCols: 500}); err != nil {
 		t.Fatal(err)
 	}
@@ -70,28 +50,54 @@ func TestWideResultsLeaveColumnar(t *testing.T) {
 	if _, _, err := s.Run(ctx, "avgpx: 100.0"); err != nil {
 		t.Fatal(err)
 	}
-	wire.take()
-	for _, q := range workload.Queries() {
-		for run := range 2 {
-			if _, _, err := s.Run(ctx, q.Q); err != nil {
-				t.Fatalf("q%02d: %v", q.ID, err)
-			}
-			forms := wire.take()
-			if len(forms) == 0 || forms[len(forms)-1] != wideQueries[q.ID] {
-				t.Errorf("q%02d run %d: results columnar %v, want the last %v", q.ID, run, forms, wideQueries[q.ID])
+	check := func(name, q string, runs int) {
+		t.Helper()
+		before := rowFallbacks(db)
+		for run := range runs {
+			if _, _, err := s.Run(ctx, q); err != nil {
+				t.Fatalf("%s run %d: %v", name, run, err)
 			}
 		}
+		if n := rowFallbacks(db) - before; n != 0 {
+			t.Errorf("%s: %d blocks ran on the walker, want none", name, n)
+		}
+		sql, _, err := s.Translate(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(sql, "ORDER BY") {
+			return
+		}
+		if sorts, err := pgdb.SortsRows(db, sql); err != nil || sorts {
+			t.Errorf("%s: ORDER BY moves rows %v (%v), want them already in order", name, sorts, err)
+		}
+	}
+	for _, q := range workload.Queries() {
+		check(fmt.Sprintf("q%02d", q.ID), q.Q, 2)
+	}
+	shapes := append([]string{
+		"select from daily where Symbol=`GOOG, Volume<1000000000",
+		"select attr_007 from refdata where Symbol=`GOOG, attr_007<1000000000",
+		"select Close from daily where Symbol=`GOOG, High>0.5",
+		"select Symbol, attr_100, attr_250 from refdata where Symbol=`GOOG, attr_499<1000000000",
+		"select rng:High-Low from daily where Symbol=`GOOG, Low>0.5",
+		"exec Close from daily where Symbol=`GOOG, Volume<1000000000",
+		"select Sector from refdata where Symbol=`GOOG, attr_000<1000000000",
+		"select Symbol, Open, Close from daily where Symbol=`GOOG, Open>0.5",
+	}, benchShapes...)
+	for i, q := range shapes {
+		check(fmt.Sprintf("shape %d (%s)", i, q), q, 1)
 	}
 }
 
 // TestOrderByFallback: a top-level ORDER BY that is not the identity on the
-// column store — a key that is not ascending, a DESC key, a nullable key, a
-// float key, two keys — boxes the store and sorts it, and the rows arrive
-// sorted; an ascending integer key leaves the store as it is.
+// block's column store — a key that is not ascending, a DESC key, a
+// nullable key, a float key, two keys — sorts a permutation of the store
+// and gathers it, and the rows arrive sorted, as they do when the store is
+// already in order. A key that names no output column is refused.
 func TestOrderByFallback(t *testing.T) {
 	ctx := context.Background()
 	db := pgdb.NewDB()
-	wire := watchWire(db)
 	gw, err := gateway.Pipe(ctx, db)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +126,6 @@ func TestOrderByFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wire.take()
 	byKey := func(key func(r row) float64, desc bool) []int64 {
 		s := slices.Clone(rows)
 		slices.SortStableFunc(s, func(a, b row) int {
@@ -150,17 +155,15 @@ func TestOrderByFallback(t *testing.T) {
 		return float64(r.k - 50)
 	}
 	for _, c := range []struct {
-		sql      string
-		want     []int64
-		columnar bool
+		sql  string
+		want []int64
 	}{
-		{"SELECT id, k FROM (SELECT id, k FROM o) t ORDER BY id", byKey(func(r row) float64 { return float64(r.id) }, false), true},
-		{"SELECT id, k FROM (SELECT id, k FROM o) t ORDER BY k", byKey(func(r row) float64 { return float64(r.k) }, false), false},
-		{"SELECT id, k FROM o ORDER BY id DESC", byKey(func(r row) float64 { return float64(r.id) }, true), false},
-		{"SELECT id, n FROM o ORDER BY n", byKey(nKey, false), false},
-		{"SELECT id, f FROM o ORDER BY f", byKey(func(r row) float64 { return r.f }, false), false},
-		{"SELECT id, k FROM o ORDER BY k, id", byKey(func(r row) float64 { return float64(r.k*n) + float64(r.id) }, false), false},
-		{"SELECT id FROM o ORDER BY k", byKey(func(r row) float64 { return float64(r.k) }, false), false},
+		{"SELECT id, k FROM (SELECT id, k FROM o) t ORDER BY id", byKey(func(r row) float64 { return float64(r.id) }, false)},
+		{"SELECT id, k FROM (SELECT id, k FROM o) t ORDER BY k", byKey(func(r row) float64 { return float64(r.k) }, false)},
+		{"SELECT id, k FROM o ORDER BY id DESC", byKey(func(r row) float64 { return float64(r.id) }, true)},
+		{"SELECT id, n FROM o ORDER BY n", byKey(nKey, false)},
+		{"SELECT id, f FROM o ORDER BY f", byKey(func(r row) float64 { return r.f }, false)},
+		{"SELECT id, k FROM o ORDER BY k, id", byKey(func(r row) float64 { return float64(r.k*n) + float64(r.id) }, false)},
 	} {
 		res, err := gw.Exec(ctx, c.sql)
 		if err != nil {
@@ -173,8 +176,8 @@ func TestOrderByFallback(t *testing.T) {
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: rows out of order", c.sql)
 		}
-		if forms := wire.take(); !slices.Equal(forms, []bool{c.columnar}) {
-			t.Errorf("%s: columnar %v, want %v", c.sql, forms, c.columnar)
-		}
+	}
+	if _, err := gw.Exec(ctx, "SELECT id FROM o ORDER BY k"); err == nil || !strings.Contains(err.Error(), "42P10") {
+		t.Errorf("ORDER BY a key that is not an output column: %v, want SQLSTATE 42P10", err)
 	}
 }

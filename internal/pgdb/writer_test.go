@@ -22,15 +22,49 @@ type bufConn struct {
 func (c *bufConn) Write(b []byte) (int, error) { return c.buf.Write(b) }
 
 // writtenRows writes res as a PG v3 connection would and returns the bytes
-// sent and WriteRows' error.
+// sent and WriteRows' error. A result of boxed rows writes through
+// writeBoxed, the reference the typed writer is held to.
 func writtenRows(res *Result, cols []pgv3.ColDesc) ([]byte, error) {
 	c := &bufConn{}
 	sc := pgv3.NewServerConn(c)
-	err := wireResult{sc, res}.WriteRows(cols)
+	var err error
+	if res.store != nil {
+		err = wireResult{sc, res}.WriteRows(cols)
+	} else {
+		err = writeBoxed(sc, res, cols)
+	}
 	if ferr := sc.Flush(); ferr != nil {
 		panic(ferr)
 	}
 	return c.buf.Bytes(), err
+}
+
+// writeBoxed renders each boxed cell with AppendValue, or appendBinary for a
+// binary column, and fails at the first cell that has no binary form.
+func writeBoxed(sc *pgv3.ServerConn, res *Result, cols []pgv3.ColDesc) error {
+	for _, row := range res.Rows {
+		sc.BeginDataRow(len(row))
+		for j, v := range row {
+			if v == nil {
+				sc.NullCell()
+				continue
+			}
+			if cols[j].Format == pgv3.FormatText {
+				sc.EndCell(AppendValue(sc.BeginCell(), v, res.Cols[j].Type))
+				continue
+			}
+			cell, err := appendBinary(sc.BeginCell(), v, cols[j].TypeOID, res.Cols[j].Type)
+			if err != nil {
+				sc.AbortDataRow()
+				return serverError(err)
+			}
+			sc.EndCell(cell)
+		}
+		if err := sc.EndDataRow(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dataRows counts the DataRow messages in b.
@@ -45,8 +79,8 @@ func dataRows(b []byte) int {
 	return n
 }
 
-// TestColumnarWriterMatchesBoxed holds writeStore, which renders each cell
-// from its typed vector, to the boxed writer, which renders the same cells
+// TestColumnarWriterMatchesBoxed holds the wire writer, which renders each
+// cell from its typed vector, to writeBoxed, which renders the same cells
 // boxed: for every vector kind, in text under every column type and in
 // binary under every type of pgv3's binary set, the DataRow bytes and the
 // error are the same. Integers outside an int2, int4, date or time cell's

@@ -43,7 +43,7 @@ func openFramework(kdb *interp.Interp, e config.Engine, exec pgdb.ExecMode) (*Fr
 	}
 	cache := qcache.New(256) // a framework's ReloadEvery queries evict nothing
 	f := New(kdb, core.NewPlatform().NewSession(b, core.Config{Cache: cache}), b)
-	f.cache = cache
+	f.cache, f.db = cache, in.DB
 	return f, in, nil
 }
 
@@ -110,10 +110,14 @@ type FuzzReport struct {
 	// Perturbed counts the matching queries compared again with their
 	// liftable literals changed; Splices and Rejected are the translation
 	// caches' template splices and rejected skeletons over the run.
-	Perturbed  int        `json:"perturbed"`
-	Splices    int64      `json:"splices"`
-	Rejected   int64      `json:"rejected_skeletons"`
-	Mismatches []FuzzCase `json:"mismatches"`
+	Perturbed int   `json:"perturbed"`
+	Splices   int64 `json:"splices"`
+	Rejected  int64 `json:"rejected_skeletons"`
+	// RowFallbacks sums the engine's pgdb.row_fallbacks.* counters over the
+	// run, keyed by reason: the SELECT blocks the compiled engine ran on the
+	// walker (all zero under -exec interpreted, which counts none).
+	RowFallbacks map[string]int64 `json:"row_fallbacks"`
+	Mismatches   []FuzzCase       `json:"mismatches"`
 }
 
 // divergenceClass buckets a non-matching report for triage.
@@ -148,12 +152,17 @@ func Fuzz(ctx context.Context, cfg FuzzConfig) (*FuzzReport, error) {
 	}
 	cfg.Sync = persist.SyncNone
 	g := qgen.New(qgen.Config{Seed: cfg.Seed, MaxRows: cfg.MaxRows})
-	rep := &FuzzReport{Seed: cfg.Seed, N: cfg.N, Mismatches: []FuzzCase{}}
+	rep := &FuzzReport{Seed: cfg.Seed, N: cfg.N, RowFallbacks: map[string]int64{}, Mismatches: []FuzzCase{}}
 	var f *Framework
 	closeFramework := func() {
 		st := f.cache.Stats()
 		rep.Splices += st.Splices
 		rep.Rejected += st.Rejected
+		for k, v := range f.db.IndexStats().Vars() {
+			if reason, ok := strings.CutPrefix(k, "pgdb.row_fallbacks."); ok {
+				rep.RowFallbacks[reason] += v
+			}
+		}
 		f.Close()
 	}
 	defer func() {

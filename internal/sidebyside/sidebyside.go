@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"hyperq/internal/core"
+	"hyperq/internal/pgdb"
 	"hyperq/internal/qcache"
 	"hyperq/internal/qlang/interp"
 	"hyperq/internal/qlang/qval"
@@ -24,6 +25,7 @@ type Framework struct {
 	Session *core.Session
 	backend core.Backend
 	cache   *qcache.Cache // the session's translation cache, when it has one
+	db      *pgdb.DB      // the embedded engine behind backend, when the fuzz loop opened it
 	// FloatTol is the relative tolerance for float comparison (the two
 	// engines may legitimately differ in summation order).
 	FloatTol float64
