@@ -1,11 +1,12 @@
 // Package colbuf provides pooled, typed column builders for the result
-// pipeline (paper §4.2): backend rows stream cell-by-cell into typed slices,
-// presized from the row count of the text's last run, which finish directly
-// as qval vectors — no per-cell atom boxing and no text round-trip. A
-// sync.Pool recycles builder scratch (the builder struct, per-column
-// headers, decode buffers) across results; the column data slices
-// themselves are handed off to the finished vectors by Build and are never
-// pooled, so a served table can never alias a later result.
+// pipeline (paper §4.2): backend rows arrive a batch at a time and decode a
+// column at a time into typed slices, presized from the row count of the
+// text's last run, which finish directly as qval vectors — no per-cell atom
+// boxing and no text round-trip. A sync.Pool recycles builder scratch (the
+// builder struct, per-column headers, decode buffers) across results; the
+// column data slices themselves are handed off to the finished vectors by
+// Build and are never pooled, so a served table can never alias a later
+// result.
 package colbuf
 
 import (
@@ -15,13 +16,14 @@ import (
 	"sync"
 
 	"hyperq/internal/qlang/qval"
+	"hyperq/internal/wire/pgv3"
 )
 
 // Spec describes one result column to build: its name, the Q type the
 // finished vector gets (the caller maps SQL types via xtra.QTypeForSQL),
 // whether the column is translation plumbing to drop from the result (the
 // implicit order column), and whether its wire cells arrive in PostgreSQL
-// binary format (AppendBinary) rather than text (AppendText).
+// binary format rather than text.
 type Spec struct {
 	Name    string
 	QType   qval.Type
@@ -43,8 +45,8 @@ type column struct {
 }
 
 // TableBuilder accumulates one result set column-wise. Obtain with Get,
-// configure with Reset, feed with the Append methods (column index j follows
-// the Spec order, discarded columns included), finish with Build, and return
+// configure with Reset, feed with AppendBatch (the batch's cells follow the
+// Spec order, discarded columns included), finish with Build, and return
 // the scratch with Release.
 type TableBuilder struct {
 	specs []Spec
@@ -133,162 +135,167 @@ func (b *TableBuilder) Reset(specs []Spec, capHint int) {
 	}
 }
 
-// NumCols returns the configured column count (kept and discarded).
-func (b *TableBuilder) NumCols() int { return len(b.specs) }
-
-// Rows returns how many rows FinishRow has sealed.
+// Rows returns how many rows AppendBatch has added.
 func (b *TableBuilder) Rows() int { return b.rows }
 
-// FinishRow marks the end of one appended row (row accounting only; cells
-// are stored as they arrive).
-func (b *TableBuilder) FinishRow() { b.rows++ }
-
-// AppendNull appends the per-type null to column j: integer minimums, NaN
-// for floats, the empty symbol, false for booleans — kdb+ null conventions
-// (qval.Null).
-func (b *TableBuilder) AppendNull(j int) {
-	sp := b.specs[j]
-	if sp.Discard {
-		return
+// AppendBatch decodes a batch of wire rows into the columns, one column at
+// a time: each kept column picks its decoder once from its spec and runs it
+// down the batch. A NULL cell appends the type's null — integer minimums,
+// NaN for floats, the empty symbol, false for booleans (kdb+'s conventions,
+// qval.Null). A binary column (Spec.Binary) decodes the fixed-width forms
+// of the PG v3 binary set (decodeBinary); a text column decodes with
+// core.parseQAtom's semantics, a symbol column interning its cells. The
+// batch must have one cell per spec in each row. A cell that fails to
+// decode fails the batch, naming its column, and leaves the builder to be
+// released.
+func (b *TableBuilder) AppendBatch(bt *pgv3.Batch) error {
+	if bt.Width() != len(b.specs) {
+		return fmt.Errorf("batch of %d columns for %d", bt.Width(), len(b.specs))
 	}
-	c := &b.cols[j]
-	switch sp.QType {
-	case qval.KBool:
-		c.bools = append(c.bools, false)
-	case qval.KShort:
-		c.i16 = append(c.i16, qval.NullShort)
-	case qval.KInt:
-		c.i32 = append(c.i32, qval.NullInt)
-	case qval.KReal:
-		c.f32 = append(c.f32, float32(math.NaN()))
-	case qval.KFloat:
-		c.f64 = append(c.f64, math.NaN())
-	case qval.KLong, qval.KDate, qval.KTime, qval.KTimestamp:
-		c.i64 = append(c.i64, qval.NullLong)
-	default:
-		c.syms = append(c.syms, "")
+	for j, sp := range b.specs {
+		if sp.Discard {
+			continue
+		}
+		var err error
+		if sp.Binary {
+			err = b.decodeBinary(j, bt)
+		} else {
+			err = b.decodeText(j, bt)
+		}
+		if err != nil {
+			return fmt.Errorf("column %s: %w", sp.Name, err)
+		}
 	}
-}
-
-// AppendText decodes a PG text-format cell into column j with the same
-// semantics as core.parseQAtom — the typed decode the pgv3 wire path uses,
-// chosen once per column from the row description. field must be non-nil
-// (NULL cells go through AppendNull).
-func (b *TableBuilder) AppendText(j int, field []byte) error {
-	sp := b.specs[j]
-	if sp.Discard {
-		return nil
-	}
-	c := &b.cols[j]
-	switch sp.QType {
-	case qval.KBool:
-		c.bools = append(c.bools, textIsTrue(field))
-	case qval.KShort:
-		n, err := ParseIntText(field, 16)
-		if err != nil {
-			return err
-		}
-		c.i16 = append(c.i16, int16(n))
-	case qval.KInt:
-		n, err := ParseIntText(field, 32)
-		if err != nil {
-			return err
-		}
-		c.i32 = append(c.i32, int32(n))
-	case qval.KLong:
-		n, err := ParseIntText(field, 64)
-		if err != nil {
-			return err
-		}
-		c.i64 = append(c.i64, n)
-	case qval.KReal:
-		f, err := parseFloatText(field, 32)
-		if err != nil {
-			return err
-		}
-		c.f32 = append(c.f32, float32(f))
-	case qval.KFloat:
-		f, err := parseFloatText(field, 64)
-		if err != nil {
-			return err
-		}
-		c.f64 = append(c.f64, f)
-	case qval.KDate:
-		d, err := ParseDateText(field)
-		if err != nil {
-			return err
-		}
-		c.i64 = append(c.i64, d)
-	case qval.KTime:
-		ms, err := ParseTimeText(field)
-		if err != nil {
-			return err
-		}
-		c.i64 = append(c.i64, ms)
-	case qval.KTimestamp:
-		ns, err := ParseTimestampText(field)
-		if err != nil {
-			return err
-		}
-		c.i64 = append(c.i64, ns)
-	default:
-		c.syms = append(c.syms, b.symbol(j, field))
-	}
+	b.rows += bt.Rows()
 	return nil
 }
 
-// AppendBinary decodes a PostgreSQL binary-format cell into column j, the
-// fixed-width form of the column's type in the PG v3 binary set: boolean
-// (one byte), smallint, integer and bigint (2, 4 and 8 bytes big-endian,
-// bigint also carrying an interval's nanoseconds), double precision (an
-// IEEE float64), date (int32 days since 2000-01-01, the kdb+ epoch) and time
+// decodeText decodes text column j of bt.
+func (b *TableBuilder) decodeText(j int, bt *pgv3.Batch) error {
+	c := &b.cols[j]
+	var err error
+	switch b.specs[j].QType {
+	case qval.KBool:
+		c.bools, err = decodeCol(c.bools, bt, j, false, func(cell []byte) (bool, error) { return textIsTrue(cell), nil })
+	case qval.KShort:
+		c.i16, err = decodeCol(c.i16, bt, j, qval.NullShort, func(cell []byte) (int16, error) {
+			n, err := ParseIntText(cell, 16)
+			return int16(n), err
+		})
+	case qval.KInt:
+		c.i32, err = decodeCol(c.i32, bt, j, qval.NullInt, func(cell []byte) (int32, error) {
+			n, err := ParseIntText(cell, 32)
+			return int32(n), err
+		})
+	case qval.KLong:
+		c.i64, err = decodeCol(c.i64, bt, j, qval.NullLong, func(cell []byte) (int64, error) { return ParseIntText(cell, 64) })
+	case qval.KReal:
+		c.f32, err = decodeCol(c.f32, bt, j, float32(math.NaN()), func(cell []byte) (float32, error) {
+			f, err := parseFloatText(cell, 32)
+			return float32(f), err
+		})
+	case qval.KFloat:
+		c.f64, err = decodeCol(c.f64, bt, j, math.NaN(), func(cell []byte) (float64, error) { return parseFloatText(cell, 64) })
+	case qval.KDate:
+		c.i64, err = decodeCol(c.i64, bt, j, qval.NullLong, ParseDateText[[]byte])
+	case qval.KTime:
+		c.i64, err = decodeCol(c.i64, bt, j, qval.NullLong, ParseTimeText[[]byte])
+	case qval.KTimestamp:
+		c.i64, err = decodeCol(c.i64, bt, j, qval.NullLong, ParseTimestampText[[]byte])
+	default:
+		c.syms = b.decodeSymbols(c.syms, j, bt)
+	}
+	return err
+}
+
+// decodeCol appends column j of bt to dst, null for a NULL cell and what dec
+// makes of any other.
+func decodeCol[T any](dst []T, bt *pgv3.Batch, j int, null T, dec func([]byte) (T, error)) ([]T, error) {
+	for i := range bt.Rows() {
+		cell := bt.Cell(i, j)
+		if cell == nil {
+			dst = append(dst, null)
+			continue
+		}
+		v, err := dec(cell)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
+
+// decodeSymbols appends symbol column j of bt to dst, interned (symbol).
+func (b *TableBuilder) decodeSymbols(dst []string, j int, bt *pgv3.Batch) []string {
+	for i := range bt.Rows() {
+		dst = append(dst, b.symbol(j, bt.Cell(i, j)))
+	}
+	return dst
+}
+
+// decodeBinary decodes binary column j of bt: the fixed-width form of the
+// column's type in the PG v3 binary set — boolean (one byte), smallint,
+// integer and bigint (2, 4 and 8 bytes big-endian, bigint also carrying an
+// interval's nanoseconds), double precision (an IEEE float64, any NaN
+// canonical), date (int32 days since 2000-01-01, the kdb+ epoch) and time
 // (int64 microseconds since midnight, truncated to kdb+ milliseconds as the
 // text form's first three fraction digits are). A cell of the wrong width,
-// or in a column of another type, is an error. cell must be non-nil (NULL
-// cells go through AppendNull).
-func (b *TableBuilder) AppendBinary(j int, cell []byte) error {
-	sp := b.specs[j]
-	if sp.Discard {
-		return nil
-	}
-	width := 0
-	switch sp.QType {
-	case qval.KBool:
-		width = 1
-	case qval.KShort:
-		width = 2
-	case qval.KInt, qval.KDate:
-		width = 4
-	case qval.KLong, qval.KFloat, qval.KTime:
-		width = 8
-	default:
-		return fmt.Errorf("binary cell in %s column", qval.TypeName(sp.QType))
-	}
-	if len(cell) != width {
-		return fmt.Errorf("binary %s cell of %d bytes", qval.TypeName(sp.QType), len(cell))
-	}
+// or in a column of another type, is an error.
+func (b *TableBuilder) decodeBinary(j int, bt *pgv3.Batch) error {
 	c := &b.cols[j]
-	switch sp.QType {
+	var err error
+	switch qt := b.specs[j].QType; qt {
 	case qval.KBool:
-		c.bools = append(c.bools, cell[0] != 0)
+		c.bools, err = decodeFixed(c.bools, bt, j, 1, false, func(cell []byte) bool { return cell[0] != 0 })
 	case qval.KShort:
-		c.i16 = append(c.i16, int16(binary.BigEndian.Uint16(cell)))
+		c.i16, err = decodeFixed(c.i16, bt, j, 2, qval.NullShort, func(cell []byte) int16 { return int16(binary.BigEndian.Uint16(cell)) })
 	case qval.KInt:
-		c.i32 = append(c.i32, int32(binary.BigEndian.Uint32(cell)))
+		c.i32, err = decodeFixed(c.i32, bt, j, 4, qval.NullInt, func(cell []byte) int32 { return int32(binary.BigEndian.Uint32(cell)) })
 	case qval.KDate:
-		c.i64 = append(c.i64, int64(int32(binary.BigEndian.Uint32(cell))))
+		c.i64, err = decodeFixed(c.i64, bt, j, 4, qval.NullLong, func(cell []byte) int64 { return int64(int32(binary.BigEndian.Uint32(cell))) })
 	case qval.KLong:
-		c.i64 = append(c.i64, int64(binary.BigEndian.Uint64(cell)))
+		c.i64, err = decodeFixed(c.i64, bt, j, 8, qval.NullLong, func(cell []byte) int64 { return int64(binary.BigEndian.Uint64(cell)) })
 	case qval.KTime:
-		c.i64 = append(c.i64, int64(binary.BigEndian.Uint64(cell))/1000)
+		c.i64, err = decodeFixed(c.i64, bt, j, 8, qval.NullLong, func(cell []byte) int64 { return int64(binary.BigEndian.Uint64(cell)) / 1000 })
 	case qval.KFloat:
-		f := math.Float64frombits(binary.BigEndian.Uint64(cell))
-		if math.IsNaN(f) {
-			f = math.NaN()
+		c.f64, err = decodeFixed(c.f64, bt, j, 8, math.NaN(), func(cell []byte) float64 {
+			f := math.Float64frombits(binary.BigEndian.Uint64(cell))
+			if math.IsNaN(f) {
+				f = math.NaN()
+			}
+			return f
+		})
+	default:
+		for i := range bt.Rows() {
+			if bt.Cell(i, j) != nil {
+				return fmt.Errorf("binary cell in %s column", qval.TypeName(qt))
+			}
 		}
-		c.f64 = append(c.f64, f)
+		b.decodeText(j, bt) // every cell NULL
 	}
-	return nil
+	return err
+}
+
+// decodeFixed appends binary column j of bt to dst: null for a NULL cell,
+// and dec's value of any other, which must be width bytes.
+func decodeFixed[T any](dst []T, bt *pgv3.Batch, j, width int, null T, dec func([]byte) T) ([]T, error) {
+	for i := range bt.Rows() {
+		cell := bt.Cell(i, j)
+		switch len(cell) {
+		case width:
+			dst = append(dst, dec(cell))
+		case 0:
+			if cell == nil {
+				dst = append(dst, null)
+				continue
+			}
+			fallthrough
+		default:
+			return dst, fmt.Errorf("binary cell of %d bytes, want %d", len(cell), width)
+		}
+	}
+	return dst, nil
 }
 
 // symbol returns field as a string, shared with every earlier equal cell of

@@ -11,7 +11,27 @@ import (
 
 	"hyperq/internal/pgdb"
 	"hyperq/internal/qlang/qval"
+	"hyperq/internal/wire/pgv3"
 )
+
+// batchOf builds a batch of width cells per row from rows, a nil cell NULL.
+func batchOf(width int, rows ...[][]byte) *pgv3.Batch {
+	b := &pgv3.Batch{}
+	b.Reset(width)
+	for _, r := range rows {
+		b.AppendRow(r)
+	}
+	return b
+}
+
+// textRow makes a row of text cells.
+func textRow(cells ...string) [][]byte {
+	row := make([][]byte, len(cells))
+	for j, c := range cells {
+		row[j] = []byte(c)
+	}
+	return row
+}
 
 func TestBuildTypedVectors(t *testing.T) {
 	b := Get()
@@ -34,13 +54,8 @@ func TestBuildTypedVectors(t *testing.T) {
 		{"0", "t", "10", "100", "1000", "1.5", "2.5", "s0", "2000-01-01", "00:00:00.000", "2000-01-01 00:00:00"},
 		{"1", "f", "11", "101", "1001", "2.5", "3.5", "s1", "2000-01-02", "00:00:01.000", "2000-01-01 00:00:01"},
 	}
-	for _, row := range rows {
-		for j, cell := range row {
-			if err := b.AppendText(j, []byte(cell)); err != nil {
-				t.Fatalf("column %s: %v", specs[j].Name, err)
-			}
-		}
-		b.FinishRow()
+	if err := b.AppendBatch(batchOf(len(specs), textRow(rows[0]...), textRow(rows[1]...))); err != nil {
+		t.Fatal(err)
 	}
 	names, data := b.Build()
 	if len(names) != 10 || len(data) != 10 {
@@ -98,10 +113,9 @@ func TestAppendNull(t *testing.T) {
 		{Name: "p", QType: qval.KTimestamp},
 	}
 	b.Reset(specs, 0)
-	for j := range specs {
-		b.AppendNull(j)
+	if err := b.AppendBatch(batchOf(len(specs), make([][]byte, len(specs)))); err != nil {
+		t.Fatal(err)
 	}
-	b.FinishRow()
 	_, data := b.Build()
 	for k, col := range data {
 		if specs[k].QType == qval.KBool {
@@ -137,10 +151,9 @@ func TestBuildAllDiscardedIsNil(t *testing.T) {
 	b := Get()
 	defer b.Release()
 	b.Reset([]Spec{{Name: "ord", QType: qval.KLong, Discard: true}}, 0)
-	if err := b.AppendText(0, []byte("7")); err != nil {
+	if err := b.AppendBatch(batchOf(1, textRow("7"))); err != nil {
 		t.Fatal(err)
 	}
-	b.FinishRow()
 	names, data := b.Build()
 	if names != nil || data != nil {
 		t.Fatalf("all-discarded build: names=%v data=%v", names, data)
@@ -150,29 +163,30 @@ func TestBuildAllDiscardedIsNil(t *testing.T) {
 func TestAppendIntRange(t *testing.T) {
 	b := Get()
 	defer b.Release()
-	b.Reset([]Spec{{Name: "h", QType: qval.KShort}, {Name: "i", QType: qval.KInt}}, 0)
-	if err := b.AppendText(0, []byte("32768")); err == nil {
-		t.Error("short overflow not detected")
-	}
-	if err := b.AppendText(1, []byte("-2147483649")); err == nil {
-		t.Error("int underflow not detected")
-	}
-	if err := b.AppendText(0, []byte("-32768")); err != nil {
-		t.Error(err)
-	}
-	if err := b.AppendText(1, []byte("2147483647")); err != nil {
-		t.Error(err)
+	specs := []Spec{{Name: "h", QType: qval.KShort}, {Name: "i", QType: qval.KInt}}
+	for _, c := range []struct {
+		row []string
+		ok  bool
+	}{
+		{[]string{"32768", "0"}, false},       // short overflow
+		{[]string{"0", "-2147483649"}, false}, // int underflow
+		{[]string{"-32768", "2147483647"}, true},
+	} {
+		b.Reset(specs, 0)
+		if err := b.AppendBatch(batchOf(2, textRow(c.row...))); (err == nil) != c.ok {
+			t.Errorf("%v: err = %v", c.row, err)
+		}
 	}
 }
 
 func TestAppendFloatNaNCanonical(t *testing.T) {
 	b := Get()
 	defer b.Release()
-	b.Reset([]Spec{{Name: "f", QType: qval.KFloat}}, 0)
 	// an arithmetic NaN with a different payload from math.NaN()
 	var weird [8]byte
 	binary.BigEndian.PutUint64(weird[:], 0x7FF8000000000000)
-	if err := b.AppendBinary(0, weird[:]); err != nil {
+	b.Reset([]Spec{{Name: "f", QType: qval.KFloat, Binary: true}}, 0)
+	if err := b.AppendBatch(batchOf(1, [][]byte{weird[:]})); err != nil {
 		t.Fatal(err)
 	}
 	_, data := b.Build()
@@ -361,12 +375,9 @@ func TestAppendTextPerColumnDecode(t *testing.T) {
 		{Name: "d", QType: qval.KDate},
 	}
 	b.Reset(specs, 1)
-	for j, cell := range []string{"t", "42", "-Infinity", "hello", "2000-01-02"} {
-		if err := b.AppendText(j, []byte(cell)); err != nil {
-			t.Fatalf("col %d: %v", j, err)
-		}
+	if err := b.AppendBatch(batchOf(len(specs), textRow("t", "42", "-Infinity", "hello", "2000-01-02"))); err != nil {
+		t.Fatal(err)
 	}
-	b.FinishRow()
 	_, data := b.Build()
 	if v := data[0].(qval.BoolVec); !v[0] {
 		t.Error("bool decode")
@@ -390,19 +401,17 @@ func TestAppendTextPerColumnDecode(t *testing.T) {
 func TestPoolReuseIsolation(t *testing.T) {
 	b := Get()
 	b.Reset([]Spec{{Name: "j", QType: qval.KLong}}, 2)
-	if err := b.AppendText(0, []byte("1")); err != nil {
+	if err := b.AppendBatch(batchOf(1, textRow("1"))); err != nil {
 		t.Fatal(err)
 	}
-	b.FinishRow()
 	_, first := b.Build()
 	b.Release()
 
 	b2 := Get()
 	b2.Reset([]Spec{{Name: "j", QType: qval.KLong}}, 2)
-	if err := b2.AppendText(0, []byte("99")); err != nil {
+	if err := b2.AppendBatch(batchOf(1, textRow("99"))); err != nil {
 		t.Fatal(err)
 	}
-	b2.FinishRow()
 	_, second := b2.Build()
 	b2.Release()
 
@@ -415,32 +424,32 @@ func TestPoolReuseIsolation(t *testing.T) {
 }
 
 // TestSymbolInterning checks that text symbol cells decode to their own
-// value whether or not the intern table had room, never alias the wire
-// buffer they were read from, and that the table empties between results.
+// value whether or not the intern table had room, never alias the batch
+// they were read from, and that the table empties between results.
 func TestSymbolInterning(t *testing.T) {
 	b := Get()
 	defer b.Release()
 	specs := []Spec{{Name: "s", QType: qval.KSymbol}, {Name: "k", QType: qval.KSymbol}}
 	n := 3 * internBound
 	want := [2][]string{}
-	field := make([]byte, 0, 16)
+	var batch pgv3.Batch
 	for round := 0; round < 2; round++ {
 		b.Reset(specs, 0)
 		want = [2][]string{}
+		batch.Reset(len(specs))
 		for r := 0; r < n; r++ {
 			cells := [2]string{[]string{"GOOG", "IBM", ""}[r%3], fmt.Sprintf("k%d-%d", round, r)}
+			batch.AppendRow(textRow(cells[:]...))
 			for j, c := range cells {
-				field = append(field[:0], c...)
-				if err := b.AppendText(j, field); err != nil {
-					t.Fatal(err)
-				}
-				// the wire reuses its read buffer for the next cell
-				for i := range field {
-					field[i] = '#'
-				}
 				want[j] = append(want[j], c)
 			}
-			b.FinishRow()
+			// the wire reuses its batch for the next rows
+			if batch.Rows() == 7 || r == n-1 {
+				if err := b.AppendBatch(&batch); err != nil {
+					t.Fatal(err)
+				}
+				batch.Reset(len(specs))
+			}
 		}
 		if len(b.interns[1]) != internBound {
 			t.Fatalf("round %d: distinct column holds %d interned strings, bound is %d", round, len(b.interns[1]), internBound)
@@ -459,9 +468,11 @@ func TestSymbolInterning(t *testing.T) {
 		}
 	}
 	// a repeated symbol costs no allocation once interned
-	field = append(field[:0], "MSFT"...)
-	b.AppendText(0, field)
-	if allocs := testing.AllocsPerRun(100, func() { b.AppendText(0, field) }); allocs > 0.1 {
+	one := []Spec{specs[0]}
+	b.Reset(one, 128)
+	msft := batchOf(1, textRow("MSFT"))
+	b.AppendBatch(msft)
+	if allocs := testing.AllocsPerRun(100, func() { b.AppendBatch(msft) }); allocs != 0 {
 		t.Errorf("repeated symbol: %.2f allocations per cell", allocs)
 	}
 }
@@ -471,7 +482,7 @@ func TestSymbolInterning(t *testing.T) {
 func TestAppendBinaryDecode(t *testing.T) {
 	b := Get()
 	defer b.Release()
-	b.Reset([]Spec{
+	specs := []Spec{
 		{Name: "b", QType: qval.KBool, Binary: true},
 		{Name: "h", QType: qval.KShort, Binary: true},
 		{Name: "i", QType: qval.KInt, Binary: true},
@@ -480,7 +491,7 @@ func TestAppendBinaryDecode(t *testing.T) {
 		{Name: "d", QType: qval.KDate, Binary: true},
 		{Name: "t", QType: qval.KTime, Binary: true},
 		{Name: "s", QType: qval.KSymbol, Binary: true},
-	}, 0)
+	}
 	cells := [][]byte{
 		{1},
 		{0xff, 0xfe},
@@ -489,22 +500,28 @@ func TestAppendBinaryDecode(t *testing.T) {
 		{0x7f, 0xf8, 0, 0, 0, 0, 0, 1}, // a NaN payload, canonicalized
 		{0xff, 0xfe, 0x5e, 0xfc},       // -106756 days
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xf0, 0xbd, 0xc0}, // -1000000 µs
+		nil,
 	}
-	for j, c := range cells {
-		if err := b.AppendBinary(j, c); err != nil {
-			t.Fatalf("column %d: %v", j, err)
-		}
+	// one bad cell, every other NULL
+	only := func(j int, cell []byte) *pgv3.Batch {
+		row := make([][]byte, len(specs))
+		row[j] = cell
+		return batchOf(len(specs), row)
 	}
-	if err := b.AppendBinary(7, []byte("x")); err == nil {
+	b.Reset(specs, 0)
+	if err := b.AppendBatch(only(7, []byte("x"))); err == nil {
 		t.Error("binary cell accepted in a symbol column")
 	}
-	for j, c := range cells {
-		if err := b.AppendBinary(j, append(c, 0)); err == nil {
+	for j, c := range cells[:7] {
+		b.Reset(specs, 0)
+		if err := b.AppendBatch(only(j, append(c, 0))); err == nil {
 			t.Errorf("column %d: %d-byte cell accepted", j, len(c)+1)
 		}
 	}
-	b.AppendNull(7)
-	b.FinishRow()
+	b.Reset(specs, 0)
+	if err := b.AppendBatch(batchOf(len(specs), cells)); err != nil {
+		t.Fatal(err)
+	}
 	_, data := b.Build()
 	f := data[4].(qval.FloatVec)[0]
 	if math.Float64bits(f) != math.Float64bits(math.NaN()) {
@@ -537,23 +554,19 @@ func TestHintedBuildDoesNotGrow(t *testing.T) {
 		{Name: "d", QType: qval.KDate},
 	}
 	cells := [][]byte{[]byte("7"), binary.BigEndian.AppendUint64(nil, 42), []byte("1.5"), []byte("t"), []byte("GOOG"), []byte("2000-01-02")}
+	const per = n / 5 // rows per batch
+	batch := batchOf(len(specs))
+	for range per {
+		batch.AppendRow(cells)
+	}
 	b := Get()
 	defer b.Release()
 	feed := func(hint int) {
 		b.Reset(specs, hint)
-		for r := 0; r < n; r++ {
-			for j, c := range cells {
-				var err error
-				if specs[j].Binary {
-					err = b.AppendBinary(j, c)
-				} else {
-					err = b.AppendText(j, c)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+		for r := 0; r < n; r += per {
+			if err := b.AppendBatch(batch); err != nil {
+				t.Fatal(err)
 			}
-			b.FinishRow()
 		}
 	}
 	kept := len(specs) - 1

@@ -11,7 +11,7 @@ import (
 )
 
 // Text abstracts over string and []byte cell payloads so the wire path can
-// decode straight out of the DataRow read buffer while the fallback text
+// decode straight out of a batch of DataRows while the fallback text
 // path shares the identical parser over strings. Both paths going through
 // one implementation is what makes columnar-vs-text parity hold by
 // construction for temporal and integer decoding.

@@ -23,7 +23,7 @@ type BackendCol struct {
 	Name    string
 	SQLType string
 	// Binary marks a streamed column whose wire cells are in PostgreSQL
-	// binary format rather than text (RowSink.WireRow).
+	// binary format rather than text (RowSink.WireBatch).
 	Binary bool
 }
 

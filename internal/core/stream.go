@@ -2,25 +2,25 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"hyperq/internal/colbuf"
 	"hyperq/internal/qlang/qval"
+	"hyperq/internal/wire/pgv3"
 	"hyperq/internal/xtra"
 )
 
 // RowSink receives one backend result set as a stream: a schema, then
-// rows in PG v3 wire form, then the command tag. Implementations must
-// tolerate the stream stopping early on error.
+// batches of rows in PG v3 wire form, then the command tag.
+// Implementations must tolerate the stream stopping early on error.
 type RowSink interface {
 	// Schema starts a result. hint, when >= 0, is the expected row count.
 	Schema(cols []BackendCol, hint int) error
-	// WireRow delivers one row of PG v3 DataRow cells, each in its column's
-	// wire format: PostgreSQL binary for a BackendCol marked Binary, text
-	// otherwise. A nil cell is SQL NULL; a non-nil empty cell is an empty
-	// string. The slices are only valid during the call.
-	WireRow(fields [][]byte) error
+	// WireBatch delivers the next rows, a batch of PG v3 DataRow cells, each
+	// in its column's wire format: PostgreSQL binary for a BackendCol marked
+	// Binary, text otherwise. A nil cell is SQL NULL; a non-nil empty cell
+	// is an empty string. The batch is only valid during the call.
+	WireBatch(b *pgv3.Batch) error
 	// Tag delivers the command tag after the last row.
 	Tag(tag string)
 }
@@ -33,9 +33,9 @@ type StreamBackend interface {
 }
 
 // TableSink builds a Q table from a streamed result using pooled column
-// builders: cells decode into typed slices chosen once per column from the
-// schema, and Table finishes them as qval vectors without per-cell atom
-// boxing.
+// builders: each batch decodes a column at a time into typed slices chosen
+// once per column from the schema, and Table finishes them as qval vectors
+// without per-cell atom boxing.
 type TableSink struct {
 	b     *colbuf.TableBuilder
 	specs []colbuf.Spec
@@ -80,27 +80,8 @@ func (s *TableSink) Schema(cols []BackendCol, hint int) error {
 	return nil
 }
 
-// WireRow implements RowSink for wire cells, decoding each by its column's
-// format.
-func (s *TableSink) WireRow(fields [][]byte) error {
-	b := s.b
-	for j, f := range fields {
-		var err error
-		switch {
-		case f == nil:
-			b.AppendNull(j)
-		case s.specs[j].Binary:
-			err = b.AppendBinary(j, f)
-		default:
-			err = b.AppendText(j, f)
-		}
-		if err != nil {
-			return fmt.Errorf("column %s: %w", s.specs[j].Name, err)
-		}
-	}
-	b.FinishRow()
-	return nil
-}
+// WireBatch implements RowSink, decoding each column by its format.
+func (s *TableSink) WireBatch(b *pgv3.Batch) error { return s.b.AppendBatch(b) }
 
 // Tag implements RowSink.
 func (s *TableSink) Tag(tag string) { s.tag = tag }
@@ -119,32 +100,39 @@ func (s *TableSink) Table() *qval.Table {
 	return qval.NewTable(names, data)
 }
 
-// emptyCell marks a non-NULL empty text cell in replayed rows (a nil cell
-// means NULL).
-var emptyCell = []byte{}
-
-// ReplayResult streams an already-materialized text result into a sink. Its
-// last caller is the benchmark's traced replay (bench/tracedrun.go), which
-// times the column builders apart from the wire.
+// ReplayResult streams an already-materialized text result into a sink, in
+// batches of the wire's row bound. Its last caller is the benchmark's
+// traced replay (bench/tracedrun.go), which times the column builders apart
+// from the wire.
 func ReplayResult(res *BackendResult, sink RowSink) error {
 	if err := sink.Schema(res.Cols, len(res.Rows)); err != nil {
 		return err
 	}
+	var b pgv3.Batch
+	b.Reset(len(res.Cols))
 	fields := make([][]byte, len(res.Cols))
-	for _, row := range res.Rows {
+	// the row's cells, back to back; never nil, so an empty cell is not NULL
+	text := make([]byte, 0, 256)
+	for i, row := range res.Rows {
+		text = text[:0]
+		for j := range row {
+			text = append(text, row[j].Text...)
+		}
+		at := 0
 		for j := range row {
 			f := &row[j]
-			switch {
-			case f.Null:
-				fields[j] = nil
-			case len(f.Text) == 0:
-				fields[j] = emptyCell
-			default:
-				fields[j] = []byte(f.Text)
+			fields[j] = nil
+			if !f.Null {
+				fields[j] = text[at : at+len(f.Text) : at+len(f.Text)]
 			}
+			at += len(f.Text)
 		}
-		if err := sink.WireRow(fields); err != nil {
-			return err
+		b.AppendRow(fields)
+		if b.Rows() == pgv3.BatchRows || i == len(res.Rows)-1 {
+			if err := sink.WireBatch(&b); err != nil {
+				return err
+			}
+			b.Reset(len(res.Cols))
 		}
 	}
 	sink.Tag(res.Tag)

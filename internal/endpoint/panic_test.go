@@ -14,6 +14,7 @@ import (
 	"hyperq/internal/core"
 	"hyperq/internal/pool"
 	"hyperq/internal/qlang/qval"
+	"hyperq/internal/wire/pgv3"
 	"hyperq/internal/wire/qipc"
 )
 
@@ -130,10 +131,13 @@ func (rowsConn) ExecStream(ctx context.Context, sql string, sink core.RowSink) e
 	if err := sink.Schema([]core.BackendCol{{Name: "x", SQLType: "bigint"}}, -1); err != nil {
 		return err
 	}
+	var b pgv3.Batch
+	b.Reset(1)
 	for _, cell := range []string{"1", "2", "3"} {
-		if err := sink.WireRow([][]byte{[]byte(cell)}); err != nil {
-			return err
-		}
+		b.AppendRow([][]byte{[]byte(cell)})
+	}
+	if err := sink.WireBatch(&b); err != nil {
+		return err
 	}
 	sink.Tag("SELECT 3")
 	return nil
@@ -152,9 +156,11 @@ type countSink struct {
 
 func (s *countSink) Schema([]core.BackendCol, int) error { return nil }
 func (s *countSink) Tag(string)                          {}
-func (s *countSink) WireRow([][]byte) error {
-	if s.rows++; s.panics && s.rows == 2 {
-		panic("sink bug")
+func (s *countSink) WireBatch(b *pgv3.Batch) error {
+	for range b.Rows() {
+		if s.rows++; s.panics && s.rows == 2 {
+			panic("sink bug")
+		}
 	}
 	return nil
 }

@@ -157,7 +157,7 @@ func (a *streamAdapter) Describe(cols []pgv3.ColDesc, rows int) error {
 	return a.sink.Schema(a.cols, rows)
 }
 
-func (a *streamAdapter) DataRow(fields [][]byte) error { return a.sink.WireRow(fields) }
+func (a *streamAdapter) DataRows(b *pgv3.Batch) error { return a.sink.WireBatch(b) }
 
 func (a *streamAdapter) Complete(tag string) { a.sink.Tag(tag) }
 

@@ -3,11 +3,15 @@ package gateway
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"net"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
 	"hyperq/internal/core"
+	"hyperq/internal/qlang/qval"
 	"hyperq/internal/wire/pgv3"
 )
 
@@ -140,7 +144,8 @@ func TestMalformedRepliesFailCleanly(t *testing.T) {
 // FuzzClientResult feeds arbitrary backend bytes to ExecStream as the reply
 // to one extended cycle, decoded into a core.TableSink: it must end in an
 // error or a table, never a panic, and never allocate what a length field
-// claims without the bytes behind it.
+// claims without the bytes behind it. What a reply costs is bounded by the
+// bytes received, as FuzzWALReplay bounds a log's.
 func FuzzClientResult(f *testing.F) {
 	binCols := rowDesc(
 		pgv3.ColDesc{Name: "b", TypeOID: pgv3.OidBool, Format: pgv3.FormatBinary},
@@ -159,14 +164,41 @@ func FuzzClientResult(f *testing.F) {
 	f.Add(cat(parseBind, dataRow([]byte("1")), complete("SELECT 1"), ready))
 	f.Add(cat(parseBind, rowDesc(int8Col), msg('D', 0xff, 0xff), ready))
 	f.Add(cat(parseBind, []byte{'T', 0x7f, 0xff, 0xff, 0xff}))
+	// rows across several batches, and a malformed row after a full one
+	rows := func(n int) []byte {
+		var b []byte
+		for i := range n {
+			b = append(b, dataRow([]byte(strconv.Itoa(i)))...)
+		}
+		return b
+	}
+	f.Add(cat(parseBind, rowDesc(int8Col), rows(2*pgv3.BatchRows+3), complete("SELECT 2051"), ready))
+	f.Add(cat(parseBind, rowDesc(int8Col), rows(pgv3.BatchRows), dataRow([]byte("1"), []byte("2")), complete("SELECT 1025"), ready))
+	// a DataRow that claims 2^30 bytes and sends none
+	f.Add(cat(parseBind, rowDesc(int8Col), rows(3), []byte{'D', 0x40, 0, 0, 0}))
 	f.Fuzz(func(t *testing.T, reply []byte) {
-		gw := scripted(t, reply)
-		sink := core.GetTableSink()
-		defer sink.Release()
-		if err := gw.ExecStream(ctx, "SELECT", sink); err != nil {
+		bound := uint64(64*len(reply) + 64<<10)
+		var tbl *qval.Table
+		var err error
+		least := uint64(math.MaxUint64)
+		for range 2 { // the fewer bytes of two runs: other goroutines allocate too
+			gw := scripted(t, reply)
+			sink := core.GetTableSink()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err = gw.ExecStream(ctx, "SELECT", sink); err == nil {
+				tbl = sink.Table()
+			}
+			runtime.ReadMemStats(&after)
+			sink.Release()
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > bound {
+			t.Fatalf("a %d-byte reply allocated %d bytes (bound %d)", len(reply), least, bound)
+		}
+		if err != nil {
 			return
 		}
-		tbl := sink.Table()
 		for _, col := range tbl.Data {
 			if col.Len() != tbl.Len() {
 				t.Fatalf("ragged table: %v", tbl)

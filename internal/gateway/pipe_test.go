@@ -11,20 +11,24 @@ import (
 	"hyperq/internal/core"
 	"hyperq/internal/pgdb"
 	"hyperq/internal/pool"
+	"hyperq/internal/wire/pgv3"
 )
 
-// countSink counts a streamed result's rows; onRow, when set, runs on each.
+// countSink counts a streamed result's rows and its batches; onBatch, when
+// set, runs on each batch.
 type countSink struct {
-	rows  int
-	onRow func()
+	rows    int
+	batches []int // each batch's row count
+	onBatch func()
 }
 
 func (s *countSink) Schema([]core.BackendCol, int) error { return nil }
 func (s *countSink) Tag(string)                          {}
-func (s *countSink) WireRow([][]byte) error {
-	s.rows++
-	if s.onRow != nil {
-		s.onRow()
+func (s *countSink) WireBatch(b *pgv3.Batch) error {
+	s.rows += b.Rows()
+	s.batches = append(s.batches, b.Rows())
+	if s.onBatch != nil {
+		s.onBatch()
 	}
 	return nil
 }
@@ -102,8 +106,9 @@ func TestPipeCloseWaitsForServer(t *testing.T) {
 // fails the statement with an error satisfying errors.Is(err,
 // context.Canceled), and the pool discards the connection rather than
 // reuse one with half a reply on it. The client abandons the reply at the
-// first row after the cancellation (pgv3.ErrAbandoned), so the discard does
-// not depend on whether the reply could have drained first.
+// first batch boundary after the cancellation (pgv3.ErrAbandoned), so the
+// batch that canceled lands and no later one does, and the discard does not
+// depend on whether the reply could have drained first.
 func TestPipeCancelMidResult(t *testing.T) {
 	db := wideDB(t)
 	p := pool.New(pool.Config{
@@ -116,13 +121,13 @@ func TestPipeCancelMidResult(t *testing.T) {
 
 	qctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sink := countSink{onRow: cancel}
+	sink := countSink{onBatch: cancel}
 	err := b.ExecStream(qctx, "SELECT a, b FROM t", &sink)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled mid-result: %v after %d rows, want context.Canceled", err, sink.rows)
 	}
-	if sink.rows != 1 {
-		t.Fatalf("%d rows delivered, want only the one that canceled", sink.rows)
+	if len(sink.batches) != 1 || sink.rows >= 5000 {
+		t.Fatalf("%d rows delivered in batches %v, want only the first batch, the one that canceled", sink.rows, sink.batches)
 	}
 	if d := p.Stats().Discards; d != 1 {
 		t.Fatalf("pool discarded %d connections, want the canceled one", d)

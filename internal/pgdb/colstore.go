@@ -537,12 +537,13 @@ func (st *colStore) rowAtCols(i int, cols []int) []any {
 	return row
 }
 
-// boxSel boxes the rows set in sel (nil: every row) in row order, filling
-// only cols and leaving the other cells NULL. One backing array holds every
-// row. Segments with no selected row are skipped before anything faults;
-// the rest fault just cols, once per segment.
+// boxSel boxes the rows set in sel (nil: every row) in row order, cell k of
+// a row holding column cols[k]: a row is as wide as what is read, not as
+// the store. One backing array holds every row. Segments with no selected
+// row are skipped before anything faults; the rest fault just cols, once
+// per segment.
 func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
-	nsel, width := st.n, len(st.cols)
+	nsel, width := st.n, len(cols)
 	if sel != nil {
 		nsel = popCount(sel)
 	}
@@ -554,10 +555,10 @@ func (st *colStore) boxSel(sel []uint64, cols []int) [][]any {
 	lo := 0
 	st.selSegs(sel, cols, nil, func(_ int, seg *segment, pos []int32) error {
 		rows := out[lo : lo+len(pos)]
-		for _, c := range cols {
+		for k, c := range cols {
 			v := &seg.vecs[c]
 			for j, i := range pos {
-				rows[j][c] = v.get(int(i))
+				rows[j][k] = v.get(int(i))
 			}
 		}
 		lo += len(pos)

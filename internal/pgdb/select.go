@@ -48,6 +48,56 @@ func (r *relation) rowsView() [][]any {
 	return r.rows
 }
 
+// narrow boxes the rows set in sel (nil: every row) of a columnar relation
+// for the walker, keeping only cols: the schema shrinks to them, so a row is
+// only as wide as what the block reads. A relation already boxed stays as
+// it is.
+func (r *relation) narrow(sel []uint64, cols []int) {
+	if r.store == nil || r.rows != nil {
+		return
+	}
+	schema := make([]colBinding, len(cols))
+	for k, c := range cols {
+		schema[k] = r.schema[c]
+	}
+	r.schema, r.rows, r.store = schema, r.store.boxSel(sel, cols), nil
+}
+
+// blockCols is the sorted set of the columns of schema a block can read:
+// each column a star of its items selects, and each column named by a
+// reference in its items, GROUP BY or WHERE, whatever the reference's
+// qualifier. Matching by name alone keeps every column a reference could
+// resolve to, so against the narrowed schema each reference resolves, or
+// fails as ambiguous or missing, exactly as against the whole one.
+func blockCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
+	names := map[string]bool{}
+	stars := map[string]bool{} // qualified stars' tables; "" for a bare star
+	note := func(e sqlparse.Expr) {
+		walkExpr(e, func(x sqlparse.Expr) {
+			if cr, ok := x.(*sqlparse.ColRef); ok {
+				names[cr.Name] = true
+			}
+		})
+	}
+	for _, item := range sel.Items {
+		if item.Star {
+			stars[item.StarTable] = true
+		}
+		note(item.Expr)
+	}
+	for _, g := range sel.GroupBy {
+		note(g)
+	}
+	note(sel.Where)
+	var cols []int
+	for i, b := range schema {
+		if stars[""] || stars[b.table] || names[b.name] {
+			cols = append(cols, i)
+		}
+	}
+	return cols
+}
+
 // addColRefs adds to seen the column of every reference in e that resolves
 // against schema: the only cells evaluating e against a row can read. A
 // reference that does not resolve fails the same way whatever the row
@@ -60,21 +110,6 @@ func addColRefs(e sqlparse.Expr, schema []colBinding, seen map[int]struct{}) {
 			}
 		}
 	})
-}
-
-// stmtCols is the sorted set of columns a select's items (stars expanded)
-// and GROUP BY can read from an input row.
-func stmtCols(sel *sqlparse.SelectStmt, schema []colBinding) []int {
-	seen := map[int]struct{}{}
-	if items, err := expandStars(sel.Items, schema); err == nil {
-		for _, item := range items {
-			addColRefs(item.Expr, schema, seen)
-		}
-	}
-	for _, g := range sel.GroupBy {
-		addColRefs(g, schema, seen)
-	}
-	return sortedSet(seen)
 }
 
 // execSelect runs a SELECT: each block of its UNION ALL chain (execBlock)
@@ -180,7 +215,9 @@ func (s *Session) execBlock(sel *sqlparse.SelectStmt) (*Result, error) {
 		}
 	}
 	if where != nil && !vecScan {
-		// the store still holds the unfiltered rows
+		// the store still holds the unfiltered rows; the walker boxes only
+		// the columns the block reads
+		rel.narrow(nil, blockCols(sel, rel.schema))
 		if rel.rows, err = s.filterRows(where, rel.schema, rel.rowsView()); err != nil {
 			return nil, err
 		}
@@ -203,7 +240,7 @@ func (s *Session) execBlock(sel *sqlparse.SelectStmt) (*Result, error) {
 		if !ok {
 			// a declined shape runs the row-at-a-time operator over the
 			// selected rows, boxing only the columns the statement reads
-			rel.rows, rel.store = rel.store.boxSel(selBits, stmtCols(sel, rel.schema)), nil
+			rel.narrow(selBits, blockCols(sel, rel.schema))
 		}
 	}
 	if !ok {

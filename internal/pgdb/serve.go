@@ -2,9 +2,7 @@ package pgdb
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"math"
 	"net"
 
 	"hyperq/internal/pgdb/sqlparse"
@@ -158,29 +156,51 @@ func (r wireResult) Columns() []pgv3.ColDesc {
 
 // WriteRows implements pgv3.Result. A SELECT's result is a column store
 // that shares no table's vectors (execStmt), read after the statement lock is
-// released. Cells render typed from the vectors, text or binary per column
-// (appendVecCell), straight into the connection's output buffer, so a row
-// costs no allocation however wide it is. A cell that has no binary form
-// fails the statement with the rows before it sent.
+// released. Each segment picks one cell writer per column (pickWriter), and
+// cells render typed from the vectors, text or binary per column, straight
+// into the connection's output buffer, so a row costs no allocation however
+// wide it is. A cell that has no binary form fails the statement with the
+// rows before it sent.
 func (r wireResult) WriteRows(cols []pgv3.ColDesc) error {
 	sc, st := r.sc, r.res.store
+	ws := make([]cellWriter, len(cols))
 	for si := range st.slots {
 		seg := st.seg(si)
+		for j, col := range cols {
+			ws[j] = pickWriter(seg.vecs[j].kind, col)
+		}
 		for i := 0; i < seg.n; i++ {
-			sc.BeginDataRow(len(cols))
-			for j, col := range cols {
-				if seg.vecs[j].isNull(i) {
-					sc.NullCell()
+			b := sc.BeginDataRow(len(cols))
+			for j, w := range ws {
+				v := &seg.vecs[j]
+				if v.isNull(i) {
+					b = pgv3.NullCell(b)
 					continue
 				}
-				cell, err := appendVecCell(sc.BeginCell(), &seg.vecs[j], i, col, r.res.Cols[j].Type)
+				var err error
+				switch w {
+				case writeInt8:
+					b = appendInt8(append(b, 0, 0, 0, 8), v.ints[i])
+				case writeFloat8:
+					b = appendFloat8(append(b, 0, 0, 0, 8), v.floats[i])
+				case writeDict:
+					b = pgv3.AppendCell(b, v.dict[v.codes[i]])
+				case writeInt4:
+					b, err = appendInt4(append(b, 0, 0, 0, 4), v.ints[i], cols[j].TypeOID)
+				case writeTime:
+					b, err = appendTime(append(b, 0, 0, 0, 8), v.ints[i])
+				default:
+					var at int
+					b, at = pgv3.OpenCell(b)
+					b, err = appendVecCell(b, v, i, cols[j], r.res.Cols[j].Type)
+					pgv3.CloseCell(b, at)
+				}
 				if err != nil {
 					sc.AbortDataRow()
 					return serverError(err)
 				}
-				sc.EndCell(cell)
 			}
-			if err := sc.EndDataRow(); err != nil {
+			if err := sc.EndDataRow(b); err != nil {
 				return err
 			}
 		}
@@ -188,10 +208,54 @@ func (r wireResult) WriteRows(cols []pgv3.ColDesc) error {
 	return nil
 }
 
+// cellWriter is how WriteRows renders the non-NULL cells of one column of
+// one segment.
+type cellWriter uint8
+
+const (
+	// writeCell renders with appendVecCell, then back-patches the cell's
+	// length: boxed values, text numbers and temporals, and the binaries
+	// that convert a value or are a smallint's.
+	writeCell cellWriter = iota
+	// writeInt8 appends an integer vector's bigint binary form.
+	writeInt8
+	// writeFloat8 appends a float vector's double precision binary form.
+	writeFloat8
+	// writeDict appends a string vector's text from its dictionary.
+	writeDict
+	// writeInt4 appends an integer vector's integer or date binary form,
+	// range-checked.
+	writeInt4
+	// writeTime appends an integer vector's time binary form, microseconds,
+	// range-checked.
+	writeTime
+)
+
+// pickWriter picks the cell writer for a vector of kind k in column col:
+// the fixed-width binaries of a vector of the column's own kind and
+// dictionary strings, whose length is known before their bytes, append
+// both directly.
+func pickWriter(k vecKind, col pgv3.ColDesc) cellWriter {
+	switch text := col.Format == pgv3.FormatText; {
+	case k == vkInt && !text && col.TypeOID == pgv3.OidInt8:
+		return writeInt8
+	case k == vkFloat && !text && col.TypeOID == pgv3.OidFloat8:
+		return writeFloat8
+	case k == vkStr && text:
+		return writeDict
+	case k == vkInt && !text && (col.TypeOID == pgv3.OidInt4 || col.TypeOID == pgv3.OidDate):
+		return writeInt4
+	case k == vkInt && !text && col.TypeOID == pgv3.OidTime:
+		return writeTime
+	}
+	return writeCell
+}
+
 // Tag implements pgv3.Result.
 func (r wireResult) Tag() string { return r.res.Tag }
 
-// appendVecCell appends the non-NULL cell i of v in col's format.
+// appendVecCell appends the non-NULL cell i of v in col's format, for the
+// cells pickWriter leaves to writeCell.
 func appendVecCell(dst []byte, v *colVec, i int, col pgv3.ColDesc, typ string) ([]byte, error) {
 	switch text := col.Format == pgv3.FormatText; {
 	case v.kind == vkInt && text:
@@ -200,10 +264,6 @@ func appendVecCell(dst []byte, v *colVec, i int, col pgv3.ColDesc, typ string) (
 		return appendBinaryInt(dst, v.ints[i], col.TypeOID, typ)
 	case v.kind == vkFloat && text:
 		return appendFloatText(dst, v.floats[i]), nil
-	case v.kind == vkFloat && col.TypeOID == pgv3.OidFloat8:
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.floats[i])), nil
-	case v.kind == vkStr && text:
-		return append(dst, v.dict[v.codes[i]]...), nil
 	case text:
 		return AppendValue(dst, v.get(i), typ), nil
 	}

@@ -11,6 +11,7 @@ import (
 	"hyperq/internal/core"
 	"hyperq/internal/gateway"
 	"hyperq/internal/pgdb"
+	"hyperq/internal/wire/pgv3"
 )
 
 // snapshotSink checks a streamed SELECT id, v, pad, z result as it arrives:
@@ -39,16 +40,19 @@ func (s *snapshotSink) int(j int, cell []byte) int64 {
 	return n
 }
 
-func (s *snapshotSink) WireRow(fields [][]byte) error {
-	id, v := s.int(0, fields[0]), s.int(1, fields[1])
-	if s.rows == 0 {
-		s.v = v
+func (s *snapshotSink) WireBatch(b *pgv3.Batch) error {
+	for i := range b.Rows() {
+		id, v := s.int(0, b.Cell(i, 0)), s.int(1, b.Cell(i, 1))
+		if s.rows == 0 {
+			s.v = v
+		}
+		pad, z := b.Cell(i, 2), b.Cell(i, 3)
+		zOK := z == nil || s.int(3, z) == id
+		if s.err == nil && (id != int64(s.rows) || v != s.v || string(pad) != padOf(id) || !zOK) {
+			s.err = fmt.Errorf("row %d is (%d, %d, %q, %q) in a result whose first row has v=%d", s.rows, id, v, pad, z, s.v)
+		}
+		s.rows++
 	}
-	zOK := fields[3] == nil || s.int(3, fields[3]) == id
-	if s.err == nil && (id != int64(s.rows) || v != s.v || string(fields[2]) != padOf(id) || !zOK) {
-		s.err = fmt.Errorf("row %d is (%d, %d, %q, %q) in a result whose first row has v=%d", s.rows, id, v, fields[2], fields[3], s.v)
-	}
-	s.rows++
 	return nil
 }
 

@@ -171,7 +171,7 @@ func appendBinary(dst []byte, v any, oid uint32, typ string) ([]byte, error) {
 		return append(dst, 0), nil
 	case pgv3.OidFloat8:
 		if f, ok := v.(float64); ok {
-			return binary.BigEndian.AppendUint64(dst, math.Float64bits(f)), nil
+			return appendFloat8(dst, f), nil
 		}
 	}
 	n, ok := v.(int64)
@@ -214,27 +214,56 @@ func appendBinaryInt(dst []byte, n int64, oid uint32, typ string) ([]byte, error
 		}
 		return binary.BigEndian.AppendUint16(dst, uint16(n)), nil
 	case pgv3.OidInt4, pgv3.OidDate:
-		switch {
-		case n >= math.MinInt32 && n <= math.MaxInt32:
-			return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
-		case oid == pgv3.OidDate:
-			return dst, errf("22008", "date out of range: %d days", n)
-		}
-		return dst, errf("22003", "integer out of range: %d", n)
+		return appendInt4(dst, n, oid)
 	case pgv3.OidInt8:
-		return binary.BigEndian.AppendUint64(dst, uint64(n)), nil
+		return appendInt8(dst, n), nil
 	case pgv3.OidFloat8:
 		// rounds as parsing its decimal text does
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(n))), nil
+		return appendFloat8(dst, float64(n)), nil
 	case pgv3.OidTime:
-		if n < math.MinInt64/1000 || n > math.MaxInt64/1000 {
-			return dst, errf("22008", "time out of range: %d ms", n)
-		}
-		return binary.BigEndian.AppendUint64(dst, uint64(n*1000)), nil
+		return appendTime(dst, n)
 	case pgv3.OidBool:
 		return appendBinary(dst, n, oid, typ)
 	}
 	return dst, errf("0A000", "no binary format for type %s", typ)
+}
+
+// appendInt8, appendFloat8, appendInt4 and appendTime append the binary
+// forms of the fixed-width types whose cells pgdb holds as an int64 or a
+// float64: each form is written here alone, for appendBinaryInt and
+// appendBinary and for WriteRows' fixed-width writers.
+
+// appendInt8 appends n's bigint binary form.
+func appendInt8(dst []byte, n int64) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(n))
+}
+
+// appendFloat8 appends f's double precision binary form.
+func appendFloat8(dst []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+// appendInt4 appends n's integer binary form, or, when oid is date's, its
+// date form (days since 2000-01-01). A value outside int32 fails with
+// 22003, or 22008 for a date.
+func appendInt4(dst []byte, n int64, oid uint32) ([]byte, error) {
+	switch {
+	case n >= math.MinInt32 && n <= math.MaxInt32:
+		return binary.BigEndian.AppendUint32(dst, uint32(n)), nil
+	case oid == pgv3.OidDate:
+		return dst, errf("22008", "date out of range: %d days", n)
+	}
+	return dst, errf("22003", "integer out of range: %d", n)
+}
+
+// appendTime appends ms milliseconds since midnight in time's binary form,
+// microseconds. A value whose microseconds overflow an int64 fails with
+// 22008.
+func appendTime(dst []byte, ms int64) ([]byte, error) {
+	if ms < math.MinInt64/1000 || ms > math.MaxInt64/1000 {
+		return dst, errf("22008", "time out of range: %d ms", ms)
+	}
+	return binary.BigEndian.AppendUint64(dst, uint64(ms*1000)), nil
 }
 
 // reparse renders v as the text path would, past the end of dst, and parses

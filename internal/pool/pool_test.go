@@ -371,7 +371,7 @@ func TestSessionBackendLostPinnedConn(t *testing.T) {
 type panicSink struct{}
 
 func (panicSink) Schema([]core.BackendCol, int) error { return nil }
-func (panicSink) WireRow([][]byte) error              { return nil }
+func (panicSink) WireBatch(*pgv3.Batch) error         { return nil }
 func (panicSink) Tag(string)                          { panic("sink bug") }
 
 // execPanics runs sql through b.ExecStream into a panicking sink and

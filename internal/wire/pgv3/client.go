@@ -18,8 +18,9 @@ type ClientConn struct {
 	out  frame
 	// streaming scratch, reused across messages of one query at a time (a
 	// connection serves one query at a time)
-	rbuf    []byte
-	fields  [][]byte
+	hdr     [5]byte
+	rbuf    []byte  // the body of the last message other than a DataRow
+	batch   Batch   // the DataRows read and not yet delivered
 	widths  []int   // the described columns' binary cell widths; 0 for text
 	formats []int16 // the result format codes Bind requests
 	// described is the describe cache: what the last successful extended
@@ -50,19 +51,19 @@ var errStaleFormats = errors.New("pgv3: remembered result formats are stale")
 // binary set, whose cells this package cannot decode.
 var errUndecodable = errf("binary result column of a type outside the binary set")
 
-// RowReceiver receives one streamed result: the schema, then each data row
-// as it is decoded off the wire, then the command tag.
+// RowReceiver receives one streamed result: the schema, then its rows a
+// batch at a time as they come off the wire, then the command tag.
 type RowReceiver interface {
 	// Describe delivers the RowDescription, with each column's format, and
 	// the row count of the text's last successful extended run on this
 	// connection, or -1 when none is remembered. The count is a sizing hint:
 	// the rows that follow may be more or fewer.
 	Describe(cols []ColDesc, rows int) error
-	// DataRow delivers one row of exactly the described columns, each cell
-	// in its column's format (a binary cell has its type's width). A nil
-	// cell is SQL NULL; non-nil cells point into the connection's read
-	// buffer and are only valid during the call.
-	DataRow(fields [][]byte) error
+	// DataRows delivers the next batch of rows, each of exactly the
+	// described columns, each cell in its column's format (a binary cell has
+	// its type's width). The batch is the connection's and only valid
+	// during the call.
+	DataRows(b *Batch) error
 	// Complete delivers the command tag once the result finished cleanly.
 	Complete(tag string)
 }
@@ -182,16 +183,37 @@ func (c *ClientConn) flush() error {
 // read reads one typed message into the connection's reusable body buffer;
 // the returned body is only valid until the next read.
 func (c *ClientConn) read() (byte, []byte, error) {
-	typ, body, buf, err := readTyped(c.r, c.rbuf)
-	c.rbuf = buf
+	typ, n, err := readHeader(c.r, c.hdr[:])
+	if err != nil {
+		return 0, nil, err
+	}
+	body, err := c.readBody(n)
 	return typ, body, err
+}
+
+// readBody reads an n-byte message body into the connection's reusable
+// body buffer.
+func (c *ClientConn) readBody(n int) ([]byte, error) {
+	body, err := appendBody(c.r, c.rbuf[:0], n)
+	c.rbuf = body
+	return body, err
+}
+
+// trim drops read storage grown past maxRetained, as ServerConn.Flush does
+// with its output buffer: the largest message a connection ever read must
+// not stay pinned for the connection's life.
+func (c *ClientConn) trim() {
+	if cap(c.rbuf) > maxRetained {
+		c.rbuf = nil
+	}
+	c.batch.trim()
 }
 
 // Query runs one SQL statement via the simple query protocol and collects
 // the full result into owned strings — the materialized form the text path
 // consumes. It is QueryStream over a collecting receiver, so it shares the
 // cancellation semantics below: after the statement context is canceled
-// mid-stream, remaining rows are discarded as they drain rather than
+// mid-stream, the reply is abandoned at the next batch boundary rather than
 // accumulated.
 func (c *ClientConn) Query(ctx context.Context, sql string) (*QueryResult, error) {
 	res := &QueryResult{}
@@ -209,31 +231,36 @@ func (cr *collectReceiver) Describe(cols []ColDesc, _ int) error {
 	return nil
 }
 
-func (cr *collectReceiver) DataRow(fields [][]byte) error {
-	row := make([]Field, len(fields))
-	for j, f := range fields {
-		if f == nil {
-			row[j] = Field{Null: true}
-		} else {
-			row[j] = Field{Text: string(f)}
+func (cr *collectReceiver) DataRows(b *Batch) error {
+	for i := range b.Rows() {
+		row := make([]Field, b.Width())
+		for j := range row {
+			if f := b.Cell(i, j); f == nil {
+				row[j] = Field{Null: true}
+			} else {
+				row[j] = Field{Text: string(f)}
+			}
 		}
+		cr.Rows = append(cr.Rows, row)
 	}
-	cr.Rows = append(cr.Rows, row)
 	return nil
 }
 
 func (cr *collectReceiver) Complete(tag string) { cr.Tag = tag }
 
 // QueryStream runs one SQL statement via the simple query protocol,
-// delivering rows to the receiver incrementally as DataRow messages decode
-// — no [][]Field materialization. The context is the single source of truth
-// for the query's deadline and cancellation: its deadline becomes the
-// socket I/O deadline, and cancellation aborts in-flight I/O immediately.
-// An abort surfaces as an *AbortError wrapping ctx.Err() — the connection
-// is mid-protocol at that point and must be discarded. A receiver error
-// stops delivery but drains the result to ReadyForQuery, keeping the
-// connection protocol-clean (matching the materialized path, where
-// conversion errors surface after the full drain).
+// delivering rows to the receiver a batch at a time as DataRow messages
+// arrive — no [][]Field materialization. The context is the single source
+// of truth for the query's deadline and cancellation: its deadline becomes
+// the socket I/O deadline, and cancellation aborts in-flight I/O
+// immediately. A cancellation while rows stream in abandons the reply at
+// the next batch boundary: the batch being delivered when it came still
+// lands, no later one does. An abort surfaces as an *AbortError wrapping
+// ctx.Err() — the connection is mid-protocol at that point and must be
+// discarded. A receiver error stops delivery but drains the result to
+// ReadyForQuery, keeping the connection protocol-clean (matching the
+// materialized path, where conversion errors surface after the full
+// drain).
 func (c *ClientConn) QueryStream(ctx context.Context, sql string, rr RowReceiver) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -398,11 +425,14 @@ func (c *ClientConn) armContext(ctx context.Context) func(error) error {
 
 // queryStream runs one statement over the simple cycle, or over the
 // extended cycle when extended is set, and reads its reply: the one read
-// loop both cycles share. A reply the protocol does not allow — a DataRow
-// before any RowDescription, a row whose field count differs from the
-// description, a binary cell of the wrong width — stops delivery and fails
-// the statement, after the reply drains to ReadyForQuery.
+// loop both cycles share. DataRows are read straight into the connection's
+// batch, which goes to rr once it is full and before any other message is
+// handled. A reply the protocol does not allow — a DataRow before any
+// RowDescription, a row whose field count differs from the description, a
+// binary cell of the wrong width — stops delivery and fails the statement,
+// after the reply drains to ReadyForQuery.
 func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver, extended bool) error {
+	defer c.trim()
 	binary, hint := false, -1
 	if extended {
 		binary = c.pickFormats(sql)
@@ -418,13 +448,56 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 	if err := c.flush(); err != nil {
 		return err
 	}
+	done := ctx.Done()
 	var qerr *ServerError
 	var badErr, sinkErr error
 	var tag string
 	var cols []ColDesc // the current statement's columns; nil before its RowDescription
 	rows := 0          // DataRows delivered to rr
+	// deliver hands the batch to rr. A canceled statement abandons its reply
+	// here, at a batch boundary, so the connection it leaves is mid-protocol
+	// every time, not only when the context watcher's poisoned deadline wins
+	// the race against ReadyForQuery.
+	deliver := func() error {
+		if canceled(done) {
+			return ErrAbandoned
+		}
+		n := c.batch.Rows()
+		if err := rr.DataRows(&c.batch); err != nil {
+			sinkErr = err
+		}
+		rows += n
+		c.batch.Reset(len(cols))
+		return nil
+	}
 	for {
-		typ, body, err := c.read()
+		typ, n, err := readHeader(c.r, c.hdr[:])
+		if err != nil {
+			return err
+		}
+		if typ == 'D' && cols != nil && sinkErr == nil && badErr == nil {
+			if c.batch.Rows() == 0 && canceled(done) {
+				return ErrAbandoned
+			}
+			bad, err := c.batch.readRow(c.r, n, c.widths)
+			switch {
+			case err != nil:
+				return err
+			case bad != nil:
+				badErr = bad
+			case c.batch.full():
+				if err := deliver(); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		if c.batch.Rows() > 0 && sinkErr == nil && badErr == nil {
+			if err := deliver(); err != nil {
+				return err
+			}
+		}
+		body, err := c.readBody(n)
 		if err != nil {
 			return err
 		}
@@ -433,6 +506,7 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 			if cols, err = c.describe(body); err != nil && badErr == nil {
 				badErr = err
 			}
+			c.batch.Reset(len(cols))
 			if sinkErr != nil || badErr != nil {
 				continue
 			}
@@ -440,29 +514,15 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 				sinkErr = err
 			}
 		case 'D':
-			// a canceled statement abandons its reply at the next row, so
-			// the connection it leaves is mid-protocol every time, not only
-			// when the context watcher's poisoned deadline wins the race
-			// against ReadyForQuery
-			if ctx.Err() != nil {
+			// a DataRow the loop skipped: one before any RowDescription, or
+			// one after delivery stopped. A cancel during that drain abandons
+			// the reply as one during delivery does.
+			if canceled(done) {
 				return ErrAbandoned
 			}
-			if sinkErr != nil || badErr != nil {
-				continue
-			}
-			if cols == nil {
+			if cols == nil && badErr == nil && sinkErr == nil {
 				badErr = errf("DataRow before RowDescription")
-				continue
 			}
-			if err := c.parseDataRowInto(body); err != nil {
-				badErr = err
-				continue
-			}
-			if err := rr.DataRow(c.fields); err != nil {
-				sinkErr = err
-				continue
-			}
-			rows++
 		case 'C':
 			t, _, err := cutCString(body)
 			if err != nil {
@@ -507,8 +567,20 @@ func (c *ClientConn) queryStream(ctx context.Context, sql string, rr RowReceiver
 	}
 }
 
+// canceled reports whether done is closed, without blocking: a statement's
+// cancellation checked at a batch boundary, where ctx.Err() would take the
+// context's lock.
+func canceled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
 // describe decodes a RowDescription and records each column's binary cell
-// width for parseDataRowInto.
+// width, against which each DataRow's cells are checked.
 func (c *ClientConn) describe(body []byte) ([]ColDesc, error) {
 	cols, err := parseRowDescription(body)
 	if err != nil {
@@ -530,45 +602,6 @@ func (c *ClientConn) describe(body []byte) ([]ColDesc, error) {
 		c.widths = append(c.widths, w)
 	}
 	return cols, nil
-}
-
-// parseDataRowInto decodes a DataRow of the described columns into the
-// connection's reusable field slice: nil for NULL, subslices of the read
-// buffer otherwise. The field count must match the description and each
-// binary cell must have its type's width.
-func (c *ClientConn) parseDataRowInto(b []byte) error {
-	if len(b) < 2 {
-		return errf("short DataRow")
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n != len(c.widths) {
-		return errf("DataRow has %d fields, RowDescription %d columns", n, len(c.widths))
-	}
-	if cap(c.fields) < n {
-		c.fields = make([][]byte, n)
-	}
-	c.fields = c.fields[:n]
-	for i := 0; i < n; i++ {
-		if len(b) < 4 {
-			return errf("short field length")
-		}
-		ln := int32(binary.BigEndian.Uint32(b))
-		b = b[4:]
-		if ln < 0 {
-			c.fields[i] = nil
-			continue
-		}
-		if int(ln) > len(b) {
-			return errf("field overruns message")
-		}
-		if w := c.widths[i]; w != 0 && int(ln) != w {
-			return errf("binary field %d is %d bytes, want %d", i, ln, w)
-		}
-		c.fields[i] = b[:ln:ln]
-		b = b[ln:]
-	}
-	return nil
 }
 
 // Close sends Terminate and closes the socket.

@@ -7,20 +7,22 @@ import (
 	"net"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // streamCollector is a RowReceiver that records everything it is handed.
 type streamCollector struct {
-	cols  []ColDesc
-	hints []int // each Describe's remembered row count
-	rows  [][]string
-	nulls int
-	tag   string
+	cols    []ColDesc
+	hints   []int // each Describe's remembered row count
+	rows    [][]string
+	batches []int // each delivered batch's row count
+	nulls   int
+	tag     string
 	// onRow, when set, runs after each delivered row
 	onRow func(n int)
-	// rowErr, when set, is returned from DataRow
+	// rowErr, when set, is returned from DataRows
 	rowErr error
 }
 
@@ -30,21 +32,25 @@ func (sc *streamCollector) Describe(cols []ColDesc, rows int) error {
 	return nil
 }
 
-func (sc *streamCollector) DataRow(fields [][]byte) error {
+func (sc *streamCollector) DataRows(b *Batch) error {
 	if sc.rowErr != nil {
 		return sc.rowErr
 	}
-	row := make([]string, len(fields))
-	for j, f := range fields {
-		if f == nil {
-			sc.nulls++
-			continue
+	sc.batches = append(sc.batches, b.Rows())
+	for i := range b.Rows() {
+		row := make([]string, b.Width())
+		for j := range row {
+			f := b.Cell(i, j)
+			if f == nil {
+				sc.nulls++
+				continue
+			}
+			row[j] = string(f)
 		}
-		row[j] = string(f)
-	}
-	sc.rows = append(sc.rows, row)
-	if sc.onRow != nil {
-		sc.onRow(len(sc.rows))
+		sc.rows = append(sc.rows, row)
+		if sc.onRow != nil {
+			sc.onRow(len(sc.rows))
+		}
 	}
 	return nil
 }
@@ -114,7 +120,7 @@ func startBulkServer(t *testing.T, n int) string {
 
 // TestCancelMidStreamStopsDelivery pins the fix for the canceled-statement
 // drain: once the statement context is canceled, remaining rows must not
-// keep accumulating — delivery stops at the cancellation point.
+// keep accumulating — delivery stops at the next batch boundary.
 func TestCancelMidStreamStopsDelivery(t *testing.T) {
 	const total = 5000
 	addr := startBulkServer(t, total)
@@ -135,9 +141,9 @@ func TestCancelMidStreamStopsDelivery(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// the row already being delivered lands; nothing after it may
-	if len(sc.rows) != 3 {
-		t.Fatalf("delivered %d rows after cancel at 3", len(sc.rows))
+	// the batch already being delivered lands; nothing after it may
+	if len(sc.batches) != 1 || len(sc.rows) != sc.batches[0] || len(sc.rows) >= total {
+		t.Fatalf("delivered %d rows in batches %v after cancel at 3, want only the first batch", len(sc.rows), sc.batches)
 	}
 	if sc.tag != "" {
 		t.Fatalf("tag delivered on canceled stream: %q", sc.tag)
@@ -164,6 +170,36 @@ func TestReceiverErrorDrainsProtocol(t *testing.T) {
 	}
 	if len(good.rows) != 100 {
 		t.Fatalf("follow-up rows = %d", len(good.rows))
+	}
+}
+
+// cancelingReceiver cancels its statement and fails on the first batch.
+type cancelingReceiver struct {
+	streamCollector
+	cancel func()
+}
+
+func (r *cancelingReceiver) DataRows(*Batch) error {
+	r.cancel()
+	return errors.New("sink exploded")
+}
+
+// TestCancelDuringDrainAbandons: a cancel while a receiver error drains the
+// rest of the reply abandons it, as a cancel during delivery does, so the
+// statement ends in context.Canceled and the connection is not reused,
+// however soon the drain would have reached ReadyForQuery.
+func TestCancelDuringDrainAbandons(t *testing.T) {
+	addr := startBulkServer(t, 5000)
+	c, err := Connect(context.Background(), addr, "u", "", "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err = c.QueryStream(ctx, "SELECT n FROM big", &cancelingReceiver{cancel: cancel})
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, ErrAbandoned) {
+		t.Fatalf("err = %v, want context.Canceled from an abandoned reply", err)
 	}
 }
 
@@ -276,4 +312,38 @@ func startCanned(t *testing.T, run func(sql string) (*cannedResult, error)) stri
 		}
 	}()
 	return l.Addr().String()
+}
+
+// TestClientRetainsBoundedBuffers: a connection that read one 2 MiB
+// DataRow, or one 2 MiB message of another kind, keeps at most maxRetained
+// bytes of read storage once the statement ends, as ServerConn.Flush does
+// with its output buffer.
+func TestClientRetainsBoundedBuffers(t *testing.T) {
+	big := strings.Repeat("x", 2<<20)
+	addr := startCanned(t, func(sql string) (*cannedResult, error) {
+		if sql == "fail" {
+			return nil, &ServerError{Severity: "ERROR", Code: "XX000", Message: big}
+		}
+		return &cannedResult{cols: []ColDesc{{Name: "v", TypeOID: OidVarchar}}, rows: [][]any{{big}}, tag: "SELECT 1"}, nil
+	})
+	c, err := Connect(context.Background(), addr, "u", "", "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	retained := func() int { return max(cap(c.rbuf), cap(c.batch.data), 8*cap(c.batch.cells)) }
+	sc := &streamCollector{}
+	if err := c.QueryExtended(context.Background(), "SELECT v FROM t", sc); err != nil || len(sc.rows) != 1 || sc.rows[0][0] != big {
+		t.Fatalf("2 MiB row: %v, %d rows", err, len(sc.rows))
+	}
+	if n := retained(); n > maxRetained {
+		t.Errorf("after a 2 MiB DataRow the connection retains %d bytes, bound %d", n, maxRetained)
+	}
+	var se *ServerError
+	if err := c.QueryExtended(context.Background(), "fail", &streamCollector{}); !errors.As(err, &se) || se.Message != big {
+		t.Fatalf("2 MiB error: %v", err)
+	}
+	if n := retained(); n > maxRetained {
+		t.Errorf("after a 2 MiB ErrorResponse the connection retains %d bytes, bound %d", n, maxRetained)
+	}
 }

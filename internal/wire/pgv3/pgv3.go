@@ -240,28 +240,37 @@ func readTyped(r io.Reader, buf []byte) (byte, []byte, []byte, error) {
 	if cap(buf) < 5 {
 		buf = make([]byte, 5, 512)
 	}
-	hdr := buf[:5]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	typ, n, err := readHeader(r, buf[:5])
+	if err != nil {
 		return 0, nil, buf, err
 	}
-	typ, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
-	if n < 4 || n > maxMessage {
-		return 0, nil, buf, errf("implausible message length %d", n)
-	}
-	body, err := readBody(r, buf, int(n-4))
+	body, err := appendBody(r, buf[:0], n)
 	return typ, body, body, err
 }
 
-// readBody reads an n-byte message body into buf's storage. The buffer grows
-// only as bytes arrive, so a length header the peer does not back with data
-// cannot make the reader allocate what it claims.
-func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
-	buf = buf[:0]
-	for len(buf) < n {
+// readHeader reads a typed message's header through hdr, five bytes of
+// scratch, and returns the type byte and the body's length.
+func readHeader(r io.Reader, hdr []byte) (byte, int, error) {
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, 0, err
+	}
+	typ, n := hdr[0], binary.BigEndian.Uint32(hdr[1:])
+	if n < 4 || n > maxMessage {
+		return 0, 0, errf("implausible message length %d", n)
+	}
+	return typ, int(n - 4), nil
+}
+
+// appendBody reads an n-byte message body onto the end of buf. The buffer
+// grows only as bytes arrive, so a length header the peer does not back
+// with data cannot make the reader allocate what it claims.
+func appendBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	end := len(buf) + n
+	for len(buf) < end {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), end)])
 		buf = buf[:len(buf)+got]
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // the header promised a body

@@ -106,15 +106,15 @@ func (r *cannedResult) Tag() string { return r.tag }
 
 // sendRow writes one DataRow: a string cell is text, a nil cell is NULL.
 func sendRow(sc *ServerConn, cells ...any) error {
-	sc.BeginDataRow(len(cells))
+	b := sc.BeginDataRow(len(cells))
 	for _, c := range cells {
 		if c == nil {
-			sc.NullCell()
+			b = NullCell(b)
 			continue
 		}
-		sc.EndCell(append(sc.BeginCell(), c.(string)...))
+		b = AppendCell(b, c.(string))
 	}
-	return sc.EndDataRow()
+	return sc.EndDataRow(b)
 }
 
 func startEcho(t *testing.T, method AuthMethod, users map[string]string) string {

@@ -39,7 +39,6 @@ type ServerConn struct {
 	r    *bufio.Reader
 	out  frame
 	in   []byte
-	cell int // offset of the open DataRow cell's length field
 	// Params are the startup parameters the client sent (user, database).
 	Params map[string]string
 }
@@ -61,7 +60,7 @@ func (s *ServerConn) Startup() error {
 		if n < 8 || n > 1<<20 {
 			return errf("implausible startup length %d", n)
 		}
-		body, err := readBody(s.r, s.in, int(n-4))
+		body, err := appendBody(s.r, s.in[:0], int(n-4))
 		s.in = body
 		if err != nil {
 			return err
@@ -571,41 +570,48 @@ func (s *ServerConn) SendRowDescription(cols []ColDesc) error {
 	return s.endMessage()
 }
 
-// BeginDataRow opens a DataRow ('D') of n cells; the paper contrasts this
-// row-at-a-time streaming with QIPC's single column-oriented message
-// (§4.2). The caller adds exactly n cells, each with NullCell or with
-// BeginCell/EndCell, then closes the row with EndDataRow.
-func (s *ServerConn) BeginDataRow(n int) {
+// BeginDataRow opens a DataRow ('D') of n cells and returns the output
+// buffer; the paper contrasts this row-at-a-time streaming with QIPC's
+// single column-oriented message (§4.2). The caller appends exactly n cells
+// to the buffer in their wire form — NullCell, AppendCell, or OpenCell and
+// CloseCell around bytes rendered in place — and hands the result to
+// EndDataRow, or drops the row with AbortDataRow. No cell is assembled
+// apart and copied.
+func (s *ServerConn) BeginDataRow(n int) []byte {
 	s.out.begin('D')
 	s.out.int16(int16(n))
-}
-
-// NullCell adds a NULL cell to the open DataRow.
-func (s *ServerConn) NullCell() { s.out.int32(-1) }
-
-// BeginCell opens a cell in the open DataRow and returns the output buffer:
-// append the cell's text or binary form to it and hand the result to
-// EndCell, which back-patches the cell's length. The cell is rendered in
-// place, never into a string or slice of its own.
-func (s *ServerConn) BeginCell() []byte {
-	s.cell = len(s.out.b)
-	s.out.int32(0)
 	return s.out.b
 }
 
-// EndCell closes the cell BeginCell opened; b is BeginCell's buffer with the
-// cell's text appended.
-func (s *ServerConn) EndCell(b []byte) {
+// EndDataRow closes the open DataRow; b is BeginDataRow's buffer with the
+// row's cells appended.
+func (s *ServerConn) EndDataRow(b []byte) error {
 	s.out.b = b
-	binary.BigEndian.PutUint32(b[s.cell:], uint32(len(b)-s.cell-4))
+	return s.endMessage()
 }
-
-// EndDataRow closes the open DataRow.
-func (s *ServerConn) EndDataRow() error { return s.endMessage() }
 
 // AbortDataRow drops the open DataRow, for a row whose cell failed to
 // encode: nothing of it reaches the client.
 func (s *ServerConn) AbortDataRow() { s.out.b = s.out.b[:s.out.start-1] }
+
+// NullCell appends a NULL cell to a DataRow's buffer.
+func NullCell(b []byte) []byte { return append(b, 0xff, 0xff, 0xff, 0xff) }
+
+// AppendCell appends a cell of known bytes to a DataRow's buffer: its
+// length, then the bytes.
+func AppendCell(b []byte, cell string) []byte {
+	return append(binary.BigEndian.AppendUint32(b, uint32(len(cell))), cell...)
+}
+
+// OpenCell appends the length field of a cell whose bytes the caller
+// appends next, and returns its offset for CloseCell.
+func OpenCell(b []byte) ([]byte, int) { return append(b, 0, 0, 0, 0), len(b) }
+
+// CloseCell fills in the length of the cell OpenCell opened at off: every
+// byte of b past the field.
+func CloseCell(b []byte, off int) {
+	binary.BigEndian.PutUint32(b[off:], uint32(len(b)-off-4))
+}
 
 // SendCommandComplete ends a statement's results ('C').
 func (s *ServerConn) SendCommandComplete(tag string) error {

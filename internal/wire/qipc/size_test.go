@@ -8,6 +8,7 @@ import (
 
 	"hyperq/internal/colbuf"
 	"hyperq/internal/qlang/qval"
+	"hyperq/internal/wire/pgv3"
 )
 
 // TestEncodedSizeExact checks encodedSize against the actual encoder for
@@ -107,13 +108,17 @@ func TestBuilderColumnsCompressRoundTrip(t *testing.T) {
 	b := colbuf.Get()
 	defer b.Release()
 	b.Reset(specs, rows)
+	var batch pgv3.Batch
+	batch.Reset(len(specs))
 	for i := 0; i < rows; i++ {
-		for j, cell := range []string{strconv.Itoa(i % 100), strconv.Itoa(100 + i%7), []string{"GOOG", "IBM", "MSFT"}[i%3]} {
-			if err := b.AppendText(j, []byte(cell)); err != nil {
-				t.Fatal(err)
-			}
+		var cells [][]byte
+		for _, cell := range []string{strconv.Itoa(i % 100), strconv.Itoa(100 + i%7), []string{"GOOG", "IBM", "MSFT"}[i%3]} {
+			cells = append(cells, []byte(cell))
 		}
-		b.FinishRow()
+		batch.AppendRow(cells)
+	}
+	if err := b.AppendBatch(&batch); err != nil {
+		t.Fatal(err)
 	}
 	names, data := b.Build()
 	tbl := qval.NewTable(names, data)
