@@ -46,10 +46,11 @@ bench-compare:
 # (text and binary cells) into result columns, the translation cache's
 # lifting of literals out of q text, the QIPC message codec with its
 # decompressor, which read every client's bytes, the persist chunk codec,
-# which reads every column file a cold fault opens, and the persist WAL
-# replay, which decodes every record of wal.log at open. A crash lands as a
-# corpus entry under the package's testdata/fuzz, which `go test` replays
-# from then on. Minimizing each new interesting input is capped at a second:
+# which reads every column file a cold fault opens, the persist WAL replay,
+# which decodes every record of wal.log at open, and pgdb's three-valued
+# predicate kernels, held to the walker on random predicate trees. A crash
+# lands as a corpus entry under the package's testdata/fuzz, which `go test`
+# replays from then on. Minimizing each new interesting input is capped at a second:
 # at go's default of a minute, a target spends most of FUZZTIME minimizing
 # instead of fuzzing.
 FUZZTIME ?= 20s
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/wire/qipc -run '^$$' -fuzz '^FuzzQIPCMessage$$' $(FUZZFLAGS)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzChunkCodec$$' $(FUZZFLAGS)
 	$(GO) test ./internal/persist -run '^$$' -fuzz '^FuzzWALReplay$$' $(FUZZFLAGS)
+	$(GO) test ./internal/pgdb -run '^$$' -fuzz '^FuzzPredicateKernels$$' $(FUZZFLAGS)
 
 # qdiff is the one list of differential-fuzzer legs; CI runs this target. It
 # replays the CI seeds against the serving engine (vector scans, fused

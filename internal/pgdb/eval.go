@@ -225,21 +225,7 @@ func applyBinary(op string, l, r any) (any, error) {
 	}
 	switch op {
 	case "=", "<>", "<", ">", "<=", ">=":
-		c := compareVals(l, r)
-		switch op {
-		case "=":
-			return c == 0, nil
-		case "<>":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case ">":
-			return c > 0, nil
-		case "<=":
-			return c <= 0, nil
-		default:
-			return c >= 0, nil
-		}
+		return cmpHolds(op, compareVals(l, r)), nil
 	case "+", "-", "*", "/", "%":
 		return arithSQL(op, l, r)
 	case "||":

@@ -41,7 +41,9 @@ func (s *Session) filterRows(where sqlparse.Expr, schema []colBinding, rows [][]
 }
 
 // evalVecPred runs a lowered predicate over every segment of a column store,
-// returning the global selection bitmap.
+// returning the global selection bitmap: the rows where it is TRUE. The
+// WHERE keeps TRUE &^ NULL, which is TRUE alone, so the NULL window is
+// never asked for.
 //
 // Evicted (stub) segments answer from metadata when the predicate's
 // stubSeg verdict is decisive — a zone-pruned cold segment costs no I/O —
@@ -80,12 +82,12 @@ func (s *Session) evalVecPred(p vecPred, st *colStore) ([]uint64, error) {
 			seg := st.peekSeg(si)
 			window := out[si*segWords : si*segWords+(seg.n+63)/64]
 			if seg.stub {
-				if p.stubSeg(seg, window) {
+				if p.stubSeg(seg, window, nil) {
 					continue
 				}
 				seg = st.segCols(si, pcols)
 			}
-			p.evalSeg(seg, window)
+			p.evalSeg(seg, window, nil)
 		}
 	}()
 	if err != nil {

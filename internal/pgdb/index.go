@@ -224,12 +224,12 @@ func sortedPredRange(p vecPred, st *colStore) (lo, hi int, ok bool) {
 	n := st.numRows()
 	switch x := p.(type) {
 	case *vecConst:
-		if x.all {
+		if x.t {
 			return 0, n, true
 		}
 		return 0, 0, true
 	case *vecIsNull:
-		if !st.sortedCol(x.col) {
+		if x.k != nil || !st.sortedCol(x.col) {
 			return 0, 0, false
 		}
 		// sorted ⇒ no NULLs

@@ -24,10 +24,16 @@ import (
 // gives NULL. An int `/` or `%` by zero on a row whose operands are both
 // non-NULL is that row's 22012 error. It is kept per entry (kvec.errs), so
 // the consumer raises it where the walker would: a projection fails, a
-// fused aggregate freezes that group's slot. Lowering declines every other
+// fused aggregate freezes that group's slot. A kernel that a predicate reads
+// (vector.go) may not raise at all, since the predicate evaluates every row:
+// its lowering declines such a division. Lowering declines every other
 // shape, and any column that some segment holds as strings, bools or mixed
 // values. That check reads segment metadata only, before anything faults, so
 // the kernels never meet a value that is not an int64 or a float64.
+//
+// Kernels and predicates are one lowering (lowering, in vector.go): a
+// comparison or IS NULL of kernels is a predicate, and a searched CASE
+// lowers its conditions to predicates for both of its uses (lowerCase).
 
 // valKernel is one lowered expression node.
 type valKernel interface {
@@ -466,17 +472,17 @@ func (p *kNullIf) eval(seg *segment, pos []int32) *kvec {
 	return o
 }
 
-// kCase is a searched CASE whose conditions lower to predicate kernels.
-// Entry j takes the first arm whose condition bitmap holds row pos[j] — the
-// bitmap holds the rows where the condition is TRUE, exactly the rows on
-// which the walker takes the arm — and the ELSE (NULL when absent)
-// otherwise. Each arm evaluates only over the rows that take it, so an
-// arm's division by zero fails only the rows the walker evaluates it
-// on.
+// kCase is a numeric searched CASE. Entry j takes the first arm whose
+// condition's TRUE window holds row pos[j] — a row where the condition is
+// NULL or FALSE falls through, as on the walker, so the NULL window is not
+// asked for — and the ELSE (NULL when absent) otherwise. Each arm evaluates
+// only over the rows that take it, so an arm's division by zero fails only
+// the rows the walker evaluates it on.
 type kCase struct {
 	conds []vecPred
 	arms  []valKernel // arms[i] for conds[i], then the ELSE when present
 	taken []uint64    // entries an earlier arm took
+	win   []uint64    // a condition's TRUE window
 	sub   []int32     // positions of the rows taking the current arm
 	at    []int32     // and their entries
 	out   kvec
@@ -512,11 +518,9 @@ func (p *kCase) eval(seg *segment, pos []int32) *kvec {
 	o.reset(k, n)
 	p.taken = grow(p.taken, (n+63)/64)
 	clear(p.taken)
-	var win [segWords]uint64
-	w := win[:(seg.n+63)/64]
 	for a, cond := range p.conds {
-		clear(w)
-		cond.evalSeg(seg, w)
+		w := scratch(&p.win, 1, (seg.n+63)/64)
+		cond.evalSeg(seg, w, nil)
 		p.sub, p.at = p.sub[:0], p.at[:0]
 		for j, i := range pos {
 			if hasBit(w, int(i)) && !hasBit(p.taken, j) {
@@ -574,14 +578,16 @@ func (p *kCase) scatter(o *kvec, arm valKernel, seg *segment) {
 // shape the kernels do not cover, or a column some segment of st holds as
 // strings, bools or mixed values; the caller then takes the row path.
 func lowerValue(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel, bool) {
-	k, ok := lowerKernel(e, schema, st)
-	if !ok {
+	return lowering{schema, st}.value(e, true)
+}
+
+// value lowers e to a kernel that every segment can evaluate. A kernel a
+// predicate reads (fallible false) declines an int `/` or `%` that can
+// raise: the predicate evaluates it on rows the walker would never reach.
+func (l lowering) value(e sqlparse.Expr, fallible bool) (valKernel, bool) {
+	k, ok := l.kernel(e, fallible)
+	if !ok || !l.everySeg(func(seg *segment) bool { _, ok := k.kind(seg); return ok }) {
 		return nil, false
-	}
-	for si := range st.slots {
-		if _, ok := k.kind(st.peekSeg(si)); !ok {
-			return nil, false
-		}
 	}
 	return k, true
 }
@@ -602,7 +608,19 @@ func storeKind(k valKernel, st *colStore) (vecKind, bool) {
 	return kind, true
 }
 
-func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel, bool) {
+// mayRaise reports whether an int `/` or `%` can divide by zero: its divisor
+// is neither a constant other than an int zero nor a NULLIF(x, 0), and some
+// segment holds both operands as ints.
+func (l lowering) mayRaise(k *kArith) bool {
+	c, isConst := k.r.(*kConst)
+	n, isNullIf := k.r.(*kNullIf)
+	if k.op != '/' && k.op != '%' || isConst && (c.k != vkInt || c.i != 0) || isNullIf && n.k == 0 {
+		return false
+	}
+	return !l.everySeg(func(seg *segment) bool { kind, _ := k.kind(seg); return kind != vkInt })
+}
+
+func (l lowering) kernel(e sqlparse.Expr, fallible bool) (valKernel, bool) {
 	if v, ok := vecConstOf(e); ok {
 		switch x := v.(type) {
 		case nil:
@@ -616,25 +634,30 @@ func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel,
 	}
 	switch x := e.(type) {
 	case *sqlparse.ColRef:
-		if col, ok := lowerColRef(x, schema, st); ok {
+		if col, ok := lowerColRef(x, l.schema, l.st); ok {
 			return &kCol{col: col}, true
 		}
 	case *sqlparse.UnaryExpr:
 		if x.Op != "-" {
 			return nil, false
 		}
-		if k, ok := lowerKernel(x.X, schema, st); ok {
+		if k, ok := l.kernel(x.X, fallible); ok {
 			return &kNeg{x: k}, true
 		}
 	case *sqlparse.BinaryExpr:
 		if len(x.Op) != 1 || !strings.Contains("+-*/%", x.Op) {
 			return nil, false
 		}
-		l, lok := lowerKernel(x.L, schema, st)
-		r, rok := lowerKernel(x.R, schema, st)
-		if lok && rok {
-			return &kArith{op: x.Op[0], l: l, r: r}, true
+		lk, lok := l.kernel(x.L, fallible)
+		rk, rok := l.kernel(x.R, fallible)
+		if !lok || !rok {
+			return nil, false
 		}
+		k := &kArith{op: x.Op[0], l: lk, r: rk}
+		if !fallible && l.mayRaise(k) {
+			return nil, false
+		}
+		return k, true
 	case *sqlparse.CastExpr:
 		to := vkFloat
 		switch normalizeType(x.Type) {
@@ -644,12 +667,12 @@ func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel,
 		default:
 			return nil, false
 		}
-		if k, ok := lowerKernel(x.X, schema, st); ok {
+		if k, ok := l.kernel(x.X, fallible); ok {
 			return &kCast{x: k, to: to}, true
 		}
 	case *sqlparse.FuncCall:
 		if x.Name == "floor" && len(x.Args) == 1 && x.Over == nil {
-			if k, ok := lowerKernel(x.Args[0], schema, st); ok {
+			if k, ok := l.kernel(x.Args[0], fallible); ok {
 				return &kFloor{x: k}, true
 			}
 			return nil, false
@@ -658,7 +681,7 @@ func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel,
 			return nil, false
 		}
 		c, isConst := vecConstOf(x.Args[1])
-		k, ok := lowerKernel(x.Args[0], schema, st)
+		k, ok := l.kernel(x.Args[0], fallible)
 		if !isConst || !ok {
 			return nil, false
 		}
@@ -671,32 +694,16 @@ func lowerKernel(e sqlparse.Expr, schema []colBinding, st *colStore) (valKernel,
 			return &kNullIf{x: k, k: c}, true
 		}
 	case *sqlparse.CaseExpr:
-		return lowerValueCase(x, schema, st)
+		conds, arms, ok := lowerCase(l, x, func(e sqlparse.Expr) (valKernel, bool) { return l.kernel(e, fallible) })
+		switch {
+		case !ok:
+			return nil, false
+		case len(conds) > 0:
+			return &kCase{conds: conds, arms: arms}, true
+		case len(arms) > 0:
+			return arms[0], true // every condition folded away
+		}
+		return &kConst{k: vkEmpty}, true
 	}
 	return nil, false
-}
-
-// lowerValueCase lowers a searched CASE whose conditions lower to predicate
-// kernels and whose results lower to value kernels.
-func lowerValueCase(x *sqlparse.CaseExpr, schema []colBinding, st *colStore) (valKernel, bool) {
-	c := &kCase{}
-	for _, w := range x.Whens {
-		cond, ok := lowerVecPred(w.Cond, schema, st)
-		if !ok {
-			return nil, false
-		}
-		then, ok := lowerKernel(w.Then, schema, st)
-		if !ok {
-			return nil, false
-		}
-		c.conds, c.arms = append(c.conds, cond), append(c.arms, then)
-	}
-	if x.Else != nil {
-		els, ok := lowerKernel(x.Else, schema, st)
-		if !ok {
-			return nil, false
-		}
-		c.arms = append(c.arms, els)
-	}
-	return c, true
 }

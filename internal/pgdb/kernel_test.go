@@ -341,7 +341,7 @@ func TestValueKernelsDecline(t *testing.T) {
 	for _, expr := range []string{
 		"s + 1", "flag + 1", "v * 2", "-s", "CAST(v AS bigint)", "NULLIF(flag, 1)",
 		"a + 'x'", "NULLIF(a, 'x')", "NULLIF(a, b)", "a || 'x'", "abs(a)", "a > 1",
-		"CASE WHEN a > 1 THEN s END", "CASE WHEN a + 1 > 2 THEN 1 END",
+		"CASE WHEN a > 1 THEN s END", "CASE WHEN a / b > 2 THEN 1 END", // a condition that can raise
 		"CASE WHEN a > 1 THEN a ELSE x END", // int and float arms
 		"CAST(a AS varchar)", "m + 1 + s", "floor(s)", "floor(a, b)", "ceil(x)",
 	} {
@@ -350,8 +350,10 @@ func TestValueKernelsDecline(t *testing.T) {
 		}
 	}
 	// m holds ints in one segment and floats in the others: it lowers, and a
-	// CASE between it and an int column does not
-	for expr, want := range map[string]bool{"m * 2": true, "CASE WHEN g = 'k1' THEN m ELSE a END": false} {
+	// CASE between it and an int column does not; a condition comparing a
+	// kernel lowers, one dividing by a non-zero constant too
+	for expr, want := range map[string]bool{"m * 2": true, "CASE WHEN g = 'k1' THEN m ELSE a END": false,
+		"CASE WHEN a + 1 > 2 THEN 1 END": true, "CASE WHEN a % 3 <> 0 THEN x END": true} {
 		if _, ok := lowerValue(parseItem(t, expr), schema, st); ok != want {
 			t.Errorf("%s: lowers %v, want %v", expr, ok, want)
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // TestDeclinedWhereBoxesColumnsRead: a WHERE that does not lower (here a
-// comparison of two columns) boxes, in both engines, only the columns its
+// comparison of two columns as strings, which no kernel computes) boxes, in both engines, only the columns its
 // block reads. The results match the walker's, and a query reading two
 // columns of a 400-column table allocates about what it does over a
 // 4-column table of the same rows: the cost follows the columns read, not
@@ -37,12 +37,12 @@ func TestDeclinedWhereBoxesColumnsRead(t *testing.T) {
 	}
 	setup := append(table("wide", 400), table("narrow", 4)...)
 	for _, q := range []string{
-		"SELECT a, b FROM wide WHERE a < b",
-		"SELECT c3, a FROM wide WHERE a < b AND c3 > 10",
-		"SELECT a, count(*) AS n, sum(c399) AS s FROM wide WHERE a < b GROUP BY a",
-		"SELECT * FROM narrow WHERE a < b",
-		"SELECT w.a, n.b FROM wide w JOIN narrow n ON w.c2 = n.c2 WHERE w.a < n.b",
-		"SELECT a FROM wide w JOIN narrow n ON w.c2 = n.c2 WHERE w.a < n.b",
+		"SELECT a, b FROM wide WHERE CAST(a AS varchar) < CAST(b AS varchar)",
+		"SELECT c3, a FROM wide WHERE CAST(a AS varchar) < CAST(b AS varchar) AND c3 > 10",
+		"SELECT a, count(*) AS n, sum(c399) AS s FROM wide WHERE CAST(a AS varchar) < CAST(b AS varchar) GROUP BY a",
+		"SELECT * FROM narrow WHERE CAST(a AS varchar) < CAST(b AS varchar)",
+		"SELECT w.a, n.b FROM wide w JOIN narrow n ON w.c2 = n.c2 WHERE CAST(w.a AS varchar) < CAST(n.b AS varchar)",
+		"SELECT a FROM wide w JOIN narrow n ON w.c2 = n.c2 WHERE CAST(w.a AS varchar) < CAST(n.b AS varchar)",
 	} {
 		requireModeParity(t, setup, q)
 	}
@@ -56,7 +56,7 @@ func TestDeclinedWhereBoxesColumnsRead(t *testing.T) {
 			}
 		}
 		cost := func(table string) uint64 {
-			sql := "SELECT a, b FROM " + table + " WHERE a < b"
+			sql := "SELECT a, b FROM " + table + " WHERE CAST(a AS varchar) < CAST(b AS varchar)"
 			if _, err := s.Exec(sql); err != nil {
 				t.Fatal(err)
 			}

@@ -39,11 +39,13 @@ var fusedKinds = map[string]fusedKind{
 
 // fusedSlot is the vectorizable plan of one aggregate slot. Its argument is
 // either the storage column col or, when arg is set, the value kernel of a
-// computed expression.
+// computed expression; first/last over an expression (col -1) walk it on
+// their one row at finalize, reading the columns reads.
 type fusedSlot struct {
-	kind fusedKind
-	col  int
-	arg  valKernel
+	kind  fusedKind
+	col   int
+	arg   valKernel
+	reads []int
 }
 
 // planFusedSlots maps every aggregate call to a fused kind over a storage
@@ -51,10 +53,11 @@ type fusedSlot struct {
 // segment metadata, without faulting: count, first and last fuse over a
 // column of any kind; sum, avg and the collecting kinds need every segment
 // of the argument to hold ints, floats or only NULLs; min and max also need
-// one kind across segments. Any other call (first/last over an expression,
-// an argument that does not lower to a kernel, argument-count errors)
-// aborts fusion and the caller falls back to execGrouped, which folds every
-// value kind.
+// one kind across segments. first and last over an expression evaluate it on
+// one row, as computeAggregate does, so they fuse over any expression. Any
+// other call (an argument that does not lower to a kernel, argument-count
+// errors) aborts fusion and the caller falls back to execGrouped, which
+// folds every value kind.
 func planFusedSlots(calls []*sqlparse.FuncCall, schema []colBinding, st *colStore) ([]fusedSlot, bool) {
 	out := make([]fusedSlot, len(calls))
 	for i, fc := range calls {
@@ -74,9 +77,15 @@ func planFusedSlots(calls []*sqlparse.FuncCall, schema []colBinding, st *colStor
 			out[i] = fusedSlot{kind: kind, col: col}
 			continue
 		}
-		// first/last evaluate their argument on one row only: not fused
 		if kind == fFirst || kind == fLast {
-			return nil, false
+			seen := map[int]struct{}{}
+			addColRefs(fc.Args[0], schema, seen)
+			reads := sortedSet(seen)
+			if len(reads) > 0 && reads[len(reads)-1] >= len(st.cols) {
+				return nil, false
+			}
+			out[i] = fusedSlot{kind: kind, col: -1, reads: reads}
+			continue
 		}
 		k, ok := lowerValue(fc.Args[0], schema, st)
 		if !ok {
@@ -714,13 +723,17 @@ func (s *Session) execGroupedVec(sel *sqlparse.SelectStmt, rel *relation, selBit
 				if acc.bestSet {
 					vals[i] = acc.boxedBest()
 				}
-			case fFirst:
-				if g.firstIdx >= 0 {
-					vals[i] = st.cellAt(g.firstIdx, fs.col)
+			case fFirst, fLast:
+				row := g.firstIdx
+				if fs.kind == fLast {
+					row = g.lastIdx
 				}
-			case fLast:
-				if g.lastIdx >= 0 {
-					vals[i] = st.cellAt(g.lastIdx, fs.col)
+				switch {
+				case row < 0:
+				case fs.col >= 0:
+					vals[i] = st.cellAt(row, fs.col)
+				default:
+					vals[i], errs[i] = evalExpr(calls[i].Args[0], rel.schema, st.rowAtCols(row, fs.reads))
 				}
 			case fCollect:
 				vals[i] = finishFloats(calls[i].Name, g.collected[i])

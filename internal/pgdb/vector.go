@@ -10,22 +10,33 @@ import (
 )
 
 // Vectorized predicate execution: lowerVecPred compiles a WHERE tree into a
-// program of typed kernels that fill a selection bitmap over the column
-// vectors, one segment at a time. Only shapes whose evaluation can never
-// error are lowered (column-vs-constant comparisons, IS [NOT] NULL,
-// BETWEEN over constants, AND/OR/NOT composition, searched CASE), so the
-// walker's error surface is preserved exactly: anything else, an IN list
-// included, falls back to the row-at-a-time filter.
+// program of typed kernels that fills bitmaps over the column vectors, one
+// segment at a time. Its leaves compare a column with a constant, compare
+// two value kernels (kernel.go), or test a column or a kernel for NULL; AND,
+// OR, NOT, BETWEEN over constants, searched CASE and the comparison of two
+// predicates compose them. Anything else, an IN list or LIKE included, falls
+// back to the row-at-a-time filter.
 //
-// Soundness of the bitmap encoding: a WHERE keeps a row only when it
-// evaluates to TRUE, so NULL and FALSE both map to an unset bit. That
-// mapping commutes with AND/OR composition (NULL AND x, NULL OR FALSE are
-// never TRUE; NULL OR TRUE is TRUE and the OR of the bitmaps sets the bit)
-// — but with NOT only where the operand is never NULL: there the
-// complement of its bitmap within the segment is exactly the TRUE set of
-// the negation. NOT therefore lowers only over a provably two-valued
-// operand (nullCols), such as the `x IS NULL OR x < k` the translator's
-// ordered comparisons lower to.
+// The two-window encoding: a predicate is three-valued, so it fills two
+// windows of a segment, TRUE (the rows where it is TRUE) and NULL (the rows
+// where it is NULL). A row in neither is FALSE, and no row is in both. AND,
+// OR and NOT are Kleene's tables on the windows, word by word:
+//
+//	AND: T = Tl & Tr    N = (Tl | Nl) & (Tr | Nr) &^ T
+//	OR:  T = Tl | Tr    N = (Nl | Nr) &^ T
+//	NOT: T = ^(T | N)   N = N
+//
+// so NOT lowers over any operand. The TRUE of an AND or an OR reads only
+// its operands' TRUE, so a caller that needs TRUE alone passes a nil NULL
+// window, and the operands skip their NULL bookkeeping too: a WHERE keeps
+// the rows in TRUE &^ NULL, which is TRUE, and a CASE takes an arm where its
+// condition is TRUE. A nil NULL window also lets a zone verdict decide an
+// evicted segment whose NULL rows are unknown without its null bitmap.
+//
+// Lowered nodes evaluate every row eagerly where the walker is lazy (AND and
+// OR short-circuit, a CASE evaluates the arm it takes), so nothing lowered
+// may raise: a kernel with an int `/` or `%` whose divisor can be zero
+// declines (mayRaise).
 //
 // Zone maps prune at the leaves: a comparison kernel skips a whole segment
 // when the per-segment min/max bounds prove no row can match, and fills it
@@ -37,22 +48,22 @@ import (
 // 64, so each segment owns a word-aligned window of the global bitmap).
 const segWords = segSize / 64
 
-// vecPred evaluates one predicate node over a segment, writing the result
-// into the segment's (zeroed) bitmap window.
+// vecPred evaluates one predicate node over a segment into its TRUE window
+// t and its NULL window n, both zeroed and one bit per row of the segment;
+// n is nil when the caller needs TRUE alone.
 //
 // stubSeg is the metadata-only variant for evicted segments: it may use
 // only per-vector metadata (kind, null count, zone bounds) and the row
-// count. It returns true when that metadata fully decides the window —
-// in which case the window holds the result — and false when a per-row
-// scan is needed; a false return must leave the window untouched, since
-// the caller then faults the segment in and runs evalSeg on the same
-// window.
+// count. It returns true when that metadata fully decides the windows —
+// in which case they hold the result — and false when a per-row scan is
+// needed; a false return must leave the windows untouched, since the
+// caller then faults the segment in and runs evalSeg on the same windows.
 // cols reports every column index the predicate's evalSeg may touch, so the
 // scan can fault in exactly those columns of an evicted segment (stubSeg
 // needs only metadata and never faults).
 type vecPred interface {
-	evalSeg(seg *segment, out []uint64)
-	stubSeg(seg *segment, out []uint64) bool
+	evalSeg(seg *segment, t, n []uint64)
+	stubSeg(seg *segment, t, n []uint64) bool
 	cols(add func(int))
 }
 
@@ -96,6 +107,27 @@ func clearNulls(out []uint64, v *colVec) {
 	}
 }
 
+// nullsOf sets in n, when it is not nil, the NULL rows among the first
+// rows of v.
+func nullsOf(n []uint64, v *colVec, rows int) {
+	if n == nil || v.nullCnt == 0 {
+		return
+	}
+	fillOnes(n, rows)
+	for w := range n {
+		n[w] &= v.nullWord(w)
+	}
+}
+
+// complementWindow flips the first n bits of a segment's window.
+func complementWindow(out []uint64, n int) {
+	var mask [segWords]uint64
+	fillOnes(mask[:len(out)], n)
+	for w := range out {
+		out[w] = mask[w] &^ out[w]
+	}
+}
+
 func windowAllZero(out []uint64) bool {
 	for _, w := range out {
 		if w != 0 {
@@ -114,283 +146,321 @@ func popCount(sel []uint64) int {
 	return n
 }
 
-// --- predicate nodes ---
-
-type vecAnd struct{ l, r vecPred }
-
-func (p *vecAnd) cols(add func(int)) { p.l.cols(add); p.r.cols(add) }
-
-func (p *vecAnd) evalSeg(seg *segment, out []uint64) {
-	p.l.evalSeg(seg, out)
-	if windowAllZero(out) {
-		return
-	}
-	var tmp [segWords]uint64
-	t := tmp[:len(out)]
-	p.r.evalSeg(seg, t)
-	for w := range out {
-		out[w] &= t[w]
-	}
+// scratch returns m zeroed k-word windows laid end to end in *buf, a node's
+// own buffer, reused across segments (a statement evaluates its predicates
+// on one goroutine). Windows on the stack would escape to the heap once per
+// segment, since they pass through interface calls.
+func scratch(buf *[]uint64, m, k int) []uint64 {
+	*buf = grow(*buf, m*k)
+	clear(*buf)
+	return *buf
 }
 
-func (p *vecAnd) stubSeg(seg *segment, out []uint64) bool {
-	var lt, rt [segWords]uint64
-	l := lt[:len(out)]
-	if !p.l.stubSeg(seg, l) {
+// nullWin is win, or nil when n is: the NULL window of an operand is wanted
+// exactly when the node's own is.
+func nullWin(win, n []uint64) []uint64 {
+	if n == nil {
+		return nil
+	}
+	return win
+}
+
+// allRows is the positions of a full segment's rows, the selection over
+// which a predicate evaluates its value kernels.
+var allRows = func() (pos [segSize]int32) {
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	return pos
+}()
+
+// --- composite nodes ---
+
+// A step evaluates a child node into zeroed windows: evalStep over the
+// rows, stubStep from metadata, false when the metadata does not decide.
+// A composite node runs its children through one step, so its evalSeg and
+// stubSeg are one function.
+type step func(q vecPred, seg *segment, t, n []uint64) bool
+
+func evalStep(q vecPred, seg *segment, t, n []uint64) bool {
+	q.evalSeg(seg, t, n)
+	return true
+}
+
+func stubStep(q vecPred, seg *segment, t, n []uint64) bool { return q.stubSeg(seg, t, n) }
+
+type vecAnd struct {
+	l, r vecPred
+	buf  []uint64
+}
+
+func (p *vecAnd) cols(add func(int))                       { p.l.cols(add); p.r.cols(add) }
+func (p *vecAnd) evalSeg(seg *segment, t, n []uint64)      { p.run(evalStep, seg, t, n) }
+func (p *vecAnd) stubSeg(seg *segment, t, n []uint64) bool { return p.run(stubStep, seg, t, n) }
+
+// run decides the AND once either side is FALSE on every row, whatever the
+// other side is.
+func (p *vecAnd) run(s step, seg *segment, t, n []uint64) bool {
+	k := len(t)
+	w := scratch(&p.buf, 4, k)
+	lt, ln, rt, rn := w[:k], nullWin(w[k:2*k], n), w[2*k:3*k], nullWin(w[3*k:], n)
+	lok := s(p.l, seg, lt, ln)
+	if lok && windowAllZero(lt) && windowAllZero(ln) {
+		return true // FALSE everywhere: the zeroed windows are final
+	}
+	rok := s(p.r, seg, rt, rn)
+	if rok && windowAllZero(rt) && windowAllZero(rn) {
+		return true
+	}
+	if !lok || !rok {
 		return false
 	}
-	if windowAllZero(l) {
-		return true // AND with an empty side: the (zeroed) window is final
-	}
-	r := rt[:len(out)]
-	if !p.r.stubSeg(seg, r) {
-		return false
-	}
-	for w := range out {
-		out[w] = l[w] & r[w]
+	for w := range t {
+		t[w] = lt[w] & rt[w]
+		if n != nil {
+			n[w] = (lt[w] | ln[w]) & (rt[w] | rn[w]) &^ t[w]
+		}
 	}
 	return true
 }
 
-type vecOr struct{ l, r vecPred }
-
-func (p *vecOr) cols(add func(int)) { p.l.cols(add); p.r.cols(add) }
-
-func (p *vecOr) evalSeg(seg *segment, out []uint64) {
-	p.l.evalSeg(seg, out)
-	var tmp [segWords]uint64
-	t := tmp[:len(out)]
-	p.r.evalSeg(seg, t)
-	for w := range out {
-		out[w] |= t[w]
-	}
+type vecOr struct {
+	l, r vecPred
+	buf  []uint64
 }
 
-func (p *vecOr) stubSeg(seg *segment, out []uint64) bool {
-	var lt, rt [segWords]uint64
-	l := lt[:len(out)]
-	if !p.l.stubSeg(seg, l) {
+func (p *vecOr) cols(add func(int))                       { p.l.cols(add); p.r.cols(add) }
+func (p *vecOr) evalSeg(seg *segment, t, n []uint64)      { p.run(evalStep, seg, t, n) }
+func (p *vecOr) stubSeg(seg *segment, t, n []uint64) bool { return p.run(stubStep, seg, t, n) }
+
+func (p *vecOr) run(s step, seg *segment, t, n []uint64) bool {
+	k := len(t)
+	w := scratch(&p.buf, 4, k)
+	lt, ln, rt, rn := w[:k], nullWin(w[k:2*k], n), w[2*k:3*k], nullWin(w[3*k:], n)
+	if !s(p.l, seg, lt, ln) || !s(p.r, seg, rt, rn) {
 		return false
 	}
-	r := rt[:len(out)]
-	if !p.r.stubSeg(seg, r) {
-		return false
-	}
-	for w := range out {
-		out[w] = l[w] | r[w]
+	for w := range t {
+		t[w] = lt[w] | rt[w]
+		if n != nil {
+			n[w] = (ln[w] | rn[w]) &^ t[w]
+		}
 	}
 	return true
 }
 
-// vecConst is a row-independent predicate: TRUE selects the whole segment,
-// FALSE/NULL select nothing. twoValued marks a constant known to be TRUE or
-// FALSE, never NULL; only NOT tells FALSE and NULL apart.
-type vecConst struct{ all, twoValued bool }
+// vecNot is NOT: TRUE where the operand is FALSE, NULL where it is NULL.
+type vecNot struct {
+	p   vecPred
+	buf []uint64
+}
+
+func (p *vecNot) cols(add func(int))                       { p.p.cols(add) }
+func (p *vecNot) evalSeg(seg *segment, t, n []uint64)      { p.run(evalStep, seg, t, n) }
+func (p *vecNot) stubSeg(seg *segment, t, n []uint64) bool { return p.run(stubStep, seg, t, n) }
+
+func (p *vecNot) run(s step, seg *segment, t, n []uint64) bool {
+	k := len(t)
+	w := scratch(&p.buf, 2, k)
+	pt, pn := w[:k], w[k:]
+	if !s(p.p, seg, pt, pn) {
+		return false
+	}
+	for w := range t {
+		t[w] = pt[w] | pn[w]
+	}
+	complementWindow(t, seg.n)
+	copy(n, pn)
+	return true
+}
+
+// negate is NOT p, which flips an IS [NOT] NULL in place so that sorted
+// ranges and zone verdicts still see the leaf.
+func negate(p vecPred) vecPred {
+	if x, ok := p.(*vecIsNull); ok {
+		return &vecIsNull{col: x.col, k: x.k, not: !x.not}
+	}
+	return &vecNot{p: p}
+}
+
+// vecCase is a boolean searched CASE: a row takes the first arm whose
+// condition is TRUE there — a NULL condition falls through like FALSE — and
+// the last arm, the ELSE, when no condition is. So each condition is asked
+// for its TRUE window alone, and an arm's windows count on the rows it
+// takes. An arm no row takes is not evaluated.
+type vecCase struct {
+	conds []vecPred
+	arms  []vecPred // arms[i] for conds[i], then the ELSE
+	buf   []uint64
+}
+
+func (p *vecCase) cols(add func(int)) {
+	for _, c := range p.conds {
+		c.cols(add)
+	}
+	for _, a := range p.arms {
+		a.cols(add)
+	}
+}
+
+func (p *vecCase) evalSeg(seg *segment, t, n []uint64)      { p.run(evalStep, seg, t, n) }
+func (p *vecCase) stubSeg(seg *segment, t, n []uint64) bool { return p.run(stubStep, seg, t, n) }
+
+func (p *vecCase) run(s step, seg *segment, t, n []uint64) bool {
+	k := len(t)
+	w := scratch(&p.buf, 6, k)
+	taken, c, at, an, rt, rn := w[:k], w[k:2*k], w[2*k:3*k], nullWin(w[3*k:4*k], n), w[4*k:5*k], nullWin(w[5*k:], n)
+	for i, arm := range p.arms {
+		clear(c)
+		if i == len(p.conds) {
+			fillOnes(c, seg.n) // the ELSE takes every row left
+		} else if !s(p.conds[i], seg, c, nil) {
+			return false
+		}
+		for w := range c {
+			c[w] &^= taken[w]
+			taken[w] |= c[w]
+		}
+		if windowAllZero(c) {
+			continue
+		}
+		clear(at)
+		clear(an)
+		if !s(arm, seg, at, an) {
+			return false
+		}
+		for w := range rt {
+			rt[w] |= at[w] & c[w]
+			if n != nil {
+				rn[w] |= an[w] & c[w]
+			}
+		}
+	}
+	copy(t, rt)
+	copy(n, rn)
+	return true
+}
+
+// foldCase builds a boolean CASE from lowerCase's conditions and arms. The
+// translator guards every ordered comparison with conditions that are never
+// NULL (`x IS NULL`) and constant results (q orders NULL lowest); under
+// such a condition c the CASE is exactly `c OR <rest>` when its result is
+// TRUE and `<rest> AND NOT c` when FALSE. So the translator's `x > k`
+// reaches `x > k AND x IS NOT NULL` and its `x < k` `x IS NULL OR x < k`:
+// the comparison leaf, with its zone verdicts and sorted range.
+func foldCase(conds, arms []vecPred) vecPred {
+	if len(conds) == 0 {
+		if len(arms) > 0 {
+			return arms[0]
+		}
+		return &vecConst{null: true} // no ELSE
+	}
+	c, a, rest := conds[0], arms[0], foldCase(conds[1:], arms[1:])
+	if isNull, twoValued := c.(*vecIsNull); twoValued {
+		if k, isConst := a.(*vecConst); isConst && k.t {
+			return &vecOr{l: c, r: rest}
+		} else if isConst && !k.null {
+			return andNot(rest, isNull)
+		}
+	}
+	if r, isCase := rest.(*vecCase); isCase {
+		return &vecCase{conds: append([]vecPred{c}, r.conds...), arms: append([]vecPred{a}, r.arms...)}
+	}
+	return &vecCase{conds: []vecPred{c}, arms: []vecPred{a, rest}}
+}
+
+// andNot is p AND NOT c, for c an IS [NOT] NULL. When c is `x IS NULL` and
+// p compares x with a constant, that is p with x's NULL cells FALSE: one
+// leaf, which costs what the bare comparison does.
+func andNot(p vecPred, c *vecIsNull) vecPred {
+	if x, ok := p.(*vecCmp); ok && c.k == nil && !c.not && x.col == c.col {
+		safe := *x
+		safe.nullSafe = true
+		return &safe
+	}
+	return &vecAnd{l: p, r: negate(c)}
+}
+
+// --- leaves ---
+
+// vecConst is a row-independent predicate: TRUE, NULL, or neither (FALSE).
+type vecConst struct{ t, null bool }
 
 func (p *vecConst) cols(func(int)) {}
 
-func (p *vecConst) evalSeg(seg *segment, out []uint64) {
-	if p.all {
-		fillOnes(out, seg.n)
+func (p *vecConst) evalSeg(seg *segment, t, n []uint64) {
+	switch {
+	case p.t:
+		fillOnes(t, seg.n)
+	case p.null && n != nil:
+		fillOnes(n, seg.n)
 	}
 }
 
-func (p *vecConst) stubSeg(seg *segment, out []uint64) bool {
-	p.evalSeg(seg, out) // row-independent: needs only the row count
+func (p *vecConst) stubSeg(seg *segment, t, n []uint64) bool {
+	p.evalSeg(seg, t, n) // row-independent: needs only the row count
 	return true
 }
 
-// vecNot is NOT over a two-valued operand: the complement of the operand's
-// window within the segment's rows.
-type vecNot struct{ p vecPred }
-
-func (p *vecNot) cols(add func(int)) { p.p.cols(add) }
-
-func (p *vecNot) evalSeg(seg *segment, out []uint64) {
-	p.p.evalSeg(seg, out)
-	complementWindow(out, seg.n)
-}
-
-func (p *vecNot) stubSeg(seg *segment, out []uint64) bool {
-	var tmp [segWords]uint64
-	if !p.p.stubSeg(seg, tmp[:len(out)]) {
-		return false
-	}
-	copy(out, tmp[:len(out)])
-	complementWindow(out, seg.n)
-	return true
-}
-
-// complementWindow flips the first n bits of a segment's window.
-func complementWindow(out []uint64, n int) {
-	var mask [segWords]uint64
-	fillOnes(mask[:len(out)], n)
-	for w := range out {
-		out[w] = mask[w] &^ out[w]
-	}
-}
-
-// nullCols returns columns such that p is never NULL on a row where none of
-// them is NULL; ok is false when no such set is known. An empty set makes p
-// two-valued: TRUE or FALSE on every row.
-func nullCols(p vecPred) (cols []int, ok bool) {
-	switch x := p.(type) {
-	case *vecConst:
-		return nil, x.all || x.twoValued
-	case *vecIsNull, *vecNot:
-		return nil, true
-	case *vecCmp:
-		// compareVals orders any two non-NULL values
-		return []int{x.col}, true
-	case *vecAnd:
-		return binaryNullCols(x.l, x.r, false)
-	case *vecOr:
-		return binaryNullCols(x.l, x.r, true)
-	}
-	return nil, false
-}
-
-// binaryNullCols joins the sides' nullCols; under OR a column drops out when
-// a side is TRUE wherever it is NULL, which makes the OR TRUE there.
-func binaryNullCols(l, r vecPred, or bool) ([]int, bool) {
-	lc, lok := nullCols(l)
-	rc, rok := nullCols(r)
-	if !lok || !rok {
-		return nil, false
-	}
-	var cols []int
-	for _, c := range append(lc, rc...) {
-		if !or || !trueOnNull(l, c) && !trueOnNull(r, c) {
-			cols = append(cols, c)
-		}
-	}
-	return cols, true
-}
-
-// trueOnNull reports whether p is TRUE on every row where column col is
-// NULL.
-func trueOnNull(p vecPred, col int) bool {
-	switch x := p.(type) {
-	case *vecIsNull:
-		return !x.not && x.col == col
-	case *vecOr:
-		return trueOnNull(x.l, col) || trueOnNull(x.r, col)
-	}
-	return false
-}
-
-// vecIsNull lowers col IS [NOT] NULL straight off the null bitmap.
+// vecIsNull is col IS [NOT] NULL, straight off the column's null bitmap, or
+// k IS [NOT] NULL off a value kernel's when k is set. It is never NULL.
 type vecIsNull struct {
 	col int
+	k   valKernel
 	not bool
 }
 
-func (p *vecIsNull) cols(add func(int)) { add(p.col) }
+func (p *vecIsNull) cols(add func(int)) {
+	if p.k != nil {
+		p.k.cols(add)
+	} else {
+		add(p.col)
+	}
+}
 
-func (p *vecIsNull) evalSeg(seg *segment, out []uint64) {
-	v := &seg.vecs[p.col]
+func (p *vecIsNull) evalSeg(seg *segment, t, _ []uint64) {
+	var v *colVec
+	if p.k != nil {
+		v = &p.k.eval(seg, allRows[:seg.n]).colVec
+	} else {
+		v = &seg.vecs[p.col]
+	}
+	nullsOf(t, v, seg.n)
 	if p.not {
-		if v.nullCnt == 0 {
-			fillOnes(out, seg.n)
-			return
-		}
-		fillOnes(out, seg.n)
-		for w := range out {
-			out[w] &^= v.nullWord(w)
-		}
-		return
-	}
-	if v.nullCnt == 0 {
-		return
-	}
-	var mask [segWords]uint64
-	fillOnes(mask[:len(out)], seg.n)
-	for w := range out {
-		out[w] = v.nullWord(w) & mask[w]
+		complementWindow(t, seg.n)
 	}
 }
 
-func (p *vecIsNull) stubSeg(seg *segment, out []uint64) bool {
-	v := &seg.vecs[p.col]
-	if v.nullCnt == 0 {
-		if p.not {
-			fillOnes(out, seg.n)
-		}
-		return true
+func (p *vecIsNull) stubSeg(seg *segment, t, _ []uint64) bool {
+	none, all := false, false
+	if p.k == nil {
+		v := &seg.vecs[p.col]
+		none, all = v.nullCnt == 0, v.nullCnt == seg.n
+	} else if k, _ := p.k.kind(seg); k == vkEmpty {
+		all = true
 	}
-	if v.nullCnt == seg.n {
-		if !p.not {
-			fillOnes(out, seg.n)
-		}
-		return true
+	if !none && !all {
+		return false // mixed: needs the null bitmap
 	}
-	return false // mixed: needs the null bitmap
-}
-
-// vecColTrue lowers a bare boolean column predicate (WHERE flag): a row is
-// kept only when the cell is boolean TRUE — non-bool values reject like the
-// walker's `b, ok := v.(bool); ok && b` keep test.
-type vecColTrue struct{ col int }
-
-func (p *vecColTrue) cols(add func(int)) { add(p.col) }
-
-func (p *vecColTrue) evalSeg(seg *segment, out []uint64) {
-	v := &seg.vecs[p.col]
-	switch v.kind {
-	case vkBool:
-		for i, b := range v.bools[:seg.n] {
-			if b {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		clearNulls(out, v)
-	case vkAny:
-		for i, cell := range v.anys[:seg.n] {
-			if b, ok := cell.(bool); ok && b {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
+	if all != p.not {
+		fillOnes(t, seg.n)
 	}
-	// other kinds: no cell is boolean TRUE
-}
-
-func (p *vecColTrue) stubSeg(seg *segment, out []uint64) bool {
-	v := &seg.vecs[p.col]
-	switch v.kind {
-	case vkBool:
-		if v.nullCnt == seg.n {
-			return true
-		}
-		if mx, ok := v.maxV.(bool); ok && !mx {
-			return true // every non-null cell is FALSE
-		}
-		if mn, ok := v.minV.(bool); ok && mn && v.nullCnt == 0 {
-			fillOnes(out, seg.n)
-			return true
-		}
-		return false
-	case vkAny:
-		return false
-	default:
-		return true // no cell of this kind is boolean TRUE
-	}
+	return true
 }
 
 // vecCmp is a column-vs-constant comparison. The constant is pre-classified
-// (numeric via toFloat, or string) so each segment scan runs a typed loop;
-// kind/constant combinations that compareVals resolves by type name reduce
-// to a constant verdict for the whole vector.
+// (numeric via toFloat, or string) so a segment of ints, floats or strings
+// scans in a typed loop; the rest — bools, mixed values, a NaN or
+// mixed-type constant — compare cell by cell in compareVals order.
 type vecCmp struct {
-	col   int
-	op    string // "=", "<>", "<", ">", "<=", ">="
-	konst any    // non-nil
-	test  func(int) bool
-	kf    float64 // numeric form (int64/float64/bool constants)
-	kfOK  bool
-	kNaN  bool
-	ks    string // string form
-	ksOK  bool
-	ktn   string // %T name of the constant, for mixed-type ordering
+	col      int
+	op       string  // "=", "<>", "<", ">", "<=", ">="
+	konst    any     // non-nil
+	nullSafe bool    // a NULL cell is FALSE, not NULL: `col op konst AND col IS NOT NULL`
+	kf       float64 // numeric form of a non-NaN int64 or float64 constant
+	kfOK     bool
+	ks       string // string form
+	ksOK     bool
 	// verdict is cmpStrKernel's per-dictionary-entry buffer, reused across
 	// segments (a statement evaluates its predicates on one goroutine)
 	verdict []bool
@@ -400,36 +470,12 @@ func (p *vecCmp) cols(add func(int)) { add(p.col) }
 
 func newVecCmp(col int, op string, konst any) *vecCmp {
 	p := &vecCmp{col: col, op: op, konst: konst}
-	switch op {
-	case "=":
-		p.test = func(c int) bool { return c == 0 }
-	case "<>":
-		p.test = func(c int) bool { return c != 0 }
-	case "<":
-		p.test = func(c int) bool { return c < 0 }
-	case ">":
-		p.test = func(c int) bool { return c > 0 }
-	case "<=":
-		p.test = func(c int) bool { return c <= 0 }
-	default:
-		p.test = func(c int) bool { return c >= 0 }
-	}
-	if f, ok := toFloat(konst); ok {
-		p.kf, p.kfOK = f, true
-		p.kNaN = math.IsNaN(f)
-	}
-	if s, ok := konst.(string); ok {
-		p.ks, p.ksOK = s, true
-	}
-	switch konst.(type) {
-	case int64:
-		p.ktn = "int64"
-	case float64:
-		p.ktn = "float64"
+	switch k := konst.(type) {
+	case int64, float64:
+		p.kf, _ = toFloat(k)
+		p.kfOK = !math.IsNaN(p.kf)
 	case string:
-		p.ktn = "string"
-	case bool:
-		p.ktn = "bool"
+		p.ks, p.ksOK = k, true
 	}
 	return p
 }
@@ -460,117 +506,69 @@ func (p *vecCmp) zoneVerdict(v *colVec) (skip, all bool) {
 	}
 }
 
-// constVerdict fills the window for a comparison whose outcome is the same
-// for every non-null row (mixed-type ordering, or NaN constants vs ints).
-func (p *vecCmp) constVerdict(v *colVec, seg *segment, out []uint64, c int) {
-	if !p.test(c) {
-		return
-	}
-	fillOnes(out, seg.n)
-	clearNulls(out, v)
-}
-
-func (p *vecCmp) stubSeg(seg *segment, out []uint64) bool {
+func (p *vecCmp) stubSeg(seg *segment, t, n []uint64) bool {
 	v := &seg.vecs[p.col]
-	if v.kind == vkEmpty || v.nullCnt == seg.n {
-		return true // no non-null values: a comparison is never TRUE
+	switch {
+	case v.kind == vkEmpty || v.nullCnt == seg.n:
+		if n != nil && !p.nullSafe {
+			fillOnes(n, seg.n) // no non-null values: NULL on every row
+		}
+		return true
+	case n != nil && v.nullCnt > 0 && !p.nullSafe:
+		return false // the NULL rows need the null bitmap
 	}
 	if skip, all := p.zoneVerdict(v); skip {
 		return true
 	} else if all && v.nullCnt == 0 {
-		fillOnes(out, seg.n)
+		fillOnes(t, seg.n)
 		return true
 	}
 	return false
 }
 
-func (p *vecCmp) evalSeg(seg *segment, out []uint64) {
+// evalSeg fills TRUE where the comparison holds; a NULL cell is NULL. What
+// the metadata decides (stubSeg) needs no scan.
+func (p *vecCmp) evalSeg(seg *segment, out, n []uint64) {
+	if p.stubSeg(seg, out, n) {
+		return
+	}
 	v := &seg.vecs[p.col]
-	if v.kind == vkEmpty || v.nullCnt == seg.n {
-		return // no non-null values: a comparison is never TRUE
+	if !p.nullSafe {
+		nullsOf(n, v, seg.n)
 	}
-	if skip, all := p.zoneVerdict(v); skip {
-		return
-	} else if all && v.nullCnt == 0 {
-		fillOnes(out, seg.n)
-		return
-	}
-	test := p.test
-	switch v.kind {
-	case vkInt:
-		switch {
-		case p.kfOK && p.kNaN:
-			p.constVerdict(v, seg, out, -1) // every number < NaN
-		case p.kfOK:
-			cmpIntKernel(p.op, v.ints[:seg.n], p.kf, out)
-			clearNulls(out, v)
-		default:
-			p.constVerdict(v, seg, out, strings.Compare("int64", p.ktn))
-		}
-	case vkFloat:
-		switch {
-		case p.kfOK && p.kNaN:
-			// NaN constant (rare): per-row compareVals verdict — NaN equals
-			// NaN and exceeds every other value
-			for i, f := range v.floats[:seg.n] {
-				c := -1
-				if math.IsNaN(f) {
-					c = 0
-				}
-				if test(c) {
-					out[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-			clearNulls(out, v)
-		case p.kfOK:
-			cmpFloatKernel(p.op, v.floats[:seg.n], p.kf, out)
-			clearNulls(out, v)
-		default:
-			p.constVerdict(v, seg, out, strings.Compare("float64", p.ktn))
-		}
-	case vkStr:
-		if p.ksOK {
-			p.verdict = cmpStrKernel(p.op, v.codes[:seg.n], v.dict, p.ks, p.verdict, out)
-			clearNulls(out, v)
-		} else {
-			p.constVerdict(v, seg, out, strings.Compare("string", p.ktn))
-		}
-	case vkBool:
-		if p.kfOK {
-			kf, kNaN := p.kf, p.kNaN
-			for i, b := range v.bools[:seg.n] {
-				f := 0.0
-				if b {
-					f = 1.0
-				}
-				var c int
-				switch {
-				case kNaN:
-					c = -1
-				case f < kf:
-					c = -1
-				case f > kf:
-					c = 1
-				}
-				if test(c) {
-					out[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-			clearNulls(out, v)
-		} else {
-			p.constVerdict(v, seg, out, strings.Compare("bool", p.ktn))
-		}
-	case vkAny:
-		konst := p.konst
-		for i, cell := range v.anys[:seg.n] {
-			if cell == nil {
-				continue
-			}
-			if test(compareVals(cell, konst)) {
+	switch {
+	case v.kind == vkInt && p.kfOK:
+		cmpIntKernel(p.op, v.ints[:seg.n], p.kf, out)
+	case v.kind == vkFloat && p.kfOK:
+		cmpFloatKernel(p.op, v.floats[:seg.n], p.kf, out)
+	case v.kind == vkStr && p.ksOK:
+		p.verdict = cmpStrKernel(p.op, v.codes[:seg.n], v.dict, p.ks, p.verdict, out)
+	default:
+		for i := range seg.n {
+			if cell := v.get(i); cell != nil && cmpHolds(p.op, compareVals(cell, p.konst)) {
 				out[i>>6] |= 1 << (uint(i) & 63)
 			}
 		}
 	}
+	clearNulls(out, v)
+}
+
+// cmpHolds reports whether op holds of two values that compareVals orders
+// c.
+func cmpHolds(op string, c int) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "<>":
+		return c != 0
+	case "<":
+		return c < 0
+	case ">":
+		return c > 0
+	case "<=":
+		return c <= 0
+	}
+	return c >= 0
 }
 
 // b2u turns a comparison result into a bitmap bit without a data-dependent
@@ -723,180 +721,102 @@ func cmpStrKernel(op string, codes []uint16, dict []string, k string, verdict []
 	return verdict
 }
 
-// vecCase is a searched CASE whose conditions, results and ELSE all lower.
-// Tracking TRUE only is exact here: a row takes the first arm whose
-// condition is TRUE — a NULL condition falls through like FALSE — so the
-// result is TRUE where some arm's condition is TRUE, no earlier condition
-// is, and that arm's result is TRUE, or where no condition is TRUE and the
-// ELSE is. Lowered nodes cannot error, so evaluating every arm over the
-// whole segment, where the walker evaluates lazily, is unobservable.
-type vecCase struct {
-	conds, thens []vecPred
-	els          vecPred // nil: no ELSE, which is NULL
-}
-
-func (p *vecCase) cols(add func(int)) {
-	for i := range p.conds {
-		p.conds[i].cols(add)
-		p.thens[i].cols(add)
-	}
-	if p.els != nil {
-		p.els.cols(add)
-	}
-}
-
-// fold combines the arms' windows, each filled by eval into a zeroed
-// window. It returns false, leaving out untouched, as soon as eval does.
-func (p *vecCase) fold(out []uint64, eval func(vecPred, []uint64) bool) bool {
-	var tb, cb, vb, rb [segWords]uint64
-	n := len(out)
-	taken, cw, vw, res := tb[:n], cb[:n], vb[:n], rb[:n]
-	for i := range p.conds {
-		clear(cw)
-		clear(vw)
-		if !eval(p.conds[i], cw) || !eval(p.thens[i], vw) {
-			return false
-		}
-		for w := range res {
-			res[w] |= cw[w] &^ taken[w] & vw[w]
-			taken[w] |= cw[w]
-		}
-	}
-	if p.els != nil {
-		clear(vw)
-		if !eval(p.els, vw) {
-			return false
-		}
-		for w := range res {
-			res[w] |= vw[w] &^ taken[w]
-		}
-	}
-	copy(out, res)
-	return true
-}
-
-func (p *vecCase) evalSeg(seg *segment, out []uint64) {
-	p.fold(out, func(q vecPred, w []uint64) bool { q.evalSeg(seg, w); return true })
-}
-
-func (p *vecCase) stubSeg(seg *segment, out []uint64) bool {
-	return p.fold(out, func(q vecPred, w []uint64) bool { return q.stubSeg(seg, w) })
-}
-
-// lowerCase lowers a searched CASE, folding what the lowering can decide:
-// arms whose condition is constant FALSE or NULL never fire, and a constant
-// TRUE condition makes its result the ELSE of the arms before it. Then
-// constant results fold: a leading `c THEN TRUE` arm makes the CASE
-// `c OR <the rest>`, and a `col IS NULL THEN FALSE` arm drops when nothing
-// after it can be TRUE on a NULL col. Those are the guards the Hyper-Q
-// translator puts in every ordered comparison (q orders NULL lowest), so
-// its `x > k` lowers to the same comparison kernel, zone verdicts and
-// sorted range as a bare `x > k`, and its `x < k` to `x IS NULL OR x < k`.
-func lowerCase(x *sqlparse.CaseExpr, schema []colBinding, st *colStore) (vecPred, bool) {
-	c := &vecCase{}
-	for _, w := range x.Whens {
-		cond, ok := lowerVecPred(w.Cond, schema, st)
-		if !ok {
-			return nil, false
-		}
-		then, ok := lowerVecPred(w.Then, schema, st)
-		if !ok {
-			return nil, false
-		}
-		c.conds = append(c.conds, cond)
-		c.thens = append(c.thens, then)
-	}
-	if x.Else != nil {
-		els, ok := lowerVecPred(x.Else, schema, st)
-		if !ok {
-			return nil, false
-		}
-		c.els = els
-	}
-	// constant conditions
-	w := 0
-	for i, cond := range c.conds {
-		if k, isConst := cond.(*vecConst); isConst {
-			if k.all {
-				c.els = c.thens[i]
-				break
+// cmpPairKernel sets a bit per row whose two operands, compared as
+// compareVals compares numbers, satisfy op: as float64, with NaN equal to
+// NaN and above every other value. The families are NaN-aware, so their
+// complements are exact too.
+func cmpPairKernel(op string, ls, rs []float64, out []uint64) {
+	family, invert := cmpFamily(op)
+	n := len(ls)
+	for w := 0; w*64 < n; w++ {
+		lo, hi := w*64, min((w+1)*64, n)
+		blk, rblk := ls[lo:hi], rs[lo:hi]
+		var bw uint64
+		switch family {
+		case 0:
+			for j, x := range blk {
+				y := rblk[j]
+				bw |= b2u(x == y || x != x && y != y) << uint(j)
 			}
-			continue
+		case 1:
+			for j, x := range blk {
+				y := rblk[j]
+				bw |= b2u(x < y || y != y && x == x) << uint(j)
+			}
+		case 2:
+			for j, x := range blk {
+				y := rblk[j]
+				bw |= b2u(x <= y || y != y) << uint(j)
+			}
 		}
-		c.conds[w], c.thens[w] = cond, c.thens[i]
-		w++
-	}
-	c.conds, c.thens = c.conds[:w], c.thens[:w]
-	// constant results, last arm first so each test sees the arms after it
-	for i := len(c.conds) - 1; i >= 0; i-- {
-		k, isConst := c.thens[i].(*vecConst)
-		if !isConst {
-			continue
+		if invert {
+			bw = ^bw
+			if len(blk) < 64 {
+				bw &= 1<<uint(len(blk)) - 1
+			}
 		}
-		if k.all && i == 0 {
-			// TRUE where the first condition is, else where the rest is
-			rest := &vecCase{conds: c.conds[1:], thens: c.thens[1:], els: c.els}
-			return &vecOr{l: c.conds[0], r: rest.simplest()}, true
-		}
-		// only a FALSE guard drops: dropping a NULL one would turn the
-		// CASE's NULL into the rest's FALSE, which NOT tells apart
-		if isNull, guard := c.conds[i].(*vecIsNull); !k.all && k.twoValued && guard && !isNull.not && c.restRejects(i+1, isNull.col) {
-			c.conds = append(c.conds[:i], c.conds[i+1:]...)
-			c.thens = append(c.thens[:i], c.thens[i+1:]...)
-		}
-	}
-	return c.simplest(), true
-}
-
-// restRejects reports whether arms from on, and the ELSE, are never TRUE
-// on a row where column col is NULL.
-func (p *vecCase) restRejects(from, col int) bool {
-	if p.els != nil && !nullRejects(p.els, col) {
-		return false
-	}
-	for _, then := range p.thens[from:] {
-		if !nullRejects(then, col) {
-			return false
-		}
-	}
-	return true
-}
-
-// simplest is the CASE itself, or its ELSE when no arm is left.
-func (p *vecCase) simplest() vecPred {
-	switch {
-	case len(p.conds) > 0:
-		return p
-	case p.els != nil:
-		return p.els
-	default:
-		return &vecConst{}
+		out[w] |= bw
 	}
 }
 
-// nullRejects reports whether p is never TRUE on a row where column col is
-// NULL.
-func nullRejects(p vecPred, col int) bool {
-	switch x := p.(type) {
-	case *vecConst:
-		return !x.all
-	case *vecCmp:
-		return x.col == col
-	case *vecColTrue:
-		return x.col == col
-	case *vecIsNull:
-		return x.not && x.col == col
-	case *vecAnd:
-		return nullRejects(x.l, col) || nullRejects(x.r, col)
-	case *vecOr:
-		return nullRejects(x.l, col) && nullRejects(x.r, col)
-	case *vecCase:
-		return x.restRejects(0, col)
+// vecCmpK compares two value kernels over a segment's rows: a comparison is
+// NULL where either side is, IS [NOT] DISTINCT FROM never is (two NULLs are
+// not distinct). Its operands are numeric, so the zone maps, which bound
+// columns, do not decide it: an evicted segment faults in.
+type vecCmpK struct {
+	op     string // a comparison operator, or IS [NOT] DISTINCT FROM
+	l, r   valKernel
+	lf, rf []float64 // an int operand promoted to float64
+}
+
+func (p *vecCmpK) cols(add func(int)) { p.l.cols(add); p.r.cols(add) }
+
+func (p *vecCmpK) stubSeg(*segment, []uint64, []uint64) bool { return false }
+
+func (p *vecCmpK) evalSeg(seg *segment, t, n []uint64) {
+	pos := allRows[:seg.n]
+	l, r := p.l.eval(seg, pos), p.r.eval(seg, pos)
+	op := p.op
+	distinct := strings.HasSuffix(op, "DISTINCT FROM")
+	if distinct {
+		op = "="
 	}
-	return false
+	if l.kind != vkEmpty && r.kind != vkEmpty {
+		cmpPairKernel(op, floatsOf(l, seg.n, &p.lf), floatsOf(r, seg.n, &p.rf), t)
+	}
+	for w := range t {
+		ln, rn := l.nullWord(w), r.nullWord(w)
+		t[w] &^= ln | rn
+		switch {
+		case distinct:
+			t[w] |= ln & rn // equal: both NULL, or neither and equal
+		case n != nil:
+			n[w] = ln | rn
+		}
+	}
+	if p.op == "IS DISTINCT FROM" {
+		complementWindow(t, seg.n)
+	}
 }
 
 // --- lowering ---
+
+// lowering lowers expressions over the columns of one store: pred to a
+// predicate, value to a value kernel (kernel.go).
+type lowering struct {
+	schema []colBinding
+	st     *colStore
+}
+
+// everySeg reports whether ok holds of every segment's metadata.
+func (l lowering) everySeg(ok func(seg *segment) bool) bool {
+	for si := range l.st.slots {
+		if !ok(l.st.peekSeg(si)) {
+			return false
+		}
+	}
+	return true
+}
 
 // vecConstOf folds an expression with no column reference to its value
 // through the walker. One that errors — or that folds outside the engine's
@@ -926,7 +846,7 @@ func flipOp(op string) string {
 		return ">="
 	case ">=":
 		return "<="
-	default: // =, <> are symmetric
+	default: // =, <> and IS [NOT] DISTINCT FROM are symmetric
 		return op
 	}
 }
@@ -949,116 +869,160 @@ func lowerColRef(e sqlparse.Expr, schema []colBinding, st *colStore) (int, bool)
 // shape is unsupported (or could error at run time) and the caller must use
 // the row-at-a-time filter.
 func lowerVecPred(e sqlparse.Expr, schema []colBinding, st *colStore) (vecPred, bool) {
+	return lowering{schema, st}.pred(e)
+}
+
+func (l lowering) pred(e sqlparse.Expr) (vecPred, bool) {
 	switch x := e.(type) {
 	case *sqlparse.BoolLit:
-		return &vecConst{all: x.V, twoValued: true}, true
+		return &vecConst{t: x.V}, true
 	case *sqlparse.NullLit:
-		return &vecConst{}, true
+		return &vecConst{null: true}, true
 	case *sqlparse.ColRef:
-		if col, ok := lowerColRef(x, schema, st); ok {
-			return &vecColTrue{col: col}, true
+		// a boolean column is `col = TRUE`; only one that every segment
+		// holds as bools or NULLs, since NOT raises on any other value
+		col, ok := lowerColRef(x, l.schema, l.st)
+		if ok && l.everySeg(func(seg *segment) bool { k := seg.vecs[col].kind; return k == vkBool || k == vkEmpty }) {
+			return newVecCmp(col, "=", true), true
 		}
-		return nil, false
 	case *sqlparse.IsNullExpr:
-		if col, ok := lowerColRef(x.X, schema, st); ok {
+		if col, ok := lowerColRef(x.X, l.schema, l.st); ok {
 			return &vecIsNull{col: col, not: x.Not}, true
 		}
 		if k, ok := vecConstOf(x.X); ok {
-			return &vecConst{all: (k == nil) != x.Not, twoValued: true}, true
+			return &vecConst{t: (k == nil) != x.Not}, true
 		}
-		return nil, false
+		if k, ok := l.value(x.X, false); ok {
+			return &vecIsNull{k: k, not: x.Not}, true
+		}
 	case *sqlparse.CaseExpr:
-		return lowerCase(x, schema, st)
+		if conds, arms, ok := lowerCase(l, x, l.pred); ok {
+			return foldCase(conds, arms), true
+		}
 	case *sqlparse.UnaryExpr:
 		if x.Op != "NOT" {
 			return nil, false
 		}
-		p, ok := lowerVecPred(x.X, schema, st)
-		if !ok {
-			return nil, false
+		if p, ok := l.pred(x.X); ok {
+			return negate(p), true
 		}
-		if cols, known := nullCols(p); !known || len(cols) > 0 {
-			return nil, false // p can be NULL, which NOT keeps NULL
-		}
-		return &vecNot{p: p}, true
 	case *sqlparse.BetweenExpr:
-		col, ok := lowerColRef(x.X, schema, st)
-		if !ok {
-			return nil, false
-		}
+		col, ok := lowerColRef(x.X, l.schema, l.st)
 		lo, okLo := vecConstOf(x.Lo)
 		hi, okHi := vecConstOf(x.Hi)
-		if !okLo || !okHi {
+		switch {
+		case !ok || !okLo || !okHi:
 			return nil, false
-		}
-		if lo == nil || hi == nil {
-			return &vecConst{}, true // NULL bound: BETWEEN yields NULL
+		case lo == nil || hi == nil:
+			return &vecConst{null: true}, true // NULL bound: BETWEEN yields NULL
 		}
 		return &vecAnd{l: newVecCmp(col, ">=", lo), r: newVecCmp(col, "<=", hi)}, true
 	case *sqlparse.BinaryExpr:
 		switch x.Op {
 		case "AND", "OR":
-			l, ok := lowerVecPred(x.L, schema, st)
+			lp, ok := l.pred(x.L)
 			if !ok {
 				return nil, false
 			}
-			r, ok := lowerVecPred(x.R, schema, st)
+			rp, ok := l.pred(x.R)
 			if !ok {
 				return nil, false
 			}
 			if x.Op == "AND" {
-				return &vecAnd{l: l, r: r}, true
+				return &vecAnd{l: lp, r: rp}, true
 			}
-			return &vecOr{l: l, r: r}, true
-		case "=", "<>", "<", ">", "<=", ">=":
-			if col, ok := lowerColRef(x.L, schema, st); ok {
-				if k, ok := vecConstOf(x.R); ok {
-					if k == nil {
-						return &vecConst{}, true // comparison with NULL is never TRUE
-					}
-					return newVecCmp(col, x.Op, k), true
-				}
-				return nil, false
-			}
-			if col, ok := lowerColRef(x.R, schema, st); ok {
-				if k, ok := vecConstOf(x.L); ok {
-					if k == nil {
-						return &vecConst{}, true
-					}
-					return newVecCmp(col, flipOp(x.Op), k), true
-				}
-			}
-			return nil, false
-		case "IS NOT DISTINCT FROM", "IS DISTINCT FROM":
-			// null-safe equality — the shape the Hyper-Q translator emits for
-			// every q equality. The bitmap tracks TRUE rows only, so against a
-			// non-NULL constant the NOT variant has exactly the "=" kernel's
-			// TRUE set (a NULL cell is FALSE here, NULL there — unset either
-			// way), while the plain variant additionally matches NULL cells.
-			// The operator is symmetric, so no flip is needed.
-			col, ok := lowerColRef(x.L, schema, st)
-			ke := x.R
-			if !ok {
-				if col, ok = lowerColRef(x.R, schema, st); !ok {
-					return nil, false
-				}
-				ke = x.L
-			}
-			k, ok := vecConstOf(ke)
-			if !ok {
-				return nil, false
-			}
-			notDistinct := x.Op == "IS NOT DISTINCT FROM"
-			if k == nil {
-				return &vecIsNull{col: col, not: !notDistinct}, true
-			}
-			if notDistinct {
-				return newVecCmp(col, "=", k), true
-			}
-			return &vecOr{l: newVecCmp(col, "<>", k), r: &vecIsNull{col: col}}, true
+			return &vecOr{l: lp, r: rp}, true
+		case "=", "<>", "<", ">", "<=", ">=", "IS NOT DISTINCT FROM", "IS DISTINCT FROM":
+			return l.cmp(x)
 		}
-		return nil, false
-	default:
+	}
+	return nil, false
+}
+
+// cmp lowers a comparison or IS [NOT] DISTINCT FROM: a column against a
+// constant to the leaf that zone maps and sorted ranges answer, two numbers
+// to a comparison of value kernels, two booleans to AND, OR and NOT.
+func (l lowering) cmp(x *sqlparse.BinaryExpr) (vecPred, bool) {
+	if col, ok := lowerColRef(x.L, l.schema, l.st); ok {
+		if k, ok := vecConstOf(x.R); ok {
+			return cmpLeaf(col, x.Op, k), true
+		}
+	}
+	if col, ok := lowerColRef(x.R, l.schema, l.st); ok {
+		if k, ok := vecConstOf(x.L); ok {
+			return cmpLeaf(col, flipOp(x.Op), k), true
+		}
+	}
+	lk, lok := l.value(x.L, false)
+	rk, rok := l.value(x.R, false)
+	if lok && rok {
+		return &vecCmpK{op: x.Op, l: lk, r: rk}, true
+	}
+	// two booleans, as in q mod's sign test: p <> q is exactly
+	// (p AND NOT q) OR (q AND NOT p) under Kleene logic, and = its negation
+	p, pok := l.pred(x.L)
+	q, qok := l.pred(x.R)
+	if !pok || !qok || x.Op != "=" && x.Op != "<>" {
 		return nil, false
 	}
+	ne := &vecOr{l: &vecAnd{l: p, r: negate(q)}, r: &vecAnd{l: q, r: negate(p)}}
+	if x.Op == "=" {
+		return negate(ne), true
+	}
+	return ne, true
+}
+
+// cmpLeaf is `col op k` over the comparison leaf. The translator writes
+// every q equality as IS NOT DISTINCT FROM, which is the leaf's `=` where
+// the cell is not NULL and FALSE where it is.
+func cmpLeaf(col int, op string, k any) vecPred {
+	switch {
+	case op == "IS NOT DISTINCT FROM" && k == nil:
+		return &vecIsNull{col: col}
+	case op == "IS DISTINCT FROM" && k == nil:
+		return &vecIsNull{col: col, not: true}
+	case op == "IS NOT DISTINCT FROM":
+		return andNot(newVecCmp(col, "=", k), &vecIsNull{col: col})
+	case op == "IS DISTINCT FROM":
+		return &vecOr{l: newVecCmp(col, "<>", k), r: &vecIsNull{col: col}}
+	case k == nil:
+		return &vecConst{null: true} // a comparison with NULL is NULL
+	}
+	return newVecCmp(col, op, k)
+}
+
+// lowerCase lowers a searched CASE for both of its uses: the conditions to
+// predicates, of which a row takes the first that is TRUE there, and the
+// results through arm — predicates in a boolean CASE (foldCase), value
+// kernels in a numeric one (kCase). A constant condition folds: FALSE or
+// NULL never takes its arm, and TRUE makes its result the ELSE. arms holds
+// one result per condition, then the ELSE when there is one.
+func lowerCase[A any](l lowering, x *sqlparse.CaseExpr, arm func(sqlparse.Expr) (A, bool)) (conds []vecPred, arms []A, ok bool) {
+	els := x.Else
+	for _, w := range x.Whens {
+		c, ok := l.pred(w.Cond)
+		if !ok {
+			return nil, nil, false
+		}
+		if k, isConst := c.(*vecConst); isConst {
+			if k.t {
+				els = w.Then
+				break
+			}
+			continue
+		}
+		a, ok := arm(w.Then)
+		if !ok {
+			return nil, nil, false
+		}
+		conds, arms = append(conds, c), append(arms, a)
+	}
+	if els != nil {
+		a, ok := arm(els)
+		if !ok {
+			return nil, nil, false
+		}
+		arms = append(arms, a)
+	}
+	return conds, arms, true
 }

@@ -193,14 +193,23 @@ func TestVecPredicateLowering(t *testing.T) {
 		"SELECT count(*) FROM seg WHERE CASE WHEN price IS NULL THEN FALSE ELSE flag END",
 		"SELECT count(*) FROM seg WHERE CASE WHEN price IS NULL THEN FALSE WHEN ts > 300 THEN price IS NULL ELSE price < 9.0 END",
 		"SELECT count(*) FROM seg WHERE CASE WHEN flag IS NULL THEN FALSE WHEN price IS NULL THEN FALSE ELSE ts < 250 END",
-		// fallback shapes: NOT, LIKE, column-vs-column, subquery, simple CASE,
-		// non-boolean CASE results
-		"SELECT count(*) FROM seg WHERE CASE cat WHEN 'c1' THEN true END",
-		"SELECT count(*) FROM seg WHERE CASE WHEN ts > 100 THEN 1 ELSE 0 END = 1",
+		// NOT over nullable operands, comparisons of two kernels, IS NULL of
+		// a kernel
 		"SELECT count(*) FROM seg WHERE NOT (ts > 100)",
-		"SELECT count(*) FROM seg WHERE cat LIKE 'c%'",
+		"SELECT count(*) FROM seg WHERE NOT (price > 100.0)",
+		"SELECT count(*) FROM seg WHERE NOT (CASE WHEN ts < 10 THEN NULL ELSE flag END)",
+		"SELECT count(*) FROM seg WHERE NOT flag",
 		"SELECT count(*) FROM seg WHERE ts > price",
+		"SELECT count(*) FROM seg WHERE price IS DISTINCT FROM ts - 0.75",
+		"SELECT count(*) FROM seg WHERE (ts % 3) <> 0 AND NULLIF(price, 10.25) = 5.25",
+		"SELECT count(*) FROM seg WHERE FLOOR(price / 7.0) IS NULL OR CASE WHEN flag THEN ts END IS NOT NULL",
+		"SELECT count(*) FROM seg WHERE CASE WHEN ts > 100 THEN 1 ELSE 0 END = 1",
+		// fallback shapes: LIKE, subquery, simple CASE, a divisor that can be
+		// zero
+		"SELECT count(*) FROM seg WHERE CASE cat WHEN 'c1' THEN true END",
+		"SELECT count(*) FROM seg WHERE cat LIKE 'c%'",
 		"SELECT count(*) FROM seg WHERE ts = (SELECT min(ts) FROM seg)",
+		"SELECT count(*) FROM seg WHERE ts % (ts - 250) = 1",
 		// the translator's q `in`: ORed IS NOT DISTINCT FROM, NULL and mixed
 		// numeric members included
 		"SELECT count(*) FROM seg WHERE cat IS NOT DISTINCT FROM 'c1' OR cat IS NOT DISTINCT FROM NULL",
@@ -209,8 +218,24 @@ func TestVecPredicateLowering(t *testing.T) {
 		requireVecParity(t, mk, q)
 	}
 	db := mk(t)
-	if !LowersToVector(db, "seg", "cat IS NOT DISTINCT FROM 'c1' OR cat IS NOT DISTINCT FROM 'c4'") {
-		t.Errorf("the translator's IN shape does not lower")
+	for where, want := range map[string]bool{
+		"cat IS NOT DISTINCT FROM 'c1' OR cat IS NOT DISTINCT FROM 'c4'": true, // the translator's IN
+		// the shapes that sent WHERE blocks to the walker before predicates
+		// were three-valued over value kernels
+		"ts < price":           true,
+		"(ts % 3) <> 0":        true,
+		"NULLIF(ts, 0) = 5":    true,
+		"FLOOR(price) IS NULL": true,
+		"NOT (CASE WHEN ts < 10 THEN NULL ELSE price > 5.0 END)": true,
+		"((ts % NULLIF(ts - 250, 0)) < 0) <> (price < 0.0)":      true, // q mod's sign test
+		"cat LIKE 'c%'":             false,
+		"ts % (ts - 250) = 1":       false, // may divide by zero on a row the walker never reaches
+		"ts / 0 > 1":                false,
+		"CAST(ts AS varchar) = '1'": false,
+	} {
+		if LowersToVector(db, "seg", where) != want {
+			t.Errorf("%s: lowers %v, want %v", where, !want, want)
+		}
 	}
 }
 
@@ -253,8 +278,11 @@ func TestVecFusedAggregateOddities(t *testing.T) {
 		"SELECT min(f), max(f), sum(f), avg(f) FROM odd",
 		"SELECT f, count(*) FROM odd GROUP BY f", // NaN and ±0 as group keys
 		"SELECT k, first(f), last(f), first(m), last(m) FROM odd GROUP BY k",
-		"SELECT count(z), sum(z), min(z), max(z), avg(z) FROM odd", // all-null column
-		"SELECT count(*) FROM odd WHERE k = 'nope'",                // empty global group
+		"SELECT k, first(f * 2.0), last(m || k), first(z + 1) FROM odd GROUP BY k", // first/last over expressions
+		"SELECT k, last(CAST(k AS bigint)) FROM odd GROUP BY k",                    // an error on the one row walked
+		"SELECT first(f - 1.0), last(k) FROM odd WHERE f > 100.0",                  // empty global group
+		"SELECT count(z), sum(z), min(z), max(z), avg(z) FROM odd",                 // all-null column
+		"SELECT count(*) FROM odd WHERE k = 'nope'",                                // empty global group
 		"SELECT sum(z), first(k) FROM odd WHERE f > 100.0",
 		"SELECT min(m), max(m), count(m) FROM odd",                                           // mixed-kind min/max: the row fold
 		"SELECT k, sum(m) FROM odd GROUP BY k",                                               // sum over strings: lazy 42804 from the row fold
@@ -307,7 +335,7 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 		{mkOddDB, "SELECT sum(f) FROM odd", true, []int{1}},
 		{mkOddDB, "SELECT min(z) FROM odd", true, []int{3}}, // all NULL
 		{mkOddDB, "SELECT count(m) FROM odd", true, []int{2}},
-		{mkOddDB, "SELECT first(f + 0.0) FROM odd", false, nil},
+		{mkOddDB, "SELECT first(f + 0.0) FROM odd", true, []int{1}}, // walked on its one row
 		{mkOddDB, "SELECT sum(f + abs(z)) FROM odd", false, nil},
 		{mkOddDB, "SELECT min(k) FROM odd", false, nil},
 		{mkOddDB, "SELECT max(m) FROM odd", false, nil},
@@ -345,6 +373,8 @@ func TestPlanFusedComputedArgs(t *testing.T) {
 			cols := []int{fused[0].col}
 			if fused[0].arg != nil {
 				cols = colsOf(fused[0].arg)
+			} else if fused[0].col < 0 {
+				cols = fused[0].reads
 			}
 			if !reflect.DeepEqual(cols, c.cols) {
 				t.Errorf("%s: argument columns %v, want %v", c.sql, cols, c.cols)

@@ -51,6 +51,7 @@ func NewServerConn(conn net.Conn) *ServerConn {
 // Startup reads the startup message (transparently refusing SSL requests)
 // and stores the client parameters.
 func (s *ServerConn) Startup() error {
+	defer s.trimIn()
 	for {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(s.r, lenBuf[:]); err != nil {
@@ -160,11 +161,20 @@ func (s *ServerConn) readPassword() (string, error) {
 }
 
 // read reads the next typed message into the connection's input buffer; the
-// body is valid until the next read.
+// body is valid until the next read or trimIn.
 func (s *ServerConn) read() (byte, []byte, error) {
 	typ, body, buf, err := readTyped(s.r, s.in)
 	s.in = buf
 	return typ, body, err
+}
+
+// trimIn drops an input buffer grown past maxRetained once its message is
+// answered, as Flush does with the output buffer: the largest message a
+// connection ever sent must not stay pinned for the connection's life.
+func (s *ServerConn) trimIn() {
+	if cap(s.in) > maxRetained {
+		s.in = nil
+	}
 }
 
 // Handler executes the statements a ServerConn's Serve loop receives. A
@@ -232,9 +242,11 @@ func (s *ServerConn) Serve(h Handler) error {
 		case typ == 'X':
 			return nil
 		case skip && typ != 'S':
+			s.trimIn()
 			continue
 		}
 		err = s.dispatch(h, &p, typ, body)
+		s.trimIn()
 		se, _ := err.(*ServerError) // unwrapped, per Handler's contract
 		if err != nil && se == nil {
 			return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -28,6 +29,12 @@ type reply struct {
 // rawClient past startup.
 func dialServe(t *testing.T, run func(sql string) (*cannedResult, error)) *rawClient {
 	t.Helper()
+	return dialConn(t, func(sc *ServerConn) *cannedHandler { return &cannedHandler{sc: sc, run: run} })
+}
+
+// dialConn is dialServe over the handler handler makes for the connection.
+func dialConn(t *testing.T, handler func(sc *ServerConn) *cannedHandler) *rawClient {
+	t.Helper()
 	client, server := net.Pipe()
 	go func() {
 		sc := NewServerConn(server)
@@ -35,7 +42,7 @@ func dialServe(t *testing.T, run func(sql string) (*cannedResult, error)) *rawCl
 		if sc.Startup() != nil || sc.Authenticate(AuthMethodTrust, nil) != nil {
 			return
 		}
-		sc.Serve(&cannedHandler{sc: sc, run: run})
+		sc.Serve(handler(sc))
 	}()
 	rc := &rawClient{t: t, conn: client}
 	t.Cleanup(func() { client.Close() })
@@ -329,5 +336,32 @@ func TestErrorSkipsToSync(t *testing.T) {
 	rc.send()
 	if got := rc.until(); got != "E42P01Z" {
 		t.Fatalf("simple query replies %q", got)
+	}
+}
+
+// TestServerRetainsBoundedBuffers: a connection that received one 2 MiB
+// Query keeps at most maxRetained bytes of input storage once the message is
+// answered, as ClientConn.trim does with its read buffer.
+func TestServerRetainsBoundedBuffers(t *testing.T) {
+	retained := make(chan int, 1)
+	rc := dialConn(t, func(sc *ServerConn) *cannedHandler {
+		return &cannedHandler{sc: sc, run: func(sql string) (*cannedResult, error) {
+			if sql == "retained" {
+				retained <- cap(sc.in) // the buffer the 2 MiB query left
+			}
+			return twoRows(sql)
+		}}
+	})
+	for _, sql := range []string{"SELECT '" + strings.Repeat("x", 2<<20) + "'", "retained"} {
+		rc.out.begin('Q')
+		rc.out.cstr(sql)
+		rc.out.end()
+		rc.send()
+		if got := rc.until(); got != "TDDCZ" {
+			t.Fatalf("replies %q, want TDDCZ", got)
+		}
+	}
+	if n := <-retained; n > maxRetained {
+		t.Errorf("after a 2 MiB Query the connection retains %d bytes, bound %d", n, maxRetained)
 	}
 }
